@@ -44,50 +44,54 @@ func (h *Heap[T]) Worst() T { return h.items[0] }
 func (h *Heap[T]) Items() []T { return h.items }
 
 // Offer inserts x if the heap has room or x sorts before the current
-// worst element.
+// worst element. Sifting moves a hole rather than swapping: one copy of
+// an element per level instead of three.
 func (h *Heap[T]) Offer(x T) {
 	if h.cap == 0 {
 		return
 	}
 	if len(h.items) < h.cap {
 		h.items = append(h.items, x)
-		h.siftUp(len(h.items) - 1)
+		h.siftUp(len(h.items)-1, x)
 		return
 	}
 	if !h.before(x, h.items[0]) {
 		return
 	}
-	h.items[0] = x
-	h.siftDown(0)
+	h.siftDown(x)
 }
 
-func (h *Heap[T]) siftUp(i int) {
+// siftUp places x, which belongs at or above the hole at i.
+func (h *Heap[T]) siftUp(i int, x T) {
 	for i > 0 {
 		p := (i - 1) / 2
-		// Stop when the parent sorts after (or equal to) the child.
-		if h.before(h.items[p], h.items[i]) {
-			h.items[i], h.items[p] = h.items[p], h.items[i]
-			i = p
-			continue
+		// Stop when the parent sorts after (or equal to) x.
+		if !h.before(h.items[p], x) {
+			break
 		}
-		return
+		h.items[i] = h.items[p]
+		i = p
 	}
+	h.items[i] = x
 }
 
-func (h *Heap[T]) siftDown(i int) {
+// siftDown replaces the root with x.
+func (h *Heap[T]) siftDown(x T) {
+	i, n := 0, len(h.items)
 	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(h.items) && h.before(h.items[worst], h.items[l]) {
-			worst = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < len(h.items) && h.before(h.items[worst], h.items[r]) {
-			worst = r
+		if r := c + 1; r < n && h.before(h.items[c], h.items[r]) {
+			c = r
 		}
-		if worst == i {
-			return
+		// Stop when x sorts after (or equal to) the later child.
+		if !h.before(x, h.items[c]) {
+			break
 		}
-		h.items[i], h.items[worst] = h.items[worst], h.items[i]
-		i = worst
+		h.items[i] = h.items[c]
+		i = c
 	}
+	h.items[i] = x
 }

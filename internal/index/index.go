@@ -10,11 +10,21 @@
 // and the search lower-bounds a subtree by (axis distance to the splitting
 // plane) + h_q + minHeight — pruning stays correct under the height model.
 //
-// Mutation strategy: inserts descend to a leaf; removals tombstone the
-// node in place. Both are O(depth). Tombstones and unbalanced insertion
-// degrade the tree over time, so the index rebuilds itself — a balanced
-// median build over the live points — whenever tombstones exceed half the
-// live count or the inserts since the last rebuild exceed the size at that
+// Layout: a tree is one arena, not a graph of heap objects. Slot i is a
+// pointer-free node (nodes[i]: split value, heights, int32 links), its
+// point vector (vecs[i*dim : (i+1)*dim]) and, in parallel slices that a
+// search touches only when it accepts a candidate, the id and the caller's
+// coordinate. Build and Rebuild lay the arena out in pre-order — a node's
+// left child is the next slot, a subtree is one contiguous run of slots —
+// so the near-first descent walks forward through memory and a small
+// subtree is scanned as a run instead of being descended.
+//
+// Mutation strategy: inserts descend to a leaf and append a slot; removals
+// tombstone the slot in place. Both are O(depth). Tombstones and
+// unbalanced insertion degrade the tree over time, so the index rebuilds
+// itself — a balanced median build over the live points, compacting the
+// tombstones out of the arena — whenever tombstones exceed half the live
+// count or the inserts since the last rebuild exceed the size at that
 // rebuild. The doubling rule bounds the amortized rebuild cost per insert
 // to O(log n) and keeps depth within a constant factor of optimal.
 //
@@ -29,7 +39,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"netcoord/internal/bheap"
@@ -123,30 +132,59 @@ type Stats struct {
 	Height int
 }
 
-// treeNode is one kd-tree node. A node whose deleted flag is set is a
-// tombstone: it still splits space but no longer matches queries.
-type treeNode struct {
-	id   string
-	c    coord.Coordinate
-	axis int
+// none is the arena index of an absent child or parent.
+const none = -1
 
-	deleted             bool
-	parent, left, right *treeNode
+// maxDim is the largest dimension a node's axis field can name.
+const maxDim = math.MaxUint16
 
-	// size counts live points in this subtree; a subtree with size 0 is
-	// skipped entirely during search.
-	size int
+// runMax is the longest run of slots a search scans linearly instead of
+// descending: below it, computing every distance in a contiguous run
+// costs less than the pruning tests and mispredicted branches it skips.
+const runMax = 16
+
+// node is one kd-tree node: 48 bytes, no pointers, so the arena is one
+// allocation the garbage collector never scans. A node whose deleted
+// flag is set is a tombstone: it still splits space but no longer
+// matches queries.
+type node struct {
+	// split is the point's component on axis, height its own height:
+	// with them a visit that rejects the point reads nothing but the
+	// node and the point's vector.
+	split  float64
+	height float64
 	// minHeight lower-bounds the height of every point in this subtree.
 	// It is maintained exactly on insert and left stale (conservatively
 	// low) on removal, so it is always a valid pruning bound.
 	minHeight float64
+
+	left, right, parent int32
+
+	// size counts live points in this subtree; a subtree with size 0 is
+	// skipped entirely during search.
+	size int32
+	// run, when positive, says the subtree is exactly the slots
+	// [i, i+run) — true of every subtree a build lays out, until an
+	// insert hangs a slot from the end of the arena beneath it (run 0).
+	run int32
+
+	axis    uint16
+	deleted bool
 }
 
 // Tree is the incremental kd-tree. Not safe for concurrent use.
 type Tree struct {
-	dim  int
-	root *treeNode
-	ids  map[string]*treeNode
+	dim int
+	// nodes[0] is the root whenever the arena is non-empty.
+	nodes []node
+	// The per-slot payload, parallel to nodes: the flat vectors the
+	// search reads, and the id and coordinate it hands out. coords keeps
+	// the caller's immutable coordinate so that a Neighbor never refers
+	// to vecs, which a rebuild rewrites.
+	vecs   []float64
+	ids    []string
+	coords []coord.Coordinate
+	byID   map[string]int32
 
 	dead          int
 	liveAtRebuild int
@@ -159,12 +197,12 @@ type Tree struct {
 
 // New builds an empty Tree for coordinates of the given dimension.
 func New(dim int) (*Tree, error) {
-	if dim <= 0 {
+	if dim <= 0 || dim > maxDim {
 		//nc:allow(hotpath) validation-failure return: cold by definition
-		return nil, fmt.Errorf("index: dimension %d, want > 0", dim)
+		return nil, fmt.Errorf("index: dimension %d, want in [1, %d]", dim, maxDim)
 	}
 	//nc:allow(hotpath) tree construction: once per shard, not per upsert
-	return &Tree{dim: dim, ids: make(map[string]*treeNode)}, nil
+	return &Tree{dim: dim, byID: make(map[string]int32)}, nil
 }
 
 // Entry is one point for bulk construction with Build.
@@ -194,46 +232,35 @@ func Build(dim int, entries []Entry) (*Tree, error) {
 			return nil, fmt.Errorf("index build %q: %w", entries[i].ID, err)
 		}
 	}
-	// Nodes come from one contiguous backing array: a single allocation,
-	// and better locality for the build's median scans. The capacity is
-	// fixed up front so node addresses stay stable as it fills.
-	backing := make([]treeNode, 0, len(entries)) //nc:allow(hotpath) bulk build: one contiguous backing array per build
-	for i := range entries {
-		e := &entries[i]
-		if old, ok := t.ids[e.ID]; ok {
-			// Later duplicate wins; reuse the node of the earlier
-			// occurrence.
-			old.c = e.Coord
-			old.minHeight = e.Coord.Height
-			continue
+	t.byID = make(map[string]int32, len(entries)) //nc:allow(hotpath) bulk build: one id map per build
+	t.layout(entries)
+	if len(t.byID) < len(entries) {
+		// Some id repeats, which the id map just showed for free and a
+		// snapshot never does: keep the last of each, as the same
+		// sequence of Inserts would, and lay the survivors out instead.
+		last := make(map[string]int, len(t.byID)) //nc:allow(hotpath) bulk build with duplicate ids: cold, once per build
+		for i := range entries {
+			last[entries[i].ID] = i
 		}
-		backing = append(backing, treeNode{id: e.ID, c: e.Coord, size: 1, minHeight: e.Coord.Height})
-		t.ids[e.ID] = &backing[len(backing)-1]
+		kept := make([]Entry, 0, len(last)) //nc:allow(hotpath) bulk build with duplicate ids: cold, once per build
+		for i := range entries {
+			if last[entries[i].ID] == i {
+				kept = append(kept, entries[i])
+			}
+		}
+		clear(t.byID)
+		t.layout(kept)
 	}
-	if len(backing) == 0 {
-		return t, nil
-	}
-	// Input order is fine as the starting arrangement: the recursive
-	// median build partitions by the (axis value, id) total order, whose
-	// medians are unique, so the resulting tree shape is a pure function
-	// of the point set — no pre-sort needed for determinism.
-	pts := make([]*treeNode, len(backing)) //nc:allow(hotpath) bulk build: one pointer slice per build
-	for i := range backing {
-		pts[i] = &backing[i]
-	}
-	t.root = build(pts, 0, dim, nil)
-	t.liveAtRebuild = len(pts)
-	t.heightHint = balancedHeight(len(pts))
 	return t, nil
 }
 
 // Len reports the number of live points.
-func (t *Tree) Len() int { return len(t.ids) }
+func (t *Tree) Len() int { return len(t.byID) }
 
 // Stats snapshots the tree's shape in O(1).
 func (t *Tree) Stats() Stats {
 	return Stats{
-		Live:       len(t.ids),
+		Live:       len(t.byID),
 		Tombstones: t.dead,
 		Rebuilds:   t.rebuilds,
 		Height:     t.heightHint,
@@ -251,46 +278,54 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 		//nc:allow(hotpath) validation-failure return: cold by definition
 		return fmt.Errorf("index insert %q: %w", id, err)
 	}
-	if old, ok := t.ids[id]; ok {
+	if old, ok := t.byID[id]; ok {
 		t.tombstone(old)
 	}
-	n := &treeNode{id: id, c: c, size: 1, minHeight: c.Height} //nc:allow(hotpath) one node per newly-inserted point; pure refreshes short-circuit before Insert
-	t.ids[id] = n
+	// Descend to the free child link the point belongs under and hang
+	// the slot about to be appended from it.
+	i := int32(len(t.nodes))
+	n := node{
+		split: c.Vec[0], height: c.Height, minHeight: c.Height,
+		left: none, right: none, parent: none, size: 1, run: 1,
+	}
 	depth := 1
-	if t.root == nil {
-		t.root = n
-	} else {
-		cur := t.root
+	if i > 0 {
+		cur := int32(0)
 		for {
 			depth++
-			if c.Vec[cur.axis] < cur.c.Vec[cur.axis] {
-				if cur.left == nil {
-					cur.left = n
-					break
-				}
-				cur = cur.left
-			} else {
-				if cur.right == nil {
-					cur.right = n
-					break
-				}
-				cur = cur.right
+			p := &t.nodes[cur]
+			link := &p.right
+			if c.Vec[p.axis] < p.split {
+				link = &p.left
 			}
+			if *link == none {
+				*link = i
+				break
+			}
+			cur = *link
 		}
 		n.parent = cur
-		n.axis = (cur.axis + 1) % t.dim
-		for p := cur; p != nil; p = p.parent {
+		n.axis = uint16((int(t.nodes[cur].axis) + 1) % t.dim)
+		n.split = c.Vec[n.axis]
+		for a := cur; a != none; a = t.nodes[a].parent {
+			p := &t.nodes[a]
 			p.size++
+			p.run = 0
 			if c.Height < p.minHeight {
 				p.minHeight = c.Height
 			}
 		}
 	}
+	t.nodes = append(t.nodes, n)
+	t.vecs = append(t.vecs, c.Vec...)
+	t.ids = append(t.ids, id)
+	t.coords = append(t.coords, c)
+	t.byID[id] = i
 	t.inserts++
 	if depth > t.heightHint {
 		t.heightHint = depth
 	}
-	if depth > maxDepth(len(t.ids)) {
+	if depth > maxDepth(len(t.byID)) {
 		// Scapegoat-style trigger: an insertion that lands far below the
 		// balanced depth means the tree has drifted into a chain (e.g.
 		// sorted-order insertion); rebalance immediately.
@@ -310,45 +345,31 @@ func maxDepth(n int) int {
 
 // Remove tombstones the point with the given id.
 func (t *Tree) Remove(id string) bool {
-	n, ok := t.ids[id]
+	i, ok := t.byID[id]
 	if !ok {
 		return false
 	}
-	delete(t.ids, id)
-	t.tombstone(n)
+	delete(t.byID, id)
+	t.tombstone(i)
 	t.maybeRebuild()
 	return true
 }
 
-// tombstone marks n deleted and fixes live counts on the path to the
-// root. The caller removes the id-map entry.
-func (t *Tree) tombstone(n *treeNode) {
-	if n.deleted {
-		return
-	}
-	n.deleted = true
+// tombstone marks slot i deleted and fixes live counts on the path to
+// the root. The caller removes or replaces the id-map entry.
+func (t *Tree) tombstone(i int32) {
+	t.nodes[i].deleted = true
 	t.dead++
-	for p := n; p != nil; p = p.parent {
-		p.size--
+	for a := i; a != none; a = t.nodes[a].parent {
+		t.nodes[a].size--
 	}
 }
 
-// maybeRebuild rebalances when tombstones dominate or inserts since the
-// last rebuild exceed the tree size at that rebuild (the doubling rule).
+// maybeRebuild rebalances when tombstones dominate — which includes the
+// last live point leaving — or inserts since the last rebuild exceed
+// the tree size at that rebuild (the doubling rule).
 func (t *Tree) maybeRebuild() {
-	live := len(t.ids)
-	if live == 0 {
-		if t.root != nil {
-			t.root = nil
-			t.dead = 0
-			t.liveAtRebuild = 0
-			t.inserts = 0
-			t.rebuilds++
-			t.heightHint = 0
-		}
-		return
-	}
-	if t.dead > live/2 || t.inserts > t.liveAtRebuild+minRebuildSlack {
+	if t.dead > len(t.byID)/2 || t.inserts > t.liveAtRebuild+minRebuildSlack {
 		t.Rebuild()
 	}
 }
@@ -357,77 +378,118 @@ func (t *Tree) maybeRebuild() {
 const minRebuildSlack = 32
 
 // Rebuild replaces the tree with a balanced median build over the live
-// points. O(n log n) expected.
+// points, in a new arena without the tombstones. O(n log n) expected.
+// The live points are taken in arena order, so the result does not
+// depend on map iteration order.
 func (t *Tree) Rebuild() {
-	pts := make([]*treeNode, 0, len(t.ids)) //nc:allow(hotpath) amortized rebalance: O(log n) rebuilds over n inserts
-	for _, n := range t.ids {
-		pts = append(pts, n)
+	live := make([]Entry, 0, len(t.byID)) //nc:allow(hotpath) amortized rebalance: O(log n) rebuilds over n inserts
+	for i := range t.nodes {
+		if !t.nodes[i].deleted {
+			live = append(live, Entry{ID: t.ids[i], Coord: t.coords[i]})
+		}
 	}
-	// Deterministic starting order so rebuilds do not depend on map
-	// iteration order.
-	//nc:allow(hotpath) amortized rebalance: O(log n) rebuilds over n inserts
-	sort.Slice(pts, func(i, j int) bool { return pts[i].id < pts[j].id })
-	t.root = build(pts, 0, t.dim, nil)
-	t.dead = 0
-	t.liveAtRebuild = len(pts)
-	t.inserts = 0
+	t.layout(live)
 	t.rebuilds++
-	t.heightHint = balancedHeight(len(pts))
 }
 
-// build constructs a balanced subtree from pts, splitting on axis. It
-// reuses the existing nodes, resetting their link and bookkeeping fields.
-func build(pts []*treeNode, axis, dim int, parent *treeNode) *treeNode {
-	if len(pts) == 0 {
-		return nil
+// layout replaces the arena with a balanced tree over entries laid out
+// in pre-order, and enters every id's slot in the id map (a rebuild's
+// map already holds exactly these ids). Input order is fine as the
+// starting arrangement: the median build partitions by the (axis value,
+// id) total order, whose medians are unique, so the resulting tree is a
+// pure function of the point set. Entries that share an id leave the
+// map shorter than the arena; Build looks for that.
+func (t *Tree) layout(entries []Entry) {
+	n := len(entries)
+	t.nodes = make([]node, 0, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.vecs = make([]float64, 0, n*t.dim)      //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.ids = make([]string, 0, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.coords = make([]coord.Coordinate, 0, n) //nc:allow(hotpath) arena allocation: once per build or rebuild
+	order := make([]keyed, n)                 //nc:allow(hotpath) arena allocation: once per build or rebuild
+	for i := range order {
+		order[i].at = int32(i)
 	}
-	mid := len(pts) / 2
-	selectMedian(pts, mid, axis)
-	n := pts[mid]
-	n.axis = axis
-	n.parent = parent
-	n.deleted = false
-	n.size = len(pts)
-	n.minHeight = n.c.Height
-	n.left = build(pts[:mid], (axis+1)%dim, dim, n)
-	n.right = build(pts[mid+1:], (axis+1)%dim, dim, n)
-	if n.left != nil && n.left.minHeight < n.minHeight {
-		n.minHeight = n.left.minHeight
-	}
-	if n.right != nil && n.right.minHeight < n.minHeight {
-		n.minHeight = n.right.minHeight
-	}
-	return n
+	t.place(entries, order, 0, none)
+	t.dead = 0
+	t.liveAtRebuild = n
+	t.inserts = 0
+	t.heightHint = balancedHeight(n)
 }
 
-// selectMedian partially sorts pts so that pts[mid] is the element that a
-// full sort by (axis value, id) would place there, with smaller elements
-// before it and larger after. Expected O(n) quickselect.
-func selectMedian(pts []*treeNode, mid, axis int) {
-	lo, hi := 0, len(pts)-1
+// keyed is one entry of a median build's working set: where the entry
+// is, and its component on the axis being split, gathered next to the
+// index so that selection compares without chasing the entry.
+type keyed struct {
+	v  float64
+	at int32
+}
+
+// place appends the balanced subtree over the entries in order, split
+// on axis, and returns its root's slot: the median first, then its left
+// half, then its right half.
+func (t *Tree) place(entries []Entry, order []keyed, axis int, parent int32) int32 {
+	if len(order) == 0 {
+		return none
+	}
+	for i := range order {
+		order[i].v = entries[order[i].at].Coord.Vec[axis]
+	}
+	mid := len(order) / 2
+	selectMedian(entries, order, mid)
+	e := &entries[order[mid].at]
+	i := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{
+		split: order[mid].v, height: e.Coord.Height,
+		parent: parent, size: int32(len(order)), run: int32(len(order)),
+		axis: uint16(axis),
+	})
+	t.vecs = append(t.vecs, e.Coord.Vec...)
+	t.ids = append(t.ids, e.ID)
+	t.coords = append(t.coords, e.Coord)
+	t.byID[e.ID] = i
+	next := (axis + 1) % t.dim
+	left := t.place(entries, order[:mid], next, i)
+	right := t.place(entries, order[mid+1:], next, i)
+	n := &t.nodes[i]
+	n.left, n.right = left, right
+	n.minHeight = e.Coord.Height
+	if left != none {
+		n.minHeight = min(n.minHeight, t.nodes[left].minHeight)
+	}
+	if right != none {
+		n.minHeight = min(n.minHeight, t.nodes[right].minHeight)
+	}
+	return i
+}
+
+// selectMedian partially sorts order so that order[mid] is the entry
+// that a full sort by (axis value, id) would place there, with smaller
+// ones before it and larger after. Expected O(n) quickselect.
+func selectMedian(entries []Entry, order []keyed, mid int) {
+	lo, hi := 0, len(order)-1
 	for lo < hi {
 		// Median-of-three pivot guards against sorted inputs.
 		m := lo + (hi-lo)/2
-		if ptLess(pts[m], pts[lo], axis) {
-			pts[m], pts[lo] = pts[lo], pts[m]
+		if keyedLess(entries, order[m], order[lo]) {
+			order[m], order[lo] = order[lo], order[m]
 		}
-		if ptLess(pts[hi], pts[lo], axis) {
-			pts[hi], pts[lo] = pts[lo], pts[hi]
+		if keyedLess(entries, order[hi], order[lo]) {
+			order[hi], order[lo] = order[lo], order[hi]
 		}
-		if ptLess(pts[hi], pts[m], axis) {
-			pts[hi], pts[m] = pts[m], pts[hi]
+		if keyedLess(entries, order[hi], order[m]) {
+			order[hi], order[m] = order[m], order[hi]
 		}
-		pivot := pts[m]
+		pivot := order[m]
 		i, j := lo, hi
 		for i <= j {
-			for ptLess(pts[i], pivot, axis) {
+			for keyedLess(entries, order[i], pivot) {
 				i++
 			}
-			for ptLess(pivot, pts[j], axis) {
+			for keyedLess(entries, pivot, order[j]) {
 				j--
 			}
 			if i <= j {
-				pts[i], pts[j] = pts[j], pts[i]
+				order[i], order[j] = order[j], order[i]
 				i++
 				j--
 			}
@@ -442,13 +504,42 @@ func selectMedian(pts []*treeNode, mid, axis int) {
 	}
 }
 
-// ptLess orders points by (axis value, id): a total order, so rebuilds
+// keyedLess orders entries by (axis value, id): a total order, so builds
 // are deterministic even with duplicate coordinates.
-func ptLess(a, b *treeNode, axis int) bool {
-	if a.c.Vec[axis] != b.c.Vec[axis] {
-		return a.c.Vec[axis] < b.c.Vec[axis]
+func keyedLess(entries []Entry, a, b keyed) bool {
+	if a.v != b.v {
+		return a.v < b.v
 	}
-	return a.id < b.id
+	return entries[a.at].ID < entries[b.at].ID
+}
+
+// distance is coord.Coordinate.DistanceTo between the query (q, qh) and
+// the point in slot i, computed from the flat arrays with the same
+// expression in the same order — the squares summed in axis order, the
+// root, then the query's height, then the point's — so it is the same
+// float64, bit for bit, that Brute computes.
+//
+//nc:hotpath
+func (t *Tree) distance(q []float64, qh float64, i int32) float64 {
+	p := t.vecs[int(i)*t.dim:][:len(q)]
+	var sum float64
+	for a, qa := range q {
+		d := qa - p[a]
+		sum += d * d
+	}
+	return math.Sqrt(sum) + qh + t.nodes[i].height
+}
+
+// planeBound lower-bounds the distance from the query to any point
+// beyond a splitting plane delta away in a subtree of the given minimum
+// height. It rounds exactly where distance rounds — square, root, add
+// the query's height, add a height — and every one of those steps is
+// monotone, so it can never exceed the computed distance of a point
+// under it, not even where delta's square underflows to zero.
+//
+//nc:hotpath
+func planeBound(delta, qh, minHeight float64) float64 {
+	return math.Sqrt(delta*delta) + qh + minHeight
 }
 
 // KNearest returns the k nearest points to from, sorted by
@@ -500,50 +591,16 @@ func (t *Tree) KNearestInto(from coord.Coordinate, k int, h *bheap.Heap[Neighbor
 		//nc:allow(hotpath) validation-failure return: cold by definition
 		return fmt.Errorf("index knearest: bound is NaN")
 	}
-	t.searchKNN(t.root, from, h, b)
+	if h.Full() {
+		// A heap that arrives full already proves k candidates within
+		// its worst distance; from here on the bound alone prunes.
+		b.Tighten(h.Worst().Distance)
+	}
+	if len(t.byID) > 0 {
+		s := search{t: t, q: from.Vec, qh: from.Height, b: b, h: h}
+		s.visit(0)
+	}
 	return nil
-}
-
-// searchKNN walks the near side first, then visits the far side only if
-// the splitting-plane lower bound could still beat the current kth best
-// and the shared bound.
-//
-//nc:hotpath
-func (t *Tree) searchKNN(n *treeNode, from coord.Coordinate, h *bheap.Heap[Neighbor], b *Bound) {
-	if n == nil || n.size == 0 {
-		return
-	}
-	if !n.deleted {
-		// Dimensions were validated at insert and query time, so the
-		// distance cannot fail.
-		d, _ := from.DistanceTo(n.c)
-		if d <= b.Load() {
-			h.Offer(Neighbor{ID: n.id, Coord: n.c, Distance: d})
-			if h.Full() {
-				// k candidates at distance <= Worst now exist, so the
-				// true kth-best cannot exceed it: a valid bound for this
-				// search and for every other search sharing b.
-				b.Tighten(h.Worst().Distance)
-			}
-		}
-	}
-	delta := from.Vec[n.axis] - n.c.Vec[n.axis]
-	near, far := n.left, n.right
-	if delta >= 0 {
-		near, far = n.right, n.left
-	}
-	if near != nil && near.size > 0 {
-		lb := from.Height + near.minHeight
-		if lb <= b.Load() && (!h.Full() || lb <= h.Worst().Distance) {
-			t.searchKNN(near, from, h, b)
-		}
-	}
-	if far != nil && far.size > 0 {
-		lb := math.Abs(delta) + from.Height + far.minHeight
-		if lb <= b.Load() && (!h.Full() || lb <= h.Worst().Distance) {
-			t.searchKNN(far, from, h, b)
-		}
-	}
 }
 
 // Within returns every point at distance <= radius, sorted by
@@ -575,31 +632,103 @@ func (t *Tree) WithinInto(from coord.Coordinate, radius float64, buf []Neighbor)
 		//nc:allow(hotpath) validation-failure return: cold by definition
 		return nil, fmt.Errorf("index within: radius %v, want >= 0", radius)
 	}
-	t.searchRadius(t.root, from, radius, &buf)
+	if len(t.byID) > 0 {
+		s := search{t: t, q: from.Vec, qh: from.Height, radius: radius, res: buf}
+		s.visit(0)
+		buf = s.res
+	}
 	return buf, nil
 }
 
-func (t *Tree) searchRadius(n *treeNode, from coord.Coordinate, radius float64, res *[]Neighbor) {
-	if n == nil || n.size == 0 {
+// search is the state of one walk of the tree from the query (q, qh):
+// a kNN search into h under the shared bound b, or — h nil — a radius
+// search, the same walk under a bound that never tightens, collecting
+// everything it accepts into res.
+type search struct {
+	t  *Tree
+	q  []float64
+	qh float64
+
+	b *Bound
+	h *bheap.Heap[Neighbor]
+
+	radius float64
+	res    []Neighbor
+}
+
+// bound is the distance no accepted point and no visited subtree's
+// lower bound may exceed.
+//
+//nc:hotpath
+func (s *search) bound() float64 {
+	if s.h == nil {
+		return s.radius
+	}
+	return s.b.Load()
+}
+
+// visit searches the subtree at slot i, which holds at least one live
+// point: a short contiguous run is scanned outright; otherwise the near
+// side is walked first, then the far side only if the splitting-plane
+// lower bound could still beat the bound. The shared bound is loaded
+// once per node and again after this search tightens it; a value
+// another search has tightened since is only looser, so still exact.
+//
+//nc:hotpath
+func (s *search) visit(i int32) {
+	t := s.t
+	n := &t.nodes[i]
+	bound := s.bound()
+	if run := n.run; run > 0 && run <= runMax {
+		for j := i; j < i+run; j++ {
+			if t.nodes[j].deleted {
+				continue
+			}
+			if d := t.distance(s.q, s.qh, j); d <= bound {
+				bound = s.accept(j, d)
+			}
+		}
 		return
 	}
 	if !n.deleted {
-		d, _ := from.DistanceTo(n.c)
-		if d <= radius {
-			*res = append(*res, Neighbor{ID: n.id, Coord: n.c, Distance: d})
+		if d := t.distance(s.q, s.qh, i); d <= bound {
+			bound = s.accept(i, d)
 		}
 	}
-	delta := from.Vec[n.axis] - n.c.Vec[n.axis]
+	delta := s.q[n.axis] - n.split
 	near, far := n.left, n.right
 	if delta >= 0 {
-		near, far = n.right, n.left
+		near, far = far, near
 	}
-	t.searchRadius(near, from, radius, res)
-	if far != nil && far.size > 0 {
-		if math.Abs(delta)+from.Height+far.minHeight <= radius {
-			t.searchRadius(far, from, radius, res)
-		}
+	if near != none && t.nodes[near].size > 0 && s.qh+t.nodes[near].minHeight <= bound {
+		s.visit(near)
+		bound = s.bound()
 	}
+	if far != none && t.nodes[far].size > 0 && planeBound(delta, s.qh, t.nodes[far].minHeight) <= bound {
+		s.visit(far)
+	}
+}
+
+// accept materialises the Neighbor in slot i, whose distance d passed
+// the bound, and returns the bound to go on with. A kNN search offers
+// it to the heap — which breaks a tie at the bound by id — and tightens
+// the bound once the heap is full.
+//
+//nc:hotpath
+func (s *search) accept(i int32, d float64) float64 {
+	n := Neighbor{ID: s.t.ids[i], Coord: s.t.coords[i], Distance: d}
+	if s.h == nil {
+		s.res = append(s.res, n)
+		return s.radius
+	}
+	s.h.Offer(n)
+	if s.h.Full() {
+		// k candidates at distance <= Worst now exist, so the true
+		// kth-best cannot exceed it: a valid bound for this search and
+		// for every other search sharing b.
+		s.b.Tighten(s.h.Worst().Distance)
+	}
+	return s.b.Load()
 }
 
 // sortNeighbors orders results by (distance, id) ascending — the

@@ -35,94 +35,100 @@ func neighborsEqual(a, b []Neighbor) bool {
 	return true
 }
 
-// TestTreeMatchesBruteRandomWorkload is the oracle property test: a
-// random interleaving of inserts, updates, and removals, with kNN and
-// radius queries after every batch, must agree exactly — ties included —
-// with the brute-force scan.
+// checkAgainstBrute runs the query battery — kNN at several k, kNN under
+// a preset bound, radius — from q against both indexes and requires the
+// same ids in the same order at the same float64 distances.
+func checkAgainstBrute(t *testing.T, tree *Tree, brute *Brute, q coord.Coordinate, label string) {
+	t.Helper()
+	for _, k := range []int{1, 3, 8, 1000} {
+		want, err := brute.KNearest(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tree.KNearest(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !neighborsEqual(got, want) {
+			t.Fatalf("%s k=%d: tree %v != brute %v", label, k, got, want)
+		}
+	}
+	// KNearestBound must equal the brute answer restricted to the
+	// bound: Within(bound) truncated to k.
+	for _, bound := range []float64{10, 60, 300} {
+		want, err := brute.Within(q, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) > 8 {
+			want = want[:8]
+		}
+		got, err := tree.KNearestBound(q, 8, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !neighborsEqual(got, want) {
+			t.Fatalf("%s bound=%v: tree %v != brute %v", label, bound, got, want)
+		}
+	}
+	for _, r := range []float64{0, 25, 120, 1e9} {
+		want, err := brute.Within(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tree.Within(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !neighborsEqual(got, want) {
+			t.Fatalf("%s r=%v: tree has %d results, brute %d", label, r, len(got), len(want))
+		}
+	}
+}
+
+// TestTreeMatchesBruteRandomWorkload is the oracle property test: in
+// every dimension from 1 to 5, a random interleaving of inserts,
+// updates, and removals, with kNN and radius queries after every batch,
+// must agree exactly — ties included — with the brute-force scan.
 func TestTreeMatchesBruteRandomWorkload(t *testing.T) {
 	const (
-		dim    = 3
 		ops    = 4000
 		checks = 40
 	)
-	for seed := uint64(1); seed <= 3; seed++ {
-		rng := xrand.NewStream(seed)
-		tree, err := New(dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		brute, err := NewBrute(dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for op := 0; op < ops; op++ {
-			id := fmt.Sprintf("node-%d", rng.Intn(600))
-			switch {
-			case rng.Bernoulli(0.25) && brute.Len() > 0:
-				gotTree := tree.Remove(id)
-				gotBrute := brute.Remove(id)
-				if gotTree != gotBrute {
-					t.Fatalf("seed %d op %d: Remove(%q) tree=%v brute=%v", seed, op, id, gotTree, gotBrute)
-				}
-			default:
-				c := randomCoord(rng, dim)
-				if err := tree.Insert(id, c); err != nil {
-					t.Fatalf("seed %d op %d: tree insert: %v", seed, op, err)
-				}
-				if err := brute.Insert(id, c); err != nil {
-					t.Fatalf("seed %d op %d: brute insert: %v", seed, op, err)
-				}
+	for dim := 1; dim <= 5; dim++ {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := xrand.NewStream(seed)
+			tree, err := New(dim)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tree.Len() != brute.Len() {
-				t.Fatalf("seed %d op %d: Len tree=%d brute=%d", seed, op, tree.Len(), brute.Len())
+			brute, err := NewBrute(dim)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if op%(ops/checks) != 0 {
-				continue
-			}
-			q := randomCoord(rng, dim)
-			for _, k := range []int{1, 3, 8, 1000} {
-				want, err := brute.KNearest(q, k)
-				if err != nil {
-					t.Fatal(err)
+			for op := 0; op < ops; op++ {
+				id := fmt.Sprintf("node-%d", rng.Intn(600))
+				switch {
+				case rng.Bernoulli(0.25) && brute.Len() > 0:
+					gotTree := tree.Remove(id)
+					gotBrute := brute.Remove(id)
+					if gotTree != gotBrute {
+						t.Fatalf("dim %d seed %d op %d: Remove(%q) tree=%v brute=%v", dim, seed, op, id, gotTree, gotBrute)
+					}
+				default:
+					c := randomCoord(rng, dim)
+					if err := tree.Insert(id, c); err != nil {
+						t.Fatalf("dim %d seed %d op %d: tree insert: %v", dim, seed, op, err)
+					}
+					if err := brute.Insert(id, c); err != nil {
+						t.Fatalf("dim %d seed %d op %d: brute insert: %v", dim, seed, op, err)
+					}
 				}
-				got, err := tree.KNearest(q, k)
-				if err != nil {
-					t.Fatal(err)
+				if tree.Len() != brute.Len() {
+					t.Fatalf("dim %d seed %d op %d: Len tree=%d brute=%d", dim, seed, op, tree.Len(), brute.Len())
 				}
-				if !neighborsEqual(got, want) {
-					t.Fatalf("seed %d op %d k=%d: tree %v != brute %v", seed, op, k, got, want)
-				}
-			}
-			// KNearestBound must equal the brute answer restricted to
-			// the bound: Within(bound) truncated to k.
-			for _, bound := range []float64{10, 60, 300} {
-				all, err := brute.Within(q, bound)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := all
-				if len(want) > 8 {
-					want = want[:8]
-				}
-				got, err := tree.KNearestBound(q, 8, bound)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !neighborsEqual(got, want) {
-					t.Fatalf("seed %d op %d bound=%v: tree %v != brute %v", seed, op, bound, got, want)
-				}
-			}
-			for _, r := range []float64{0, 25, 120, 1e9} {
-				want, err := brute.Within(q, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := tree.Within(q, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !neighborsEqual(got, want) {
-					t.Fatalf("seed %d op %d r=%v: tree has %d results, brute %d", seed, op, r, len(got), len(want))
+				if op%(ops/checks) == 0 {
+					checkAgainstBrute(t, tree, brute, randomCoord(rng, dim), fmt.Sprintf("dim %d seed %d op %d", dim, seed, op))
 				}
 			}
 		}
@@ -215,6 +221,9 @@ func TestTreeHeightModel(t *testing.T) {
 func TestTreeValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Fatal("New(0) succeeded")
+	}
+	if _, err := New(1 << 16); err == nil {
+		t.Fatal("New accepted a dimension a node's axis cannot name")
 	}
 	tree, err := New(3)
 	if err != nil {
