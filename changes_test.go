@@ -311,6 +311,16 @@ func TestConcurrentWatchStress(t *testing.T) {
 		t.Fatal("a subscriber observed non-increasing sequences")
 	}
 
+	// Quiesce the stream before reading its final sequence: the writers
+	// are done, but the 1 ms-TTL janitor keeps publishing evictions
+	// until the registry is empty. Evictions are published under the
+	// shard lock Len takes, so once Len reports 0 the last one is out.
+	for deadline := time.Now().Add(5 * time.Second); r.Len() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("janitor left %d entries unevicted", r.Len())
+		}
+	}
+
 	// The auditor (big buffer) must lose nothing: every sequence gap it
 	// sees must be exactly explained by a coalesce label.
 	finalSeq := r.ChangeSeq()
