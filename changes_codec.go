@@ -2,8 +2,9 @@ package netcoord
 
 import (
 	"encoding/json"
-	"math"
 	"strconv"
+
+	"netcoord/internal/coord"
 )
 
 // This file is the encode-once JSON path for change events. Serving a
@@ -62,7 +63,7 @@ func appendChangeEventJSON(dst []byte, e ChangeEvent) ([]byte, bool) {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, e.Seq, 10)
 	dst = append(dst, `,"op":`...)
-	if dst, ok = appendJSONString(dst, e.Op); !ok {
+	if dst, ok = coord.AppendJSONString(dst, e.Op); !ok {
 		return nil, false
 	}
 	if e.Entry != nil {
@@ -73,7 +74,7 @@ func appendChangeEventJSON(dst []byte, e ChangeEvent) ([]byte, bool) {
 	}
 	if e.ID != "" {
 		dst = append(dst, `,"id":`...)
-		if dst, ok = appendJSONString(dst, e.ID); !ok {
+		if dst, ok = coord.AppendJSONString(dst, e.ID); !ok {
 			return nil, false
 		}
 	}
@@ -83,7 +84,7 @@ func appendChangeEventJSON(dst []byte, e ChangeEvent) ([]byte, bool) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			if dst, ok = appendJSONString(dst, id); !ok {
+			if dst, ok = coord.AppendJSONString(dst, id); !ok {
 				return nil, false
 			}
 		}
@@ -109,16 +110,16 @@ func appendChangeEventJSON(dst []byte, e ChangeEvent) ([]byte, bool) {
 func appendChangeEntryJSON(dst []byte, e *ChangeEntry) ([]byte, bool) {
 	var ok bool
 	dst = append(dst, `{"id":`...)
-	if dst, ok = appendJSONString(dst, e.ID); !ok {
+	if dst, ok = coord.AppendJSONString(dst, e.ID); !ok {
 		return nil, false
 	}
 	dst = append(dst, `,"coord":`...)
-	if dst, ok = appendCoordinateJSON(dst, e.Coord); !ok {
+	if dst, ok = e.Coord.AppendJSON(dst); !ok {
 		return nil, false
 	}
 	if e.Error != 0 {
 		dst = append(dst, `,"error":`...)
-		if dst, ok = appendJSONFloat(dst, e.Error); !ok {
+		if dst, ok = coord.AppendJSONFloat(dst, e.Error); !ok {
 			return nil, false
 		}
 	}
@@ -129,75 +130,4 @@ func appendChangeEntryJSON(dst []byte, e *ChangeEntry) ([]byte, bool) {
 		dst = strconv.AppendUint(dst, e.Seq, 10)
 	}
 	return append(dst, '}'), true
-}
-
-// appendCoordinateJSON renders a coordinate exactly as its MarshalJSON
-// does ({"vec":...,"height":...} with height omitted at zero and a nil
-// vector rendered null).
-func appendCoordinateJSON(dst []byte, c Coordinate) ([]byte, bool) {
-	var ok bool
-	dst = append(dst, `{"vec":`...)
-	if c.Vec == nil {
-		dst = append(dst, `null`...)
-	} else {
-		dst = append(dst, '[')
-		for i, v := range c.Vec {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, ok = appendJSONFloat(dst, v); !ok {
-				return nil, false
-			}
-		}
-		dst = append(dst, ']')
-	}
-	if c.Height != 0 {
-		dst = append(dst, `,"height":`...)
-		if dst, ok = appendJSONFloat(dst, c.Height); !ok {
-			return nil, false
-		}
-	}
-	return append(dst, '}'), true
-}
-
-// appendJSONString quotes s when no byte needs escaping under
-// encoding/json's default (HTML-escaping) encoder: printable ASCII
-// minus quote, backslash, and the HTML-significant characters. Any
-// other byte fails the fast path rather than risk diverging from the
-// stdlib's rendering.
-func appendJSONString(dst []byte, s string) ([]byte, bool) {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return nil, false
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"'), true
-}
-
-// appendJSONFloat renders f with encoding/json's float algorithm:
-// shortest representation, 'f' form inside [1e-6, 1e21), 'e' form with
-// a trimmed exponent leading zero outside it. Non-finite values fail
-// the fast path (the stdlib reports them as errors, and the fallback
-// reproduces that exactly).
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json trims a one-digit negative exponent's leading
-		// zero: 1e-07 renders as 1e-7.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, true
 }

@@ -10,7 +10,6 @@
 package coord
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -128,28 +127,6 @@ func (c Coordinate) String() string {
 		return c.Vec.String()
 	}
 	return fmt.Sprintf("%s+h%.3f", c.Vec, c.Height)
-}
-
-// coordinateJSON is the stable wire-adjacent JSON representation.
-type coordinateJSON struct {
-	Vec    []float64 `json:"vec"`
-	Height float64   `json:"height,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (c Coordinate) MarshalJSON() ([]byte, error) {
-	return json.Marshal(coordinateJSON{Vec: c.Vec, Height: c.Height})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (c *Coordinate) UnmarshalJSON(data []byte) error {
-	var raw coordinateJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("unmarshal coordinate: %w", err)
-	}
-	c.Vec = vec.New(raw.Vec...)
-	c.Height = raw.Height
-	return nil
 }
 
 // Centroid returns the arithmetic mean of the given coordinates —

@@ -1,0 +1,116 @@
+package coord
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+
+	"netcoord/internal/vec"
+)
+
+// This file is the one JSON encoder for coordinates. AppendJSON writes
+// into a caller's buffer with no reflection and no allocation, and
+// reproduces encoding/json's output byte for byte; MarshalJSON, the
+// change-event codec and the query handlers all render through it.
+// Anything the appenders cannot render identically — a string needing
+// escapes, a non-finite float — is declined (ok false) so the caller
+// falls back to encoding/json itself and the output is ALWAYS exactly
+// what the stdlib would have produced.
+
+// coordinateJSON is the stable wire-adjacent JSON representation, and
+// the shape AppendJSON reproduces.
+type coordinateJSON struct {
+	Vec    []float64 `json:"vec"`
+	Height float64   `json:"height,omitempty"`
+}
+
+// AppendJSON appends c rendered as {"vec":[...],"height":...}, with
+// height omitted at zero and a nil vector rendered null. ok is false,
+// and the returned slice nil, when a component is not finite.
+func (c Coordinate) AppendJSON(dst []byte) (_ []byte, ok bool) {
+	dst = append(dst, `{"vec":`...)
+	if c.Vec == nil {
+		dst = append(dst, `null`...)
+	} else {
+		dst = append(dst, '[')
+		for i, v := range c.Vec {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, ok = AppendJSONFloat(dst, v); !ok {
+				return nil, false
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if c.Height != 0 {
+		dst = append(dst, `,"height":`...)
+		if dst, ok = AppendJSONFloat(dst, c.Height); !ok {
+			return nil, false
+		}
+	}
+	return append(dst, '}'), true
+}
+
+// MarshalJSON implements json.Marshaler.
+func (c Coordinate) MarshalJSON() ([]byte, error) {
+	if b, ok := c.AppendJSON(make([]byte, 0, 96)); ok {
+		return b, nil
+	}
+	// Non-finite: let the stdlib report it the way it always has.
+	return json.Marshal(coordinateJSON{Vec: c.Vec, Height: c.Height})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (c *Coordinate) UnmarshalJSON(data []byte) error {
+	var raw coordinateJSON
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return fmt.Errorf("unmarshal coordinate: %w", err)
+	}
+	c.Vec = vec.New(raw.Vec...)
+	c.Height = raw.Height
+	return nil
+}
+
+// AppendJSONString quotes s when no byte needs escaping under
+// encoding/json's default (HTML-escaping) encoder: printable ASCII
+// minus quote, backslash, and the HTML-significant characters. Any
+// other byte declines rather than risk diverging from the stdlib's
+// rendering.
+func AppendJSONString(dst []byte, s string) (_ []byte, ok bool) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return nil, false
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"'), true
+}
+
+// AppendJSONFloat renders f with encoding/json's float algorithm:
+// shortest representation, 'f' form inside [1e-6, 1e21), 'e' form with
+// a trimmed exponent leading zero outside it. Non-finite values decline
+// (the stdlib reports them as errors, and the fallback reproduces that
+// exactly).
+func AppendJSONFloat(dst []byte, f float64) (_ []byte, ok bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// encoding/json trims a one-digit negative exponent's leading
+		// zero: 1e-07 renders as 1e-7.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, true
+}

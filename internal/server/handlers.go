@@ -187,7 +187,7 @@ func (s *Server) handleNearestGet(w http.ResponseWriter, req *http.Request) {
 		if truncated {
 			filtered = filtered[:maxK]
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": toRankedJSON(filtered), "truncated": truncated})
+		writeResults(w, filtered, &truncated)
 		return
 	}
 	k, ok := parseK(w, req.URL.Query().Get("k"))
@@ -203,7 +203,7 @@ func (s *Server) handleNearestGet(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": toRankedJSON(res)})
+	writeResults(w, res, nil)
 }
 
 // handleNearestPost answers proximity queries centered on an arbitrary
@@ -230,7 +230,7 @@ func (s *Server) handleNearestPost(w http.ResponseWriter, req *http.Request) {
 		if truncated {
 			res = res[:maxK]
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": toRankedJSON(res), "truncated": truncated})
+		writeResults(w, res, &truncated)
 		return
 	}
 	k := body.K
@@ -246,7 +246,7 @@ func (s *Server) handleNearestPost(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": toRankedJSON(res)})
+	writeResults(w, res, nil)
 }
 
 // maxBatchQueries caps how many queries one POST /nearest/batch request
@@ -319,15 +319,13 @@ func (s *Server) handleNearestBatch(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := make([]nearestBatchResult, len(results))
+	truncated := make([]bool, len(results))
 	for i, res := range results {
-		truncated := radiusMode[i] && len(res) > maxK
-		if truncated {
-			res = res[:maxK]
+		if radiusMode[i] && len(res) > maxK {
+			results[i], truncated[i] = res[:maxK], true
 		}
-		out[i] = nearestBatchResult{Results: toRankedJSON(res), Truncated: truncated}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
+	writeBatchResults(w, results, truncated)
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, req *http.Request) {
