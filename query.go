@@ -608,14 +608,22 @@ func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 		return out, nil
 	}
 	if !r.useParallel() {
+		// Every query's results are carved out of one backing slice: one
+		// allocation per batch instead of one per query.
+		total := 0
+		for i := range queries {
+			total += queries[i].K
+		}
+		backing := make([]Ranked, total)
 		for i := range queries {
 			q := &queries[i]
-			res, err := r.nearestInto(q.From, q.K, q.Exclude, boundFor(q), make([]Ranked, 0, q.K))
+			res, err := r.nearestInto(q.From, q.K, q.Exclude, boundFor(q), backing[:0:q.K])
 			if err != nil {
 				// Unreachable: the batch was validated above.
 				return nil, err
 			}
 			out[i] = res
+			backing = backing[q.K:]
 		}
 		return out, nil
 	}
@@ -662,6 +670,17 @@ func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 		qc.op = opBatchNearest
 		r.dispatch(qc, nShards)
 
+		// One backing slice for the chunk's results, sized by what the
+		// shards found: a query returns at most K of its candidates.
+		total := 0
+		for q := 0; q < nq; q++ {
+			found := 0
+			for si := 0; si < nShards; si++ {
+				found += qc.counts[si*nq+q]
+			}
+			total += min(queries[lo+q].K, found)
+		}
+		backing := make([]Ranked, total)
 		for q := 0; q < nq; q++ {
 			bq := &queries[lo+q]
 			m := qc.merge
@@ -674,7 +693,8 @@ func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 			}
 			ns := m.Items()
 			index.SortNeighbors(ns)
-			res := make([]Ranked, 0, min(bq.K, len(ns)))
+			res := backing[:0:min(bq.K, len(ns))]
+			backing = backing[cap(res):]
 			for _, n := range ns {
 				if n.ID == bq.Exclude {
 					continue

@@ -251,6 +251,11 @@ func TestQueryEngineMatchesOracleAndOldWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The results share one backing slice; a caller appending to
+			// one of them must not write into its neighbour.
+			for i := range nres {
+				_ = append(nres[i], Ranked{EstimatedRTT: -1})
+			}
 			for i := range nres {
 				if !rankedEqual(nres[i], nwant[i]) {
 					t.Fatalf("NearestBatch[%d] = %v, want %v", i, nres[i], nwant[i])
