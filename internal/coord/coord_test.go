@@ -158,6 +158,37 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONUnmarshalOwnsItsVector: the decoded vector is the decoder's
+// own allocation — rewriting the input bytes, or decoding them again,
+// leaves it alone — and a null or missing vec still decodes empty.
+func TestJSONUnmarshalOwnsItsVector(t *testing.T) {
+	data := []byte(`{"vec":[1.5,-2.25,3],"height":0.75}`)
+	var a, b Coordinate
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = '9'
+	}
+	b.Vec[0] = 42
+	want := Coordinate{Vec: vec.New(1.5, -2.25, 3), Height: 0.75}
+	if !a.Equal(want) || len(a.Vec) != 3 {
+		t.Fatalf("decoded %v changed with its input or its sibling, want %v", a, want)
+	}
+	for _, in := range []string{`{"vec":null}`, `{}`} {
+		var c Coordinate
+		if err := json.Unmarshal([]byte(in), &c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Vec == nil || len(c.Vec) != 0 {
+			t.Fatalf("%s decoded vec %#v, want empty and non-nil", in, c.Vec)
+		}
+	}
+}
+
 func TestJSONUnmarshalInvalid(t *testing.T) {
 	var c Coordinate
 	if err := json.Unmarshal([]byte(`{"vec": "nope"}`), &c); err == nil {

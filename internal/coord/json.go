@@ -68,7 +68,13 @@ func (c *Coordinate) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("unmarshal coordinate: %w", err)
 	}
-	c.Vec = vec.New(raw.Vec...)
+	// encoding/json just allocated raw.Vec for this call alone, so the
+	// coordinate keeps it rather than copying it. A null or missing vec
+	// decodes empty, not nil, as it always has.
+	c.Vec = raw.Vec
+	if c.Vec == nil {
+		c.Vec = vec.Vector{}
+	}
 	c.Height = raw.Height
 	return nil
 }

@@ -20,16 +20,19 @@
 // subtree is scanned as a run instead of being descended.
 //
 // Mutation strategy: inserts descend to a leaf and append a slot; removals
-// tombstone the slot in place. Both are O(depth). Tombstones and
-// unbalanced insertion degrade the tree over time, so the index rebuilds
+// tombstone the slot in place. Both are O(depth). An insert whose descent
+// ends on a tombstoned leaf takes that slot over instead of hanging a new
+// one beneath it, so an id that flaps between two coordinates reuses the
+// same two slots forever rather than growing a chain of tombstones.
+// Tombstones and unbalanced insertion degrade the tree over time, so the index rebuilds
 // itself — a balanced median build over the live points, compacting the
 // tombstones out of the arena — whenever tombstones exceed half the live
 // count or the inserts since the last rebuild exceed the size at that
 // rebuild. The doubling rule bounds the amortized rebuild cost per insert
 // to O(log n) and keeps depth within a constant factor of optimal.
 //
-// A Tree is not safe for concurrent use; the Registry wraps one per shard
-// under the shard lock. Brute is the O(n)-scan reference implementation
+// A Tree is not safe for concurrent use; the Registry wraps one under
+// its lock. Brute is the O(n)-scan reference implementation
 // with identical semantics, used as the correctness oracle in tests and as
 // the baseline in benchmarks.
 package index
@@ -39,7 +42,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"netcoord/internal/bheap"
 	"netcoord/internal/coord"
@@ -56,47 +58,31 @@ type Neighbor struct {
 	Distance float64
 }
 
-// Bound is a monotonically tightening distance bound shared by searches
-// running concurrently against different trees: the Registry's parallel
-// fan-out gives every shard's search one Bound, each search tightens it
-// to its own kth-best distance as its heap fills, and every search prunes
-// against the global minimum — so the parallel walk visits no more of any
-// tree than the sequential walk with the same final bound would.
-//
-// Tightening is a CAS min over the float64 bit pattern, so a Bound is
-// safe for concurrent use without locks. Distances are non-negative, and
-// non-negative float64s order identically to their bit patterns, which is
-// what makes the uint64 CAS a correct float min.
+// Bound is the monotonically tightening distance bound one kNN search
+// carries: it starts at the caller's limit (a radius, or +Inf), each
+// search tightens it to its own kth-best distance as its heap fills, and
+// a caller that searches several trees back to back with one heap and
+// one Bound has every later search prune against what the earlier ones
+// proved. A Bound belongs to one search at a time; it is not safe for
+// concurrent use.
 type Bound struct {
-	bits atomic.Uint64
+	v float64
 }
 
 // Reset initializes the bound to v (use math.Inf(1) for "no bound").
-// Not safe to call concurrently with Load/Tighten.
-func (b *Bound) Reset(v float64) {
-	b.bits.Store(math.Float64bits(v))
-}
+func (b *Bound) Reset(v float64) { b.v = v }
 
 // Load returns the current bound.
 //
 //nc:hotpath
-func (b *Bound) Load() float64 {
-	return math.Float64frombits(b.bits.Load())
-}
+func (b *Bound) Load() float64 { return b.v }
 
 // Tighten lowers the bound to v if v is smaller.
 //
 //nc:hotpath
 func (b *Bound) Tighten(v float64) {
-	nb := math.Float64bits(v)
-	for {
-		old := b.bits.Load()
-		if nb >= old {
-			return
-		}
-		if b.bits.CompareAndSwap(old, nb) {
-			return
-		}
+	if v < b.v {
+		b.v = v
 	}
 }
 
@@ -201,7 +187,7 @@ func New(dim int) (*Tree, error) {
 		//nc:allow(hotpath) validation-failure return: cold by definition
 		return nil, fmt.Errorf("index: dimension %d, want in [1, %d]", dim, maxDim)
 	}
-	//nc:allow(hotpath) tree construction: once per shard, not per upsert
+	//nc:allow(hotpath) tree construction: once per registry, not per upsert
 	return &Tree{dim: dim, byID: make(map[string]int32)}, nil
 }
 
@@ -218,8 +204,8 @@ type Entry struct {
 // validate, dedupe, and median-build, O(n log n) total. It produces the
 // same tree a Rebuild would leave behind, without paying for n
 // incremental inserts and the O(n log^2 n) amortized rebuild cascade
-// they trigger — the Registry uses it to warm empty shards from
-// snapshots. All entries are validated before any state is built, so an
+// they trigger — the Registry uses it to warm an empty index from a
+// snapshot. All entries are validated before any state is built, so an
 // error returns no partially constructed tree.
 func Build(dim int, entries []Entry) (*Tree, error) {
 	t, err := New(dim)
@@ -282,7 +268,8 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 		t.tombstone(old)
 	}
 	// Descend to the free child link the point belongs under and hang
-	// the slot about to be appended from it.
+	// the slot about to be appended from it — unless the descent ends on
+	// a tombstoned leaf, which the point takes over instead.
 	i := int32(len(t.nodes))
 	n := node{
 		split: c.Vec[0], height: c.Height, minHeight: c.Height,
@@ -294,6 +281,10 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 		for {
 			depth++
 			p := &t.nodes[cur]
+			if p.deleted && p.left == none && p.right == none {
+				t.revive(cur, id, c)
+				return nil
+			}
 			link := &p.right
 			if c.Vec[p.axis] < p.split {
 				link = &p.left
@@ -334,6 +325,34 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 	}
 	t.maybeRebuild()
 	return nil
+}
+
+// revive hands the tombstoned leaf in slot i to the point (id, c), whose
+// descent ended there: the point is on the right side of every
+// ancestor's plane, and a leaf's own split constrains nothing beneath
+// it, so rewriting the slot in place keeps every search invariant. The
+// slot stays where it is — ancestors' run is untouched — and its old
+// coordinate is replaced, never written through, so a Neighbor handed
+// out earlier keeps what it had. The tree neither grows nor deepens,
+// which is why a revival does not count toward the doubling rule.
+func (t *Tree) revive(i int32, id string, c coord.Coordinate) {
+	n := &t.nodes[i]
+	n.split = c.Vec[n.axis]
+	n.height, n.minHeight = c.Height, c.Height
+	n.deleted = false
+	copy(t.vecs[int(i)*t.dim:], c.Vec)
+	t.ids[i] = id
+	t.coords[i] = c
+	t.byID[id] = i
+	t.dead--
+	n.size = 1
+	for a := n.parent; a != none; a = t.nodes[a].parent {
+		p := &t.nodes[a]
+		p.size++
+		if c.Height < p.minHeight {
+			p.minHeight = c.Height
+		}
+	}
 }
 
 // maxDepth is the deepest insertion tolerated for a tree of n live
@@ -549,10 +568,8 @@ func (t *Tree) KNearest(from coord.Coordinate, k int) ([]Neighbor, error) {
 }
 
 // KNearestBound is KNearest restricted to points at distance <= bound.
-// A caller that already holds k candidates — the Registry merging across
-// shards — passes its current kth-best distance so the search prunes
-// subtrees that cannot improve the merged result, instead of doing k
-// full nearest-neighbor searches per stripe.
+// A caller that already holds k candidates passes its current kth-best
+// distance so the search prunes subtrees that cannot improve on them.
 func (t *Tree) KNearestBound(from coord.Coordinate, k int, bound float64) ([]Neighbor, error) {
 	h := bheap.New(k, neighborBefore)
 	var b Bound
@@ -572,8 +589,8 @@ func (t *Tree) KNearestBound(from coord.Coordinate, k int, bound float64) ([]Nei
 // once at the end. b is both input and output: the search starts from
 // the bound it carries, tightens it to its own kth-best distance as the
 // heap fills, and prunes against its current value throughout, so
-// concurrent searches over different trees sharing one Bound prune each
-// other. The bound check is <= and the heap breaks distance ties by id,
+// searches over several trees that share one heap and one Bound prune
+// each other. The bound check is <= and the heap breaks distance ties by id,
 // so the kept set is exact under the (Distance, ID) total order no
 // matter how the bound tightens.
 //
@@ -641,7 +658,7 @@ func (t *Tree) WithinInto(from coord.Coordinate, radius float64, buf []Neighbor)
 }
 
 // search is the state of one walk of the tree from the query (q, qh):
-// a kNN search into h under the shared bound b, or — h nil — a radius
+// a kNN search into h under the bound b, or — h nil — a radius
 // search, the same walk under a bound that never tightens, collecting
 // everything it accepts into res.
 type search struct {
@@ -670,9 +687,8 @@ func (s *search) bound() float64 {
 // visit searches the subtree at slot i, which holds at least one live
 // point: a short contiguous run is scanned outright; otherwise the near
 // side is walked first, then the far side only if the splitting-plane
-// lower bound could still beat the bound. The shared bound is loaded
-// once per node and again after this search tightens it; a value
-// another search has tightened since is only looser, so still exact.
+// lower bound could still beat the bound, which is loaded once per node
+// and again after a child's walk may have tightened it.
 //
 //nc:hotpath
 func (s *search) visit(i int32) {
@@ -724,8 +740,7 @@ func (s *search) accept(i int32, d float64) float64 {
 	s.h.Offer(n)
 	if s.h.Full() {
 		// k candidates at distance <= Worst now exist, so the true
-		// kth-best cannot exceed it: a valid bound for this search and
-		// for every other search sharing b.
+		// kth-best cannot exceed it.
 		s.b.Tighten(s.h.Worst().Distance)
 	}
 	return s.b.Load()

@@ -3,55 +3,36 @@ package index
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"netcoord/internal/bheap"
 	"netcoord/internal/xrand"
 )
 
-// TestBoundTightenIsAtomicMin hammers one Bound from several goroutines
-// and requires the survivor to be the global minimum offered.
-func TestBoundTightenIsAtomicMin(t *testing.T) {
+// TestBoundOnlyTightens: a Bound ends at the minimum it was offered,
+// and an offer above it changes nothing.
+func TestBoundOnlyTightens(t *testing.T) {
 	var b Bound
 	b.Reset(math.Inf(1))
-	const workers, per = 8, 2000
+	rng := xrand.NewStream(1)
 	min := math.Inf(1)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := xrand.NewStream(uint64(w + 1))
-			local := math.Inf(1)
-			for i := 0; i < per; i++ {
-				v := rng.Uniform(0, 1000)
-				b.Tighten(v)
-				if v < local {
-					local = v
-				}
-				// Raising must never work.
-				b.Tighten(v + 1)
-			}
-			mu.Lock()
-			if local < min {
-				min = local
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if got := b.Load(); got != min {
-		t.Fatalf("Bound = %v, want global min %v", got, min)
+	for i := 0; i < 2000; i++ {
+		v := rng.Uniform(0, 1000)
+		b.Tighten(v)
+		if v < min {
+			min = v
+		}
+		b.Tighten(v + 1)
+		if got := b.Load(); got != min {
+			t.Fatalf("offer %d: Bound = %v, want %v", i, got, min)
+		}
 	}
 }
 
 // TestKNearestIntoSharedBoundMatchesMerge splits one point set across
-// several trees, searches them all through KNearestInto with one shared
-// Bound (sequentially and concurrently), and requires the merged top-k
-// to be bit-identical to a single tree over the whole set — the
-// correctness contract of the Registry's cross-shard fan-out.
+// several trees, searches them back to back through KNearestInto with
+// one heap and one Bound, and requires the top-k to be bit-identical to
+// a single tree over the whole set.
 func TestKNearestIntoSharedBoundMatchesMerge(t *testing.T) {
 	const dim = 3
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -107,35 +88,6 @@ func TestKNearestIntoSharedBoundMatchesMerge(t *testing.T) {
 			SortNeighbors(got)
 			if !neighborsEqual(got, want) {
 				t.Fatalf("seed %d trial %d: sequential merge %v != whole %v", seed, trial, got, want)
-			}
-
-			// Concurrent fan-out: one heap per tree, one shared bound,
-			// merged through a final heap.
-			var sb Bound
-			sb.Reset(startBound)
-			heaps := make([]*bheap.Heap[Neighbor], nTrees)
-			var wg sync.WaitGroup
-			for i, tr := range trees {
-				heaps[i] = bheap.New(k, NeighborBefore)
-				wg.Add(1)
-				go func(tr *Tree, h *bheap.Heap[Neighbor]) {
-					defer wg.Done()
-					if err := tr.KNearestInto(q, k, h, &sb); err != nil {
-						t.Error(err)
-					}
-				}(tr, heaps[i])
-			}
-			wg.Wait()
-			merge := bheap.New(k, NeighborBefore)
-			for _, h := range heaps {
-				for _, n := range h.Items() {
-					merge.Offer(n)
-				}
-			}
-			got = append(got[:0], merge.Items()...)
-			SortNeighbors(got)
-			if !neighborsEqual(got, want) {
-				t.Fatalf("seed %d trial %d: parallel merge %v != whole %v", seed, trial, got, want)
 			}
 		}
 	}

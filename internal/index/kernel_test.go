@@ -148,6 +148,178 @@ func TestWriteReplicateMixMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestFlappingIDReusesItsSlots is write-replicate's probe: one id that
+// alternates between two fixed coordinates inside a large bulk-built
+// tree. Each move tombstones the leaf the id just left and revives the
+// one it left before, so the tree must neither grow a tombstone chain
+// nor rebuild, however long the flapping lasts.
+func TestFlappingIDReusesItsSlots(t *testing.T) {
+	const dim, n, moves = 3, 100_000, 10_000
+	rng := xrand.NewStream(23)
+	entries := make([]Entry, n)
+	brute, _ := NewBrute(dim)
+	for i := range entries {
+		entries[i] = Entry{ID: fmt.Sprintf("node-%06d", i), Coord: randomCoord(rng, dim)}
+		_ = brute.Insert(entries[i].ID, entries[i].Coord)
+	}
+	tree, err := Build(dim, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := tree.Stats().Height
+	spots := [2]coord.Coordinate{coord.New(60, 70, 80), coord.New(20_000, 20_000, 20_000)}
+	for step := 0; step < moves; step++ {
+		at := spots[step%2]
+		if err := tree.Insert("probe", at); err != nil {
+			t.Fatal(err)
+		}
+		_ = brute.Insert("probe", at)
+		if st := tree.Stats(); st.Tombstones > 1 || st.Live != n+1 {
+			t.Fatalf("step %d: stats %+v, want at most 1 tombstone and %d live", step, st, n+1)
+		}
+		if step%64 != 0 {
+			continue
+		}
+		// One oracle scan pair per checkpoint, from each spot in turn
+		// and then from somewhere else.
+		q := [3]coord.Coordinate{spots[0], spots[1], randomCoord(rng, dim)}[step/64%3]
+		want, _ := brute.KNearest(q, 8)
+		got, err := tree.KNearest(q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !neighborsEqual(got, want) {
+			t.Fatalf("step %d from %v: tree %v != brute %v", step, q, got, want)
+		}
+		wantR, _ := brute.Within(q, 12)
+		gotR, err := tree.Within(q, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !neighborsEqual(gotR, wantR) {
+			t.Fatalf("step %d within 12 of %v: tree %v != brute %v", step, q, gotR, wantR)
+		}
+	}
+	if st := tree.Stats(); st.Rebuilds != 0 || st.Height > built+2 {
+		t.Fatalf("after %d moves: stats %+v, want no rebuilds and height <= %d", moves, st, built+2)
+	}
+}
+
+// TestRevivalCases pins the places a revived leaf could go wrong: inside
+// a run that searches scan rather than descend, an id landing back on
+// the slot it just left, a revival that must lower an ancestor's
+// minHeight, and a result handed out before the slot changed hands.
+func TestRevivalCases(t *testing.T) {
+	const dim = 1
+	at := func(x, h float64) coord.Coordinate { return coord.Coordinate{Vec: []float64{x}, Height: h} }
+	// 15 points on a line: one build lays them out as a single run of
+	// 15 slots, scanned outright, with p00, p02, ... p14 as its leaves.
+	build := func() (*Tree, *Brute) {
+		entries := make([]Entry, 15)
+		brute, _ := NewBrute(dim)
+		for i := range entries {
+			entries[i] = Entry{ID: fmt.Sprintf("p%02d", i), Coord: at(float64(10*i), 5)}
+			_ = brute.Insert(entries[i].ID, entries[i].Coord)
+		}
+		tree, err := Build(dim, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree, brute
+	}
+	check := func(tree *Tree, brute *Brute, label string) {
+		t.Helper()
+		for _, x := range []float64{-5, 0, 11, 70, 145} {
+			checkAgainstBrute(t, tree, brute, at(x, 0), label)
+		}
+	}
+	slots := func(tree *Tree) int { return len(tree.nodes) }
+
+	t.Run("inside a scanned run", func(t *testing.T) {
+		tree, brute := build()
+		if tree.nodes[0].run != 15 {
+			t.Fatalf("root run = %d, want the whole tree as one run", tree.nodes[0].run)
+		}
+		tree.Remove("p00")
+		brute.Remove("p00")
+		check(tree, brute, "tombstoned")
+		// A new id whose descent ends on p00's dead leaf takes it over.
+		if err := tree.Insert("fresh", at(1, 5)); err != nil {
+			t.Fatal(err)
+		}
+		_ = brute.Insert("fresh", at(1, 5))
+		if st := tree.Stats(); slots(tree) != 15 || st.Tombstones != 0 || tree.nodes[0].run != 15 {
+			t.Fatalf("revival grew the arena or broke the run: %d slots, stats %+v, run %d", slots(tree), st, tree.nodes[0].run)
+		}
+		check(tree, brute, "revived")
+	})
+
+	t.Run("own slot on a small move", func(t *testing.T) {
+		tree, brute := build()
+		for step := 0; step < 200; step++ {
+			c := at(float64(step%7)/10, 5) // stays left of p01
+			if err := tree.Insert("p00", c); err != nil {
+				t.Fatal(err)
+			}
+			_ = brute.Insert("p00", c)
+		}
+		if st := tree.Stats(); slots(tree) != 15 || st.Tombstones != 0 || st.Rebuilds != 0 {
+			t.Fatalf("small moves did not reuse the slot: %d slots, stats %+v", slots(tree), st)
+		}
+		check(tree, brute, "moved in place")
+	})
+
+	t.Run("lowers an ancestor's minHeight", func(t *testing.T) {
+		// 63 points, descended rather than scanned, all so high up that
+		// a point without height on the far side of the root's plane is
+		// the nearest — which the search only finds if the revival
+		// lowered minHeight on the way up.
+		entries := make([]Entry, 63)
+		brute, _ := NewBrute(dim)
+		for i := range entries {
+			entries[i] = Entry{ID: fmt.Sprintf("p%02d", i), Coord: at(float64(10*i), 5000)}
+			_ = brute.Insert(entries[i].ID, entries[i].Coord)
+		}
+		tree, err := Build(dim, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.Remove("p62")
+		brute.Remove("p62")
+		if err := tree.Insert("low", at(621, 0)); err != nil {
+			t.Fatal(err)
+		}
+		_ = brute.Insert("low", at(621, 0))
+		if slots(tree) != 63 || tree.nodes[0].minHeight != 0 {
+			t.Fatalf("%d slots, root minHeight %v: want the leaf revived and 0 at the root", slots(tree), tree.nodes[0].minHeight)
+		}
+		got, _ := tree.KNearest(at(-1000, 0), 1)
+		if len(got) != 1 || got[0].ID != "low" {
+			t.Fatalf("nearest = %v, want the revived low point", got)
+		}
+		checkAgainstBrute(t, tree, brute, at(-1000, 0), "low point revived")
+	})
+
+	t.Run("earlier results keep their coordinate", func(t *testing.T) {
+		tree, _ := build()
+		before, _ := tree.KNearest(at(0, 0), 1)
+		if len(before) != 1 || before[0].ID != "p00" {
+			t.Fatalf("nearest = %v, want p00", before)
+		}
+		was := before[0].Coord.Clone()
+		tree.Remove("p00")
+		if err := tree.Insert("fresh", at(3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if slots(tree) != 15 {
+			t.Fatalf("%d slots: the insert did not revive p00's leaf", slots(tree))
+		}
+		if before[0].ID != "p00" || !before[0].Coord.Equal(was) {
+			t.Fatalf("a result handed out earlier changed to %v, was %v", before[0], was)
+		}
+	})
+}
+
 // TestBoundAtStoredDistanceKeepsTheTie presets the bound to exactly the
 // distance of a stored point: <= must keep that point, and every other
 // point at the same distance, on every path — descended nodes, scanned
@@ -209,9 +381,9 @@ func TestBoundAtStoredDistanceKeepsTheTie(t *testing.T) {
 	}
 }
 
-// TestSixteenTreesSharingOneBound is the registry's shape at the
-// benchmark's shard count: 16 trees searched back to back with one heap
-// and one Bound must equal one tree over the union, and Brute.
+// TestSixteenTreesSharingOneBound is the shape ncload's traced ladder
+// searches: 16 trees back to back with one heap and one Bound must
+// equal one tree over the union, and Brute.
 func TestSixteenTreesSharingOneBound(t *testing.T) {
 	const dim, shards, n = 3, 16, 4000
 	rng := xrand.NewStream(11)
@@ -396,7 +568,8 @@ func TestPlaneBoundSurvivesUnderflow(t *testing.T) {
 func FuzzTreeOps(f *testing.F) {
 	// testdata/fuzz/FuzzTreeOps holds the longer seeds: a rebuild with
 	// tombstones landing inside scanned runs, all-duplicate points, the
-	// move-heavy write mix, draining to empty and refilling.
+	// move-heavy write mix, draining to empty and refilling, and ids
+	// flapping between two spots so that dead leaves keep being revived.
 	f.Add([]byte{2, 0, 1, 10, 20, 3, 0, 2, 10, 20, 3, 4, 10, 20, 0, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -32,9 +32,9 @@ func clusteredPoint(centres *[8][3]float64, rng *rand.Rand) coord.Coordinate {
 }
 
 // BenchmarkIndexKNN times one k=8 query over 100k clustered points held
-// in one tree and in 16 shard trees searched back to back with one heap
-// and one shared Bound — the call sequence Registry.NearestBatch makes
-// per query, and what ncload's ladder reports as index.knn_us.
+// in one tree — the call Registry.nearestInto makes per query. The
+// sub-benchmark keeps the name its history is recorded under in
+// BENCH_query.json.
 func BenchmarkIndexKNN(b *testing.B) {
 	const n, k, nQueries = 100_000, 8, 1024
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -52,35 +52,24 @@ func BenchmarkIndexKNN(b *testing.B) {
 	for i := range queries {
 		queries[i] = clusteredPoint(&centres, rng)
 	}
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			parts := make([][]Entry, shards)
-			for i, e := range entries {
-				parts[i%shards] = append(parts[i%shards], e)
+	b.Run("shards=1", func(b *testing.B) {
+		tree, err := Build(3, entries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := bheap.New(k, NeighborBefore)
+		var bound Bound
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Reset(k)
+			bound.Reset(math.Inf(1))
+			if err := tree.KNearestInto(queries[i%nQueries], k, h, &bound); err != nil {
+				b.Fatal(err)
 			}
-			trees := make([]*Tree, shards)
-			for i, part := range parts {
-				var err error
-				if trees[i], err = Build(3, part); err != nil {
-					b.Fatal(err)
-				}
-			}
-			h := bheap.New(k, NeighborBefore)
-			var bound Bound
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Reset(k)
-				bound.Reset(math.Inf(1))
-				for _, t := range trees {
-					if err := t.KNearestInto(queries[i%nQueries], k, h, &bound); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if h.Len() != k {
-				b.Fatalf("last query kept %d results, want %d", h.Len(), k)
-			}
-		})
-	}
+		}
+		if h.Len() != k {
+			b.Fatalf("last query kept %d results, want %d", h.Len(), k)
+		}
+	})
 }
