@@ -413,15 +413,13 @@ func (r *Registry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
 // snapshot, transferring only what changed.
 func (r *Registry) EntriesChangedSince(since uint64) []RegistryEntry {
 	var out []RegistryEntry
-	for _, s := range r.shards {
-		s.mu.RLock()
-		for _, e := range s.entries {
-			if e.Seq > since {
-				out = append(out, e)
-			}
+	r.mu.RLock()
+	for _, e := range r.entries {
+		if e.Seq > since {
+			out = append(out, e)
 		}
-		s.mu.RUnlock()
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -314,7 +314,7 @@ func TestConcurrentWatchStress(t *testing.T) {
 	// Quiesce the stream before reading its final sequence: the writers
 	// are done, but the 1 ms-TTL janitor keeps publishing evictions
 	// until the registry is empty. Evictions are published under the
-	// shard lock Len takes, so once Len reports 0 the last one is out.
+	// lock Len takes, so once Len reports 0 the last one is out.
 	for deadline := time.Now().Add(5 * time.Second); r.Len() > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("janitor left %d entries unevicted", r.Len())

@@ -13,7 +13,7 @@
 //	POST /remove   {"id":"n1"}
 //	POST /nearest  {"coord":{"vec":[1,2,3]},"k":8}
 //	POST /nearest/batch  {"queries":[{"coord":...,"k":8},...]}
-//	               (many queries, one shard-major registry dispatch)
+//	               (many queries, one request)
 //	GET  /nearest?id=n1&k=8            (centered on a registered node)
 //	GET  /estimate?a=n1&b=n2
 //	GET  /snapshot                     (full state + stream sequence)
@@ -110,7 +110,6 @@ func run(args []string) (err error) {
 	var (
 		listen       = fs.String("listen", "127.0.0.1:8700", "HTTP listen address")
 		dim          = fs.Int("dim", 0, "coordinate dimension (0 = library default, 3)")
-		shards       = fs.Int("shards", 0, "registry shard count (0 = default)")
 		ttl          = fs.Duration("ttl", 0, "evict entries not refreshed within this duration (0 = keep forever)")
 		maxBody      = fs.Int64("max-body", 1<<20, "maximum request body size in bytes")
 		dataDir      = fs.String("data-dir", "", "persist the registry (WAL + snapshots) in this directory; empty = in-memory only")
@@ -131,7 +130,6 @@ func run(args []string) (err error) {
 
 	regCfg := netcoord.RegistryConfig{
 		Dimension:          *dim,
-		Shards:             *shards,
 		TTL:                *ttl,
 		ChangeStreamBuffer: *streamBuffer,
 	}

@@ -260,7 +260,7 @@ func New(ringSize int, startSeq uint64) *Feed {
 // Tap registers a synchronous consumer invoked inline, under the feed
 // lock, for every subsequent event in sequence order. fn must only
 // enqueue — it runs on every mutation path, under the publishing
-// shard's lock. Tap is not safe to call concurrently with publishing:
+// registry's write lock. Tap is not safe to call concurrently with publishing:
 // register taps before the feed is shared.
 func (f *Feed) Tap(fn func(Event)) {
 	f.taps = append(f.taps, fn)

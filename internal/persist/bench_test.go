@@ -52,7 +52,7 @@ func BenchmarkWALReplay(b *testing.B) {
 
 // BenchmarkLogUpsert measures the append hot path: encode + frame +
 // buffer enqueue, i.e. the cost a registry mutation pays while holding
-// its shard lock.
+// the write lock.
 func BenchmarkLogUpsert(b *testing.B) {
 	dir := b.TempDir()
 	s, _, err := Open(dir, Options{NoSync: true, FlushInterval: 10 * time.Millisecond})

@@ -135,7 +135,7 @@ type StoreStats struct {
 // writes and fsyncs the batch every FlushInterval (or sooner under
 // load). Sync forces a commit, Close performs a final one. Log methods
 // never block on the disk, so they are safe to call under the
-// registry's shard locks — which is exactly where the caller invokes
+// registry's write lock — which is exactly where the caller invokes
 // them, to keep per-id log order identical to apply order.
 //
 // Store is safe for concurrent use.

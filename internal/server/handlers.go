@@ -272,10 +272,10 @@ type nearestBatchResult struct {
 
 // handleNearestBatch answers many proximity queries in one request:
 // {"queries":[{"coord":...,"k":8},{"coord":...,"radius_ms":50},...]}.
-// The whole batch is answered by one Registry.NearestBatch dispatch —
-// shard-major, so each shard's lock is taken once for the entire
-// request instead of once per query — which is the cheap way to
-// resolve a client's full replica set or a mesh of candidate origins.
+// The whole batch is answered by one Registry.NearestBatch call, so the
+// request's HTTP and JSON cost is paid once for all of its queries —
+// the cheap way to resolve a client's full replica set or a mesh of
+// candidate origins.
 // Validation is atomic: any malformed query fails the whole batch with
 // a 400 naming the offending index, and nothing is computed.
 func (s *Server) handleNearestBatch(w http.ResponseWriter, req *http.Request) {

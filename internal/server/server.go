@@ -98,10 +98,6 @@ type Server struct {
 	hub      *WatchHub
 	notifier *notifier
 
-	// batcher coalesces concurrent watch recomputes into shard-major
-	// NearestBatch dispatches (see batcher.go).
-	batcher *queryBatcher
-
 	shutdown     chan struct{}
 	shutdownOnce sync.Once
 }
@@ -139,7 +135,6 @@ func New(cfg Config) *Server {
 	}
 	s.hub = newWatchHub(source, s.shutdown)
 	s.notifier = newNotifier(source, s.shutdown)
-	s.batcher = newQueryBatcher(cfg.Registry)
 	s.registerCollectors()
 	s.mux.HandleFunc("POST /upsert", s.instrument("/upsert", s.leaderOnly(s.handleUpsert)))
 	s.mux.HandleFunc("POST /remove", s.instrument("/remove", s.leaderOnly(s.handleRemove)))

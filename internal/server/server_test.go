@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,6 +156,18 @@ func TestServiceEndToEnd(t *testing.T) {
 	if !ok || regStats["entries"].(float64) != 3 {
 		t.Fatalf("stats = %v", out)
 	}
+	// One tree: its shape is reported, and there is no stripe count.
+	if h, ok := regStats["index_height"].(float64); !ok || h < 1 {
+		t.Fatalf("stats registry.index_height = %v, want the tree's height", regStats["index_height"])
+	}
+	for _, key := range []string{"index_tombstones", "index_rebuilds"} {
+		if _, ok := regStats[key]; !ok {
+			t.Fatalf("stats registry lacks %q: %v", key, regStats)
+		}
+	}
+	if _, ok := regStats["shards"]; ok {
+		t.Fatalf("stats registry still reports shards: %v", regStats)
+	}
 }
 
 func TestServiceErrors(t *testing.T) {
@@ -218,6 +231,86 @@ func TestServiceErrors(t *testing.T) {
 		if got := tc.do(); got != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestNearestBatchEndpoint checks POST /nearest/batch against the
+// single-query endpoints: positional answers, per-query modes (k,
+// default-k, radius with truncation flag), and atomic validation.
+func TestNearestBatchEndpoint(t *testing.T) {
+	ts := newTestService(t)
+
+	var entries []string
+	for i := 0; i < 40; i++ {
+		entries = append(entries, fmt.Sprintf(
+			`{"id":"n%02d","coord":{"vec":[%d,%d,0]}}`, i, (i%8)*25, (i/8)*25))
+	}
+	code, out := postJSON(t, ts.URL+"/upsert", `{"entries":[`+strings.Join(entries, ",")+`]}`)
+	if code != http.StatusOK {
+		t.Fatalf("seed: %d %v", code, out)
+	}
+
+	code, out = postJSON(t, ts.URL+"/nearest/batch", `{"queries":[
+		{"coord":{"vec":[1,1,0]},"k":3},
+		{"coord":{"vec":[180,90,0]}},
+		{"coord":{"vec":[50,50,0]},"radius_ms":40}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("batch: %d %v", code, out)
+	}
+	raw, ok := out["results"].([]any)
+	if !ok || len(raw) != 3 {
+		t.Fatalf("want 3 positional results, got %v", out)
+	}
+
+	// Each position must match its single-query equivalent.
+	single := []string{
+		`{"coord":{"vec":[1,1,0]},"k":3}`,
+		`{"coord":{"vec":[180,90,0]}}`,
+		`{"coord":{"vec":[50,50,0]},"radius_ms":40}`,
+	}
+	for i, body := range single {
+		sc, sout := postJSON(t, ts.URL+"/nearest", body)
+		if sc != http.StatusOK {
+			t.Fatalf("single %d: %d %v", i, sc, sout)
+		}
+		want := resultIDs(t, sout)
+		got := resultIDs(t, raw[i].(map[string]any))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: batch %v != single %v", i, got, want)
+		}
+		if i == 2 {
+			// Small radius over 40 nodes: present but not truncated.
+			if tr, _ := raw[i].(map[string]any)["truncated"].(bool); tr {
+				t.Fatalf("query %d unexpectedly truncated", i)
+			}
+		}
+	}
+
+	// Atomic validation: a bad k in the middle fails the whole batch.
+	code, out = postJSON(t, ts.URL+"/nearest/batch", `{"queries":[
+		{"coord":{"vec":[1,1,0]},"k":3},
+		{"coord":{"vec":[1,1,0]},"k":-2}]}`)
+	if code != http.StatusBadRequest || !strings.Contains(out["error"].(string), "query 1") {
+		t.Fatalf("bad k: %d %v", code, out)
+	}
+	// A dimension mismatch is caught registry-side, same atomicity.
+	code, out = postJSON(t, ts.URL+"/nearest/batch", `{"queries":[
+		{"coord":{"vec":[1,1,0]},"k":3},
+		{"coord":{"vec":[1,1]},"k":3}]}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("bad dim: %d %v", code, out)
+	}
+	code, out = postJSON(t, ts.URL+"/nearest/batch", `{"queries":[]}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("empty batch: %d %v", code, out)
+	}
+	big := make([]string, maxBatchQueries+1)
+	for i := range big {
+		big[i] = `{"coord":{"vec":[1,1,0]},"k":1}`
+	}
+	code, out = postJSON(t, ts.URL+"/nearest/batch", `{"queries":[`+strings.Join(big, ",")+`]}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("oversized batch: %d %v", code, out)
 	}
 }
 

@@ -74,26 +74,24 @@ func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {
 	}
 	// recompute answers "top-k now" plus the origin it was measured
 	// from (id-mode re-resolves the node's current coordinate, so a
-	// moving watched node keeps the question honest). Queries go
-	// through the server's batcher: when a write storm damages many
-	// watchers at once, their concurrent recomputes coalesce into
-	// shard-major NearestBatch rounds instead of each paying a full
-	// fan-out dispatch. Safe with respect to syncWatch's pre/post
-	// handshake — the batch executes after the query is enqueued,
-	// which is after pre was read, so no event can slip between.
+	// moving watched node keeps the question honest).
 	recompute := func() ([]netcoord.Ranked, netcoord.Coordinate, error) {
 		if watchID == "" {
-			res, err := s.batcher.nearest(netcoord.NearestQuery{From: fixed, K: k})
+			res, err := s.reg.Nearest(fixed, k)
 			return res, fixed, err
 		}
 		entry, found := s.reg.Get(watchID)
 		if !found {
 			return nil, netcoord.Coordinate{}, fmt.Errorf("watched id %q removed", watchID)
 		}
-		// Exclude + the freshly resolved coordinate is exactly
-		// NearestTo's contract, batched.
-		res, err := s.batcher.nearest(netcoord.NearestQuery{From: entry.Coord, K: k, Exclude: watchID})
-		return res, entry.Coord, err
+		// NearestTo's contract, spelled as a one-query batch: NearestTo
+		// would resolve the coordinate again, and the hub needs the
+		// origin this answer was measured from.
+		res, err := s.reg.NearestBatch([]netcoord.NearestQuery{{From: entry.Coord, K: k, Exclude: watchID}})
+		if err != nil {
+			return nil, netcoord.Coordinate{}, err
+		}
+		return res[0], entry.Coord, nil
 	}
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {

@@ -8,8 +8,8 @@
 // serves them: a relay tree whose propagation lag nobody can see is a
 // relay tree nobody can trust. This package is deliberately tiny so it
 // can ride the hottest paths in the repository: Observe and Add are a
-// handful of atomic operations, allocation-free, and safe under any
-// shard or feed lock (the same discipline the changefeed imposes on
+// handful of atomic operations, allocation-free, and safe under the
+// registry or feed lock (the same discipline the changefeed imposes on
 // its taps).
 //
 // Instruments are created through a Registry (NewRegistry), which

@@ -37,8 +37,8 @@
 //
 // Stable coordinates exist so that consumers — server selection,
 // operator placement, proximity routing — can act on them. Registry is
-// that consumer layer: a sharded, concurrency-safe store of node
-// coordinates backed by a per-shard spatial index, answering exact
+// that consumer layer: a concurrency-safe store of node coordinates
+// backed by a spatial index, answering exact
 // k-nearest-neighbor (Nearest, NearestTo), latency-budget (Within), and
 // pairwise (Estimate) queries without scanning the node set. Feed wires
 // a live Node's update channel straight into a Registry, and a TTL ages

@@ -67,7 +67,7 @@ const compactCheckInterval = time.Second
 //
 // Open recovers the previous state before returning: the newest
 // snapshot is loaded through UpsertBatch — which bulk-builds the
-// spatial index per shard in one O(n log n) pass — and the WAL tail is
+// spatial index in one O(n log n) pass — and the WAL tail is
 // replayed on top. Entry UpdatedAt times are preserved, so TTL
 // eviction remains correct across downtime: entries that went stale
 // while the service was down age out on the first janitor sweep
@@ -93,8 +93,8 @@ type PersistentRegistry struct {
 
 // storeTap is the persistence layer's change-stream consumer: a
 // synchronous tap that forwards every sequenced event to the store's
-// log. It runs inline under the feed lock (hence under the publishing
-// shard's lock); Log calls only enqueue — the store's flusher owns the
+// log. It runs inline under the feed lock (hence under the registry's
+// write lock); Log calls only enqueue — the store's flusher owns the
 // disk — so the tap never blocks a mutation. Being a tap rather than a
 // bounded subscriber is what guarantees the WAL misses nothing.
 func storeTap(s *persist.Store) func(changefeed.Event) {
@@ -174,9 +174,9 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 		for i, e := range recovered {
 			batch[i] = RegistryEntry{ID: e.ID, Coord: e.Coord, Error: e.Error, UpdatedAt: e.UpdatedAt, Seq: e.Seq}
 		}
-		// Every shard is empty, so this lands on the index.Build bulk
-		// path: one balanced O(n log n) construction per shard instead
-		// of n incremental inserts. UpdatedAt values are preserved
+		// The registry is empty, so this lands on the index.Build bulk
+		// path: one balanced O(n log n) construction instead of n
+		// incremental inserts. UpdatedAt values are preserved
 		// (UpsertBatch only stamps zero timestamps).
 		if err := reg.UpsertBatch(batch); err != nil {
 			reg.Close()

@@ -221,8 +221,8 @@ func TestPersistentRegistryRecoveryUsesBulkBuild(t *testing.T) {
 	if p2.Len() != n {
 		t.Fatalf("recovered %d entries, want %d", p2.Len(), n)
 	}
-	// Recovery loads through UpsertBatch on empty shards, which
-	// bulk-builds each shard's kd-tree balanced in one pass — zero
+	// Recovery loads through UpsertBatch on an empty registry, which
+	// bulk-builds the kd-tree balanced in one pass — zero
 	// incremental rebuilds is the signature of that path.
 	if st := p2.Stats(); st.IndexRebuilds != 0 {
 		t.Fatalf("recovery triggered %d incremental index rebuilds; bulk path not taken", st.IndexRebuilds)

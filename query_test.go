@@ -3,7 +3,6 @@ package netcoord
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,80 +11,35 @@ import (
 	"netcoord/internal/xrand"
 )
 
-// oldNearestWalk is the pre-fan-out Registry.nearest, kept verbatim as
-// the reference the new engine must match bit-for-bit: per-shard
-// KNearestBound, append, sort.Slice, truncate, tighten.
-func oldNearestWalk(r *Registry, from Coordinate, k int, exclude string, bound float64) ([]Ranked, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("netcoord: k = %d, want > 0", k)
-	}
-	perShard := k
-	if exclude != "" {
-		perShard++
-	}
-	var merged []index.Neighbor
-	for _, s := range r.shards {
-		s.mu.RLock()
-		ns, err := s.tree.KNearestBound(from, perShard, bound)
-		s.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		merged = append(merged, ns...)
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].Distance != merged[j].Distance {
-				return merged[i].Distance < merged[j].Distance
-			}
-			return merged[i].ID < merged[j].ID
-		})
-		if len(merged) > perShard {
-			merged = merged[:perShard]
-		}
-		if len(merged) == perShard {
-			bound = merged[len(merged)-1].Distance
-		}
-	}
-	out := make([]Ranked, 0, k)
-	for _, n := range merged {
-		if n.ID == exclude {
-			continue
-		}
-		out = append(out, Ranked{
-			Candidate:    Candidate{ID: n.ID, Coord: n.Coord},
-			EstimatedRTT: n.Distance,
-		})
-		if len(out) == k {
-			break
-		}
-	}
-	return out, nil
-}
-
-// bruteNearest is the O(n) oracle: rank a snapshot by (distance, id),
-// drop the excluded id and anything past the bound, keep k.
-func bruteNearest(t *testing.T, snap []RegistryEntry, from Coordinate, k int, exclude string, bound float64) []Ranked {
+// bruteOracle is index.Brute over a registry snapshot: the O(n) scan
+// every registry answer must match bit for bit.
+func bruteOracle(t *testing.T, snap []RegistryEntry) *index.Brute {
 	t.Helper()
-	var out []Ranked
+	b, err := index.NewBrute(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range snap {
-		if e.ID == exclude {
-			continue
-		}
-		d, err := from.DistanceTo(e.Coord)
-		if err != nil {
+		if err := b.Insert(e.ID, e.Coord); err != nil {
 			t.Fatal(err)
 		}
-		if d <= bound {
-			out = append(out, Ranked{Candidate: Candidate{ID: e.ID, Coord: e.Coord}, EstimatedRTT: d})
-		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].EstimatedRTT != out[j].EstimatedRTT {
-			return out[i].EstimatedRTT < out[j].EstimatedRTT
+	return b
+}
+
+// bruteNearest asks the oracle for everything within bound, ranked by
+// (distance, id), drops the excluded id and keeps k.
+func bruteNearest(t *testing.T, b *index.Brute, from Coordinate, k int, exclude string, bound float64) []Ranked {
+	t.Helper()
+	ns, err := b.Within(from, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Ranked
+	for _, n := range ns {
+		if n.ID != exclude && len(out) < k {
+			out = append(out, ranked(n))
 		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > k {
-		out = out[:k]
 	}
 	return out
 }
@@ -116,161 +70,161 @@ func rankedSorted(rs []Ranked) bool {
 	return true
 }
 
-// TestQueryEngineMatchesOracleAndOldWalk is the acceptance property
-// test: across shard counts and parallelism settings, random k,
-// exclusions, radius bounds, and grid-snapped duplicate distances, the
-// new engine — single queries, Into reuse, and both batch entry points
-// — must agree bit-for-bit with the brute-force oracle and with the old
-// sequential sort.Slice walk. Entry counts sit past the fan-out
-// crossover for the eligible configs, so the parallel path is the one
-// under test there.
-func TestQueryEngineMatchesOracleAndOldWalk(t *testing.T) {
-	configs := []struct{ shards, parallelism int }{
-		{1, 1}, {2, 4}, {4, 1}, {4, 4}, {8, 4}, {16, 2},
+// TestQueryEngineMatchesOracle is the acceptance property test: over
+// random k, exclusions, radius bounds, and grid-snapped duplicate
+// distances, every read entry point — single queries, Into reuse, and
+// both batches — must agree bit-for-bit with index.Brute.
+func TestQueryEngineMatchesOracle(t *testing.T) {
+	rng := xrand.NewStream(1011)
+	r := newTestRegistry(t, RegistryConfig{Dimension: 3})
+	const n = 4000
+	ids := make([]string, 0, n)
+	batchEntries := make([]RegistryEntry, 0, n)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("node-%05d", i)
+		c := testCoord(rng, 3)
+		if rng.Bernoulli(0.3) {
+			// Snap to a coarse grid so duplicate distances are common
+			// and tie-breaking by id is genuinely hit.
+			for d := range c.Vec {
+				c.Vec[d] = float64(int(c.Vec[d]) / 40 * 40)
+			}
+			c.Height = 0
+		}
+		ids = append(ids, id)
+		batchEntries = append(batchEntries, RegistryEntry{ID: id, Coord: c})
 	}
-	for _, tc := range configs {
-		tc := tc
-		t.Run(fmt.Sprintf("shards=%d,par=%d", tc.shards, tc.parallelism), func(t *testing.T) {
-			t.Parallel()
-			rng := xrand.NewStream(uint64(1000 + tc.shards*10 + tc.parallelism))
-			r := newTestRegistry(t, RegistryConfig{
-				Dimension:        3,
-				Shards:           tc.shards,
-				QueryParallelism: tc.parallelism,
-			})
-			n := tc.shards*queryParallelMinPerShard + 300
-			ids := make([]string, 0, n)
-			batchEntries := make([]RegistryEntry, 0, n)
-			for i := 0; i < n; i++ {
-				id := fmt.Sprintf("node-%05d", i)
-				c := testCoord(rng, 3)
-				if rng.Bernoulli(0.3) {
-					// Snap to a coarse grid so duplicate distances are
-					// common and tie-breaking by id is genuinely hit.
-					for d := range c.Vec {
-						c.Vec[d] = float64(int(c.Vec[d]) / 40 * 40)
-					}
-					c.Height = 0
-				}
-				ids = append(ids, id)
-				batchEntries = append(batchEntries, RegistryEntry{ID: id, Coord: c})
+	// Half bulk-built, half inserted one by one, then some moved and
+	// some removed: the tree the queries walk has appended slots,
+	// tombstones and revived leaves, not just a fresh build's layout.
+	if err := r.UpsertBatch(batchEntries[:n/2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range batchEntries[n/2:] {
+		if err := r.Upsert(e.ID, e.Coord, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n/10; i++ {
+		id := ids[rng.Intn(n)]
+		if rng.Bernoulli(0.2) {
+			r.Remove(id)
+		} else if err := r.Upsert(id, testCoord(rng, 3), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := r.Snapshot()
+	if len(snap) != r.Len() || len(snap) < n*9/10 {
+		t.Fatalf("snapshot has %d entries, Len %d", len(snap), r.Len())
+	}
+	oracle := bruteOracle(t, snap)
+
+	var nbatch []NearestQuery
+	var nwant [][]Ranked
+	var wbatch []WithinQuery
+	var wwant [][]Ranked
+	var dst []Ranked
+	for trial := 0; trial < 60; trial++ {
+		q := testCoord(rng, 3)
+		if trial%4 == 0 {
+			// From a grid point, whole shells of the snapped entries tie.
+			for d := range q.Vec {
+				q.Vec[d] = float64(int(q.Vec[d]) / 40 * 40)
 			}
-			if err := r.UpsertBatch(batchEntries); err != nil {
-				t.Fatal(err)
-			}
-			snap := r.Snapshot()
-			if len(snap) != n {
-				t.Fatalf("snapshot has %d entries, want %d", len(snap), n)
-			}
+			q.Height = 0
+		}
+		k := 1 + rng.Intn(20)
+		exclude := ""
+		if rng.Bernoulli(0.4) {
+			exclude = snap[rng.Intn(len(snap))].ID
+		}
+		hasRadius := rng.Bernoulli(0.4)
+		bound := math.Inf(1)
+		if hasRadius {
+			bound = rng.Uniform(0, 150)
+		}
 
-			var nbatch []NearestQuery
-			var nwant [][]Ranked
-			var wbatch []WithinQuery
-			var wwant [][]Ranked
-			var dst []Ranked
-			for trial := 0; trial < 30; trial++ {
-				q := testCoord(rng, 3)
-				k := 1 + rng.Intn(20)
-				exclude := ""
-				if rng.Bernoulli(0.4) {
-					exclude = ids[rng.Intn(len(ids))]
-				}
-				hasRadius := rng.Bernoulli(0.4)
-				bound := math.Inf(1)
-				if hasRadius {
-					bound = rng.Uniform(0, 150)
-				}
+		want := bruteNearest(t, oracle, q, k, exclude, bound)
+		got, err := r.nearestInto(q, k, exclude, bound, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rankedEqual(got, want) {
+			t.Fatalf("trial %d (k=%d excl=%q bound=%v): engine %v, oracle %v", trial, k, exclude, bound, got, want)
+		}
+		nbatch = append(nbatch, NearestQuery{From: q, K: k, Exclude: exclude, HasRadius: hasRadius, RadiusMillis: bound})
+		nwant = append(nwant, want)
 
-				want := bruteNearest(t, snap, q, k, exclude, bound)
-				old, err := oldNearestWalk(r, q, k, exclude, bound)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rankedEqual(old, want) {
-					t.Fatalf("trial %d: old walk disagrees with oracle: %v vs %v", trial, old, want)
-				}
-				got, err := r.nearestInto(q, k, exclude, bound, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rankedEqual(got, want) {
-					t.Fatalf("trial %d (k=%d excl=%q bound=%v): engine %v, oracle %v", trial, k, exclude, bound, got, want)
-				}
-				nbatch = append(nbatch, NearestQuery{From: q, K: k, Exclude: exclude, HasRadius: hasRadius, RadiusMillis: bound})
-				nwant = append(nwant, want)
-
-				// Exported wrappers on the shapes they serve.
-				if exclude == "" && !hasRadius {
-					dst, err = r.NearestInto(q, k, dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !rankedEqual(dst, want) {
-						t.Fatalf("trial %d: NearestInto %v, oracle %v", trial, dst, want)
-					}
-				}
-				if exclude == "" && hasRadius {
-					lim, err := r.WithinLimit(q, bound, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !rankedEqual(lim, want) {
-						t.Fatalf("trial %d: WithinLimit %v, oracle %v", trial, lim, want)
-					}
-				}
-				if exclude != "" {
-					center, ok := r.Get(exclude)
-					if !ok {
-						t.Fatalf("trial %d: %q vanished", trial, exclude)
-					}
-					nt, err := r.NearestTo(exclude, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ntWant := bruteNearest(t, snap, center.Coord, k, exclude, math.Inf(1))
-					if !rankedEqual(nt, ntWant) {
-						t.Fatalf("trial %d: NearestTo %v, oracle %v", trial, nt, ntWant)
-					}
-				}
-
-				radius := rng.Uniform(0, 120)
-				within, err := r.Within(q, radius)
-				if err != nil {
-					t.Fatal(err)
-				}
-				withinWant := bruteNearest(t, snap, q, len(snap), "", radius)
-				if !rankedEqual(within, withinWant) {
-					t.Fatalf("trial %d: Within(%v) %d results, oracle %d", trial, radius, len(within), len(withinWant))
-				}
-				wbatch = append(wbatch, WithinQuery{From: q, RadiusMillis: radius})
-				wwant = append(wwant, withinWant)
-			}
-
-			// Batches must match the accumulated single-query answers.
-			nres, err := r.NearestBatch(nbatch)
+		// Exported wrappers on the shapes they serve.
+		if exclude == "" && !hasRadius {
+			dst, err = r.NearestInto(q, k, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The results share one backing slice; a caller appending to
-			// one of them must not write into its neighbour.
-			for i := range nres {
-				_ = append(nres[i], Ranked{EstimatedRTT: -1})
+			if !rankedEqual(dst, want) {
+				t.Fatalf("trial %d: NearestInto %v, oracle %v", trial, dst, want)
 			}
-			for i := range nres {
-				if !rankedEqual(nres[i], nwant[i]) {
-					t.Fatalf("NearestBatch[%d] = %v, want %v", i, nres[i], nwant[i])
-				}
-			}
-			wres, err := r.WithinBatch(wbatch)
+		}
+		if exclude == "" && hasRadius {
+			lim, err := r.WithinLimit(q, bound, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range wres {
-				if !rankedEqual(wres[i], wwant[i]) {
-					t.Fatalf("WithinBatch[%d] = %v, want %v", i, wres[i], wwant[i])
-				}
+			if !rankedEqual(lim, want) {
+				t.Fatalf("trial %d: WithinLimit %v, oracle %v", trial, lim, want)
 			}
-		})
+		}
+		if exclude != "" {
+			center, ok := r.Get(exclude)
+			if !ok {
+				t.Fatalf("trial %d: %q vanished", trial, exclude)
+			}
+			nt, err := r.NearestTo(exclude, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ntWant := bruteNearest(t, oracle, center.Coord, k, exclude, math.Inf(1))
+			if !rankedEqual(nt, ntWant) {
+				t.Fatalf("trial %d: NearestTo %v, oracle %v", trial, nt, ntWant)
+			}
+		}
+
+		radius := rng.Uniform(0, 120)
+		within, err := r.Within(q, radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withinWant := bruteNearest(t, oracle, q, len(snap), "", radius)
+		if !rankedEqual(within, withinWant) {
+			t.Fatalf("trial %d: Within(%v) %d results, oracle %d", trial, radius, len(within), len(withinWant))
+		}
+		wbatch = append(wbatch, WithinQuery{From: q, RadiusMillis: radius})
+		wwant = append(wwant, withinWant)
+	}
+
+	// Batches must match the accumulated single-query answers.
+	nres, err := r.NearestBatch(nbatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The results share one backing slice; a caller appending to one of
+	// them must not write into its neighbour.
+	for i := range nres {
+		_ = append(nres[i], Ranked{EstimatedRTT: -1})
+	}
+	for i := range nres {
+		if !rankedEqual(nres[i], nwant[i]) {
+			t.Fatalf("NearestBatch[%d] = %v, want %v", i, nres[i], nwant[i])
+		}
+	}
+	wres, err := r.WithinBatch(wbatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wres {
+		if !rankedEqual(wres[i], wwant[i]) {
+			t.Fatalf("WithinBatch[%d] = %v, want %v", i, wres[i], wwant[i])
+		}
 	}
 }
 
@@ -314,10 +268,11 @@ func TestBatchValidatesWholeBatch(t *testing.T) {
 	}
 }
 
-// TestQueryEngineChurnStress hammers the parallel query engine — single
+// TestQueryEngineChurnStress hammers every read entry point — single
 // queries, Into reuse, and both batches — against concurrent upserts,
 // removes, and TTL evictions, under the race detector. Results must
-// stay well-formed (sorted, error-free) throughout.
+// stay well-formed (sorted, error-free) throughout, and once the dust
+// settles — and again after Close — match index.Brute exactly.
 func TestQueryEngineChurnStress(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
@@ -332,21 +287,18 @@ func TestQueryEngineChurnStress(t *testing.T) {
 		mu.Unlock()
 	}
 	r, err := NewRegistry(RegistryConfig{
-		Dimension:        3,
-		Shards:           8,
-		TTL:              time.Hour,
-		JanitorInterval:  24 * time.Hour, // evictions driven explicitly below
-		Clock:            clock,
-		QueryParallelism: 4,
+		Dimension:       3,
+		TTL:             time.Hour,
+		JanitorInterval: 24 * time.Hour, // evictions driven explicitly below
+		Clock:           clock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
-	// Seed past the fan-out crossover so queries take the parallel path.
 	seedRNG := xrand.NewStream(77)
-	nSeed := 8*queryParallelMinPerShard + 256
+	const nSeed = 2304
 	seed := make([]RegistryEntry, nSeed)
 	for i := range seed {
 		seed[i] = RegistryEntry{ID: fmt.Sprintf("node-%05d", i), Coord: testCoord(seedRNG, 3)}
@@ -472,68 +424,39 @@ func TestQueryEngineChurnStress(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-}
 
-// TestLiveCounterTracksMutations pins the advisory live-entry counter
-// the fan-out crossover reads: upserts, refreshes, batch warm-ups,
-// removes, and TTL evictions must keep it equal to Len.
-func TestLiveCounterTracksMutations(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	r := newTestRegistry(t, RegistryConfig{
-		Dimension:       3,
-		Shards:          4,
-		TTL:             time.Hour,
-		JanitorInterval: 24 * time.Hour,
-		Clock: func() time.Time {
-			mu.Lock()
-			defer mu.Unlock()
-			return now
-		},
-	})
-	check := func(stage string) {
-		t.Helper()
-		if got, want := r.live.Load(), int64(r.Len()); got != want {
-			t.Fatalf("%s: live = %d, Len = %d", stage, got, want)
+	// Quiescent again: what the churn left must answer exactly, and
+	// keep answering after Close.
+	rng := xrand.NewStream(400)
+	for i := 0; i < 64; i++ { // however much the evictor took, these remain
+		if err := r.Upsert(fmt.Sprintf("late-%02d", i), testCoord(rng, 3), 0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Bulk warm-up with an in-batch duplicate: counted once.
-	if err := r.UpsertBatch([]RegistryEntry{
-		{ID: "a", Coord: c3(0, 0, 0)},
-		{ID: "b", Coord: c3(1, 0, 0)},
-		{ID: "a", Coord: c3(2, 0, 0)},
-	}); err != nil {
-		t.Fatal(err)
+	snap := r.Snapshot()
+	oracle := bruteOracle(t, snap)
+	check := func(stage string) {
+		t.Helper()
+		for trial := 0; trial < 20; trial++ {
+			q, k := testCoord(rng, 3), 1+rng.Intn(16)
+			got, err := r.Nearest(q, k)
+			if err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			if want := bruteNearest(t, oracle, q, k, "", math.Inf(1)); !rankedEqual(got, want) {
+				t.Fatalf("%s trial %d: Nearest %v, oracle %v", stage, trial, got, want)
+			}
+			radius := rng.Uniform(0, 80)
+			within, err := r.Within(q, radius)
+			if err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			if want := bruteNearest(t, oracle, q, len(snap), "", radius); !rankedEqual(within, want) {
+				t.Fatalf("%s trial %d: Within(%v) %d results, oracle %d", stage, trial, radius, len(within), len(want))
+			}
+		}
 	}
-	check("bulk build")
-	// Fresh insert, refresh (same coord), move (new coord): one net add.
-	if err := r.Upsert("c", c3(3, 0, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Upsert("c", c3(3, 0, 0), 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Upsert("c", c3(4, 0, 0), 0.1); err != nil {
-		t.Fatal(err)
-	}
-	check("single upserts")
-	// Per-entry batch path over a warm shard set.
-	if err := r.UpsertBatch([]RegistryEntry{
-		{ID: "c", Coord: c3(5, 0, 0)},
-		{ID: "d", Coord: c3(6, 0, 0)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	check("incremental batch")
-	if !r.Remove("a") || r.Remove("a") {
-		t.Fatal("Remove semantics changed")
-	}
-	check("remove")
-	mu.Lock()
-	now = now.Add(2 * time.Hour)
-	mu.Unlock()
-	if n := r.EvictStale(); n == 0 {
-		t.Fatal("eviction removed nothing")
-	}
-	check("evict")
+	check("after churn")
+	r.Close()
+	check("after Close")
 }

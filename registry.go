@@ -3,8 +3,6 @@ package netcoord
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,14 +20,6 @@ var ErrUnknownID = errors.New("netcoord: registry: unknown id")
 // errEmptyUpsertID is package-level so the hot upsert paths return it
 // without allocating.
 var errEmptyUpsertID = errors.New("netcoord: registry upsert: empty id")
-
-// Registry defaults.
-const (
-	// DefaultRegistryShards is the lock-striping factor: enough that a
-	// many-core upsert storm rarely contends, small enough that fan-out
-	// queries stay cheap.
-	DefaultRegistryShards = 16
-)
 
 // RegistryEntry is one node stored in a Registry: its identifier, its
 // (application-level) coordinate, and freshness/confidence metadata.
@@ -58,15 +48,6 @@ type RegistryEntry struct {
 type RegistryConfig struct {
 	// Dimension of the stored coordinates; 0 means DefaultConfig's.
 	Dimension int
-	// Shards is the lock-striping factor, rounded up to a power of two;
-	// 0 means DefaultRegistryShards.
-	Shards int
-	// QueryParallelism bounds the query fan-out worker pool: 0 means
-	// GOMAXPROCS, 1 forces the sequential walk (every proximity query
-	// runs on its caller's goroutine), higher values cap the pool. The
-	// pool is shared by all queries and started lazily on the first
-	// query large enough to fan out.
-	QueryParallelism int
 	// TTL evicts entries not upserted within this duration; 0 disables
 	// staleness eviction.
 	TTL time.Duration
@@ -89,8 +70,6 @@ type RegistryConfig struct {
 type RegistryStats struct {
 	// Entries is the number of live entries.
 	Entries int `json:"entries"`
-	// Shards is the configured stripe count.
-	Shards int `json:"shards"`
 	// Upserts, Removes, Queries, and Evictions count operations since
 	// construction. Queries counts Nearest/NearestTo/Within calls.
 	Upserts   uint64 `json:"upserts"`
@@ -100,22 +79,25 @@ type RegistryStats struct {
 	// FeedErrors counts updates from Feed channels the registry had to
 	// reject (e.g. wrong-dimension coordinates).
 	FeedErrors uint64 `json:"feed_errors"`
-	// IndexTombstones and IndexRebuilds aggregate the per-shard spatial
-	// index internals.
+	// IndexTombstones, IndexRebuilds and IndexHeight are the spatial
+	// index's internals: removed-but-unreclaimed slots, balanced rebuilds
+	// performed (each one holds the write lock for the whole build), and
+	// an upper bound on the tree's current height.
 	IndexTombstones int    `json:"index_tombstones"`
 	IndexRebuilds   uint64 `json:"index_rebuilds"`
+	IndexHeight     int    `json:"index_height"`
 }
 
 // publishUpsert is the single seam through which every applied upsert
-// reaches the change stream; callers hold the owning shard's lock, so
-// the published order matches the applied order for any given id. The
+// reaches the change stream; callers hold the registry's write lock, so
+// the published order matches the applied order. The
 // feed only assigns a sequence, buffers, and enqueues — it never
 // blocks on I/O — which is what makes calling it under the lock safe.
 // It returns the assigned sequence (0 with the stream disabled), which
 // the caller stamps onto the stored entry.
 //
 //nc:hotpath
-//nc:locked(s.mu)
+//nc:locked(r.mu)
 func (r *Registry) publishUpsert(e RegistryEntry) uint64 {
 	if feed := r.getFeed(); feed != nil {
 		return feed.PublishUpsert(changefeed.Entry{ID: e.ID, Coord: e.Coord, Error: e.Error, UpdatedAt: e.UpdatedAt})
@@ -138,24 +120,17 @@ func (r *Registry) installFeed(feed *changefeed.Feed) {
 	r.feed.Store(feed)
 }
 
-// registryShard is one lock stripe: a map for point lookups and a
-// spatial index for proximity queries, kept in lockstep.
-type registryShard struct {
-	mu      sync.RWMutex
-	entries map[string]RegistryEntry
-	tree    *index.Tree
-}
-
-// Registry is a sharded, concurrency-safe store of node coordinates that
-// answers k-nearest-neighbor and radius queries through a per-shard
-// spatial index — the consumer layer that turns coordinates into server
-// selection and operator placement decisions at scale.
+// Registry is a concurrency-safe store of node coordinates that answers
+// k-nearest-neighbor and radius queries through a spatial index — the
+// consumer layer that turns coordinates into server selection and
+// operator placement decisions at scale.
 //
-// IDs are hashed onto shards; each shard pairs a hash map (point
-// lookups) with an incremental kd-tree (proximity queries) under one
-// RWMutex, so queries from many goroutines proceed in parallel and
-// upserts contend only within a stripe. Proximity queries ask every
-// shard for its best k and merge, which preserves exactness.
+// A hash map (point lookups) and one incremental kd-tree (proximity
+// queries) are kept in lockstep under one RWMutex. Application-level
+// coordinates change rarely, so the registry is read-dominated: queries
+// from many goroutines share the read lock and each is one tree walk;
+// a mutation takes the write lock for a map write and, only when the
+// coordinate actually moved, one O(depth) index update.
 //
 // Entries carry an update timestamp; configure TTL to have a background
 // janitor evict nodes that stopped refreshing — crashed or partitioned
@@ -168,8 +143,10 @@ type Registry struct {
 	janitorInterval time.Duration
 	clock           func() time.Time
 
-	mask   uint32
-	shards []*registryShard
+	// mu guards entries and tree, which every mutation changes together.
+	mu      sync.RWMutex
+	entries map[string]RegistryEntry
+	tree    *index.Tree
 
 	upserts    atomic.Uint64
 	removes    atomic.Uint64
@@ -177,22 +154,12 @@ type Registry struct {
 	evictions  atomic.Uint64
 	feedErrors atomic.Uint64
 
-	// live tracks the number of stored entries without taking shard
-	// locks; the query engine's fan-out crossover reads it per query.
-	// It is maintained by the mutation paths of this file only.
-	live atomic.Int64
-
-	// Query fan-out state (see query.go): the resolved worker count,
-	// the shared task channel, whether the lazy pool has started, and
-	// the pool of per-query scratch contexts.
-	queryWorkers int
-	qtasks       chan queryTask
-	qstarted     atomic.Bool
-	qctxPool     sync.Pool
+	// scratch pools the per-query heaps and radius buffers (see query.go).
+	scratch sync.Pool
 
 	// feed, when non-nil, is the change stream every applied mutation is
-	// published to (under the owning shard's lock, so per-id stream
-	// order matches apply order); persistence taps it, subscribers and
+	// published to (under the write lock, so stream order matches apply
+	// order); persistence taps it, subscribers and
 	// replicas consume it. It is normally installed before the registry
 	// is shared (construction, or persistence recovery), but promotion
 	// swaps a follower's relay in as the write feed at runtime — hence
@@ -237,46 +204,26 @@ func newRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.TTL < 0 {
 		return nil, fmt.Errorf("netcoord: registry TTL %v, want >= 0", cfg.TTL)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = DefaultRegistryShards
-	}
-	// Round up to a power of two so shard selection is a mask.
-	if shards&(shards-1) != 0 {
-		shards = 1 << bits.Len(uint(shards))
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
+	tree, err := index.New(cfg.Dimension)
+	if err != nil {
+		return nil, fmt.Errorf("netcoord: registry: %w", err)
+	}
 	r := &Registry{
-		dim:    cfg.Dimension,
-		ttl:    cfg.TTL,
-		clock:  clock,
-		mask:   uint32(shards - 1),
-		shards: make([]*registryShard, shards),
-		closed: make(chan struct{}),
+		dim:     cfg.Dimension,
+		ttl:     cfg.TTL,
+		clock:   clock,
+		entries: make(map[string]RegistryEntry),
+		tree:    tree,
+		closed:  make(chan struct{}),
 	}
 	if cfg.ChangeStreamBuffer > 0 {
 		r.feed.Store(changefeed.New(cfg.ChangeStreamBuffer, 0))
 	}
-	r.queryWorkers = resolveQueryWorkers(cfg.QueryParallelism, shards)
-	if r.queryWorkers > 1 {
-		// Room for a few concurrent fan-outs; dispatch never blocks on
-		// a full channel (it runs the task inline instead).
-		r.qtasks = make(chan queryTask, 4*shards)
-	}
-	r.qctxPool.New = func() any { return newQueryCtx(r) }
-	for i := range r.shards {
-		tree, err := index.New(cfg.Dimension)
-		if err != nil {
-			return nil, fmt.Errorf("netcoord: registry: %w", err)
-		}
-		r.shards[i] = &registryShard{
-			entries: make(map[string]RegistryEntry),
-			tree:    tree,
-		}
-	}
+	r.scratch.New = func() any { return newQueryScratch() }
 	if cfg.TTL > 0 {
 		interval := cfg.JanitorInterval
 		if interval <= 0 {
@@ -332,13 +279,6 @@ func (r *Registry) janitor(interval time.Duration) {
 	}
 }
 
-// shardFor maps an id to its stripe.
-func (r *Registry) shardFor(id string) *registryShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return r.shards[h.Sum32()&r.mask]
-}
-
 // Upsert inserts or refreshes a node. Error is the node's Vivaldi error
 // weight (pass 0 if your protocol does not carry it). The update
 // timestamp is taken from the registry clock.
@@ -348,18 +288,18 @@ func (r *Registry) Upsert(id string, c Coordinate, errWeight float64) error {
 	return r.upsertEntry(RegistryEntry{ID: id, Coord: c, Error: errWeight})
 }
 
-// UpsertBatch applies many upserts, locking each shard once per batch
-// rather than once per entry. Entries with a zero UpdatedAt are stamped
-// with the registry clock. The whole batch is validated before anything
-// is applied: on error, the registry is unchanged.
+// UpsertBatch applies many upserts under one hold of the write lock.
+// Entries with a zero UpdatedAt are stamped with the registry clock. The
+// whole batch is validated before anything is applied: on error, the
+// registry is unchanged.
 //
 //nc:hotpath
 func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 	now := r.clock()
 	// Validate everything first so a bad entry cannot leave the batch
-	// half-applied, then group per shard so each stripe is locked once.
-	groups := make(map[*registryShard][]RegistryEntry, len(r.shards)) //nc:allow(hotpath) one map per batch, amortized across the batch's entries
-	for _, e := range entries {
+	// half-applied.
+	for i := range entries {
+		e := &entries[i]
 		if e.ID == "" {
 			return errEmptyUpsertID
 		}
@@ -373,76 +313,61 @@ func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 			//nc:allow(hotpath) validation-failure return: cold by definition
 			return fmt.Errorf("netcoord: registry upsert %q: %w", e.ID, err)
 		}
-		if e.UpdatedAt.IsZero() {
-			e.UpdatedAt = now
-		}
-		s := r.shardFor(e.ID)
-		groups[s] = append(groups[s], e)
 	}
-	for s, group := range groups {
-		s.mu.Lock()
-		if len(s.entries) == 0 {
-			// Empty shard: bulk-build the index balanced in one pass
-			// instead of n incremental inserts with rebuild cascades.
-			// This is the registry warm-up path (snapshot restore,
-			// first Feed burst) — O(n log n) instead of O(n log^2 n)
-			// amortized.
-			pts := make([]index.Entry, len(group)) //nc:allow(hotpath) warm-up path: one slice per bulk build of an empty shard
-			for i, e := range group {
-				pts[i] = index.Entry{ID: e.ID, Coord: e.Coord}
-			}
-			tree, err := index.Build(r.dim, pts)
-			if err != nil {
-				// Unreachable: coordinates were validated above, and
-				// validation is Build's only failure.
-				s.mu.Unlock()
-				//nc:allow(hotpath) unreachable wrap: inputs were pre-validated
-				return fmt.Errorf("netcoord: registry upsert: %w", err)
-			}
-			s.tree = tree
-			for _, e := range group {
-				if seq := r.publishUpsert(e); seq != 0 {
-					e.Seq = seq
-				}
-				if _, ok := s.entries[e.ID]; !ok {
-					r.live.Add(1)
-				}
-				s.entries[e.ID] = e // later duplicates win, as Build resolves them
-				r.upserts.Add(1)
-			}
-			s.mu.Unlock()
-			continue
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.entries) == 0 && len(entries) > 0 {
+		// Empty registry: bulk-build the index balanced in one pass
+		// instead of n incremental inserts with rebuild cascades. This
+		// is the warm-up path (snapshot restore, first Feed burst) —
+		// O(n log n) instead of O(n log^2 n) amortized.
+		pts := make([]index.Entry, len(entries)) //nc:allow(hotpath) warm-up path: one slice per bulk build of an empty registry
+		for i := range entries {
+			pts[i] = index.Entry{ID: entries[i].ID, Coord: entries[i].Coord}
 		}
-		for _, e := range group {
-			// Same pure-refresh shortcut as upsertEntry.
-			old, existed := s.entries[e.ID]
-			if existed && old.Coord.Equal(e.Coord) {
-				if seq := r.publishUpsert(e); seq != 0 {
-					e.Seq = seq
-				}
-				s.entries[e.ID] = e
-				r.upserts.Add(1)
-				continue
-			}
-			if err := s.tree.Insert(e.ID, e.Coord); err != nil {
+		tree, err := index.Build(r.dim, pts)
+		if err != nil {
+			// Unreachable: coordinates were validated above, and
+			// validation is Build's only failure.
+			//nc:allow(hotpath) unreachable wrap: inputs were pre-validated
+			return fmt.Errorf("netcoord: registry upsert: %w", err)
+		}
+		r.tree = tree
+		for _, e := range entries {
+			r.storeUpsert(e, now) // later duplicates win, as Build resolves them
+		}
+		return nil
+	}
+	for _, e := range entries {
+		// Same pure-refresh shortcut as upsertEntry.
+		if old, existed := r.entries[e.ID]; !existed || !old.Coord.Equal(e.Coord) {
+			if err := r.tree.Insert(e.ID, e.Coord); err != nil {
 				// Unreachable: coordinates were validated above, and
 				// validation is the tree's only insert failure.
-				s.mu.Unlock()
 				//nc:allow(hotpath) unreachable wrap: inputs were pre-validated
 				return fmt.Errorf("netcoord: registry upsert: %w", err)
 			}
-			if seq := r.publishUpsert(e); seq != 0 {
-				e.Seq = seq
-			}
-			s.entries[e.ID] = e
-			if !existed {
-				r.live.Add(1)
-			}
-			r.upserts.Add(1)
 		}
-		s.mu.Unlock()
+		r.storeUpsert(e, now)
 	}
 	return nil
+}
+
+// storeUpsert publishes an upsert the index already reflects and stores
+// the entry, stamped with now if it carries no timestamp and with the
+// sequence the stream assigned.
+//
+//nc:hotpath
+//nc:locked(r.mu)
+func (r *Registry) storeUpsert(e RegistryEntry, now time.Time) {
+	if e.UpdatedAt.IsZero() {
+		e.UpdatedAt = now
+	}
+	if seq := r.publishUpsert(e); seq != 0 {
+		e.Seq = seq
+	}
+	r.entries[e.ID] = e
+	r.upserts.Add(1)
 }
 
 //nc:hotpath
@@ -459,48 +384,31 @@ func (r *Registry) upsertEntry(e RegistryEntry) error {
 	if e.UpdatedAt.IsZero() {
 		e.UpdatedAt = r.clock()
 	}
-	s := r.shardFor(e.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	// TTL heartbeats re-upsert unchanged coordinates constantly (stable
 	// app-level coordinates are the norm); a pure refresh must not
 	// churn the index with tombstone+reinsert cycles and the rebuilds
 	// they trigger.
-	old, existed := s.entries[e.ID]
-	if existed && old.Coord.Equal(e.Coord) {
-		if seq := r.publishUpsert(e); seq != 0 {
-			e.Seq = seq
+	if old, existed := r.entries[e.ID]; !existed || !old.Coord.Equal(e.Coord) {
+		if err := r.tree.Insert(e.ID, e.Coord); err != nil {
+			//nc:allow(hotpath) insert-failure return: cold by definition
+			return fmt.Errorf("netcoord: registry upsert: %w", err)
 		}
-		s.entries[e.ID] = e
-		r.upserts.Add(1)
-		return nil
 	}
-	if err := s.tree.Insert(e.ID, e.Coord); err != nil {
-		//nc:allow(hotpath) insert-failure return: cold by definition
-		return fmt.Errorf("netcoord: registry upsert: %w", err)
-	}
-	if seq := r.publishUpsert(e); seq != 0 {
-		e.Seq = seq
-	}
-	s.entries[e.ID] = e
-	if !existed {
-		r.live.Add(1)
-	}
-	r.upserts.Add(1)
+	r.storeUpsert(e, e.UpdatedAt)
 	return nil
 }
 
 // Remove deletes a node, reporting whether it was present.
 func (r *Registry) Remove(id string) bool {
-	s := r.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.entries[id]; !ok {
 		return false
 	}
-	delete(s.entries, id)
-	s.tree.Remove(id)
-	r.live.Add(-1)
+	delete(r.entries, id)
+	r.tree.Remove(id)
 	r.removes.Add(1)
 	if feed := r.getFeed(); feed != nil {
 		feed.PublishRemove(id)
@@ -510,22 +418,17 @@ func (r *Registry) Remove(id string) bool {
 
 // Get returns the stored entry for id.
 func (r *Registry) Get(id string) (RegistryEntry, bool) {
-	s := r.shardFor(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.entries[id]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.entries[id]
 	return e, ok
 }
 
 // Len reports the number of live entries.
 func (r *Registry) Len() int {
-	n := 0
-	for _, s := range r.shards {
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.entries)
 }
 
 // Estimate predicts the RTT in milliseconds between two registered
@@ -555,46 +458,58 @@ func (r *Registry) EvictStale() int {
 		return 0
 	}
 	cutoff := r.clock().Add(-r.ttl)
-	evicted := 0
-	feed := r.getFeed()
-	for _, s := range r.shards {
-		var evictedIDs []string
-		s.mu.Lock()
-		for id, e := range s.entries {
-			if e.UpdatedAt.Before(cutoff) {
-				delete(s.entries, id)
-				s.tree.Remove(id)
-				r.live.Add(-1)
-				evicted++
-				if feed != nil {
-					evictedIDs = append(evictedIDs, id)
-				}
-			}
+	return r.evictIfStale(r.staleIDs(cutoff), cutoff)
+}
+
+// staleIDs scans for entries last upserted before cutoff. The whole-map
+// scan holds only the read lock, so queries proceed beside it.
+func (r *Registry) staleIDs(cutoff time.Time) []string {
+	var stale []string
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for id, e := range r.entries {
+		if e.UpdatedAt.Before(cutoff) {
+			stale = append(stale, id)
 		}
-		if len(evictedIDs) > 0 {
-			// Published under the shard lock like every other mutation;
-			// the feed chunks oversized sweeps into multiple events.
-			feed.PublishEvict(evictedIDs)
+	}
+	return stale
+}
+
+// evictIfStale evicts those of ids that are still stale under the write
+// lock — a heartbeat that landed since the scan keeps its entry — and
+// publishes the eviction under that same lock hold, like every other
+// mutation. It filters ids in place.
+func (r *Registry) evictIfStale(ids []string, cutoff time.Time) int {
+	if len(ids) == 0 {
+		return 0
+	}
+	evicted := ids[:0]
+	r.mu.Lock()
+	for _, id := range ids {
+		if e, ok := r.entries[id]; ok && e.UpdatedAt.Before(cutoff) {
+			delete(r.entries, id)
+			r.tree.Remove(id)
+			evicted = append(evicted, id)
 		}
-		s.mu.Unlock()
 	}
-	if evicted > 0 {
-		r.evictions.Add(uint64(evicted))
+	if feed := r.getFeed(); feed != nil && len(evicted) > 0 {
+		// The feed chunks oversized sweeps into multiple events.
+		feed.PublishEvict(evicted)
 	}
-	return evicted
+	r.mu.Unlock()
+	r.evictions.Add(uint64(len(evicted)))
+	return len(evicted)
 }
 
 // Snapshot returns every live entry, sorted by id — for persistence,
 // debugging, or bulk hand-off to another registry via UpsertBatch.
 func (r *Registry) Snapshot() []RegistryEntry {
 	var out []RegistryEntry
-	for _, s := range r.shards {
-		s.mu.RLock()
-		for _, e := range s.entries {
-			out = append(out, e)
-		}
-		s.mu.RUnlock()
+	r.mu.RLock()
+	for _, e := range r.entries {
+		out = append(out, e)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -602,21 +517,19 @@ func (r *Registry) Snapshot() []RegistryEntry {
 // Stats snapshots operational counters.
 func (r *Registry) Stats() RegistryStats {
 	st := RegistryStats{
-		Shards:     len(r.shards),
 		Upserts:    r.upserts.Load(),
 		Removes:    r.removes.Load(),
 		Queries:    r.queries.Load(),
 		Evictions:  r.evictions.Load(),
 		FeedErrors: r.feedErrors.Load(),
 	}
-	for _, s := range r.shards {
-		s.mu.RLock()
-		st.Entries += len(s.entries)
-		ts := s.tree.Stats()
-		st.IndexTombstones += ts.Tombstones
-		st.IndexRebuilds += ts.Rebuilds
-		s.mu.RUnlock()
-	}
+	r.mu.RLock()
+	st.Entries = len(r.entries)
+	ts := r.tree.Stats()
+	r.mu.RUnlock()
+	st.IndexTombstones = ts.Tombstones
+	st.IndexRebuilds = ts.Rebuilds
+	st.IndexHeight = ts.Height
 	return st
 }
 

@@ -8,6 +8,7 @@ package netcoord
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,12 +25,8 @@ var benchSizes = []int{10_000, 100_000, 1_000_000}
 // buildBenchRegistry populates a registry (and a parallel candidate
 // slice for the brute-force baseline) with n random coordinates.
 func buildBenchRegistry(b *testing.B, n int) (*Registry, []Candidate) {
-	return buildBenchRegistryCfg(b, n, RegistryConfig{})
-}
-
-func buildBenchRegistryCfg(b *testing.B, n int, cfg RegistryConfig) (*Registry, []Candidate) {
 	b.Helper()
-	r, err := NewRegistry(cfg)
+	r, err := NewRegistry(RegistryConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,11 +78,11 @@ func benchQueryCoords(seed uint64, n int) []Coordinate {
 }
 
 // BenchmarkRegistryNearest measures k=8 proximity queries against the
-// sharded kd-tree registry through the zero-allocation NearestInto
-// path. CI gates allocs/op == 0 on every BenchmarkRegistryNearest*
-// variant via tools/benchjson -require-zero-alloc: the query context
-// pool plus caller-owned result storage make the steady-state read
-// path garbage-free at every population.
+// kd-tree registry through the zero-allocation NearestInto path. CI
+// gates allocs/op == 0 on every variant via tools/benchjson
+// -require-zero-alloc: the pooled query scratch plus caller-owned
+// result storage make the steady-state read path garbage-free at every
+// population.
 func BenchmarkRegistryNearest(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -108,62 +105,74 @@ func BenchmarkRegistryNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryNearestSeq pins the sequential engine (one shard
-// walk carrying a single heap) as the fan-out's baseline: the speedup
-// claimed for the parallel path is Seq time over Parallel time on the
-// same population, and both must stay allocation-free.
-func BenchmarkRegistryNearestSeq(b *testing.B) {
-	for _, shards := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			r, _ := buildBenchRegistryCfg(b, 100_000, RegistryConfig{Shards: shards, QueryParallelism: 1})
-			queries := benchQueryCoords(99, 4096)
-			dst := make([]Ranked, 0, 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := r.NearestInto(queries[i&4095], 8, dst)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dst = res[:0]
+// BenchmarkRegistryMixed is the serving stack's steady state in one
+// process: RunParallel readers (k=8 NearestInto) against one writer
+// goroutine doing the 90 % heartbeat / 10 % move mix over 100k entries
+// with the change stream on. ns/op is per read; writes/s is what the
+// writer got through beside the readers. At -cpu 1,2 it says what one
+// RWMutex costs reads under write pressure, and writes under read
+// pressure.
+func BenchmarkRegistryMixed(b *testing.B) {
+	const n = 100_000
+	r, _ := buildBenchRegistry(b, n)
+	r.installFeed(changefeed.New(DefaultChangeStreamBuffer, 0))
+	rng := xrand.NewStream(7)
+	ids := make([]string, 4096)
+	moves := make([]Coordinate, len(ids))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("node-%07d", rng.Intn(n))
+		moves[i] = benchQuery(rng)
+	}
+	queries := benchQueryCoords(99, 4096)
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	var writes int
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				writes = i
+				return
+			default:
 			}
-		})
-	}
-}
-
-// BenchmarkRegistryNearestParallel exercises the cross-shard fan-out
-// across the shards × k grid at n=100k. QueryParallelism 0 resolves to
-// GOMAXPROCS, so on a single-core runner this measures the crossover
-// fallback (parity with Seq is the expectation there); on multi-core
-// CI it measures the fan-out itself.
-func BenchmarkRegistryNearestParallel(b *testing.B) {
-	for _, shards := range []int{4, 16, 64} {
-		for _, k := range []int{8, 64} {
-			b.Run(fmt.Sprintf("shards=%d/k=%d", shards, k), func(b *testing.B) {
-				r, _ := buildBenchRegistryCfg(b, 100_000, RegistryConfig{Shards: shards})
-				queries := benchQueryCoords(99, 4096)
-				dst := make([]Ranked, 0, k)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := r.NearestInto(queries[i&4095], k, dst)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res) != k {
-						b.Fatalf("got %d results", len(res))
-					}
-					dst = res[:0]
-				}
-			})
+			j := i & 4095
+			c := moves[(j+(i>>12))&4095] // somewhere new on every pass over ids
+			if i%10 != 0 {
+				// A heartbeat: the coordinate the entry already has.
+				e, _ := r.Get(ids[j])
+				c = e.Coord
+			}
+			if err := r.Upsert(ids[j], c, 0.3); err != nil {
+				b.Error(err)
+				return
+			}
 		}
-	}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		dst := make([]Ranked, 0, 8)
+		for i := 0; pb.Next(); i++ {
+			res, err := r.NearestInto(queries[i&4095], 8, dst)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			dst = res[:0]
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	writer.Wait()
+	b.ReportMetric(float64(writes)/b.Elapsed().Seconds(), "writes/s")
 }
 
-// BenchmarkNearestBatch measures the shard-major batched read path: 256
-// queries answered in one Registry dispatch, the shape the /nearest/batch
-// endpoint and the watch hub's coalesced resyncs produce. Reported
-// per-op time covers the whole batch; divide by 256 to compare with
+// BenchmarkNearestBatch measures the batched read path: 256 queries
+// answered in one Registry call, the shape the /nearest/batch endpoint
+// produces. Reported per-op time covers the whole batch; divide by 256 to compare with
 // BenchmarkRegistryNearest.
 func BenchmarkNearestBatch(b *testing.B) {
 	const batchSize = 256

@@ -138,11 +138,11 @@ func TestRegistryValidation(t *testing.T) {
 }
 
 // TestRegistryNearestMatchesOracle is the acceptance property test: on
-// random workloads the sharded index-backed Nearest must agree exactly
+// random workloads the index-backed Nearest must agree exactly
 // with the brute-force Nearest over a snapshot of the same entries.
 func TestRegistryNearestMatchesOracle(t *testing.T) {
 	rng := xrand.NewStream(7)
-	r := newTestRegistry(t, RegistryConfig{Shards: 8})
+	r := newTestRegistry(t, RegistryConfig{})
 	live := make(map[string]Coordinate)
 	for op := 0; op < 3000; op++ {
 		id := fmt.Sprintf("node-%d", rng.Intn(400))
@@ -206,7 +206,7 @@ func sameDistanceTie(oracle []Ranked, rtt float64, id string) bool {
 // many goroutines; run with -race this is the registry's
 // thread-safety proof. Invariants are checked after the dust settles.
 func TestRegistryConcurrentStress(t *testing.T) {
-	r := newTestRegistry(t, RegistryConfig{Shards: 8})
+	r := newTestRegistry(t, RegistryConfig{})
 	const (
 		writers = 4
 		readers = 4
@@ -353,6 +353,63 @@ func TestRegistryTTLEviction(t *testing.T) {
 	}
 }
 
+// TestEvictStaleSparesEntryRefreshedAfterScan: eviction scans under the
+// read lock and deletes under the write lock, so a heartbeat can land in
+// between. The refreshed entry must survive, and no evict event may
+// name it.
+func TestEvictStaleSparesEntryRefreshedAfterScan(t *testing.T) {
+	now := time.Unix(1000, 0)
+	r := newTestRegistry(t, RegistryConfig{
+		TTL:                10 * time.Second,
+		JanitorInterval:    time.Hour, // eviction is driven step by step below
+		ChangeStreamBuffer: 16,
+		Clock:              func() time.Time { return now },
+	})
+	for _, id := range []string{"gone", "refreshed"} {
+		if err := r.Upsert(id, c3(1, 0, 0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = now.Add(11 * time.Second)
+	cutoff := now.Add(-10 * time.Second)
+	stale := r.staleIDs(cutoff)
+	if len(stale) != 2 {
+		t.Fatalf("scan found %v, want both entries", stale)
+	}
+	if err := r.Upsert("refreshed", c3(1, 0, 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.evictIfStale(stale, cutoff); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
+	}
+	if _, ok := r.Get("refreshed"); !ok {
+		t.Fatal("an entry heart-beaten after the scan was evicted")
+	}
+	if _, ok := r.Get("gone"); ok {
+		t.Fatal("the stale entry survived")
+	}
+	got, err := r.Nearest(c3(0, 0, 0), 10)
+	if err != nil || len(got) != 1 || got[0].ID != "refreshed" {
+		t.Fatalf("Nearest after eviction = %v, %v", got, err)
+	}
+	evs, err := r.ChangesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evicted []string
+	for _, ev := range evs {
+		if ev.Op == ChangeEvict {
+			evicted = append(evicted, ev.IDs...)
+		}
+	}
+	if len(evicted) != 1 || evicted[0] != "gone" {
+		t.Fatalf("evict events name %v, want just gone", evicted)
+	}
+	if st := r.Stats(); st.Evictions != 1 {
+		t.Fatalf("Stats.Evictions = %d, want 1", st.Evictions)
+	}
+}
+
 // TestRegistryFeed wires an update channel into the registry the way a
 // live Node's Updates channel would be.
 func TestRegistryFeed(t *testing.T) {
@@ -465,20 +522,13 @@ func TestRegistryFeedAfterClose(t *testing.T) {
 	}
 }
 
-func TestRegistryShardRounding(t *testing.T) {
-	r := newTestRegistry(t, RegistryConfig{Shards: 5})
-	if st := r.Stats(); st.Shards != 8 {
-		t.Fatalf("Shards = %d, want 8 (rounded up)", st.Shards)
-	}
-}
-
-func TestUpsertBatchBulkBuildsEmptyShards(t *testing.T) {
+func TestUpsertBatchBulkBuildsEmptyRegistry(t *testing.T) {
 	// A batch into a fresh registry takes the bulk-build path (one
-	// balanced construction per shard); the result must be queryable
+	// balanced construction); the result must be queryable
 	// exactly like incremental upserts, including in-batch duplicates
 	// resolving last-wins, and later batches must extend it
 	// incrementally without losing anything.
-	r, err := NewRegistry(RegistryConfig{Dimension: 3, Shards: 4})
+	r, err := NewRegistry(RegistryConfig{Dimension: 3})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
@@ -509,7 +559,7 @@ func TestUpsertBatchBulkBuildsEmptyShards(t *testing.T) {
 	if len(near) != 1 || near[0].ID != "n00" {
 		t.Fatalf("Nearest after bulk build = %v, want n00", near)
 	}
-	// Second batch lands on warm shards: incremental path.
+	// Second batch lands on a warm index: incremental path.
 	if err := r.UpsertBatch([]RegistryEntry{{ID: "late", Coord: c3(1, 1, 1)}}); err != nil {
 		t.Fatalf("second UpsertBatch: %v", err)
 	}
