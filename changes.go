@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"netcoord/internal/changefeed"
+	"netcoord/internal/wire"
 )
 
 // DefaultChangeStreamBuffer is the change-stream ring size used when a
@@ -26,62 +25,26 @@ var ErrChangeStreamDisabled = errors.New("netcoord: change stream disabled (set 
 // (SnapshotWithSeq, or ncserve's /snapshot) instead of resuming.
 var ErrChangeHistoryTruncated = errors.New("netcoord: change history truncated; re-bootstrap from a snapshot")
 
-// Change-stream operation names, as carried on the wire.
+// Change-stream operations: the values of ChangeEvent.Op.
 const (
 	// ChangeUpsert inserts or refreshes the event's Entry.
-	ChangeUpsert = "upsert"
+	ChangeUpsert = wire.OpUpsert
 	// ChangeRemove deletes the event's ID.
-	ChangeRemove = "remove"
+	ChangeRemove = wire.OpRemove
 	// ChangeEvict deletes every id in the event's IDs (TTL eviction).
-	ChangeEvict = "evict"
+	ChangeEvict = wire.OpEvict
 )
 
-// ChangeEntry is the wire form of a registry entry inside a change
-// event or a snapshot. UpdatedAt travels as Unix nanoseconds so a
-// replica reconstructs the exact timestamp (TTL eviction stays correct
-// after a follower is promoted), unhurt by textual time round-trips.
-type ChangeEntry struct {
-	ID                string     `json:"id"`
-	Coord             Coordinate `json:"coord"`
-	Error             float64    `json:"error,omitempty"`
-	UpdatedAtUnixNano int64      `json:"updated_at_unix_nano"`
-	// Seq is the sequence of the mutation that produced this entry
-	// state. Snapshot bodies carry it so replicas preserve per-entry
-	// sequences (delta snapshots depend on them); inside a ChangeEvent
-	// it is omitted — the event's own Seq is the same number.
-	Seq uint64 `json:"seq,omitempty"`
-}
-
-// Entry converts the wire form back to a registry entry.
-func (e ChangeEntry) Entry() RegistryEntry {
-	return RegistryEntry{
-		ID:        e.ID,
-		Coord:     e.Coord,
-		Error:     e.Error,
-		UpdatedAt: time.Unix(0, e.UpdatedAtUnixNano),
-		Seq:       e.Seq,
-	}
-}
-
-// toChangeEntry builds the wire form of a registry entry for a change
-// event (the entry-level Seq stays zero; the event carries it).
-func toChangeEntry(e RegistryEntry) ChangeEntry {
-	return ChangeEntry{
-		ID:                e.ID,
-		Coord:             e.Coord,
-		Error:             e.Error,
-		UpdatedAtUnixNano: e.UpdatedAt.UnixNano(),
-	}
-}
-
-// SnapshotEntry builds the wire form of a registry entry for a
-// snapshot body, where — unlike in a change event — the per-entry
-// sequence travels too, so replicas preserve it.
-func SnapshotEntry(e RegistryEntry) ChangeEntry {
-	out := toChangeEntry(e)
-	out.Seq = e.Seq
-	return out
-}
+// ChangeEvent is one sequenced registry mutation, as the registry
+// publishes it, the WAL logs it, followers apply it and the serving
+// layer renders it: the stack has one record type, and this is its
+// public name. Sequence numbers are dense and monotonic — a consumer
+// holding everything through sequence N resumes with since=N and
+// misses nothing. Upserts carry Entry, removes ID, evictions IDs; an
+// event that came out of a registry also carries its encoded binary
+// frame (AppendFrameTo), which every tier stores and forwards verbatim.
+// Its JSON form is the /changes body's event object.
+type ChangeEvent = wire.Event
 
 // ChangeSource is the seam between a registry's change stream and
 // anything that serves it: the read-then-subscribe bootstrap pair
@@ -140,133 +103,6 @@ var (
 	_ ChangeSource = (*PersistentRegistry)(nil)
 	_ ChangeSource = (*FollowerRegistry)(nil)
 )
-
-// ChangeEvent is one sequenced registry mutation, in the form served
-// over HTTP and consumed by followers. Sequence numbers are dense and
-// monotonic: a consumer holding everything through sequence N resumes
-// with since=N and misses nothing.
-type ChangeEvent struct {
-	// Seq is the event's position in the total mutation order.
-	Seq uint64 `json:"seq"`
-	// Op is ChangeUpsert, ChangeRemove, or ChangeEvict.
-	Op string `json:"op"`
-	// Entry is set for upserts.
-	Entry *ChangeEntry `json:"entry,omitempty"`
-	// ID is set for removes.
-	ID string `json:"id,omitempty"`
-	// IDs is set for evictions.
-	IDs []string `json:"ids,omitempty"`
-	// PubNs is the Unix-nanosecond wall-clock time the event was first
-	// published at the stream's origin (the leader). It travels through
-	// every relay tier unchanged, so any consumer can measure true
-	// end-to-end propagation lag as now-PubNs. Zero means unknown
-	// (events replayed from the WAL carry no stamp) — skip lag
-	// measurement rather than fabricate one.
-	PubNs int64 `json:"pub_ns,omitempty"`
-	// Epoch is the fencing epoch the event was published under. A
-	// promotion bumps the stream's epoch, so events a deposed leader
-	// keeps writing carry a lower epoch than the promoted stream and
-	// are rejected by every consumer instead of forking replica state.
-	// Zero is the unfenced pre-failover epoch (also what streams from
-	// older servers carry).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Coalesced labels the sequence gap immediately before this event on
-	// a live subscription: that many earlier events were collapsed away
-	// before delivery as superseded same-id upserts (a heartbeat storm
-	// folding to one event per node). A consumer checks
-	// prev.Seq + 1 + Coalesced == ev.Seq to tell benign collapse from
-	// real loss. Always zero on ChangesSince reads — history is dense —
-	// so followers and catch-up consumers never see a labelled gap.
-	Coalesced uint64 `json:"coalesced,omitempty"`
-
-	// enc is the event's shared encode cache, carried over from the
-	// feed: every serialization of this event (JSON for one subscriber,
-	// a binary frame for another, a relay forwarding it downstream) is
-	// built at most once and shared by every copy. nil on hand-built
-	// events, which simply encode from scratch.
-	enc *changefeed.Encoded
-}
-
-// fromFeedEvent converts an internal feed event to the wire form.
-// When the event carries an encode cache, the converted form (one
-// decoded view shared by every consumer of this event) is built once
-// and cached alongside the serializations: sixty-four subscribers
-// fanning out one event pay one conversion, not sixty-four.
-func fromFeedEvent(ev *changefeed.Event) ChangeEvent {
-	if ev.Enc == nil {
-		var w encodedWire
-		fillChangeEvent(&w, ev)
-		out := w.ev
-		out.Coalesced = ev.Coalesced
-		return out
-	}
-	v, _ := ev.Enc.View().(*encodedWire)
-	if v == nil {
-		v = &encodedWire{}
-		fillChangeEvent(v, ev)
-		v.ev.enc = ev.Enc
-		// Racing builders store equivalent views; last write wins and
-		// the loser becomes garbage.
-		ev.Enc.StoreView(v)
-	}
-	out := v.ev
-	out.Coalesced = ev.Coalesced
-	return out
-}
-
-// encodedWire is the cached wire-form view of one feed event: the
-// event plus the backing store its Entry pointer references, so one
-// heap object carries both. Immutable once stored (fromFeedEvent
-// copies the event out by value; Entry is shared and never written).
-type encodedWire struct {
-	ev    ChangeEvent
-	entry ChangeEntry
-}
-
-// fillChangeEvent converts ev into w (Coalesced excluded — it is
-// per-delivery, not part of the event identity the cache keys on).
-func fillChangeEvent(w *encodedWire, ev *changefeed.Event) {
-	w.ev.Seq, w.ev.PubNs, w.ev.Epoch = ev.Seq, ev.PubNs, ev.Epoch
-	switch ev.Op {
-	case changefeed.OpUpsert:
-		w.ev.Op = ChangeUpsert
-		w.entry = ChangeEntry{
-			ID:                ev.Entry.ID,
-			Coord:             ev.Entry.Coord,
-			Error:             ev.Entry.Error,
-			UpdatedAtUnixNano: ev.Entry.UpdatedAt.UnixNano(),
-		}
-		w.ev.Entry = &w.entry
-	case changefeed.OpRemove:
-		w.ev.Op = ChangeRemove
-		w.ev.ID = ev.ID
-	case changefeed.OpEvict:
-		w.ev.Op = ChangeEvict
-		w.ev.IDs = ev.IDs
-	}
-}
-
-// toFeedEvent converts a wire event back to the internal feed form —
-// the relay direction: a follower republishes its leader's events into
-// its own feed under the leader's sequence numbers.
-func toFeedEvent(ev ChangeEvent) changefeed.Event {
-	out := changefeed.Event{Seq: ev.Seq, PubNs: ev.PubNs, Epoch: ev.Epoch, Enc: ev.enc}
-	switch ev.Op {
-	case ChangeUpsert:
-		out.Op = changefeed.OpUpsert
-		if ev.Entry != nil {
-			e := ev.Entry.Entry()
-			out.Entry = changefeed.Entry{ID: e.ID, Coord: e.Coord, Error: e.Error, UpdatedAt: e.UpdatedAt}
-		}
-	case ChangeRemove:
-		out.Op = changefeed.OpRemove
-		out.ID = ev.ID
-	case ChangeEvict:
-		out.Op = changefeed.OpEvict
-		out.IDs = ev.IDs
-	}
-	return out
-}
 
 // ChangeStreamStats is an operational snapshot of a registry's change
 // stream.
@@ -373,8 +209,8 @@ func (r *Registry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
 	return feedChangesSince(feed, since, max, "ring")
 }
 
-// feedChangesSince serves a resume from a feed's ring in wire form,
-// mapping truncation to the public error; shared by the registry's own
+// feedChangesSince serves a resume from a feed's ring, mapping
+// truncation to the public error; shared by the registry's own
 // stream and a follower's relay (label distinguishes them in the
 // message).
 func feedChangesSince(feed *changefeed.Feed, since uint64, max int, label string) ([]ChangeEvent, error) {
@@ -382,14 +218,7 @@ func feedChangesSince(feed *changefeed.Feed, since uint64, max int, label string
 	if errors.Is(err, changefeed.ErrTruncated) {
 		return nil, fmt.Errorf("%w (%s starts at %d, requested %d)", ErrChangeHistoryTruncated, label, feed.OldestBuffered(), since+1)
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ChangeEvent, len(evs))
-	for i := range evs {
-		out[i] = fromFeedEvent(&evs[i])
-	}
-	return out, nil
+	return evs, err
 }
 
 // SnapshotWithSeq captures every live entry together with the stream
@@ -469,12 +298,11 @@ func assembleDelta(since, seq uint64, removedSince func(uint64) ([]string, bool)
 // order. Receive from C; the channel closes when the subscription or
 // the registry is closed. A subscriber that cannot keep up loses
 // events rather than slowing mutations — detect the loss by a gap in
-// Seq (or Dropped > 0) and repair it with ChangesSince.
-type ChangeSubscription struct {
-	inner     *changefeed.Subscription
-	out       chan ChangeEvent
-	closeOnce sync.Once
-}
+// Seq (or Dropped > 0) and repair it with ChangesSince. JoinSeq is the
+// stream sequence at attach time; MarkSignal declares the subscriber a
+// pure wake signal whose overflow counts as no loss; Close detaches it
+// and is safe to call repeatedly and concurrently.
+type ChangeSubscription = changefeed.Subscription
 
 // SubscribeChanges attaches a subscriber buffering up to buffer events
 // (minimum 1). The subscription observes every event with sequence >
@@ -485,57 +313,5 @@ func (r *Registry) SubscribeChanges(buffer int) (*ChangeSubscription, error) {
 	if feed == nil {
 		return nil, ErrChangeStreamDisabled
 	}
-	return newChangeSubscription(feed, buffer), nil
-}
-
-// newChangeSubscription wraps a feed subscription in the public wire
-// type; shared by the registry's own stream and a follower's relay.
-//
-// Delivery is a callback subscription (SubscribeFunc), not a forwarded
-// channel: the feed's flusher converts each event to the wire form
-// (cached per event — sixty-four subscribers pay one conversion) and
-// drops it straight into this subscription's buffered channel. The
-// earlier design forwarded an internal channel through a per-subscriber
-// goroutine, which doubled the channel operations on every delivery and
-// parked a goroutine per event; the sink keeps the fan-out at exactly
-// one send and one receive per subscriber.
-func newChangeSubscription(feed *changefeed.Feed, buffer int) *ChangeSubscription {
-	if buffer < 1 {
-		buffer = 1
-	}
-	s := &ChangeSubscription{out: make(chan ChangeEvent, buffer)}
-	s.inner = feed.SubscribeFunc(
-		func(ev *changefeed.Event) bool {
-			select {
-			case s.out <- fromFeedEvent(ev):
-				return true
-			default:
-				return false // full buffer: the feed counts the drop
-			}
-		},
-		func() { s.closeOnce.Do(func() { close(s.out) }) },
-	)
-	return s
-}
-
-// C is the event channel; it closes after Close (or registry Close),
-// once buffered events have been delivered.
-func (s *ChangeSubscription) C() <-chan ChangeEvent { return s.out }
-
-// JoinSeq is the stream sequence at attach time.
-func (s *ChangeSubscription) JoinSeq() uint64 { return s.inner.JoinSeq() }
-
-// MarkSignal declares this subscriber a pure wake signal (it only
-// cares that the stream moved): buffer overflow then counts as neither
-// subscriber loss nor a feed overflow, keeping those /stats metrics
-// meaningful for consumers that actually read events.
-func (s *ChangeSubscription) MarkSignal() { s.inner.MarkSignal() }
-
-// Dropped counts events lost to a full buffer.
-func (s *ChangeSubscription) Dropped() uint64 { return s.inner.Dropped() }
-
-// Close detaches the subscription. Safe to call multiple times and
-// from multiple goroutines.
-func (s *ChangeSubscription) Close() {
-	s.inner.Close()
+	return feed.Subscribe(buffer), nil
 }

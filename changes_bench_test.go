@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"netcoord/internal/changefeed"
+	"time"
 )
 
 // BenchmarkWatchFanout measures the mutation hot path with a realistic
@@ -55,23 +54,22 @@ func BenchmarkWatchFanout(b *testing.B) {
 }
 
 // BenchmarkRelayForward measures the relay-forward hot path: an event
-// whose frame bytes are already cached (as a frame-negotiated follower
-// stores them at ingest, and as publish-time encoding stores them at
-// the origin) is appended to an outgoing batch. This must be a pure
-// copy of the cached bytes — zero allocations, zero marshal calls — or
-// every tier of a fan-out tree re-pays the encode the origin already
-// paid once. CI gates it at 0 allocs/op.
+// that carries its frame bytes (as a follower keeps them at ingest, as
+// publish encodes them at the origin, as the WAL hands them back) is
+// appended to an outgoing batch. This must be a pure copy of those
+// bytes — zero allocations, zero encodes — or every tier of a fan-out
+// tree re-pays the encode the origin already paid once. CI gates it at
+// 0 allocs/op.
 func BenchmarkRelayForward(b *testing.B) {
 	evs := make([]ChangeEvent, 256)
 	for i := range evs {
-		ev := ChangeEvent{Seq: uint64(i + 1), Op: ChangeUpsert, PubNs: 1712345678901234567, Entry: &ChangeEntry{
-			ID:                fmt.Sprintf("node-%04d", i),
-			Coord:             c3(float64(i%97), float64(i%89), float64(i%13)),
-			Error:             0.15,
-			UpdatedAtUnixNano: 1712345678901234567,
+		ev := ChangeEvent{Seq: uint64(i + 1), Op: ChangeUpsert, PubNs: 1712345678901234567, Entry: RegistryEntry{
+			ID:        fmt.Sprintf("node-%04d", i),
+			Coord:     c3(float64(i%97), float64(i%89), float64(i%13)),
+			Error:     0.15,
+			UpdatedAt: time.Unix(0, 1712345678901234567),
 		}}
-		ev.enc = &changefeed.Encoded{}
-		if _, err := ev.AppendFrameTo(nil); err != nil { // first encode populates the cache
+		if _, err := ev.Encode(nil); err != nil { // the one encode, as at publish
 			b.Fatal(err)
 		}
 		evs[i] = ev

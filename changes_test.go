@@ -16,10 +16,7 @@ func applyChangeEvents(state map[string]RegistryEntry, evs []ChangeEvent) error 
 	for _, ev := range evs {
 		switch ev.Op {
 		case ChangeUpsert:
-			if ev.Entry == nil {
-				return fmt.Errorf("upsert event %d without entry", ev.Seq)
-			}
-			state[ev.Entry.ID] = ev.Entry.Entry()
+			state[ev.Entry.ID] = ev.Entry
 		case ChangeRemove:
 			delete(state, ev.ID)
 		case ChangeEvict:
@@ -27,7 +24,7 @@ func applyChangeEvents(state map[string]RegistryEntry, evs []ChangeEvent) error 
 				delete(state, id)
 			}
 		default:
-			return fmt.Errorf("unknown op %q", ev.Op)
+			return fmt.Errorf("unknown op %d", ev.Op)
 		}
 	}
 	return nil

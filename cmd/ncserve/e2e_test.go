@@ -276,7 +276,7 @@ func TestFollowerCatchupE2E(t *testing.T) {
 	}
 
 	// Follower bootstraps from the live, still-mutating leader.
-	follower := startNCServe(t, bin, "-follow", leader.base)
+	follower := startNCServe(t, bin, "-upstreams", leader.base)
 	leaderSeq, leaderEntries := fetchSnapshot(t, leader.base)
 	waitFollowerConverged(t, follower.base, leaderSeq)
 	_, followerEntries := fetchSnapshot(t, follower.base)
@@ -294,7 +294,7 @@ func TestFollowerCatchupE2E(t *testing.T) {
 	postJSON(t, leader.base+"/remove", `{"id":"n00"}`)
 	postJSON(t, leader.base+"/remove", `{"id":"n13"}`)
 
-	follower2 := startNCServe(t, bin, "-follow", leader.base, "-debug-addr", "127.0.0.1:0")
+	follower2 := startNCServe(t, bin, "-upstreams", leader.base, "-debug-addr", "127.0.0.1:0")
 	leaderSeq, leaderEntries = fetchSnapshot(t, leader.base)
 	waitFollowerConverged(t, follower2.base, leaderSeq)
 	_, followerEntries = fetchSnapshot(t, follower2.base)
@@ -416,4 +416,19 @@ func metricValue(t *testing.T, exposition, name string) float64 {
 	}
 	t.Fatalf("metric %s not found in exposition:\n%s", name, exposition)
 	return 0
+}
+
+// TestRemovedReplicationFlagsAreNotDefined: -follow and
+// -no-binary-stream are gone without a shim — the flag package's own
+// error is what an old command line gets, before anything is opened.
+func TestRemovedReplicationFlagsAreNotDefined(t *testing.T) {
+	for _, args := range [][]string{
+		{"-follow", "http://127.0.0.1:1"},
+		{"-upstreams", "http://127.0.0.1:1", "-no-binary-stream"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%q) = %v, want flag's not-defined error", args, err)
+		}
+	}
 }

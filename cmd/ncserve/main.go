@@ -58,10 +58,9 @@
 // deep /changes history, so resumers can reach back past the in-memory
 // ring.
 //
-// With -upstreams=<url,url,...> (or the single-upstream alias
-// -follow=<url>) ncserve runs as a read-only replica: it bootstraps
-// from the first live upstream's /snapshot, tails its /changes stream,
-// and serves the full read surface locally — including /changes,
+// With -upstreams=<url,url,...> ncserve runs as a read-only replica: it
+// bootstraps from the first live upstream's /snapshot, tails its
+// /changes stream (both in the binary frame encoding), and serves the full read surface locally — including /changes,
 // /watch, and /snapshot, re-served in the leader's own sequence
 // numbers — with replication lag reported in /stats and disclosed on
 // every read via the X-NC-Staleness and X-NC-Lag headers. Replicas
@@ -117,11 +116,9 @@ func run(args []string) (err error) {
 		flushEvery   = fs.Duration("flush-interval", 0, "WAL group-commit window (0 = 50ms; with -data-dir)")
 		compactBytes = fs.Int64("compact-wal-bytes", 0, "also compact when the active WAL exceeds this many bytes (0 = default, negative = timer only; with -data-dir)")
 		compactRecs  = fs.Int64("compact-wal-records", 0, "also compact when the active WAL exceeds this many records (0 = default, negative = timer only; with -data-dir)")
-		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory (in -follow mode, the relay ring)")
-		follow       = fs.String("follow", "", "run as a read-only replica of this upstream ncserve URL (single-upstream alias for -upstreams)")
+		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory (with -upstreams, the relay ring)")
 		upstreams    = fs.String("upstreams", "", "comma-separated ordered list of upstream ncserve URLs to replicate from; the first is preferred, the rest are failover targets")
 		maxLag       = fs.Uint64("max-lag", 0, "follower readiness bound: /healthz answers 503 when replication lag exceeds this many events (0 = default)")
-		noBinStream  = fs.Bool("no-binary-stream", false, "replicate over plain JSON instead of negotiating the binary change-frame encoding with the upstream (with -follow/-upstreams)")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address; bind to loopback only — this listener must never be exposed publicly")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -134,9 +131,6 @@ func run(args []string) (err error) {
 		ChangeStreamBuffer: *streamBuffer,
 	}
 	var upstreamList []string
-	if *follow != "" {
-		upstreamList = append(upstreamList, *follow)
-	}
 	for _, u := range strings.Split(*upstreams, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			upstreamList = append(upstreamList, u)
@@ -147,15 +141,14 @@ func run(args []string) (err error) {
 	switch {
 	case len(upstreamList) > 0:
 		if *dataDir != "" {
-			return errors.New("-follow/-upstreams and -data-dir are mutually exclusive: a follower's durable state is the leader's")
+			return errors.New("-upstreams and -data-dir are mutually exclusive: a follower's durable state is the leader's")
 		}
 		if *ttl != 0 {
-			return errors.New("-follow/-upstreams and -ttl are mutually exclusive: evictions are the leader's decision and arrive through the stream")
+			return errors.New("-upstreams and -ttl are mutually exclusive: evictions are the leader's decision and arrive through the stream")
 		}
 		follower, ferr := netcoord.StartFollower(netcoord.FollowerConfig{
-			Upstreams:           upstreamList,
-			Registry:            regCfg,
-			DisableBinaryStream: *noBinStream,
+			Upstreams: upstreamList,
+			Registry:  regCfg,
 		})
 		if ferr != nil {
 			return ferr

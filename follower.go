@@ -81,12 +81,6 @@ type FollowerConfig struct {
 	// no overall timeout — long-polls hold connections open
 	// deliberately).
 	HTTPClient *http.Client
-	// DisableBinaryStream forces JSON on /changes and /snapshot. By
-	// default the follower offers the binary frame encoding via Accept
-	// and uses whichever the upstream answers with — an upstream that
-	// predates frames (or has them disabled) simply keeps serving JSON,
-	// so mixed-version chains degrade per hop, not per tree.
-	DisableBinaryStream bool
 }
 
 // FollowerStats reports a follower's replication position — the
@@ -114,9 +108,8 @@ type FollowerStats struct {
 	LastContactAgeSeconds float64 `json:"last_contact_age_seconds"`
 	// EventsApplied counts stream events applied since start.
 	EventsApplied uint64 `json:"events_applied"`
-	// FramesReceived counts events that arrived in the binary frame
-	// encoding (zero means every batch so far was JSON — either the
-	// upstream doesn't speak frames or DisableBinaryStream is set).
+	// FramesReceived counts change frames decoded from upstream
+	// /changes batches, applied or not (duplicates are skipped).
 	FramesReceived uint64 `json:"frames_received"`
 	// Bootstraps counts snapshot loads: the initial one, plus one per
 	// stream truncation (the follower fell further behind than the
@@ -160,15 +153,22 @@ var errStreamGone = errors.New("netcoord: follower: leader history truncated")
 // everything it sent and rotate to the next upstream.
 var errStaleEpoch = errors.New("netcoord: follower: upstream serves a stale fencing epoch")
 
+// errNotFrames signals that an upstream answered /changes or /snapshot
+// in something other than the binary frame encoding — the one
+// replication protocol. It will not start speaking it on a retry, so
+// the follower rotates to the next upstream at once.
+var errNotFrames = errors.New("netcoord: follower: upstream does not serve the binary frame encoding")
+
 // ErrNotPromotable is returned by Promote on a follower that was
 // already promoted.
 var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 
 // FollowerRegistry is a read-only replica of a leader registry,
-// synchronized over the leader's change stream: it bootstraps from
-// /snapshot (bulk-building the spatial index in one pass), then tails
-// /changes with long-polls, applying upserts, removes, and evictions
-// in leader order with UpdatedAt timestamps preserved bit-identically.
+// synchronized over the leader's change stream in the binary frame
+// encoding (internal/wire): it bootstraps from /snapshot (bulk-building
+// the spatial index in one pass), then tails /changes with long-polls,
+// applying upserts, removes, and evictions in leader order with
+// UpdatedAt timestamps preserved bit-identically.
 // If it falls further behind than the leader retains (ring + WAL), it
 // re-bootstraps automatically — fetching only the entries changed since
 // its applied sequence when the leader can serve a delta.
@@ -183,10 +183,12 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // much to trust a read.
 //
 // A follower is itself a ChangeSource: every applied event is
-// republished into a relay feed under the leader's sequence number, so
-// ChangesSince / SubscribeChanges / SnapshotWithSeq speak the leader's
-// sequence space and a serving layer on top of a follower re-serves
-// the stream endpoints identically to the leader. A consumer that
+// republished into a relay feed under the leader's sequence number and
+// with the leader's frame bytes — decoded here to apply, never
+// re-encoded — so ChangesSince / SubscribeChanges / SnapshotWithSeq
+// speak the leader's sequence space and a serving layer on top of a
+// follower re-serves the stream endpoints identically to the leader —
+// byte for byte on /changes?format=frames. A consumer that
 // outruns the relay ring gets ErrChangeHistoryTruncated and
 // re-bootstraps from this follower's snapshot — the same protocol it
 // would run against the leader — which is what lets replicas chain
@@ -210,10 +212,6 @@ type FollowerRegistry struct {
 	wait      time.Duration
 	retry     time.Duration
 	limit     int
-	// binary offers the frame encoding on /changes and /snapshot;
-	// either side may decline, so every response is branched on its
-	// Content-Type rather than on this flag.
-	binary bool
 
 	// relay republishes applied events in the leader's sequence space;
 	// created at the initial bootstrap, reset on every re-bootstrap
@@ -329,7 +327,6 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 		wait:      wait,
 		retry:     retry,
 		limit:     limit,
-		binary:    !cfg.DisableBinaryStream,
 		relayBuf:  relayBuf,
 		applyLag:  telemetry.NewHistogram(),
 		ctx:       ctx,
@@ -502,7 +499,7 @@ func (f *FollowerRegistry) ChangesSince(since uint64, max int) ([]ChangeEvent, e
 // ring no longer connects to the rewritten state) or closes; consumers
 // re-subscribe and resynchronize from current state.
 func (f *FollowerRegistry) SubscribeChanges(buffer int) (*ChangeSubscription, error) {
-	return newChangeSubscription(f.relay, buffer), nil
+	return f.relay.Subscribe(buffer), nil
 }
 
 // SnapshotWithSeq captures the replica's entries together with its
@@ -545,9 +542,10 @@ func (f *FollowerRegistry) DeltaSince(since uint64) (entries []RegistryEntry, re
 // tail follows the current upstream's change stream until Close (or
 // Promote). Transient errors back off with capped jittered
 // exponentials; a second consecutive failure rotates to the next
-// upstream, and a stale-epoch detection rotates immediately — a
-// deposed leader never becomes healthy again, so waiting on it is
-// pure unavailability.
+// upstream, and a stale-epoch or wrong-protocol detection rotates
+// immediately — a deposed leader never becomes healthy again and a
+// JSON-only upstream never starts speaking frames, so waiting on
+// either is pure unavailability.
 func (f *FollowerRegistry) tail() {
 	defer f.wg.Done()
 	backoff := f.retry
@@ -563,7 +561,7 @@ func (f *FollowerRegistry) tail() {
 			backoff = f.retry
 		case f.ctx.Err() != nil:
 			return
-		case errors.Is(err, errStaleEpoch):
+		case errors.Is(err, errStaleEpoch), errors.Is(err, errNotFrames):
 			f.noteErr(err)
 			f.rotateUpstream()
 			consecutive = 0
@@ -578,7 +576,7 @@ func (f *FollowerRegistry) tail() {
 				}
 				consecutive = 0
 				backoff = f.retry
-			case errors.Is(berr, errStaleEpoch):
+			case errors.Is(berr, errStaleEpoch), errors.Is(berr, errNotFrames):
 				f.noteErr(berr)
 				f.rotateUpstream()
 				consecutive = 0
@@ -646,27 +644,6 @@ func (f *FollowerRegistry) LastContact() time.Time {
 	return f.lastContact
 }
 
-// changesResponse mirrors ncserve's /changes body.
-type changesResponse struct {
-	Seq    uint64        `json:"seq"`
-	Epoch  uint64        `json:"epoch"`
-	Events []ChangeEvent `json:"events"`
-}
-
-// snapshotResponse mirrors ncserve's /snapshot body. FollowerOf names
-// the upstream when the target is itself a replica (informational —
-// replicas relay the stream, so they can be followed). Delta marks a
-// ?since= response carrying only the entries changed since that
-// sequence, plus the ids removed since it.
-type snapshotResponse struct {
-	Seq        uint64        `json:"seq"`
-	Epoch      uint64        `json:"epoch"`
-	FollowerOf string        `json:"follower_of"`
-	Delta      bool          `json:"delta"`
-	Entries    []ChangeEntry `json:"entries"`
-	Removed    []string      `json:"removed"`
-}
-
 // pollOnce long-polls /changes once from the current position and
 // applies whatever it returns. The request carries a deadline past the
 // long-poll window so a wedged upstream (connected but never
@@ -681,9 +658,7 @@ func (f *FollowerRegistry) pollOnce() error {
 	if err != nil {
 		return err
 	}
-	if f.binary {
-		req.Header.Set("Accept", wire.ContentTypeFrames)
-	}
+	req.Header.Set("Accept", wire.ContentTypeFrames)
 	resp, err := f.client.Do(req)
 	if err != nil {
 		return err
@@ -700,48 +675,34 @@ func (f *FollowerRegistry) pollOnce() error {
 	default:
 		return fmt.Errorf("leader /changes: %s", httpErrorDetail(resp))
 	}
-	if resp.Header.Get("Content-Type") == wire.ContentTypeFrames {
-		// The upstream answered in frames: the whole batch is read as one
-		// byte slab, and each frame's bytes become the event's cached
-		// encoding — applied here, relayed verbatim below.
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return fmt.Errorf("leader /changes: read frames: %w", err)
-		}
-		f.noteContact()
-		return f.applyFrames(data)
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeFrames {
+		return fmt.Errorf("%w (/changes answered %q, want %q)", errNotFrames, ct, wire.ContentTypeFrames)
 	}
-	var body changesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return fmt.Errorf("leader /changes: decode: %w", err)
+	// The whole batch is read as one byte slab, and each frame's bytes
+	// stay the event's encoding — applied here, relayed verbatim below.
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("leader /changes: read frames: %w", err)
 	}
 	f.noteContact()
-	// Body-level fencing: an upstream whose stream epoch is behind ours
-	// is deposed (or still following the deposed leader) — detectable
-	// even on an empty batch, so the follower rotates away instead of
-	// quietly tailing a fork. An upstream merely lagging the promotion
-	// reports the old epoch too, but rotating off it is also right: it
-	// cannot have events we need that the promoted chain lacks.
-	if own := f.epoch(); body.Epoch < own {
-		f.rejectedStale.Add(1)
-		return fmt.Errorf("%w (/changes epoch %d < local %d)", errStaleEpoch, body.Epoch, own)
-	}
-	f.leaderSeq.Store(body.Seq)
-	return f.apply(body.Events)
+	return f.applyFrames(data)
 }
 
-// applyFrames decodes one binary /changes batch and applies it through
-// the ordinary event path. Each event keeps a zero-copy view of its own
-// frame bytes as its cached encoding, so when the relay fans this event
-// out to the next tier it forwards the leader's bytes verbatim — the
+// applyFrames decodes one /changes batch and applies it. Each event
+// keeps a zero-copy view of its own frame bytes, so when the relay fans
+// it out to the next tier it forwards the leader's bytes verbatim — the
 // decode here is for applying, never for re-encoding.
 func (f *FollowerRegistry) applyFrames(body []byte) error {
 	hdr, n, err := wire.DecodeBatchHeader(body)
 	if err != nil {
 		return fmt.Errorf("leader /changes: frames: %w", err)
 	}
-	// Body-level fencing, same as the JSON path: a stale stream epoch is
-	// detectable even on an empty batch.
+	// Body-level fencing: an upstream whose stream epoch is behind ours
+	// is deposed (or still following the deposed leader) — detectable
+	// even on an empty batch, so the follower rotates away instead of
+	// quietly tailing a fork. An upstream merely lagging the promotion
+	// reports the old epoch too, but rotating off it is also right: it
+	// cannot have events we need that the promoted chain lacks.
 	if own := f.epoch(); hdr.Epoch < own {
 		f.rejectedStale.Add(1)
 		return fmt.Errorf("%w (/changes epoch %d < local %d)", errStaleEpoch, hdr.Epoch, own)
@@ -756,23 +717,12 @@ func (f *FollowerRegistry) applyFrames(body []byte) error {
 	events := make([]ChangeEvent, 0, hdr.Count)
 	off := n
 	for i := uint64(0); i < hdr.Count; i++ {
-		// A fresh Frame per iteration: DecodeFrameInto reuses backing
-		// storage, and these events outlive the loop inside the relay.
-		var fr wire.Frame
-		m, err := wire.DecodeFrameInto(&fr, body[off:])
+		ev, m, err := wire.DecodeEvent(body[off:])
 		if err != nil {
 			return fmt.Errorf("leader /changes: frame %d/%d: %w", i+1, hdr.Count, err)
 		}
-		end := off + m
-		ev, err := changeEventFromFrame(&fr)
-		if err != nil {
-			return fmt.Errorf("leader /changes: %w", err)
-		}
-		enc := &changefeed.Encoded{}
-		enc.StoreFrame(body[off:end:end])
-		ev.enc = enc
 		events = append(events, ev)
-		off = end
+		off += m
 	}
 	if off != len(body) {
 		return fmt.Errorf("leader /changes: frames: %d trailing bytes after %d frames", len(body)-off, hdr.Count)
@@ -792,7 +742,7 @@ func (f *FollowerRegistry) applyFrames(body []byte) error {
 // An event carrying a lower fencing epoch than the stream already
 // adopted is a deposed leader's write: it is rejected and the follower
 // rotates upstream (per-event defense in depth under the body-level
-// check in pollOnce).
+// check in applyFrames).
 func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 	applied := f.applied.Load()
 	epoch := f.epoch()
@@ -803,11 +753,6 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 		}
 		epoch = ev.Epoch
 		switch {
-		case ev.Seq == applied && ev.Op == ChangeEvict:
-			// Continuation chunk of the eviction event just applied
-			// (the WAL splits one oversized eviction across records
-			// sharing a sequence); the relay folds it back into the
-			// ring's tail event.
 		case ev.Seq == applied+1:
 		case ev.Seq <= applied:
 			continue // duplicate delivery; already applied
@@ -816,15 +761,11 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 		}
 		switch ev.Op {
 		case ChangeUpsert:
-			if ev.Entry == nil {
-				return fmt.Errorf("leader sent upsert event %d without entry", ev.Seq)
-			}
-			e := ev.Entry.Entry()
-			// The entry keeps the leader's sequence (the local feed is
-			// off, so upsertEntry won't stamp one): chained delta
-			// snapshots depend on per-entry sequences surviving tiers.
-			e.Seq = ev.Seq
-			if err := f.Registry.upsertEntry(e); err != nil {
+			// The entry keeps the leader's sequence (the frame's; the
+			// local feed is off, so upsertEntry won't stamp one): chained
+			// delta snapshots depend on per-entry sequences surviving
+			// tiers.
+			if err := f.Registry.upsertEntry(ev.Entry); err != nil {
 				return fmt.Errorf("apply upsert seq %d: %w", ev.Seq, err)
 			}
 		case ChangeRemove:
@@ -834,7 +775,7 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 				f.Registry.Remove(id)
 			}
 		default:
-			return fmt.Errorf("leader sent unknown op %q (seq %d)", ev.Op, ev.Seq)
+			return fmt.Errorf("leader sent unknown op %d (seq %d)", ev.Op, ev.Seq)
 		}
 		// Advance the applied position BEFORE the relay delivers: the
 		// notifier broadcast rides the delivery, and a woken poller
@@ -843,7 +784,7 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 		// coming (the leader path orders its seqAtomic the same way).
 		applied = ev.Seq
 		f.applied.Store(applied)
-		f.relay.PublishAt(toFeedEvent(ev))
+		f.relay.PublishAt(ev)
 		f.eventsApplied.Add(1)
 		if ev.PubNs > 0 {
 			f.applyLag.Observe(time.Now().UnixNano() - ev.PubNs)
@@ -886,9 +827,7 @@ func (f *FollowerRegistry) bootstrap() error {
 	if err != nil {
 		return err
 	}
-	if f.binary {
-		req.Header.Set("Accept", wire.ContentTypeSnapshot)
-	}
+	req.Header.Set("Accept", wire.ContentTypeSnapshot)
 	resp, err := f.client.Do(req)
 	if err != nil {
 		return err
@@ -900,28 +839,17 @@ func (f *FollowerRegistry) bootstrap() error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("leader /snapshot: %s", httpErrorDetail(resp))
 	}
-	if resp.Header.Get("Content-Type") == wire.ContentTypeSnapshot {
-		return f.bootstrapFrames(resp.Body, start)
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeSnapshot {
+		return fmt.Errorf("%w (/snapshot answered %q, want %q)", errNotFrames, ct, wire.ContentTypeSnapshot)
 	}
-	var snap snapshotResponse
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("leader /snapshot: decode: %w", err)
-	}
-	f.noteContact()
-	batch := make([]RegistryEntry, len(snap.Entries))
-	for i, e := range snap.Entries {
-		batch[i] = e.Entry()
-	}
-	return f.finishBootstrap(start, snap.Seq, snap.Epoch, snap.Delta, snap.Removed, batch)
+	return f.bootstrapFrames(resp.Body, start)
 }
 
-// bootstrapFrames decodes a binary /snapshot body incrementally: the
+// bootstrapFrames decodes a /snapshot body incrementally: the
 // wire.Reader holds a sliding window over the response instead of
-// buffering the whole transfer, and each entry decodes straight into its
-// final RegistryEntry — no intermediate JSON tree, no []ChangeEntry
-// copy. For a large registry this is the difference between a bootstrap
-// allocating a few hundred thousand decoder nodes and one allocating an
-// entry slice plus the id strings it keeps.
+// buffering the whole transfer, and each entry frame decodes straight
+// into its final RegistryEntry, so a bootstrap allocates an entry slice
+// plus the id strings and vectors it keeps.
 func (f *FollowerRegistry) bootstrapFrames(body io.Reader, start time.Time) error {
 	r := wire.NewReader(body, 0)
 	hdr, err := r.ReadSnapshotHeader()
@@ -939,32 +867,22 @@ func (f *FollowerRegistry) bootstrapFrames(body io.Reader, start time.Time) erro
 		capHint = 1 << 16 // never size an allocation by an unverified header field
 	}
 	batch := make([]RegistryEntry, 0, capHint)
+	var fr wire.Frame
 	for i := uint64(0); i < hdr.EntryCount; i++ {
-		// A fresh Frame per entry: ReadFrame reuses backing storage, and
-		// the decoded strings outlive the loop inside the batch.
-		var fr wire.Frame
 		if err := r.ReadFrame(&fr); err != nil {
 			return fmt.Errorf("leader /snapshot: entry %d/%d: %w", i+1, hdr.EntryCount, err)
 		}
 		if fr.Op != wire.OpUpsert {
 			return fmt.Errorf("leader /snapshot: entry %d/%d has op %d, want upsert", i+1, hdr.EntryCount, fr.Op)
 		}
-		batch = append(batch, RegistryEntry{
-			ID:        fr.ID,
-			Coord:     fr.Coord,
-			Error:     fr.Error,
-			UpdatedAt: time.Unix(0, fr.UpdatedAtNs),
-			// The snapshot writer stamps the entry-level sequence onto the
-			// frame's own Seq; chained delta snapshots depend on it.
-			Seq: fr.Seq,
-		})
+		batch = append(batch, fr.Entry())
 	}
 	f.noteContact()
 	return f.finishBootstrap(start, hdr.Seq, hdr.Epoch, hdr.Delta, hdr.Removed, batch)
 }
 
-// finishBootstrap applies a decoded snapshot — JSON or frames — to the
-// local registry and restarts the relay at its sequence.
+// finishBootstrap applies a decoded snapshot to the local registry and
+// restarts the relay at its sequence.
 func (f *FollowerRegistry) finishBootstrap(start time.Time, seq, epoch uint64, delta bool, removed []string, batch []RegistryEntry) error {
 	if own := f.epoch(); epoch < own {
 		f.rejectedStale.Add(1)

@@ -2,6 +2,7 @@ package changefeed
 
 import (
 	"fmt"
+	"netcoord/internal/wire"
 	"testing"
 	"time"
 )
@@ -109,7 +110,7 @@ func TestCoalesceNeverSkipsRemovals(t *testing.T) {
 	state := map[string]bool{}
 	want := []struct {
 		seq uint64
-		op  Op
+		op  byte
 	}{{2, OpRemove}, {3, OpUpsert}, {4, OpEvict}}
 	var prev uint64
 	for _, w := range want {
@@ -206,30 +207,64 @@ func TestCoalesceCompactionKeepsLabels(t *testing.T) {
 	}
 }
 
-// TestEncAttachedOnlyWhenSubscribed: the shared encode cache costs one
-// allocation per event, paid only when someone is listening.
-func TestEncAttachedOnlyWhenSubscribed(t *testing.T) {
+// TestPublishEncodesOnce: an event published while anyone listens (a
+// tap or a subscriber) carries its frame; the ring copy, the tap's copy
+// and the delivered copy share the same bytes; a relay (PublishAt)
+// keeps whatever the event arrived with — it never encodes; and with
+// nobody listening publish pays for no encoding at all.
+func TestPublishEncodesOnce(t *testing.T) {
+	quiet := New(16, 0)
+	quiet.PublishUpsert(upsert("a", 1))
+	if evs, err := quiet.Since(0, 0); err != nil || len(evs) != 1 || evs[0].Frame() != nil {
+		t.Fatalf("event published with nobody listening: %+v, %v; want it without a frame", evs, err)
+	}
+	sub0 := quiet.Subscribe(1)
+	defer sub0.Close()
+	quiet.PublishUpsert(upsert("b", 2))
+	if evs, err := quiet.Since(1, 0); err != nil || len(evs) != 1 || len(evs[0].Frame()) == 0 {
+		t.Fatalf("event published to a subscriber carries no frame: %+v, %v", evs, err)
+	}
+
 	f := New(16, 0)
+	var tapped []Event
+	f.Tap(func(ev Event) { tapped = append(tapped, ev) })
 	f.PublishUpsert(upsert("a", 1))
-	evs, err := f.Since(0, 0)
-	if err != nil || len(evs) != 1 {
-		t.Fatalf("Since: %v %v", evs, err)
-	}
-	if evs[0].Enc != nil {
-		t.Fatal("Enc attached with no subscribers")
-	}
 	sub := f.Subscribe(4)
 	defer sub.Close()
-	f.PublishUpsert(upsert("b", 2))
-	evs, err = f.Since(1, 0)
-	if err != nil || len(evs) != 1 {
-		t.Fatalf("Since: %v %v", evs, err)
-	}
-	if evs[0].Enc == nil {
-		t.Fatal("Enc missing with a subscriber attached")
-	}
+	f.PublishRemove("a")
 	f.Flush()
-	if ev := <-sub.C(); ev.Enc != evs[0].Enc {
-		t.Fatal("ring copy and delivered copy do not share one Encoded")
+	evs, err := f.Since(0, 0)
+	if err != nil || len(evs) != 2 || len(tapped) != 2 {
+		t.Fatalf("Since: %v %v (tapped %d)", evs, err, len(tapped))
+	}
+	for i, ev := range evs {
+		frame := ev.Frame()
+		if len(frame) == 0 || &frame[0] != &tapped[i].Frame()[0] {
+			t.Fatalf("event %d: ring frame %x, tap frame %x: not one shared encoding", i, frame, tapped[i].Frame())
+		}
+		back, n, err := wire.DecodeEvent(frame)
+		if err != nil || n != len(frame) || back.Seq != ev.Seq || back.Op != ev.Op || back.PubNs != ev.PubNs || back.Entry.ID != ev.Entry.ID || back.ID != ev.ID {
+			t.Fatalf("event %d: frame decodes to %+v (n=%d err=%v), want %+v", i, back, n, err, ev)
+		}
+	}
+	if evs[0].Entry.Seq != 1 {
+		t.Fatalf("published upsert's entry seq = %d, want the event's", evs[0].Entry.Seq)
+	}
+	if got := <-sub.C(); &got.Frame()[0] != &evs[1].Frame()[0] {
+		t.Fatal("ring copy and delivered copy do not share one frame")
+	}
+
+	relay := New(16, 0)
+	relay.PublishAt(evs[0])
+	relay.PublishAt(Event{Seq: 2, Op: OpRemove, ID: "hand-built"})
+	got, err := relay.Since(0, 0)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("relay Since: %v %v", got, err)
+	}
+	if &got[0].Frame()[0] != &evs[0].Frame()[0] {
+		t.Fatal("relay re-encoded an event that arrived with its frame")
+	}
+	if got[1].Frame() != nil {
+		t.Fatal("relay encoded an event that arrived without a frame")
 	}
 }

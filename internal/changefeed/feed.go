@@ -38,85 +38,44 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netcoord/internal/coord"
+	"netcoord/internal/wire"
 )
 
-// Op discriminates event kinds. Values intentionally mirror the
-// persistence layer's record ops.
-type Op uint8
+// The feed publishes wire's record types as they are: an Event carries
+// the frame encoded for it at publish (or received with it by a relay),
+// and that is what taps log and what history reads serve.
+type (
+	Event = wire.Event
+	Entry = wire.Entry
+)
 
 // The mutation kinds a registry publishes.
 const (
-	// OpUpsert inserts or refreshes one entry.
-	OpUpsert Op = 1
-	// OpRemove deletes one entry by id.
-	OpRemove Op = 2
-	// OpEvict deletes a batch of ids (TTL staleness eviction).
-	OpEvict Op = 3
+	OpUpsert = wire.OpUpsert
+	OpRemove = wire.OpRemove
+	OpEvict  = wire.OpEvict
 )
 
-// Evict batch bounds: one eviction sweep is split into multiple events
-// so no single event (hence no single WAL record downstream) grows
-// unbounded. The byte bound is what keeps a sweep of maximum-length
-// ids far under the persistence layer's frame limit.
+// Evict batch bounds: one eviction sweep is split into multiple events,
+// each with its own sequence, so no single event — hence no single
+// frame, WAL record or relay batch entry — grows unbounded. The byte
+// bound keeps a sweep of maximum-length ids far under the persistence
+// layer's record limit.
 const (
 	evictChunk      = 512
 	evictChunkBytes = 256 << 10
 )
 
-// Entry is the payload of an upsert event. It mirrors the registry's
-// entry type without importing it (the root package imports changefeed).
-type Entry struct {
-	// ID is the node's identifier.
-	ID string
-	// Coord is the node's (application-level) coordinate.
-	Coord coord.Coordinate
-	// Error is the node's Vivaldi error weight.
-	Error float64
-	// UpdatedAt is the entry's last-upsert time, carried so replicas
-	// reconstruct bit-identical entries (TTL eviction stays correct on
-	// a follower promoted to leader).
-	UpdatedAt time.Time
-}
-
-// Event is one sequenced mutation.
-type Event struct {
-	// Seq is the event's position in the total order. Sequence numbers
-	// are dense: every published event gets the previous seq + 1.
-	Seq uint64
-	// Op selects which of the remaining fields is meaningful.
-	Op Op
-	// Entry is set for OpUpsert.
-	Entry Entry
-	// ID is set for OpRemove.
-	ID string
-	// IDs is set for OpEvict.
-	IDs []string
-	// PubNs is the wall-clock Unix-nanosecond timestamp stamped once
-	// when the event was first published at the stream's origin (the
-	// leader). Relays preserve it verbatim through PublishAt, so at any
-	// tier "now - PubNs" is the event's true end-to-end propagation lag.
-	// Zero means unknown (e.g. an event replayed from the WAL, which
-	// does not persist stamps) — consumers skip lag observation then.
-	PubNs int64
-	// Epoch is the fencing epoch the event was published under. Each
-	// promotion bumps the stream's epoch, so an event from a deposed
-	// leader carries a lower epoch than the stream it tries to enter
-	// and is rejected instead of corrupting replica state. Zero is the
-	// unfenced pre-failover epoch (and what legacy streams carry).
-	Epoch uint64
-	// Coalesced labels the sequence gap immediately before this event
-	// on a subscriber delivery: that many events were collapsed away as
-	// superseded same-id upserts (see coalesce.go). A consumer checks
-	// prev.Seq + 1 + Coalesced == ev.Seq to distinguish benign
-	// collapse from loss. Always zero on ring reads (Since) — the ring
-	// is dense — and on taps.
-	Coalesced uint64
-	// Enc is the event's shared encode cache, attached once by the
-	// publisher when subscribers exist and carried by every copy of the
-	// event; nil when nothing downstream will serialize it. See Encoded.
-	Enc *Encoded
-}
+// frameChunk sizes the slabs publish carves frame bytes from: the ring
+// has to keep every event's frame, and one allocation per slab (some
+// 700 heartbeat frames) instead of one per event keeps the mutation
+// path allocation-free. frameRoom is the free space below which a new
+// slab is started; a frame larger than what is left (an eviction chunk)
+// grows the slab the way append does.
+const (
+	frameChunk = 64 << 10
+	frameRoom  = 256
+)
 
 // ErrTruncated is returned by Since when the ring no longer holds the
 // requested resume point; the caller must replay deeper history (the
@@ -167,6 +126,7 @@ type Stats struct {
 type Feed struct {
 	mu     sync.Mutex
 	seq    uint64 // last assigned, guarded by mu; mirrored in seqAtomic
+	chunk  []byte // frame slab publish is appending to; guarded by mu
 	ring   []Event
 	next   int // ring slot the next event lands in
 	len    int // live events in the ring
@@ -294,7 +254,8 @@ func (f *Feed) PublishRemove(id string) uint64 {
 
 // PublishEvict publishes eviction events for ids, chunked by count and
 // by bytes so no single event (or the WAL record a tap writes for it)
-// approaches frame limits. It returns the last sequence assigned.
+// approaches record limits. Every chunk is an event of its own with its
+// own sequence. It returns the last sequence assigned.
 func (f *Feed) PublishEvict(ids []string) uint64 {
 	var last uint64
 	for len(ids) > 0 {
@@ -315,18 +276,12 @@ func (f *Feed) PublishEvict(ids []string) uint64 {
 // (chained replicas, watchers) lives in one sequence space.
 //
 // The normal case is ev.Seq == Seq()+1: leader streams are dense, and a
-// relay applies them in order. Two degenerate shapes are handled so the
-// ring's density invariant (Since arithmetic) survives anything a real
-// stream can carry:
+// relay applies them in order. The event keeps the frame it arrived
+// with — a relay never encodes. Two degenerate shapes are handled so
+// the ring's density invariant (Since arithmetic) survives anything a
+// real stream can carry:
 //
-//   - ev.Seq == Seq() with Op == OpEvict merges the event's IDs into
-//     the ring's tail event: the persistence layer chunks one oversized
-//     eviction into several WAL records sharing a sequence, and a relay
-//     that tailed them from the WAL must fold them back into one event.
-//     Subscribers still receive the continuation (same Seq — consumers
-//     treat the non-monotonic step as a gap and recompute
-//     conservatively).
-//   - ev.Seq <= Seq() otherwise is a duplicate delivery: dropped.
+//   - ev.Seq <= Seq() is a duplicate delivery: dropped.
 //   - ev.Seq > Seq()+1 is a hole the caller chose to jump over; the
 //     ring is cleared first so Since never fabricates continuity across
 //     it (resumers below the hole get ErrTruncated and re-bootstrap).
@@ -349,22 +304,6 @@ func (f *Feed) PublishAt(ev Event) {
 	}
 	switch {
 	case ev.Seq == f.seq+1:
-	case ev.Seq == f.seq && ev.Op == OpEvict && f.len > 0:
-		// Fold the continuation chunk into the tail ring event, then
-		// still offer it to subscribers below (they key damage off IDs,
-		// not off ring contents).
-		tail := (f.next - 1 + len(f.ring)) % len(f.ring)
-		if f.ring[tail].Seq == ev.Seq && f.ring[tail].Op == OpEvict {
-			f.ring[tail].IDs = append(f.ring[tail].IDs[:len(f.ring[tail].IDs):len(f.ring[tail].IDs)], ev.IDs...)
-		}
-		f.recordTombsLocked(ev)
-		full := f.deliverLocked(ev)
-		f.mu.Unlock()
-		f.published.Add(1)
-		if full {
-			f.flushOnce()
-		}
-		return
 	case ev.Seq <= f.seq:
 		f.mu.Unlock()
 		return
@@ -551,21 +490,35 @@ func (f *Feed) deliverLocked(ev Event) (full bool) {
 	return f.enqueueLocked(ev)
 }
 
-// publish assigns the next sequence, retains the event in the ring,
-// runs the taps, and offers the event to every subscriber without
-// blocking. This is the stream's origin, so the propagation stamp is
-// taken here — exactly once per event, before any relay tier sees it.
+// publish assigns the next sequence, encodes the event's frame when
+// anyone is listening, retains the event in the ring, runs the taps,
+// and offers the event to every subscriber without blocking. This is
+// the stream's origin, so the propagation stamp is taken and the frame
+// encoded here — once per event, before any relay tier sees it.
 func (f *Feed) publish(ev Event) uint64 {
 	ev.PubNs = time.Now().UnixNano()
 	ev.Epoch = f.epoch.Load()
 	f.mu.Lock()
 	f.seq++
 	ev.Seq = f.seq
-	if len(f.subs) > 0 {
-		// One shared encode cache per event, attached before the ring
-		// copy so every downstream serialization of this event — any
-		// subscriber, any tier — is paid at most once.
-		ev.Enc = &Encoded{} //nc:allow(hotpath) single amortized cache cell per published event; it is what removes the per-subscriber marshal allocs
+	if ev.Op == OpUpsert {
+		ev.Entry.Seq = ev.Seq
+	}
+	if len(f.taps) > 0 || len(f.subs) > 0 {
+		// The one encode of this mutation, before the ring copy so every
+		// copy of the event — ring slot, tap, subscriber, relay tiers
+		// downstream — shares the bytes. With nobody listening there is
+		// nobody to share them with: the event goes without (a later
+		// history read encodes what it serves), which keeps a registry
+		// that merely retains a ring at its bare mutation cost. An event
+		// the frame cannot carry (an id or dimension past the wire's
+		// bounds, which registry owners reject up front) goes without too.
+		if cap(f.chunk)-len(f.chunk) < frameRoom {
+			f.chunk = make([]byte, 0, frameChunk) //nc:allow(hotpath) one slab per ~700 published events; it is what keeps the per-event frame bytes off the allocator
+		}
+		if chunk, err := ev.Encode(f.chunk); err == nil {
+			f.chunk = chunk
+		}
 	}
 	f.seqAtomic.Store(f.seq)
 	f.ring[f.next] = ev
@@ -700,11 +653,7 @@ type Subscription struct {
 
 	// sink/onClose replace ch for callback subscriptions (SubscribeFunc):
 	// the flusher hands each event to sink instead of a channel send, and
-	// onClose fires exactly where ch would have been closed. This is what
-	// lets a wrapper that re-types events (the root package's public
-	// subscription) deliver straight into its own buffered channel —
-	// one channel hop per event instead of two, and no forwarding
-	// goroutine parked per subscriber.
+	// onClose fires exactly where ch would have been closed.
 	sink    func(*Event) bool
 	onClose func()
 }

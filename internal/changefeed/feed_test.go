@@ -144,24 +144,27 @@ func TestSlowSubscriberDropsAndCounts(t *testing.T) {
 	}
 }
 
+// TestEvictChunking: a sweep of 2×512+17 ids is three events with three
+// consecutive sequences — never records sharing one — each carrying its
+// own frame.
 func TestEvictChunking(t *testing.T) {
 	f := New(8, 0)
-	ids := make([]string, evictChunk+10)
+	f.Tap(func(Event) {}) // someone is listening, so events carry frames
+	ids := make([]string, 2*evictChunk+17)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("node-%04d", i)
 	}
-	last := f.PublishEvict(ids)
-	if last != 2 {
-		t.Fatalf("chunked evict last seq = %d, want 2 events", last)
+	if last := f.PublishEvict(ids); last != 3 {
+		t.Fatalf("chunked evict last seq = %d, want 3 events", last)
 	}
 	evs, err := f.Since(0, 0)
-	if err != nil {
-		t.Fatalf("Since: %v", err)
+	if err != nil || len(evs) != 3 {
+		t.Fatalf("Since: %d events, %v; want 3", len(evs), err)
 	}
 	total := 0
-	for _, ev := range evs {
-		if ev.Op != OpEvict {
-			t.Fatalf("op = %d, want evict", ev.Op)
+	for i, ev := range evs {
+		if ev.Op != OpEvict || ev.Seq != uint64(i+1) || len(ev.Frame()) == 0 {
+			t.Fatalf("event %d: op %d seq %d frame %d bytes; want an evict at seq %d with its frame", i, ev.Op, ev.Seq, len(ev.Frame()), i+1)
 		}
 		total += len(ev.IDs)
 	}
@@ -292,22 +295,6 @@ func TestPublishAtRelaysUpstreamSequences(t *testing.T) {
 	}
 	if evs, _ := f.Since(10, -1); len(evs) != 2 {
 		t.Fatalf("duplicate grew the ring: %v", evs)
-	}
-}
-
-func TestPublishAtMergesEvictContinuationChunks(t *testing.T) {
-	f := New(8, 0)
-	f.PublishAt(Event{Seq: 1, Op: OpEvict, IDs: []string{"a", "b"}})
-	// Same-sequence continuation (a WAL-chunked eviction) folds into the
-	// ring's tail event instead of breaking sequence density.
-	f.PublishAt(Event{Seq: 1, Op: OpEvict, IDs: []string{"c"}})
-	f.PublishAt(Event{Seq: 2, Op: OpUpsert, Entry: upsert("d", 4)})
-	evs, err := f.Since(0, -1)
-	if err != nil || len(evs) != 2 {
-		t.Fatalf("Since(0) = %v, %v; want 2 events", evs, err)
-	}
-	if got := evs[0].IDs; len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("merged evict IDs = %v, want [a b c]", got)
 	}
 }
 

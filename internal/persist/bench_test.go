@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"netcoord/internal/coord"
+	"netcoord/internal/wire"
 )
 
 // BenchmarkWALReplay measures raw log replay throughput: how fast
@@ -35,9 +36,9 @@ func BenchmarkWALReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		state := make(map[string]Entry, n)
-		rep, err := replayWAL(path, 1, func(rec Record) {
-			if rec.Op == OpUpsert {
-				state[rec.Entry.ID] = rec.Entry
+		rep, err := replayWAL(path, 1, func(ev wire.Event) {
+			if ev.Op == wire.OpUpsert {
+				state[ev.Entry.ID] = ev.Entry
 			}
 		})
 		if err != nil {

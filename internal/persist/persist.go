@@ -6,7 +6,10 @@
 // The design follows the usual WAL/snapshot split:
 //
 //   - Every mutation (upsert, remove, evict) is appended to the current
-//     WAL generation as a length- and checksum-framed record. Appends
+//     WAL generation as a length- and checksum-framed record whose
+//     payload is the mutation's wire frame — the bytes the change feed
+//     encoded at publish, not a second encoding. Snapshot entries are
+//     wire frames too; internal/wire alone knows the layout. Appends
 //     only enqueue into an in-memory buffer; a background flusher
 //     group-commits the buffer with one write+fsync per batch, so the
 //     hot path never waits on the disk. The durability window is the
@@ -28,75 +31,11 @@
 // idempotent because records are per-id last-write-wins.
 package persist
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"time"
+import "netcoord/internal/wire"
 
-	"netcoord/internal/coord"
-)
-
-// Op discriminates WAL record types.
-type Op uint8
-
-// The mutation kinds a registry produces.
-const (
-	// OpUpsert inserts or refreshes one entry.
-	OpUpsert Op = 1
-	// OpRemove deletes one entry by id.
-	OpRemove Op = 2
-	// OpEvict deletes a batch of ids (TTL staleness eviction).
-	OpEvict Op = 3
-)
-
-// Entry is one persisted registry entry. It mirrors the registry's
-// entry type without importing it (the root package imports persist).
-type Entry struct {
-	// ID is the node's identifier.
-	ID string
-	// Coord is the node's (application-level) coordinate.
-	Coord coord.Coordinate
-	// Error is the node's Vivaldi error weight.
-	Error float64
-	// UpdatedAt is the entry's last-upsert time. Persisting it is what
-	// keeps TTL eviction correct across downtime: entries that went
-	// stale while the service was down age out on the first sweep after
-	// recovery instead of being granted a fresh lease.
-	UpdatedAt time.Time
-	// Seq is the change-stream sequence of the mutation that produced
-	// this entry state. It is recovery metadata, not wire format:
-	// WAL-replayed entries get their record's sequence, snapshot-loaded
-	// entries the snapshot's capture sequence (an upper bound — safe,
-	// because delta consumers only over-send when a sequence is
-	// over-stated, never lose changes).
-	Seq uint64
-}
-
-// Record is one decoded WAL record.
-type Record struct {
-	// Op selects which of the remaining fields is meaningful.
-	Op Op
-	// Seq is the change-stream sequence number of the mutation this
-	// record logs. Persisting it is what lets the WAL double as the
-	// replication stream: a subscriber resuming from sequence N replays
-	// records with Seq > N and misses nothing. Sequences are
-	// nondecreasing within a log; an eviction event split across chunk
-	// records repeats its sequence on every chunk.
-	Seq uint64
-	// Epoch is the fencing epoch the mutation was published under.
-	// Persisting it is what makes promotion durable: a leader that
-	// restarts after being promoted recovers its bumped epoch from the
-	// log and keeps fencing out the deposed stream. Epochs are
-	// nondecreasing within a log.
-	Epoch uint64
-	// Entry is set for OpUpsert.
-	Entry Entry
-	// ID is set for OpRemove.
-	ID string
-	// IDs is set for OpEvict.
-	IDs []string
-}
+// Entry is one persisted registry entry. Recovery hands it back with
+// the sequence its snapshot frame or WAL record carried.
+type Entry = wire.Entry
 
 // Tombstone records that an id was removed (or evicted) at a
 // change-stream sequence. Snapshots persist the registry's tombstone
@@ -122,181 +61,8 @@ type Capture struct {
 	Tombstones     []Tombstone
 }
 
-// Wire-format bounds. Oversized values on disk mean corruption, not
-// data: decoding rejects them instead of allocating attacker- or
-// garbage-controlled amounts of memory.
-const (
-	// MaxIDLen bounds a single id on disk. Owners of a persistent
-	// store must reject longer ids at their API boundary (ValidateID);
-	// an id the log cannot encode would otherwise be silently
-	// non-durable.
-	MaxIDLen = 1 << 12
-	// maxRecordSize bounds one framed record's payload. Evict batches
-	// are chunked at append time so they stay far below it.
-	maxRecordSize = 1 << 20
-	// evictChunk and evictChunkBytes bound one OpEvict record by id
-	// count and by encoded bytes; the byte bound is what keeps a sweep
-	// of maximum-length ids far under maxRecordSize.
-	evictChunk      = 1024
-	evictChunkBytes = 256 << 10
-)
-
-// ValidateID reports whether an id fits the persistence wire format.
-func ValidateID(id string) error {
-	if len(id) == 0 || len(id) > MaxIDLen {
-		return fmt.Errorf("persist: id length %d, want 1..%d", len(id), MaxIDLen)
-	}
-	return nil
-}
-
-// appendEntry encodes e onto dst: uvarint id length, id bytes, the
-// coordinate wire form, error bits, and the update time as Unix
-// nanoseconds (all fixed-width fields little endian).
-func appendEntry(dst []byte, e Entry) ([]byte, error) {
-	if len(e.ID) == 0 || len(e.ID) > MaxIDLen {
-		return nil, fmt.Errorf("persist: id length %d, want 1..%d", len(e.ID), MaxIDLen)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(e.ID)))
-	dst = append(dst, e.ID...)
-	dst, err := e.Coord.Encode(dst)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Error))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.UpdatedAt.UnixNano()))
-	return dst, nil
-}
-
-// decodeID reads one uvarint-framed id from src.
-func decodeID(src []byte) (string, []byte, error) {
-	n, used := binary.Uvarint(src)
-	if used <= 0 || n == 0 || n > MaxIDLen {
-		return "", nil, fmt.Errorf("persist: bad id frame")
-	}
-	src = src[used:]
-	if uint64(len(src)) < n {
-		return "", nil, fmt.Errorf("persist: truncated id")
-	}
-	return string(src[:n]), src[n:], nil
-}
-
-// decodeEntry reads one entry from src, returning the remainder.
-func decodeEntry(src []byte) (Entry, []byte, error) {
-	id, src, err := decodeID(src)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	c, src, err := coord.Decode(src)
-	if err != nil {
-		return Entry{}, nil, fmt.Errorf("persist: %w", err)
-	}
-	if len(src) < 16 {
-		return Entry{}, nil, fmt.Errorf("persist: truncated entry")
-	}
-	errW := math.Float64frombits(binary.LittleEndian.Uint64(src))
-	nanos := int64(binary.LittleEndian.Uint64(src[8:]))
-	return Entry{
-		ID:        id,
-		Coord:     c,
-		Error:     errW,
-		UpdatedAt: time.Unix(0, nanos),
-	}, src[16:], nil
-}
-
-// appendRecordPayload encodes one record (without framing) onto dst:
-// the op byte, the uvarint change-stream sequence, the uvarint fencing
-// epoch, then the op body.
-func appendRecordPayload(dst []byte, rec Record) ([]byte, error) {
-	dst = append(dst, byte(rec.Op))
-	dst = binary.AppendUvarint(dst, rec.Seq)
-	dst = binary.AppendUvarint(dst, rec.Epoch)
-	switch rec.Op {
-	case OpUpsert:
-		return appendEntry(dst, rec.Entry)
-	case OpRemove:
-		if len(rec.ID) == 0 || len(rec.ID) > MaxIDLen {
-			return nil, fmt.Errorf("persist: id length %d, want 1..%d", len(rec.ID), MaxIDLen)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(rec.ID)))
-		return append(dst, rec.ID...), nil
-	case OpEvict:
-		if len(rec.IDs) == 0 || len(rec.IDs) > evictChunk {
-			return nil, fmt.Errorf("persist: evict batch %d, want 1..%d", len(rec.IDs), evictChunk)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(rec.IDs)))
-		for _, id := range rec.IDs {
-			if len(id) == 0 || len(id) > MaxIDLen {
-				return nil, fmt.Errorf("persist: id length %d, want 1..%d", len(id), MaxIDLen)
-			}
-			dst = binary.AppendUvarint(dst, uint64(len(id)))
-			dst = append(dst, id...)
-		}
-		return dst, nil
-	default:
-		return nil, fmt.Errorf("persist: unknown op %d", rec.Op)
-	}
-}
-
-// decodeRecordPayload parses one record payload.
-func decodeRecordPayload(src []byte) (Record, error) {
-	if len(src) == 0 {
-		return Record{}, fmt.Errorf("persist: empty record")
-	}
-	rec := Record{Op: Op(src[0])}
-	src = src[1:]
-	seq, used := binary.Uvarint(src)
-	if used <= 0 {
-		return Record{}, fmt.Errorf("persist: bad record sequence")
-	}
-	rec.Seq = seq
-	src = src[used:]
-	epoch, used := binary.Uvarint(src)
-	if used <= 0 {
-		return Record{}, fmt.Errorf("persist: bad record epoch")
-	}
-	rec.Epoch = epoch
-	src = src[used:]
-	switch rec.Op {
-	case OpUpsert:
-		e, rest, err := decodeEntry(src)
-		if err != nil {
-			return Record{}, err
-		}
-		if len(rest) != 0 {
-			return Record{}, fmt.Errorf("persist: %d trailing bytes in upsert record", len(rest))
-		}
-		rec.Entry = e
-		return rec, nil
-	case OpRemove:
-		id, rest, err := decodeID(src)
-		if err != nil {
-			return Record{}, err
-		}
-		if len(rest) != 0 {
-			return Record{}, fmt.Errorf("persist: %d trailing bytes in remove record", len(rest))
-		}
-		rec.ID = id
-		return rec, nil
-	case OpEvict:
-		n, used := binary.Uvarint(src)
-		if used <= 0 || n == 0 || n > evictChunk {
-			return Record{}, fmt.Errorf("persist: bad evict batch size")
-		}
-		src = src[used:]
-		rec.IDs = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			id, rest, err := decodeID(src)
-			if err != nil {
-				return Record{}, err
-			}
-			rec.IDs = append(rec.IDs, id)
-			src = rest
-		}
-		if len(src) != 0 {
-			return Record{}, fmt.Errorf("persist: %d trailing bytes in evict record", len(src))
-		}
-		return rec, nil
-	default:
-		return Record{}, fmt.Errorf("persist: unknown op %d", rec.Op)
-	}
-}
+// maxRecordSize bounds one WAL record's payload. Oversized values on
+// disk mean corruption, not data: replay rejects them instead of
+// allocating garbage-controlled amounts of memory. The feed chunks
+// evictions at publish so honest frames stay far below it.
+const maxRecordSize = 1 << 20

@@ -10,18 +10,19 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"netcoord/internal/wire"
 )
 
-// Snapshot file layout (format 3 — the body carries the fencing epoch
-// and the tombstone ring alongside the capture sequence; older formats
-// are rejected at the magic check):
+// Snapshot file layout (other formats are refused at the magic check):
 //
-//	8 bytes  magic "NCSNAP\x03\x00"
+//	8 bytes  magic "NCSNAP\x04\x00"
 //	body:    uint64 generation | uint64 capture sequence |
 //	         uint64 fencing epoch | uint64 tombstone floor |
 //	         uint64 tombstone count | uint64 entry count |
 //	         tombstones (uvarint seq | uvarint id length | id bytes) |
-//	         entries
+//	         entries, one wire upsert frame each (the frame's seq is the
+//	         entry's own; epoch and publish stamp are zero)
 //	4 bytes  IEEE CRC of the body
 //
 // A snapshot becomes visible only through an atomic rename of a fully
@@ -43,7 +44,7 @@ import (
 // Recovering them is what lets a restarted — or newly promoted — leader
 // keep serving /snapshot?since= delta re-bootstraps instead of forcing
 // every replica through a full transfer.
-var snapMagic = [8]byte{'N', 'C', 'S', 'N', 'A', 'P', 3, 0}
+var snapMagic = [8]byte{'N', 'C', 'S', 'N', 'A', 'P', formatVersion, 0}
 
 // snapHeaderSize is the fixed body header: generation, capture
 // sequence, epoch, tombstone floor, tombstone count, entry count.
@@ -90,20 +91,20 @@ func writeSnapshot(dir string, gen uint64, cap Capture, nosync bool) error {
 	enc.body(hdr[:])
 	scratch := make([]byte, 0, 256)
 	for _, t := range cap.Tombstones {
-		if len(t.ID) == 0 || len(t.ID) > MaxIDLen {
+		if err := wire.ValidateID(t.ID); err != nil {
 			_ = tmp.Close()
-			return fmt.Errorf("persist: tombstone id length %d, want 1..%d", len(t.ID), MaxIDLen)
+			return fmt.Errorf("persist: tombstone %q: %w", t.ID, err)
 		}
 		scratch = binary.AppendUvarint(scratch[:0], t.Seq)
 		scratch = binary.AppendUvarint(scratch, uint64(len(t.ID)))
 		scratch = append(scratch, t.ID...)
 		enc.body(scratch)
 	}
-	for _, e := range cap.Entries {
-		scratch, err = appendEntry(scratch[:0], e)
+	for i := range cap.Entries {
+		scratch, err = wire.AppendEntryFrame(scratch[:0], &cap.Entries[i])
 		if err != nil {
 			_ = tmp.Close()
-			return err
+			return fmt.Errorf("persist: snapshot entry %q: %w", cap.Entries[i].ID, err)
 		}
 		enc.body(scratch)
 	}
@@ -149,8 +150,13 @@ func loadSnapshot(dir string, gen uint64) (snapContents, error) {
 	if err != nil {
 		return snapContents{}, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	if len(data) < len(snapMagic)+snapHeaderSize+4 || [8]byte(data[:8]) != snapMagic {
-		return snapContents{}, fmt.Errorf("persist: snapshot gen %d: bad magic or truncated", gen)
+	if len(data) >= len(snapMagic) {
+		if err := checkMagic(filepath.Base(snapPath(dir, gen)), data[:8], snapMagic, 6); err != nil {
+			return snapContents{}, err
+		}
+	}
+	if len(data) < len(snapMagic)+snapHeaderSize+4 {
+		return snapContents{}, fmt.Errorf("persist: snapshot gen %d: truncated", gen)
 	}
 	body := data[8 : len(data)-4]
 	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -174,7 +180,7 @@ func loadSnapshot(dir string, gen uint64) (snapContents, error) {
 	// hold are corruption — reject them (recovery falls back a
 	// generation) instead of letting them size an allocation.
 	const minTombSize = 3   // 1 seq + 1 id frame + 1 id byte
-	const minEntrySize = 27 // 2 id frame + 9 empty coord + 16 error/time
+	const minEntrySize = 33 // 6 frame header + 2 id + 9 empty coord + 16 error/time
 	if tombCount > uint64(len(src))/minTombSize {
 		return snapContents{}, fmt.Errorf("persist: snapshot gen %d: tombstone count %d impossible for %d body bytes", gen, tombCount, len(src))
 	}
@@ -195,18 +201,35 @@ func loadSnapshot(dir string, gen uint64) (snapContents, error) {
 		return snapContents{}, fmt.Errorf("persist: snapshot gen %d: count %d impossible for %d body bytes", gen, count, len(src))
 	}
 	sc.entries = make([]Entry, 0, count)
+	var fr wire.Frame
 	for i := uint64(0); i < count; i++ {
-		e, rest, err := decodeEntry(src)
+		n, err := wire.DecodeFrameInto(&fr, src)
+		if err == nil && fr.Op != wire.OpUpsert {
+			err = fmt.Errorf("op %d, want upsert", fr.Op)
+		}
 		if err != nil {
 			return snapContents{}, fmt.Errorf("persist: snapshot gen %d entry %d: %w", gen, i, err)
 		}
-		sc.entries = append(sc.entries, e)
-		src = rest
+		sc.entries = append(sc.entries, fr.Entry())
+		src = src[n:]
 	}
 	if len(src) != 0 {
 		return snapContents{}, fmt.Errorf("persist: snapshot gen %d: %d trailing bytes", gen, len(src))
 	}
 	return sc, nil
+}
+
+// decodeID reads one uvarint-framed tombstone id from src.
+func decodeID(src []byte) (string, []byte, error) {
+	n, used := binary.Uvarint(src)
+	if used <= 0 || n == 0 || n > wire.MaxIDLen {
+		return "", nil, fmt.Errorf("persist: bad id frame")
+	}
+	src = src[used:]
+	if uint64(len(src)) < n {
+		return "", nil, fmt.Errorf("persist: truncated id")
+	}
+	return string(src[:n]), src[n:], nil
 }
 
 // scanDir lists the snapshot and WAL generations present in dir, each

@@ -11,13 +11,14 @@ import (
 	"time"
 
 	"netcoord/internal/telemetry"
+	"netcoord/internal/wire"
 )
 
 // Options tunes a Store.
 type Options struct {
 	// FlushInterval is the group-commit window: appended records become
-	// durable at most this long after LogUpsert/LogRemove/LogEvict
-	// returns. 0 means DefaultFlushInterval.
+	// durable at most this long after Append returns. 0 means
+	// DefaultFlushInterval.
 	FlushInterval time.Duration
 	// FlushBatch flushes early once this many records are pending,
 	// bounding buffered memory under write storms. 0 means
@@ -130,13 +131,13 @@ type StoreStats struct {
 // Store is the on-disk half of a persistent registry: one directory
 // holding the newest snapshot plus the WAL generations above it.
 //
-// Log appends are asynchronous group commits: LogUpsert and friends
-// enqueue into an in-memory buffer and return; a background flusher
-// writes and fsyncs the batch every FlushInterval (or sooner under
-// load). Sync forces a commit, Close performs a final one. Log methods
-// never block on the disk, so they are safe to call under the
-// registry's write lock — which is exactly where the caller invokes
-// them, to keep per-id log order identical to apply order.
+// Log appends are asynchronous group commits: Append enqueues into an
+// in-memory buffer and returns; a background flusher writes and fsyncs
+// the batch every FlushInterval (or sooner under load). Sync forces a
+// commit, Close performs a final one. Append never blocks on the disk,
+// so it is safe to call under the registry's write lock — which is
+// exactly where the caller invokes it, to keep per-id log order
+// identical to apply order.
 //
 // Store is safe for concurrent use.
 type Store struct {
@@ -155,7 +156,7 @@ type Store struct {
 	gen     uint64
 	buf     []byte // pending framed records
 	swap    []byte // previous buffer, recycled each flush
-	scratch []byte // payload encode scratch
+	scratch []byte // LogUpsert's encode scratch
 	pending int
 	err     error
 	closed  bool
@@ -256,15 +257,14 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	loadedSnap := len(snaps) == 0
 	for i := len(snaps) - 1; i >= 0; i-- {
 		sc, err := loadSnapshot(dir, snaps[i])
+		if errors.Is(err, ErrFormat) {
+			return nil, nil, err
+		}
 		if err != nil {
 			s.recovery.CorruptSnapshots++
 			continue
 		}
 		for _, e := range sc.entries {
-			// The snapshot format carries no per-entry sequence; the
-			// capture sequence over-approximates every entry's, which
-			// errs toward resending in delta snapshots, never losing.
-			e.Seq = sc.seq
 			state[e.ID] = e
 		}
 		baseGen = snaps[i]
@@ -284,24 +284,23 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 
 	// Replay every WAL generation at or above the snapshot, in order.
 	// Generations below it are fully contained in the snapshot.
-	apply := func(rec Record) {
-		if rec.Seq > lastSeq {
-			lastSeq = rec.Seq
+	apply := func(ev wire.Event) {
+		if ev.Seq > lastSeq {
+			lastSeq = ev.Seq
 		}
-		if rec.Epoch > lastEpoch {
-			lastEpoch = rec.Epoch
+		if ev.Epoch > lastEpoch {
+			lastEpoch = ev.Epoch
 		}
-		switch rec.Op {
-		case OpUpsert:
-			rec.Entry.Seq = rec.Seq
-			state[rec.Entry.ID] = rec.Entry
-		case OpRemove:
-			delete(state, rec.ID)
-			tombs = append(tombs, Tombstone{Seq: rec.Seq, ID: rec.ID})
-		case OpEvict:
-			for _, id := range rec.IDs {
+		switch ev.Op {
+		case wire.OpUpsert:
+			state[ev.Entry.ID] = ev.Entry
+		case wire.OpRemove:
+			delete(state, ev.ID)
+			tombs = append(tombs, Tombstone{Seq: ev.Seq, ID: ev.ID})
+		case wire.OpEvict:
+			for _, id := range ev.IDs {
 				delete(state, id)
-				tombs = append(tombs, Tombstone{Seq: rec.Seq, ID: id})
+				tombs = append(tombs, Tombstone{Seq: ev.Seq, ID: id})
 			}
 		}
 	}
@@ -504,57 +503,41 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// LogUpsert appends an upsert record for change-stream sequence seq,
-// published under fencing epoch.
-func (s *Store) LogUpsert(e Entry, seq, epoch uint64) {
-	s.append(Record{Op: OpUpsert, Seq: seq, Epoch: epoch, Entry: e})
-}
-
-// LogRemove appends a remove record for change-stream sequence seq,
-// published under fencing epoch.
-func (s *Store) LogRemove(id string, seq, epoch uint64) {
-	s.append(Record{Op: OpRemove, Seq: seq, Epoch: epoch, ID: id})
-}
-
-// LogEvict appends eviction records for ids, chunked by count and by
-// encoded bytes so no single record approaches the frame size limit
-// even when every id is at MaxIDLen. Chunks repeat seq — they are one
-// logical event; replay is idempotent and stream reads never split an
-// equal-sequence run.
-func (s *Store) LogEvict(ids []string, seq, epoch uint64) {
-	for len(ids) > 0 {
-		n, bytes := 0, 0
-		for n < len(ids) && n < evictChunk && bytes < evictChunkBytes {
-			bytes += len(ids[n]) + 4
-			n++
-		}
-		s.append(Record{Op: OpEvict, Seq: seq, Epoch: epoch, IDs: ids[:n]})
-		ids = ids[n:]
-	}
-}
-
-// append enqueues one record for the next group commit. Failures
-// (encoding, or a store that already failed or closed) drop the record
-// and count it; durability reporting is the flusher's job.
-func (s *Store) append(rec Record) {
+// Append enqueues one mutation's wire frame — the bytes its change
+// event already carries — for the next group commit; the store adds
+// only its length+CRC envelope. A record the log cannot hold (no
+// frame, an oversized one, or a store that already failed or closed)
+// is dropped and counted: an unreadable record would read back as
+// corruption and sever the log there, so dropping only it is the
+// lesser evil. Durability reporting is the flusher's job.
+func (s *Store) Append(frame []byte) {
 	s.mu.Lock()
-	if s.err != nil || s.closed {
+	s.appendLocked(frame)
+}
+
+// LogUpsert encodes and appends an upsert of e at change-stream
+// sequence seq under fencing epoch — for callers that hold an entry
+// rather than a published event.
+func (s *Store) LogUpsert(e Entry, seq, epoch uint64) {
+	ev := wire.Event{Op: wire.OpUpsert, Seq: seq, Epoch: epoch, Entry: e}
+	s.mu.Lock()
+	frame, err := ev.AppendFrameTo(s.scratch[:0])
+	s.scratch = frame[:0]
+	if err != nil {
+		frame = nil
+	}
+	s.appendLocked(frame)
+}
+
+// appendLocked frames one record into the pending buffer and releases
+// s.mu, which the caller holds.
+func (s *Store) appendLocked(frame []byte) {
+	if s.err != nil || s.closed || len(frame) == 0 || len(frame) > maxRecordSize {
 		s.mu.Unlock()
 		s.dropped.Add(1)
 		return
 	}
-	payload, err := appendRecordPayload(s.scratch[:0], rec)
-	if err != nil || len(payload) > maxRecordSize {
-		// An unencodable or oversized record would read back as
-		// corruption and sever the log there; dropping only it is the
-		// lesser evil (callers prevent this via ValidateID).
-		s.scratch = payload[:0]
-		s.mu.Unlock()
-		s.dropped.Add(1)
-		return
-	}
-	s.scratch = payload[:0]
-	s.buf = appendFrame(s.buf, payload)
+	s.buf = appendFrame(s.buf, frame)
 	s.pending++
 	needKick := s.pending >= s.opts.FlushBatch
 	s.mu.Unlock()
@@ -745,21 +728,20 @@ func (s *Store) compact(capture func() (Capture, error)) error {
 	return nil
 }
 
-// TailSince returns every durable WAL record with change-stream
-// sequence > since, oldest first — the on-disk continuation of the
-// in-memory ring for subscribers resuming from further back. It
+// TailSince returns up to max durable WAL records with change-stream
+// sequence > since, oldest first (max <= 0 means no limit), as events
+// carrying the frame bytes that were logged — the on-disk continuation
+// of the in-memory ring for subscribers resuming from further back. It
 // reports truncated=true when compaction has folded part of the
 // requested range into the snapshot (since < the history floor); the
-// caller must then re-bootstrap from a snapshot instead.
-//
-// max bounds the result length, except that a run of equal-sequence
-// records (chunks of one eviction event) is never split across calls.
-// max <= 0 means no limit. A best-effort Sync runs first so records
-// still in the group-commit buffer become readable.
+// caller must then re-bootstrap from a snapshot instead. A best-effort
+// Sync runs first so records still in the group-commit buffer become
+// readable.
 //
 // Cost is a full read of the WAL generations on disk — acceptable for
-// the rare late joiner; live tailing is served from the ring.
-func (s *Store) TailSince(since uint64, max int) (recs []Record, truncated bool, err error) {
+// the rare late joiner; live tailing is served from the ring. The
+// events' frames are views of that read, which they keep alive.
+func (s *Store) TailSince(since uint64, max int) (evs []wire.Event, truncated bool, err error) {
 	_ = s.Sync() // a failed store can still serve what already hit disk
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -771,14 +753,10 @@ func (s *Store) TailSince(since uint64, max int) (recs []Record, truncated bool,
 		return nil, false, err
 	}
 	for _, gen := range wals {
-		rep, rerr := replayWAL(walPath(s.dir, gen), gen, func(rec Record) {
-			if rec.Seq <= since {
-				return
+		rep, rerr := replayWAL(walPath(s.dir, gen), gen, func(ev wire.Event) {
+			if ev.Seq > since && (max <= 0 || len(evs) < max) {
+				evs = append(evs, ev)
 			}
-			if max > 0 && len(recs) >= max && rec.Seq != recs[len(recs)-1].Seq {
-				return
-			}
-			recs = append(recs, rec)
 		})
 		if rerr != nil {
 			return nil, false, rerr
@@ -789,13 +767,13 @@ func (s *Store) TailSince(since uint64, max int) (recs []Record, truncated bool,
 			// resumed stream must never contain. Serve the dense prefix
 			// if any was collected; otherwise report truncation so the
 			// consumer re-bootstraps from a snapshot.
-			if len(recs) == 0 {
+			if len(evs) == 0 {
 				return nil, true, nil
 			}
-			return recs, false, nil
+			return evs, false, nil
 		}
 	}
-	return recs, false, nil
+	return evs, false, nil
 }
 
 // removeObsolete deletes snapshot and WAL generations strictly below

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"netcoord/internal/changefeed"
 	"netcoord/internal/coord"
+	"netcoord/internal/wire"
 )
 
 // testOptions makes tests fast and deterministic: no fsync, immediate
@@ -48,9 +50,22 @@ func entriesEqual(t *testing.T, got, want []Entry) {
 // are monotonic, so a shared counter stands in for the feed.
 var testSeqCounter atomic.Uint64
 
-func logUpsert(s *Store, e Entry)     { s.LogUpsert(e, testSeqCounter.Add(1), 1) }
-func logRemove(s *Store, id string)   { s.LogRemove(id, testSeqCounter.Add(1), 1) }
-func logEvict(s *Store, ids []string) { s.LogEvict(ids, testSeqCounter.Add(1), 1) }
+func logUpsert(s *Store, e Entry) { s.LogUpsert(e, testSeqCounter.Add(1), 1) }
+func logRemove(s *Store, id string) {
+	logEvent(s, wire.Event{Op: wire.OpRemove, ID: id, Seq: testSeqCounter.Add(1), Epoch: 1})
+}
+func logEvict(s *Store, ids []string) {
+	logEvent(s, wire.Event{Op: wire.OpEvict, IDs: ids, Seq: testSeqCounter.Add(1), Epoch: 1})
+}
+
+// logEvent appends ev the way the registry's tap does: the event's own
+// frame bytes, encoded once by wire.
+func logEvent(s *Store, ev wire.Event) {
+	if _, err := ev.Encode(nil); err != nil {
+		panic(err)
+	}
+	s.Append(ev.Frame())
+}
 
 func mustOpen(t *testing.T, dir string) (*Store, []Entry) {
 	t.Helper()
@@ -467,7 +482,7 @@ func TestRecoveryCorruptSnapshotFallsBackAGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("createWAL: %v", err)
 	}
-	payload, err := appendRecordPayload(nil, Record{Op: OpUpsert, Entry: testEntry("c", 3, 300)})
+	payload, err := wire.AppendEntryFrame(nil, &Entry{ID: "c", Coord: coord.New(3, 6, -3), Error: 0.25, UpdatedAt: time.Unix(0, 300)})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -554,30 +569,6 @@ func TestStoreFlushBatchKicksEarly(t *testing.T) {
 	_ = s.Close()
 }
 
-func TestEvictChunking(t *testing.T) {
-	// Evicting more ids than fit one record must chunk, not drop.
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir)
-	n := evictChunk*2 + 17
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("node-%05d", i)
-		logUpsert(s, testEntry(ids[i], float64(i), int64(i+1)))
-	}
-	logEvict(s, ids)
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if d := s.Stats().Dropped; d != 0 {
-		t.Fatalf("dropped %d records", d)
-	}
-	s2, recovered := mustOpen(t, dir)
-	defer s2.Close()
-	if len(recovered) != 0 {
-		t.Fatalf("recovered %d entries after full eviction", len(recovered))
-	}
-}
-
 func TestBadWALHeaderIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.ncl"), []byte("this is definitely not a WAL file"), 0o644); err != nil {
@@ -588,20 +579,50 @@ func TestBadWALHeaderIsHardError(t *testing.T) {
 	}
 }
 
-func TestLogEvictByteChunking(t *testing.T) {
-	// A sweep of maximum-length ids must split into records the replay
-	// path accepts; one count-bounded chunk of 4 KiB ids would exceed
-	// the record size limit and sever the log at recovery.
+// TestFeedChunkedEvictionsFitTheLog: the store frames whatever the feed
+// publishes and chunks nothing itself, so the feed's eviction chunks
+// (512 ids / 256 KiB, one sequence each) must be records the replay
+// path accepts — a sweep of maximum-length ids in one frame would
+// exceed the record size limit and be dropped. Each chunk is its own
+// event with its own sequence in the log, and a TailSince max cuts
+// between any two of them.
+func TestFeedChunkedEvictionsFitTheLog(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
+	feed := changefeed.New(16, 0)
+	feed.Tap(func(ev changefeed.Event) { s.Append(ev.Frame()) })
 	n := 600
 	ids := make([]string, n)
 	for i := range ids {
-		ids[i] = fmt.Sprintf("%0*d", MaxIDLen, i) // every id at MaxIDLen
-		logUpsert(s, Entry{ID: ids[i], Coord: coord.New(1, 2, 3), UpdatedAt: time.Unix(0, 1)})
+		ids[i] = fmt.Sprintf("%0*d", wire.MaxIDLen, i) // every id at the wire's maximum
+		feed.PublishUpsert(Entry{ID: ids[i], Coord: coord.New(1, 2, 3), UpdatedAt: time.Unix(0, 1)})
 	}
-	logEvict(s, ids)
-	logUpsert(s, testEntry("survivor", 1, 99))
+	first := feed.Seq() + 1
+	last := feed.PublishEvict(ids)
+	if last-first+1 < 3 {
+		t.Fatalf("600 maximum-length ids published as %d events; the byte bound should split them further", last-first+1)
+	}
+	feed.PublishUpsert(testEntry("survivor", 1, 99))
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	evs, truncated, err := s.TailSince(first-1, 0)
+	if err != nil || truncated || uint64(len(evs)) != last-first+2 {
+		t.Fatalf("TailSince: %d events truncated=%v err=%v, want %d", len(evs), truncated, err, last-first+2)
+	}
+	total := 0
+	for i, ev := range evs[:len(evs)-1] {
+		if ev.Op != wire.OpEvict || ev.Seq != first+uint64(i) {
+			t.Fatalf("record %d: op %d seq %d, want an evict at its own seq %d", i, ev.Op, ev.Seq, first+uint64(i))
+		}
+		total += len(ev.IDs)
+	}
+	if total != n {
+		t.Fatalf("eviction records carry %d ids, want %d", total, n)
+	}
+	if evs, _, _ := s.TailSince(first-1, 1); len(evs) != 1 || evs[0].Seq != first {
+		t.Fatalf("TailSince(max 1) = %d events; max must bound the result with every chunk its own event", len(evs))
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -610,26 +631,28 @@ func TestLogEvictByteChunking(t *testing.T) {
 	}
 	s2, recovered := mustOpen(t, dir)
 	defer s2.Close()
-	if rec := s2.Recovery(); rec.TornBytes != 0 {
-		t.Fatalf("oversized evict record severed the log: %d torn bytes", rec.TornBytes)
+	if rec := s2.Recovery(); rec.TornBytes != 0 || rec.QuarantinedWALs != 0 {
+		t.Fatalf("an eviction record severed the log: %+v", rec)
 	}
 	entriesEqual(t, recovered, []Entry{testEntry("survivor", 1, 99)})
 }
 
 func TestAppendDropsUnencodableRecord(t *testing.T) {
-	// Defense in depth: a record that cannot be encoded (or would
-	// exceed the frame bound) is dropped and counted, never written as
-	// a frame that reads back as corruption.
+	// Defense in depth: a record that cannot be encoded, an event that
+	// carries no frame, or a frame past the record bound is dropped and
+	// counted, never written as a record that reads back as corruption.
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
 	logUpsert(s, testEntry("good", 1, 1))
-	logUpsert(s, Entry{ID: strings.Repeat("x", MaxIDLen+1), Coord: coord.New(1, 2, 3)})
+	logUpsert(s, Entry{ID: strings.Repeat("x", wire.MaxIDLen+1), Coord: coord.New(1, 2, 3)})
+	s.Append(nil)
+	s.Append(make([]byte, maxRecordSize+1))
 	logUpsert(s, testEntry("also-good", 2, 2))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if d := s.Stats().Dropped; d != 1 {
-		t.Fatalf("Dropped = %d, want 1", d)
+	if d := s.Stats().Dropped; d != 3 {
+		t.Fatalf("Dropped = %d, want 3", d)
 	}
 	s2, recovered := mustOpen(t, dir)
 	defer s2.Close()
@@ -690,39 +713,6 @@ func TestTailSinceServesWALAndHonorsHistoryFloor(t *testing.T) {
 	}
 	if got := s.Stats().HistoryFloor; got != 10 {
 		t.Fatalf("HistoryFloor = %d, want 10", got)
-	}
-}
-
-func TestTailSinceNeverSplitsEvictChunks(t *testing.T) {
-	// One eviction event can span several chunk records sharing a
-	// sequence; a max cutoff must keep the run whole so a resumer never
-	// receives half an event.
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir)
-	defer s.Close()
-	n := evictChunk + 50
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("node-%05d", i)
-	}
-	s.LogEvict(ids, 1, 1)
-	s.LogUpsert(testEntry("after", 1, 2), 2, 1)
-	recs, truncated, err := s.TailSince(0, 1)
-	if err != nil || truncated {
-		t.Fatalf("TailSince: truncated=%v err=%v", truncated, err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("equal-seq run split: got %d records, want both chunks of seq 1", len(recs))
-	}
-	total := 0
-	for _, r := range recs {
-		if r.Seq != 1 || r.Op != OpEvict {
-			t.Fatalf("unexpected record %+v", r)
-		}
-		total += len(r.IDs)
-	}
-	if total != n {
-		t.Fatalf("chunks carry %d ids, want %d", total, n)
 	}
 }
 
@@ -849,5 +839,62 @@ func TestSnapshotBogusCountRejectedNotAllocated(t *testing.T) {
 	}
 	if _, _, err := Open(dir, testOptions()); err == nil {
 		t.Fatal("open succeeded on a snapshot with an impossible count")
+	}
+}
+
+// TestFormat3FilesRefused: a directory written by the previous on-disk
+// format (whose record and entry payloads were persist's own encoding,
+// not wire frames) is refused at the magic check with an error naming
+// the format found and the format wanted — there is no upgrade reader;
+// the directory is re-bootstrapped from a peer.
+func TestFormat3FilesRefused(t *testing.T) {
+	walHeader := append([]byte{'N', 'C', 'W', 'A', 'L', 3, 0, 0}, 1, 0, 0, 0, 0, 0, 0, 0) // magic + generation 1
+	snapMagic3 := []byte{'N', 'C', 'S', 'N', 'A', 'P', 3, 0}
+	for name, file := range map[string][]byte{
+		"wal-0000000000000001.ncl":  walHeader,
+		"snap-0000000000000001.ncs": snapMagic3,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), file, 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		_, _, err := Open(dir, testOptions())
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: Open err = %v, want ErrFormat", name, err)
+		}
+		for _, want := range []string{name, "format 3", "format 4"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", name, err, want)
+			}
+		}
+		// The refusal holds the lock no longer than the failed Open.
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("%s: refused file was touched: %v", name, err)
+		}
+	}
+}
+
+// TestRecoveryRecordWithTrailingBytesIsCorrupt: a record is exactly one
+// frame. Bytes after it under a valid envelope CRC are damage (or a
+// writer bug), not a second record — quarantined like a checksum
+// mismatch.
+func TestRecoveryRecordWithTrailingBytesIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir)
+	logUpsert(s, testEntry("a", 1, 100))
+	frame, err := wire.AppendEntryFrame(nil, &Entry{ID: "b", Coord: coord.New(2, 4, -2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Append(append(frame, 0x00))
+	logUpsert(s, testEntry("c", 3, 300))
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2, recovered := mustOpen(t, dir)
+	defer s2.Close()
+	entriesEqual(t, recovered, []Entry{testEntry("a", 1, 100)})
+	if rec := s2.Recovery(); rec.QuarantinedWALs != 1 || !errors.Is(s2.QuarantineErr(), ErrCorruptRecord) {
+		t.Fatalf("recovery %+v, quarantine err %v; want one quarantined WAL", rec, s2.QuarantineErr())
 	}
 }

@@ -1,12 +1,15 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"netcoord/internal/wire"
 )
 
 // ErrCorruptRecord marks a WAL record whose frame is fully present but
@@ -17,13 +20,24 @@ import (
 // through RecoveryStats; match with errors.Is.
 var ErrCorruptRecord = errors.New("persist: corrupt wal record")
 
-// WAL file layout (format 3 — record payloads carry the change-stream
-// sequence number and the fencing epoch; older formats are rejected at
-// the magic check):
+// ErrFormat marks a data file written in another on-disk format than
+// this build reads. There is no upgrade reader: Open refuses the
+// directory, and the operator re-bootstraps it from a peer.
+var ErrFormat = errors.New("persist: unsupported on-disk format")
+
+// formatVersion is the on-disk format of both file kinds. Format 4: a
+// WAL record's payload and a snapshot's entries are internal/wire
+// frames.
+const formatVersion = 4
+
+// WAL file layout (other formats are refused at the magic check):
 //
-//	8 bytes  magic "NCWAL\x03\x00\x00"
+//	8 bytes  magic "NCWAL\x04\x00\x00"
 //	8 bytes  generation (little endian)
 //	records: uint32 payload length | uint32 IEEE CRC of payload | payload
+//
+// A payload is exactly one wire frame, which carries the mutation's
+// change-stream sequence, fencing epoch and publish stamp.
 //
 // The frame makes every record self-verifying, and replay distinguishes
 // two failure shapes. A *torn* tail — not enough bytes left for the
@@ -41,7 +55,21 @@ const (
 	frameHeaderSize = 8
 )
 
-var walMagic = [8]byte{'N', 'C', 'W', 'A', 'L', 3, 0, 0}
+var walMagic = [8]byte{'N', 'C', 'W', 'A', 'L', formatVersion, 0, 0}
+
+// checkMagic verifies a data file's leading magic, whose format byte
+// sits at index verAt. A file of the right kind in another format is
+// ErrFormat, naming both versions; anything else is not a file of this
+// store at all.
+func checkMagic(name string, got []byte, want [8]byte, verAt int) error {
+	switch {
+	case bytes.Equal(got, want[:]):
+		return nil
+	case bytes.Equal(got[:verAt], want[:verAt]):
+		return fmt.Errorf("%w: %s is format %d, this build reads format %d; re-bootstrap the directory from a peer", ErrFormat, name, got[verAt], want[verAt])
+	}
+	return fmt.Errorf("persist: %s: bad magic", name)
+}
 
 // walPath names the WAL file for a generation.
 func walPath(dir string, gen uint64) string {
@@ -107,7 +135,7 @@ type walReplay struct {
 // record in order. A malformed tail ends the scan cleanly (recorded in
 // the result); a malformed header is a hard error, because it means the
 // file is not a WAL of this store at all.
-func replayWAL(path string, wantGen uint64, apply func(Record)) (walReplay, error) {
+func replayWAL(path string, wantGen uint64, apply func(wire.Event)) (walReplay, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return walReplay{}, fmt.Errorf("persist: read wal: %w", err)
@@ -117,8 +145,8 @@ func replayWAL(path string, wantGen uint64, apply func(Record)) (walReplay, erro
 		// records, so recovery rewrites it from scratch.
 		return walReplay{validSize: 0, tornBytes: int64(len(data))}, nil
 	}
-	if [8]byte(data[:8]) != walMagic {
-		return walReplay{}, fmt.Errorf("persist: %s: bad wal magic", filepath.Base(path))
+	if err := checkMagic(filepath.Base(path), data[:8], walMagic, 5); err != nil {
+		return walReplay{}, err
 	}
 	if gen := binary.LittleEndian.Uint64(data[8:16]); gen != wantGen {
 		return walReplay{}, fmt.Errorf("persist: %s: header generation %d, want %d", filepath.Base(path), gen, wantGen)
@@ -151,13 +179,16 @@ func replayWAL(path string, wantGen uint64, apply func(Record)) (walReplay, erro
 			rep.corruptErr = fmt.Errorf("%w: %s: record %d at offset %d: checksum mismatch", ErrCorruptRecord, filepath.Base(path), rep.records, off)
 			break
 		}
-		rec, err := decodeRecordPayload(payload)
+		ev, n, err := wire.DecodeEvent(payload)
+		if err == nil && n != len(payload) {
+			err = fmt.Errorf("%d trailing bytes after the frame", len(payload)-n)
+		}
 		if err != nil {
 			rep.corrupt = true
 			rep.corruptErr = fmt.Errorf("%w: %s: record %d at offset %d: %v", ErrCorruptRecord, filepath.Base(path), rep.records, off, err)
 			break
 		}
-		apply(rec)
+		apply(ev)
 		rep.records++
 		off += frameHeaderSize + int64(plen)
 		rep.validSize = off

@@ -188,35 +188,30 @@ func (s *Server) handleChanges(w http.ResponseWriter, req *http.Request) {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		if len(evs) > 0 || wait <= 0 || !time.Now().Before(deadline) {
-			// epoch is the body-level fencing signal: a follower polling
-			// a deposed leader detects the stale epoch here even when the
-			// batch is empty, and rotates to a live upstream.
+		// Answer when there is something to send or the wait is over —
+		// including when the client went away or shutdown began: an empty
+		// answer keeps long-poll loops simple.
+		if len(evs) > 0 || wait <= 0 || !time.Now().Before(deadline) || !s.waitForChange(req, since, deadline) {
 			if frames {
 				s.writeFrameBatch(w, evs)
-			} else {
-				writeJSON(w, http.StatusOK, map[string]any{"seq": s.source.ChangeSeq(), "epoch": s.source.ChangeEpoch(), "events": evs})
+				return
 			}
-			return
-		}
-		if !s.waitForChange(req, since, deadline) {
-			// Client went away, or shutdown/deadline: answer with what
-			// there is (nothing) so long-poll loops stay simple.
-			if frames {
-				s.writeFrameBatch(w, nil)
-			} else {
-				writeJSON(w, http.StatusOK, map[string]any{"seq": s.source.ChangeSeq(), "epoch": s.source.ChangeEpoch(), "events": []netcoord.ChangeEvent{}})
+			if evs == nil {
+				evs = []netcoord.ChangeEvent{} // "events":[] — never null
 			}
+			// epoch is the body-level fencing signal: a client polling a
+			// deposed leader detects the stale epoch here (as followers do
+			// in the frame batch header) even when the batch is empty.
+			writeJSON(w, http.StatusOK, map[string]any{"seq": s.source.ChangeSeq(), "epoch": s.source.ChangeEpoch(), "events": evs})
 			return
 		}
 	}
 }
 
-// wantsFrames reports whether the client negotiated the binary frame
-// encoding for /changes: an Accept header naming the frames media type,
-// or ?format=frames for clients that cannot set headers. Anything else
-// gets JSON — the negotiation is opt-in per request, so mixed-protocol
-// trees work hop by hop.
+// wantsFrames reports whether the client asked for the binary frame
+// encoding of /changes — what every replica does: an Accept header
+// naming the frames media type, or ?format=frames for clients that
+// cannot set headers. Anything else gets the JSON rendering.
 func wantsFrames(req *http.Request) bool {
 	return strings.Contains(req.Header.Get("Accept"), wire.ContentTypeFrames) ||
 		req.URL.Query().Get("format") == "frames"
@@ -224,19 +219,19 @@ func wantsFrames(req *http.Request) bool {
 
 // writeFrameBatch answers a /changes poll in the binary encoding: a
 // batch header carrying the seq/epoch fencing pair, then one frame per
-// event. Events that already carry their encoded form (published since
-// the stream gained subscribers, or relayed in from a binary upstream)
-// are served as a copy of those bytes — the encode happened once,
-// upstream or at publish, and this handler concatenates.
+// event. Every event a registry hands out carries its frame — encoded
+// at the leader's publish, received from upstream by a relay, or read
+// back from the WAL — so this handler concatenates bytes and the body
+// for a seq range is the same at every tier.
 func (s *Server) writeFrameBatch(w http.ResponseWriter, evs []netcoord.ChangeEvent) {
 	hdr := wire.BatchHeader{Seq: s.source.ChangeSeq(), Epoch: s.source.ChangeEpoch(), Count: uint64(len(evs))}
 	buf := wire.AppendBatchHeader(make([]byte, 0, 64+96*len(evs)), hdr)
 	var err error
 	for i := range evs {
 		if buf, err = evs[i].AppendFrameTo(buf); err != nil {
-			// Impossible for ring-served events (every op a feed accepts
-			// has a frame encoding); fail loudly rather than send a
-			// truncated batch the client would decode as damage.
+			// Only an event the frame cannot carry (an id or dimension past
+			// the wire's bounds); fail loudly rather than send a truncated
+			// batch the client would decode as damage.
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}

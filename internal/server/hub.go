@@ -319,12 +319,6 @@ func (h *WatchHub) processEvent(ev netcoord.ChangeEvent) (gap bool) {
 	}
 	switch ev.Op {
 	case netcoord.ChangeUpsert:
-		if ev.Entry == nil {
-			for w := range h.watchers {
-				h.damageLocked(w, ev.Seq, ev.PubNs)
-			}
-			return false
-		}
 		h.damageUpsertLocked(ev.Entry.ID, ev.Entry.Coord, ev.Seq, ev.PubNs)
 	case netcoord.ChangeRemove:
 		for w := range h.byID[ev.ID] {

@@ -75,9 +75,9 @@ func wantsSnapshotFrames(req *http.Request) bool {
 
 // writeSnapshotFrames streams the binary form of the bootstrap pair: a
 // snapshot header (seq, epoch, delta marker, removed ids, entry count),
-// then one upsert frame per entry with the entry-level sequence stamped
-// on the frame's Seq — which is where chained delta snapshots read it
-// back from. One scratch buffer is reused for every entry, so the
+// then one upsert frame per entry carrying the entry's own sequence —
+// which is where chained delta snapshots read it back from. One
+// scratch buffer is reused for every entry, so the
 // response allocates per-registry, not per-entry.
 func (s *Server) writeSnapshotFrames(w http.ResponseWriter, seq uint64, followerOf string, entries []netcoord.RegistryEntry, removed []string, delta bool) {
 	hdr := wire.SnapshotHeader{
@@ -98,16 +98,7 @@ func (s *Server) writeSnapshotFrames(w http.ResponseWriter, seq uint64, follower
 	bw := bufio.NewWriterSize(w, 1<<16)
 	_, _ = bw.Write(scratch)
 	for i := range entries {
-		e := &entries[i]
-		fr := wire.Frame{
-			Op:          wire.OpUpsert,
-			Seq:         e.Seq,
-			ID:          e.ID,
-			Coord:       e.Coord,
-			Error:       e.Error,
-			UpdatedAtNs: e.UpdatedAt.UnixNano(),
-		}
-		scratch, err = wire.AppendFrame(scratch[:0], &fr)
+		scratch, err = wire.AppendEntryFrame(scratch[:0], &entries[i])
 		if err != nil {
 			return // headers are out; the truncated body fails the client's decode
 		}
@@ -147,7 +138,7 @@ func (s *Server) writeSnapshotBody(w http.ResponseWriter, seq uint64, followerOf
 		if i > 0 {
 			_ = bw.WriteByte(',')
 		}
-		data, err := json.Marshal(netcoord.SnapshotEntry(e))
+		data, err := json.Marshal(e)
 		if err != nil {
 			return // headers are out; the truncated body fails the client's decode
 		}

@@ -422,7 +422,8 @@ func waitConverged(t *testing.T, f *netcoord.FollowerRegistry, leader *netcoord.
 }
 
 // assertReplicaIdentical compares a follower's contents to the
-// leader's, bit for bit: ids, coordinates, error weights, UpdatedAt.
+// leader's, field for field: ids, coordinates, error weights, UpdatedAt
+// and the per-entry sequence.
 func assertReplicaIdentical(t *testing.T, f *netcoord.FollowerRegistry, leader *netcoord.Registry) {
 	t.Helper()
 	ls, fs := leader.Snapshot(), f.Snapshot()
@@ -431,7 +432,7 @@ func assertReplicaIdentical(t *testing.T, f *netcoord.FollowerRegistry, leader *
 	}
 	for i := range ls {
 		l, g := ls[i], fs[i]
-		if g.ID != l.ID || !g.Coord.Equal(l.Coord) || g.Error != l.Error {
+		if g.ID != l.ID || !g.Coord.Equal(l.Coord) || g.Error != l.Error || g.Seq != l.Seq {
 			t.Fatalf("entry %d: follower %+v, leader %+v", i, g, l)
 		}
 		if g.UpdatedAt.UnixNano() != l.UpdatedAt.UnixNano() {

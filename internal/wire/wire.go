@@ -1,13 +1,15 @@
-// Package wire defines the compact binary change-frame format exchanged
-// between tiers of the serving stack. A frame is encoded once at leader
-// publish time and relayed as opaque bytes end to end: every replica
-// decodes a frame to apply it locally but forwards the original bytes
-// untouched, so a chain of N relays pays one encode total instead of N
-// decode/re-encode round trips.
+// Package wire defines the registry's mutation record — the Event, the
+// Entry it carries, and the one byte layout both take on disk and on
+// the network: the frame. A mutation is encoded once, when the leader
+// publishes it, and those bytes are what the WAL appends, what the
+// change ring holds, what /changes?format=frames serves and what every
+// relay tier forwards: a replica decodes a frame to apply it locally
+// but stores and forwards the original bytes untouched.
 //
 // Frames are self-delimiting and CRC-free — the transports that carry
-// them (HTTP bodies, the WAL) already frame and checksum. Layout, big
-// endian throughout:
+// them (HTTP bodies, the WAL's length+CRC envelope, the snapshot
+// file's CRC) already frame and checksum. Layout, big endian
+// throughout:
 //
 //	byte    magic (0xC0)
 //	byte    version (1)
@@ -16,7 +18,7 @@
 //	uvarint epoch
 //	uvarint pub_ns (leader publish time, UnixNano, clamped at 0)
 //	-- op = upsert --
-//	uvarint id length, followed by id bytes (max 4096)
+//	uvarint id length (1..4096), followed by id bytes
 //	coord   1-byte dimension d (max 16), d × float64, float64 height
 //	        (the internal/coord/codec.go layout)
 //	8 bytes float64 error estimate
@@ -24,7 +26,11 @@
 //	-- op = remove --
 //	uvarint id length, followed by id bytes
 //	-- op = evict --
-//	uvarint id count, then per id: uvarint length + bytes
+//	uvarint id count (>= 1), then per id: uvarint length + bytes
+//
+// An upsert frame's seq is its entry's sequence: in a change stream
+// that is the event's own position, in a snapshot (on the wire or on
+// disk) the sequence of the mutation that produced the entry.
 //
 // Decoding never allocates more than a capped size from
 // attacker-controlled length prefixes: id lengths are bounded by both
@@ -52,22 +58,25 @@ const (
 // Version is the current frame-format version.
 const Version = 1
 
-// Op codes. These mirror internal/changefeed ops by value.
+// Op codes: the mutation kinds a registry produces.
 const (
+	// OpUpsert inserts or refreshes one entry.
 	OpUpsert byte = 1
+	// OpRemove deletes one entry by id.
 	OpRemove byte = 2
-	OpEvict  byte = 3
+	// OpEvict deletes a batch of ids (TTL staleness eviction).
+	OpEvict byte = 3
 )
 
-// Content types used for negotiation on /changes and /snapshot. JSON
-// remains the fallback; a client opts in via the Accept header or the
-// format=frames query parameter.
+// Content types of the binary /changes and /snapshot bodies. A client
+// asks for them with the Accept header or format=frames; replicas
+// speak nothing else, JSON is the rendering for everyone else.
 const (
 	ContentTypeFrames   = "application/x-netcoord-frames"
 	ContentTypeSnapshot = "application/x-netcoord-snapshot"
 )
 
-// MaxIDLen bounds the node-id length accepted on the wire.
+// MaxIDLen bounds the node-id length a frame can carry.
 const MaxIDLen = 4096
 
 // MaxListLen bounds the id-list length accepted in an evict frame or a
@@ -85,10 +94,29 @@ var ErrMalformed = errors.New("wire: malformed frame")
 
 // Encode-side validation errors.
 var (
-	errBadOp     = errors.New("wire: unknown op")
-	errIDTooLong = errors.New("wire: id exceeds wire maximum")
-	errBadDim    = errors.New("wire: coordinate dimension exceeds wire maximum")
+	errBadOp      = errors.New("wire: unknown op")
+	errEmptyID    = errors.New("wire: empty id")
+	errIDTooLong  = errors.New("wire: id exceeds wire maximum")
+	errEmptyEvict = errors.New("wire: evict frame lists no ids")
+	errBadDim     = errors.New("wire: coordinate dimension exceeds wire maximum")
 )
+
+// ValidateID is the one id rule: 1..MaxIDLen bytes. AppendFrame
+// refuses anything else and DecodeFrameInto reports it as
+// ErrMalformed, so owners of a registry reject such ids at their API
+// boundary — an id no frame can carry would be applied but never
+// logged or replicated.
+//
+//nc:hotpath
+func ValidateID(id string) error {
+	if len(id) == 0 {
+		return errEmptyID
+	}
+	if len(id) > MaxIDLen {
+		return errIDTooLong
+	}
+	return nil
+}
 
 // Frame is the decoded form of a single change frame. Upserts carry
 // ID/Coord/Error/UpdatedAtNs; removes carry ID; evicts carry IDs.
@@ -145,6 +173,9 @@ func AppendFrame(dst []byte, fr *Frame) ([]byte, error) {
 			return dst, err
 		}
 	case OpEvict:
+		if len(fr.IDs) == 0 {
+			return dst, errEmptyEvict
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(fr.IDs)))
 		for _, id := range fr.IDs {
 			var err error
@@ -160,11 +191,18 @@ func AppendFrame(dst []byte, fr *Frame) ([]byte, error) {
 //
 //nc:hotpath
 func appendID(dst []byte, id string) ([]byte, error) {
-	if len(id) > MaxIDLen {
-		return dst, errIDTooLong
+	if err := ValidateID(id); err != nil {
+		return dst, err
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(id)))
-	return append(dst, id...), nil
+	return appendString(dst, id), nil
+}
+
+// appendString appends a length-prefixed string the caller has bounded.
+//
+//nc:hotpath
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
 // clampNs converts a UnixNano timestamp to the non-negative uvarint
@@ -251,7 +289,7 @@ func DecodeFrameInto(fr *Frame, src []byte) (int, error) {
 		// whose buffer holds fewer bytes than ids is simply incomplete,
 		// and a count beyond the structural cap is rejected before any
 		// allocation sized from it.
-		if count > MaxListLen {
+		if count == 0 || count > MaxListLen {
 			return 0, ErrMalformed
 		}
 		if count > uint64(len(src)-off) {
@@ -288,9 +326,19 @@ func readUvarint(src []byte, off int) (uint64, int, error) {
 	return 0, off, ErrMalformed
 }
 
-// readID decodes a length-prefixed id at src[off:]. The allocation is
-// capped by MaxIDLen and by the bytes actually present.
+// readID decodes a length-prefixed id at src[off:]; an empty one is
+// malformed (ValidateID's rule, enforced before anything is applied).
 func readID(src []byte, off int) (string, int, error) {
+	id, end, err := readString(src, off)
+	if err == nil && id == "" {
+		return "", off, ErrMalformed
+	}
+	return id, end, err
+}
+
+// readString decodes a length-prefixed string at src[off:]. The
+// allocation is capped by MaxIDLen and by the bytes actually present.
+func readString(src []byte, off int) (string, int, error) {
 	n, off, err := readUvarint(src, off)
 	if err != nil {
 		return "", off, err
@@ -388,12 +436,13 @@ func AppendSnapshotHeader(dst []byte, h *SnapshotHeader) ([]byte, error) {
 	dst = append(dst, MagicSnapshot, Version, flags)
 	dst = binary.AppendUvarint(dst, h.Seq)
 	dst = binary.AppendUvarint(dst, h.Epoch)
-	var err error
-	if dst, err = appendID(dst, h.FollowerOf); err != nil {
-		return dst, err
+	if len(h.FollowerOf) > MaxIDLen {
+		return dst, errIDTooLong
 	}
+	dst = appendString(dst, h.FollowerOf)
 	dst = binary.AppendUvarint(dst, uint64(len(h.Removed)))
 	for _, id := range h.Removed {
+		var err error
 		if dst, err = appendID(dst, id); err != nil {
 			return dst, err
 		}
@@ -423,7 +472,7 @@ func DecodeSnapshotHeader(src []byte) (SnapshotHeader, int, error) {
 	if h.Epoch, off, err = readUvarint(src, off); err != nil {
 		return h, 0, err
 	}
-	if h.FollowerOf, off, err = readID(src, off); err != nil {
+	if h.FollowerOf, off, err = readString(src, off); err != nil {
 		return h, 0, err
 	}
 	var count uint64

@@ -27,7 +27,7 @@ func sampleFrames() []Frame {
 			Op:    OpUpsert,
 			Seq:   math.MaxUint64,
 			Epoch: 0,
-			ID:    "",
+			ID:    "z",
 			Coord: coord.Coordinate{},
 		},
 		{
@@ -39,9 +39,9 @@ func sampleFrames() []Frame {
 			UpdatedAtNs: -5,
 		},
 		{Op: OpRemove, Seq: 2, Epoch: 1, PubNs: 99, ID: "gone"},
-		{Op: OpRemove, Seq: 3, ID: ""},
+		{Op: OpRemove, Seq: 3, ID: "\x00"},
 		{Op: OpEvict, Seq: 4, Epoch: 2, IDs: []string{"a", "b", "longer-id-here"}},
-		{Op: OpEvict, Seq: 5, IDs: nil},
+		{Op: OpEvict, Seq: 5, IDs: []string{"only"}},
 	}
 }
 
@@ -232,6 +232,71 @@ func TestHostileLengthPrefixes(t *testing.T) {
 			t.Fatalf("got %v, want ErrMalformed", err)
 		}
 	})
+}
+
+// TestIDRule: the one id rule (1..MaxIDLen bytes, evictions list at
+// least one id) holds in both directions — AppendFrame refuses to
+// produce such a frame, and a hand-built one is ErrMalformed before a
+// consumer can apply it.
+func TestIDRule(t *testing.T) {
+	long := string(make([]byte, MaxIDLen+1))
+	max := string(make([]byte, MaxIDLen))
+	header := []byte{MagicFrame, Version, 0, 1, 0, 0} // op patched in; seq 1, epoch 0, pub_ns 0
+	handBuilt := func(op byte, body ...byte) []byte {
+		b := append([]byte(nil), header...)
+		b[2] = op
+		return append(b, body...)
+	}
+	upsertTail := make([]byte, 1+8+16) // dimension 0, height, error, updated_at
+	cases := []struct {
+		name    string
+		fr      Frame
+		ok      bool
+		hostile []byte // the frame a peer without the encode check would send
+	}{
+		{name: "upsert", fr: Frame{Op: OpUpsert, ID: "a"}, ok: true},
+		{name: "upsert max id", fr: Frame{Op: OpUpsert, ID: max}, ok: true},
+		{name: "upsert empty id", fr: Frame{Op: OpUpsert, ID: ""}, hostile: handBuilt(OpUpsert, append([]byte{0}, upsertTail...)...)},
+		{name: "upsert long id", fr: Frame{Op: OpUpsert, ID: long}},
+		{name: "remove", fr: Frame{Op: OpRemove, ID: "a"}, ok: true},
+		{name: "remove empty id", fr: Frame{Op: OpRemove, ID: ""}, hostile: handBuilt(OpRemove, 0)},
+		{name: "remove long id", fr: Frame{Op: OpRemove, ID: long}},
+		{name: "evict", fr: Frame{Op: OpEvict, IDs: []string{"a", "b"}}, ok: true},
+		{name: "evict nothing", fr: Frame{Op: OpEvict}, hostile: handBuilt(OpEvict, 0)},
+		{name: "evict an empty id", fr: Frame{Op: OpEvict, IDs: []string{"a", ""}}, hostile: handBuilt(OpEvict, 2, 1, 'a', 0)},
+		{name: "evict a long id", fr: Frame{Op: OpEvict, IDs: []string{long}}},
+	}
+	for _, c := range cases {
+		c.fr.Seq = 1
+		buf, err := AppendFrame(nil, &c.fr)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: AppendFrame err = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if c.ok {
+			if _, n, derr := DecodeFrame(buf); derr != nil || n != len(buf) {
+				t.Errorf("%s: DecodeFrame n=%d err=%v", c.name, n, derr)
+			}
+		}
+		if c.hostile != nil {
+			if _, _, derr := DecodeFrame(c.hostile); !errors.Is(derr, ErrMalformed) {
+				t.Errorf("%s: hand-built frame decoded with err %v, want ErrMalformed", c.name, derr)
+			}
+		}
+	}
+	for id, ok := range map[string]bool{"": false, "a": true, max: true, long: false} {
+		if err := ValidateID(id); (err == nil) != ok {
+			t.Errorf("ValidateID(len %d) = %v, want ok=%v", len(id), err, ok)
+		}
+	}
+	// The snapshot header's removed list is ids too; its follower_of is
+	// free text and may be empty.
+	if _, err := AppendSnapshotHeader(nil, &SnapshotHeader{Removed: []string{""}}); err == nil {
+		t.Error("snapshot header accepted an empty removed id")
+	}
+	hdr := []byte{MagicSnapshot, Version, 0, 1, 0, 0, 1, 0, 0} // seq 1, epoch 0, follower_of "", 1 removed id of length 0, 0 entries
+	if _, _, err := DecodeSnapshotHeader(hdr); !errors.Is(err, ErrMalformed) {
+		t.Errorf("snapshot header with an empty removed id decoded with err %v, want ErrMalformed", err)
+	}
 }
 
 func TestAppendFrameValidates(t *testing.T) {

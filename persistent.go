@@ -91,30 +91,6 @@ type PersistentRegistry struct {
 	wg        sync.WaitGroup
 }
 
-// storeTap is the persistence layer's change-stream consumer: a
-// synchronous tap that forwards every sequenced event to the store's
-// log. It runs inline under the feed lock (hence under the registry's
-// write lock); Log calls only enqueue — the store's flusher owns the
-// disk — so the tap never blocks a mutation. Being a tap rather than a
-// bounded subscriber is what guarantees the WAL misses nothing.
-func storeTap(s *persist.Store) func(changefeed.Event) {
-	return func(ev changefeed.Event) {
-		switch ev.Op {
-		case changefeed.OpUpsert:
-			s.LogUpsert(persist.Entry{
-				ID:        ev.Entry.ID,
-				Coord:     ev.Entry.Coord,
-				Error:     ev.Entry.Error,
-				UpdatedAt: ev.Entry.UpdatedAt,
-			}, ev.Seq, ev.Epoch)
-		case changefeed.OpRemove:
-			s.LogRemove(ev.ID, ev.Seq, ev.Epoch)
-		case changefeed.OpEvict:
-			s.LogEvict(ev.IDs, ev.Seq, ev.Epoch)
-		}
-	}
-}
-
 // OpenPersistentRegistry opens the data directory, recovers the
 // persisted entries into a new Registry, and starts logging mutations
 // and compacting snapshots. Call Close to flush and release it.
@@ -165,20 +141,13 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 		_ = store.Close()
 		return nil, err
 	}
-	// Ids the wire format cannot encode are rejected at upsert time;
-	// accepting them would make those entries silently non-durable and
-	// wedge every compaction.
-	reg.validateID = persist.ValidateID
 	if len(recovered) > 0 {
-		batch := make([]RegistryEntry, len(recovered))
-		for i, e := range recovered {
-			batch[i] = RegistryEntry{ID: e.ID, Coord: e.Coord, Error: e.Error, UpdatedAt: e.UpdatedAt, Seq: e.Seq}
-		}
 		// The registry is empty, so this lands on the index.Build bulk
 		// path: one balanced O(n log n) construction instead of n
-		// incremental inserts. UpdatedAt values are preserved
-		// (UpsertBatch only stamps zero timestamps).
-		if err := reg.UpsertBatch(batch); err != nil {
+		// incremental inserts. UpdatedAt and Seq are preserved
+		// (UpsertBatch only stamps zero timestamps, and no stream is
+		// installed yet to stamp sequences).
+		if err := reg.UpsertBatch(recovered); err != nil {
 			reg.Close()
 			_ = store.Close()
 			return nil, fmt.Errorf("netcoord: persistent registry: recovered state rejected (was the directory written with a different -dim?): %w", err)
@@ -188,9 +157,13 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	// entries are not re-published into the log they came from: the
 	// feed continues from the last persisted sequence — and the last
 	// persisted fencing epoch, so a promoted leader keeps fencing after
-	// a restart — the store consumes it as a tap, the recovered
-	// tombstone ring restores removal knowledge for delta
-	// re-bootstraps, and only then may the janitor start evicting.
+	// a restart — the recovered tombstone ring restores removal
+	// knowledge for delta re-bootstraps, and only then may the janitor
+	// start evicting. The store consumes the stream as a tap: inline
+	// under the feed lock (hence under the registry's write lock), so
+	// the WAL misses nothing a bounded subscriber could, and cheap,
+	// because Append only enqueues the frame the event already carries —
+	// the store's flusher owns the disk.
 	rec := store.Recovery()
 	feed := changefeed.New(streamBuf, rec.LastSeq)
 	feed.SetEpoch(rec.LastEpoch)
@@ -201,7 +174,7 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 		}
 		feed.SeedTombstones(floor, seed)
 	}
-	feed.Tap(storeTap(store))
+	feed.Tap(func(ev changefeed.Event) { store.Append(ev.Frame()) })
 	reg.installFeed(feed)
 	reg.startJanitor()
 
@@ -289,11 +262,7 @@ func (p *PersistentRegistry) compactAs(reason string) error {
 				c.Tombstones[i] = persist.Tombstone{Seq: t.Seq, ID: t.ID}
 			}
 		}
-		snap := p.Registry.Snapshot()
-		c.Entries = make([]persist.Entry, len(snap))
-		for i, e := range snap {
-			c.Entries[i] = persist.Entry{ID: e.ID, Coord: e.Coord, Error: e.Error, UpdatedAt: e.UpdatedAt}
-		}
+		c.Entries = p.Registry.Snapshot()
 		return c, nil
 	})
 }
@@ -321,9 +290,10 @@ func (p *PersistentRegistry) Fence() (uint64, error) {
 
 // ChangesSince returns up to max events with sequence > since, oldest
 // first (max <= 0 means no limit). Unlike the in-memory registry's
-// method, history older than the ring is replayed from the WAL on
-// disk, so a consumer can resume from any sequence at or above the
-// current snapshot's capture point; only below that is
+// method, history older than the ring is read back from the WAL on
+// disk — the same events with the same frame bytes the ring held — so
+// a consumer can resume from any sequence at or above the current
+// snapshot's capture point; only below that is
 // ErrChangeHistoryTruncated returned and a snapshot re-bootstrap
 // required.
 func (p *PersistentRegistry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
@@ -331,38 +301,14 @@ func (p *PersistentRegistry) ChangesSince(since uint64, max int) ([]ChangeEvent,
 	if err == nil || !errors.Is(err, ErrChangeHistoryTruncated) {
 		return evs, err
 	}
-	recs, truncated, terr := p.store.TailSince(since, max)
+	evs, truncated, terr := p.store.TailSince(since, max)
 	if terr != nil {
 		return nil, fmt.Errorf("netcoord: persistent registry: wal tail: %w", terr)
 	}
 	if truncated {
 		return nil, fmt.Errorf("%w (snapshot floor %d, requested %d)", ErrChangeHistoryTruncated, p.store.Stats().HistoryFloor, since+1)
 	}
-	out := make([]ChangeEvent, 0, len(recs))
-	for _, rec := range recs {
-		ev := ChangeEvent{Seq: rec.Seq, Epoch: rec.Epoch}
-		switch rec.Op {
-		case persist.OpUpsert:
-			entry := toChangeEntry(RegistryEntry{
-				ID:        rec.Entry.ID,
-				Coord:     rec.Entry.Coord,
-				Error:     rec.Entry.Error,
-				UpdatedAt: rec.Entry.UpdatedAt,
-			})
-			ev.Op = ChangeUpsert
-			ev.Entry = &entry
-		case persist.OpRemove:
-			ev.Op = ChangeRemove
-			ev.ID = rec.ID
-		case persist.OpEvict:
-			ev.Op = ChangeEvict
-			ev.IDs = rec.IDs
-		default:
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out, nil
+	return evs, nil
 }
 
 // Sync forces a WAL group commit: every mutation applied before the

@@ -426,3 +426,73 @@ func TestPersistentRegistryTombstonesSurviveRestart(t *testing.T) {
 		t.Fatalf("delta removed = %v, want n0 and n1", removed)
 	}
 }
+
+// TestWALServesTheFramesTheRingServed: publish → WAL → reopen. The
+// history a restarted registry reads back from disk is the events the
+// ring served for the same sequences — same fields, publish stamps
+// included, and the very same frame bytes, because the WAL logged the
+// bytes the event carried instead of encoding it a second time. The
+// recovered snapshot keeps per-entry sequences exactly, through a
+// compaction too.
+func TestWALServesTheFramesTheRingServed(t *testing.T) {
+	dir := t.TempDir()
+	p := openTestPR(t, dir, RegistryConfig{})
+	for i := 0; i < 30; i++ {
+		if err := p.Upsert(fmt.Sprintf("n%02d", i%20), c3(float64(i), 1, 0), 0.1); err != nil {
+			t.Fatalf("Upsert: %v", err)
+		}
+	}
+	if err := p.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	floor := p.ChangeSeq()
+	for i := 0; i < 25; i++ {
+		if err := p.Upsert(fmt.Sprintf("n%02d", i%10), c3(float64(i), 2, 0), 0.2); err != nil {
+			t.Fatalf("Upsert: %v", err)
+		}
+	}
+	p.Remove("n03")
+	fromRing, err := p.ChangesSince(floor, 0)
+	if err != nil || len(fromRing) != 26 {
+		t.Fatalf("ring ChangesSince(%d): %d events, %v", floor, len(fromRing), err)
+	}
+	before := p.Snapshot()
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	p2 := openTestPR(t, dir, RegistryConfig{})
+	defer p2.Close()
+	if st := p2.ChangeStreamStats(); st.RingLen != 0 {
+		t.Fatalf("reopened ring holds %d events; history must come from the WAL", st.RingLen)
+	}
+	fromWAL, err := p2.ChangesSince(floor, 0)
+	if err != nil || len(fromWAL) != len(fromRing) {
+		t.Fatalf("WAL ChangesSince(%d): %d events, %v; want %d", floor, len(fromWAL), err, len(fromRing))
+	}
+	for i := range fromRing {
+		r, w := fromRing[i], fromWAL[i]
+		if len(r.Frame()) == 0 || string(r.Frame()) != string(w.Frame()) {
+			t.Fatalf("seq %d: ring served frame %x, WAL %x", r.Seq, r.Frame(), w.Frame())
+		}
+		if w.Seq != r.Seq || w.Op != r.Op || w.PubNs != r.PubNs || w.PubNs == 0 || w.Epoch != r.Epoch || w.ID != r.ID ||
+			w.Entry.ID != r.Entry.ID || !w.Entry.Coord.Equal(r.Entry.Coord) || w.Entry.UpdatedAt.UnixNano() != r.Entry.UpdatedAt.UnixNano() || w.Entry.Seq != r.Entry.Seq {
+			t.Fatalf("seq %d: ring event %+v, WAL event %+v", r.Seq, r, w)
+		}
+	}
+	if limited, err := p2.ChangesSince(floor, 7); err != nil || len(limited) != 7 || limited[6].Seq != floor+7 {
+		t.Fatalf("WAL ChangesSince(max 7) = %d events, %v", len(limited), err)
+	}
+	if _, err := p2.ChangesSince(floor-1, 0); err == nil {
+		t.Fatal("history below the snapshot floor served instead of reporting truncation")
+	}
+	after := p2.Snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("recovered %d entries, want %d", len(after), len(before))
+	}
+	for i := range before {
+		if after[i].ID != before[i].ID || after[i].Seq != before[i].Seq || after[i].UpdatedAt.UnixNano() != before[i].UpdatedAt.UnixNano() {
+			t.Fatalf("entry %d: recovered %+v, want %+v (per-entry seq and time exact)", i, after[i], before[i])
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"netcoord/internal/changefeed"
 	"netcoord/internal/index"
+	"netcoord/internal/wire"
 )
 
 // ErrUnknownID is returned by id-centered registry queries (NearestTo,
@@ -17,32 +18,13 @@ import (
 // services can map it to a not-found response.
 var ErrUnknownID = errors.New("netcoord: registry: unknown id")
 
-// errEmptyUpsertID is package-level so the hot upsert paths return it
-// without allocating.
-var errEmptyUpsertID = errors.New("netcoord: registry upsert: empty id")
-
-// RegistryEntry is one node stored in a Registry: its identifier, its
-// (application-level) coordinate, and freshness/confidence metadata.
-type RegistryEntry struct {
-	// ID is the node's identifier.
-	ID string
-	// Coord is the node's coordinate — application-level in normal use,
-	// so placements do not churn with every Vivaldi refinement.
-	Coord Coordinate
-	// Error is the node's Vivaldi error weight (0 = unknown/perfect,
-	// toward 1 = low confidence), as carried by coordinate protocols.
-	Error float64
-	// UpdatedAt is when the entry was last upserted; the TTL eviction
-	// clock.
-	UpdatedAt time.Time
-	// Seq is the change-stream sequence of the mutation that produced
-	// this entry state (0 with the stream disabled). It is what lets a
-	// delta snapshot answer "every entry changed since sequence N" by
-	// scanning live state, without needing event history back to N.
-	// Replication preserves it: a replica's entry carries the leader's
-	// sequence.
-	Seq uint64
-}
+// RegistryEntry is one node stored in a Registry: its ID, its
+// (application-level) Coord, its Vivaldi Error weight, UpdatedAt — the
+// TTL eviction clock — and Seq, the change-stream sequence of the
+// mutation that produced this state. It is the same entry the change
+// stream, the WAL and snapshots carry; replication and recovery
+// preserve every field exactly. IDs are 1..4096 bytes.
+type RegistryEntry = wire.Entry
 
 // RegistryConfig assembles a Registry.
 type RegistryConfig struct {
@@ -100,7 +82,7 @@ type RegistryStats struct {
 //nc:locked(r.mu)
 func (r *Registry) publishUpsert(e RegistryEntry) uint64 {
 	if feed := r.getFeed(); feed != nil {
-		return feed.PublishUpsert(changefeed.Entry{ID: e.ID, Coord: e.Coord, Error: e.Error, UpdatedAt: e.UpdatedAt})
+		return feed.PublishUpsert(e)
 	}
 	return 0
 }
@@ -163,12 +145,8 @@ type Registry struct {
 	// replicas consume it. It is normally installed before the registry
 	// is shared (construction, or persistence recovery), but promotion
 	// swaps a follower's relay in as the write feed at runtime — hence
-	// the atomic pointer rather than a plain field. validateID, when
-	// non-nil, rejects upserts whose ids downstream consumers could not
-	// represent (the persistence wire format bounds id length); an
-	// accepted-but-unloggable entry would be silently non-durable.
-	feed       atomic.Pointer[changefeed.Feed]
-	validateID func(id string) error
+	// the atomic pointer rather than a plain field.
+	feed atomic.Pointer[changefeed.Feed]
 
 	// lifeMu orders goroutine starts (janitor, feeds) against Close:
 	// wg.Add never races wg.Wait, and no feed can start after Close.
@@ -300,14 +278,11 @@ func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 	// half-applied.
 	for i := range entries {
 		e := &entries[i]
-		if e.ID == "" {
-			return errEmptyUpsertID
-		}
-		if r.validateID != nil {
-			if err := r.validateID(e.ID); err != nil {
-				//nc:allow(hotpath) validation-failure return: cold by definition
-				return fmt.Errorf("netcoord: registry upsert: %w", err)
-			}
+		// An id no frame can carry would be applied but never logged or
+		// replicated; the wire's id rule is the registry's.
+		if err := wire.ValidateID(e.ID); err != nil {
+			//nc:allow(hotpath) validation-failure return: cold by definition
+			return fmt.Errorf("netcoord: registry upsert: %w", err)
 		}
 		if err := e.Coord.Validate(r.dim); err != nil {
 			//nc:allow(hotpath) validation-failure return: cold by definition
@@ -372,14 +347,9 @@ func (r *Registry) storeUpsert(e RegistryEntry, now time.Time) {
 
 //nc:hotpath
 func (r *Registry) upsertEntry(e RegistryEntry) error {
-	if e.ID == "" {
-		return errEmptyUpsertID
-	}
-	if r.validateID != nil {
-		if err := r.validateID(e.ID); err != nil {
-			//nc:allow(hotpath) validation-failure return: cold by definition
-			return fmt.Errorf("netcoord: registry upsert: %w", err)
-		}
+	if err := wire.ValidateID(e.ID); err != nil {
+		//nc:allow(hotpath) validation-failure return: cold by definition
+		return fmt.Errorf("netcoord: registry upsert: %w", err)
 	}
 	if e.UpdatedAt.IsZero() {
 		e.UpdatedAt = r.clock()
