@@ -44,7 +44,6 @@ func run(args []string) error {
 		policySpec = fs.String("policy", "energy", "policy: direct | energy | relative | system | application | centroid")
 		window     = fs.Int("window", heuristic.DefaultWindow, "change-detection window size")
 		threshold  = fs.Float64("threshold", 0, "policy threshold (0 = paper default for the policy)")
-		parallel   = fs.Int("parallel", 0, "simulator worker count (0 = GOMAXPROCS, 1 = sequential; results are bit-identical either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,7 +100,6 @@ func run(args []string) error {
 		Vivaldi:                vcfg,
 		Filter:                 factory,
 		Policy:                 policy,
-		Parallelism:            *parallel, // 0 = GOMAXPROCS, resolved by Run
 		ExpectedTicks:          duration,
 		ExpectedSamplesPerNode: int(duration / *interval),
 	})

@@ -105,4 +105,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-in", "/definitely/not/here.nctr"}); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
+	// The engine-selecting flag is gone, not ignored.
+	if err := run([]string{"-parallel", "1", "-nodes", "12", "-seconds", "180"}); err == nil {
+		t.Fatal("-parallel still parses")
+	}
 }

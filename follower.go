@@ -52,10 +52,6 @@ type FollowerConfig struct {
 	// from its applied sequence (or a delta re-bootstrap) across the
 	// boundary.
 	Upstreams []string
-	// LeaderURL is the single-upstream form of Upstreams, kept for
-	// callers wired before failover existed; when both are set it is
-	// treated as the most-preferred upstream.
-	LeaderURL string
 	// Registry configures the local replica. TTL and JanitorInterval
 	// are ignored (forced off): evictions are the leader's decision and
 	// arrive through the stream — a follower evicting on its own clock
@@ -262,11 +258,8 @@ type FollowerRegistry struct {
 // order until one answers, so the caller serves warm data the moment it
 // returns — and starts the background tail loop. Call Close to stop it.
 func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
-	var upstreams []string
-	if cfg.LeaderURL != "" {
-		upstreams = append(upstreams, cfg.LeaderURL)
-	}
-	upstreams = append(upstreams, cfg.Upstreams...)
+	// A copy: the URLs are normalised in place below.
+	upstreams := append([]string(nil), cfg.Upstreams...)
 	if len(upstreams) == 0 {
 		return nil, fmt.Errorf("netcoord: follower: no upstreams configured")
 	}

@@ -45,8 +45,9 @@ import (
 // the frame encoded for it at publish (or received with it by a relay),
 // and that is what taps log and what history reads serve.
 type (
-	Event = wire.Event
-	Entry = wire.Entry
+	Event     = wire.Event
+	Entry     = wire.Entry
+	Tombstone = wire.Tombstone
 )
 
 // The mutation kinds a registry publishes.
@@ -178,17 +179,6 @@ type Feed struct {
 type tombstone struct {
 	seq uint64
 	id  string
-}
-
-// Tombstone is the exported form of one remembered removal, used to
-// persist the tombstone ring through snapshots and re-seed it on
-// recovery — a restarted or newly promoted leader can then still prove
-// removal-completeness for delta re-bootstraps.
-type Tombstone struct {
-	// Seq is the sequence of the removal.
-	Seq uint64
-	// ID is the removed id.
-	ID string
 }
 
 // New builds a Feed whose ring retains up to ringSize recent events

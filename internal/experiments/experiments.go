@@ -32,33 +32,17 @@ type Scale struct {
 	IntervalTicks uint64
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism is the simulator worker count: 0 uses
-	// runtime.GOMAXPROCS(0), 1 forces the sequential engine. Every
-	// setting produces bit-identical results (the simulator's
-	// tick-barrier guarantee), so experiment output never depends on it.
-	Parallelism int
-	// SweepParallelism runs independent sweep points (the Fig 8-12
-	// parameter grids) concurrently: 0 or 1 keeps the sequential loop,
-	// higher values run that many whole simulations at once. Each point
-	// is an isolated runner over its own generator, so results are
-	// positionally identical to the sequential sweep. When > 1, each
-	// inner run is forced to the sequential engine — one core per
-	// simulation saturates better than nested worker pools fighting
-	// over the same cores.
-	SweepParallelism int
 }
 
 // runnerConfig assembles the common sim.Config for this scale, including
 // the metric-storage reservations that keep the replay loop
-// allocation-free. Parallelism passes through unchanged: 0 means
-// GOMAXPROCS at every layer, resolved once by Runner.Run.
+// allocation-free.
 func (s Scale) runnerConfig(vcfg vivaldi.Config, f filter.Factory, p sim.PolicyFactory) sim.Config {
 	return sim.Config{
 		Nodes:                  s.Nodes,
 		Vivaldi:                vcfg,
 		Filter:                 f,
 		Policy:                 p,
-		Parallelism:            s.Parallelism,
 		ExpectedTicks:          s.DurationTicks,
 		ExpectedSamplesPerNode: int(s.DurationTicks/s.IntervalTicks) + 1,
 	}
@@ -104,20 +88,13 @@ func (s Scale) network(mutate func(*netsim.Config)) (*netsim.Network, error) {
 	return netsim.New(cfg)
 }
 
-// generatorConfig is the trace shape for this scale; runs that want
-// in-worker synthesis pass it to Runner.RunGenerated instead of
-// streaming through one Generator.
-func (s Scale) generatorConfig() trace.GeneratorConfig {
-	return trace.GeneratorConfig{
+// generator builds the trace generator over a network.
+func (s Scale) generator(net *netsim.Network) (*trace.Generator, error) {
+	return trace.NewGenerator(net, trace.GeneratorConfig{
 		IntervalTicks: s.IntervalTicks,
 		DurationTicks: s.DurationTicks,
 		Seed:          s.Seed + 1,
-	}
-}
-
-// generator builds the trace generator over a network.
-func (s Scale) generator(net *netsim.Network) (*trace.Generator, error) {
-	return trace.NewGenerator(net, s.generatorConfig())
+	})
 }
 
 // runSpec describes one simulation run.
@@ -130,9 +107,6 @@ type runSpec struct {
 }
 
 // run executes one simulation and returns its runner for metric readout.
-// Generator-backed runs go through RunGenerated: trace synthesis happens
-// inside the compute workers instead of on a single prefetch goroutine,
-// which is what keeps the parallel engine saturated at experiment scale.
 func run(spec runSpec) (*sim.Runner, error) {
 	if err := spec.scale.Validate(); err != nil {
 		return nil, err
@@ -150,7 +124,11 @@ func run(spec runSpec) (*sim.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := runner.RunGenerated(net, spec.scale.generatorConfig()); err != nil {
+	gen, err := spec.scale.generator(net)
+	if err != nil {
+		return nil, err
+	}
+	if err := runner.Run(gen); err != nil {
 		return nil, err
 	}
 	return runner, nil

@@ -463,12 +463,11 @@ func TestExtensionChurnRobustness(t *testing.T) {
 	}
 }
 
-// TestSweepParallelismMatchesSequential pins the sweep grid's
-// determinism contract: running the Figure 8 parameter points
-// concurrently (SweepParallelism > 1, inner runs sequential) must
-// reproduce the sequential sweep's points bit for bit, in the same
+// TestSweepWorkersMatchSequential pins the sweep grid's determinism
+// contract: running the Figure 8 parameter points three at a time must
+// reproduce the one-at-a-time sweep's points bit for bit, in the same
 // positional order.
-func TestSweepParallelismMatchesSequential(t *testing.T) {
+func TestSweepWorkersMatchSequential(t *testing.T) {
 	scale := tinyScale()
 	scale.DurationTicks = 300
 	build := func(tau float64) sim.PolicyFactory {
@@ -478,22 +477,23 @@ func TestSweepParallelismMatchesSequential(t *testing.T) {
 	}
 	params := []float64{1, 4, 8, 32}
 
-	seq, err := sweep(scale, params, build)
+	seq, err := sweepWith(1, scale, params, build)
 	if err != nil {
-		t.Fatalf("sequential sweep: %v", err)
+		t.Fatalf("one-worker sweep: %v", err)
 	}
-	parScale := scale
-	parScale.SweepParallelism = 3
-	par, err := sweep(parScale, params, build)
+	par, err := sweepWith(3, scale, params, build)
 	if err != nil {
-		t.Fatalf("parallel sweep: %v", err)
+		t.Fatalf("three-worker sweep: %v", err)
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(seq), len(par))
+	if len(seq) != len(params) || len(par) != len(params) {
+		t.Fatalf("sweep lengths %d and %d, want %d", len(seq), len(par), len(params))
 	}
 	for i := range seq {
+		if seq[i].Param != params[i] {
+			t.Fatalf("point %d is for param %v, want %v", i, seq[i].Param, params[i])
+		}
 		if seq[i] != par[i] {
-			t.Fatalf("point %d: sequential %+v != parallel %+v", i, seq[i], par[i])
+			t.Fatalf("point %d: one worker %+v != three workers %+v", i, seq[i], par[i])
 		}
 	}
 }

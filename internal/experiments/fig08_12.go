@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -19,14 +20,19 @@ type SweepPoint struct {
 
 // sweep runs one policy configuration per parameter value and reads the
 // application-level metrics over the measurement half. Points are
-// independent simulations, so Scale.SweepParallelism > 1 runs that many
-// at once — experiment-level parallelism on top of (or instead of) the
-// per-run engine. Results are slotted by parameter index, so the output
-// is positionally identical to the sequential loop regardless of
-// completion order.
+// independent simulations — the paper's Fig 8-12 replay one trace per
+// configuration — so whole runs are the parallel grain: as many at once
+// as there are cores, each on its own goroutine.
 func sweep(scale Scale, params []float64, build func(p float64) sim.PolicyFactory) ([]SweepPoint, error) {
+	return sweepWith(min(len(params), runtime.GOMAXPROCS(0)), scale, params, build)
+}
+
+// sweepWith is sweep on the given number of workers. Results are slotted
+// by parameter index, so the output does not depend on the worker count
+// or on completion order.
+func sweepWith(workers int, scale Scale, params []float64, build func(p float64) sim.PolicyFactory) ([]SweepPoint, error) {
 	from, to := scale.MeasureFrom(), scale.DurationTicks
-	one := func(scale Scale, p float64) (SweepPoint, error) {
+	one := func(p float64) (SweepPoint, error) {
 		r, err := run(runSpec{scale: scale, filter: mpFactory, policy: build(p)})
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("sweep param %v: %w", p, err)
@@ -43,34 +49,17 @@ func sweep(scale Scale, params []float64, build func(p float64) sim.PolicyFactor
 		}, nil
 	}
 
-	if scale.SweepParallelism <= 1 {
-		out := make([]SweepPoint, 0, len(params))
-		for _, p := range params {
-			pt, err := one(scale, p)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pt)
-		}
-		return out, nil
-	}
-
-	// Whole simulations in flight at once: a semaphore of grid slots,
-	// each run forced to the sequential engine so the grid, not nested
-	// worker pools, owns the cores.
-	inner := scale
-	inner.Parallelism = 1
 	out := make([]SweepPoint, len(params))
 	errs := make([]error, len(params))
-	sem := make(chan struct{}, scale.SweepParallelism)
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, p := range params {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, p float64) {
+		go func() {
 			defer func() { <-sem; wg.Done() }()
-			out[i], errs[i] = one(inner, p)
-		}(i, p)
+			out[i], errs[i] = one(p)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

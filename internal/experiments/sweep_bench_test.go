@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"netcoord/internal/heuristic"
@@ -10,12 +9,8 @@ import (
 
 // BenchmarkSweepGrid measures a Figure 8-style threshold sweep end to
 // end — trace synthesis, simulation, and summarization for every grid
-// point — sequentially and with experiment-level parallelism. The
-// parallel variant is how the saturated Fig 8-12 reproductions run:
-// whole simulations in flight at once, each on the sequential engine.
-// Results are bit-identical between the two (pinned by
-// TestSweepParallelismMatchesSequential), so this is purely the
-// wall-clock comparison.
+// point. sweep runs min(points, GOMAXPROCS) whole simulations at once,
+// so -cpu is the only thing that changes how it runs.
 func BenchmarkSweepGrid(b *testing.B) {
 	scale := Scale{Nodes: 24, DurationTicks: 300, IntervalTicks: 1, Seed: 20050502}
 	params := []float64{1, 2, 4, 8, 16, 32}
@@ -24,20 +19,13 @@ func BenchmarkSweepGrid(b *testing.B) {
 			return heuristic.NewEnergy(dim, heuristic.DefaultWindow, tau)
 		}
 	}
-	for _, sweepPar := range []int{1, 4} {
-		b.Run(fmt.Sprintf("sweepPar=%d", sweepPar), func(b *testing.B) {
-			s := scale
-			s.SweepParallelism = sweepPar
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pts, err := sweep(s, params, build)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pts) != len(params) {
-					b.Fatalf("got %d points", len(pts))
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		pts, err := sweep(scale, params, build)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(pts) != len(params) {
+			b.Fatalf("got %d points", len(pts))
+		}
 	}
 }

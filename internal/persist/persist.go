@@ -37,16 +37,8 @@ import "netcoord/internal/wire"
 // the sequence its snapshot frame or WAL record carried.
 type Entry = wire.Entry
 
-// Tombstone records that an id was removed (or evicted) at a
-// change-stream sequence. Snapshots persist the registry's tombstone
-// ring so removal knowledge — what delta re-bootstraps depend on —
-// survives a restart or a promotion.
-type Tombstone struct {
-	// Seq is the sequence of the removal.
-	Seq uint64
-	// ID is the removed id.
-	ID string
-}
+// Tombstone is one remembered removal in a snapshot's tombstone ring.
+type Tombstone = wire.Tombstone
 
 // Capture is one consistent registry state capture, the input to
 // compaction: the live entries, the change-stream position and fencing

@@ -43,7 +43,7 @@ func BenchmarkFollowerCatchup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := netcoord.StartFollower(netcoord.FollowerConfig{
-			LeaderURL:   ts.URL,
+			Upstreams:   []string{ts.URL},
 			WaitTimeout: 50 * time.Millisecond,
 		})
 		if err != nil {

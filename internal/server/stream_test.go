@@ -393,7 +393,7 @@ func TestWatchParameterValidation(t *testing.T) {
 func startTestFollower(t *testing.T, leaderURL string) *netcoord.FollowerRegistry {
 	t.Helper()
 	f, err := netcoord.StartFollower(netcoord.FollowerConfig{
-		LeaderURL:     leaderURL,
+		Upstreams:     []string{leaderURL},
 		WaitTimeout:   200 * time.Millisecond,
 		RetryInterval: 20 * time.Millisecond,
 	})

@@ -24,10 +24,10 @@
 // not the state after updates that happen to be processed earlier in the
 // same simulated second.
 //
-// The barrier is what makes the parallel runner (see parallel.go) exact:
-// within one tick each sample mutates only its From node, and all remote
-// reads come from the frozen snapshot, so samples of a tick can be
-// processed in any order — or concurrently — with bit-identical results.
+// It also makes the result independent of the order in which a tick's
+// samples arrive, as long as each node samples at most once in the tick:
+// a sample mutates only its From node, and every remote read comes from
+// the frozen snapshot (TestTickOrderIndependence).
 //
 // # Determinism
 //
@@ -35,9 +35,9 @@
 // runners fed identically configured generators process bit-identical
 // observation streams, which is how the experiments compare filters the
 // way the paper compares them ("we ran them on the same set of PlanetLab
-// nodes at the same time, using different ports"). Config.Parallelism
-// does not perturb this: sequential and parallel runs produce identical
-// SimulationResults, coordinates, and metric streams, bit for bit.
+// nodes at the same time, using different ports"). A run is one
+// goroutine; callers that want more cores run whole simulations side by
+// side (experiments.sweep).
 //
 // # Allocation discipline
 //
@@ -52,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"netcoord/internal/coord"
 	"netcoord/internal/filter"
@@ -80,14 +79,10 @@ type Config struct {
 	// Policy builds each node's application-update policy; nil means
 	// Direct (application coordinate follows the system coordinate).
 	Policy PolicyFactory
-	// Parallelism is the number of worker goroutines Run uses to process
-	// each tick: 0 resolves to runtime.GOMAXPROCS(0), 1 (or negative)
-	// forces the sequential engine, higher values pick an explicit
-	// worker count. Results are bit-identical for every value (see the
-	// tick-barrier notes in the package documentation), so this is
-	// purely a wall-clock knob. The facades (netcoord.SimulationConfig,
-	// experiments.Scale, ncsim -parallel) pass their field through
-	// unchanged — 0 means GOMAXPROCS everywhere.
+	// Parallelism is ignored: every run is sequential.
+	//
+	// Deprecated: the field stays only because bench/ncload still sets
+	// it; it goes when a benchmark issue stops doing so.
 	Parallelism int
 	// ExpectedTicks and ExpectedSamplesPerNode pre-size metric storage
 	// so steady-state recording allocates nothing. Zero values grow on
@@ -98,7 +93,6 @@ type Config struct {
 
 // Runner executes a simulation.
 type Runner struct {
-	cfg   Config
 	nodes []*nodeState
 	sys   *metrics.Collector
 	app   *metrics.Collector
@@ -160,7 +154,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		app.Reserve(cfg.ExpectedTicks, cfg.ExpectedSamplesPerNode)
 	}
 	r := &Runner{
-		cfg:     cfg,
 		sys:     sys,
 		app:     app,
 		nodes:   make([]*nodeState, cfg.Nodes),
@@ -270,37 +263,25 @@ func (r *Runner) count(s trace.Sample) {
 	}
 }
 
-// Stages a step reaches, in order; record applies exactly the metric
-// groups the step completed, which keeps error paths identical between
-// the sequential and parallel engines.
-const (
-	stageNone    = iota // estimate failed: nothing to record
-	stageErrors         // relative errors measured (filter may have withheld)
-	stageSysMove        // + system movement measured
-	stageAppMove        // + application movement measured (full success)
-)
-
-// stepResult carries one sample's measurements from compute to record.
-type stepResult struct {
-	stage      int
-	sysRelErr  float64
-	appRelErr  float64
-	sysMoved   float64
-	appMoved   float64
-	appChanged bool
-	err        error
-}
-
-// compute runs the full per-sample pipeline — estimate, filter, Vivaldi
-// update, policy — for a non-lost, validated sample. It mutates only the
-// sample's From node (plus the result slot), and reads remote state
-// exclusively from the tick-start snapshot, which is what makes it safe
-// to run concurrently for samples with distinct From within one tick.
-// It performs zero heap allocations on the success path.
-func (r *Runner) compute(s trace.Sample, res *stepResult) {
+// Step processes one trace sample under tick-barrier semantics: measure
+// both relative errors against the raw observation, then filter, update
+// and apply the policy, recording each metric group as soon as it is
+// known. It mutates only the sample's From node, reads remote state
+// exclusively from the tick-start snapshot, and performs zero heap
+// allocations on the success path.
+//
+//nc:hotpath
+func (r *Runner) Step(s trace.Sample) error {
+	if err := r.check(s); err != nil {
+		return err
+	}
+	r.advanceTo(s.Tick)
+	r.count(s)
+	if s.Lost {
+		return nil
+	}
 	src := r.nodes[s.From]
 	dst := r.nodes[s.To]
-	res.stage = stageNone
 
 	// Measure prediction error of the current coordinates against the
 	// raw observation, before updating (paper Section II-A). The
@@ -309,24 +290,25 @@ func (r *Runner) compute(s trace.Sample, res *stepResult) {
 	est, sep, err := src.viv.EstimateWithSeparation(dst.pubSys)
 	if err != nil {
 		//nc:allow(hotpath) estimate-failure return: cold by definition
-		res.err = fmt.Errorf("sim: estimate: %w", err)
-		return
+		return fmt.Errorf("sim: estimate: %w", err)
 	}
-	res.sysRelErr = math.Abs(est-s.RTT) / s.RTT
 	appEst, err := src.policy.AppRef().DistanceTo(dst.pubApp)
 	if err != nil {
 		//nc:allow(hotpath) estimate-failure return: cold by definition
-		res.err = fmt.Errorf("sim: app estimate: %w", err)
-		return
+		return fmt.Errorf("sim: app estimate: %w", err)
 	}
-	res.appRelErr = math.Abs(appEst-s.RTT) / s.RTT
-	res.stage = stageErrors
+	if err := r.sys.RecordError(s.From, s.Tick, math.Abs(est-s.RTT)/s.RTT); err != nil {
+		return err
+	}
+	if err := r.app.RecordError(s.From, s.Tick, math.Abs(appEst-s.RTT)/s.RTT); err != nil {
+		return err
+	}
 
 	// Filter the raw observation; a warming-up filter withholds the
 	// Vivaldi update entirely.
 	filtered, ok := src.bank.Observe(s.To, s.RTT)
 	if !ok {
-		return
+		return nil
 	}
 
 	// Nearest-neighbor bookkeeping from the filtered estimate.
@@ -340,16 +322,16 @@ func (r *Runner) compute(s trace.Sample, res *stepResult) {
 	src.prevSys.CopyFrom(src.viv.CoordinateRef())
 	if err := src.viv.UpdateWithSeparation(filtered, dst.pubSys, dst.pubErr, sep); err != nil {
 		//nc:allow(hotpath) update-failure return: cold by definition
-		res.err = fmt.Errorf("sim: vivaldi update: %w", err)
-		return
+		return fmt.Errorf("sim: vivaldi update: %w", err)
 	}
 	moved, err := src.viv.CoordinateRef().DisplacementFrom(src.prevSys)
 	if err != nil {
-		res.err = err
-		return
+		return err
 	}
-	res.sysMoved = moved
-	res.stage = stageSysMove
+	if err := r.sys.RecordMovement(s.From, s.Tick, moved, moved > 0); err != nil {
+		return err
+	}
+	r.markDirty(s.From)
 
 	src.prevApp.CopyFrom(src.policy.AppRef())
 	newApp, changed, err := src.policy.Observe(heuristic.Observation{
@@ -359,76 +341,28 @@ func (r *Runner) compute(s trace.Sample, res *stepResult) {
 	})
 	if err != nil {
 		//nc:allow(hotpath) policy-failure return: cold by definition
-		res.err = fmt.Errorf("sim: policy: %w", err)
-		return
+		return fmt.Errorf("sim: policy: %w", err)
 	}
 	appMoved, err := newApp.DisplacementFrom(src.prevApp)
 	if err != nil {
-		res.err = err
-		return
-	}
-	res.appMoved = appMoved
-	res.appChanged = changed
-	res.stage = stageAppMove
-}
-
-// record folds one computed sample into the metric collectors, applying
-// exactly the groups the step reached, in the same order the sequential
-// engine always has.
-func (r *Runner) record(s trace.Sample, res *stepResult) error {
-	if res.stage >= stageErrors {
-		if err := r.sys.RecordError(s.From, s.Tick, res.sysRelErr); err != nil {
-			return err
-		}
-		if err := r.app.RecordError(s.From, s.Tick, res.appRelErr); err != nil {
-			return err
-		}
-	}
-	if res.stage >= stageSysMove {
-		if err := r.sys.RecordMovement(s.From, s.Tick, res.sysMoved, res.sysMoved > 0); err != nil {
-			return err
-		}
-		r.markDirty(s.From)
-	}
-	if res.stage >= stageAppMove {
-		if err := r.app.RecordMovement(s.From, s.Tick, res.appMoved, res.appChanged); err != nil {
-			return err
-		}
-	}
-	return res.err
-}
-
-// Step processes one trace sample under tick-barrier semantics.
-//
-//nc:hotpath
-func (r *Runner) Step(s trace.Sample) error {
-	if err := r.check(s); err != nil {
 		return err
 	}
-	r.advanceTo(s.Tick)
-	r.count(s)
-	if s.Lost {
-		return nil
-	}
-	var res stepResult
-	r.compute(s, &res)
-	return r.record(s, &res)
+	return r.app.RecordMovement(s.From, s.Tick, appMoved, changed)
 }
 
-// Run drains a trace source through the runner, resolving
-// Config.Parallelism (0 = GOMAXPROCS) to choose between the sequential
-// loop and the parallel tick-barrier engine. Both paths produce
-// bit-identical results. After an error the runner's state is undefined
-// and the run must be discarded.
+// Run drains a trace source through the runner, one Step per sample.
+// After an error the runner's state is undefined and the run must be
+// discarded.
 func (r *Runner) Run(src trace.Source) error {
-	workers := r.cfg.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	for {
+		s, ok := src.Next()
+		if !ok {
+			return nil
+		}
+		if err := r.Step(s); err != nil {
+			return err
+		}
 	}
-	if workers > 1 {
-		return r.runParallel(src, workers)
-	}
-	return r.runSequential(src)
 }
 
 // Sys returns the system-level metrics collector.

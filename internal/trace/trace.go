@@ -109,34 +109,12 @@ type Generator struct {
 	joinTick  []uint64
 	tick      uint64
 	node      int
-
-	// Shard filter: when shardMod > 1, Next yields only samples whose
-	// From node satisfies From % shardMod == shardRem. The filter is
-	// applied before any per-node state is touched, and a node's cursor
-	// advances only when that node itself fires, so the union of the
-	// shards' streams is exactly the unsharded stream — the property
-	// the simulator's in-worker synthesis relies on.
-	shardRem int
-	shardMod int
 }
 
 // NewGenerator builds a generator over the given network.
 func NewGenerator(net *netsim.Network, cfg GeneratorConfig) (*Generator, error) {
-	return NewGeneratorShard(net, cfg, 0, 1)
-}
-
-// NewGeneratorShard builds a generator restricted to the nodes with
-// index ≡ rem (mod shards). Each shard synthesizes exactly the samples
-// its nodes would produce in the full trace — per-node round-robin
-// cursors, join times, and neighbor sets are bit-identical to the
-// unsharded generator's — so `shards` generators running concurrently
-// partition the full trace by From with no coordination.
-func NewGeneratorShard(net *netsim.Network, cfg GeneratorConfig, rem, shards int) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if shards < 1 || rem < 0 || rem >= shards {
-		return nil, fmt.Errorf("trace: shard %d of %d, want 0 <= rem < shards", rem, shards)
 	}
 	n := net.Nodes()
 	if n < 2 {
@@ -148,8 +126,6 @@ func NewGeneratorShard(net *netsim.Network, cfg GeneratorConfig, rem, shards int
 		neighbors: make([][]int, n),
 		cursor:    make([]int, n),
 		joinTick:  make([]uint64, n),
-		shardRem:  rem,
-		shardMod:  shards,
 	}
 	for i := 0; i < n; i++ {
 		g.neighbors[i] = buildNeighborSet(i, n, cfg.NeighborCount, cfg.Seed)
@@ -195,9 +171,6 @@ func (g *Generator) Next() (Sample, bool) {
 		for g.node < g.net.Nodes() {
 			i := g.node
 			g.node++
-			if g.shardMod > 1 && i%g.shardMod != g.shardRem {
-				continue
-			}
 			if g.tick%g.cfg.IntervalTicks != uint64(i)%g.cfg.IntervalTicks {
 				continue
 			}

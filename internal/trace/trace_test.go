@@ -450,78 +450,3 @@ func TestGeneratorNoChurnAllJoinAtZero(t *testing.T) {
 		}
 	}
 }
-
-// TestGeneratorShardPartitionsTrace pins the property the simulator's
-// in-worker synthesis relies on: the shards' streams, merged back in
-// (tick, node) order, are exactly the unsharded stream — same samples,
-// same per-node round-robin cursors, nothing duplicated or dropped.
-func TestGeneratorShardPartitionsTrace(t *testing.T) {
-	for _, tc := range []struct {
-		nodes     int
-		shards    int
-		interval  uint64
-		neighbors int
-		join      uint64
-	}{
-		{nodes: 11, shards: 3, interval: 1},
-		{nodes: 16, shards: 4, interval: 5, neighbors: 4},
-		{nodes: 9, shards: 5, interval: 2, join: 30},
-	} {
-		cfg := GeneratorConfig{
-			IntervalTicks:   tc.interval,
-			DurationTicks:   60,
-			NeighborCount:   tc.neighbors,
-			JoinSpreadTicks: tc.join,
-			Seed:            7,
-		}
-		net := testNetwork(t, tc.nodes)
-		whole, err := NewGenerator(net, cfg)
-		if err != nil {
-			t.Fatalf("NewGenerator: %v", err)
-		}
-		want := Collect(whole, 0)
-
-		// Drain every shard, then merge by scanning (tick, node) in the
-		// whole trace's order: within a tick each node fires at most
-		// once, so position is determined by (Tick, From).
-		byNode := make(map[int][]Sample)
-		total := 0
-		for rem := 0; rem < tc.shards; rem++ {
-			g, err := NewGeneratorShard(net, cfg, rem, tc.shards)
-			if err != nil {
-				t.Fatalf("NewGeneratorShard(%d, %d): %v", rem, tc.shards, err)
-			}
-			for _, s := range Collect(g, 0) {
-				if s.From%tc.shards != rem {
-					t.Fatalf("shard %d emitted sample from node %d", rem, s.From)
-				}
-				byNode[s.From] = append(byNode[s.From], s)
-				total++
-			}
-		}
-		if total != len(want) {
-			t.Fatalf("shards emitted %d samples, whole trace has %d", total, len(want))
-		}
-		cursor := make(map[int]int)
-		for i, w := range want {
-			shard := byNode[w.From]
-			if cursor[w.From] >= len(shard) {
-				t.Fatalf("sample %d: shard stream for node %d exhausted early", i, w.From)
-			}
-			got := shard[cursor[w.From]]
-			cursor[w.From]++
-			if got != w {
-				t.Fatalf("sample %d: shard produced %+v, whole trace %+v", i, got, w)
-			}
-		}
-	}
-
-	// Invalid shard specs are rejected.
-	net := testNetwork(t, 4)
-	cfg := GeneratorConfig{IntervalTicks: 1, DurationTicks: 1}
-	for _, bad := range [][2]int{{-1, 2}, {2, 2}, {0, 0}} {
-		if _, err := NewGeneratorShard(net, cfg, bad[0], bad[1]); err == nil {
-			t.Fatalf("NewGeneratorShard(%d, %d) succeeded", bad[0], bad[1])
-		}
-	}
-}

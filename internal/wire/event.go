@@ -88,6 +88,17 @@ type Event struct {
 	frame []byte
 }
 
+// Tombstone records that an id was removed (or evicted) at a
+// change-stream sequence. The feed remembers a ring of them and
+// snapshots persist it, so removal knowledge — what delta re-bootstraps
+// depend on — survives a restart or a promotion.
+type Tombstone struct {
+	// Seq is the sequence of the removal.
+	Seq uint64
+	// ID is the removed id.
+	ID string
+}
+
 // opName is an op's name in JSON bodies.
 func opName(op byte) string {
 	switch op {

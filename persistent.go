@@ -168,11 +168,7 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	feed := changefeed.New(streamBuf, rec.LastSeq)
 	feed.SetEpoch(rec.LastEpoch)
 	if floor, tombs := store.RecoveredTombstones(); len(tombs) > 0 || floor > 0 {
-		seed := make([]changefeed.Tombstone, len(tombs))
-		for i, t := range tombs {
-			seed[i] = changefeed.Tombstone{Seq: t.Seq, ID: t.ID}
-		}
-		feed.SeedTombstones(floor, seed)
+		feed.SeedTombstones(floor, tombs)
 	}
 	feed.Tap(func(ev changefeed.Event) { store.Append(ev.Frame()) })
 	reg.installFeed(feed)
@@ -255,12 +251,7 @@ func (p *PersistentRegistry) compactAs(reason string) error {
 			Epoch: p.Registry.ChangeEpoch(),
 		}
 		if feed := p.Registry.getFeed(); feed != nil {
-			floor, tombs := feed.Tombstones()
-			c.TombstoneFloor = floor
-			c.Tombstones = make([]persist.Tombstone, len(tombs))
-			for i, t := range tombs {
-				c.Tombstones[i] = persist.Tombstone{Seq: t.Seq, ID: t.ID}
-			}
+			c.TombstoneFloor, c.Tombstones = feed.Tombstones()
 		}
 		c.Entries = p.Registry.Snapshot()
 		return c, nil

@@ -3,12 +3,10 @@ package netcoord
 import (
 	"fmt"
 
-	"netcoord/internal/filter"
 	"netcoord/internal/heuristic"
 	"netcoord/internal/netsim"
 	"netcoord/internal/sim"
 	"netcoord/internal/trace"
-	"netcoord/internal/vivaldi"
 )
 
 // SimulationConfig describes a synthetic what-if run: N nodes on a
@@ -24,8 +22,8 @@ type SimulationConfig struct {
 	Seconds int
 	// SampleEverySeconds is the per-node observation period (0 = 1).
 	SampleEverySeconds int
-	// Client configures every node's coordinate pipeline; zero value
-	// means DefaultConfig.
+	// Client configures every node's coordinate pipeline; zero fields
+	// take DefaultConfig's values.
 	Client Config
 	// Seed fixes the synthetic network and all randomness; runs with the
 	// same config are bit-identical.
@@ -33,11 +31,10 @@ type SimulationConfig struct {
 	// Churn spreads node joins over the first three quarters of the run
 	// instead of starting everyone at once.
 	Churn bool
-	// Parallelism is the number of worker goroutines replaying the
-	// trace: 0 uses runtime.GOMAXPROCS(0), 1 forces the sequential
-	// engine, higher values pick an explicit worker count. The result is
-	// bit-identical for every setting — the simulator's tick-barrier
-	// design makes parallelism purely a wall-clock knob.
+	// Parallelism is ignored: every run is sequential.
+	//
+	// Deprecated: the field stays only because bench/ncload still sets
+	// it; it goes when a benchmark issue stops doing so.
 	Parallelism int
 }
 
@@ -78,11 +75,7 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 	if cfg.SampleEverySeconds <= 0 {
 		cfg.SampleEverySeconds = 1
 	}
-	clientCfg := cfg.Client
-	if clientCfg.Dimension == 0 && clientCfg.Policy == 0 {
-		clientCfg = DefaultConfig()
-	}
-	resolved, vcfg, err := resolve(clientCfg)
+	resolved, vcfg, err := resolve(cfg.Client)
 	if err != nil {
 		return SimulationResult{}, err
 	}
@@ -108,24 +101,23 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 	if cfg.Churn {
 		genCfg.JoinSpreadTicks = uint64(cfg.Seconds) * 3 / 4
 	}
+	gen, err := trace.NewGenerator(net, genCfg)
+	if err != nil {
+		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
+	}
 	vcfg.Seed = cfg.Seed + 2
 	runner, err := sim.NewRunner(sim.Config{
 		Nodes:                  cfg.Nodes,
-		Vivaldi:                vivaldiConfigFor(vcfg),
-		Filter:                 filterFactoryFor(factory),
+		Vivaldi:                vcfg,
+		Filter:                 factory,
 		Policy:                 policyFactory,
-		Parallelism:            cfg.Parallelism, // 0 = GOMAXPROCS, resolved by Run
 		ExpectedTicks:          uint64(cfg.Seconds),
 		ExpectedSamplesPerNode: cfg.Seconds/cfg.SampleEverySeconds + 1,
 	})
 	if err != nil {
 		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
 	}
-	// In-worker synthesis: each simulator worker generates its own
-	// nodes' samples, so trace synthesis parallelizes with the compute
-	// instead of bottlenecking on one prefetch goroutine. Results stay
-	// bit-identical to the sequential engine for every Parallelism.
-	if err := runner.RunGenerated(net, genCfg); err != nil {
+	if err := runner.Run(gen); err != nil {
 		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
 	}
 
@@ -154,10 +146,3 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 		},
 	}, nil
 }
-
-// vivaldiConfigFor and filterFactoryFor exist to keep Simulate readable;
-// they are identity adapters today but give the facade a seam if the
-// internal types diverge from the public Config.
-func vivaldiConfigFor(v vivaldi.Config) vivaldi.Config { return v }
-
-func filterFactoryFor(f filter.Factory) filter.Factory { return f }

@@ -1,15 +1,12 @@
 // Simulation-engine benchmarks: the repo's perf trajectory for the hot
 // reproduction loop. BenchmarkStep is the allocation gate (0 allocs/op
 // at steady state, enforced by CI and by TestStepSteadyStateZeroAllocs);
-// BenchmarkSimulateN256 / BenchmarkSimulateN1024 measure end-to-end
-// wall-clock of the parallel tick-barrier engine, with
-// BenchmarkSimulateN1024Sequential as the single-threaded oracle
-// baseline the speedup is computed against. Parallel and sequential runs
-// are bit-identical by construction, so the ratio is pure wall-clock.
+// BenchmarkSimulateN256 / BenchmarkSimulateN1024 measure the public
+// facade end to end — one run is one goroutine, so they read the same at
+// every -cpu.
 package netcoord
 
 import (
-	"runtime"
 	"testing"
 
 	"netcoord/internal/filter"
@@ -89,15 +86,14 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // benchSimulate runs the public facade end to end at the given scale.
-func benchSimulate(b *testing.B, nodes, seconds, parallelism int) {
+func benchSimulate(b *testing.B, nodes, seconds int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := Simulate(SimulationConfig{
-			Nodes:       nodes,
-			Seconds:     seconds,
-			Seed:        20050502,
-			Parallelism: parallelism,
+			Nodes:   nodes,
+			Seconds: seconds,
+			Seed:    20050502,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -110,13 +106,9 @@ func benchSimulate(b *testing.B, nodes, seconds, parallelism int) {
 }
 
 func BenchmarkSimulateN256(b *testing.B) {
-	benchSimulate(b, 256, 90, runtime.GOMAXPROCS(0))
+	benchSimulate(b, 256, 90)
 }
 
 func BenchmarkSimulateN1024(b *testing.B) {
-	benchSimulate(b, 1024, 90, runtime.GOMAXPROCS(0))
-}
-
-func BenchmarkSimulateN1024Sequential(b *testing.B) {
-	benchSimulate(b, 1024, 90, 1)
+	benchSimulate(b, 1024, 90)
 }

@@ -97,24 +97,44 @@ func TestSimulateWithChurn(t *testing.T) {
 	}
 }
 
-func TestSimulateParallelismBitIdentical(t *testing.T) {
-	// The public facade's guarantee: Parallelism is purely a wall-clock
-	// knob. Sequential and parallel runs of the same configuration must
-	// produce the same SimulationResult, field for field.
-	for _, churn := range []bool{false, true} {
-		base := SimulationConfig{Nodes: 24, Seconds: 300, Seed: 9, Churn: churn, Parallelism: 1}
-		seq, err := Simulate(base)
+// TestSimulateSparseClientConfig pins that a Client naming only the
+// fields it changes means "DefaultConfig, except these", for every
+// field — not the whole default pipeline whenever Dimension and Policy
+// happen to be unset.
+func TestSimulateSparseClientConfig(t *testing.T) {
+	base := SimulationConfig{Nodes: 16, Seconds: 300, Seed: 9}
+	def, err := Simulate(base)
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	explicit := base
+	explicit.Client = DefaultConfig()
+	if got, err := Simulate(explicit); err != nil || got != def {
+		t.Fatalf("zero Client = %+v, DefaultConfig() = %+v (err %v)", def, got, err)
+	}
+	for name, set := range map[string]func(*Config){
+		"DisableFilter": func(c *Config) { c.DisableFilter = true },
+		"WindowSize":    func(c *Config) { c.WindowSize = 8 },
+		"ErrorMargin":   func(c *Config) { c.ErrorMargin = 5 },
+		"FilterHistory": func(c *Config) { c.FilterHistory = 16 },
+	} {
+		sparse, full := base, base
+		set(&sparse.Client)
+		full.Client = DefaultConfig()
+		set(&full.Client)
+		got, err := Simulate(sparse)
 		if err != nil {
-			t.Fatalf("sequential Simulate: %v", err)
+			t.Fatalf("%s: sparse Simulate: %v", name, err)
 		}
-		par := base
-		par.Parallelism = 6
-		got, err := Simulate(par)
+		want, err := Simulate(full)
 		if err != nil {
-			t.Fatalf("parallel Simulate: %v", err)
+			t.Fatalf("%s: full Simulate: %v", name, err)
 		}
-		if seq != got {
-			t.Fatalf("churn=%v: parallel result diverged:\nseq: %+v\npar: %+v", churn, seq, got)
+		if got != want {
+			t.Fatalf("%s: sparse Client ran %+v, DefaultConfig()+override ran %+v", name, got, want)
+		}
+		if got == def {
+			t.Fatalf("%s: override had no effect on the run", name)
 		}
 	}
 }
