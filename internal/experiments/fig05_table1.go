@@ -148,10 +148,8 @@ func fig05Histograms(scale Scale) (raw, filtered *stats.Histogram, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	banks := make([]*filter.Bank[int], scale.Nodes)
-	for i := range banks {
-		banks[i] = filter.NewBank[int](mpFactory, 0)
-	}
+	// Filter output alone, no coordinates: one MP filter per directed link.
+	links := make(map[[2]int]filter.Filter)
 	for {
 		s, ok := gen.Next()
 		if !ok {
@@ -161,7 +159,11 @@ func fig05Histograms(scale Scale) (raw, filtered *stats.Histogram, err error) {
 			continue
 		}
 		raw.Observe(s.RTT)
-		if est, ok := banks[s.From].Observe(s.To, s.RTT); ok {
+		link := [2]int{s.From, s.To}
+		if links[link] == nil {
+			links[link] = mpFactory()
+		}
+		if est, ok := links[link].Observe(s.RTT); ok {
 			filtered.Observe(est)
 		}
 	}

@@ -2,13 +2,15 @@
 // deployable counterpart of the simulator, equivalent to the
 // implementation the paper ran on 270 PlanetLab nodes (Section VI).
 //
-// A Node owns a UDP transport peer, a per-link filter bank, a Vivaldi
-// endpoint, and an application-update policy. A background sampler pings
-// one neighbor at a time in round-robin order on a fixed interval —
-// matching the paper's five-second PlanetLab cadence — and each pong
-// drives the filter -> Vivaldi -> policy pipeline. Neighbor discovery is
-// by gossip: every message carries one neighbor address, and ping sources
-// are learned passively.
+// A Node owns a UDP transport peer, a gossip-grown neighbor set and one
+// endpoint.Endpoint keyed by address — the same observation pipeline the
+// simulator and netcoord.Client run, so nothing about filtering, Vivaldi
+// or the application-update policy is written here. A background sampler
+// pings one neighbor at a time in round-robin order on a fixed interval —
+// matching the paper's five-second PlanetLab cadence — and hands each
+// pong to Endpoint.Observe. Neighbor discovery is by gossip: every
+// message carries one neighbor address, and ping sources are learned
+// passively.
 //
 // Lifecycle follows the project's goroutine hygiene rules: Start spawns
 // the sampler, Stop cancels and joins it; the transport read loop is
@@ -19,11 +21,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"netcoord/internal/coord"
+	"netcoord/internal/endpoint"
 	"netcoord/internal/filter"
 	"netcoord/internal/heuristic"
 	"netcoord/internal/transport"
@@ -85,16 +87,10 @@ type Node struct {
 	peer *transport.Peer
 
 	mu          sync.Mutex
-	viv         *vivaldi.Node
-	bank        *filter.Bank[string]
-	policy      heuristic.Policy
+	ep          *endpoint.Endpoint[string]
 	neighbors   []string
 	neighborSet map[string]bool
 	cursor      int
-	nnAddr      string
-	nnDist      float64
-	nnCoord     coord.Coordinate
-	hasNN       bool
 	samples     uint64
 	failures    uint64
 
@@ -116,10 +112,6 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Vivaldi.Dimension == 0 {
 		cfg.Vivaldi = vivaldi.DefaultConfig()
 	}
-	viv, err := vivaldi.New(cfg.Vivaldi)
-	if err != nil {
-		return nil, fmt.Errorf("node: %w", err)
-	}
 	factory := cfg.Filter
 	if factory == nil {
 		factory = func() filter.Filter {
@@ -132,19 +124,21 @@ func Start(cfg Config) (*Node, error) {
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		policy, err = heuristic.NewEnergy(cfg.Vivaldi.Dimension, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
+		energy, err := heuristic.NewEnergy(cfg.Vivaldi.Dimension, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
 		if err != nil {
 			return nil, fmt.Errorf("node: %w", err)
 		}
+		policy = energy
+	}
+	ep, err := endpoint.New[string](cfg.Vivaldi, factory, policy, cfg.MaxNeighbors)
+	if err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
 
 	n := &Node{
 		cfg:         cfg,
-		viv:         viv,
-		bank:        filter.NewBank[string](factory, cfg.MaxNeighbors),
-		policy:      policy,
+		ep:          ep,
 		neighborSet: make(map[string]bool),
-		nnDist:      math.Inf(1),
 	}
 	for _, s := range cfg.Seeds {
 		n.addNeighborLocked(s)
@@ -190,28 +184,28 @@ func (n *Node) Addr() string { return n.peer.Addr() }
 func (n *Node) Coordinate() coord.Coordinate {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.viv.Coordinate()
+	return n.ep.Sys().Clone()
 }
 
 // AppCoordinate returns the current application-level coordinate.
 func (n *Node) AppCoordinate() coord.Coordinate {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.policy.App()
+	return n.ep.App().Clone()
 }
 
 // Confidence returns 1 - w (the paper's Figure 6 quantity).
 func (n *Node) Confidence() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.viv.Confidence()
+	return 1 - n.ep.Error()
 }
 
 // EstimateRTT predicts the RTT in milliseconds to a remote coordinate.
 func (n *Node) EstimateRTT(remote coord.Coordinate) (float64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.viv.EstimateRTT(remote)
+	return n.ep.Sys().DistanceTo(remote)
 }
 
 // Neighbors returns a snapshot of the neighbor set.
@@ -230,7 +224,9 @@ func (n *Node) Samples() uint64 {
 	return n.samples
 }
 
-// Failures reports the number of pings that timed out or failed.
+// Failures reports the number of pings that timed out or failed, plus
+// the pongs the observation pipeline refused (a wrong-dimension or
+// non-finite remote coordinate, an invalid RTT).
 func (n *Node) Failures() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -243,8 +239,8 @@ func (n *Node) transportState() transport.State {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := transport.State{
-		Coord: n.viv.Coordinate(),
-		Error: n.viv.Error(),
+		Coord: n.ep.Sys().Clone(),
+		Error: n.ep.Error(),
 	}
 	if len(n.neighbors) > 0 {
 		st.Gossip = n.neighbors[int(n.samples)%len(n.neighbors)]
@@ -317,67 +313,42 @@ func (n *Node) sampleLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			n.sampleOnce(ctx)
+			// A failed or refused sample is counted in Failures and an
+			// empty neighbor set just waits for gossip; neither stops
+			// the loop.
+			_ = n.SampleNow(ctx)
 		}
 	}
 }
 
-// sampleOnce performs one ping and applies the observation pipeline.
-func (n *Node) sampleOnce(ctx context.Context) {
-	n.mu.Lock()
-	target := n.nextNeighborLocked()
-	n.mu.Unlock()
-	if target == "" {
-		return
-	}
-	res, err := n.peer.Ping(ctx, target, n.cfg.PingTimeout)
-	if err != nil {
-		n.mu.Lock()
-		n.failures++
-		n.mu.Unlock()
-		return
-	}
-	n.applyObservation(target, res)
-}
-
-// applyObservation runs filter -> Vivaldi -> policy for one pong.
+// applyObservation hands one pong to the endpoint. A pong the pipeline
+// refuses — a hostile or mismatched peer — counts as a failure and
+// changes nothing, its gossip included.
 func (n *Node) applyObservation(target string, res transport.PingResult) {
 	rttMS := float64(res.RTT) / float64(time.Millisecond)
 	if rttMS <= 0 {
 		rttMS = 0.01 // clock granularity floor: loopback pings can
 		// complete inside one timer tick
 	}
-	if err := res.Coord.Validate(n.cfg.Vivaldi.Dimension); err != nil {
-		return // hostile or mismatched peer: ignore
-	}
 
-	var notify *Update
 	n.mu.Lock()
+	obs, err := n.ep.Observe(target, rttMS, res.Coord, res.Error)
+	if err != nil {
+		n.failures++
+		n.mu.Unlock()
+		return
+	}
 	if res.Gossip != "" {
 		n.addNeighborLocked(res.Gossip)
 	}
-	filtered, ok := n.bank.Observe(target, rttMS)
-	if ok {
-		if filtered < n.nnDist || target == n.nnAddr {
-			n.nnAddr = target
-			n.nnDist = filtered
-			n.nnCoord = res.Coord
-			n.hasNN = true
-		}
-		newSys, err := n.viv.Update(filtered, res.Coord, res.Error)
-		if err == nil {
-			n.samples++
-			app, changed, perr := n.policy.Observe(heuristic.Observation{
-				Sys:         newSys,
-				Neighbor:    n.nnCoord,
-				HasNeighbor: n.hasNN,
-			})
-			if perr == nil && changed && n.cfg.Updates != nil {
-				// app is a view of the policy's internal buffer (valid
-				// only until the next Observe); the published update
-				// needs its own copy.
-				notify = &Update{Coord: app.Clone(), At: time.Now(), Error: n.viv.Error()}
-			}
+	var notify *Update
+	if obs.Released {
+		n.samples++
+		if obs.AppChanged && n.cfg.Updates != nil {
+			// App is a view of the policy's internal buffer (valid only
+			// until the next Observe); the published update needs its
+			// own copy.
+			notify = &Update{Coord: n.ep.App().Clone(), At: time.Now(), Error: n.ep.Error()}
 		}
 	}
 	n.mu.Unlock()
@@ -396,8 +367,9 @@ func (n *Node) applyObservation(target string, res transport.PingResult) {
 // ErrNoNeighbors is reported by SampleNow when there is nobody to ping.
 var ErrNoNeighbors = errors.New("node: no neighbors")
 
-// SampleNow performs one synchronous sample, for tests and
-// fast-convergence bootstraps.
+// SampleNow performs one synchronous sample — what the background
+// sampler does every interval; call it directly for fast-convergence
+// bootstraps and tests.
 func (n *Node) SampleNow(ctx context.Context) error {
 	n.mu.Lock()
 	target := n.nextNeighborLocked()

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"netcoord/internal/coord"
 	"netcoord/internal/filter"
+	"netcoord/internal/transport"
 	"netcoord/internal/vivaldi"
 )
 
@@ -279,5 +281,52 @@ func TestSelfSeedPurged(t *testing.T) {
 	}
 	if len(n.Neighbors()) != 1 {
 		t.Fatalf("neighbors = %v, want only the other seed", n.Neighbors())
+	}
+}
+
+func TestRefusedObservationCountsAsFailure(t *testing.T) {
+	// A pong the pipeline refuses used to vanish: applyObservation
+	// returned silently and no counter moved. It is a failure, and it
+	// changes nothing — the hostile peer's gossip included.
+	n := startNode(t, nil, func(c *Config) { c.SampleInterval = time.Hour })
+	good := coord.Origin(3)
+	good.Vec[0] = 40
+	// Two clean pongs take the link through the MP filter's warm-up, so
+	// the node has a non-origin coordinate to lose.
+	for i := 0; i < 2; i++ {
+		n.applyObservation("10.0.0.1:1", transport.PingResult{RTT: 40 * time.Millisecond, Coord: good, Error: 0.5})
+	}
+	if n.Samples() != 1 || n.Failures() != 0 {
+		t.Fatalf("after clean pongs: samples %d failures %d, want 1 and 0", n.Samples(), n.Failures())
+	}
+	before := n.Coordinate()
+
+	nan := coord.Origin(3)
+	nan.Vec[1] = math.NaN()
+	buried := coord.Origin(3)
+	buried.Height = -1
+	hostile := map[string]coord.Coordinate{
+		"wrong dimension": coord.Origin(2),
+		"NaN component":   nan,
+		"negative height": buried,
+	}
+	var want uint64
+	for name, c := range hostile {
+		n.applyObservation("10.0.0.1:1", transport.PingResult{
+			RTT: 40 * time.Millisecond, Coord: c, Error: 0.5, Gossip: "10.6.6.6:6",
+		})
+		want++
+		if got := n.Failures(); got != want {
+			t.Errorf("%s: Failures = %d, want %d", name, got, want)
+		}
+		if got := n.Coordinate(); !got.Equal(before) {
+			t.Errorf("%s: coordinate moved %v -> %v", name, before, got)
+		}
+	}
+	if n.Samples() != 1 {
+		t.Errorf("Samples = %d after refused pongs, want 1", n.Samples())
+	}
+	if got := n.Neighbors(); len(got) != 0 {
+		t.Errorf("refused pong's gossip was learned: %v", got)
 	}
 }

@@ -4,12 +4,13 @@
 // our raw ping trace as input and mimicked the distributed behavior of
 // Vivaldi").
 //
-// A Runner hosts one Vivaldi endpoint per node, each with its own
-// per-link filter bank and application-update policy, and replays a
-// trace.Source through them. For every observation the runner measures —
-// before applying the update, as the paper does — the system-level and
-// application-level relative error against the raw observed latency, then
-// applies the filter, the Vivaldi update, and the policy, recording
+// A Runner hosts one endpoint.Endpoint per node — the observation
+// pipeline (filter, nearest neighbor, Vivaldi, application-update policy)
+// that the live node and netcoord.Client also run — and replays a
+// trace.Source through them. What is the simulator's own is the
+// tick-start snapshot remotes are read from and the metrics: for every
+// observation it records the system- and application-level relative
+// error as predicted before the update, as the paper does, and the
 // coordinate displacement at both levels.
 //
 // # Tick-barrier semantics
@@ -41,11 +42,10 @@
 //
 // # Allocation discipline
 //
-// A steady-state Step performs zero heap allocations: all coordinate
-// arithmetic goes through the in-place vec/coord/vivaldi variants, the
-// policies and window pairs maintain preallocated buffers, and metric
-// storage can be pre-sized with the Expected* hints. This is what turns
-// the reproduction loop from GC-bound into CPU-bound.
+// A steady-state Step performs zero heap allocations: Endpoint.Observe
+// allocates nothing, and metric storage can be pre-sized with the
+// Expected* hints. This is what turns the reproduction loop from GC-bound
+// into CPU-bound.
 package sim
 
 import (
@@ -54,6 +54,7 @@ import (
 	"math"
 
 	"netcoord/internal/coord"
+	"netcoord/internal/endpoint"
 	"netcoord/internal/filter"
 	"netcoord/internal/heuristic"
 	"netcoord/internal/metrics"
@@ -99,47 +100,28 @@ type Runner struct {
 
 	samples uint64
 	lost    uint64
-	last    uint64
 
-	// cur is the tick whose snapshot is currently published; dirty lists
-	// the nodes that must republish at the next tick boundary.
+	// cur is the latest tick seen, whose snapshot is the one published;
+	// dirty lists the nodes that must republish at the next tick boundary.
 	cur     uint64
 	dirty   []int
 	isDirty []bool
 }
 
-// nodeState is one simulated host.
+// nodeState is one simulated host: its observation pipeline and the
+// tick-start snapshot remote peers observe until the next tick boundary.
+// Only the runner's publish step writes the snapshot.
 type nodeState struct {
-	viv    *vivaldi.Node
-	bank   *filter.Bank[int]
-	policy heuristic.Policy
-
-	// Nearest-neighbor tracking for the RELATIVE policy: the paper's
-	// nodes learn an approximate nearest neighbor from the latency
-	// samples themselves.
-	nnID    int
-	nnDist  float64
-	nnCoord coord.Coordinate
-	hasNN   bool
-
-	// Published tick-start snapshot: what remote peers observe until the
-	// next tick boundary. Only the runner's publish step writes these.
+	ep     *endpoint.Endpoint[int]
 	pubSys coord.Coordinate
 	pubErr float64
 	pubApp coord.Coordinate
-
-	// Scratch buffers for displacement measurement, reused every step.
-	prevSys coord.Coordinate
-	prevApp coord.Coordinate
 }
 
 // NewRunner builds a runner.
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("sim: %d nodes, want >= 2", cfg.Nodes)
-	}
-	if err := cfg.Vivaldi.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
 	}
 	sys, err := metrics.NewCollector(cfg.Nodes)
 	if err != nil {
@@ -160,48 +142,27 @@ func NewRunner(cfg Config) (*Runner, error) {
 		dirty:   make([]int, 0, cfg.Nodes),
 		isDirty: make([]bool, cfg.Nodes),
 	}
-	dim := cfg.Vivaldi.Dimension
 	for i := 0; i < cfg.Nodes; i++ {
 		vcfg := cfg.Vivaldi
 		vcfg.Seed = xrand.Hash64(cfg.Vivaldi.Seed, uint64(i))
-		viv, err := vivaldi.New(vcfg)
+		var policy heuristic.Policy
+		if cfg.Policy != nil {
+			if policy, err = cfg.Policy(vcfg.Dimension); err != nil {
+				return nil, fmt.Errorf("sim node %d policy: %w", i, err)
+			}
+		}
+		ep, err := endpoint.New[int](vcfg, cfg.Filter, policy, 0)
 		if err != nil {
 			return nil, fmt.Errorf("sim node %d: %w", i, err)
 		}
-		factory := cfg.Filter
-		if factory == nil {
-			factory = func() filter.Filter { return filter.NewNone() }
-		}
-		var policy heuristic.Policy
-		if cfg.Policy != nil {
-			policy, err = cfg.Policy(vcfg.Dimension)
-		} else {
-			policy, err = heuristic.NewDirect(vcfg.Dimension)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim node %d policy: %w", i, err)
-		}
-		// Validate the policy's dimension once here, so the per-sample
-		// path can rely on compatible dimensions without re-deriving
-		// (and allocating) mismatch diagnostics.
-		if got := policy.AppRef().Dim(); got != dim {
-			return nil, fmt.Errorf("sim node %d policy: dimension %d, want %d", i, got, dim)
-		}
-		n := &nodeState{
-			viv:     viv,
-			bank:    filter.NewBank[int](factory, 0),
-			policy:  policy,
-			nnDist:  math.Inf(1),
-			nnCoord: coord.Origin(dim),
-			prevSys: coord.Origin(dim),
-			prevApp: coord.Origin(dim),
-		}
 		// Initial snapshot: every node publishes its starting state
 		// before the first tick.
-		n.pubSys = viv.Coordinate()
-		n.pubErr = viv.Error()
-		n.pubApp = policy.App()
-		r.nodes[i] = n
+		r.nodes[i] = &nodeState{
+			ep:     ep,
+			pubSys: ep.Sys().Clone(),
+			pubErr: ep.Error(),
+			pubApp: ep.App().Clone(),
+		}
 	}
 	return r, nil
 }
@@ -222,23 +183,14 @@ func (r *Runner) check(s trace.Sample) error {
 	return nil
 }
 
-// advanceTo publishes the tick-boundary snapshot when the trace moves to
-// a later tick. Earlier or equal ticks leave the snapshot untouched.
-func (r *Runner) advanceTo(tick uint64) {
-	if tick > r.cur {
-		r.publish()
-		r.cur = tick
-	}
-}
-
 // publish refreshes the published snapshot of every node updated since
 // the last boundary.
 func (r *Runner) publish() {
 	for _, i := range r.dirty {
 		n := r.nodes[i]
-		n.pubSys.CopyFrom(n.viv.CoordinateRef())
-		n.pubErr = n.viv.Error()
-		n.pubApp.CopyFrom(n.policy.AppRef())
+		n.pubSys.CopyFrom(n.ep.Sys())
+		n.pubErr = n.ep.Error()
+		n.pubApp.CopyFrom(n.ep.App())
 		r.isDirty[i] = false
 	}
 	r.dirty = r.dirty[:0]
@@ -252,102 +204,57 @@ func (r *Runner) markDirty(i int) {
 	}
 }
 
-// count folds a sample into the stream counters.
-func (r *Runner) count(s trace.Sample) {
-	if s.Tick > r.last {
-		r.last = s.Tick
-	}
-	r.samples++
-	if s.Lost {
-		r.lost++
-	}
-}
-
-// Step processes one trace sample under tick-barrier semantics: measure
-// both relative errors against the raw observation, then filter, update
-// and apply the policy, recording each metric group as soon as it is
-// known. It mutates only the sample's From node, reads remote state
-// exclusively from the tick-start snapshot, and performs zero heap
-// allocations on the success path.
+// Step processes one trace sample under tick-barrier semantics: hand the
+// raw observation to the From node's endpoint with the To node's
+// tick-start snapshot as the remote, then record what the endpoint
+// reports — both relative errors against the raw observation as predicted
+// before the update (paper Section II-A), and both displacements once the
+// filter releases. It mutates only the sample's From node and performs
+// zero heap allocations on the success path.
 //
 //nc:hotpath
 func (r *Runner) Step(s trace.Sample) error {
 	if err := r.check(s); err != nil {
 		return err
 	}
-	r.advanceTo(s.Tick)
-	r.count(s)
+	// A later tick publishes the tick-boundary snapshot first.
+	if s.Tick > r.cur {
+		r.publish()
+		r.cur = s.Tick
+	}
+	r.samples++
 	if s.Lost {
+		r.lost++
 		return nil
 	}
 	src := r.nodes[s.From]
 	dst := r.nodes[s.To]
 
-	// Measure prediction error of the current coordinates against the
-	// raw observation, before updating (paper Section II-A). The
-	// Euclidean separation is reused by the Vivaldi update below instead
-	// of being recomputed.
-	est, sep, err := src.viv.EstimateWithSeparation(dst.pubSys)
-	if err != nil {
-		//nc:allow(hotpath) estimate-failure return: cold by definition
-		return fmt.Errorf("sim: estimate: %w", err)
-	}
-	appEst, err := src.policy.AppRef().DistanceTo(dst.pubApp)
+	appEst, err := src.ep.App().DistanceTo(dst.pubApp)
 	if err != nil {
 		//nc:allow(hotpath) estimate-failure return: cold by definition
 		return fmt.Errorf("sim: app estimate: %w", err)
 	}
-	if err := r.sys.RecordError(s.From, s.Tick, math.Abs(est-s.RTT)/s.RTT); err != nil {
+	res, err := src.ep.Observe(s.To, s.RTT, dst.pubSys, dst.pubErr)
+	if err != nil {
+		//nc:allow(hotpath) refused-sample return: cold by definition
+		return fmt.Errorf("sim: observe: %w", err)
+	}
+	if err := r.sys.RecordError(s.From, s.Tick, math.Abs(res.Predicted-s.RTT)/s.RTT); err != nil {
 		return err
 	}
 	if err := r.app.RecordError(s.From, s.Tick, math.Abs(appEst-s.RTT)/s.RTT); err != nil {
 		return err
 	}
-
-	// Filter the raw observation; a warming-up filter withholds the
-	// Vivaldi update entirely.
-	filtered, ok := src.bank.Observe(s.To, s.RTT)
-	if !ok {
+	// A warming-up filter withholds the Vivaldi update entirely.
+	if !res.Released {
 		return nil
 	}
-
-	// Nearest-neighbor bookkeeping from the filtered estimate.
-	if filtered < src.nnDist || s.To == src.nnID {
-		src.nnID = s.To
-		src.nnDist = filtered
-		src.nnCoord.CopyFrom(dst.pubSys)
-		src.hasNN = true
-	}
-
-	src.prevSys.CopyFrom(src.viv.CoordinateRef())
-	if err := src.viv.UpdateWithSeparation(filtered, dst.pubSys, dst.pubErr, sep); err != nil {
-		//nc:allow(hotpath) update-failure return: cold by definition
-		return fmt.Errorf("sim: vivaldi update: %w", err)
-	}
-	moved, err := src.viv.CoordinateRef().DisplacementFrom(src.prevSys)
-	if err != nil {
-		return err
-	}
-	if err := r.sys.RecordMovement(s.From, s.Tick, moved, moved > 0); err != nil {
+	if err := r.sys.RecordMovement(s.From, s.Tick, res.SysMoved, res.SysMoved > 0); err != nil {
 		return err
 	}
 	r.markDirty(s.From)
-
-	src.prevApp.CopyFrom(src.policy.AppRef())
-	newApp, changed, err := src.policy.Observe(heuristic.Observation{
-		Sys:         src.viv.CoordinateRef(),
-		Neighbor:    src.nnCoord,
-		HasNeighbor: src.hasNN,
-	})
-	if err != nil {
-		//nc:allow(hotpath) policy-failure return: cold by definition
-		return fmt.Errorf("sim: policy: %w", err)
-	}
-	appMoved, err := newApp.DisplacementFrom(src.prevApp)
-	if err != nil {
-		return err
-	}
-	return r.app.RecordMovement(s.From, s.Tick, appMoved, changed)
+	return r.app.RecordMovement(s.From, s.Tick, res.AppMoved, res.AppChanged)
 }
 
 // Run drains a trace source through the runner, one Step per sample.
@@ -379,14 +286,14 @@ func (r *Runner) Samples() uint64 { return r.samples }
 func (r *Runner) Lost() uint64 { return r.lost }
 
 // LastTick reports the latest tick seen.
-func (r *Runner) LastTick() uint64 { return r.last }
+func (r *Runner) LastTick() uint64 { return r.cur }
 
 // Coordinate returns node i's current system-level coordinate.
 func (r *Runner) Coordinate(i int) (coord.Coordinate, error) {
 	if i < 0 || i >= len(r.nodes) {
 		return coord.Coordinate{}, fmt.Errorf("sim: node %d out of range", i)
 	}
-	return r.nodes[i].viv.Coordinate(), nil
+	return r.nodes[i].ep.Sys().Clone(), nil
 }
 
 // AppCoordinate returns node i's current application-level coordinate.
@@ -394,7 +301,7 @@ func (r *Runner) AppCoordinate(i int) (coord.Coordinate, error) {
 	if i < 0 || i >= len(r.nodes) {
 		return coord.Coordinate{}, fmt.Errorf("sim: node %d out of range", i)
 	}
-	return r.nodes[i].policy.App(), nil
+	return r.nodes[i].ep.App().Clone(), nil
 }
 
 // Confidence returns node i's confidence (1 - error weight), the
@@ -403,5 +310,5 @@ func (r *Runner) Confidence(i int) (float64, error) {
 	if i < 0 || i >= len(r.nodes) {
 		return 0, fmt.Errorf("sim: node %d out of range", i)
 	}
-	return r.nodes[i].viv.Confidence(), nil
+	return 1 - r.nodes[i].ep.Error(), nil
 }

@@ -31,7 +31,10 @@
 // inside any gossip or RPC system, as hashicorp/serf does with its
 // coordinate package). StartNode runs the full live stack — UDP pings,
 // gossip neighbor discovery, background sampling — when you want a
-// self-contained deployment.
+// self-contained deployment. Simulate replays a synthetic network through
+// N nodes. All three run one observation pipeline, internal/endpoint:
+// what Observe does to a sample here is, bit for bit, what the live node
+// and the paper reproduction do to it.
 //
 // # Consuming coordinates at scale
 //
@@ -60,6 +63,7 @@ import (
 	"sync"
 
 	"netcoord/internal/coord"
+	"netcoord/internal/endpoint"
 	"netcoord/internal/filter"
 	"netcoord/internal/heuristic"
 	"netcoord/internal/vivaldi"
@@ -178,16 +182,10 @@ type State struct {
 // weight, which Vivaldi protocols exchange on every message) and read
 // back coordinates and latency estimates.
 type Client struct {
-	mu      sync.Mutex
-	cfg     Config
-	viv     *vivaldi.Node
-	bank    *filter.Bank[string]
-	policy  heuristic.Policy
-	nnID    string
-	nnDist  float64
-	nnCoord Coordinate
-	hasNN   bool
-	peers   map[string]peerState
+	mu    sync.Mutex
+	cfg   Config
+	ep    *endpoint.Endpoint[string]
+	peers map[string]peerState
 }
 
 // NewClient builds a Client.
@@ -195,10 +193,6 @@ func NewClient(cfg Config) (*Client, error) {
 	resolved, vcfg, err := resolve(cfg)
 	if err != nil {
 		return nil, err
-	}
-	viv, err := vivaldi.New(vcfg)
-	if err != nil {
-		return nil, fmt.Errorf("netcoord: %w", err)
 	}
 	policy, err := buildPolicy(resolved)
 	if err != nil {
@@ -208,13 +202,11 @@ func NewClient(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: %w", err)
 	}
-	return &Client{
-		cfg:    resolved,
-		viv:    viv,
-		bank:   filter.NewBank[string](factory, resolved.MaxLinks),
-		policy: policy,
-		nnDist: inf(),
-	}, nil
+	ep, err := endpoint.New[string](vcfg, factory, policy, resolved.MaxLinks)
+	if err != nil {
+		return nil, fmt.Errorf("netcoord: %w", err)
+	}
+	return &Client{cfg: resolved, ep: ep, peers: make(map[string]peerState)}, nil
 }
 
 // resolve fills zero-valued fields with paper defaults and derives the
@@ -316,50 +308,31 @@ func inf() float64 { return math.Inf(1) }
 
 // Observe feeds one RTT measurement (milliseconds) of the remote node
 // identified by id, along with the remote's coordinate and error weight
-// as carried by your protocol. It returns the updated coordinate state.
+// as carried by your protocol, through the observation pipeline
+// (internal/endpoint) and returns the updated coordinate state.
 //
-// Wrong-dimension or non-finite remote coordinates are rejected with an
-// error and leave local state untouched — coordinates from the network
-// must never be trusted blindly.
+// Measurements from the network are never trusted blindly: an RTT that is
+// NaN, infinite or <= 0, and a remote coordinate of the wrong dimension
+// or with a non-finite component, are rejected with an error and leave
+// every piece of local state untouched. remote is copied where it is
+// kept; the caller may reuse its buffer.
 func (c *Client) Observe(id string, rttMillis float64, remote Coordinate, remoteError float64) (State, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := remote.Validate(c.cfg.Dimension); err != nil {
-		return c.stateLocked(false), fmt.Errorf("netcoord: %w", err)
+	res, err := c.ep.Observe(id, rttMillis, remote, remoteError)
+	if err != nil {
+		return c.stateLocked(false), fmt.Errorf("netcoord: observe %q: %w", id, err)
 	}
 	c.rememberPeer(id, remote, remoteError)
-	filtered, ok := c.bank.Observe(id, rttMillis)
-	if !ok {
-		// Filter warming up: no update yet.
-		return c.stateLocked(false), nil
-	}
-	if filtered < c.nnDist || id == c.nnID {
-		c.nnID = id
-		c.nnDist = filtered
-		c.nnCoord = remote
-		c.hasNN = true
-	}
-	newSys, err := c.viv.Update(filtered, remote, remoteError)
-	if err != nil {
-		return c.stateLocked(false), fmt.Errorf("netcoord: %w", err)
-	}
-	_, changed, err := c.policy.Observe(heuristic.Observation{
-		Sys:         newSys,
-		Neighbor:    c.nnCoord,
-		HasNeighbor: c.hasNN,
-	})
-	if err != nil {
-		return c.stateLocked(false), fmt.Errorf("netcoord: %w", err)
-	}
-	return c.stateLocked(changed), nil
+	return c.stateLocked(res.AppChanged), nil
 }
 
 func (c *Client) stateLocked(changed bool) State {
 	return State{
-		Sys:        c.viv.Coordinate(),
-		App:        c.policy.App(),
+		Sys:        c.ep.Sys().Clone(),
+		App:        c.ep.App().Clone(),
 		AppChanged: changed,
-		Error:      c.viv.Error(),
+		Error:      c.ep.Error(),
 	}
 }
 
@@ -367,28 +340,28 @@ func (c *Client) stateLocked(changed bool) State {
 func (c *Client) Coordinate() Coordinate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.viv.Coordinate()
+	return c.ep.Sys().Clone()
 }
 
 // AppCoordinate returns the current application-level coordinate.
 func (c *Client) AppCoordinate() Coordinate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.policy.App()
+	return c.ep.App().Clone()
 }
 
 // Error returns the Vivaldi error weight w (low = confident).
 func (c *Client) Error() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.viv.Error()
+	return c.ep.Error()
 }
 
 // Confidence returns 1 - Error, the paper's Figure 6 quantity.
 func (c *Client) Confidence() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.viv.Confidence()
+	return 1 - c.ep.Error()
 }
 
 // DistanceTo estimates the RTT in milliseconds from this node to a
@@ -396,7 +369,7 @@ func (c *Client) Confidence() float64 {
 func (c *Client) DistanceTo(remote Coordinate) (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, err := c.viv.EstimateRTT(remote)
+	d, err := c.ep.Sys().DistanceTo(remote)
 	if err != nil {
 		return 0, fmt.Errorf("netcoord: %w", err)
 	}
@@ -409,39 +382,24 @@ func (c *Client) DistanceTo(remote Coordinate) (float64, error) {
 func (c *Client) AppDistanceTo(remoteApp Coordinate) (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, err := c.policy.App().DistanceTo(remoteApp)
+	d, err := c.ep.App().DistanceTo(remoteApp)
 	if err != nil {
 		return 0, fmt.Errorf("netcoord: %w", err)
 	}
 	return d, nil
 }
 
-// ForgetLink drops per-link filter state for a departed peer.
+// ForgetLink drops per-link filter state for a departed peer, and its
+// nearest-neighbor status if it held it.
 func (c *Client) ForgetLink(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bank.Forget(id)
-	c.forgetNN(id)
-}
-
-// forgetNN clears the cached nearest-neighbor state when the departed
-// peer is the current nearest neighbor. Without this the RELATIVE
-// policy keeps measuring centroid shift against the departed peer's
-// stale coordinate indefinitely; resetting lets the next observation
-// elect a new nearest neighbor. Callers hold c.mu.
-func (c *Client) forgetNN(id string) {
-	if c.nnID != id {
-		return
-	}
-	c.nnID = ""
-	c.nnDist = inf()
-	c.nnCoord = Coordinate{}
-	c.hasNN = false
+	c.ep.Forget(id)
 }
 
 // Links reports how many peers hold filter state.
 func (c *Client) Links() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bank.Peers()
+	return c.ep.Links()
 }

@@ -2,11 +2,14 @@ package netcoord
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"netcoord/internal/vivaldi"
 	"netcoord/internal/xrand"
 )
 
@@ -63,6 +66,84 @@ func TestObserveRejectsBadRemote(t *testing.T) {
 	nan.Vec[0] = math.NaN()
 	if _, err := c.Observe("x", 50, nan, 0.5); err == nil {
 		t.Fatal("NaN remote accepted")
+	}
+}
+
+func TestObserveCopiesNeighborCoordinate(t *testing.T) {
+	// Regression: Observe kept the caller's remote.Vec as the nearest
+	// neighbor's coordinate, so a caller decoding every pong into one
+	// buffer silently rewrote the RELATIVE policy's reference point.
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyRelative
+	cfg.Threshold = 0
+	c, err := NewClient(cfg)
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	buf := c3(15, 0, 0)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Observe("near", 15, buf, 0.3); err != nil {
+			t.Fatalf("Observe near: %v", err)
+		}
+	}
+	buf.Vec[0], buf.Vec[1] = 500, 500
+	for i := 0; i < 3; i++ {
+		if _, err := c.Observe("far", 700, buf, 0.3); err != nil {
+			t.Fatalf("Observe far: %v", err)
+		}
+	}
+	id, at, has := neighborOf(c)
+	if !has || id != "near" || !at.Equal(c3(15, 0, 0)) {
+		t.Fatalf("nearest neighbor = %q at %v (has=%v), want \"near\" at [15 0 0]", id, at, has)
+	}
+}
+
+func TestObserveRejectsBadRTT(t *testing.T) {
+	// Regression: the filter bank saw a sample before Vivaldi validated
+	// it. A NaN returned a nil error, sat in the MP ring and failed the
+	// next valid observations; a -5 was accepted and dragged the
+	// filtered value down.
+	remote := c3(9, 4, 0) // nearer than the RTT says, so every update moves
+	warm := func(t *testing.T) *Client {
+		cfg := DefaultConfig()
+		cfg.Seed = 5
+		c, err := NewClient(cfg)
+		if err != nil {
+			t.Fatalf("NewClient: %v", err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := c.Observe("p", 20, remote, 0.5); err != nil {
+				t.Fatalf("Observe: %v", err)
+			}
+		}
+		return c
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), 0, -5} {
+		control, c := warm(t), warm(t)
+		before := c.Snapshot()
+		for _, id := range []string{"p", "stranger"} {
+			if _, err := c.Observe(id, bad, remote, 0.5); !errors.Is(err, vivaldi.ErrBadSample) {
+				t.Errorf("rtt %v from %q: err = %v, want one matching vivaldi.ErrBadSample", bad, id, err)
+			}
+		}
+		if after := c.Snapshot(); !reflect.DeepEqual(after, before) {
+			t.Errorf("rtt %v changed state: %+v -> %+v", bad, before, after)
+		}
+		if c.Links() != 1 || len(c.Peers()) != 1 {
+			t.Errorf("rtt %v: links %d peers %v, want only \"p\"", bad, c.Links(), c.Peers())
+		}
+		// The ring holds what it held: the next observations behave as if
+		// the bad one had never been sent.
+		for i, rtt := range []float64{20, 26, 18, 23} {
+			want, werr := control.Observe("p", rtt, remote, 0.5)
+			got, gerr := c.Observe("p", rtt, remote, 0.5)
+			if werr != nil || gerr != nil {
+				t.Fatalf("rtt %v: valid observation %d failed: control %v, client %v", bad, i, werr, gerr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("rtt %v: valid observation %d diverged: %+v, want %+v", bad, i, got, want)
+			}
+		}
 	}
 }
 

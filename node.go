@@ -1,7 +1,6 @@
 package netcoord
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -35,22 +34,22 @@ type NodeConfig struct {
 // NodeUpdate is an application-level coordinate change from a live node.
 type NodeUpdate = node.Update
 
-// Node is a running live coordinate participant.
-type Node struct {
-	inner *node.Node
-}
+// Node is a running live coordinate participant: internal/node's Node
+// itself, which runs the same observation pipeline as Client and the
+// simulator behind a UDP transport. Stop it with Stop.
+type Node = node.Node
 
-// StartNode launches a live node. Stop it with Stop.
+// StartNode launches a live node.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	ncfg, _, err := nodeConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := node.Start(ncfg)
+	n, err := node.Start(ncfg)
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: %w", err)
 	}
-	return &Node{inner: inner}, nil
+	return n, nil
 }
 
 // nodeConfig resolves a NodeConfig into the internal node's
@@ -72,10 +71,6 @@ func nodeConfig(cfg NodeConfig) (node.Config, Config, error) {
 	if err != nil {
 		return node.Config{}, Config{}, fmt.Errorf("netcoord: %w", err)
 	}
-	var updates chan<- node.Update
-	if cfg.Updates != nil {
-		updates = cfg.Updates
-	}
 	return node.Config{
 		ListenAddr:     cfg.ListenAddr,
 		Seeds:          cfg.Seeds,
@@ -85,37 +80,6 @@ func nodeConfig(cfg NodeConfig) (node.Config, Config, error) {
 		SampleInterval: cfg.SampleInterval,
 		PingTimeout:    cfg.PingTimeout,
 		MaxNeighbors:   cfg.MaxNeighbors,
-		Updates:        updates,
+		Updates:        cfg.Updates,
 	}, resolved, nil
 }
-
-// Stop terminates sampling and closes the socket.
-func (n *Node) Stop() error { return n.inner.Stop() }
-
-// Addr returns the node's bound UDP address; hand it to other nodes as a
-// seed.
-func (n *Node) Addr() string { return n.inner.Addr() }
-
-// Coordinate returns the current system-level coordinate.
-func (n *Node) Coordinate() Coordinate { return n.inner.Coordinate() }
-
-// AppCoordinate returns the current application-level coordinate.
-func (n *Node) AppCoordinate() Coordinate { return n.inner.AppCoordinate() }
-
-// Confidence returns 1 - w.
-func (n *Node) Confidence() float64 { return n.inner.Confidence() }
-
-// EstimateRTT predicts the RTT in milliseconds to a remote coordinate.
-func (n *Node) EstimateRTT(remote Coordinate) (float64, error) {
-	return n.inner.EstimateRTT(remote)
-}
-
-// Neighbors snapshots the known neighbor addresses.
-func (n *Node) Neighbors() []string { return n.inner.Neighbors() }
-
-// Samples reports applied observations.
-func (n *Node) Samples() uint64 { return n.inner.Samples() }
-
-// SampleNow performs one synchronous sample; useful for fast bootstrap
-// and tests.
-func (n *Node) SampleNow(ctx context.Context) error { return n.inner.SampleNow(ctx) }

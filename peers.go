@@ -15,9 +15,6 @@ type peerState struct {
 // MaxLinks bound (shared with the filter bank: if we filter a link, we
 // can afford to remember its coordinate). Callers hold c.mu.
 func (c *Client) rememberPeer(id string, remote Coordinate, remoteErr float64) {
-	if c.peers == nil {
-		c.peers = make(map[string]peerState)
-	}
 	if _, known := c.peers[id]; !known && c.cfg.MaxLinks > 0 && len(c.peers) >= c.cfg.MaxLinks {
 		return
 	}
@@ -45,7 +42,7 @@ func (c *Client) EstimateRTTToPeer(id string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("netcoord: unknown peer %q", id)
 	}
-	d, err := c.viv.EstimateRTT(st.coord)
+	d, err := c.ep.Sys().DistanceTo(st.coord)
 	if err != nil {
 		return 0, fmt.Errorf("netcoord: %w", err)
 	}
@@ -72,7 +69,7 @@ func (c *Client) NearestPeers(k int) ([]Ranked, error) {
 	for id, st := range c.peers {
 		candidates = append(candidates, Candidate{ID: id, Coord: st.coord.Clone()})
 	}
-	self := c.viv.Coordinate()
+	self := c.ep.Sys().Clone()
 	c.mu.Unlock()
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].ID < candidates[j].ID })
 	return Nearest(self, candidates, k)
@@ -84,6 +81,5 @@ func (c *Client) ForgetPeer(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.peers, id)
-	c.bank.Forget(id)
-	c.forgetNN(id)
+	c.ep.Forget(id)
 }

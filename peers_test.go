@@ -144,12 +144,20 @@ func TestPeerCoordinateIsolatedFromCaller(t *testing.T) {
 	}
 }
 
-// nnForgotten reports whether the client's cached nearest-neighbor
-// state is fully cleared.
-func nnForgotten(c *Client) bool {
+// neighborOf reads the client's nearest-neighbor state under its lock,
+// copying the coordinate view.
+func neighborOf(c *Client) (string, Coordinate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return !c.hasNN && c.nnID == "" && math.IsInf(c.nnDist, 1)
+	id, at, has := c.ep.Neighbor()
+	return id, at.Clone(), has
+}
+
+// nnForgotten reports whether the client's cached nearest-neighbor
+// state is cleared.
+func nnForgotten(c *Client) bool {
+	id, _, has := neighborOf(c)
+	return !has && id == ""
 }
 
 func TestForgetPeerClearsNearestNeighbor(t *testing.T) {
@@ -158,9 +166,7 @@ func TestForgetPeerClearsNearestNeighbor(t *testing.T) {
 	// centroid shift against the departed peer's stale coordinate
 	// forever (and no farther peer could ever displace its distance).
 	c := observedClient(t)
-	c.mu.Lock()
-	nn := c.nnID
-	c.mu.Unlock()
+	nn, _, _ := neighborOf(c)
 	if nn != "near" {
 		t.Fatalf("nearest neighbor = %q, want \"near\"", nn)
 	}
@@ -181,9 +187,7 @@ func TestForgetPeerClearsNearestNeighbor(t *testing.T) {
 	if _, err := c.Observe("mid", 80, c3(80, 0, 0), 0.3); err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	c.mu.Lock()
-	nn, has := c.nnID, c.hasNN
-	c.mu.Unlock()
+	nn, _, has := neighborOf(c)
 	if !has || nn != "mid" {
 		t.Fatalf("after forget, nearest neighbor = %q (has=%v), want \"mid\"", nn, has)
 	}

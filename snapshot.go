@@ -3,14 +3,7 @@ package netcoord
 import (
 	"encoding/json"
 	"fmt"
-
-	"netcoord/internal/heuristic"
 )
-
-// observationFor primes a policy with a restored coordinate.
-func observationFor(c Coordinate) heuristic.Observation {
-	return heuristic.Observation{Sys: c}
-}
 
 // Snapshot is a serializable capture of a Client's coordinate state.
 // Persisting one across restarts lets a node rejoin the coordinate space
@@ -42,9 +35,9 @@ func (c *Client) Snapshot() Snapshot {
 	defer c.mu.Unlock()
 	return Snapshot{
 		Version: snapshotVersion,
-		Sys:     c.viv.Coordinate(),
-		App:     c.policy.App(),
-		Error:   c.viv.Error(),
+		Sys:     c.ep.Sys().Clone(),
+		App:     c.ep.App().Clone(),
+		Error:   c.ep.Error(),
 	}
 }
 
@@ -62,9 +55,6 @@ func (c *Client) Restore(s Snapshot) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := s.Sys.Validate(c.cfg.Dimension); err != nil {
-		return fmt.Errorf("netcoord: restore: %w", err)
-	}
 	app := s.App
 	if app.Dim() == 0 {
 		// Version-1 blobs written before App was authoritative (or
@@ -73,20 +63,9 @@ func (c *Client) Restore(s Snapshot) error {
 		// that used to restore fine.
 		app = s.Sys
 	}
-	if err := app.Validate(c.cfg.Dimension); err != nil {
+	if err := c.ep.Restore(s.Sys, app, s.Error); err != nil {
 		return fmt.Errorf("netcoord: restore: %w", err)
 	}
-	if err := c.viv.SetCoordinate(s.Sys); err != nil {
-		return fmt.Errorf("netcoord: restore: %w", err)
-	}
-	c.viv.SetError(s.Error)
-	c.policy.Reset()
-	if _, _, err := c.policy.Observe(observationFor(app)); err != nil {
-		return fmt.Errorf("netcoord: restore: %w", err)
-	}
-	// Per-link filters restart; their four-observation histories are
-	// stale after any downtime.
-	c.bank.Reset()
 	return nil
 }
 
