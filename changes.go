@@ -117,11 +117,6 @@ type ChangeStreamStats struct {
 	Subscribers int `json:"subscribers"`
 	// Overflows counts events dropped to full subscriber buffers.
 	Overflows uint64 `json:"overflows"`
-	// Coalesced counts events collapsed away before subscriber delivery
-	// because a newer upsert of the same id superseded them while still
-	// pending. Unlike Overflows these are not loss: the surviving event
-	// carries the final state and labels the gap (ChangeEvent.Coalesced).
-	Coalesced uint64 `json:"coalesced"`
 	// OldestSeq is the oldest event still in the catch-up ring.
 	OldestSeq uint64 `json:"oldest_seq"`
 	// RingLen is the ring's current occupancy (live events buffered);
@@ -184,7 +179,6 @@ func feedStreamStats(feed *changefeed.Feed) ChangeStreamStats {
 		Published:          st.Published,
 		Subscribers:        st.Subscribers,
 		Overflows:          st.Overflows,
-		Coalesced:          st.Coalesced,
 		OldestSeq:          st.OldestSeq,
 		RingLen:            st.RingLen,
 		RingCap:            st.RingCap,
@@ -294,14 +288,15 @@ func assembleDelta(since, seq uint64, removedSince func(uint64) ([]string, bool)
 	return changedSince(since), removed, seq, true
 }
 
-// ChangeSubscription delivers a registry's change events in sequence
-// order. Receive from C; the channel closes when the subscription or
-// the registry is closed. A subscriber that cannot keep up loses
-// events rather than slowing mutations — detect the loss by a gap in
-// Seq (or Dropped > 0) and repair it with ChangesSince. JoinSeq is the
-// stream sequence at attach time; MarkSignal declares the subscriber a
-// pure wake signal whose overflow counts as no loss; Close detaches it
-// and is safe to call repeatedly and concurrently.
+// ChangeSubscription delivers every change event published after
+// JoinSeq, in sequence order: prev.Seq+1 == ev.Seq. Receive from C; the
+// channel closes when the subscription or the registry is closed. A
+// subscriber that cannot keep up loses events rather than slowing
+// mutations — any gap in Seq is loss (Dropped counts it); repair it
+// with ChangesSince. JoinSeq is the stream sequence at attach time;
+// MarkSignal declares the subscriber a pure wake signal whose overflow
+// counts as no loss; Close detaches it and is safe to call repeatedly
+// and concurrently.
 type ChangeSubscription = changefeed.Subscription
 
 // SubscribeChanges attaches a subscriber buffering up to buffer events

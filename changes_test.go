@@ -113,12 +113,8 @@ func TestChangeStreamSequencesEveryMutation(t *testing.T) {
 	for prev < finalSeq {
 		select {
 		case ev := <-sub.C():
-			// Delivery may collapse a superseded same-id upsert, but every
-			// such gap is labelled on the survivor; anything unexplained by
-			// the label is loss. The survivor carries the final state, so
-			// replay below still reconstructs the registry exactly.
-			if prev+1+ev.Coalesced != ev.Seq {
-				t.Fatalf("unexplained gap: event %d after %d (coalesced label %d)", ev.Seq, prev, ev.Coalesced)
+			if prev+1 != ev.Seq {
+				t.Fatalf("gap: event %d after %d", ev.Seq, prev)
 			}
 			prev = ev.Seq
 			got = append(got, ev)
@@ -318,8 +314,7 @@ func TestConcurrentWatchStress(t *testing.T) {
 		}
 	}
 
-	// The auditor (big buffer) must lose nothing: every sequence gap it
-	// sees must be exactly explained by a coalesce label.
+	// The auditor (big buffer) must lose nothing: a dense sequence.
 	finalSeq := r.ChangeSeq()
 	if audit.Dropped() != 0 {
 		t.Fatalf("auditor dropped %d events; raise the buffer", audit.Dropped())
@@ -328,8 +323,8 @@ func TestConcurrentWatchStress(t *testing.T) {
 	for prev < finalSeq {
 		select {
 		case ev := <-audit.C():
-			if prev+1+ev.Coalesced != ev.Seq {
-				t.Fatalf("auditor saw unexplained gap: %d after %d (coalesced label %d)", ev.Seq, prev, ev.Coalesced)
+			if prev+1 != ev.Seq {
+				t.Fatalf("auditor saw a gap: %d after %d", ev.Seq, prev)
 			}
 			prev = ev.Seq
 		case <-time.After(5 * time.Second):

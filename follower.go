@@ -545,6 +545,15 @@ func (f *FollowerRegistry) tail() {
 	consecutive := 0
 	for f.ctx.Err() == nil {
 		err := f.pollOnce()
+		if err != nil && f.ctx.Err() != nil {
+			return
+		}
+		if errors.Is(err, errStreamGone) {
+			// Fell off the upstream's history: re-bootstrap, and let the
+			// bootstrap's outcome stand in for the poll's below.
+			f.noteErr(err)
+			err = f.bootstrap()
+		}
 		switch {
 		case err == nil:
 			if consecutive > 0 {
@@ -552,37 +561,11 @@ func (f *FollowerRegistry) tail() {
 			}
 			consecutive = 0
 			backoff = f.retry
-		case f.ctx.Err() != nil:
-			return
 		case errors.Is(err, errStaleEpoch), errors.Is(err, errNotFrames):
 			f.noteErr(err)
 			f.rotateUpstream()
 			consecutive = 0
 			backoff = f.sleepBackoff(backoff)
-		case errors.Is(err, errStreamGone):
-			f.noteErr(err)
-			berr := f.bootstrap()
-			switch {
-			case berr == nil:
-				if consecutive > 0 {
-					f.reconnects.Add(1)
-				}
-				consecutive = 0
-				backoff = f.retry
-			case errors.Is(berr, errStaleEpoch), errors.Is(berr, errNotFrames):
-				f.noteErr(berr)
-				f.rotateUpstream()
-				consecutive = 0
-				backoff = f.sleepBackoff(backoff)
-			default:
-				f.noteErr(berr)
-				consecutive++
-				if consecutive >= 2 {
-					f.rotateUpstream()
-					consecutive = 0
-				}
-				backoff = f.sleepBackoff(backoff)
-			}
 		default:
 			f.noteErr(err)
 			consecutive++

@@ -19,12 +19,12 @@
 //     call is cheap, and a tap can never miss an event the way a
 //     bounded subscriber can. Taps are registered before the feed is
 //     shared and never removed.
-//   - Subscriptions are asynchronous: each holds a bounded buffer the
-//     publisher writes without ever blocking. A subscriber that falls
-//     behind loses events (counted in Dropped, visible as a sequence
-//     gap) and is expected to resume from history — the ring via
-//     Since, or the WAL beneath it — rather than slow the mutation
-//     path down.
+//   - Subscriptions are asynchronous: each holds a bounded buffer that
+//     is written without ever blocking, and receives every event in
+//     sequence order (see deliver.go). A subscriber that falls behind
+//     loses events (counted in Dropped; a sequence gap is always loss)
+//     and is expected to resume from history — the ring via Since, or
+//     the WAL beneath it — rather than slow the mutation path down.
 //
 // The feed also retains the most recent events in a ring so that
 // late-joining or lagging subscribers can catch up without touching
@@ -96,11 +96,6 @@ type Stats struct {
 	// their buffers were full — each one a gap some subscriber must
 	// repair by resuming from history.
 	Overflows uint64 `json:"overflows"`
-	// Coalesced counts events collapsed away before delivery because a
-	// newer upsert of the same id superseded them while they were still
-	// pending. Unlike Overflows these are not loss: the surviving event
-	// carries the final state and labels the gap (Event.Coalesced).
-	Coalesced uint64 `json:"coalesced"`
 	// OldestSeq is the oldest event still in the ring (0 = ring empty);
 	// Since can serve any resume point >= OldestSeq-1.
 	OldestSeq uint64 `json:"oldest_seq"`
@@ -135,22 +130,19 @@ type Feed struct {
 	subs   map[*Subscription]struct{}
 	closed bool
 
-	// Subscriber delivery is asynchronous and coalescing; see
-	// coalesce.go. deliverMu serializes delivery (flusher batches and
-	// the inline drains in Subscribe/Close) and orders strictly before
-	// mu — every path that takes both takes deliverMu first, which is
-	// what lets the flusher send to subscriber channels without holding
-	// mu while Close/ResetTo can still safely close those channels.
+	// Subscriber delivery is an asynchronous hand-off; see deliver.go.
+	// deliverMu serializes delivery (flusher batches and the inline
+	// drains in Subscribe/Close) and orders strictly before mu — every
+	// path that takes both takes deliverMu first, which is what lets the
+	// flusher send to subscriber channels without holding mu while
+	// Close/ResetTo can still safely close those channels.
 	deliverMu sync.Mutex
-	pend      []pendSlot      // pending queue, guarded by mu
-	pendSpare []pendSlot      // previous batch's backing, reused on swap
-	pendLive  int             // live (deliverable) slots in pend
-	pendByID  map[string]int  // id -> index of its live pending upsert
+	pend      []Event         // pending queue, guarded by mu
+	pendSpare []Event         // previous batch's backing, reused on swap
 	subsList  []*Subscription // copy-on-write snapshot of subs for lock-free fan-out
 	wake      chan struct{}   // cap 1: nudges the flusher
 	quit      chan struct{}   // closed to stop the flusher
 	flusherOn bool            // guarded by mu
-	coalesced atomic.Uint64
 
 	// The tombstone ring remembers (seq, id) for removals only. Because
 	// heartbeat upserts dominate real streams, the event ring forgets a
@@ -199,7 +191,6 @@ func New(ringSize int, startSeq uint64) *Feed {
 		subs:      make(map[*Subscription]struct{}),
 		tombs:     make([]tombstone, tombCap),
 		tombFloor: startSeq,
-		pendByID:  make(map[string]int),
 		wake:      make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 	}
@@ -318,7 +309,7 @@ func (f *Feed) PublishAt(ev Event) {
 	f.mu.Unlock()
 	f.published.Add(1)
 	if full {
-		f.flushOnce()
+		f.Flush()
 	}
 }
 
@@ -373,7 +364,8 @@ func (f *Feed) AdvanceTo(seq uint64, removed []string) {
 func (f *Feed) resetLocked(seq uint64) {
 	f.seq = seq
 	f.seqAtomic.Store(seq)
-	f.discardPendLocked()
+	clear(f.pend)
+	f.pend = f.pend[:0]
 	for sub := range f.subs {
 		sub.finish()
 	}
@@ -467,10 +459,10 @@ func (f *Feed) RemovedSince(since uint64) ([]string, bool) {
 	return out, true
 }
 
-// deliverLocked runs the taps inline and queues ev for the coalescing
-// flusher to fan out to subscribers (see coalesce.go). It reports
+// deliverLocked runs the taps inline and queues ev for the flusher to
+// fan out to subscribers (see deliver.go). It reports
 // whether the pending queue hit capacity — the caller must then drain
-// it with flushOnce after releasing f.mu. The caller holds f.mu.
+// it with Flush after releasing f.mu. The caller holds f.mu.
 //
 //nc:locked(mu)
 func (f *Feed) deliverLocked(ev Event) (full bool) {
@@ -525,7 +517,7 @@ func (f *Feed) publish(ev Event) uint64 {
 	f.mu.Unlock()
 	f.published.Add(1)
 	if full {
-		f.flushOnce()
+		f.Flush()
 	}
 	return ev.Seq
 }
@@ -590,7 +582,6 @@ func (f *Feed) Stats() Stats {
 		Published:          f.published.Load(),
 		Subscribers:        subs,
 		Overflows:          f.overflows.Load(),
-		Coalesced:          f.coalesced.Load(),
 		OldestSeq:          oldest,
 		RingLen:            ringLen,
 		RingCap:            ringCap,
@@ -691,7 +682,8 @@ func (f *Feed) Subscribe(buffer int) *Subscription {
 // event; false counts as an overflow drop exactly like a full channel
 // buffer (unless the subscription is marked a signal). The event
 // pointer is valid only for the duration of the call (it aims at the
-// delivery loop's local); a sink that retains the event copies it.
+// delivery batch's slot, zeroed once the batch is out); a sink that
+// retains the event copies it.
 // sink and onClose are serialized with each other: onClose is never
 // invoked while a sink call is in flight, and sink is never invoked
 // after onClose. Subscribing to a closed feed invokes onClose before

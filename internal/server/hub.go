@@ -68,11 +68,10 @@ type WatchHub struct {
 	// under mu, read anywhere.
 	processed atomic.Uint64
 
-	events    atomic.Uint64
-	damages   atomic.Uint64
-	resyncs   atomic.Uint64
-	dropped   atomic.Uint64
-	coalesced atomic.Uint64
+	events  atomic.Uint64
+	damages atomic.Uint64
+	resyncs atomic.Uint64
+	dropped atomic.Uint64
 
 	// recomputeLat times each watcher recompute (query + interest
 	// install); deliverLag is publish→deliver propagation: for every
@@ -113,10 +112,6 @@ type WatchHubStats struct {
 	// subscription lost to buffer overflow (each detected drop run also
 	// shows up as one resync).
 	SubscriptionDropped uint64 `json:"subscription_dropped"`
-	// CoalescedSkipped counts sequence numbers skipped under coalesce
-	// labels: the feed collapsed same-id heartbeats and told us so, so
-	// the gap damages only the survivor's id instead of everyone.
-	CoalescedSkipped uint64 `json:"coalesced_skipped"`
 	// ProcessedSeq is the hub's position in the stream.
 	ProcessedSeq uint64 `json:"processed_seq"`
 	// RecomputeNs summarizes watcher recompute latency (query +
@@ -293,26 +288,20 @@ func (h *WatchHub) processEvent(ev netcoord.ChangeEvent) (gap bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	last := h.processed.Load()
-	if ev.Seq > last {
-		// Never regress: a reconcile jump may already sit ahead of a
-		// still-buffered event.
-		h.processed.Store(ev.Seq)
+	if ev.Seq <= last {
+		// Still buffered from before a reconcile jump moved processed
+		// past it: the jump's damage-all already covers this event.
+		return false
 	}
-	if ev.Seq != last+1+ev.Coalesced {
-		// Dropped or duplicated sequence: the filter state cannot be
-		// trusted, so everyone recomputes from live state.
+	h.processed.Store(ev.Seq)
+	if ev.Seq != last+1 {
+		// Dropped sequence: the filter state cannot be trusted, so
+		// everyone recomputes from live state.
 		h.resyncs.Add(1)
 		for w := range h.watchers {
 			h.damageLocked(w, ev.Seq, ev.PubNs)
 		}
 		return true
-	}
-	if ev.Coalesced > 0 {
-		// A labelled gap: the feed collapsed ev.Coalesced same-id
-		// heartbeats into this survivor. The skipped events were older
-		// states of the same id, so damaging with the survivor covers
-		// them — no resync needed.
-		h.coalesced.Add(ev.Coalesced)
 	}
 	for w := range h.anyOp {
 		h.damageLocked(w, ev.Seq, ev.PubNs)
@@ -573,7 +562,6 @@ func (h *WatchHub) Stats() WatchHubStats {
 		Damages:             h.damages.Load(),
 		Resyncs:             h.resyncs.Load(),
 		SubscriptionDropped: h.dropped.Load(),
-		CoalescedSkipped:    h.coalesced.Load(),
 		ProcessedSeq:        h.processed.Load(),
 		RecomputeNs:         h.recomputeLat.Summary(),
 		DeliverLagNs:        h.deliverLag.Summary(),

@@ -128,6 +128,53 @@ func TestWatchHubRoutesDamagePrecisely(t *testing.T) {
 	}
 }
 
+// TestWatchHubSkipsEventsBehindAReconcileJump: once the reconcile
+// ticker has moved processed to the stream position and damaged
+// everyone, the events still buffered below it are already covered —
+// they must not cost a damage-everyone round each.
+func TestWatchHubSkipsEventsBehindAReconcileJump(t *testing.T) {
+	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{ChangeStreamBuffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	for i := 0; i < 4; i++ {
+		if err := reg.Upsert(fmt.Sprintf("n%d", i), c3(float64(i*10), 0, 0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shutdown := make(chan struct{})
+	defer close(shutdown)
+	hub := newWatchHub(reg, shutdown)
+	w, err := hub.Watch("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Detach(w)
+	hubSync(t, hub, w, reg, c3(0, 0, 0), 2)
+
+	const jump, stale = 1000, 50
+	hub.mu.Lock()
+	hub.processed.Store(jump)
+	hub.mu.Unlock()
+	before := hub.Stats()
+	for seq := uint64(jump - stale + 1); seq <= jump; seq++ {
+		if hub.processEvent(netcoord.ChangeEvent{Seq: seq, Op: netcoord.ChangeRemove, ID: "n0"}) {
+			t.Fatalf("stale event %d (processed %d) reported a gap", seq, jump)
+		}
+	}
+	if after := hub.Stats(); after.Resyncs != before.Resyncs || after.Damages != before.Damages || after.ProcessedSeq != jump || drainDamage(w) {
+		t.Fatalf("%d stale events moved the hub: resyncs %d -> %d, damages %d -> %d, processed %d", stale, before.Resyncs, after.Resyncs, before.Damages, after.Damages, after.ProcessedSeq)
+	}
+	// The next in-order event routes through the damage map as usual.
+	if hub.processEvent(netcoord.ChangeEvent{Seq: jump + 1, Op: netcoord.ChangeRemove, ID: "n0"}) || !drainDamage(w) {
+		t.Fatal("in-order member removal after the jump did not route to its watcher")
+	}
+	if after := hub.Stats(); after.Resyncs != before.Resyncs || after.ProcessedSeq != jump+1 {
+		t.Fatalf("in-order event after the jump: resyncs %d -> %d, processed %d", before.Resyncs, after.Resyncs, after.ProcessedSeq)
+	}
+}
+
 // TestWatchHubStressRace churns watcher attach/detach against a
 // mutation storm with -race watching the locks. After the storm
 // quiesces, every surviving watcher must converge on the registry's
@@ -152,9 +199,9 @@ func TestWatchHubStressRace(t *testing.T) {
 	// One watcher held attached across the whole storm, deliberately
 	// immature (no SetInterest): every drained event must damage it.
 	// The churning watchers below can't guarantee overlap with the drain
-	// — feed-side coalescing keeps the hub ahead of the storm now, with
-	// no overflow→resync rounds to damage-all — so this is what pins the
-	// damage path as exercised.
+	// — the hub's 4096-slot buffer usually keeps it ahead of the storm,
+	// with no overflow→resync round to damage-all — so this is what pins
+	// the damage path as exercised.
 	idle, err := hub.Watch("")
 	if err != nil {
 		t.Fatal(err)

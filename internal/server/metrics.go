@@ -164,9 +164,6 @@ func (s *Server) registerCollectors() {
 	reg.CounterFunc("netcoord_changefeed_overflows_total",
 		"Events dropped across all subscribers because their buffers were full.", nil,
 		func() uint64 { return s.source.ChangeStreamStats().Overflows })
-	reg.CounterFunc("netcoord_changefeed_coalesced_total",
-		"Same-id heartbeat events collapsed into their newer successor during delivery storms (labelled skips, not loss — distinct from overflows).", nil,
-		func() uint64 { return s.source.ChangeStreamStats().Coalesced })
 	reg.CounterFunc("netcoord_changefeed_frames_served_total",
 		"Change events answered in the binary frame encoding on /changes.", nil,
 		func() uint64 { return s.framesServed.Load() })
@@ -202,9 +199,6 @@ func (s *Server) registerCollectors() {
 	reg.CounterFunc("netcoord_watch_subscription_dropped_total",
 		"Events the hub's own stream subscription lost to buffer overflow.", nil,
 		func() uint64 { return s.hub.dropped.Load() })
-	reg.CounterFunc("netcoord_watch_coalesced_skips_total",
-		"Sequence numbers skipped under coalesce labels (explained gaps; no resync paid).", nil,
-		func() uint64 { return s.hub.coalesced.Load() })
 	reg.SummaryFunc("netcoord_watch_recompute_seconds",
 		"Watcher recompute latency (query plus interest install).", nil, 1e-9,
 		func() telemetry.Summary { return s.hub.recomputeLat.Summary() })

@@ -47,7 +47,9 @@ func (e Entry) MarshalJSON() ([]byte, error) {
 
 // Event is one sequenced registry mutation — the record. Sequence
 // numbers are dense and monotonic: a consumer holding everything
-// through sequence N resumes with since=N and misses nothing.
+// through sequence N resumes with since=N and misses nothing. Every
+// exported field is part of the frame: an event reads the same on a
+// live subscription, in a history read and at every relay tier.
 type Event struct {
 	// Seq is the event's position in the total mutation order.
 	Seq uint64
@@ -73,14 +75,6 @@ type Event struct {
 	// rejected by every consumer instead of forking replica state. Zero
 	// is the unfenced pre-failover epoch.
 	Epoch uint64
-	// Coalesced labels the sequence gap immediately before this event on
-	// a live subscription: that many earlier events were collapsed away
-	// before delivery as superseded same-id upserts (a heartbeat storm
-	// folding to one event per node). A consumer checks
-	// prev.Seq + 1 + Coalesced == ev.Seq to tell benign collapse from
-	// real loss. Always zero on history reads, which are dense, and never
-	// part of the frame.
-	Coalesced uint64
 
 	// frame is the event's encoded form: set once, by Encode at the
 	// stream's origin or by DecodeEvent wherever the bytes arrived, and
@@ -117,15 +111,14 @@ func opName(op byte) string {
 // the same number. Render-only, like Entry's.
 func (ev Event) MarshalJSON() ([]byte, error) {
 	out := struct {
-		Seq       uint64   `json:"seq"`
-		Op        string   `json:"op"`
-		Entry     *Entry   `json:"entry,omitempty"`
-		ID        string   `json:"id,omitempty"`
-		IDs       []string `json:"ids,omitempty"`
-		PubNs     int64    `json:"pub_ns,omitempty"`
-		Epoch     uint64   `json:"epoch,omitempty"`
-		Coalesced uint64   `json:"coalesced,omitempty"`
-	}{Seq: ev.Seq, Op: opName(ev.Op), ID: ev.ID, IDs: ev.IDs, PubNs: ev.PubNs, Epoch: ev.Epoch, Coalesced: ev.Coalesced}
+		Seq   uint64   `json:"seq"`
+		Op    string   `json:"op"`
+		Entry *Entry   `json:"entry,omitempty"`
+		ID    string   `json:"id,omitempty"`
+		IDs   []string `json:"ids,omitempty"`
+		PubNs int64    `json:"pub_ns,omitempty"`
+		Epoch uint64   `json:"epoch,omitempty"`
+	}{Seq: ev.Seq, Op: opName(ev.Op), ID: ev.ID, IDs: ev.IDs, PubNs: ev.PubNs, Epoch: ev.Epoch}
 	if ev.Op == OpUpsert {
 		entry := ev.Entry
 		entry.Seq = 0

@@ -87,14 +87,12 @@ func TestEventEncodeRefusesUnframeable(t *testing.T) {
 // TestEventJSONShape pins the rendering rules the golden /changes and
 // /snapshot bodies (internal/server/testdata) depend on: ops by name,
 // the entry-level seq omitted inside an event and present in a bare
-// entry, zero-valued optional fields omitted, the coalesce label only
-// when set, and non-finite floats refused exactly as encoding/json
-// refuses them.
+// entry, zero-valued optional fields omitted, and non-finite floats
+// refused exactly as encoding/json refuses them.
 func TestEventJSONShape(t *testing.T) {
 	evs := sampleEvents()
-	evs[0].Coalesced = 4
 	for i, want := range []string{
-		`{"seq":1,"op":"upsert","entry":{"id":"node-0001","coord":{"vec":[12.5,-3.25,0.0625]},"error":0.15,"updated_at_unix_nano":1712345678901234567},"pub_ns":1712345678901234567,"epoch":3,"coalesced":4}`,
+		`{"seq":1,"op":"upsert","entry":{"id":"node-0001","coord":{"vec":[12.5,-3.25,0.0625]},"error":0.15,"updated_at_unix_nano":1712345678901234567},"pub_ns":1712345678901234567,"epoch":3}`,
 		`{"seq":2,"op":"upsert","entry":{"id":"h","coord":{"vec":[1e-7,1e+21,-0.000001,0.1],"height":2.5},"updated_at_unix_nano":-12345}}`,
 		`{"seq":4,"op":"upsert","entry":{"id":"edge","coord":{"vec":[],"height":-1e-9},"error":1.7976931348623157e+308,"updated_at_unix_nano":7}}`,
 		`{"seq":5,"op":"remove","id":"node-0001","pub_ns":50,"epoch":18446744073709551615}`,
