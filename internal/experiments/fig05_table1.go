@@ -28,11 +28,7 @@ type StreamCDFs struct {
 
 // collectStreamCDFs reads the Figure 5 metric set out of a collector.
 func collectStreamCDFs(name string, col *metrics.Collector, from, to uint64) (StreamCDFs, error) {
-	med, err := col.PerNodeErrorQuantile(50, from, to)
-	if err != nil {
-		return StreamCDFs{}, err
-	}
-	p95, err := col.PerNodeErrorQuantile(95, from, to)
+	errQ, err := col.PerNodeErrorQuantiles(from, to, 50, 95)
 	if err != nil {
 		return StreamCDFs{}, err
 	}
@@ -46,8 +42,8 @@ func collectStreamCDFs(name string, col *metrics.Collector, from, to uint64) (St
 	}
 	return StreamCDFs{
 		Name:                name,
-		MedianRelErrPerNode: med,
-		P95RelErrPerNode:    p95,
+		MedianRelErrPerNode: errQ[0],
+		P95RelErrPerNode:    errQ[1],
 		P95MovementPerNode:  mov,
 		Instability:         col.InstabilitySeries(from, to),
 		Summary:             sum,

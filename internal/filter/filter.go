@@ -72,7 +72,7 @@ func (c MPConfig) Validate() error {
 	if c.History < 1 {
 		return fmt.Errorf("filter: history %d, want >= 1", c.History)
 	}
-	if c.Percentile < 0 || c.Percentile > 100 {
+	if !(c.Percentile >= 0 && c.Percentile <= 100) {
 		return fmt.Errorf("filter: percentile %v out of [0, 100]", c.Percentile)
 	}
 	if c.UpdateAfter < 1 {
@@ -98,11 +98,9 @@ func NewMP(cfg MPConfig) (*MP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &MP{
-		cfg:    cfg,
-		ring:   make([]float64, 0, cfg.History),
-		sorted: make([]float64, 0, cfg.History),
-	}, nil
+	h := cfg.History
+	buf := make([]float64, 2*h) // ring and sorted scratch share one array
+	return &MP{cfg: cfg, ring: buf[:0:h], sorted: buf[h : h : 2*h]}, nil
 }
 
 // Observe implements Filter.

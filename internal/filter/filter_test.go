@@ -30,6 +30,7 @@ func TestMPConfigValidate(t *testing.T) {
 		{name: "zero history", cfg: MPConfig{History: 0, Percentile: 25, UpdateAfter: 1}, wantErr: true},
 		{name: "negative percentile", cfg: MPConfig{History: 4, Percentile: -1, UpdateAfter: 1}, wantErr: true},
 		{name: "percentile over 100", cfg: MPConfig{History: 4, Percentile: 101, UpdateAfter: 1}, wantErr: true},
+		{name: "NaN percentile", cfg: MPConfig{History: 4, Percentile: math.NaN(), UpdateAfter: 1}, wantErr: true},
 		{name: "zero update-after", cfg: MPConfig{History: 4, Percentile: 25, UpdateAfter: 0}, wantErr: true},
 	}
 	for _, tt := range tests {

@@ -111,6 +111,7 @@ func (b *base) setApp(c coord.Coordinate) { b.app.CopyFrom(c) }
 // prime returns true (and adopts sys) on the first observation.
 func (b *base) prime(sys coord.Coordinate) (bool, error) {
 	if err := sys.Validate(b.dim); err != nil {
+		//nc:allow(hotpath) validation-failure return: cold by definition
 		return false, fmt.Errorf("%w: %v", ErrDimension, err)
 	}
 	if b.primed {
@@ -177,7 +178,7 @@ func NewSystem(dim int, tau float64) (*System, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("heuristic: dimension %d, want >= 1", dim)
 	}
-	if tau <= 0 {
+	if !(tau > 0) {
 		return nil, fmt.Errorf("heuristic: system threshold %v, want > 0", tau)
 	}
 	return &System{
@@ -240,7 +241,7 @@ func NewApplication(dim int, tau float64) (*Application, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("heuristic: dimension %d, want >= 1", dim)
 	}
-	if tau <= 0 {
+	if !(tau > 0) {
 		return nil, fmt.Errorf("heuristic: application threshold %v, want > 0", tau)
 	}
 	return &Application{base: base{app: coord.Origin(dim), dim: dim}, tau: tau}, nil
@@ -299,8 +300,9 @@ func newWindowed(dim, k int) (windowed, error) {
 		mirror:   make([]coord.Coordinate, k),
 		centroid: coord.Origin(dim),
 	}
+	buf := make([]float64, k*dim) // one backing array for the ring's vectors
 	for i := range w.mirror {
-		w.mirror[i] = coord.Origin(dim)
+		w.mirror[i].Vec = buf[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return w, nil
 }
@@ -325,6 +327,7 @@ func (w *windowed) push(sys coord.Coordinate) error {
 // pre-sized to the ring's dimension.
 func centroidInto(dst *coord.Coordinate, ring []coord.Coordinate, head, n int) error {
 	if n == 0 {
+		//nc:allow(hotpath) empty-window return: cold by definition
 		return errors.New("heuristic: centroid of empty window")
 	}
 	for i := range dst.Vec {
@@ -451,12 +454,15 @@ func NewEnergy(dim, k int, tau float64) (*Energy, error) {
 }
 
 // Observe implements Policy.
+//
+//nc:hotpath
 func (e *Energy) Observe(obs Observation) (coord.Coordinate, bool, error) {
 	first, err := e.prime(obs.Sys)
 	if err != nil {
 		return e.app, false, err
 	}
 	if err := e.push(obs.Sys); err != nil {
+		//nc:allow(hotpath) dimension-mismatch return: cold by definition
 		return e.app, false, fmt.Errorf("energy policy: %w", err)
 	}
 	if first {
@@ -464,6 +470,7 @@ func (e *Energy) Observe(obs Observation) (coord.Coordinate, bool, error) {
 	}
 	fired, err := e.det.Diverged(e.pair)
 	if err != nil {
+		//nc:allow(hotpath) detector-failure return: cold by definition
 		return e.app, false, fmt.Errorf("energy policy: %w", err)
 	}
 	if !fired {
@@ -471,6 +478,7 @@ func (e *Energy) Observe(obs Observation) (coord.Coordinate, bool, error) {
 	}
 	centroid, err := e.currentCentroid()
 	if err != nil {
+		//nc:allow(hotpath) empty-window return: cold by definition
 		return e.app, false, fmt.Errorf("energy policy: %w", err)
 	}
 	e.setApp(centroid)
@@ -510,7 +518,7 @@ func NewApplicationCentroid(dim, k int, tau float64) (*ApplicationCentroid, erro
 	if k < 1 {
 		return nil, fmt.Errorf("heuristic: window %d, want >= 1", k)
 	}
-	if tau <= 0 {
+	if !(tau > 0) {
 		return nil, fmt.Errorf("heuristic: threshold %v, want > 0", tau)
 	}
 	ac := &ApplicationCentroid{

@@ -51,6 +51,14 @@ func TestConstructorsValidate(t *testing.T) {
 		{name: "energy tau", fn: func() error { _, err := NewEnergy(3, 32, 0); return err }},
 		{name: "centroid k", fn: func() error { _, err := NewApplicationCentroid(3, 0, 16); return err }},
 		{name: "centroid tau", fn: func() error { _, err := NewApplicationCentroid(3, 32, 0); return err }},
+		// A NaN threshold compares false with everything: it passed
+		// `tau <= 0` and built a policy that never fires.
+		{name: "system tau NaN", fn: func() error { _, err := NewSystem(3, math.NaN()); return err }},
+		{name: "application tau NaN", fn: func() error { _, err := NewApplication(3, math.NaN()); return err }},
+		{name: "relative eps NaN", fn: func() error { _, err := NewRelative(3, 32, math.NaN()); return err }},
+		{name: "energy tau NaN", fn: func() error { _, err := NewEnergy(3, 32, math.NaN()); return err }},
+		{name: "centroid tau NaN", fn: func() error { _, err := NewApplicationCentroid(3, 32, math.NaN()); return err }},
+		{name: "ranksum z NaN", fn: func() error { _, err := NewRankSum(3, 32, math.NaN()); return err }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -478,6 +486,39 @@ func BenchmarkEnergyObserve(b *testing.B) {
 		if _, _, err := p.Observe(Observation{Sys: stream[i%len(stream)]}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEnergyObserveRestarts is BenchmarkEnergyObserve on a stream
+// that changes level every 44 observations, so the detector fires and
+// both windows restart about once per 44 — the rate counted on the
+// paper-scale simulation (290 345 appends, 6 630 restarts). The
+// stationary stream above never fires and so never pays for a fill.
+func BenchmarkEnergyObserveRestarts(b *testing.B) {
+	p, err := NewEnergy(3, 32, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.NewStream(1)
+	stream := make([]coord.Coordinate, 44*2*12)
+	for i := range stream {
+		level := 50 + 30*float64(i/44%2)
+		stream[i] = coord.New(rng.Normal(level, 1), rng.Normal(50, 1), rng.Normal(50, 1))
+	}
+	fires := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, changed, err := p.Observe(Observation{Sys: stream[i%len(stream)]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if changed {
+			fires++
+		}
+	}
+	if fires > 0 {
+		b.ReportMetric(float64(b.N)/float64(fires), "obs/restart")
 	}
 }
 

@@ -22,6 +22,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"netcoord/internal/stats"
 )
@@ -38,16 +39,15 @@ func (s *series) add(tick uint64, v float64) {
 	s.vals = append(s.vals, v)
 }
 
-// slice returns the values with from <= tick <= to.
-func (s *series) slice(from, to uint64) []float64 {
-	out := make([]float64, 0, len(s.vals))
+// appendTo appends the values with from <= tick <= to to dst.
+func (s *series) appendTo(dst []float64, from, to uint64) []float64 {
 	for i, tk := range s.ticks {
 		t := uint64(tk)
 		if t >= from && t <= to {
-			out = append(out, s.vals[i])
+			dst = append(dst, s.vals[i])
 		}
 	}
-	return out
+	return dst
 }
 
 // Collector accumulates metrics for one coordinate stream.
@@ -154,27 +154,49 @@ func (c *Collector) RecordMovement(node int, tick uint64, displacement float64, 
 // the q-th percentile (0-100) of its relative errors. The result's
 // length is the number of nodes with data.
 func (c *Collector) PerNodeErrorQuantile(q float64, from, to uint64) ([]float64, error) {
-	return perNodeQuantile(c.errs, q, from, to)
+	return single(perNodeQuantiles(c.errs, from, to, q))
+}
+
+// PerNodeErrorQuantiles is PerNodeErrorQuantile for several percentiles
+// at the price of one: each node's window is sorted once and every q
+// read from it. Result i belongs to qs[i].
+func (c *Collector) PerNodeErrorQuantiles(from, to uint64, qs ...float64) ([][]float64, error) {
+	return perNodeQuantiles(c.errs, from, to, qs...)
 }
 
 // PerNodeMovementQuantile is PerNodeErrorQuantile over displacement
 // samples (Figure 5's third graph uses q=95).
 func (c *Collector) PerNodeMovementQuantile(q float64, from, to uint64) ([]float64, error) {
-	return perNodeQuantile(c.moves, q, from, to)
+	return single(perNodeQuantiles(c.moves, from, to, q))
 }
 
-func perNodeQuantile(ss []series, q float64, from, to uint64) ([]float64, error) {
-	out := make([]float64, 0, len(ss))
+// single unwraps a one-percentile perNodeQuantiles result.
+func single(out [][]float64, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+func perNodeQuantiles(ss []series, from, to uint64, qs ...float64) ([][]float64, error) {
+	out := make([][]float64, len(qs))
+	for j := range out {
+		out[j] = make([]float64, 0, len(ss))
+	}
+	var buf []float64 // one node's window, reused across nodes
 	for i := range ss {
-		vals := ss[i].slice(from, to)
-		if len(vals) == 0 {
+		buf = ss[i].appendTo(buf[:0], from, to)
+		if len(buf) == 0 {
 			continue
 		}
-		v, err := stats.Percentile(vals, q)
-		if err != nil {
-			return nil, fmt.Errorf("per-node quantile: %w", err)
+		sort.Float64s(buf)
+		for j, q := range qs {
+			v, err := stats.PercentileSorted(buf, q)
+			if err != nil {
+				return nil, fmt.Errorf("per-node quantile: %w", err)
+			}
+			out[j] = append(out[j], v)
 		}
-		out = append(out, v)
 	}
 	return out, nil
 }
@@ -183,7 +205,7 @@ func perNodeQuantile(ss []series, q float64, from, to uint64) ([]float64, error)
 func (c *Collector) AllErrors(from, to uint64) []float64 {
 	var out []float64
 	for i := range c.errs {
-		out = append(out, c.errs[i].slice(from, to)...)
+		out = c.errs[i].appendTo(out, from, to)
 	}
 	return out
 }
@@ -249,14 +271,11 @@ type Summary struct {
 
 // Summarize computes the Summary over [from, to].
 func (c *Collector) Summarize(from, to uint64) (Summary, error) {
-	medians, err := c.PerNodeErrorQuantile(50, from, to)
+	qs, err := c.PerNodeErrorQuantiles(from, to, 50, 95)
 	if err != nil {
 		return Summary{}, err
 	}
-	p95s, err := c.PerNodeErrorQuantile(95, from, to)
-	if err != nil {
-		return Summary{}, err
-	}
+	medians, p95s := qs[0], qs[1]
 	var s Summary
 	if len(medians) > 0 {
 		if s.MedianRelErr, err = stats.Median(medians); err != nil {
@@ -314,11 +333,12 @@ func (c *Collector) Intervals(width uint64) ([]IntervalStat, error) {
 		errs := c.AllErrors(start, end)
 		st.Samples = len(errs)
 		if len(errs) > 0 {
+			sort.Float64s(errs) // AllErrors' slice is ours: sort once, read both
 			var err error
-			if st.MedianRelErr, err = stats.Median(errs); err != nil {
+			if st.MedianRelErr, err = stats.PercentileSorted(errs, 50); err != nil {
 				return nil, err
 			}
-			if st.P95RelErr, err = stats.Percentile(errs, 95); err != nil {
+			if st.P95RelErr, err = stats.PercentileSorted(errs, 95); err != nil {
 				return nil, err
 			}
 		}

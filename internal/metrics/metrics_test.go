@@ -2,7 +2,11 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"netcoord/internal/stats"
+	"netcoord/internal/xrand"
 )
 
 func mustCollector(t *testing.T, nodes int) *Collector {
@@ -314,6 +318,94 @@ func BenchmarkRecord(b *testing.B) {
 		}
 		if err := c.RecordMovement(node, tick, 1.5, i%7 == 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSortOnceMatchesSortPerQuantile holds Summarize, the PerNode*
+// quantiles and Intervals — which sort each window once and read every
+// percentile from it — to what one stats.Percentile call per value (a
+// copy and a sort each) returns, bit for bit, on a seeded collector with
+// an empty node and a one-sample node among the busy ones.
+func TestSortOnceMatchesSortPerQuantile(t *testing.T) {
+	const nodes, ticks = 6, 400
+	c := mustCollector(t, nodes)
+	rng := xrand.NewStream(21)
+	for tick := uint64(0); tick < ticks; tick++ {
+		for n := 0; n < nodes-2; n++ { // node 4 gets one sample, node 5 none
+			if err := c.RecordError(n, tick, rng.Pareto(0.02, 1.5)); err != nil {
+				t.Fatalf("RecordError: %v", err)
+			}
+			if err := c.RecordMovement(n, tick, rng.Exponential(3), rng.Bernoulli(0.1)); err != nil {
+				t.Fatalf("RecordMovement: %v", err)
+			}
+		}
+	}
+	if err := c.RecordError(4, 250, 0.5); err != nil {
+		t.Fatalf("RecordError: %v", err)
+	}
+	if err := c.RecordMovement(4, 250, 2, true); err != nil {
+		t.Fatalf("RecordMovement: %v", err)
+	}
+	const from, to = ticks / 2, ticks
+	window := func(s *series) []float64 { return s.appendTo(nil, from, to) }
+	percentile := func(vals []float64, q float64) float64 {
+		t.Helper()
+		v, err := stats.Percentile(vals, q)
+		if err != nil {
+			t.Fatalf("Percentile: %v", err)
+		}
+		return v
+	}
+	perNode := func(ss []series, q float64) []float64 {
+		out := []float64{}
+		for i := range ss {
+			if vals := window(&ss[i]); len(vals) > 0 {
+				out = append(out, percentile(vals, q))
+			}
+		}
+		return out
+	}
+
+	for _, q := range []float64{0, 50, 95, 100} {
+		got, err := c.PerNodeErrorQuantile(q, from, to)
+		if err != nil || !reflect.DeepEqual(got, perNode(c.errs, q)) {
+			t.Fatalf("PerNodeErrorQuantile(%v) = %v, %v; want %v", q, got, err, perNode(c.errs, q))
+		}
+		got, err = c.PerNodeMovementQuantile(q, from, to)
+		if err != nil || !reflect.DeepEqual(got, perNode(c.moves, q)) {
+			t.Fatalf("PerNodeMovementQuantile(%v) = %v, %v; want %v", q, got, err, perNode(c.moves, q))
+		}
+	}
+	both, err := c.PerNodeErrorQuantiles(from, to, 50, 95)
+	if err != nil || len(both) != 2 || len(both[0]) != nodes-1 ||
+		!reflect.DeepEqual(both[0], perNode(c.errs, 50)) || !reflect.DeepEqual(both[1], perNode(c.errs, 95)) {
+		t.Fatalf("PerNodeErrorQuantiles(50, 95) = %v, %v", both, err)
+	}
+	if _, err := c.PerNodeErrorQuantile(math.NaN(), from, to); err == nil {
+		t.Fatal("NaN quantile accepted")
+	}
+
+	sum, err := c.Summarize(from, to)
+	if err != nil {
+		t.Fatalf("Summarize: %v", err)
+	}
+	if want := percentile(perNode(c.errs, 50), 50); sum.MedianRelErr != want {
+		t.Fatalf("MedianRelErr = %v, want %v", sum.MedianRelErr, want)
+	}
+	if want := percentile(perNode(c.errs, 95), 50); sum.P95RelErrMedian != want {
+		t.Fatalf("P95RelErrMedian = %v, want %v", sum.P95RelErrMedian, want)
+	}
+
+	ivs, err := c.Intervals(150)
+	if err != nil || len(ivs) != 3 {
+		t.Fatalf("Intervals = %d buckets, %v", len(ivs), err)
+	}
+	for _, iv := range ivs {
+		pooled := c.AllErrors(iv.StartTick, iv.StartTick+149)
+		if iv.Samples != len(pooled) || iv.MedianRelErr != percentile(pooled, 50) || iv.P95RelErr != percentile(pooled, 95) {
+			t.Fatalf("bucket %d: %d samples, median %v, p95 %v; want %d, %v, %v", iv.StartTick,
+				iv.Samples, iv.MedianRelErr, iv.P95RelErr, len(pooled), percentile(pooled, 50), percentile(pooled, 95))
 		}
 	}
 }

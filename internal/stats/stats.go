@@ -24,7 +24,7 @@ func Percentile(values []float64, p float64) (float64, error) {
 	if len(values) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		return 0, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
 	}
 	sorted := make([]float64, len(values))
@@ -40,7 +40,7 @@ func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		return 0, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
 	}
 	return percentileSorted(sorted, p), nil

@@ -57,6 +57,13 @@ func TestPercentileErrors(t *testing.T) {
 	if _, err := Percentile([]float64{1}, 101); err == nil {
 		t.Fatal("percentile > 100 succeeded")
 	}
+	// NaN is outside [0, 100] too; it used to index with int(NaN).
+	if _, err := Percentile([]float64{1, 2}, math.NaN()); err == nil {
+		t.Fatal("NaN percentile succeeded")
+	}
+	if _, err := PercentileSorted([]float64{1, 2}, math.NaN()); err == nil {
+		t.Fatal("NaN percentile of sorted input succeeded")
+	}
 }
 
 func TestPercentileSingleValue(t *testing.T) {

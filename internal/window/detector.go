@@ -26,7 +26,7 @@ type EnergyDetector struct {
 
 // NewEnergyDetector validates and builds an EnergyDetector.
 func NewEnergyDetector(tau float64) (*EnergyDetector, error) {
-	if tau <= 0 {
+	if !(tau > 0) {
 		return nil, fmt.Errorf("window: energy threshold %v, want > 0", tau)
 	}
 	return &EnergyDetector{Tau: tau}, nil
@@ -39,6 +39,7 @@ func (d *EnergyDetector) Diverged(p *Pair) (bool, error) {
 	}
 	e, err := p.Energy()
 	if err != nil {
+		//nc:allow(hotpath) not-full return: cold by definition
 		return false, fmt.Errorf("energy detector: %w", err)
 	}
 	return e > d.Tau, nil
@@ -60,7 +61,7 @@ type RelativeDetector struct {
 
 // NewRelativeDetector validates and builds a RelativeDetector.
 func NewRelativeDetector(epsilon float64) (*RelativeDetector, error) {
-	if epsilon <= 0 {
+	if !(epsilon > 0) {
 		return nil, fmt.Errorf("window: relative threshold %v, want > 0", epsilon)
 	}
 	return &RelativeDetector{Epsilon: epsilon}, nil

@@ -28,7 +28,7 @@ type RankSumDetector struct {
 
 // NewRankSumDetector validates and builds a RankSumDetector.
 func NewRankSumDetector(z float64) (*RankSumDetector, error) {
-	if z <= 0 {
+	if !(z > 0) {
 		return nil, fmt.Errorf("window: rank-sum threshold %v, want > 0", z)
 	}
 	return &RankSumDetector{Z: z}, nil

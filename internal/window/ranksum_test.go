@@ -15,6 +15,9 @@ func TestRankSumDetectorValidation(t *testing.T) {
 	if _, err := NewRankSumDetector(-1); err == nil {
 		t.Fatal("z<0 accepted")
 	}
+	if _, err := NewRankSumDetector(math.NaN()); err == nil {
+		t.Fatal("z=NaN accepted")
+	}
 }
 
 func TestRankSumDetectorNotFull(t *testing.T) {

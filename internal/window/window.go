@@ -11,14 +11,18 @@
 // from empty.
 //
 // The package maintains the Szekely-Rizzo energy statistic between Ws and
-// Wc incrementally: sliding Wc by one element updates the cross-window and
-// within-window distance sums in O(k) instead of recomputing the O(k^2)
-// definition, which matters because the detector runs on every coordinate
-// observation of every node.
+// Wc incrementally. Its three distance sums are built at the first Energy
+// call after a fill — from the k(k-1)/2 distinct distances when that call
+// comes before any slide, because Ws and Wc then hold the same points —
+// and each later slide updates them in O(k) instead of recomputing the
+// O(k^2) definition, which matters because the detector runs on every
+// coordinate observation of every node. A pair whose Energy is never read
+// (the RELATIVE and rank-sum detectors) keeps no sums at all.
 package window
 
 import (
 	"fmt"
+	"math"
 
 	"netcoord/internal/vec"
 )
@@ -41,9 +45,10 @@ type Pair struct {
 	current  []vec.Vector // Wc slots: ring, oldest at head
 	head     int          // ring index of oldest element of current
 	curLen   int
+	slid     bool // Wc has slid since the fill: it no longer equals Ws
 
-	// Incremental sums for the energy statistic. Valid whenever both
-	// windows are full (maintained from the moment they fill).
+	// Incremental sums for the energy statistic, built by the first
+	// Energy call after a fill and maintained by every slide after it.
 	//
 	// sumCross  = sum over a in Ws, b in Wc of ||a-b||
 	// sumWithinS = full double sum over Ws (both orders, diagonal zero)
@@ -52,6 +57,7 @@ type Pair struct {
 	sumWithinS float64
 	sumWithinC float64
 	sumsValid  bool
+	pairDist   []float64 // initSums' k×k scratch; only d(i,j), j < i, is used
 
 	// startCentroid caches C(Ws) in a preallocated buffer; the paper
 	// notes this cacheability as one of RELATIVE's virtues.
@@ -70,19 +76,21 @@ func NewPair(k, dim int) (*Pair, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("window: dimension %d, want >= 1", dim)
 	}
-	p := &Pair{
+	// One backing array: 2k slots, the two centroids, then the scratch.
+	buf := make([]float64, (2*k+2)*dim+k*k)
+	vecs := make([]vec.Vector, 2*k+2)
+	for i := range vecs {
+		vecs[i] = buf[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return &Pair{
 		k:             k,
 		dim:           dim,
-		start:         make([]vec.Vector, k),
-		current:       make([]vec.Vector, k),
-		startCentroid: vec.Zero(dim),
-		curCentroid:   vec.Zero(dim),
-	}
-	for i := 0; i < k; i++ {
-		p.start[i] = vec.Zero(dim)
-		p.current[i] = vec.Zero(dim)
-	}
-	return p, nil
+		start:         vecs[:k:k],
+		current:       vecs[k : 2*k : 2*k],
+		startCentroid: vecs[2*k],
+		curCentroid:   vecs[2*k+1],
+		pairDist:      buf[(2*k+2)*dim:],
+	}, nil
 }
 
 // K returns the configured window size.
@@ -96,8 +104,11 @@ func (p *Pair) Full() bool { return p.startLen == p.k && p.curLen == p.k }
 // preallocated storage, so the caller may reuse its buffer and the
 // steady-state path allocates nothing. Returns an error on dimension
 // mismatch.
+//
+//nc:hotpath
 func (p *Pair) Append(v vec.Vector) error {
 	if v.Dim() != p.dim {
+		//nc:allow(hotpath) dimension-mismatch return: cold by definition
 		return fmt.Errorf("window: append %d-dim point to %d-dim pair: %w", v.Dim(), p.dim, vec.ErrDimensionMismatch)
 	}
 
@@ -109,9 +120,6 @@ func (p *Pair) Append(v vec.Vector) error {
 		p.startLen++
 		p.curLen++
 		p.head = 0
-		if p.startLen == p.k {
-			p.initSums()
-		}
 		return nil
 	}
 
@@ -122,6 +130,7 @@ func (p *Pair) Append(v vec.Vector) error {
 	p.slideSums(old, v)
 	copy(old, v)
 	p.head = (p.head + 1) % p.k
+	p.slid = true
 	return nil
 }
 
@@ -131,6 +140,7 @@ func (p *Pair) Reset() {
 	p.startLen = 0
 	p.curLen = 0
 	p.head = 0
+	p.slid = false
 	p.sumsValid = false
 	p.startCentroidSet = false
 }
@@ -196,6 +206,7 @@ func meanInto(dst vec.Vector, slots []vec.Vector, head, k int) {
 // incrementally. Only defined when both windows are full.
 func (p *Pair) Energy() (float64, error) {
 	if !p.Full() {
+		//nc:allow(hotpath) not-full return: cold by definition
 		return 0, fmt.Errorf("window: energy requested before windows full")
 	}
 	if !p.sumsValid {
@@ -208,70 +219,82 @@ func (p *Pair) Energy() (float64, error) {
 		(2/(n*n)*p.sumCross - p.sumWithinS/(n*n) - p.sumWithinC/(n*n)), nil
 }
 
-// initSums computes the three distance sums from scratch (O(k^2)); called
-// once when the windows first fill, and as a fallback if sums were
-// invalidated. It runs directly over the slot arrays — the windows have
-// just filled, so slot order is arrival order, and the sums are
-// order-invariant pair aggregates anyway — to avoid materializing a
-// temporary window copy.
+// initSums builds the three distance sums; Energy is its only caller.
+//
+// Before the first slide Wc still holds Ws's k points slot for slot, so
+// the k(k-1)/2 distances d(i,j), i < j, define all three sums, and adding
+// them in the general loops' order gives the general loops' bits: d is
+// bitwise symmetric ((a-b)^2 is (b-a)^2), so row i of the row-major
+// sumCross reads d(i,j), j < i, back from pairDist, skips the diagonal
+// (+0 added to a non-negative sum of finite points) and computes the
+// rest; sumWithinC is sumWithinS's addition sequence. After a slide the
+// windows differ and the general loops run, over the slot arrays — the
+// sums are pair aggregates, so ring order does not matter.
 func (p *Pair) initSums() {
-	start := p.start[:p.startLen]
-	cur := p.current[:p.curLen]
-	p.sumCross = 0
-	for _, a := range start {
-		for _, b := range cur {
-			p.sumCross += mustDist(a, b)
+	start, cur, k := p.start, p.current, p.k
+	var cross, withinS, withinC float64
+	if !p.slid {
+		for i := 0; i < k; i++ {
+			for _, d := range p.pairDist[i*k : i*k+i] {
+				cross += d
+			}
+			for j := i + 1; j < k; j++ {
+				d := dist(start[i], start[j])
+				p.pairDist[j*k+i] = d
+				cross += d
+				withinS += 2 * d
+			}
+		}
+		withinC = withinS
+	} else {
+		for _, a := range start {
+			for _, b := range cur {
+				cross += dist(a, b)
+			}
+		}
+		for i := range start {
+			for j := i + 1; j < k; j++ {
+				withinS += 2 * dist(start[i], start[j])
+				withinC += 2 * dist(cur[i], cur[j])
+			}
 		}
 	}
-	p.sumWithinS = 0
-	for i := range start {
-		for j := i + 1; j < len(start); j++ {
-			p.sumWithinS += 2 * mustDist(start[i], start[j])
-		}
-	}
-	p.sumWithinC = 0
-	for i := range cur {
-		for j := i + 1; j < len(cur); j++ {
-			p.sumWithinC += 2 * mustDist(cur[i], cur[j])
-		}
-	}
+	p.sumCross, p.sumWithinS, p.sumWithinC = cross, withinS, withinC
 	p.sumsValid = true
 }
 
-// slideSums updates the distance sums for Wc dropping old and gaining nw.
-// O(k) work.
+// slideSums updates the distance sums for Wc dropping old and gaining nw,
+// in O(k); a no-op until Energy has built them.
+//
+//nc:hotpath
 func (p *Pair) slideSums(old, nw vec.Vector) {
 	if !p.sumsValid {
-		return // will be rebuilt lazily by Energy
+		return
 	}
+	cross, withinC := p.sumCross, p.sumWithinC
 	for _, a := range p.start {
-		p.sumCross += mustDist(a, nw) - mustDist(a, old)
+		cross += dist(a, nw) - dist(a, old)
 	}
-	// Remove old's distances to the other current members, add nw's.
-	// old sits at p.head and is excluded from its own sum (distance 0).
-	for i := 0; i < p.k; i++ {
+	// old still occupies slot head: every other member of Wc loses its
+	// distance to old and gains its distance to nw.
+	for i, m := range p.current {
 		if i == p.head {
 			continue
 		}
-		m := p.current[i]
-		p.sumWithinC -= 2 * mustDist(m, old)
-		p.sumWithinC += 2 * mustDist(m, nw)
+		withinC -= 2 * dist(m, old)
+		withinC += 2 * dist(m, nw)
 	}
-	// nw replaces old in the ring before the next slide, and the nw<->old
-	// cross term was handled above by skipping index head for old and
-	// then... careful: nw's distance to old must not be included because
-	// old leaves the window. The loop above adds nw's distance to every
-	// *remaining* member (excluding the departing old), which is exactly
-	// right.
+	p.sumCross, p.sumWithinC = cross, withinC
 }
 
-// mustDist returns the distance between two vectors of equal dimension.
-// Dimension equality is enforced at Append, so the error path is
-// unreachable; a zero fallback keeps the no-panic policy.
-func mustDist(a, b vec.Vector) float64 {
-	d, err := a.Dist(b)
-	if err != nil {
-		return 0
+// dist is vec.Vector.Dist's arithmetic in vec.Vector.Dist's order without
+// its error return: Append has already enforced equal dimensions.
+func dist(a, b vec.Vector) float64 {
+	b = b[:len(a)]
+	var sum float64
+	for i := range a {
+		d := a[i] - b[i]
+		sum += d * d
 	}
-	return d
+	return math.Sqrt(sum)
 }

@@ -287,6 +287,9 @@ func TestEnergyDetectorValidation(t *testing.T) {
 	if _, err := NewEnergyDetector(-1); err == nil {
 		t.Fatal("tau<0 accepted")
 	}
+	if _, err := NewEnergyDetector(math.NaN()); err == nil {
+		t.Fatal("tau=NaN accepted")
+	}
 }
 
 func TestRelativeDetector(t *testing.T) {
@@ -389,6 +392,9 @@ func TestRelativeDetectorZeroScale(t *testing.T) {
 func TestRelativeDetectorValidation(t *testing.T) {
 	if _, err := NewRelativeDetector(0); err == nil {
 		t.Fatal("epsilon=0 accepted")
+	}
+	if _, err := NewRelativeDetector(math.NaN()); err == nil {
+		t.Fatal("epsilon=NaN accepted")
 	}
 }
 

@@ -52,6 +52,14 @@ func TestNewClientRejectsBadFilter(t *testing.T) {
 	if _, err := NewClient(cfg); err == nil {
 		t.Fatal("bad percentile accepted")
 	}
+	// NaN passes `p < 0 || p > 100`: the client used to build, and its
+	// second Observe indexed the filter window with int(NaN).
+	if _, err := NewClient(Config{FilterPercentile: math.NaN(), FilterHistory: 4}); err == nil {
+		t.Fatal("NaN percentile accepted")
+	}
+	if _, err := NewClient(Config{Threshold: math.NaN()}); err == nil {
+		t.Fatal("NaN threshold accepted")
+	}
 }
 
 func TestObserveRejectsBadRemote(t *testing.T) {

@@ -138,3 +138,39 @@ func TestSimulateSparseClientConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulatePaperGolden pins the paper-scale run (the sim-paper
+// workload's input, which lives outside `go test ./...`) bit for bit.
+// The literals were recorded at commit 7ba5a6d; a change that moves any
+// of them has changed what the simulator computes, not how fast.
+func TestSimulatePaperGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 128-node, 2400 s runs")
+	}
+	golden := map[uint64]SimulationResult{
+		1: {
+			Samples: 307200,
+			System:  StreamSummary{MedianRelErr: 0.05056000319382825, P95RelErr: 0.47014679388537584, MedianInstability: 105.02966081003618, UpdatesPerSecond: 0.9981575520833333},
+			App:     StreamSummary{MedianRelErr: 0.047444587774268854, P95RelErr: 0.467883033609984, MedianInstability: 7.4385274891256365, UpdatesPerSecond: 0.022526041666666666},
+		},
+		2: {
+			Samples: 307200,
+			System:  StreamSummary{MedianRelErr: 0.04695049101215541, P95RelErr: 0.47020610641178207, MedianInstability: 100.54716993924147, UpdatesPerSecond: 0.9978971354166667},
+			App:     StreamSummary{MedianRelErr: 0.04547443518656613, P95RelErr: 0.4777275749418793, MedianInstability: 7.995153489507352, UpdatesPerSecond: 0.022630208333333332},
+		},
+		3: {
+			Samples: 307200,
+			System:  StreamSummary{MedianRelErr: 0.04752163217807234, P95RelErr: 0.48475081956517596, MedianInstability: 98.53694459870341, UpdatesPerSecond: 0.9979947916666667},
+			App:     StreamSummary{MedianRelErr: 0.04426522504602836, P95RelErr: 0.47360921370883236, MedianInstability: 7.03300779005261, UpdatesPerSecond: 0.022063802083333334},
+		},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		got, err := Simulate(SimulationConfig{Nodes: 128, Seconds: 2400, Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got != golden[seed] {
+			t.Errorf("seed %d:\n got %#v\nwant %#v", seed, got, golden[seed])
+		}
+	}
+}
