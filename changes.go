@@ -3,7 +3,6 @@ package netcoord
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"netcoord/internal/changefeed"
 	"netcoord/internal/wire"
@@ -235,16 +234,7 @@ func (r *Registry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
 // stream — the same superset-then-replay convergence as a full
 // snapshot, transferring only what changed.
 func (r *Registry) EntriesChangedSince(since uint64) []RegistryEntry {
-	var out []RegistryEntry
-	r.mu.RLock()
-	for _, e := range r.entries {
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return r.sortedEntries(func(e RegistryEntry) bool { return e.Seq > since })
 }
 
 // RemovedSince lists the ids removed (or evicted) with sequence >

@@ -876,18 +876,20 @@ func (f *FollowerRegistry) finishBootstrap(start time.Time, seq, epoch uint64, d
 		}
 		f.deltaBootstraps.Add(1)
 	}
+	// A registry that was empty holds nothing the snapshot lacks, so a
+	// fresh follower has no stale ids to look for.
+	fresh := f.Registry.Len() == 0
 	if err := f.Registry.UpsertBatch(batch); err != nil {
 		return fmt.Errorf("apply snapshot: %w", err)
 	}
-	if !delta {
+	if !delta && !fresh {
 		live := make(map[string]struct{}, len(batch))
 		for i := range batch {
 			live[batch[i].ID] = struct{}{}
 		}
-		for _, e := range f.Registry.Snapshot() {
-			if _, ok := live[e.ID]; !ok {
-				f.Registry.Remove(e.ID)
-			}
+		stale := f.Registry.idsWhere(func(e RegistryEntry) bool { _, ok := live[e.ID]; return !ok })
+		for _, id := range stale {
+			f.Registry.Remove(id)
 		}
 	}
 	f.applied.Store(seq)

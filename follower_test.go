@@ -1,0 +1,96 @@
+package netcoord
+
+import (
+	"reflect"
+	"testing"
+	"time"
+)
+
+// TestFinishBootstrap drives the one place a follower turns a decoded
+// snapshot into registry state, with no upstream behind it. A full
+// snapshot leaves exactly its entries: on an empty registry that is the
+// bulk load and nothing more (there is no stale id to look for); on a
+// populated one the ids the snapshot lacks are swept out. A delta sweeps
+// nothing. Whichever path ran, the last entry of a repeated id wins.
+func TestFinishBootstrap(t *testing.T) {
+	at := time.Unix(1_700_000_000, 0)
+	entry := func(id string, x float64, seq uint64) RegistryEntry {
+		return RegistryEntry{ID: id, Coord: c3(x, 0, 0), Error: 0.5, UpdatedAt: at.Add(time.Duration(seq) * time.Second), Seq: seq}
+	}
+	for _, tc := range []struct {
+		name    string
+		before  []RegistryEntry
+		delta   bool
+		removed []string
+		batch   []RegistryEntry
+		want    []RegistryEntry // sorted by id
+	}{{
+		name:  "fresh follower, distinct ids",
+		batch: []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+		want:  []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+	}, {
+		name:  "fresh follower, repeated id",
+		batch: []RegistryEntry{entry("a", 1, 3), entry("b", 2, 4), entry("a", 9, 6)},
+		want:  []RegistryEntry{entry("a", 9, 6), entry("b", 2, 4)},
+	}, {
+		name:   "stale id swept",
+		before: []RegistryEntry{entry("b", 7, 1), entry("stale", 8, 2)},
+		batch:  []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+		want:   []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+	}, {
+		// As many entries arrive as the registry ends up holding, and
+		// one of those it holds is still stale: comparing the two counts
+		// would have skipped this sweep.
+		name:   "stale id swept although a repeated id evens the counts",
+		before: []RegistryEntry{entry("stale", 8, 2)},
+		batch:  []RegistryEntry{entry("a", 1, 3), entry("a", 9, 6)},
+		want:   []RegistryEntry{entry("a", 9, 6)},
+	}, {
+		name:    "delta keeps what it does not mention",
+		before:  []RegistryEntry{entry("gone", 7, 1), entry("kept", 8, 2), entry("back", 6, 2)},
+		delta:   true,
+		removed: []string{"gone", "back"},
+		batch:   []RegistryEntry{entry("back", 5, 6), entry("new", 4, 5)},
+		want:    []RegistryEntry{entry("back", 5, 6), entry("kept", 8, 2), entry("new", 4, 5)},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &FollowerRegistry{Registry: newTestRegistry(t, RegistryConfig{}), relayBuf: 16}
+			if tc.delta {
+				// A delta only ever follows an earlier bootstrap.
+				if err := f.finishBootstrap(time.Now(), 2, 0, false, nil, tc.before); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := f.Registry.UpsertBatch(tc.before); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.finishBootstrap(time.Now(), 6, 1, tc.delta, tc.removed, tc.batch); err != nil {
+				t.Fatalf("finishBootstrap: %v", err)
+			}
+			t.Cleanup(f.relay.Close)
+			if got := f.Registry.Snapshot(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("registry holds\n %+v\nwant\n %+v", got, tc.want)
+			}
+			if f.ChangeSeq() != 6 || f.ChangeEpoch() != 1 || f.relay.Seq() != 6 {
+				t.Fatalf("follower at seq %d epoch %d, relay at %d; want 6, 1, 6", f.ChangeSeq(), f.ChangeEpoch(), f.relay.Seq())
+			}
+			// The index agrees with the map: everything wanted is found,
+			// and no swept or removed id comes back out of a tombstone.
+			near, err := f.Registry.Nearest(c3(0, 0, 0), 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := make(map[string]Coordinate, len(near))
+			for _, n := range near {
+				found[n.ID] = n.Coord
+			}
+			if len(near) != len(tc.want) {
+				t.Fatalf("Nearest found %v, want the %d entries", near, len(tc.want))
+			}
+			for _, e := range tc.want {
+				if c, ok := found[e.ID]; !ok || !c.Equal(e.Coord) {
+					t.Fatalf("Nearest has %q at %v (present %v), want %v", e.ID, c, ok, e.Coord)
+				}
+			}
+		})
+	}
+}

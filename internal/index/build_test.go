@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"netcoord/internal/coord"
@@ -122,6 +124,53 @@ func TestBuildEdgeCases(t *testing.T) {
 }
 
 // benchEntries generates n random entries once per benchmark.
+// TestBuildIsOneArenaAtAnyGOMAXPROCS: place forks the top of a large
+// tree across goroutines when there is a second processor, and the
+// arena must not depend on it — the same nodes, vectors, ids and id map
+// from Build at GOMAXPROCS 1 and 2, and from a Rebuild at 2. The
+// clustered set puts every median inside a run of equal coordinates
+// that only the id orders.
+func TestBuildIsOneArenaAtAnyGOMAXPROCS(t *testing.T) {
+	rng := xrand.NewStream(9)
+	clustered := make([]Entry, 5000) // above forkMin, so it does fork
+	for i := range clustered {
+		c := coord.New(float64(rng.Intn(5))*10, float64(rng.Intn(4))*10, float64(rng.Intn(2))*10)
+		c.Height = float64(rng.Intn(3))
+		clustered[i] = Entry{ID: fmt.Sprintf("node-%04d", i), Coord: c}
+	}
+	for name, entries := range map[string][]Entry{"100k": benchEntries(100_000), "5k clustered": clustered} {
+		build := func(procs int) *Tree {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tr, err := Build(3, entries)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", name, err)
+			}
+			return tr
+		}
+		one, two := build(1), build(2)
+		same := func(what string) {
+			t.Helper()
+			if !slices.Equal(one.nodes, two.nodes) || !slices.Equal(one.vecs, two.vecs) || !slices.Equal(one.ids, two.ids) {
+				t.Errorf("%s: %s at GOMAXPROCS 2 differs from Build at GOMAXPROCS 1", name, what)
+			}
+			if len(two.byID) != len(entries) {
+				t.Errorf("%s: %s left %d ids in the map, want %d", name, what, len(two.byID), len(entries))
+			}
+			for i, id := range two.ids {
+				if two.byID[id] != int32(i) {
+					t.Fatalf("%s: %s maps %q to slot %d, want %d", name, what, id, two.byID[id], i)
+				}
+			}
+		}
+		same("Build")
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+			two.Rebuild()
+		}()
+		same("Rebuild")
+	}
+}
+
 func benchEntries(n int) []Entry {
 	rng := xrand.NewStream(7)
 	entries := make([]Entry, n)

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 
 	"netcoord/internal/bheap"
@@ -413,22 +414,29 @@ func (t *Tree) Rebuild() {
 
 // layout replaces the arena with a balanced tree over entries laid out
 // in pre-order, and enters every id's slot in the id map (a rebuild's
-// map already holds exactly these ids). Input order is fine as the
-// starting arrangement: the median build partitions by the (axis value,
-// id) total order, whose medians are unique, so the resulting tree is a
-// pure function of the point set. Entries that share an id leave the
-// map shorter than the arena; Build looks for that.
+// map already holds exactly these ids). Pre-order fixes every subtree's
+// slots before it is built — n points rooted at slot s fill [s, s+n) —
+// so the arena is sized up front, place writes slots rather than
+// appending, and halves that share no slot can be built on different
+// goroutines. Input order is fine as the starting arrangement: the
+// median build partitions by the (axis value, id) total order, whose
+// medians are unique, so the tree is a pure function of the point set,
+// the same arena byte for byte at any GOMAXPROCS. Entries that share an
+// id leave the map shorter than the arena; Build looks for that.
 func (t *Tree) layout(entries []Entry) {
 	n := len(entries)
-	t.nodes = make([]node, 0, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
-	t.vecs = make([]float64, 0, n*t.dim)      //nc:allow(hotpath) arena allocation: once per build or rebuild
-	t.ids = make([]string, 0, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
-	t.coords = make([]coord.Coordinate, 0, n) //nc:allow(hotpath) arena allocation: once per build or rebuild
-	order := make([]keyed, n)                 //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.nodes = make([]node, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.vecs = make([]float64, n*t.dim)      //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.ids = make([]string, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.coords = make([]coord.Coordinate, n) //nc:allow(hotpath) arena allocation: once per build or rebuild
+	order := make([]keyed, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
 	for i := range order {
 		order[i].at = int32(i)
 	}
-	t.place(entries, order, 0, none)
+	t.place(entries, order, 0, none, 0, runtime.GOMAXPROCS(0))
+	for i, id := range t.ids {
+		t.byID[id] = int32(i)
+	}
 	t.dead = 0
 	t.liveAtRebuild = n
 	t.inserts = 0
@@ -443,10 +451,16 @@ type keyed struct {
 	at int32
 }
 
-// place appends the balanced subtree over the entries in order, split
-// on axis, and returns its root's slot: the median first, then its left
-// half, then its right half.
-func (t *Tree) place(entries []Entry, order []keyed, axis int, parent int32) int32 {
+// forkMin is the smallest subtree place splits across two goroutines:
+// below it the hand-off costs more than the half it moves.
+const forkMin = 1 << 12
+
+// place writes the balanced subtree over the entries in order, split on
+// axis, into slots [slot, slot+len(order)) and returns slot: the median
+// first, then its left half, then its right half. The subtree may keep
+// procs goroutines busy: given two or more, and forkMin points or more,
+// it builds its left half on a second one.
+func (t *Tree) place(entries []Entry, order []keyed, axis int, parent, slot int32, procs int) int32 {
 	if len(order) == 0 {
 		return none
 	}
@@ -456,20 +470,25 @@ func (t *Tree) place(entries []Entry, order []keyed, axis int, parent int32) int
 	mid := len(order) / 2
 	selectMedian(entries, order, mid)
 	e := &entries[order[mid].at]
-	i := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{
+	t.nodes[slot] = node{
 		split: order[mid].v, height: e.Coord.Height,
 		parent: parent, size: int32(len(order)), run: int32(len(order)),
 		axis: uint16(axis),
-	})
-	t.vecs = append(t.vecs, e.Coord.Vec...)
-	t.ids = append(t.ids, e.ID)
-	t.coords = append(t.coords, e.Coord)
-	t.byID[e.ID] = i
+	}
+	copy(t.vecs[int(slot)*t.dim:], e.Coord.Vec)
+	t.ids[slot] = e.ID
+	t.coords[slot] = e.Coord
 	next := (axis + 1) % t.dim
-	left := t.place(entries, order[:mid], next, i)
-	right := t.place(entries, order[mid+1:], next, i)
-	n := &t.nodes[i]
+	var left, right int32
+	if procs > 1 && len(order) >= forkMin {
+		done := t.placeAsync(entries, order[:mid], next, slot, slot+1, procs/2)
+		right = t.place(entries, order[mid+1:], next, slot, slot+1+int32(mid), procs-procs/2)
+		left = <-done
+	} else {
+		left = t.place(entries, order[:mid], next, slot, slot+1, procs)
+		right = t.place(entries, order[mid+1:], next, slot, slot+1+int32(mid), procs)
+	}
+	n := &t.nodes[slot]
 	n.left, n.right = left, right
 	n.minHeight = e.Coord.Height
 	if left != none {
@@ -478,7 +497,17 @@ func (t *Tree) place(entries []Entry, order []keyed, axis int, parent int32) int
 	if right != none {
 		n.minHeight = min(n.minHeight, t.nodes[right].minHeight)
 	}
-	return i
+	return slot
+}
+
+// placeAsync runs place on a goroutine of its own and delivers its
+// result on the returned channel. A separate function, because written
+// inline in place the closure's captures would escape on every call.
+func (t *Tree) placeAsync(entries []Entry, order []keyed, axis int, parent, slot int32, procs int) <-chan int32 {
+	done := make(chan int32, 1) //nc:allow(hotpath) build fork: at most GOMAXPROCS-1 per build or rebuild, none below forkMin points
+	//nc:allow(hotpath) build fork: the goroutine builds a disjoint slot range and place waits for it before returning
+	go func() { done <- t.place(entries, order, axis, parent, slot, procs) }()
+	return done
 }
 
 // selectMedian partially sorts order so that order[mid] is the entry

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -144,7 +145,11 @@ type snapContents struct {
 	tombs     []Tombstone
 }
 
-// loadSnapshot reads and verifies the snapshot for gen.
+// loadSnapshot reads and verifies the snapshot for gen. Its entries
+// come back strictly ascending by id. A file this code wrote already is
+// (its entries were a Registry.Snapshot), which is checked during the
+// decode and not assumed; one that is not gets a stable sort keeping
+// the last entry of each id, what a map load in file order would leave.
 func loadSnapshot(dir string, gen uint64) (snapContents, error) {
 	data, err := os.ReadFile(snapPath(dir, gen))
 	if err != nil {
@@ -201,6 +206,7 @@ func loadSnapshot(dir string, gen uint64) (snapContents, error) {
 		return snapContents{}, fmt.Errorf("persist: snapshot gen %d: count %d impossible for %d body bytes", gen, count, len(src))
 	}
 	sc.entries = make([]Entry, 0, count)
+	ascending := true
 	var fr wire.Frame
 	for i := uint64(0); i < count; i++ {
 		n, err := wire.DecodeFrameInto(&fr, src)
@@ -210,11 +216,21 @@ func loadSnapshot(dir string, gen uint64) (snapContents, error) {
 		if err != nil {
 			return snapContents{}, fmt.Errorf("persist: snapshot gen %d entry %d: %w", gen, i, err)
 		}
+		if i > 0 && fr.ID <= sc.entries[i-1].ID {
+			ascending = false
+		}
 		sc.entries = append(sc.entries, fr.Entry())
 		src = src[n:]
 	}
 	if len(src) != 0 {
 		return snapContents{}, fmt.Errorf("persist: snapshot gen %d: %d trailing bytes", gen, len(src))
+	}
+	if !ascending {
+		// Reversed first, so the stable sort puts each id's last entry
+		// at the head of its run, which is the one CompactFunc keeps.
+		slices.Reverse(sc.entries)
+		slices.SortStableFunc(sc.entries, func(a, b Entry) int { return strings.Compare(a.ID, b.ID) })
+		sc.entries = slices.CompactFunc(sc.entries, func(a, b Entry) bool { return a.ID == b.ID })
 	}
 	return sc, nil
 }

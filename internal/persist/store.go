@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,9 +199,13 @@ type Store struct {
 
 // Open opens (creating if needed) the store directory, recovers the
 // persisted state — newest readable snapshot plus replayed WAL tail —
-// and returns the live entries sorted by id. The returned store is
-// ready for logging; pair every recovered mutation stream with exactly
-// one writer, as concurrent stores on one directory corrupt each other.
+// and returns the live entries sorted by id. The snapshot stays the
+// id-ordered slice loadSnapshot returns, the tail is replayed into a
+// map of the ids it touches, and one pass merges the two: an entry the
+// tail never mentions is neither hashed nor sorted again. The returned
+// store is ready for logging; pair every recovered mutation stream with
+// exactly one writer, as concurrent stores on one directory corrupt
+// each other.
 func Open(dir string, opts Options) (*Store, []Entry, error) {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = DefaultFlushInterval
@@ -248,7 +254,7 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	// but none verifies, opening must fail: proceeding would silently
 	// "recover" only the last WAL generation's mutations and present a
 	// near-empty registry as a successful warm restart.
-	state := make(map[string]Entry)
+	var base []Entry
 	baseGen := uint64(0)
 	lastSeq := uint64(0)
 	lastEpoch := uint64(0)
@@ -264,9 +270,7 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 			s.recovery.CorruptSnapshots++
 			continue
 		}
-		for _, e := range sc.entries {
-			state[e.ID] = e
-		}
+		base = sc.entries
 		baseGen = snaps[i]
 		lastSeq = sc.seq
 		lastEpoch = sc.epoch
@@ -283,7 +287,10 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	}
 
 	// Replay every WAL generation at or above the snapshot, in order.
-	// Generations below it are fully contained in the snapshot.
+	// Generations below it are fully contained in the snapshot. touched
+	// holds, for each id the tail mentions, the entry of its last upsert,
+	// or nil when a removal or eviction came last.
+	touched := make(map[string]*Entry)
 	apply := func(ev wire.Event) {
 		if ev.Seq > lastSeq {
 			lastSeq = ev.Seq
@@ -293,13 +300,13 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 		}
 		switch ev.Op {
 		case wire.OpUpsert:
-			state[ev.Entry.ID] = ev.Entry
+			touched[ev.Entry.ID] = &ev.Entry
 		case wire.OpRemove:
-			delete(state, ev.ID)
+			touched[ev.ID] = nil
 			tombs = append(tombs, Tombstone{Seq: ev.Seq, ID: ev.ID})
 		case wire.OpEvict:
 			for _, id := range ev.IDs {
-				delete(state, id)
+				touched[id] = nil
 				tombs = append(tombs, Tombstone{Seq: ev.Seq, ID: id})
 			}
 		}
@@ -365,11 +372,28 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	s.gen = activeGen
 	s.removeObsolete(baseGen)
 
-	out := make([]Entry, 0, len(state))
-	for _, e := range state {
+	// Merge in place. What the loop leaves in touched was never in the
+	// snapshot, and only such an addition can break the id order.
+	out := base[:0]
+	for _, e := range base {
+		if t, ok := touched[e.ID]; ok {
+			delete(touched, e.ID)
+			if t == nil {
+				continue
+			}
+			e = *t
+		}
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	merged := len(out)
+	for _, t := range touched {
+		if t != nil {
+			out = append(out, *t)
+		}
+	}
+	if len(out) > merged {
+		slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.ID, b.ID) })
+	}
 	s.recovery.Entries = len(out)
 	s.recovery.LastSeq = lastSeq
 	s.recovery.LastEpoch = lastEpoch

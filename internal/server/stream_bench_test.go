@@ -10,9 +10,11 @@ import (
 )
 
 // BenchmarkFollowerCatchup measures a replica catching up from nothing
-// over HTTP: /snapshot fetch, JSON decode, and the bulk index build —
-// the time from `ncserve -follow` starting to the replica serving warm
-// reads of a 10k-entry leader.
+// over loopback HTTP: the leader's capture and frame encode of
+// /snapshot (format=frames, the only encoding replication speaks), the
+// follower's streaming frame decode, and the bulk index build — the
+// time from `ncserve -upstreams` starting to the replica serving warm
+// reads of a 100k-entry leader.
 func BenchmarkFollowerCatchup(b *testing.B) {
 	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{
 		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
@@ -26,11 +28,11 @@ func BenchmarkFollowerCatchup(b *testing.B) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	const entries = 10_000
+	const entries = 100_000
 	batch := make([]netcoord.RegistryEntry, entries)
 	for i := range batch {
 		batch[i] = netcoord.RegistryEntry{
-			ID:    fmt.Sprintf("node-%05d", i),
+			ID:    fmt.Sprintf("node-%06d", i),
 			Coord: netcoord.Coordinate{Vec: []float64{float64(i % 997), float64(i % 601), float64(i % 251)}},
 			Error: 0.2,
 		}

@@ -10,7 +10,9 @@ import (
 // directory holding a 100k-entry snapshot plus a 10k-record WAL tail,
 // through snapshot load, tail replay, and the registry's bulk
 // UpsertBatch/index.Build path. This is the time a restarted ncserve
-// spends before it can serve its first query warm.
+// spends before it can serve its first query warm. The tail moves each
+// node at most 20 ms per axis from where the snapshot has it, as the
+// ncload recover workload's writes do.
 func BenchmarkRecover(b *testing.B) {
 	const (
 		snapshotN = 100_000
@@ -42,7 +44,8 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatalf("Compact: %v", err)
 	}
 	for i := 0; i < tailN; i++ {
-		if err := prep.Upsert(fmt.Sprintf("node-%07d", i), c3(float64(i%1009)+1, 0, 0), 0.2); err != nil {
+		moved := c3(float64(i%1009)+float64(i%41-20), float64(i%601)+float64(i%37-18), float64(i%251)+float64(i%31-15))
+		if err := prep.Upsert(fmt.Sprintf("node-%07d", i), moved, 0.2); err != nil {
 			b.Fatalf("Upsert: %v", err)
 		}
 	}

@@ -3,7 +3,8 @@ package netcoord
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -296,7 +297,8 @@ func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 		// instead of n incremental inserts with rebuild cascades. This
 		// is the warm-up path (snapshot restore, first Feed burst) —
 		// O(n log n) instead of O(n log^2 n) amortized.
-		pts := make([]index.Entry, len(entries)) //nc:allow(hotpath) warm-up path: one slice per bulk build of an empty registry
+		r.entries = make(map[string]RegistryEntry, len(entries)) //nc:allow(hotpath) warm-up path: one map sized for the bulk load of an empty registry
+		pts := make([]index.Entry, len(entries))                 //nc:allow(hotpath) warm-up path: one slice per bulk build of an empty registry
 		for i := range entries {
 			pts[i] = index.Entry{ID: entries[i].ID, Coord: entries[i].Coord}
 		}
@@ -428,21 +430,22 @@ func (r *Registry) EvictStale() int {
 		return 0
 	}
 	cutoff := r.clock().Add(-r.ttl)
-	return r.evictIfStale(r.staleIDs(cutoff), cutoff)
+	stale := r.idsWhere(func(e RegistryEntry) bool { return e.UpdatedAt.Before(cutoff) })
+	return r.evictIfStale(stale, cutoff)
 }
 
-// staleIDs scans for entries last upserted before cutoff. The whole-map
+// idsWhere scans for the ids of the entries pred accepts. The whole-map
 // scan holds only the read lock, so queries proceed beside it.
-func (r *Registry) staleIDs(cutoff time.Time) []string {
-	var stale []string
+func (r *Registry) idsWhere(pred func(RegistryEntry) bool) []string {
+	var ids []string
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for id, e := range r.entries {
-		if e.UpdatedAt.Before(cutoff) {
-			stale = append(stale, id)
+		if pred(e) {
+			ids = append(ids, id)
 		}
 	}
-	return stale
+	return ids
 }
 
 // evictIfStale evicts those of ids that are still stale under the write
@@ -472,15 +475,39 @@ func (r *Registry) evictIfStale(ids []string, cutoff time.Time) int {
 }
 
 // Snapshot returns every live entry, sorted by id — for persistence,
-// debugging, or bulk hand-off to another registry via UpsertBatch.
+// debugging, or bulk hand-off to another registry via UpsertBatch. One
+// hold of the read lock copies the entries out; ordering comes after.
 func (r *Registry) Snapshot() []RegistryEntry {
-	var out []RegistryEntry
+	return r.sortedEntries(nil)
+}
+
+// sortedEntries returns the live entries keep accepts (nil accepts
+// all), sorted by id. The sort moves 4-byte positions, not 88-byte
+// entries, and each entry is then copied once into its place.
+func (r *Registry) sortedEntries(keep func(RegistryEntry) bool) []RegistryEntry {
+	var found []RegistryEntry
 	r.mu.RLock()
+	if keep == nil {
+		found = make([]RegistryEntry, 0, len(r.entries))
+	}
 	for _, e := range r.entries {
-		out = append(out, e)
+		if keep == nil || keep(e) {
+			found = append(found, e)
+		}
 	}
 	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	if len(found) == 0 {
+		return nil
+	}
+	order := make([]int32, len(found))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(found[a].ID, found[b].ID) })
+	out := make([]RegistryEntry, len(found))
+	for i, at := range order {
+		out[i] = found[at]
+	}
 	return out
 }
 

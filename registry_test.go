@@ -372,7 +372,7 @@ func TestEvictStaleSparesEntryRefreshedAfterScan(t *testing.T) {
 	}
 	now = now.Add(11 * time.Second)
 	cutoff := now.Add(-10 * time.Second)
-	stale := r.staleIDs(cutoff)
+	stale := r.idsWhere(func(e RegistryEntry) bool { return e.UpdatedAt.Before(cutoff) })
 	if len(stale) != 2 {
 		t.Fatalf("scan found %v, want both entries", stale)
 	}
