@@ -50,24 +50,27 @@ type ChangeEvent = wire.Event
 // (SnapshotWithSeq), history replay (ChangesSince), live delivery
 // (SubscribeChanges), and position/health (ChangeSeq, ChangeStreamStats).
 //
-// Three implementations exist, and a serving layer written against the
-// interface works identically over all of them:
+// Every registry flavor satisfies it with the same code, because every
+// flavor has exactly one feed — its embedded Registry's:
 //
 //   - *Registry serves its own in-memory stream (history is the ring).
-//   - *PersistentRegistry extends history through the WAL on disk.
-//   - *FollowerRegistry relays its leader's stream in the *leader's*
-//     sequence space — so a replica re-serves /changes, /watch, and
-//     /snapshot with the same sequence numbers the leader would, and
-//     replicas stack into fan-out tiers (a follower can follow a
-//     follower).
+//   - *PersistentRegistry extends history through the WAL on disk; it
+//     overrides ChangesSince and nothing else.
+//   - *FollowerRegistry overrides nothing: its Registry's feed carries
+//     the *leader's* sequence space, each relayed event published under
+//     the sequence and frame it arrived with — so a replica re-serves
+//     /changes, /watch, and /snapshot with the same sequence numbers
+//     the leader would, and replicas stack into fan-out tiers (a
+//     follower can follow a follower).
 //
-// The contract shared by all three: sequences are dense and monotonic
-// within a stream's lifetime; SnapshotWithSeq's entries are a superset
-// of the state at its seq (replaying events above seq over them
-// converges exactly, because events are per-id last-write-wins);
-// ChangesSince returns ErrChangeHistoryTruncated when the resume point
-// predates retained history, and the consumer re-bootstraps from
-// SnapshotWithSeq.
+// The contract: sequences are dense and monotonic within a stream's
+// lifetime; SnapshotWithSeq and DeltaSince are exact — state and stream
+// change together under the registry's write lock and both calls read
+// under its read lock, so the entries returned are the stream's state
+// at the seq returned, no entry newer than it, on a leader and on a
+// replica mid-re-bootstrap alike; ChangesSince returns
+// ErrChangeHistoryTruncated when the resume point predates retained
+// history, and the consumer re-bootstraps from SnapshotWithSeq.
 type ChangeSource interface {
 	// ChangeSeq is the sequence of the most recent mutation.
 	ChangeSeq() uint64
@@ -89,7 +92,7 @@ type ChangeSource interface {
 	// since then, and the sequence to resume from. ok is false when
 	// removal-completeness cannot be proven (tombstone knowledge
 	// truncated) and only a full snapshot is safe. One method rather
-	// than three reads so an implementation can make the triple
+	// than three reads so the triple is one read-lock hold: exact, and
 	// atomic against state rewrites (a follower's re-bootstrap).
 	DeltaSince(since uint64) (entries []RegistryEntry, removed []string, seq uint64, ok bool)
 	// ChangeStreamStats snapshots the stream's operational counters.
@@ -104,89 +107,42 @@ var (
 )
 
 // ChangeStreamStats is an operational snapshot of a registry's change
-// stream.
+// stream: whether it exists at all, and the feed's own counters.
 type ChangeStreamStats struct {
 	// Enabled reports whether the stream exists at all.
 	Enabled bool `json:"enabled"`
-	// Seq is the last assigned sequence number.
-	Seq uint64 `json:"seq"`
-	// Published counts events published by this process.
-	Published uint64 `json:"published"`
-	// Subscribers is the live subscription count.
-	Subscribers int `json:"subscribers"`
-	// Overflows counts events dropped to full subscriber buffers.
-	Overflows uint64 `json:"overflows"`
-	// OldestSeq is the oldest event still in the catch-up ring.
-	OldestSeq uint64 `json:"oldest_seq"`
-	// RingLen is the ring's current occupancy (live events buffered);
-	// RingCap is its capacity.
-	RingLen int `json:"ring_len"`
-	RingCap int `json:"ring_cap"`
-	// TombLen/TombCap are the tombstone ring's occupancy and capacity,
-	// and TombFloor is the sequence below which removal knowledge is
-	// incomplete (delta snapshots from at or below it must fall back to
-	// full transfers).
-	TombLen   int    `json:"tomb_len"`
-	TombCap   int    `json:"tomb_cap"`
-	TombFloor uint64 `json:"tomb_floor"`
-	// Epoch is the stream's current fencing epoch; RejectedStaleEpoch
-	// counts events refused because they carried a lower one (a deposed
-	// leader still writing after a promotion).
-	Epoch              uint64 `json:"epoch"`
-	RejectedStaleEpoch uint64 `json:"rejected_stale_epoch"`
+	changefeed.Stats
 }
 
 // ChangeSeq returns the sequence number of the most recent mutation
 // (0 if nothing has mutated), or 0 with the stream disabled. A client
 // that reads state and then subscribes with since=ChangeSeq observes
 // every later mutation with no gap — the race-free read-then-follow
-// handshake.
+// handshake. On a replica it is the position in the leader's sequence
+// space: hand it to an upstream's /changes to continue exactly there.
 func (r *Registry) ChangeSeq() uint64 {
-	feed := r.getFeed()
-	if feed == nil {
+	if r.feed == nil {
 		return 0
 	}
-	return feed.Seq()
+	return r.feed.Seq()
 }
 
 // ChangeEpoch returns the stream's current fencing epoch (0 with the
 // stream disabled, or before any promotion has ever happened).
 func (r *Registry) ChangeEpoch() uint64 {
-	feed := r.getFeed()
-	if feed == nil {
+	if r.feed == nil {
 		return 0
 	}
-	return feed.Epoch()
+	return r.feed.Epoch()
 }
 
 // ChangeStreamStats snapshots the change stream's counters; Enabled is
 // false (and the rest zero) when the stream is disabled.
 func (r *Registry) ChangeStreamStats() ChangeStreamStats {
-	return feedStreamStats(r.getFeed())
-}
-
-// feedStreamStats converts a feed's counters to the public form;
-// shared by the registry's own stream and a follower's relay.
-func feedStreamStats(feed *changefeed.Feed) ChangeStreamStats {
-	if feed == nil {
+	if r.feed == nil {
 		return ChangeStreamStats{}
 	}
-	st := feed.Stats()
-	return ChangeStreamStats{
-		Enabled:            true,
-		Seq:                st.Seq,
-		Published:          st.Published,
-		Subscribers:        st.Subscribers,
-		Overflows:          st.Overflows,
-		OldestSeq:          st.OldestSeq,
-		RingLen:            st.RingLen,
-		RingCap:            st.RingCap,
-		TombLen:            st.TombLen,
-		TombCap:            st.TombCap,
-		TombFloor:          st.TombFloor,
-		Epoch:              st.Epoch,
-		RejectedStaleEpoch: st.RejectedStaleEpoch,
-	}
+	return ChangeStreamStats{Enabled: true, Stats: r.feed.Stats()}
 }
 
 // ChangesSince returns up to max events with sequence > since, oldest
@@ -195,34 +151,27 @@ func feedStreamStats(feed *changefeed.Feed) ChangeStreamStats {
 // since+1; a PersistentRegistry extends this with WAL replay before
 // giving up — use its method when one is available.
 func (r *Registry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
-	feed := r.getFeed()
-	if feed == nil {
+	if r.feed == nil {
 		return nil, ErrChangeStreamDisabled
 	}
-	return feedChangesSince(feed, since, max, "ring")
-}
-
-// feedChangesSince serves a resume from a feed's ring, mapping
-// truncation to the public error; shared by the registry's own
-// stream and a follower's relay (label distinguishes them in the
-// message).
-func feedChangesSince(feed *changefeed.Feed, since uint64, max int, label string) ([]ChangeEvent, error) {
-	evs, err := feed.Since(since, max)
+	evs, err := r.feed.Since(since, max)
 	if errors.Is(err, changefeed.ErrTruncated) {
-		return nil, fmt.Errorf("%w (%s starts at %d, requested %d)", ErrChangeHistoryTruncated, label, feed.OldestBuffered(), since+1)
+		return nil, fmt.Errorf("%w (ring starts at %d, requested %d)", ErrChangeHistoryTruncated, r.feed.OldestBuffered(), since+1)
 	}
 	return evs, err
 }
 
 // SnapshotWithSeq captures every live entry together with the stream
-// sequence read immediately before the capture — the bootstrap pair
-// for a replica: apply the entries, then resume the stream with
-// since=seq. The entries are a superset of the state at seq, and
-// replaying events above seq over them converges exactly because
-// events are per-id last-write-wins.
+// sequence, in one hold of the read lock — the bootstrap pair for a
+// replica: apply the entries, then resume the stream with since=seq.
+// The pair is exact: mutations publish and store under the write lock,
+// so the entries are the stream's state at seq and none is newer.
 func (r *Registry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
+	r.mu.RLock()
 	seq := r.ChangeSeq()
-	return r.Snapshot(), seq
+	found := r.collectLocked(nil)
+	r.mu.RUnlock()
+	return sortedByID(found), seq
 }
 
 // EntriesChangedSince returns every live entry whose last mutation has
@@ -230,11 +179,14 @@ func (r *Registry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
 // current state — O(n) in registry size but provable no matter how far
 // back since reaches, because each entry carries the sequence that
 // produced it. Paired with RemovedSince it forms the delta-snapshot
-// bootstrap: apply the removals, then these entries, then resume the
-// stream — the same superset-then-replay convergence as a full
-// snapshot, transferring only what changed.
+// bootstrap (DeltaSince reads both under one lock hold): apply the
+// removals, then these entries, then resume the stream, transferring
+// only what changed.
 func (r *Registry) EntriesChangedSince(since uint64) []RegistryEntry {
-	return r.sortedEntries(func(e RegistryEntry) bool { return e.Seq > since })
+	r.mu.RLock()
+	found := r.collectLocked(func(e RegistryEntry) bool { return e.Seq > since })
+	r.mu.RUnlock()
+	return sortedByID(found)
 }
 
 // RemovedSince lists the ids removed (or evicted) with sequence >
@@ -243,39 +195,32 @@ func (r *Registry) EntriesChangedSince(since uint64) []RegistryEntry {
 // full snapshot can guarantee deleted entries do not survive on the
 // consumer.
 func (r *Registry) RemovedSince(since uint64) ([]string, bool) {
-	feed := r.getFeed()
-	if feed == nil {
+	if r.feed == nil {
 		return nil, false
 	}
-	return feed.RemovedSince(since)
+	return r.feed.RemovedSince(since)
 }
 
-// DeltaSince assembles the delta-snapshot triple. Ordering makes it
-// safe under concurrent mutation: seq first, then removals, then the
-// changed live entries — anything mutated mid-read is delivered at its
-// newest state (newer than seq) and the resuming stream replays its
-// later events over it, the same superset-then-replay convergence
-// SnapshotWithSeq gives.
+// DeltaSince assembles the delta-snapshot triple in one hold of the
+// read lock, so it is as exact as SnapshotWithSeq: seq, the removals in
+// (since, seq] and the live entries changed in (since, seq], with no
+// mutation — and no re-bootstrap rewrite — between the three reads.
 func (r *Registry) DeltaSince(since uint64) (entries []RegistryEntry, removed []string, seq uint64, ok bool) {
-	return assembleDelta(since, r.ChangeSeq(), r.RemovedSince, r.EntriesChangedSince)
-}
-
-// assembleDelta builds the delta-snapshot triple from a stream
-// position, a removal source, and an entry scanner; shared by the
-// registry's own stream and a follower's relay (which wraps it in its
-// bootstrap lock so the triple is atomic against rewrites).
-func assembleDelta(since, seq uint64, removedSince func(uint64) ([]string, bool), changedSince func(uint64) []RegistryEntry) ([]RegistryEntry, []string, uint64, bool) {
-	if since > seq {
-		return nil, nil, 0, false // a since from the future: don't guess
+	if r.feed == nil {
+		return nil, nil, 0, false
 	}
-	removed, ok := removedSince(since)
+	r.mu.RLock()
+	if seq = r.feed.Seq(); since <= seq { // a since from the future: don't guess
+		removed, ok = r.feed.RemovedSince(since)
+	}
+	if ok {
+		entries = r.collectLocked(func(e RegistryEntry) bool { return e.Seq > since })
+	}
+	r.mu.RUnlock()
 	if !ok {
 		return nil, nil, 0, false
 	}
-	if removed == nil {
-		removed = []string{}
-	}
-	return changedSince(since), removed, seq, true
+	return sortedByID(entries), removed, seq, true
 }
 
 // ChangeSubscription delivers every change event published after
@@ -284,9 +229,10 @@ func assembleDelta(since, seq uint64, removedSince func(uint64) ([]string, bool)
 // subscriber that cannot keep up loses events rather than slowing
 // mutations — any gap in Seq is loss (Dropped counts it); repair it
 // with ChangesSince. JoinSeq is the stream sequence at attach time;
-// MarkSignal declares the subscriber a pure wake signal whose overflow
-// counts as no loss; Close detaches it and is safe to call repeatedly
-// and concurrently.
+// Close detaches it and is safe to call repeatedly and concurrently.
+// The channel also closes when a replica re-bootstraps from a full
+// snapshot or a delta (its ring no longer connects to the rewritten
+// state): re-subscribe and resynchronize from current state.
 type ChangeSubscription = changefeed.Subscription
 
 // SubscribeChanges attaches a subscriber buffering up to buffer events
@@ -294,9 +240,8 @@ type ChangeSubscription = changefeed.Subscription
 // JoinSeq; fetch history at or before JoinSeq with ChangesSince — the
 // split is what makes catch-up-then-follow race-free.
 func (r *Registry) SubscribeChanges(buffer int) (*ChangeSubscription, error) {
-	feed := r.getFeed()
-	if feed == nil {
+	if r.feed == nil {
 		return nil, ErrChangeStreamDisabled
 	}
-	return feed.Subscribe(buffer), nil
+	return r.feed.Subscribe(buffer), nil
 }

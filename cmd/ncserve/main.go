@@ -40,8 +40,9 @@
 // coordinate (or registered id) and k, get the initial top-k, then a
 // delta only when the top-k membership or order actually changes —
 // stable application-level coordinates make those pushes rare, which
-// is the point of pushing rather than polling. All watchers share one
-// internal subscription through a spatial damage map, so watcher count
+// is the point of pushing rather than polling. All watchers — and all
+// /changes long-pollers — hang off the server's one internal
+// subscription, routed through a spatial damage map, so watcher count
 // does not multiply the per-mutation work.
 //
 // A TTL (with the -ttl flag) makes the registry self-cleaning: nodes
@@ -60,13 +61,18 @@
 //
 // With -upstreams=<url,url,...> ncserve runs as a read-only replica: it
 // bootstraps from the first live upstream's /snapshot, tails its
-// /changes stream (both in the binary frame encoding), and serves the full read surface locally — including /changes,
-// /watch, and /snapshot, re-served in the leader's own sequence
-// numbers — with replication lag reported in /stats and disclosed on
-// every read via the X-NC-Staleness and X-NC-Lag headers. Replicas
+// /changes stream (both in the binary frame encoding), and serves the
+// full read surface locally — including /changes, /watch, and
+// /snapshot, re-served in the leader's own sequence numbers — with
+// replication lag reported in /stats and disclosed on every read via
+// the X-NC-Staleness and X-NC-Lag headers. The replica has one change
+// feed, its registry's: every upstream event is applied and published
+// in one step under the leader's sequence, so at equal seq its state
+// equals the leader's and /snapshot pairs are exact. Replicas
 // therefore absorb stream fan-out, and chain: a follower can follow a
-// follower, forming a relay tree with the leader at the root. Mutation
-// endpoints return 403 in this mode.
+// follower, forming a relay tree with the leader at the root. The
+// registry is read-only until promoted: mutation endpoints return 403
+// in this mode.
 //
 // Failover: when the tailed upstream dies, the replica rotates through
 // the -upstreams list with jittered exponential backoff, resuming from
@@ -116,7 +122,7 @@ func run(args []string) (err error) {
 		flushEvery   = fs.Duration("flush-interval", 0, "WAL group-commit window (0 = 50ms; with -data-dir)")
 		compactBytes = fs.Int64("compact-wal-bytes", 0, "also compact when the active WAL exceeds this many bytes (0 = default, negative = timer only; with -data-dir)")
 		compactRecs  = fs.Int64("compact-wal-records", 0, "also compact when the active WAL exceeds this many records (0 = default, negative = timer only; with -data-dir)")
-		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory (with -upstreams, the relay ring)")
+		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory (with -upstreams, the replica's ring)")
 		upstreams    = fs.String("upstreams", "", "comma-separated ordered list of upstream ncserve URLs to replicate from; the first is preferred, the rest are failover targets")
 		maxLag       = fs.Uint64("max-lag", 0, "follower readiness bound: /healthz answers 503 when replication lag exceeds this many events (0 = default)")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address; bind to loopback only — this listener must never be exposed publicly")

@@ -142,13 +142,7 @@ func run(args []string) error {
 func parseFilter(spec string) (filter.Factory, error) {
 	switch {
 	case spec == "mp":
-		return func() filter.Filter {
-			f, err := filter.NewMP(filter.DefaultMPConfig())
-			if err != nil {
-				return filter.NewNone()
-			}
-			return f
-		}, nil
+		return filter.MPFactory(filter.DefaultMPConfig())
 	case spec == "none":
 		return nil, nil
 	case strings.HasPrefix(spec, "ewma:"):
@@ -156,31 +150,13 @@ func parseFilter(spec string) (filter.Factory, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ewma alpha: %w", err)
 		}
-		if _, err := filter.NewEWMA(alpha); err != nil {
-			return nil, err
-		}
-		return func() filter.Filter {
-			f, err := filter.NewEWMA(alpha)
-			if err != nil {
-				return filter.NewNone()
-			}
-			return f
-		}, nil
+		return filter.EWMAFactory(alpha)
 	case strings.HasPrefix(spec, "threshold:"):
 		cutoff, err := strconv.ParseFloat(strings.TrimPrefix(spec, "threshold:"), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad threshold cutoff: %w", err)
 		}
-		if _, err := filter.NewThreshold(cutoff); err != nil {
-			return nil, err
-		}
-		return func() filter.Filter {
-			f, err := filter.NewThreshold(cutoff)
-			if err != nil {
-				return filter.NewNone()
-			}
-			return f
-		}, nil
+		return filter.ThresholdFactory(cutoff)
 	default:
 		return nil, fmt.Errorf("unknown filter %q", spec)
 	}

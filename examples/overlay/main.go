@@ -57,16 +57,14 @@ func run() error {
 	}
 	vcfg := vivaldi.DefaultConfig()
 	vcfg.Seed = 9
+	mp, err := filter.MPFactory(filter.DefaultMPConfig())
+	if err != nil {
+		return err
+	}
 	runner, err := sim.NewRunner(sim.Config{
 		Nodes:   nodes,
 		Vivaldi: vcfg,
-		Filter: func() filter.Filter {
-			f, err := filter.NewMP(filter.DefaultMPConfig())
-			if err != nil {
-				return filter.NewNone()
-			}
-			return f
-		},
+		Filter:  mp,
 		Policy: func(dim int) (heuristic.Policy, error) {
 			return heuristic.NewEnergy(dim, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
 		},

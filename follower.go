@@ -21,7 +21,7 @@ import (
 )
 
 // Follower retry policy: capped jittered exponential backoff, the same
-// shape the serving layer's notifier re-attach loop uses. The base is
+// shape the serving layer's hub re-attach loop uses. The base is
 // the first sleep after an error; every consecutive failure doubles it
 // up to the cap, and each sleep is jittered across its upper half so a
 // fleet of followers orphaned by one leader death does not reconnect in
@@ -55,12 +55,11 @@ type FollowerConfig struct {
 	// Registry configures the local replica. TTL and JanitorInterval
 	// are ignored (forced off): evictions are the leader's decision and
 	// arrive through the stream — a follower evicting on its own clock
-	// would diverge. ChangeStreamBuffer sizes the follower's *relay*
-	// ring instead of a local stream (0 = DefaultChangeStreamBuffer):
-	// the follower republishes every applied event under the leader's
-	// own sequence number, so it re-serves /changes, /watch, and
-	// /snapshot in the leader's sequence space and replicas chain into
-	// fan-out tiers.
+	// would diverge. ChangeStreamBuffer sizes the replica's ring
+	// (0 = DefaultChangeStreamBuffer): its one feed carries every applied
+	// event under the leader's own sequence number, so it re-serves
+	// /changes, /watch, and /snapshot in the leader's sequence space and
+	// replicas chain into fan-out tiers.
 	Registry RegistryConfig
 	// WaitTimeout is the long-poll window handed to the leader's
 	// /changes endpoint; the tail loop blocks server-side up to this
@@ -172,23 +171,28 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // The embedded Registry serves every read — Nearest, Estimate, Get,
 // Within — making the follower a horizontally scalable proximity
 // read path; IDMS in PAPERS.md argues exactly this replicated-serving
-// shape for delay estimation. Do not mutate it directly: local writes
-// are not replicated anywhere and survive only until the leader next
-// touches (or a re-bootstrap rebuilds) the same ids. FollowerStats
-// reports the replica's staleness honestly so callers can decide how
-// much to trust a read.
+// shape for delay estimation. It is read-only until promoted: Upsert
+// and UpsertBatch return ErrReadOnlyReplica, Remove reports false and
+// Feed counts feed errors, because a local write would be numbered
+// into the leader's sequence space. FollowerStats reports the
+// replica's staleness honestly so callers can decide how much to trust
+// a read.
 //
-// A follower is itself a ChangeSource: every applied event is
-// republished into a relay feed under the leader's sequence number and
-// with the leader's frame bytes — decoded here to apply, never
-// re-encoded — so ChangesSince / SubscribeChanges / SnapshotWithSeq
-// speak the leader's sequence space and a serving layer on top of a
-// follower re-serves the stream endpoints identically to the leader —
-// byte for byte on /changes?format=frames. A consumer that
-// outruns the relay ring gets ErrChangeHistoryTruncated and
-// re-bootstraps from this follower's snapshot — the same protocol it
-// would run against the leader — which is what lets replicas chain
-// (follower-of-follower) into a fan-out tree.
+// A follower is a ChangeSource with no code of its own: the embedded
+// Registry's feed IS the relayed stream. Each upstream event is applied
+// through the registry's one apply path — the leader's — which changes
+// entries, index and stream in one hold of the write lock, publishing
+// the event under the leader's sequence number and with the leader's
+// frame bytes (decoded here to apply, never re-encoded). So at every
+// sequence the replica's state equals the leader's at that sequence,
+// SnapshotWithSeq and DeltaSince are exact pairs even across a
+// re-bootstrap, and a serving layer on top of a follower re-serves the
+// stream endpoints identically to the leader — byte for byte on
+// /changes?format=frames. A consumer that outruns the ring gets
+// ErrChangeHistoryTruncated and re-bootstraps from this follower's
+// snapshot — the same protocol it would run against the leader — which
+// is what lets replicas chain (follower-of-follower) into a fan-out
+// tree.
 //
 // Failure handling: the tail loop survives upstream death. Errors back
 // off with capped jittered exponentials; a second consecutive failure
@@ -196,10 +200,10 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // upstream, resuming from the applied sequence — the whole tree speaks
 // one sequence space, so any replica of the same stream can take over
 // as parent mid-stream. Promote turns this replica into the leader:
-// the fencing epoch is bumped, the relay becomes the write feed, and
-// every subsequent local mutation continues the dense sequence space
-// under the new epoch, fencing out whatever the deposed leader still
-// writes.
+// the tail stops, the fencing epoch is bumped, the read-only guard is
+// lifted, and every subsequent local mutation continues the dense
+// sequence space under the new epoch, fencing out whatever the deposed
+// leader still writes.
 type FollowerRegistry struct {
 	*Registry
 	upstreams []string
@@ -209,14 +213,6 @@ type FollowerRegistry struct {
 	retry     time.Duration
 	limit     int
 
-	// relay republishes applied events in the leader's sequence space;
-	// created at the initial bootstrap, reset on every re-bootstrap
-	// (the old ring describes a stream position that no longer connects
-	// to the rewritten state). After promotion it IS the write feed.
-	relay    *changefeed.Feed
-	relayBuf int
-
-	applied        atomic.Uint64
 	leaderSeq      atomic.Uint64
 	framesReceived atomic.Uint64
 	eventsApplied,
@@ -227,7 +223,6 @@ type FollowerRegistry struct {
 	rejectedStale,
 	errCount atomic.Uint64
 
-	promoted    atomic.Bool
 	promoteOnce sync.Once
 
 	// applyLag accumulates publish→apply propagation lag (ns) for every
@@ -242,15 +237,28 @@ type FollowerRegistry struct {
 	lastContact time.Time
 	lastErr     string
 
-	// bootMu serializes the (re-)bootstrap rewrite against snapshot and
-	// history reads: without it a chained replica could capture a
-	// half-rewritten registry paired with a pre-rewrite sequence.
-	bootMu sync.RWMutex
-
 	ctx       context.Context
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
 	closeOnce sync.Once
+}
+
+// newReplicaRegistry builds the registry a follower embeds: read-only
+// until promoted, no TTL (evictions are the leader's decision and
+// arrive through the stream), and always with a change stream — the
+// replica's one feed, which carries the leader's sequence space.
+func newReplicaRegistry(cfg RegistryConfig) (*Registry, error) {
+	cfg.TTL = 0
+	cfg.JanitorInterval = 0
+	if cfg.ChangeStreamBuffer <= 0 {
+		cfg.ChangeStreamBuffer = DefaultChangeStreamBuffer
+	}
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		return nil, err
+	}
+	reg.replica.Store(true)
+	return reg, nil
 }
 
 // StartFollower builds the local replica, performs the initial
@@ -270,19 +278,7 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 		}
 		upstreams[i] = strings.TrimRight(u, "/")
 	}
-	regCfg := cfg.Registry
-	regCfg.TTL = 0
-	regCfg.JanitorInterval = 0
-	relayBuf := regCfg.ChangeStreamBuffer
-	if relayBuf <= 0 {
-		relayBuf = DefaultChangeStreamBuffer
-	}
-	// The registry's own feed stays off: the follower's sequence space
-	// is the leader's, carried by the relay — a locally numbered stream
-	// would hand consumers sequences no other tier recognizes. (The
-	// relay is installed as the registry's feed at promotion.)
-	regCfg.ChangeStreamBuffer = 0
-	reg, err := NewRegistry(regCfg)
+	reg, err := newReplicaRegistry(cfg.Registry)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +316,6 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 		wait:      wait,
 		retry:     retry,
 		limit:     limit,
-		relayBuf:  relayBuf,
 		applyLag:  telemetry.NewHistogram(),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -358,24 +353,16 @@ func (f *FollowerRegistry) rotateUpstream() {
 	f.failovers.Add(1)
 }
 
-// epoch is the fencing epoch of the stream this replica carries.
-func (f *FollowerRegistry) epoch() uint64 {
-	if r := f.relay; r != nil {
-		return r.Epoch()
-	}
-	return 0
-}
-
 // FollowerStats snapshots the replication position.
 func (f *FollowerRegistry) FollowerStats() FollowerStats {
-	applied, leader := f.applied.Load(), f.leaderSeq.Load()
+	applied, leader := f.ChangeSeq(), f.leaderSeq.Load()
 	st := FollowerStats{
 		LeaderURL:             f.upstream(),
 		Upstreams:             f.upstreams,
 		AppliedSeq:            applied,
 		LeaderSeq:             leader,
-		Epoch:                 f.epoch(),
-		Promoted:              f.promoted.Load(),
+		Epoch:                 f.ChangeEpoch(),
+		Promoted:              f.Promoted(),
 		EventsApplied:         f.eventsApplied.Load(),
 		FramesReceived:        f.framesReceived.Load(),
 		Bootstraps:            f.bootstraps.Load(),
@@ -407,21 +394,23 @@ func (f *FollowerRegistry) FollowerStats() FollowerStats {
 	return st
 }
 
-// AppliedSeq is the last leader sequence applied locally — hand it to
-// the leader's /changes to continue exactly where this replica stands.
-func (f *FollowerRegistry) AppliedSeq() uint64 { return f.applied.Load() }
+// AppliedSeq is the last leader sequence applied locally — ChangeSeq
+// under the name replication reads it by.
+func (f *FollowerRegistry) AppliedSeq() uint64 { return f.ChangeSeq() }
 
 // Promoted reports whether this replica has been promoted to leader.
-func (f *FollowerRegistry) Promoted() bool { return f.promoted.Load() }
+func (f *FollowerRegistry) Promoted() bool { return !f.Registry.replica.Load() }
 
 // Promote turns this replica into the authoritative leader of the
 // stream it carries. The tail loop is stopped and drained (no more
-// upstream events can race local writes), the fencing epoch is bumped,
-// and the relay — which sits exactly at the applied sequence — is
-// installed as the registry's write feed, so every subsequent local
-// mutation continues the dense sequence space under the new epoch.
-// Anything the deposed leader still writes carries the old epoch and is
-// rejected by every replica and watcher that followed the promotion.
+// upstream events can race local writes); then, in one hold of the
+// registry's write lock, the fencing epoch is bumped and the read-only
+// guard is lifted. The feed already sits exactly at the applied
+// sequence — it is the one the relayed events were published to — so
+// every subsequent local mutation continues the dense sequence space
+// under the new epoch. Anything the deposed leader still writes carries
+// the old epoch and is rejected by every replica and watcher that
+// followed the promotion.
 //
 // Promote returns the new epoch. It is idempotent: later calls return
 // ErrNotPromotable with the already-established epoch. The caller owns
@@ -434,102 +423,22 @@ func (f *FollowerRegistry) Promote() (uint64, error) {
 		first = true
 		f.cancel()
 		f.wg.Wait()
-		f.bootMu.Lock()
-		defer f.bootMu.Unlock()
-		epoch := f.relay.Epoch() + 1
-		f.relay.SetEpoch(epoch)
-		// The relay's sequence equals the applied sequence, so writes
-		// published through the registry continue the dense total order
-		// exactly where replication stopped.
-		f.Registry.installFeed(f.relay)
-		f.promoted.Store(true)
+		f.Registry.promote()
 	})
 	if !first {
-		return f.epoch(), ErrNotPromotable
+		return f.ChangeEpoch(), ErrNotPromotable
 	}
-	return f.epoch(), nil
+	return f.ChangeEpoch(), nil
 }
 
-// Close stops the tail loop, the relay (closing every subscription),
-// and the local registry.
+// Close stops the tail loop and the local registry (closing every
+// subscription).
 func (f *FollowerRegistry) Close() {
 	f.closeOnce.Do(func() {
 		f.cancel()
 		f.wg.Wait()
-		if f.relay != nil {
-			f.relay.Close()
-		}
 		f.Registry.Close()
 	})
-}
-
-// ChangeSeq is the follower's position in the leader's sequence space.
-// After promotion it is the relay's live sequence — local writes keep
-// the same clock ticking.
-func (f *FollowerRegistry) ChangeSeq() uint64 {
-	if f.promoted.Load() {
-		return f.relay.Seq()
-	}
-	return f.applied.Load()
-}
-
-// ChangeEpoch is the fencing epoch of the stream this replica carries.
-func (f *FollowerRegistry) ChangeEpoch() uint64 { return f.epoch() }
-
-// ChangesSince serves the leader's events back out of the relay ring,
-// with the leader's own sequence numbers. A resume point older than the
-// ring returns ErrChangeHistoryTruncated: the consumer re-bootstraps
-// from this follower's SnapshotWithSeq, exactly as it would against the
-// leader.
-func (f *FollowerRegistry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
-	f.bootMu.RLock()
-	defer f.bootMu.RUnlock()
-	return feedChangesSince(f.relay, since, max, "relay ring")
-}
-
-// SubscribeChanges attaches a live subscriber to the relay. The
-// subscription's channel closes when the follower re-bootstraps (its
-// ring no longer connects to the rewritten state) or closes; consumers
-// re-subscribe and resynchronize from current state.
-func (f *FollowerRegistry) SubscribeChanges(buffer int) (*ChangeSubscription, error) {
-	return f.relay.Subscribe(buffer), nil
-}
-
-// SnapshotWithSeq captures the replica's entries together with its
-// applied position in the leader's sequence space — the bootstrap pair
-// a chained replica (or any catch-up consumer) resumes from. The
-// sequence is read before the capture, so the entries are a superset of
-// the stream at seq and replay converges exactly.
-func (f *FollowerRegistry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
-	f.bootMu.RLock()
-	defer f.bootMu.RUnlock()
-	seq := f.ChangeSeq()
-	return f.Registry.Snapshot(), seq
-}
-
-// ChangeStreamStats snapshots the relay's counters.
-func (f *FollowerRegistry) ChangeStreamStats() ChangeStreamStats {
-	return feedStreamStats(f.relay)
-}
-
-// RemovedSince serves the removal half of a delta snapshot from the
-// relay's tombstone ring — in the leader's sequence space, like
-// everything else this replica re-serves.
-func (f *FollowerRegistry) RemovedSince(since uint64) ([]string, bool) {
-	f.bootMu.RLock()
-	defer f.bootMu.RUnlock()
-	return f.relay.RemovedSince(since)
-}
-
-// DeltaSince assembles the delta-snapshot triple atomically with
-// respect to re-bootstraps: the read lock excludes the bootstrap
-// rewrite, so a chained replica can never pair a pre-rewrite sequence
-// with a post-rewrite entry scan (or a removed list with a hole where
-// the rewrite applied removals).
-func (f *FollowerRegistry) DeltaSince(since uint64) (entries []RegistryEntry, removed []string, seq uint64, ok bool) {
-	f.bootMu.RLock()
-	defer f.bootMu.RUnlock()
-	return assembleDelta(since, f.ChangeSeq(), f.relay.RemovedSince, f.Registry.EntriesChangedSince)
 }
 
 // tail follows the current upstream's change stream until Close (or
@@ -625,7 +534,7 @@ func (f *FollowerRegistry) LastContact() time.Time {
 // long-poll window so a wedged upstream (connected but never
 // finishing) fails the poll instead of hanging the tail loop forever.
 func (f *FollowerRegistry) pollOnce() error {
-	since := f.applied.Load()
+	since := f.ChangeSeq()
 	u := fmt.Sprintf("%s/changes?since=%d&limit=%d&wait=%s",
 		f.upstream(), since, f.limit, url.QueryEscape(f.wait.String()))
 	ctx, cancel := context.WithTimeout(f.ctx, f.wait+2*followerHeaderSlack)
@@ -655,7 +564,7 @@ func (f *FollowerRegistry) pollOnce() error {
 		return fmt.Errorf("%w (/changes answered %q, want %q)", errNotFrames, ct, wire.ContentTypeFrames)
 	}
 	// The whole batch is read as one byte slab, and each frame's bytes
-	// stay the event's encoding — applied here, relayed verbatim below.
+	// stay the event's encoding — applied here, served on verbatim.
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return fmt.Errorf("leader /changes: read frames: %w", err)
@@ -665,7 +574,7 @@ func (f *FollowerRegistry) pollOnce() error {
 }
 
 // applyFrames decodes one /changes batch and applies it. Each event
-// keeps a zero-copy view of its own frame bytes, so when the relay fans
+// keeps a zero-copy view of its own frame bytes, so when the feed fans
 // it out to the next tier it forwards the leader's bytes verbatim — the
 // decode here is for applying, never for re-encoding.
 func (f *FollowerRegistry) applyFrames(body []byte) error {
@@ -679,7 +588,7 @@ func (f *FollowerRegistry) applyFrames(body []byte) error {
 	// quietly tailing a fork. An upstream merely lagging the promotion
 	// reports the old epoch too, but rotating off it is also right: it
 	// cannot have events we need that the promoted chain lacks.
-	if own := f.epoch(); hdr.Epoch < own {
+	if own := f.ChangeEpoch(); hdr.Epoch < own {
 		f.rejectedStale.Add(1)
 		return fmt.Errorf("%w (/changes epoch %d < local %d)", errStaleEpoch, hdr.Epoch, own)
 	}
@@ -707,63 +616,35 @@ func (f *FollowerRegistry) applyFrames(body []byte) error {
 	return f.apply(events)
 }
 
-// apply replays a batch of leader events, in order, onto the local
-// registry, republishing each applied event into the relay under the
-// leader's own sequence number (apply first, then publish: a relay
-// subscriber woken by an event always observes a registry that already
-// reflects it). Upserts preserve UpdatedAt exactly (upsertEntry only
-// stamps zero timestamps); removes and evictions delete. The sequence
-// must advance by at most one per event — a gap means the leader
-// served us a hole, and the only safe repair is a fresh bootstrap.
-// An event carrying a lower fencing epoch than the stream already
-// adopted is a deposed leader's write: it is rejected and the follower
-// rotates upstream (per-event defense in depth under the body-level
-// check in applyFrames).
+// apply replays a batch of leader events, in order, through the
+// registry's one apply path: each event changes entries, index and
+// stream in one hold of the write lock, published under the leader's
+// own sequence number, so a subscriber woken by an event — and a poller
+// re-checking ChangeSeq — always observes a registry that already
+// reflects it. Upserts preserve UpdatedAt and Seq exactly. The feed is
+// the judge of continuity and fencing, before anything changes: a
+// duplicate delivery is skipped; a gap means the leader served us a
+// hole, and the only safe repair is a fresh bootstrap; an event
+// carrying a lower fencing epoch than the stream already adopted is a
+// deposed leader's write, and the follower rotates upstream (per-event
+// defense in depth under the body-level check in applyFrames).
 func (f *FollowerRegistry) apply(events []ChangeEvent) error {
-	applied := f.applied.Load()
-	epoch := f.epoch()
-	for _, ev := range events {
-		if ev.Epoch < epoch {
+	for i := range events {
+		ev := &events[i]
+		switch err := f.Registry.applyRelayed(ev); {
+		case err == nil:
+			f.eventsApplied.Add(1)
+			if ev.PubNs > 0 {
+				f.applyLag.Observe(time.Now().UnixNano() - ev.PubNs)
+			}
+		case errors.Is(err, changefeed.ErrDuplicate):
+		case errors.Is(err, changefeed.ErrGap):
+			return fmt.Errorf("%w (gap: applied %d, next event %d)", errStreamGone, f.ChangeSeq(), ev.Seq)
+		case errors.Is(err, changefeed.ErrStaleEpoch):
 			f.rejectedStale.Add(1)
-			return fmt.Errorf("%w (event seq %d epoch %d < local %d)", errStaleEpoch, ev.Seq, ev.Epoch, epoch)
-		}
-		epoch = ev.Epoch
-		switch {
-		case ev.Seq == applied+1:
-		case ev.Seq <= applied:
-			continue // duplicate delivery; already applied
+			return fmt.Errorf("%w (event seq %d epoch %d < local %d)", errStaleEpoch, ev.Seq, ev.Epoch, f.ChangeEpoch())
 		default:
-			return fmt.Errorf("%w (gap: applied %d, next event %d)", errStreamGone, applied, ev.Seq)
-		}
-		switch ev.Op {
-		case ChangeUpsert:
-			// The entry keeps the leader's sequence (the frame's; the
-			// local feed is off, so upsertEntry won't stamp one): chained
-			// delta snapshots depend on per-entry sequences surviving
-			// tiers.
-			if err := f.Registry.upsertEntry(ev.Entry); err != nil {
-				return fmt.Errorf("apply upsert seq %d: %w", ev.Seq, err)
-			}
-		case ChangeRemove:
-			f.Registry.Remove(ev.ID)
-		case ChangeEvict:
-			for _, id := range ev.IDs {
-				f.Registry.Remove(id)
-			}
-		default:
-			return fmt.Errorf("leader sent unknown op %d (seq %d)", ev.Op, ev.Seq)
-		}
-		// Advance the applied position BEFORE the relay delivers: the
-		// notifier broadcast rides the delivery, and a woken poller
-		// re-checks ChangeSeq() — if that still returned the old
-		// position, the poller would re-park with no further wake
-		// coming (the leader path orders its seqAtomic the same way).
-		applied = ev.Seq
-		f.applied.Store(applied)
-		f.relay.PublishAt(ev)
-		f.eventsApplied.Add(1)
-		if ev.PubNs > 0 {
-			f.applyLag.Observe(time.Now().UnixNano() - ev.PubNs)
+			return fmt.Errorf("apply seq %d: %w", ev.Seq, err)
 		}
 	}
 	return nil
@@ -772,19 +653,19 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 // bootstrap synchronizes the local registry with the leader's snapshot.
 //
 // The initial call (and any re-bootstrap the leader answers in full)
-// upserts every snapshot entry with its original UpdatedAt and removes
-// any local id absent from the snapshot; on a fresh registry the batch
-// lands on the index.Build bulk path. A re-bootstrap after truncation
+// makes the registry exactly the snapshot — every entry with its
+// original UpdatedAt and Seq, one balanced index build — through
+// Registry.load. A re-bootstrap after truncation
 // asks for /snapshot?since=<applied> instead: when the leader can prove
 // coverage from its ring/WAL history it answers with a delta — only the
 // entries changed since that sequence, plus the removed ids — so a
 // replica that fell just past the retained stream repairs itself with
 // traffic proportional to what it missed, not to the registry.
 //
-// Afterwards the relay restarts at the snapshot sequence: the previous
-// ring described a stream position that no longer connects to the
-// rewritten state, so every relay subscriber is closed and resyncs —
-// the same protocol they run when they fall off the ring.
+// The stream moves to the snapshot sequence in the same lock hold as
+// the state: the previous ring described a stream position that no
+// longer connects to the rewritten state, so every subscriber is closed
+// and resyncs — the same protocol they run when they fall off the ring.
 //
 // A snapshot carrying a lower fencing epoch than the stream already
 // adopted is refused outright: re-basing onto a deposed leader's state
@@ -793,8 +674,7 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 func (f *FollowerRegistry) bootstrap() error {
 	start := time.Now()
 	snapURL := f.upstream() + "/snapshot"
-	applied := f.applied.Load()
-	if f.relay != nil && applied > 0 {
+	if applied := f.ChangeSeq(); applied > 0 {
 		snapURL = fmt.Sprintf("%s?since=%d", snapURL, applied)
 	}
 	ctx, cancel := context.WithTimeout(f.ctx, followerBootstrapTimeout)
@@ -834,7 +714,7 @@ func (f *FollowerRegistry) bootstrapFrames(body io.Reader, start time.Time) erro
 	}
 	// Fence before decoding entries: a deposed leader's snapshot is
 	// refused on its header, not after streaming its whole registry.
-	if own := f.epoch(); hdr.Epoch < own {
+	if own := f.ChangeEpoch(); hdr.Epoch < own {
 		f.rejectedStale.Add(1)
 		return fmt.Errorf("%w (/snapshot epoch %d < local %d)", errStaleEpoch, hdr.Epoch, own)
 	}
@@ -857,61 +737,26 @@ func (f *FollowerRegistry) bootstrapFrames(body io.Reader, start time.Time) erro
 	return f.finishBootstrap(start, hdr.Seq, hdr.Epoch, hdr.Delta, hdr.Removed, batch)
 }
 
-// finishBootstrap applies a decoded snapshot to the local registry and
-// restarts the relay at its sequence.
+// finishBootstrap loads a decoded snapshot into the local registry —
+// state, sequence and epoch in one step (Registry.load) — and records
+// the bootstrap.
 func (f *FollowerRegistry) finishBootstrap(start time.Time, seq, epoch uint64, delta bool, removed []string, batch []RegistryEntry) error {
-	if own := f.epoch(); epoch < own {
+	// Adopting the snapshot's epoch is only ever upward: a replica
+	// bootstrapping across a promotion joins the new epoch here.
+	if own := f.ChangeEpoch(); epoch < own {
 		f.rejectedStale.Add(1)
 		return fmt.Errorf("%w (/snapshot epoch %d < local %d)", errStaleEpoch, epoch, own)
 	}
-
-	f.bootMu.Lock()
-	defer f.bootMu.Unlock()
-	if delta {
-		// Delta: untouched local entries are still correct. Removals
-		// apply FIRST — an id removed and later re-upserted appears in
-		// both lists, and the entry (the newer state) must win.
-		for _, id := range removed {
-			f.Registry.Remove(id)
-		}
-		f.deltaBootstraps.Add(1)
-	}
-	// A registry that was empty holds nothing the snapshot lacks, so a
-	// fresh follower has no stale ids to look for.
-	fresh := f.Registry.Len() == 0
-	if err := f.Registry.UpsertBatch(batch); err != nil {
+	if err := f.Registry.load(batch, removed, delta, seq, epoch); err != nil {
 		return fmt.Errorf("apply snapshot: %w", err)
 	}
-	if !delta && !fresh {
-		live := make(map[string]struct{}, len(batch))
-		for i := range batch {
-			live[batch[i].ID] = struct{}{}
-		}
-		stale := f.Registry.idsWhere(func(e RegistryEntry) bool { _, ok := live[e.ID]; return !ok })
-		for _, id := range stale {
-			f.Registry.Remove(id)
-		}
-	}
-	f.applied.Store(seq)
 	if seq > f.leaderSeq.Load() {
 		f.leaderSeq.Store(seq)
 	}
-	switch {
-	case f.relay == nil:
-		f.relay = changefeed.New(f.relayBuf, seq)
-	case delta:
-		// The delta carried the removal knowledge for the jumped
-		// range, so the relay keeps its tombstone depth: tiers below
-		// this one can still repair with deltas of their own instead
-		// of cascading full transfers.
-		f.relay.AdvanceTo(seq, removed)
-	default:
-		f.relay.ResetTo(seq)
-	}
-	// Adopt the snapshot's epoch (validated >= ours above): a replica
-	// bootstrapping across a promotion joins the new epoch here.
-	f.relay.SetEpoch(epoch)
 	f.bootstraps.Add(1)
+	if delta {
+		f.deltaBootstraps.Add(1)
+	}
 	f.lastBootstrapNs.Store(time.Since(start).Nanoseconds())
 	f.lastBootstrapDelta.Store(delta)
 	return nil

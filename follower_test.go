@@ -8,10 +8,10 @@ import (
 
 // TestFinishBootstrap drives the one place a follower turns a decoded
 // snapshot into registry state, with no upstream behind it. A full
-// snapshot leaves exactly its entries: on an empty registry that is the
-// bulk load and nothing more (there is no stale id to look for); on a
-// populated one the ids the snapshot lacks are swept out. A delta sweeps
-// nothing. Whichever path ran, the last entry of a repeated id wins.
+// snapshot leaves exactly its entries, on an empty registry and on a
+// populated one alike: the ids the snapshot lacks are gone. A delta
+// drops only what it names. Whichever path ran, the last entry of a
+// repeated id wins, and the stream sits at the snapshot's seq and epoch.
 func TestFinishBootstrap(t *testing.T) {
 	at := time.Unix(1_700_000_000, 0)
 	entry := func(id string, x float64, seq uint64) RegistryEntry {
@@ -54,24 +54,26 @@ func TestFinishBootstrap(t *testing.T) {
 		want:    []RegistryEntry{entry("back", 5, 6), entry("kept", 8, 2), entry("new", 4, 5)},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &FollowerRegistry{Registry: newTestRegistry(t, RegistryConfig{}), relayBuf: 16}
-			if tc.delta {
-				// A delta only ever follows an earlier bootstrap.
+			reg, err := newReplicaRegistry(RegistryConfig{ChangeStreamBuffer: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(reg.Close)
+			f := &FollowerRegistry{Registry: reg}
+			if len(tc.before) > 0 {
+				// What a replica holds, an earlier bootstrap put there.
 				if err := f.finishBootstrap(time.Now(), 2, 0, false, nil, tc.before); err != nil {
 					t.Fatal(err)
 				}
-			} else if err := f.Registry.UpsertBatch(tc.before); err != nil {
-				t.Fatal(err)
 			}
 			if err := f.finishBootstrap(time.Now(), 6, 1, tc.delta, tc.removed, tc.batch); err != nil {
 				t.Fatalf("finishBootstrap: %v", err)
 			}
-			t.Cleanup(f.relay.Close)
 			if got := f.Registry.Snapshot(); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("registry holds\n %+v\nwant\n %+v", got, tc.want)
 			}
-			if f.ChangeSeq() != 6 || f.ChangeEpoch() != 1 || f.relay.Seq() != 6 {
-				t.Fatalf("follower at seq %d epoch %d, relay at %d; want 6, 1, 6", f.ChangeSeq(), f.ChangeEpoch(), f.relay.Seq())
+			if _, seq := f.SnapshotWithSeq(); f.ChangeSeq() != 6 || f.ChangeEpoch() != 1 || seq != 6 {
+				t.Fatalf("follower at seq %d epoch %d, snapshot pair at %d; want 6, 1, 6", f.ChangeSeq(), f.ChangeEpoch(), seq)
 			}
 			// The index agrees with the map: everything wanted is found,
 			// and no swept or removed id comes back out of a tombstone.

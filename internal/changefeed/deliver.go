@@ -72,7 +72,7 @@ func (f *Feed) deliverBatch(batch []Event, subs []*Subscription) {
 				default:
 				}
 			}
-			if !ok && !sub.signal.Load() {
+			if !ok {
 				sub.dropped.Add(1)
 				f.overflows.Add(1)
 			}

@@ -41,22 +41,17 @@ func TestDeliveryContract(t *testing.T) {
 	subs := []struct {
 		name   string
 		buffer int
-		signal bool
 		sub    *Subscription
 		got    uint64
 	}{
 		{name: "roomy", buffer: 4096},
 		{name: "one slot", buffer: 1},
-		{name: "one slot signal", buffer: 1, signal: true},
 	}
 	f := New(64, 0)
 	var readers sync.WaitGroup
 	for i := range subs {
 		s := &subs[i]
 		s.sub = f.Subscribe(s.buffer)
-		if s.signal {
-			s.sub.MarkSignal()
-		}
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -76,9 +71,6 @@ func TestDeliveryContract(t *testing.T) {
 	total := f.Seq()
 	for _, s := range subs {
 		wantDropped := total - s.got
-		if s.signal {
-			wantDropped = 0
-		}
 		if s.sub.Dropped() != wantDropped || (s.buffer > 1 && s.got != total) {
 			t.Errorf("%s: received %d of %d, Dropped = %d, want %d", s.name, s.got, total, s.sub.Dropped(), wantDropped)
 		}
@@ -196,8 +188,11 @@ func TestPublishEncodesOnce(t *testing.T) {
 	}
 
 	relay := New(16, 0)
-	relay.PublishAt(evs[0])
-	relay.PublishAt(Event{Seq: 2, Op: OpRemove, ID: "hand-built"})
+	for _, ev := range []Event{evs[0], {Seq: 2, Op: OpRemove, ID: "hand-built"}} {
+		if err := relay.PublishAt(ev); err != nil {
+			t.Fatalf("relay PublishAt(%d): %v", ev.Seq, err)
+		}
+	}
 	got, err := relay.Since(0, 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("relay Since: %v %v", got, err)

@@ -83,6 +83,14 @@ const (
 // WAL) or re-bootstrap from a snapshot.
 var ErrTruncated = errors.New("changefeed: history truncated (resume point older than the ring)")
 
+// PublishAt's refusals: what a relayed event can be instead of the next
+// one in the stream. None of them changes the feed.
+var (
+	ErrStaleEpoch = errors.New("changefeed: event carries a fencing epoch below the stream's")
+	ErrDuplicate  = errors.New("changefeed: event at or below the stream's sequence")
+	ErrGap        = errors.New("changefeed: event skips past the stream's next sequence")
+)
+
 // Stats is an operational snapshot of a Feed.
 type Stats struct {
 	// Seq is the last assigned sequence number (0 = nothing published).
@@ -160,7 +168,7 @@ type Feed struct {
 
 	// epoch is the stream's fencing epoch: stamped onto every locally
 	// published event, adopted upward from relayed events, and the bar
-	// a relayed event must meet — PublishAt drops events below it
+	// a relayed event must meet — PublishAt refuses events below it
 	// (counted in rejectedStale) so a deposed leader's stale stream
 	// cannot re-enter a promoted tier.
 	epoch         atomic.Uint64
@@ -254,48 +262,40 @@ func (f *Feed) PublishEvict(ids []string) uint64 {
 // PublishAt appends an event that already carries a sequence assigned
 // upstream — a replica relaying its leader's stream republishes each
 // applied event under the leader's own number, so everything downstream
-// (chained replicas, watchers) lives in one sequence space.
+// (chained replicas, watchers) lives in one sequence space. The event
+// keeps the frame it arrived with — a relay never encodes.
 //
-// The normal case is ev.Seq == Seq()+1: leader streams are dense, and a
-// relay applies them in order. The event keeps the frame it arrived
-// with — a relay never encodes. Two degenerate shapes are handled so
-// the ring's density invariant (Since arithmetic) survives anything a
-// real stream can carry:
+// The feed is the one judge of continuity and fencing, and it judges
+// before anything changes, so the caller decides from the answer
+// whether to touch its own state at all:
 //
-//   - ev.Seq <= Seq() is a duplicate delivery: dropped.
-//   - ev.Seq > Seq()+1 is a hole the caller chose to jump over; the
-//     ring is cleared first so Since never fabricates continuity across
-//     it (resumers below the hole get ErrTruncated and re-bootstrap).
-//
-// Fencing: an event carrying an epoch below the stream's is rejected
-// outright (counted in RejectedStaleEpoch) — it originates from a
-// deposed leader still publishing after a promotion, and applying it
-// would fork the promoted stream. A higher epoch is adopted: the relay
-// is observing its upstream's promotion.
+//   - ErrStaleEpoch: the event's epoch is below the stream's (counted
+//     in RejectedStaleEpoch) — it originates from a deposed leader
+//     still publishing after a promotion, and applying it would fork
+//     the promoted stream. A higher epoch is adopted: the relay is
+//     observing its upstream's promotion.
+//   - ErrDuplicate: ev.Seq <= Seq(), a repeated delivery.
+//   - ErrGap: ev.Seq > Seq()+1. The ring is dense, so a hole is never
+//     appended over; ResetTo and AdvanceTo are the only non-dense moves.
 //
 //nc:hotpath
-func (f *Feed) PublishAt(ev Event) {
+func (f *Feed) PublishAt(ev Event) error {
 	f.mu.Lock()
-	if cur := f.epoch.Load(); ev.Epoch < cur {
+	cur := f.epoch.Load()
+	switch {
+	case ev.Epoch < cur:
 		f.mu.Unlock()
 		f.rejectedStale.Add(1)
-		return
-	} else if ev.Epoch > cur {
-		f.epoch.Store(ev.Epoch)
-	}
-	switch {
-	case ev.Seq == f.seq+1:
+		return ErrStaleEpoch
 	case ev.Seq <= f.seq:
 		f.mu.Unlock()
-		return
-	default: // a jump: clear the ring so it stays seq-dense
-		f.next, f.len = 0, 0
-		// Removal knowledge has the same hole the ring does: anything
-		// removed inside the jump was never recorded, so the tombstone
-		// floor must rise with it or RemovedSince would falsely claim
-		// completeness across the gap.
-		f.tombNext, f.tombLen = 0, 0
-		f.tombFloor = ev.Seq - 1
+		return ErrDuplicate
+	case ev.Seq != f.seq+1:
+		f.mu.Unlock()
+		return ErrGap
+	}
+	if ev.Epoch > cur {
+		f.epoch.Store(ev.Epoch)
 	}
 	f.seq = ev.Seq
 	f.seqAtomic.Store(f.seq)
@@ -311,6 +311,7 @@ func (f *Feed) PublishAt(ev Event) {
 	if full {
 		f.Flush()
 	}
+	return nil
 }
 
 // ResetTo discards the retained history and restarts the sequence
@@ -630,7 +631,6 @@ type Subscription struct {
 	joinSeq uint64
 	dropped atomic.Uint64
 	closed  atomic.Bool
-	signal  atomic.Bool
 
 	// sink/onClose replace ch for callback subscriptions (SubscribeFunc):
 	// the flusher hands each event to sink instead of a channel send, and
@@ -649,15 +649,6 @@ func (s *Subscription) finish() {
 	}
 	s.onClose()
 }
-
-// MarkSignal declares this subscriber a pure wake signal: it only
-// cares that the stream moved, not which events moved it, so a full
-// buffer means a wake is already pending and nothing is lost. Drops to
-// a signal subscriber are excluded from the feed's Overflows and the
-// subscription's Dropped — otherwise every busy leader's /stats would
-// report baseline "loss" that no real consumer suffered, masking the
-// metric's actual meaning.
-func (s *Subscription) MarkSignal() { s.signal.Store(true) }
 
 // Subscribe attaches a subscriber whose buffer holds up to buffer
 // events (minimum 1). The subscription observes every event published
@@ -680,8 +671,7 @@ func (f *Feed) Subscribe(buffer int) *Subscription {
 // Subscription.Close). sink must not block — it runs on the delivery
 // path for every subscriber — and reports whether it accepted the
 // event; false counts as an overflow drop exactly like a full channel
-// buffer (unless the subscription is marked a signal). The event
-// pointer is valid only for the duration of the call (it aims at the
+// buffer. The event pointer is valid only for the duration of the call (it aims at the
 // delivery batch's slot, zeroed once the batch is out); a sink that
 // retains the event copies it.
 // sink and onClose are serialized with each other: onClose is never

@@ -276,10 +276,19 @@ func TestConcurrentPublishSubscribeRace(t *testing.T) {
 	}
 }
 
+// relay publishes ev under the sequence it carries and fails the test
+// if the feed refuses it.
+func relay(t *testing.T, f *Feed, ev Event) {
+	t.Helper()
+	if err := f.PublishAt(ev); err != nil {
+		t.Fatalf("PublishAt(seq %d, epoch %d): %v", ev.Seq, ev.Epoch, err)
+	}
+}
+
 func TestPublishAtRelaysUpstreamSequences(t *testing.T) {
 	f := New(8, 10)
-	f.PublishAt(Event{Seq: 11, Op: OpUpsert, Entry: upsert("a", 1)})
-	f.PublishAt(Event{Seq: 12, Op: OpRemove, ID: "a"})
+	relay(t, f, Event{Seq: 11, Op: OpUpsert, Entry: upsert("a", 1)})
+	relay(t, f, Event{Seq: 12, Op: OpRemove, ID: "a"})
 	if got := f.Seq(); got != 12 {
 		t.Fatalf("Seq() = %d, want 12", got)
 	}
@@ -288,8 +297,10 @@ func TestPublishAtRelaysUpstreamSequences(t *testing.T) {
 		t.Fatalf("Since(10) = %v, %v; want the two relayed events", evs, err)
 	}
 
-	// Duplicate delivery is dropped, not re-sequenced.
-	f.PublishAt(Event{Seq: 12, Op: OpRemove, ID: "a"})
+	// Duplicate delivery is reported, not re-sequenced.
+	if err := f.PublishAt(Event{Seq: 12, Op: OpRemove, ID: "a"}); err != ErrDuplicate {
+		t.Fatalf("PublishAt(duplicate) = %v, want ErrDuplicate", err)
+	}
 	if got := f.Seq(); got != 12 {
 		t.Fatalf("Seq() after duplicate = %d, want 12", got)
 	}
@@ -298,24 +309,32 @@ func TestPublishAtRelaysUpstreamSequences(t *testing.T) {
 	}
 }
 
-func TestPublishAtJumpClearsRing(t *testing.T) {
+// TestPublishAtRefusesGap: a hole is reported and changes nothing — the
+// ring, the sequence and the removal knowledge all stand, so the caller
+// can still repair itself (ResetTo/AdvanceTo) from an intact feed.
+func TestPublishAtRefusesGap(t *testing.T) {
 	f := New(8, 0)
-	f.PublishAt(Event{Seq: 1, Op: OpUpsert, Entry: upsert("a", 1)})
-	f.PublishAt(Event{Seq: 2, Op: OpUpsert, Entry: upsert("b", 2)})
-	// A hole: the ring must not pretend seq 3..9 exist.
-	f.PublishAt(Event{Seq: 10, Op: OpUpsert, Entry: upsert("c", 3)})
-	if _, err := f.Since(1, -1); err != ErrTruncated {
-		t.Fatalf("Since(1) across a jump = %v, want ErrTruncated", err)
+	relay(t, f, Event{Seq: 1, Op: OpRemove, ID: "a"})
+	relay(t, f, Event{Seq: 2, Op: OpUpsert, Entry: upsert("b", 2)})
+	if err := f.PublishAt(Event{Seq: 10, Op: OpRemove, ID: "c"}); err != ErrGap {
+		t.Fatalf("PublishAt across a hole = %v, want ErrGap", err)
 	}
-	evs, err := f.Since(9, -1)
-	if err != nil || len(evs) != 1 || evs[0].Seq != 10 {
-		t.Fatalf("Since(9) = %v, %v; want just seq 10", evs, err)
+	if got := f.Seq(); got != 2 {
+		t.Fatalf("Seq() after a refused hole = %d, want 2", got)
 	}
+	evs, err := f.Since(0, -1)
+	if err != nil || len(evs) != 2 || evs[1].Seq != 2 {
+		t.Fatalf("Since(0) = %v, %v; want the two dense events", evs, err)
+	}
+	if removed, ok := f.RemovedSince(0); !ok || len(removed) != 1 || removed[0] != "a" {
+		t.Fatalf("RemovedSince(0) = %v, %v; want [a] (the refused remove left no tombstone)", removed, ok)
+	}
+	relay(t, f, Event{Seq: 3, Op: OpRemove, ID: "c"})
 }
 
 func TestResetToClosesSubscribersAndRestartsSequence(t *testing.T) {
 	f := New(8, 0)
-	f.PublishAt(Event{Seq: 1, Op: OpUpsert, Entry: upsert("a", 1)})
+	relay(t, f, Event{Seq: 1, Op: OpUpsert, Entry: upsert("a", 1)})
 	sub := f.Subscribe(4)
 	f.ResetTo(50)
 	if _, open := <-sub.C(); open {
@@ -329,7 +348,7 @@ func TestResetToClosesSubscribersAndRestartsSequence(t *testing.T) {
 	}
 	// The feed stays usable: new subscribers and relayed events work.
 	sub2 := f.Subscribe(4)
-	f.PublishAt(Event{Seq: 51, Op: OpUpsert, Entry: upsert("b", 2)})
+	relay(t, f, Event{Seq: 51, Op: OpUpsert, Entry: upsert("b", 2)})
 	if ev := <-sub2.C(); ev.Seq != 51 {
 		t.Fatalf("post-reset event seq = %d, want 51", ev.Seq)
 	}
@@ -392,26 +411,10 @@ func TestResetToClearsTombstones(t *testing.T) {
 	if _, ok := f.RemovedSince(10); ok {
 		t.Fatal("tombstone knowledge survived ResetTo; pre-reset sequences are a different stream")
 	}
-	f.PublishAt(Event{Seq: 51, Op: OpRemove, ID: "b"})
+	relay(t, f, Event{Seq: 51, Op: OpRemove, ID: "b"})
 	removed, ok := f.RemovedSince(50)
 	if !ok || len(removed) != 1 || removed[0] != "b" {
 		t.Fatalf("post-reset RemovedSince = %v, %v; want [b]", removed, ok)
-	}
-}
-
-func TestPublishAtJumpRaisesTombstoneFloor(t *testing.T) {
-	f := New(8, 0)
-	f.PublishAt(Event{Seq: 1, Op: OpRemove, ID: "a"})
-	// Jump over a hole: removals inside (1, 200) were never seen, so
-	// completeness below 199 must no longer be claimed.
-	f.PublishAt(Event{Seq: 200, Op: OpUpsert, Entry: upsert("b", 2)})
-	if _, ok := f.RemovedSince(1); ok {
-		t.Fatal("RemovedSince claimed completeness across a jumped hole")
-	}
-	f.PublishAt(Event{Seq: 201, Op: OpRemove, ID: "c"})
-	removed, ok := f.RemovedSince(199)
-	if !ok || len(removed) != 1 || removed[0] != "c" {
-		t.Fatalf("post-jump RemovedSince = %v, %v; want [c]", removed, ok)
 	}
 }
 
@@ -445,12 +448,15 @@ func TestAdvanceToPreservesTombstoneDepth(t *testing.T) {
 func TestPublishAtFencesStaleEpochs(t *testing.T) {
 	f := New(8, 0)
 	f.SetEpoch(2)
-	f.PublishAt(Event{Seq: 1, Epoch: 2, Op: OpUpsert, Entry: upsert("a", 1)})
+	relay(t, f, Event{Seq: 1, Epoch: 2, Op: OpUpsert, Entry: upsert("a", 1)})
 
 	// A deposed leader (epoch 1) keeps publishing: every event is
 	// rejected, counted, and leaves the stream untouched.
-	f.PublishAt(Event{Seq: 2, Epoch: 1, Op: OpUpsert, Entry: upsert("stale", 9)})
-	f.PublishAt(Event{Seq: 3, Epoch: 1, Op: OpRemove, ID: "a"})
+	for _, ev := range []Event{{Seq: 2, Epoch: 1, Op: OpUpsert, Entry: upsert("stale", 9)}, {Seq: 3, Epoch: 1, Op: OpRemove, ID: "a"}} {
+		if err := f.PublishAt(ev); err != ErrStaleEpoch {
+			t.Fatalf("PublishAt(seq %d, epoch 1) = %v, want ErrStaleEpoch", ev.Seq, err)
+		}
+	}
 	if got := f.Seq(); got != 1 {
 		t.Fatalf("Seq() after stale publishes = %d, want 1", got)
 	}
@@ -469,14 +475,16 @@ func TestPublishAtFencesStaleEpochs(t *testing.T) {
 
 func TestPublishAtAdoptsHigherEpoch(t *testing.T) {
 	f := New(8, 0)
-	f.PublishAt(Event{Seq: 1, Epoch: 1, Op: OpUpsert, Entry: upsert("a", 1)})
+	relay(t, f, Event{Seq: 1, Epoch: 1, Op: OpUpsert, Entry: upsert("a", 1)})
 	// The relay observes its upstream's promotion mid-stream: the higher
 	// epoch is adopted, and the old epoch is fenced from then on.
-	f.PublishAt(Event{Seq: 2, Epoch: 2, Op: OpUpsert, Entry: upsert("b", 2)})
+	relay(t, f, Event{Seq: 2, Epoch: 2, Op: OpUpsert, Entry: upsert("b", 2)})
 	if got := f.Epoch(); got != 2 {
 		t.Fatalf("Epoch() = %d, want 2 (adopted from the event)", got)
 	}
-	f.PublishAt(Event{Seq: 3, Epoch: 1, Op: OpUpsert, Entry: upsert("c", 3)})
+	if err := f.PublishAt(Event{Seq: 3, Epoch: 1, Op: OpUpsert, Entry: upsert("c", 3)}); err != ErrStaleEpoch {
+		t.Fatalf("PublishAt(epoch 1 after adopting 2) = %v, want ErrStaleEpoch", err)
+	}
 	if got := f.Seq(); got != 2 {
 		t.Fatalf("Seq() = %d, want 2 (epoch-1 event after adoption must be fenced)", got)
 	}
@@ -519,7 +527,7 @@ func TestTombstoneExportSeedRoundTrip(t *testing.T) {
 	// answer exactly as the original would have.
 	f2 := New(8, 3)
 	f2.SeedTombstones(floor, tombs)
-	f2.PublishAt(Event{Seq: 4, Op: OpUpsert, Entry: upsert("d", 4)})
+	relay(t, f2, Event{Seq: 4, Op: OpUpsert, Entry: upsert("d", 4)})
 	removed, ok := f2.RemovedSince(1)
 	if !ok || len(removed) != 3 {
 		t.Fatalf("seeded RemovedSince(1) = %v, %v; want [a b c], true", removed, ok)

@@ -68,15 +68,7 @@ func AblationThresholdFilter(scale Scale) (*AblationThresholdResult, error) {
 		return nil, err
 	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
-	threshold := func(cutoff float64) filter.Factory {
-		return func() filter.Filter {
-			f, err := filter.NewThreshold(cutoff)
-			if err != nil {
-				return filter.NewNone()
-			}
-			return f
-		}
-	}
+	threshold := func(cutoff float64) filter.Factory { return mustFactory(filter.ThresholdFactory(cutoff)) }
 	type cfg struct {
 		name    string
 		factory filter.Factory

@@ -134,26 +134,25 @@ func run(spec runSpec) (*sim.Runner, error) {
 	return runner, nil
 }
 
-// mpFactory is the paper's recommended filter.
-func mpFactory() filter.Filter {
-	f, err := filter.NewMP(filter.DefaultMPConfig())
-	if err != nil {
-		return filter.NewNone() // unreachable: defaults validate
-	}
-	return f
-}
-
-// mpFactoryImmediate is the paper's original MP configuration that
-// outputs from the very first sample (no warm-up), as deployed in the
-// PlanetLab experiment before the Section VI fix.
-func mpFactoryImmediate() filter.Filter {
-	f, err := filter.NewMP(filter.MPConfig{
+// mpFactory is the paper's recommended filter; mpFactoryImmediate is
+// the paper's original MP configuration that outputs from the very
+// first sample (no warm-up), as deployed in the PlanetLab experiment
+// before the Section VI fix.
+var (
+	mpFactory          = mustFactory(filter.MPFactory(filter.DefaultMPConfig()))
+	mpFactoryImmediate = mustFactory(filter.MPFactory(filter.MPConfig{
 		History:     filter.DefaultHistory,
 		Percentile:  filter.DefaultPercentile,
 		UpdateAfter: 1,
-	})
+	}))
+)
+
+// mustFactory unwraps a factory built from parameters written in this
+// package: one that does not validate is a mistake in the source, to be
+// met at start-up rather than hidden behind an unfiltered run.
+func mustFactory(f filter.Factory, err error) filter.Factory {
 	if err != nil {
-		return filter.NewNone()
+		panic(err)
 	}
 	return f
 }

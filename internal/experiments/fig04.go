@@ -68,6 +68,10 @@ func fig04OneHistory(scale Scale, h int) (Fig04Row, error) {
 		predict float64
 		primed  bool
 	}
+	mp, err := filter.MPFactory(filter.MPConfig{History: h, Percentile: 25, UpdateAfter: 1})
+	if err != nil {
+		return Fig04Row{}, err
+	}
 	links := make(map[linkKey]*linkState)
 	for {
 		s, ok := gen.Next()
@@ -80,11 +84,7 @@ func fig04OneHistory(scale Scale, h int) (Fig04Row, error) {
 		key := linkKey{s.From, s.To}
 		st, ok := links[key]
 		if !ok {
-			mp, err := filter.NewMP(filter.MPConfig{History: h, Percentile: 25, UpdateAfter: 1})
-			if err != nil {
-				return Fig04Row{}, err
-			}
-			st = &linkState{f: mp}
+			st = &linkState{f: mp()}
 			links[key] = st
 		}
 		// The filter's previous output is the prediction for this

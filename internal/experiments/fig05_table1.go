@@ -210,15 +210,7 @@ func Table1FilterComparison(scale Scale) (*Table1Result, error) {
 		name    string
 		factory filter.Factory
 	}
-	ewma := func(alpha float64) filter.Factory {
-		return func() filter.Filter {
-			f, err := filter.NewEWMA(alpha)
-			if err != nil {
-				return filter.NewNone()
-			}
-			return f
-		}
-	}
+	ewma := func(alpha float64) filter.Factory { return mustFactory(filter.EWMAFactory(alpha)) }
 	cfgs := []cfg{
 		{name: "MP Filter", factory: mpFactory},
 		{name: "No Filter", factory: nil},

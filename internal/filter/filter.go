@@ -29,7 +29,8 @@ type Filter interface {
 
 // Factory builds a fresh filter. Each link gets its own instance from the
 // factory, so factories must not share mutable state between the filters
-// they produce.
+// they produce. MPFactory, EWMAFactory and ThresholdFactory validate
+// their parameters once and return a factory that cannot fail.
 type Factory func() Filter
 
 // --- Moving Percentile ------------------------------------------------
@@ -98,9 +99,23 @@ func NewMP(cfg MPConfig) (*MP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newMP(cfg), nil
+}
+
+// newMP builds an MP filter from a configuration already validated.
+func newMP(cfg MPConfig) *MP {
 	h := cfg.History
 	buf := make([]float64, 2*h) // ring and sorted scratch share one array
-	return &MP{cfg: cfg, ring: buf[:0:h], sorted: buf[h : h : 2*h]}, nil
+	return &MP{cfg: cfg, ring: buf[:0:h], sorted: buf[h : h : 2*h]}
+}
+
+// MPFactory validates cfg once and returns a factory of MP filters
+// with it.
+func MPFactory(cfg MPConfig) (Factory, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return func() Filter { return newMP(cfg) }, nil
 }
 
 // Observe implements Filter.
@@ -185,6 +200,15 @@ func NewEWMA(alpha float64) (*EWMA, error) {
 	return &EWMA{alpha: alpha}, nil
 }
 
+// EWMAFactory validates alpha once and returns a factory of EWMA
+// filters with it.
+func EWMAFactory(alpha float64) (Factory, error) {
+	if _, err := NewEWMA(alpha); err != nil {
+		return nil, err
+	}
+	return func() Filter { return &EWMA{alpha: alpha} }, nil
+}
+
 // Observe implements Filter.
 func (f *EWMA) Observe(sample float64) (float64, bool) {
 	if !f.primed {
@@ -219,6 +243,15 @@ func NewThreshold(cutoff float64) (*Threshold, error) {
 		return nil, fmt.Errorf("filter: threshold cutoff %v, want > 0", cutoff)
 	}
 	return &Threshold{cutoff: cutoff}, nil
+}
+
+// ThresholdFactory validates cutoff once and returns a factory of
+// threshold filters with it.
+func ThresholdFactory(cutoff float64) (Factory, error) {
+	if _, err := NewThreshold(cutoff); err != nil {
+		return nil, err
+	}
+	return func() Filter { return &Threshold{cutoff: cutoff} }, nil
 }
 
 // Observe implements Filter. Samples above the cutoff produce no output.

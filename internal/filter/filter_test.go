@@ -458,3 +458,54 @@ func BenchmarkBankObserve(b *testing.B) {
 		bank.Observe(peers[i%len(peers)], float64(i%100))
 	}
 }
+
+// TestFactoriesValidateOnce: a factory constructor refuses exactly what
+// the filter constructor refuses, and the factory it returns builds
+// independent filters that answer like the constructor's.
+func TestFactoriesValidateOnce(t *testing.T) {
+	samples := []float64{80, 400, 82, 79, 300, 81, 20, 83}
+	for _, tc := range []struct {
+		name      string
+		good, bad func() (Factory, error)
+		direct    func() Filter
+	}{{
+		name:   "mp",
+		good:   func() (Factory, error) { return MPFactory(DefaultMPConfig()) },
+		bad:    func() (Factory, error) { return MPFactory(MPConfig{History: 0, Percentile: 25, UpdateAfter: 1}) },
+		direct: func() Filter { return mustMP(t, DefaultMPConfig()) },
+	}, {
+		name:   "ewma",
+		good:   func() (Factory, error) { return EWMAFactory(0.1) },
+		bad:    func() (Factory, error) { return EWMAFactory(0) },
+		direct: func() Filter { f, _ := NewEWMA(0.1); return f },
+	}, {
+		name:   "threshold",
+		good:   func() (Factory, error) { return ThresholdFactory(250) },
+		bad:    func() (Factory, error) { return ThresholdFactory(-1) },
+		direct: func() Filter { f, _ := NewThreshold(250); return f },
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if f, err := tc.bad(); err == nil || f != nil {
+				t.Fatalf("invalid parameters gave factory %v, err %v; want nil and an error", f != nil, err)
+			}
+			factory, err := tc.good()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b, want := factory(), factory(), tc.direct()
+			for i, s := range samples {
+				got, gotOK := a.Observe(s)
+				exp, expOK := want.Observe(s)
+				if got != exp || gotOK != expOK {
+					t.Fatalf("sample %d: factory filter says %v,%v, constructor's says %v,%v", i, got, gotOK, exp, expOK)
+				}
+			}
+			// b saw nothing of what a saw.
+			got, gotOK := b.Observe(samples[0])
+			fresh, freshOK := tc.direct().Observe(samples[0])
+			if got != fresh || gotOK != freshOK {
+				t.Fatalf("second filter from the factory shares state: %v,%v vs fresh %v,%v", got, gotOK, fresh, freshOK)
+			}
+		})
+	}
+}

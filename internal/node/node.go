@@ -114,12 +114,9 @@ func Start(cfg Config) (*Node, error) {
 	}
 	factory := cfg.Filter
 	if factory == nil {
-		factory = func() filter.Filter {
-			f, err := filter.NewMP(filter.DefaultMPConfig())
-			if err != nil {
-				return filter.NewNone()
-			}
-			return f
+		var err error
+		if factory, err = filter.MPFactory(filter.DefaultMPConfig()); err != nil {
+			return nil, fmt.Errorf("node: %w", err)
 		}
 	}
 	policy := cfg.Policy

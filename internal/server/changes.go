@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"netcoord"
@@ -19,126 +18,6 @@ const (
 	maxChangesLimit     = 4096
 	maxChangesWait      = time.Minute
 )
-
-// resubscribeDelay paces the notifier's and hub's re-attach loops after
-// their subscription closes (a follower re-bootstrapped its relay, or
-// the registry shut down): long enough never to spin against a feed
-// that closes subscriptions immediately, short enough that a relay
-// reset costs one beat of wakeups. Each consecutive dead attach (a
-// subscription that closed without delivering anything — the signature
-// of a closed feed, since Subscribe reports closure as an immediately
-// closed channel, not an error) doubles the delay up to
-// maxResubscribeDelay, so a registry closed out from under the server
-// costs a slow heartbeat instead of a hot loop.
-const (
-	resubscribeDelay    = 50 * time.Millisecond
-	maxResubscribeDelay = 5 * time.Second
-)
-
-// nextResubscribeDelay implements that backoff.
-func nextResubscribeDelay(cur time.Duration) time.Duration {
-	if cur *= 2; cur > maxResubscribeDelay {
-		return maxResubscribeDelay
-	}
-	return cur
-}
-
-// notifier multiplexes every /changes long-poll onto one change-stream
-// subscription. Pollers wait on a broadcast channel that is closed (and
-// replaced) whenever the stream moves; parking and waking a poller is
-// a channel receive, with no per-request changefeed attach/detach — the
-// churn that made each idle poll cost a subscription under the old
-// per-request scheme.
-type notifier struct {
-	source   netcoord.ChangeSource
-	shutdown <-chan struct{}
-
-	mu  sync.Mutex
-	cur chan struct{}
-}
-
-func newNotifier(source netcoord.ChangeSource, shutdown <-chan struct{}) *notifier {
-	n := &notifier{
-		source:   source,
-		shutdown: shutdown,
-		cur:      make(chan struct{}),
-	}
-	go n.run()
-	return n
-}
-
-// wait returns the channel the next broadcast will close. Grab it
-// *before* checking ChangeSeq: an event landing between the check and
-// the park then still wakes the waiter.
-func (n *notifier) wait() <-chan struct{} {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cur
-}
-
-// wake closes the current broadcast channel and installs a fresh one.
-func (n *notifier) wake() {
-	n.mu.Lock()
-	close(n.cur)
-	n.cur = make(chan struct{})
-	n.mu.Unlock()
-}
-
-// run drains the stream for the server's lifetime, re-subscribing when
-// the subscription closes (relay reset, registry close). A closed
-// subscription also broadcasts: parked pollers re-check the stream
-// position rather than sleeping through a reset.
-func (n *notifier) run() {
-	delay := resubscribeDelay
-	first := true
-	for {
-		sub, err := n.source.SubscribeChanges(1)
-		if err != nil {
-			return // stream disabled: pollers run down their deadlines
-		}
-		// A wake signal, not a consumer: its inevitable buffer drops
-		// must not pollute the overflow metrics real subscribers use
-		// to detect loss.
-		sub.MarkSignal()
-		if !first {
-			// Events relayed while we were unsubscribed were never
-			// broadcast; wake the parked pollers so they re-check the
-			// stream position instead of sleeping to their deadlines.
-			n.wake()
-		}
-		first = false
-		if n.drain(sub) {
-			delay = resubscribeDelay
-		} else {
-			delay = nextResubscribeDelay(delay)
-		}
-		sub.Close()
-		n.wake()
-		select {
-		case <-n.shutdown:
-			return
-		case <-time.After(delay):
-		}
-	}
-}
-
-// drain broadcasts until the subscription closes or the server stops,
-// reporting whether it delivered anything (a dead-on-arrival channel
-// means the feed is closed, and the caller backs off).
-func (n *notifier) drain(sub *netcoord.ChangeSubscription) (sawEvent bool) {
-	for {
-		select {
-		case <-n.shutdown:
-			return sawEvent
-		case _, ok := <-sub.C():
-			if !ok {
-				return sawEvent
-			}
-			sawEvent = true
-			n.wake()
-		}
-	}
-}
 
 // handleChanges tails the change stream: everything after ?since=,
 // long-polling up to ?wait= when the stream is quiet. History older
@@ -242,7 +121,7 @@ func (s *Server) writeFrameBatch(w http.ResponseWriter, evs []netcoord.ChangeEve
 	s.framesServed.Add(uint64(len(evs)))
 }
 
-// waitForChange parks on the shared broadcast until the stream moves
+// waitForChange parks on the hub's broadcast until the stream moves
 // past since, the client disconnects, shutdown begins, or the deadline
 // passes. It reports whether a new event may be available. Wakeups can
 // be spurious (any event broadcasts, including ones at or below since
@@ -252,7 +131,7 @@ func (s *Server) waitForChange(req *http.Request, since uint64, deadline time.Ti
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	for {
-		ch := s.notifier.wait()
+		ch := s.hub.Changed()
 		// Re-check after grabbing the channel: an event published
 		// between the caller's empty read and this park broadcast on a
 		// channel nobody held — the seq check is what can't miss it.

@@ -123,7 +123,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		s.promoted.Store(true)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"promoted": true,
 			"already":  already,
@@ -353,7 +352,7 @@ func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 	}
 	if s.follower != nil {
 		// The replica's position in the leader's sequence space; its
-		// change_stream section above describes the relay re-serving
+		// change_stream section above describes the replica's feed re-serving
 		// that stream.
 		body["follower"] = s.follower.FollowerStats()
 	}

@@ -22,12 +22,36 @@ const hubSubBuffer = 4096
 // watcher would serve a stale top-k indefinitely.
 const hubReconcileInterval = time.Second
 
+// resubscribeDelay paces the hub's re-attach loop after its
+// subscription closes (a follower re-bootstrapped, or the registry shut
+// down): long enough never to spin against a feed that closes
+// subscriptions immediately, short enough that a re-bootstrap costs one
+// beat of wakeups. Each consecutive dead attach (a subscription that
+// closed without delivering anything — the signature of a closed feed,
+// since Subscribe reports closure as an immediately closed channel, not
+// an error) doubles the delay up to maxResubscribeDelay, so a registry
+// closed out from under the server costs a slow heartbeat instead of a
+// hot loop.
+const (
+	resubscribeDelay    = 50 * time.Millisecond
+	maxResubscribeDelay = 5 * time.Second
+)
+
+// nextResubscribeDelay implements that backoff.
+func nextResubscribeDelay(cur time.Duration) time.Duration {
+	if cur *= 2; cur > maxResubscribeDelay {
+		return maxResubscribeDelay
+	}
+	return cur
+}
+
 // maxGridLevel bounds the damage map's cell hierarchy; a watch radius
 // past 2^maxGridLevel ms falls back to the any-upsert set.
 const maxGridLevel = 40
 
-// WatchHub multiplexes every /watch onto ONE change-stream
-// subscription. The old scheme attached a private subscription per
+// WatchHub is a server's one drain of the change stream: every /watch
+// and every /changes long-poll hangs off ONE subscription and one
+// re-attach loop. The old scheme attached a private subscription per
 // watcher and ran a relevance check in every watcher against every
 // mutation: N watchers cost N buffer offers plus N checks per event.
 // The hub inverts that: a single drain goroutine routes each event
@@ -56,9 +80,16 @@ const maxGridLevel = 40
 //     insert enters it) or whose interest is not yet registered; every
 //     upsert damages them.
 //
-// A sequence gap — subscriber overflow, a relay reset after a follower
-// re-bootstrap, a WAL-chunked eviction — conservatively damages every
-// watcher: correctness never depends on the stream being gapless.
+// A sequence gap — subscriber overflow, a stream restart after a
+// follower re-bootstrap, a WAL-chunked eviction — conservatively damages
+// every watcher: correctness never depends on the stream being gapless.
+//
+// /changes long-pollers need no routing, only a wake: they park on a
+// broadcast channel (Changed) that the drain closes and replaces on
+// every event, on every subscription close and re-attach, and on the
+// reconcile jump — whenever the stream position may have moved — and
+// re-read the stream themselves. Parking and waking is a channel
+// receive; an idle poll attaches nothing to the feed.
 type WatchHub struct {
 	source   netcoord.ChangeSource
 	shutdown <-chan struct{}
@@ -83,6 +114,8 @@ type WatchHub struct {
 
 	mu        sync.Mutex
 	disabled  bool
+	changed   chan struct{} // closed and replaced when the stream may have moved
+	parked    bool          // someone holds changed since it was last replaced
 	watchers  map[*HubWatcher]struct{}
 	byID      map[string]map[*HubWatcher]struct{}
 	anyOp     map[*HubWatcher]struct{} // immature: damaged by any event
@@ -176,6 +209,7 @@ func newWatchHub(source netcoord.ChangeSource, shutdown <-chan struct{}) *WatchH
 		anyUpsert: make(map[*HubWatcher]struct{}),
 		cells:     make(map[cellKey][]*HubWatcher),
 		levels:    make(map[uint8]int),
+		changed:   make(chan struct{}),
 
 		recomputeLat: telemetry.NewHistogram(),
 		deliverLag:   telemetry.NewHistogram(),
@@ -193,10 +227,13 @@ func newWatchHub(source netcoord.ChangeSource, shutdown <-chan struct{}) *WatchH
 }
 
 // run drains the stream for the server's lifetime. A closed
-// subscription (registry close, or a follower relay reset after
-// re-bootstrap) is re-attached after a beat, and the gap is repaired by
+// subscription (registry close, or a follower re-bootstrap restarting
+// its stream) is re-attached after a beat, and the gap is repaired by
 // damaging every watcher — their registries may have been rewritten
-// wholesale underneath them.
+// wholesale underneath them. Pollers are woken at the close (they
+// re-check the stream position rather than sleeping through a restart)
+// and again at the re-attach (events published while nothing was
+// subscribed were never broadcast).
 func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 	delay := resubscribeDelay
 	sawEvent := false
@@ -236,6 +273,7 @@ func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 			for w := range h.watchers {
 				h.damageLocked(w, sub.JoinSeq(), 0)
 			}
+			h.wakePollersLocked()
 			h.mu.Unlock()
 		}
 		select {
@@ -245,6 +283,9 @@ func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 		case ev, ok := <-sub.C():
 			if !ok {
 				sub = nil
+				h.mu.Lock()
+				h.wakePollersLocked()
+				h.mu.Unlock()
 				continue
 			}
 			sawEvent = true
@@ -274,6 +315,7 @@ func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 					for w := range h.watchers {
 						h.damageLocked(w, seqNow, 0)
 					}
+					h.wakePollersLocked()
 				}
 				h.mu.Unlock()
 			}
@@ -287,6 +329,7 @@ func (h *WatchHub) processEvent(ev netcoord.ChangeEvent) (gap bool) {
 	h.events.Add(1)
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.wakePollersLocked()
 	last := h.processed.Load()
 	if ev.Seq <= last {
 		// Still buffered from before a reconcile jump moved processed
@@ -360,6 +403,29 @@ func (h *WatchHub) damageUpsertLocked(id string, c netcoord.Coordinate, seq uint
 				h.damageLocked(w, seq, pubNs)
 			}
 		}
+	}
+}
+
+// Changed returns the channel the next broadcast will close. A poller
+// grabs it *before* checking ChangeSeq: an event landing between the
+// check and the park then still wakes it.
+func (h *WatchHub) Changed() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.parked = true
+	return h.changed
+}
+
+// wakePollersLocked closes the broadcast channel and installs a fresh
+// one — when anyone took the current one; a stream nobody long-polls
+// pays nothing per event.
+//
+//nc:locked(mu)
+func (h *WatchHub) wakePollersLocked() {
+	if h.parked {
+		close(h.changed)
+		h.changed = make(chan struct{})
+		h.parked = false
 	}
 }
 

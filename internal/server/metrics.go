@@ -142,7 +142,7 @@ func (s *Server) registerCollectors() {
 		"Seconds since this server was built.", nil,
 		func() float64 { return time.Since(s.started).Seconds() })
 
-	// Change stream (the leader's own feed, or a follower's relay).
+	// Change stream (the registry's one feed, on a leader and a follower alike).
 	cs := func(f func(netcoord.ChangeStreamStats) float64) func() float64 {
 		return func() float64 { return f(s.source.ChangeStreamStats()) }
 	}
@@ -302,7 +302,7 @@ func (s *Server) registerCollectors() {
 // bound — past it the replica serves reads staler than the operator
 // tolerates and should be drained until it catches up.
 func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if s.follower != nil && !s.promoted.Load() {
+	if s.replica() {
 		st := s.follower.FollowerStats()
 		body := map[string]any{
 			"role":        "follower",

@@ -4,19 +4,19 @@
 //
 // The stream surface — /snapshot, /changes, /watch — is written against
 // netcoord.ChangeSource, not a concrete registry type. That seam is
-// what makes replicas first-class serving tiers: a *FollowerRegistry
-// relays its leader's stream in the leader's own sequence space, so a
-// Server wrapped around a follower re-serves all three endpoints with
-// sequence numbers (and snapshot pairs) identical to the leader's, and
-// watcher/tail fan-out distributes across a replica tree instead of
-// concentrating on the leader.
+// what makes replicas first-class serving tiers: a *FollowerRegistry's
+// one feed carries its leader's stream in the leader's own sequence
+// space, so a Server wrapped around a follower re-serves all three
+// endpoints with sequence numbers (and exact snapshot pairs) identical
+// to the leader's, and watcher/tail fan-out distributes across a
+// replica tree instead of concentrating on the leader.
 //
-// Live distribution is multiplexed: one change-stream subscription
-// feeds a WatchHub whose spatial damage map routes each mutation to the
-// watchers it could actually affect, and a second subscription drives a
-// single broadcast that wakes /changes long-pollers. N watchers cost
-// one subscription plus O(damaged) recomputes per mutation, not N
-// relevance checks; idle pollers cost nothing per request.
+// Live distribution is one drain per server: a single change-stream
+// subscription feeds the WatchHub, whose spatial damage map routes each
+// mutation to the watchers it could actually affect and whose broadcast
+// channel wakes /changes long-pollers. N watchers cost one subscription
+// plus O(damaged) recomputes per mutation, not N relevance checks; idle
+// pollers cost nothing per request.
 package server
 
 import (
@@ -49,8 +49,8 @@ type Config struct {
 	// counters to /stats and the persistence-degraded flag to mutation
 	// responses.
 	Persist *netcoord.PersistentRegistry
-	// Follower, in replica mode, disables mutations (403 naming the
-	// leader) and adds replication lag to /stats.
+	// Follower, in replica mode, disables mutations until it is promoted
+	// (403 naming the leader) and adds replication lag to /stats.
 	Follower *netcoord.FollowerRegistry
 	// MaxBody caps request body sizes in bytes (0 = 1 MiB).
 	MaxBody int64
@@ -84,19 +84,13 @@ type Server struct {
 	mux      *http.ServeMux
 	met      *serverMetrics
 
-	// promoted latches once POST /promote succeeds on a follower: the
-	// replica is now the leader, so the mutation surface opens and the
-	// staleness headers stop (its state is authoritative, not a copy).
-	promoted atomic.Bool
-
 	// framesServed counts change events answered in the binary frame
 	// encoding (negotiated per request; JSON pollers don't move it).
 	framesServed atomic.Uint64
 
-	// hub multiplexes every /watch onto one change-stream subscription;
-	// notifier multiplexes every /changes long-poll onto another.
-	hub      *WatchHub
-	notifier *notifier
+	// hub is the server's one change-stream subscription: it routes
+	// events to /watch handlers and wakes /changes long-pollers.
+	hub *WatchHub
 
 	shutdown     chan struct{}
 	shutdownOnce sync.Once
@@ -134,7 +128,6 @@ func New(cfg Config) *Server {
 		shutdown: make(chan struct{}),
 	}
 	s.hub = newWatchHub(source, s.shutdown)
-	s.notifier = newNotifier(source, s.shutdown)
 	s.registerCollectors()
 	s.mux.HandleFunc("POST /upsert", s.instrument("/upsert", s.leaderOnly(s.handleUpsert)))
 	s.mux.HandleFunc("POST /remove", s.instrument("/remove", s.leaderOnly(s.handleRemove)))
@@ -154,17 +147,22 @@ func New(cfg Config) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) { s.mux.ServeHTTP(w, req) }
 
-// Stop wakes every long-lived handler and halts the hub and notifier
-// goroutines; safe to call more than once.
+// Stop wakes every long-lived handler and halts the hub's goroutine;
+// safe to call more than once.
 func (s *Server) Stop() { s.shutdownOnce.Do(func() { close(s.shutdown) }) }
 
-// leaderOnly rejects mutations on a follower: its state is a replica
-// of the leader's, and a local write would silently diverge it. A
-// promoted follower IS the leader — its writes continue the stream
+// replica reports whether this server fronts a follower that has not
+// been promoted — by /promote or by the library's Promote; the follower
+// is the one that knows.
+func (s *Server) replica() bool { return s.follower != nil && !s.follower.Promoted() }
+
+// leaderOnly rejects mutations on a follower: its registry is a
+// read-only replica of the leader's (ErrReadOnlyReplica underneath).
+// A promoted follower IS the leader — its writes continue the stream
 // under the new fencing epoch — so the gate opens after promotion.
 func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		if s.follower != nil && !s.promoted.Load() {
+		if s.replica() {
 			writeError(w, http.StatusForbidden, fmt.Errorf("read-only replica of %s: send mutations to the leader", s.follower.FollowerStats().LeaderURL))
 			return
 		}
@@ -183,7 +181,7 @@ func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
 // state is authoritative from then on.
 func (s *Server) staleness(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		if s.follower != nil && !s.promoted.Load() {
+		if s.replica() {
 			st := s.follower.FollowerStats()
 			if st.LastContactAgeSeconds >= 0 {
 				w.Header().Set("X-NC-Staleness", strconv.FormatFloat(st.LastContactAgeSeconds, 'f', 3, 64))

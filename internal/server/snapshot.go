@@ -34,7 +34,7 @@ import (
 // the stream, so chaining a replica off a replica is supported).
 func (s *Server) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 	var followerOf string
-	if s.follower != nil && !s.promoted.Load() {
+	if s.replica() {
 		followerOf = s.follower.FollowerStats().LeaderURL
 	}
 	if raw := req.URL.Query().Get("since"); raw != "" {
@@ -43,9 +43,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
 			return
 		}
-		// The source assembles the triple atomically (a follower holds
-		// its bootstrap lock), or reports ok=false when only a full
-		// snapshot can guarantee correctness. The client applies
+		// The source assembles the triple in one hold of its registry's
+		// read lock (exact, and atomic against a follower's re-bootstrap),
+		// or reports ok=false when only a full snapshot can guarantee
+		// correctness. The client applies
 		// removals before entries, so an id present in both (removed,
 		// then re-upserted) ends live, matching its newest state.
 		if entries, removed, seq, ok := s.source.DeltaSince(since); ok {

@@ -549,7 +549,7 @@ func TestFollowerModeHTTPSurface(t *testing.T) {
 
 	// The stream is re-served in the leader's sequence space. History
 	// before the follower's bootstrap point is genuinely gone here — a
-	// resume below the relay ring is a 410 (re-bootstrap from this
+	// resume below the replica's ring is a 410 (re-bootstrap from this
 	// follower's /snapshot), the same protocol the leader speaks.
 	if code, _ = getJSON(t, fts.URL+"/changes?since=0"); code != http.StatusGone {
 		t.Fatalf("follower changes below bootstrap point: %d, want 410", code)
@@ -578,5 +578,39 @@ func TestFollowerModeHTTPSurface(t *testing.T) {
 	fst, ok := out["follower"].(map[string]any)
 	if !ok || fst["applied_seq"].(float64) != float64(leaderReg.ChangeSeq()) || fst["lag"].(float64) != 0 {
 		t.Fatalf("follower stats = %v", out["follower"])
+	}
+	if code, out = getJSON(t, fts.URL+"/healthz"); code != http.StatusOK || out["role"] != "follower" {
+		t.Fatalf("follower healthz: %d %v, want 200 role follower", code, out)
+	}
+
+	// Promoted through the library, not through POST /promote: the
+	// server asks the follower, so the whole surface turns leader with
+	// it — mutations open under the new epoch, the staleness headers
+	// stop, and /healthz reports the new role.
+	seq := f.ChangeSeq()
+	epoch, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	code, out = postJSON(t, fts.URL+"/upsert", `{"id":"x","coord":{"vec":[9,9,9]}}`)
+	if code != http.StatusOK || out["seq"].(float64) != float64(seq+1) {
+		t.Fatalf("upsert after library promotion: %d %v, want 200 at seq %d", code, out, seq+1)
+	}
+	if e, ok := f.Get("x"); !ok || e.Seq != seq+1 || f.ChangeEpoch() != epoch {
+		t.Fatalf("promoted write stored as %+v (present %v) under epoch %d, want seq %d epoch %d", e, ok, f.ChangeEpoch(), seq+1, epoch)
+	}
+	resp, err := http.Get(fts.URL + "/nearest?id=a&k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-NC-Staleness") != "" || resp.Header.Get("X-NC-Lag") != "" {
+		t.Fatalf("read after library promotion: %d, headers %v; want 200 without staleness stamps", resp.StatusCode, resp.Header)
+	}
+	if code, out = getJSON(t, fts.URL+"/healthz"); code != http.StatusOK || out["role"] != "leader" || out["promoted"] != true {
+		t.Fatalf("healthz after library promotion: %d %v, want 200 role leader promoted", code, out)
+	}
+	if code, out = postJSON(t, fts.URL+"/promote", ``); code != http.StatusOK || out["already"] != true {
+		t.Fatalf("/promote after library promotion: %d %v, want 200 already", code, out)
 	}
 }

@@ -286,22 +286,11 @@ func buildFilterFactory(cfg Config) (filter.Factory, error) {
 	if cfg.DisableFilter {
 		return func() filter.Filter { return filter.NewNone() }, nil
 	}
-	mpCfg := filter.MPConfig{
+	return filter.MPFactory(filter.MPConfig{
 		History:     cfg.FilterHistory,
 		Percentile:  cfg.FilterPercentile,
 		UpdateAfter: cfg.FilterWarmup,
-	}
-	if err := mpCfg.Validate(); err != nil {
-		return nil, err
-	}
-	return func() filter.Filter {
-		f, err := filter.NewMP(mpCfg)
-		if err != nil {
-			// Validated above; unreachable, but never panic.
-			return filter.NewNone()
-		}
-		return f
-	}, nil
+	})
 }
 
 func inf() float64 { return math.Inf(1) }

@@ -66,9 +66,9 @@ const compactCheckInterval = time.Second
 // write-ahead log and periodically compacted into a snapshot.
 //
 // Open recovers the previous state before returning: the newest
-// snapshot is loaded through UpsertBatch — which bulk-builds the
-// spatial index in one O(n log n) pass — and the WAL tail is
-// replayed on top. Entry UpdatedAt times are preserved, so TTL
+// snapshot with the WAL tail replayed on top is loaded in one
+// unpublished step that bulk-builds the spatial index in one
+// O(n log n) pass. Entry UpdatedAt times are preserved, so TTL
 // eviction remains correct across downtime: entries that went stale
 // while the service was down age out on the first janitor sweep
 // instead of being granted a fresh lease.
@@ -125,53 +125,42 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: persistent registry: %w", err)
 	}
-	// Build the registry with its janitor deferred and its change
-	// stream uninstalled: the feed must be seeded with the recovered
-	// sequence and given its WAL tap before any background goroutine
-	// can mutate — an eviction during recovery would otherwise be
-	// published with a reused sequence, or not logged at all.
+	// Build the registry with its janitor deferred: the stream must sit
+	// at the recovered sequence and have its WAL tap before any
+	// background goroutine can mutate — an eviction during recovery would
+	// otherwise be published with a reused sequence, or not logged at all.
 	regCfg := cfg.Registry
-	streamBuf := regCfg.ChangeStreamBuffer
-	if streamBuf <= 0 {
-		streamBuf = DefaultChangeStreamBuffer
+	if regCfg.ChangeStreamBuffer <= 0 {
+		regCfg.ChangeStreamBuffer = DefaultChangeStreamBuffer
 	}
-	regCfg.ChangeStreamBuffer = 0
 	reg, err := newRegistry(regCfg)
 	if err != nil {
 		_ = store.Close()
 		return nil, err
 	}
-	if len(recovered) > 0 {
-		// The registry is empty, so this lands on the index.Build bulk
-		// path: one balanced O(n log n) construction instead of n
-		// incremental inserts. UpdatedAt and Seq are preserved
-		// (UpsertBatch only stamps zero timestamps, and no stream is
-		// installed yet to stamp sequences).
-		if err := reg.UpsertBatch(recovered); err != nil {
-			reg.Close()
-			_ = store.Close()
-			return nil, fmt.Errorf("netcoord: persistent registry: recovered state rejected (was the directory written with a different -dim?): %w", err)
-		}
+	// load publishes nothing, so recovered entries are not re-logged into
+	// the WAL they came from, and they keep their UpdatedAt and Seq; the
+	// empty registry makes it one balanced O(n log n) index build. The
+	// stream continues from the last persisted sequence — and the last
+	// persisted fencing epoch, so a promoted leader keeps fencing after a
+	// restart.
+	rec := store.Recovery()
+	if err := reg.load(recovered, nil, false, rec.LastSeq, rec.LastEpoch); err != nil {
+		reg.Close()
+		_ = store.Close()
+		return nil, fmt.Errorf("netcoord: persistent registry: recovered state rejected (was the directory written with a different -dim?): %w", err)
 	}
-	// Install the change stream only after recovery, so recovered
-	// entries are not re-published into the log they came from: the
-	// feed continues from the last persisted sequence — and the last
-	// persisted fencing epoch, so a promoted leader keeps fencing after
-	// a restart — the recovered tombstone ring restores removal
-	// knowledge for delta re-bootstraps, and only then may the janitor
+	// The recovered tombstone ring restores removal knowledge for delta
+	// re-bootstraps, and only after the tap is in place may the janitor
 	// start evicting. The store consumes the stream as a tap: inline
 	// under the feed lock (hence under the registry's write lock), so
 	// the WAL misses nothing a bounded subscriber could, and cheap,
 	// because Append only enqueues the frame the event already carries —
 	// the store's flusher owns the disk.
-	rec := store.Recovery()
-	feed := changefeed.New(streamBuf, rec.LastSeq)
-	feed.SetEpoch(rec.LastEpoch)
 	if floor, tombs := store.RecoveredTombstones(); len(tombs) > 0 || floor > 0 {
-		feed.SeedTombstones(floor, tombs)
+		reg.feed.SeedTombstones(floor, tombs)
 	}
-	feed.Tap(func(ev changefeed.Event) { store.Append(ev.Frame()) })
-	reg.installFeed(feed)
+	reg.feed.Tap(func(ev changefeed.Event) { store.Append(ev.Frame()) })
 	reg.startJanitor()
 
 	p := &PersistentRegistry{
@@ -242,18 +231,14 @@ func (p *PersistentRegistry) Compact() error { return p.compactAs("manual") }
 
 func (p *PersistentRegistry) compactAs(reason string) error {
 	return p.store.Compact(reason, func() (persist.Capture, error) {
-		// Sequence before state: the snapshot is then a superset of the
-		// stream at seq, and replay above seq converges exactly. The
-		// capture also carries the fencing epoch and the tombstone ring
-		// so promotion and delta re-bootstraps survive restarts.
-		c := persist.Capture{
-			Seq:   p.Registry.ChangeSeq(),
-			Epoch: p.Registry.ChangeEpoch(),
-		}
-		if feed := p.Registry.getFeed(); feed != nil {
-			c.TombstoneFloor, c.Tombstones = feed.Tombstones()
-		}
-		c.Entries = p.Registry.Snapshot()
+		// The exact pair first, the tombstone ring after it: the ring then
+		// knows every removal up to seq, and the ones it has seen past seq
+		// are replayed from the WAL tail as well, which RemovedSince
+		// de-duplicates. The capture also carries the fencing epoch, so
+		// promotion and delta re-bootstraps survive restarts.
+		c := persist.Capture{Epoch: p.Registry.ChangeEpoch()}
+		c.Entries, c.Seq = p.Registry.SnapshotWithSeq()
+		c.TombstoneFloor, c.Tombstones = p.Registry.feed.Tombstones()
 		return c, nil
 	})
 }
@@ -267,12 +252,7 @@ func (p *PersistentRegistry) compactAs(reason string) error {
 // the bump durable immediately: a crash right after Fence recovers the
 // new epoch from the snapshot instead of reverting to the old one.
 func (p *PersistentRegistry) Fence() (uint64, error) {
-	feed := p.Registry.getFeed()
-	if feed == nil {
-		return 0, ErrChangeStreamDisabled
-	}
-	epoch := feed.Epoch() + 1
-	feed.SetEpoch(epoch)
+	epoch := p.Registry.promote()
 	if err := p.compactAs("promote"); err != nil {
 		return epoch, err
 	}

@@ -19,6 +19,14 @@ import (
 // services can map it to a not-found response.
 var ErrUnknownID = errors.New("netcoord: registry: unknown id")
 
+// ErrReadOnlyReplica is returned by local mutations (Upsert,
+// UpsertBatch; Remove reports false, Feed counts a feed error) on a
+// registry that mirrors an upstream's stream — a FollowerRegistry
+// before Promote. Its sequence space is the leader's, so a local write
+// cannot be numbered without forking it: mutate the leader, or promote
+// this replica.
+var ErrReadOnlyReplica = errors.New("netcoord: registry: read-only replica")
+
 // RegistryEntry is one node stored in a Registry: its ID, its
 // (application-level) Coord, its Vivaldi Error weight, UpdatedAt — the
 // TTL eviction clock — and Seq, the change-stream sequence of the
@@ -71,38 +79,6 @@ type RegistryStats struct {
 	IndexHeight     int    `json:"index_height"`
 }
 
-// publishUpsert is the single seam through which every applied upsert
-// reaches the change stream; callers hold the registry's write lock, so
-// the published order matches the applied order. The
-// feed only assigns a sequence, buffers, and enqueues — it never
-// blocks on I/O — which is what makes calling it under the lock safe.
-// It returns the assigned sequence (0 with the stream disabled), which
-// the caller stamps onto the stored entry.
-//
-//nc:hotpath
-//nc:locked(r.mu)
-func (r *Registry) publishUpsert(e RegistryEntry) uint64 {
-	if feed := r.getFeed(); feed != nil {
-		return feed.PublishUpsert(e)
-	}
-	return 0
-}
-
-// getFeed loads the current change feed (nil with the stream disabled).
-func (r *Registry) getFeed() *changefeed.Feed {
-	return r.feed.Load()
-}
-
-// installFeed replaces the registry's change feed. Two callers exist,
-// both of which guarantee no mutation is in flight: persistence
-// recovery (before the registry is shared) and follower promotion
-// (after the tailer has fully stopped). The new feed must already be
-// positioned at the stream's current sequence so the dense total order
-// continues without a gap.
-func (r *Registry) installFeed(feed *changefeed.Feed) {
-	r.feed.Store(feed)
-}
-
 // Registry is a concurrency-safe store of node coordinates that answers
 // k-nearest-neighbor and radius queries through a spatial index — the
 // consumer layer that turns coordinates into server selection and
@@ -126,10 +102,20 @@ type Registry struct {
 	janitorInterval time.Duration
 	clock           func() time.Time
 
-	// mu guards entries and tree, which every mutation changes together.
+	// mu guards entries and tree — and orders the stream with them: every
+	// mutation changes all three in one hold of the write lock (apply),
+	// and a state load moves all three in one hold (load), so a reader
+	// holding the read lock sees entries that are exactly the stream's
+	// state at feed.Seq().
 	mu      sync.RWMutex
 	entries map[string]RegistryEntry
 	tree    *index.Tree
+
+	// replica is set while this registry mirrors an upstream stream (a
+	// FollowerRegistry before promotion): relayed events are its only
+	// writers, and local mutations are refused with ErrReadOnlyReplica —
+	// they would be numbered into the leader's sequence space.
+	replica atomic.Bool
 
 	upserts    atomic.Uint64
 	removes    atomic.Uint64
@@ -141,13 +127,11 @@ type Registry struct {
 	scratch sync.Pool
 
 	// feed, when non-nil, is the change stream every applied mutation is
-	// published to (under the write lock, so stream order matches apply
-	// order); persistence taps it, subscribers and
-	// replicas consume it. It is normally installed before the registry
-	// is shared (construction, or persistence recovery), but promotion
-	// swaps a follower's relay in as the write feed at runtime — hence
-	// the atomic pointer rather than a plain field.
-	feed atomic.Pointer[changefeed.Feed]
+	// published to; persistence taps it, subscribers and replicas consume
+	// it. One feed per registry, fixed at construction: recovery, a
+	// follower's bootstraps and promotion reposition it (load, promote),
+	// they never replace it.
+	feed *changefeed.Feed
 
 	// lifeMu orders goroutine starts (janitor, feeds) against Close:
 	// wg.Add never races wg.Wait, and no feed can start after Close.
@@ -169,8 +153,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 }
 
 // newRegistry builds a Registry without starting its janitor, so the
-// persistence layer can finish recovery and install its change feed
-// (with the recovered sequence and its WAL tap) before any background
+// persistence layer can finish recovery and position its change feed
+// (at the recovered sequence, with its WAL tap) before any background
 // goroutine can mutate — an eviction during recovery would otherwise
 // be published with a reused sequence, or not at all.
 func newRegistry(cfg RegistryConfig) (*Registry, error) {
@@ -200,7 +184,7 @@ func newRegistry(cfg RegistryConfig) (*Registry, error) {
 		closed:  make(chan struct{}),
 	}
 	if cfg.ChangeStreamBuffer > 0 {
-		r.feed.Store(changefeed.New(cfg.ChangeStreamBuffer, 0))
+		r.feed = changefeed.New(cfg.ChangeStreamBuffer, 0)
 	}
 	r.scratch.New = func() any { return newQueryScratch() }
 	if cfg.TTL > 0 {
@@ -238,8 +222,8 @@ func (r *Registry) Close() {
 		r.lifeMu.Unlock()
 	})
 	r.wg.Wait()
-	if feed := r.getFeed(); feed != nil {
-		feed.Close()
+	if r.feed != nil {
+		r.feed.Close()
 	}
 }
 
@@ -264,19 +248,22 @@ func (r *Registry) janitor(interval time.Duration) {
 //
 //nc:hotpath
 func (r *Registry) Upsert(id string, c Coordinate, errWeight float64) error {
-	return r.upsertEntry(RegistryEntry{ID: id, Coord: c, Error: errWeight})
+	if err := wire.ValidateID(id); err != nil {
+		//nc:allow(hotpath) validation-failure return: cold by definition
+		return fmt.Errorf("netcoord: registry upsert: %w", err)
+	}
+	ev := ChangeEvent{Op: ChangeUpsert, Entry: RegistryEntry{ID: id, Coord: c, Error: errWeight, UpdatedAt: r.clock()}}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, err := r.applyLocked(&ev)
+	return err
 }
 
-// UpsertBatch applies many upserts under one hold of the write lock.
-// Entries with a zero UpdatedAt are stamped with the registry clock. The
-// whole batch is validated before anything is applied: on error, the
-// registry is unchanged.
+// validateBatch checks every entry of a batch before any of it is
+// applied, so a bad entry cannot leave the batch half-applied.
 //
 //nc:hotpath
-func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
-	now := r.clock()
-	// Validate everything first so a bad entry cannot leave the batch
-	// half-applied.
+func (r *Registry) validateBatch(entries []RegistryEntry) error {
 	for i := range entries {
 		e := &entries[i]
 		// An id no frame can carry would be applied but never logged or
@@ -290,102 +277,266 @@ func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 			return fmt.Errorf("netcoord: registry upsert %q: %w", e.ID, err)
 		}
 	}
+	return nil
+}
+
+// UpsertBatch applies many upserts under one hold of the write lock.
+// Entries with a zero UpdatedAt are stamped with the registry clock. The
+// whole batch is validated before anything is applied: on error, the
+// registry is unchanged.
+//
+//nc:hotpath
+func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
+	now := r.clock()
+	if err := r.validateBatch(entries); err != nil {
+		return err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.replica.Load() {
+		return ErrReadOnlyReplica
+	}
 	if len(r.entries) == 0 && len(entries) > 0 {
 		// Empty registry: bulk-build the index balanced in one pass
-		// instead of n incremental inserts with rebuild cascades. This
-		// is the warm-up path (snapshot restore, first Feed burst) —
-		// O(n log n) instead of O(n log^2 n) amortized.
-		r.entries = make(map[string]RegistryEntry, len(entries)) //nc:allow(hotpath) warm-up path: one map sized for the bulk load of an empty registry
-		pts := make([]index.Entry, len(entries))                 //nc:allow(hotpath) warm-up path: one slice per bulk build of an empty registry
-		for i := range entries {
-			pts[i] = index.Entry{ID: entries[i].ID, Coord: entries[i].Coord}
+		// instead of n incremental inserts with rebuild cascades. This is
+		// the warm-up path (first Feed burst, a bulk hand-off) —
+		// O(n log n) instead of O(n log^2 n) amortized. The index then
+		// holds the batch, and what is left of apply is publish and store.
+		if err := r.rebuildLocked(entries); err != nil {
+			return err
 		}
-		tree, err := index.Build(r.dim, pts)
-		if err != nil {
-			// Unreachable: coordinates were validated above, and
-			// validation is Build's only failure.
-			//nc:allow(hotpath) unreachable wrap: inputs were pre-validated
-			return fmt.Errorf("netcoord: registry upsert: %w", err)
-		}
-		r.tree = tree
 		for _, e := range entries {
-			r.storeUpsert(e, now) // later duplicates win, as Build resolves them
+			if e.UpdatedAt.IsZero() {
+				e.UpdatedAt = now
+			}
+			if r.feed != nil {
+				e.Seq = r.feed.PublishUpsert(e)
+			}
+			r.entries[e.ID] = e // later duplicates win, as Build resolves them
 		}
+		r.upserts.Add(uint64(len(entries)))
 		return nil
 	}
-	for _, e := range entries {
-		// Same pure-refresh shortcut as upsertEntry.
-		if old, existed := r.entries[e.ID]; !existed || !old.Coord.Equal(e.Coord) {
-			if err := r.tree.Insert(e.ID, e.Coord); err != nil {
-				// Unreachable: coordinates were validated above, and
-				// validation is the tree's only insert failure.
-				//nc:allow(hotpath) unreachable wrap: inputs were pre-validated
-				return fmt.Errorf("netcoord: registry upsert: %w", err)
-			}
+	for i := range entries {
+		ev := ChangeEvent{Op: ChangeUpsert, Entry: entries[i]}
+		if ev.Entry.UpdatedAt.IsZero() {
+			ev.Entry.UpdatedAt = now
 		}
-		r.storeUpsert(e, now)
+		if _, err := r.applyLocked(&ev); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// storeUpsert publishes an upsert the index already reflects and stores
-// the entry, stamped with now if it carries no timestamp and with the
-// sequence the stream assigned.
+// rebuildLocked replaces the index with one balanced build over entries
+// and the map with an empty one sized for them; the caller stores the
+// entries.
+//
+//nc:locked(r.mu)
+func (r *Registry) rebuildLocked(entries []RegistryEntry) error {
+	pts := make([]index.Entry, len(entries)) //nc:allow(hotpath) warm-up path: one slice per bulk build
+	for i := range entries {
+		pts[i] = index.Entry{ID: entries[i].ID, Coord: entries[i].Coord}
+	}
+	tree, err := index.Build(r.dim, pts)
+	if err != nil {
+		// Unreachable from UpsertBatch and load, which validate first:
+		// validation is Build's only failure.
+		//nc:allow(hotpath) unreachable wrap: inputs were pre-validated
+		return fmt.Errorf("netcoord: registry upsert: %w", err)
+	}
+	r.tree = tree
+	r.entries = make(map[string]RegistryEntry, len(entries)) //nc:allow(hotpath) warm-up path: one map sized for the bulk load
+	return nil
+}
+
+// applyLocked is the one place a single mutation — local or relayed —
+// changes the registry: stream, entries and tree move together inside
+// the caller's hold of the write lock, so no reader ever sees one
+// without the others. A local mutation (ev.Seq == 0) is published
+// under the stream's next sequence; a relayed event (a follower
+// applying its upstream's stream) under the sequence, epoch and frame
+// it carries, once the feed has judged it — changefeed.ErrStaleEpoch,
+// ErrDuplicate and ErrGap come back with nothing changed. Everything
+// that can refuse the event runs before the stream sees it. It reports
+// whether the event was applied: a local remove of an absent id is not,
+// and publishes nothing.
 //
 //nc:hotpath
 //nc:locked(r.mu)
-func (r *Registry) storeUpsert(e RegistryEntry, now time.Time) {
-	if e.UpdatedAt.IsZero() {
-		e.UpdatedAt = now
+func (r *Registry) applyLocked(ev *ChangeEvent) (bool, error) {
+	relayed := ev.Seq != 0
+	if !relayed && r.replica.Load() {
+		return false, ErrReadOnlyReplica
 	}
-	if seq := r.publishUpsert(e); seq != 0 {
-		e.Seq = seq
+	moved, present := false, false
+	switch ev.Op {
+	case ChangeUpsert:
+		// TTL heartbeats re-upsert unchanged coordinates constantly (stable
+		// app-level coordinates are the norm); a pure refresh must not
+		// churn the index with tombstone+reinsert cycles and the rebuilds
+		// they trigger.
+		old, existed := r.entries[ev.Entry.ID]
+		if moved = !existed || !old.Coord.Equal(ev.Entry.Coord); moved {
+			if err := ev.Entry.Coord.Validate(r.dim); err != nil {
+				//nc:allow(hotpath) validation-failure return: cold by definition
+				return false, fmt.Errorf("netcoord: registry upsert %q: %w", ev.Entry.ID, err)
+			}
+		}
+	case ChangeRemove:
+		if _, present = r.entries[ev.ID]; !present && !relayed {
+			return false, nil
+		}
+	case ChangeEvict:
+	default:
+		//nc:allow(hotpath) malformed-event return: cold by definition
+		return false, fmt.Errorf("netcoord: registry: unknown change op %d (seq %d)", ev.Op, ev.Seq)
 	}
-	r.entries[e.ID] = e
-	r.upserts.Add(1)
+	switch {
+	case r.feed == nil:
+	case relayed:
+		if err := r.feed.PublishAt(*ev); err != nil {
+			return false, err
+		}
+	case ev.Op == ChangeUpsert:
+		// The stored entry carries the sequence the stream assigned.
+		ev.Entry.Seq = r.feed.PublishUpsert(ev.Entry)
+	case ev.Op == ChangeRemove:
+		r.feed.PublishRemove(ev.ID)
+	default:
+		// The feed chunks oversized sweeps into multiple events.
+		r.feed.PublishEvict(ev.IDs)
+	}
+	switch ev.Op {
+	case ChangeUpsert:
+		if moved {
+			if err := r.tree.Insert(ev.Entry.ID, ev.Entry.Coord); err != nil {
+				// Unreachable: the coordinate was validated above, and
+				// validation is the tree's only insert failure.
+				//nc:allow(hotpath) unreachable wrap: input was pre-validated
+				return false, fmt.Errorf("netcoord: registry upsert: %w", err)
+			}
+		}
+		r.entries[ev.Entry.ID] = ev.Entry
+		r.upserts.Add(1)
+	case ChangeRemove:
+		if present {
+			delete(r.entries, ev.ID)
+			r.tree.Remove(ev.ID)
+			r.removes.Add(1)
+		}
+	case ChangeEvict:
+		for _, id := range ev.IDs {
+			if _, ok := r.entries[id]; ok {
+				delete(r.entries, id)
+				r.tree.Remove(id)
+				r.evictions.Add(1)
+			}
+		}
+	}
+	return true, nil
 }
 
+// applyRelayed applies one event of an upstream's stream under the
+// sequence it carries; see applyLocked for what comes back.
+//
 //nc:hotpath
-func (r *Registry) upsertEntry(e RegistryEntry) error {
-	if err := wire.ValidateID(e.ID); err != nil {
-		//nc:allow(hotpath) validation-failure return: cold by definition
-		return fmt.Errorf("netcoord: registry upsert: %w", err)
-	}
-	if e.UpdatedAt.IsZero() {
-		e.UpdatedAt = r.clock()
+func (r *Registry) applyRelayed(ev *ChangeEvent) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, err := r.applyLocked(ev)
+	return err
+}
+
+// Remove deletes a node, reporting whether it was present. On a
+// read-only replica nothing is removed and it reports false.
+func (r *Registry) Remove(id string) bool {
+	ev := ChangeEvent{Op: ChangeRemove, ID: id}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	applied, _ := r.applyLocked(&ev) // ErrReadOnlyReplica is the one error a local remove can meet; false says it
+	return applied
+}
+
+// load installs recovered or bootstrapped state without publishing any
+// of it — persistence recovery and a follower's (re-)bootstrap — and
+// moves the stream to seq and epoch in the same hold of the write lock,
+// so SnapshotWithSeq and DeltaSince can never pair one side of the
+// rewrite with the other. Entries keep the Seq and UpdatedAt they
+// carry: chained delta snapshots depend on per-entry sequences
+// surviving tiers.
+//
+// A full load (delta false) makes the state exactly entries, the last
+// of a repeated id winning — one balanced index build whether the
+// registry was empty or not — and restarts the stream at seq: the old
+// ring and removal knowledge no longer connect to the rewritten state,
+// so every subscriber is closed and resyncs, the same protocol they run
+// when they fall off the ring. A delta load leaves untouched entries in
+// place; removals apply FIRST — an id removed and later re-upserted
+// appears in both lists, and the entry (the newer state) must win —
+// and the stream keeps its tombstone depth, the delta's removed list
+// being exactly the removal knowledge for the jumped range: tiers below
+// can still repair with deltas of their own instead of cascading full
+// transfers.
+//
+// Lock order: r.mu → the feed's deliverMu → its mu, which a publisher
+// draining inline at pendMax already takes.
+func (r *Registry) load(entries []RegistryEntry, removed []string, delta bool, seq, epoch uint64) error {
+	if err := r.validateBatch(entries); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// TTL heartbeats re-upsert unchanged coordinates constantly (stable
-	// app-level coordinates are the norm); a pure refresh must not
-	// churn the index with tombstone+reinsert cycles and the rebuilds
-	// they trigger.
-	if old, existed := r.entries[e.ID]; !existed || !old.Coord.Equal(e.Coord) {
-		if err := r.tree.Insert(e.ID, e.Coord); err != nil {
-			//nc:allow(hotpath) insert-failure return: cold by definition
-			return fmt.Errorf("netcoord: registry upsert: %w", err)
+	if delta {
+		for _, id := range removed {
+			if _, ok := r.entries[id]; ok {
+				delete(r.entries, id)
+				r.tree.Remove(id)
+				r.removes.Add(1)
+			}
+		}
+		for _, e := range entries {
+			if old, existed := r.entries[e.ID]; !existed || !old.Coord.Equal(e.Coord) {
+				if err := r.tree.Insert(e.ID, e.Coord); err != nil {
+					// Unreachable: validated above.
+					return fmt.Errorf("netcoord: registry load: %w", err)
+				}
+			}
+			r.entries[e.ID] = e
+		}
+	} else {
+		if err := r.rebuildLocked(entries); err != nil {
+			return err
+		}
+		for _, e := range entries {
+			r.entries[e.ID] = e
 		}
 	}
-	r.storeUpsert(e, e.UpdatedAt)
+	r.upserts.Add(uint64(len(entries)))
+	if r.feed == nil {
+		return nil
+	}
+	if delta {
+		r.feed.AdvanceTo(seq, removed)
+	} else {
+		r.feed.ResetTo(seq)
+	}
+	r.feed.SetEpoch(epoch)
 	return nil
 }
 
-// Remove deletes a node, reporting whether it was present.
-func (r *Registry) Remove(id string) bool {
+// promote bumps the fencing epoch and lifts the replica guard (if it
+// was up) in one hold of the write lock, and returns the new epoch: the
+// first local mutation afterwards is the stream's next sequence under
+// it. The caller has stopped whatever was relaying into this registry.
+func (r *Registry) promote() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[id]; !ok {
-		return false
-	}
-	delete(r.entries, id)
-	r.tree.Remove(id)
-	r.removes.Add(1)
-	if feed := r.getFeed(); feed != nil {
-		feed.PublishRemove(id)
-	}
-	return true
+	epoch := r.feed.Epoch() + 1
+	r.feed.SetEpoch(epoch)
+	r.replica.Store(false)
+	return epoch
 }
 
 // Get returns the stored entry for id.
@@ -449,44 +600,44 @@ func (r *Registry) idsWhere(pred func(RegistryEntry) bool) []string {
 }
 
 // evictIfStale evicts those of ids that are still stale under the write
-// lock — a heartbeat that landed since the scan keeps its entry — and
-// publishes the eviction under that same lock hold, like every other
-// mutation. It filters ids in place.
+// lock — a heartbeat that landed since the scan keeps its entry — as
+// one mutation, published under that same lock hold like every other.
+// It filters ids in place.
 func (r *Registry) evictIfStale(ids []string, cutoff time.Time) int {
 	if len(ids) == 0 {
 		return 0
 	}
-	evicted := ids[:0]
+	stale := ids[:0]
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, id := range ids {
 		if e, ok := r.entries[id]; ok && e.UpdatedAt.Before(cutoff) {
-			delete(r.entries, id)
-			r.tree.Remove(id)
-			evicted = append(evicted, id)
+			stale = append(stale, id)
 		}
 	}
-	if feed := r.getFeed(); feed != nil && len(evicted) > 0 {
-		// The feed chunks oversized sweeps into multiple events.
-		feed.PublishEvict(evicted)
+	if len(stale) == 0 {
+		return 0
 	}
-	r.mu.Unlock()
-	r.evictions.Add(uint64(len(evicted)))
-	return len(evicted)
+	if applied, _ := r.applyLocked(&ChangeEvent{Op: ChangeEvict, IDs: stale}); !applied {
+		return 0 // a replica: evictions are the leader's decision
+	}
+	return len(stale)
 }
 
 // Snapshot returns every live entry, sorted by id — for persistence,
 // debugging, or bulk hand-off to another registry via UpsertBatch. One
 // hold of the read lock copies the entries out; ordering comes after.
 func (r *Registry) Snapshot() []RegistryEntry {
-	return r.sortedEntries(nil)
+	entries, _ := r.SnapshotWithSeq()
+	return entries
 }
 
-// sortedEntries returns the live entries keep accepts (nil accepts
-// all), sorted by id. The sort moves 4-byte positions, not 88-byte
-// entries, and each entry is then copied once into its place.
-func (r *Registry) sortedEntries(keep func(RegistryEntry) bool) []RegistryEntry {
+// collectLocked copies out the live entries keep accepts (nil accepts
+// all); the caller holds the read lock.
+//
+//nc:locked(r.mu)
+func (r *Registry) collectLocked(keep func(RegistryEntry) bool) []RegistryEntry {
 	var found []RegistryEntry
-	r.mu.RLock()
 	if keep == nil {
 		found = make([]RegistryEntry, 0, len(r.entries))
 	}
@@ -495,7 +646,13 @@ func (r *Registry) sortedEntries(keep func(RegistryEntry) bool) []RegistryEntry 
 			found = append(found, e)
 		}
 	}
-	r.mu.RUnlock()
+	return found
+}
+
+// sortedByID returns found sorted by id (nil when empty). The sort
+// moves 4-byte positions, not 88-byte entries, and each entry is then
+// copied once into its place.
+func sortedByID(found []RegistryEntry) []RegistryEntry {
 	if len(found) == 0 {
 		return nil
 	}

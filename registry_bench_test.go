@@ -115,7 +115,7 @@ func BenchmarkRegistryNearest(b *testing.B) {
 func BenchmarkRegistryMixed(b *testing.B) {
 	const n = 100_000
 	r, _ := buildBenchRegistry(b, n)
-	r.installFeed(changefeed.New(DefaultChangeStreamBuffer, 0))
+	r.feed = changefeed.New(DefaultChangeStreamBuffer, 0)
 	rng := xrand.NewStream(7)
 	ids := make([]string, 4096)
 	moves := make([]Coordinate, len(ids))
@@ -250,7 +250,7 @@ func benchMutationFixtures(b *testing.B) (*Registry, []string, []Coordinate) {
 	// garbage on the write path.
 	feed := changefeed.New(DefaultChangeStreamBuffer, 0)
 	feed.SetEpoch(3)
-	r.installFeed(feed)
+	r.feed = feed
 	rng := xrand.NewStream(7)
 	ids := make([]string, 4096)
 	coords := make([]Coordinate, 4096)
