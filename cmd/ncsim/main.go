@@ -122,11 +122,7 @@ func run(args []string) error {
 	fmt.Printf("processed %d samples (%d lost), last tick %d\n", runner.Samples(), runner.Lost(), runner.LastTick())
 	fmt.Printf("measurement window: [%d, %d] (second half, per the paper)\n\n", from, duration)
 
-	sys, err := runner.Sys().Summarize(from, duration)
-	if err != nil {
-		return err
-	}
-	app, err := runner.App().Summarize(from, duration)
+	sys, app, err := runner.Summarize(from, duration)
 	if err != nil {
 		return err
 	}

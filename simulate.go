@@ -31,7 +31,8 @@ type SimulationConfig struct {
 	// Churn spreads node joins over the first three quarters of the run
 	// instead of starting everyone at once.
 	Churn bool
-	// Parallelism is ignored: every run is sequential.
+	// Parallelism is ignored: a run steps its samples on one goroutine
+	// (the trace is synthesized a block ahead on a second one).
 	//
 	// Deprecated: the field stays only because bench/ncload still sets
 	// it; it goes when a benchmark issue stops doing so.
@@ -72,7 +73,10 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 	if cfg.Seconds < 60 {
 		return SimulationResult{}, fmt.Errorf("netcoord: simulate for %d s, want >= 60", cfg.Seconds)
 	}
-	if cfg.SampleEverySeconds <= 0 {
+	if cfg.SampleEverySeconds < 0 {
+		return SimulationResult{}, fmt.Errorf("netcoord: simulate sampling every %d s, want >= 0", cfg.SampleEverySeconds)
+	}
+	if cfg.SampleEverySeconds == 0 {
 		cfg.SampleEverySeconds = 1
 	}
 	resolved, vcfg, err := resolve(cfg.Client)
@@ -121,12 +125,7 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
 	}
 
-	from, to := uint64(cfg.Seconds)/2, uint64(cfg.Seconds)
-	sysSum, err := runner.Sys().Summarize(from, to)
-	if err != nil {
-		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
-	}
-	appSum, err := runner.App().Summarize(from, to)
+	sysSum, appSum, err := runner.Summarize(uint64(cfg.Seconds)/2, uint64(cfg.Seconds))
 	if err != nil {
 		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
 	}

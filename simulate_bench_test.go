@@ -2,11 +2,13 @@
 // reproduction loop. BenchmarkStep is the allocation gate (0 allocs/op
 // at steady state, enforced by CI and by TestStepSteadyStateZeroAllocs);
 // BenchmarkSimulateN256 / BenchmarkSimulateN1024 measure the public
-// facade end to end — one run is one goroutine, so they read the same at
-// every -cpu. Those two run 90 s: no window ever fills twice and no node
-// has more than 90 samples to sort. BenchmarkSimulatePaper is the
-// sim-paper workload's run (128 nodes, 2400 s), where change-point
-// restarts and the closing Summarize are a measurable share.
+// facade end to end — a run steps on one goroutine while the trace is
+// synthesized a block ahead on a second, so at -cpu 2 trace generation
+// drops off the critical path. Those two run 90 s: no window ever fills
+// twice and no node has more than 90 samples to sort.
+// BenchmarkSimulatePaper is the sim-paper workload's run (128 nodes,
+// 2400 s), where change-point restarts and the closing Summarize of the
+// two collectors (side by side at -cpu 2) are a measurable share.
 package netcoord
 
 import (

@@ -9,6 +9,9 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(SimulationConfig{Nodes: 16, Seconds: 10}); err == nil {
 		t.Fatal("tiny duration accepted")
 	}
+	if _, err := Simulate(SimulationConfig{Nodes: 16, Seconds: 600, SampleEverySeconds: -5}); err == nil {
+		t.Fatal("negative sampling period accepted (only 0 means 1 s)")
+	}
 	bad := SimulationConfig{Nodes: 16, Seconds: 600}
 	bad.Client = DefaultConfig()
 	bad.Client.FilterPercentile = 200
