@@ -211,14 +211,14 @@ func (s *Server) handleNearestGet(w http.ResponseWriter, req *http.Request) {
 // uses Registry.WithinLimit (the untrusted-radius entry point) so a
 // client-supplied radius can never rank more than maxK+1 results.
 func (s *Server) handleNearestPost(w http.ResponseWriter, req *http.Request) {
-	var body struct {
-		Coord    netcoord.Coordinate `json:"coord"`
-		K        int                 `json:"k"`
-		RadiusMS *float64            `json:"radius_ms"`
+	if qr := s.decodeQueries(w, req, false); qr != nil {
+		s.answerNearest(w, &qr.queries[0])
+		qr.release()
 	}
-	if !s.decode(w, req, &body) {
-		return
-	}
+}
+
+// answerNearest answers one decoded POST /nearest body.
+func (s *Server) answerNearest(w http.ResponseWriter, body *nearestBatchQuery) {
 	if body.RadiusMS != nil {
 		res, err := s.reg.WithinLimit(body.Coord, *body.RadiusMS, maxK+1)
 		if err != nil {
@@ -278,29 +278,29 @@ type nearestBatchResult struct {
 // Validation is atomic: any malformed query fails the whole batch with
 // a 400 naming the offending index, and nothing is computed.
 func (s *Server) handleNearestBatch(w http.ResponseWriter, req *http.Request) {
-	var body struct {
-		Queries []nearestBatchQuery `json:"queries"`
+	if qr := s.decodeQueries(w, req, true); qr != nil {
+		s.answerBatch(w, qr)
+		qr.release()
 	}
-	if !s.decode(w, req, &body) {
-		return
-	}
-	if len(body.Queries) == 0 {
+}
+
+// answerBatch answers one decoded POST /nearest/batch body.
+func (s *Server) answerBatch(w http.ResponseWriter, qr *queryRequest) {
+	if len(qr.queries) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("no queries in request"))
 		return
 	}
-	if len(body.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%d queries, want <= %d per request", len(body.Queries), maxBatchQueries))
+	if len(qr.queries) > maxBatchQueries {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("%d queries, want <= %d per request", len(qr.queries), maxBatchQueries))
 		return
 	}
-	queries := make([]netcoord.NearestQuery, len(body.Queries))
-	radiusMode := make([]bool, len(body.Queries))
-	for i, q := range body.Queries {
+	queries := qr.batch[:0]
+	for i, q := range qr.queries {
 		if q.RadiusMS != nil {
 			// Same shape as POST /nearest radius mode: WithinLimit-style
 			// bounding with +1 slack to detect truncation. Registry-side
 			// validation rejects negative/NaN radii for the whole batch.
-			queries[i] = netcoord.NearestQuery{From: q.Coord, K: maxK + 1, HasRadius: true, RadiusMillis: *q.RadiusMS}
-			radiusMode[i] = true
+			queries = append(queries, netcoord.NearestQuery{From: q.Coord, K: maxK + 1, HasRadius: true, RadiusMillis: *q.RadiusMS})
 			continue
 		}
 		k := q.K
@@ -311,19 +311,23 @@ func (s *Server) handleNearestBatch(w http.ResponseWriter, req *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: k must be an integer in [1, %d]", i, maxK))
 			return
 		}
-		queries[i] = netcoord.NearestQuery{From: q.Coord, K: k}
+		queries = append(queries, netcoord.NearestQuery{From: q.Coord, K: k})
 	}
+	qr.batch = queries
 	results, err := s.reg.NearestBatch(queries)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	truncated := make([]bool, len(results))
+	truncated := qr.truncated[:0]
 	for i, res := range results {
-		if radiusMode[i] && len(res) > maxK {
-			results[i], truncated[i] = res[:maxK], true
+		tr := queries[i].HasRadius && len(res) > maxK
+		if tr {
+			results[i] = res[:maxK]
 		}
+		truncated = append(truncated, tr)
 	}
+	qr.truncated = truncated
 	writeBatchResults(w, results, truncated)
 }
 

@@ -232,15 +232,10 @@ func parseVec(raw, height string) (netcoord.Coordinate, error) {
 	return c, nil
 }
 
-// decode reads a bounded JSON body, rejecting unknown fields.
+// decode reads a bounded JSON body holding one value, rejecting unknown
+// fields.
 func (s *Server) decode(w http.ResponseWriter, req *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
+	return decodeJSON(w, http.MaxBytesReader(w, req.Body, s.maxBody), into)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

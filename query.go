@@ -4,7 +4,9 @@ package netcoord
 // NearestTo, WithinLimit, Within, and their batched variants — is one
 // walk of the registry's one tree under the read lock. Read concurrency
 // comes from concurrent callers sharing that lock, not from splitting a
-// query up.
+// query up: a single query is never split, and a NearestBatch is split
+// only between queries, into contiguous per-core chunks, each query
+// still one walk under its own hold of the read lock.
 //
 // Allocation discipline: the scratch a query needs — its candidate heap
 // and radius buffer — is pooled, so the steady-state NearestInto path
@@ -15,6 +17,9 @@ package netcoord
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"netcoord/internal/bheap"
 	"netcoord/internal/index"
@@ -207,11 +212,26 @@ type WithinQuery struct {
 	RadiusMillis float64
 }
 
+// batchForkMin is the size of the chunks a split NearestBatch is
+// answered in, and the fewest queries per goroutine it forks: below it
+// the hand-off costs more than the queries it moves.
+const batchForkMin = 8
+
 // NearestBatch answers many point queries in one call. The whole batch
 // is validated first: on error, no query ran and the slice is nil.
 // Results per query match the equivalent single call exactly; the read
 // lock is taken per query, never across the batch, so a long batch does
 // not hold writers off. This is what POST /nearest/batch rides on.
+//
+// A batch of 2·batchForkMin queries or more is answered on up to
+// min(GOMAXPROCS, len/batchForkMin) goroutines, the caller's among them:
+// each claims the next contiguous chunk of batchForkMin queries until
+// none is left, and fills only those queries' results. A goroutine that
+// starts late finds the batch already answered rather than being waited
+// for, so a batch never costs more than the loop of single queries plus
+// the forks. All are joined before NearestBatch returns. The results
+// reference no query's From, so the caller may reuse the query
+// coordinates as soon as it returns.
 func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 	total := 0
 	for i := range queries {
@@ -234,20 +254,49 @@ func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 	// capped at its K, so appending to one result cannot reach the next.
 	backing := make([]Ranked, total)
 	for i := range queries {
+		k := queries[i].K
+		out[i], backing = backing[:0:k], backing[k:]
+	}
+	workers := min(len(queries)/batchForkMin, runtime.GOMAXPROCS(0))
+	if workers < 2 {
+		r.nearestChunk(queries, out)
+		return out, nil
+	}
+	var next atomic.Int64
+	answer := func() {
+		for {
+			lo := int(next.Add(batchForkMin)) - batchForkMin
+			if lo >= len(queries) {
+				return
+			}
+			hi := min(lo+batchForkMin, len(queries))
+			r.nearestChunk(queries[lo:hi], out[lo:hi])
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			answer()
+		}()
+	}
+	answer()
+	wg.Wait()
+	return out, nil
+}
+
+// nearestChunk answers validated queries, each into its carving in out.
+func (r *Registry) nearestChunk(queries []NearestQuery, out [][]Ranked) {
+	for i := range queries {
 		q := &queries[i]
 		bound := inf()
 		if q.HasRadius {
 			bound = q.RadiusMillis
 		}
-		res, err := r.nearestInto(q.From, q.K, q.Exclude, bound, backing[:0:q.K])
-		if err != nil {
-			// Unreachable: the batch was validated above.
-			return nil, err
-		}
-		out[i] = res
-		backing = backing[q.K:]
+		// The batch was validated, which is nearestInto's only failure.
+		out[i], _ = r.nearestInto(q.From, q.K, q.Exclude, bound, out[i])
 	}
-	return out, nil
 }
 
 // WithinBatch answers many radius queries in one call. The whole batch

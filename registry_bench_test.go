@@ -195,6 +195,36 @@ func BenchmarkNearestBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkNearestBatchParallel is BenchmarkNearestBatch with a batch
+// in flight on every processor (RunParallel), the shape of a server
+// whose every core is already answering a request: the per-core split
+// then has no idle core to use and must cost nothing on top. Per-op
+// time is one 256-query batch, as above.
+func BenchmarkNearestBatchParallel(b *testing.B) {
+	const batchSize = 256
+	r, _ := buildBenchRegistry(b, 100_000)
+	coords := benchQueryCoords(99, batchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		queries := make([]NearestQuery, batchSize)
+		for i := range queries {
+			queries[i] = NearestQuery{From: coords[i], K: 8}
+		}
+		for pb.Next() {
+			res, err := r.NearestBatch(queries)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if len(res) != batchSize {
+				b.Errorf("got %d result sets", len(res))
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkBruteNearest is the baseline the index must beat: the
 // O(n log k) scan over a candidate slice of the same n coordinates.
 func BenchmarkBruteNearest(b *testing.B) {
