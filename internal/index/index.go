@@ -24,6 +24,13 @@
 // ends on a tombstoned leaf takes that slot over instead of hanging a new
 // one beneath it, so an id that flaps between two coordinates reuses the
 // same two slots forever rather than growing a chain of tombstones.
+// A point equal to a node's split value may live on either side of its
+// plane — the search's plane bound holds for both, and Build puts equal
+// values on both — so an insert that ties descends into the child with
+// fewer live points, an absent child counting as the fewest. A crowd
+// that registers one coordinate, such as fresh Vivaldi nodes all at the
+// origin, then grows a balanced subtree instead of a chain that Insert's
+// depth trigger would answer with a full rebuild every few dozen inserts.
 // Tombstones and unbalanced insertion degrade the tree over time, so the index rebuilds
 // itself — a balanced median build over the live points, compacting the
 // tombstones out of the arena — whenever tombstones exceed half the live
@@ -287,7 +294,7 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 				return nil
 			}
 			link := &p.right
-			if c.Vec[p.axis] < p.split {
+			if v := c.Vec[p.axis]; v < p.split || v == p.split && t.liveSize(p.left) < t.liveSize(p.right) {
 				link = &p.left
 			}
 			if *link == none {
@@ -328,14 +335,24 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 	return nil
 }
 
+// liveSize is the number of live points under slot i, and -1 for an
+// absent child, so that a tie prefers to hang a new slot.
+func (t *Tree) liveSize(i int32) int32 {
+	if i == none {
+		return -1
+	}
+	return t.nodes[i].size
+}
+
 // revive hands the tombstoned leaf in slot i to the point (id, c), whose
-// descent ended there: the point is on the right side of every
-// ancestor's plane, and a leaf's own split constrains nothing beneath
-// it, so rewriting the slot in place keeps every search invariant. The
-// slot stays where it is — ancestors' run is untouched — and its old
-// coordinate is replaced, never written through, so a Neighbor handed
-// out earlier keeps what it had. The tree neither grows nor deepens,
-// which is why a revival does not count toward the doubling rule.
+// descent ended there: the descent kept the point on an admissible side
+// of every ancestor's plane — below it, above it, or either on a tie —
+// and a leaf's own split constrains nothing beneath it, so rewriting the
+// slot in place keeps every search invariant. The slot stays where it
+// is — ancestors' run is untouched — and its old coordinate is
+// replaced, never written through, so a Neighbor handed out earlier
+// keeps what it had. The tree neither grows nor deepens, which is why a
+// revival does not count toward the doubling rule.
 func (t *Tree) revive(i int32, id string, c coord.Coordinate) {
 	n := &t.nodes[i]
 	n.split = c.Vec[n.axis]

@@ -313,3 +313,41 @@ func TestTreeDeterministic(t *testing.T) {
 		t.Fatalf("same workload, different results:\n%v\n%v", a, b)
 	}
 }
+
+// TestOriginCrowdBuildsNoChain: a flash crowd of fresh Vivaldi nodes —
+// 10k inserts of one coordinate, the origin, into a tree of 100k points
+// — ties on the split of every crowd node it meets. Ties descend into
+// the emptier child, so the crowd grows a balanced subtree: no rebuild
+// (sending every tie right made a chain and 165 full rebuilds), a
+// shallow tree, and answers equal to Brute's.
+func TestOriginCrowdBuildsNoChain(t *testing.T) {
+	const dim, n, crowd = 3, 100_000, 10_000
+	rng := xrand.NewStream(28)
+	entries := make([]Entry, n)
+	brute, _ := NewBrute(dim)
+	for i := range entries {
+		entries[i] = Entry{ID: fmt.Sprintf("node-%06d", i), Coord: randomCoord(rng, dim)}
+		_ = brute.Insert(entries[i].ID, entries[i].Coord)
+	}
+	tree, err := Build(dim, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < crowd; i++ {
+		id := fmt.Sprintf("fresh-%05d", i)
+		if err := tree.Insert(id, coord.Origin(dim)); err != nil {
+			t.Fatal(err)
+		}
+		_ = brute.Insert(id, coord.Origin(dim))
+	}
+	st := tree.Stats()
+	if st.Rebuilds != 0 {
+		t.Fatalf("the crowd caused %d rebuilds, want 0", st.Rebuilds)
+	}
+	if limit := balancedHeight(n) + balancedHeight(crowd) + 4; st.Height > limit {
+		t.Fatalf("height %d after the crowd, want <= %d", st.Height, limit)
+	}
+	for _, q := range []coord.Coordinate{coord.Origin(dim), coord.New(0, 0, 5), randomCoord(rng, dim)} {
+		checkAgainstBrute(t, tree, brute, q, fmt.Sprintf("from %v", q.Vec))
+	}
+}

@@ -568,8 +568,10 @@ func TestPlaneBoundSurvivesUnderflow(t *testing.T) {
 func FuzzTreeOps(f *testing.F) {
 	// testdata/fuzz/FuzzTreeOps holds the longer seeds: a rebuild with
 	// tombstones landing inside scanned runs, all-duplicate points, the
-	// move-heavy write mix, draining to empty and refilling, and ids
-	// flapping between two spots so that dead leaves keep being revived.
+	// move-heavy write mix, draining to empty and refilling, ids
+	// flapping between two spots so that dead leaves keep being revived,
+	// and a crowd at the origin, every insert of which ties on the
+	// splits it meets.
 	f.Add([]byte{2, 0, 1, 10, 20, 3, 0, 2, 10, 20, 3, 4, 10, 20, 0, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

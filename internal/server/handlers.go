@@ -24,6 +24,18 @@ type upsertEntry struct {
 	Error float64             `json:"error"`
 }
 
+// fold appends the request's entries to dst in the order they are
+// applied: the single form first when it names an id, then the batch.
+func (u *upsertRequest) fold(dst []netcoord.RegistryEntry) []netcoord.RegistryEntry {
+	if u.ID != "" {
+		dst = append(dst, netcoord.RegistryEntry{ID: u.ID, Coord: u.Coord, Error: u.Error})
+	}
+	for _, e := range u.Entries {
+		dst = append(dst, netcoord.RegistryEntry{ID: e.ID, Coord: e.Coord, Error: e.Error})
+	}
+	return dst
+}
+
 type rankedJSON struct {
 	ID           string              `json:"id"`
 	Coord        netcoord.Coordinate `json:"coord"`
@@ -38,20 +50,23 @@ func toRankedJSON(rs []netcoord.Ranked) []rankedJSON {
 	return out
 }
 
+// handleUpsert registers coordinates: {"id":…,"coord":…,"error":…} for
+// one node, {"entries":[…]} for many, or both. The body is read by the
+// parser in querybody.go — declining to encoding/json outside its
+// subset — into entries whose ids and vectors are their own, since the
+// registry keeps them. The single form is folded into the batch, first,
+// so the whole request is one atomic UpsertBatch: a 400 always means
+// nothing was applied. The ack is append-encoded, byte for byte what
+// encoding/json renders for it.
 func (s *Server) handleUpsert(w http.ResponseWriter, req *http.Request) {
-	var body upsertRequest
-	if !s.decode(w, req, &body) {
-		return
+	if qr := s.decodeBody(w, req, kindUpsert); qr != nil {
+		s.applyUpsert(w, qr.entries)
+		qr.release()
 	}
-	// Fold the single-entry form into the batch so the whole request is
-	// one atomic UpsertBatch: a 400 always means nothing was applied.
-	batch := make([]netcoord.RegistryEntry, 0, len(body.Entries)+1)
-	if body.ID != "" {
-		batch = append(batch, netcoord.RegistryEntry{ID: body.ID, Coord: body.Coord, Error: body.Error})
-	}
-	for _, e := range body.Entries {
-		batch = append(batch, netcoord.RegistryEntry{ID: e.ID, Coord: e.Coord, Error: e.Error})
-	}
+}
+
+// applyUpsert applies one decoded POST /upsert body and acks it.
+func (s *Server) applyUpsert(w http.ResponseWriter, batch []netcoord.RegistryEntry) {
 	if len(batch) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("no id or entries in request"))
 		return
@@ -65,9 +80,33 @@ func (s *Server) handleUpsert(w http.ResponseWriter, req *http.Request) {
 	// subsequent mutation with no read-then-subscribe race. epoch lets
 	// the writer prove it talked to the fenced-in leader, not a deposed
 	// one still answering.
-	resp := map[string]any{"applied": len(batch), "entries": s.reg.Len(), "seq": s.source.ChangeSeq(), "epoch": s.source.ChangeEpoch()}
-	s.flagDegraded(resp)
-	writeJSON(w, http.StatusOK, resp)
+	entries, seq, epoch := s.reg.Len(), s.source.ChangeSeq(), s.source.ChangeEpoch()
+	var degraded error
+	if s.persist != nil {
+		degraded = s.persist.Err()
+	}
+	writeUpsertAck(w, len(batch), entries, seq, epoch, degraded)
+}
+
+// writeUpsertAck answers 200 {"applied":…,"entries":…,"epoch":…,
+// "seq":…}: encoding/json's rendering of the map, keys sorted. An ack
+// flagging degraded persistence, which carries the error's text, is
+// rendered by encoding/json itself.
+func writeUpsertAck(w http.ResponseWriter, applied, entries int, seq, epoch uint64, degraded error) {
+	if degraded != nil {
+		writeJSON(w, http.StatusOK, map[string]any{"applied": applied, "entries": entries, "seq": seq, "epoch": epoch, "persistence_degraded": degraded.Error()})
+		return
+	}
+	buf := respBufs.Get().(*[]byte)
+	body := append((*buf)[:0], `{"applied":`...)
+	body = strconv.AppendInt(body, int64(applied), 10)
+	body = append(body, `,"entries":`...)
+	body = strconv.AppendInt(body, int64(entries), 10)
+	body = append(body, `,"epoch":`...)
+	body = strconv.AppendUint(body, epoch, 10)
+	body = append(body, `,"seq":`...)
+	body = strconv.AppendUint(body, seq, 10)
+	writeBody(w, buf, append(body, "}\n"...))
 }
 
 // flagDegraded marks a mutation response when persistence has failed:
@@ -211,7 +250,7 @@ func (s *Server) handleNearestGet(w http.ResponseWriter, req *http.Request) {
 // uses Registry.WithinLimit (the untrusted-radius entry point) so a
 // client-supplied radius can never rank more than maxK+1 results.
 func (s *Server) handleNearestPost(w http.ResponseWriter, req *http.Request) {
-	if qr := s.decodeQueries(w, req, false); qr != nil {
+	if qr := s.decodeBody(w, req, kindNearest); qr != nil {
 		s.answerNearest(w, &qr.queries[0])
 		qr.release()
 	}
@@ -278,7 +317,7 @@ type nearestBatchResult struct {
 // Validation is atomic: any malformed query fails the whole batch with
 // a 400 naming the offending index, and nothing is computed.
 func (s *Server) handleNearestBatch(w http.ResponseWriter, req *http.Request) {
-	if qr := s.decodeQueries(w, req, true); qr != nil {
+	if qr := s.decodeBody(w, req, kindBatch); qr != nil {
 		s.answerBatch(w, qr)
 		qr.release()
 	}

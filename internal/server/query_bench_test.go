@@ -28,6 +28,71 @@ type replayBody struct{ bytes.Reader }
 
 func (*replayBody) Close() error { return nil }
 
+// benchEntries returns n entries named like the load generator's,
+// spread over a 300 ms cube, and the point generator that drew them.
+func benchEntries(n int) ([]netcoord.RegistryEntry, func() netcoord.Coordinate) {
+	rng := rand.New(rand.NewSource(1))
+	point := func() netcoord.Coordinate {
+		return c3(rng.Float64()*300, rng.Float64()*300, rng.Float64()*300)
+	}
+	entries := make([]netcoord.RegistryEntry, n)
+	for i := range entries {
+		entries[i] = netcoord.RegistryEntry{ID: fmt.Sprintf("node-%07d", i), Coord: point(), Error: 0.2}
+	}
+	return entries, point
+}
+
+// appendBenchCoord appends c as the load generator writes it,
+// {"vec":[…],"height":h}, every number in strconv's shortest form.
+func appendBenchCoord(dst []byte, c netcoord.Coordinate) []byte {
+	dst = append(dst, `{"vec":[`...)
+	for d, x := range c.Vec {
+		if d > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
+	}
+	dst = append(dst, `],"height":`...)
+	dst = strconv.AppendFloat(dst, c.Height, 'g', -1, 64)
+	return append(dst, '}')
+}
+
+// appendBenchEntry appends e as one upsert entry, as the load generator
+// writes it.
+func appendBenchEntry(dst []byte, e netcoord.RegistryEntry) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendQuote(dst, e.ID)
+	dst = append(dst, `,"coord":`...)
+	dst = appendBenchCoord(dst, e.Coord)
+	dst = append(dst, `,"error":`...)
+	dst = strconv.AppendFloat(dst, e.Error, 'g', -1, 64)
+	return append(dst, '}')
+}
+
+// serveBench POSTs body(i) to path through the handler h(i), for i up
+// to b.N, and fails on any status but 200. h may stop the timer while
+// it sets up.
+func serveBench(b *testing.B, path string, body func(i int) []byte, h func(i int) http.Handler) {
+	req, err := http.NewRequest(http.MethodPost, path, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rb := new(replayBody)
+	w := &discardWriter{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv := h(i)
+		rb.Reset(body(i))
+		req.Body = rb
+		w.code, w.n = 0, 0
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n == 0 {
+			b.Fatalf("status %d, %d bytes", w.code, w.n)
+		}
+	}
+}
+
 // BenchmarkServeNearestBatch is the read-batch workload's request in
 // process: POST /nearest/batch of 32 k=8 queries, in the load
 // generator's body shape, against 100k entries, through ServeHTTP —
@@ -39,14 +104,7 @@ func BenchmarkServeNearestBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(reg.Close)
-	rng := rand.New(rand.NewSource(1))
-	point := func() netcoord.Coordinate {
-		return c3(rng.Float64()*300, rng.Float64()*300, rng.Float64()*300)
-	}
-	entries := make([]netcoord.RegistryEntry, 100_000)
-	for i := range entries {
-		entries[i] = netcoord.RegistryEntry{ID: fmt.Sprintf("node-%07d", i), Coord: point(), Error: 0.2}
-	}
+	entries, point := benchEntries(100_000)
 	if err := reg.UpsertBatch(entries); err != nil {
 		b.Fatal(err)
 	}
@@ -58,33 +116,84 @@ func BenchmarkServeNearestBatch(b *testing.B) {
 		if i > 0 {
 			body = append(body, ',')
 		}
-		c := point()
-		body = append(body, `{"coord":{"vec":[`...)
-		for d, x := range c.Vec {
-			if d > 0 {
-				body = append(body, ',')
-			}
-			body = strconv.AppendFloat(body, x, 'g', -1, 64)
-		}
-		body = append(body, `],"height":0},"k":8}`...)
+		body = append(body, `{"coord":`...)
+		body = appendBenchCoord(body, point())
+		body = append(body, `,"k":8}`...)
 	}
 	body = append(body, "]}"...)
+	serveBench(b, "/nearest/batch", func(int) []byte { return body }, func(int) http.Handler { return srv })
+}
 
-	req, err := http.NewRequest(http.MethodPost, "/nearest/batch", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rb := new(replayBody)
-	w := &discardWriter{h: http.Header{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rb.Reset(body)
-		req.Body = rb
-		w.code, w.n = 0, 0
-		srv.ServeHTTP(w, req)
-		if w.code != http.StatusOK || w.n == 0 {
-			b.Fatalf("status %d, %d bytes", w.code, w.n)
+// BenchmarkServeUpsert is POST /upsert in process, through ServeHTTP —
+// body read, decode, UpsertBatch, ack — with no socket, in the load
+// generator's two body shapes:
+//   - batch=4000: its set-up body of 4000 entries, into a registry that
+//     grows to 100k over 25 of them and then starts again empty (untimed).
+//     Per-op numbers are one body's: allocs/op ÷ 4000 is per entry.
+//   - one: write-replicate's single-entry body against 100k entries with
+//     the change stream on, nine heartbeats to every move; the moved
+//     entries go back and forth between two spots.
+func BenchmarkServeUpsert(b *testing.B) {
+	const n, chunk = 100_000, 4000
+	entries, point := benchEntries(n)
+	newServer := func(cfg netcoord.RegistryConfig) (*netcoord.Registry, *Server) {
+		reg, err := netcoord.NewRegistry(cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
+		srv := New(Config{Registry: reg})
+		return reg, srv
 	}
+	b.Run(fmt.Sprintf("batch=%d", chunk), func(b *testing.B) {
+		bodies := make([][]byte, n/chunk)
+		for c := range bodies {
+			body := []byte(`{"entries":[`)
+			for i, e := range entries[c*chunk : (c+1)*chunk] {
+				if i > 0 {
+					body = append(body, ',')
+				}
+				body = appendBenchEntry(body, e)
+			}
+			bodies[c] = append(body, "]}"...)
+		}
+		var reg *netcoord.Registry
+		var srv *Server
+		stop := func() {
+			if srv != nil {
+				srv.Stop()
+				reg.Close()
+			}
+		}
+		b.Cleanup(stop)
+		serveBench(b, "/upsert", func(i int) []byte { return bodies[i%len(bodies)] }, func(i int) http.Handler {
+			if i%len(bodies) == 0 {
+				b.StopTimer()
+				stop()
+				reg, srv = newServer(netcoord.RegistryConfig{})
+				b.StartTimer()
+			}
+			return srv
+		})
+	})
+	b.Run("one", func(b *testing.B) {
+		reg, srv := newServer(netcoord.RegistryConfig{ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer})
+		b.Cleanup(func() { srv.Stop(); reg.Close() })
+		if err := reg.UpsertBatch(entries); err != nil {
+			b.Fatal(err)
+		}
+		// bodies[0] and bodies[1] differ only in where the moves go.
+		var bodies [2][1000][]byte
+		for j := range bodies[0] {
+			e := entries[j*97%n]
+			moved := e
+			if j%10 == 9 {
+				moved.Coord = point()
+			}
+			bodies[0][j] = appendBenchEntry(nil, moved)
+			bodies[1][j] = appendBenchEntry(nil, e)
+		}
+		serveBench(b, "/upsert", func(i int) []byte {
+			return bodies[i/len(bodies[0])%2][i%len(bodies[0])]
+		}, func(int) http.Handler { return srv })
+	})
 }

@@ -14,25 +14,37 @@ import (
 	"netcoord"
 )
 
-// The two query bodies — POST /nearest's one query and POST
-// /nearest/batch's {"queries":[...]} — are the only request bodies on
-// the read path, and at 32 coordinates a batch made encoding/json's
-// reflection a quarter of a request's CPU and nine of its every ten
-// allocations. They are parsed here instead, into pooled storage: the
-// body bytes, the queries, and one float array every coordinate and
-// radius is carved from.
+// The bodies that carry coordinates — POST /nearest's one query, POST
+// /nearest/batch's {"queries":[...]}, and POST /upsert's entries — are
+// parsed here instead of by encoding/json. At 32 coordinates a batch
+// made the stdlib's reflection a quarter of a query's CPU and nine of
+// its every ten allocations, and loading 100k entries through /upsert
+// spent more than half its CPU in it, a third in the Unmarshal that
+// Coordinate.UnmarshalJSON runs again for every coordinate. The parse
+// goes into pooled storage: the body bytes, the queries, the entries,
+// and one scratch float array.
+//
+// Ownership differs by endpoint. A query's coordinates and radii are
+// carved from the pooled floats and never outlive the handler. An
+// upsert's are not: the registry keeps the coordinate and the id it is
+// given, so every vector is copied out into an allocation of its own
+// and every id is a fresh string — one of each per entry, as
+// encoding/json made.
 //
 // The parser is the mirror of the append encoder in results.go: it
 // accepts a strict subset of JSON and declines everything else, and a
 // declined body goes, byte for byte, through the same encoding/json
 // decode every other handler uses — so status and error text never
 // depend on which path answered. It accepts exact lower-case keys, each
-// at most once, with coord and vec present; numbers in the JSON number
-// grammar, parsed by strconv.ParseFloat like the stdlib does, with k an
-// integer; and JSON whitespace anywhere. It declines keys that only
-// match case-insensitively, duplicates, escaped keys, unknown keys,
-// null, a missing coord or vec, a fractional or exponent k, a number out
-// of range, and anything after the value.
+// at most once, with coord and vec present (in every query, every
+// upsert entry, and a single upsert that names an id); ids of printable
+// ASCII with no escapes; numbers in the JSON number grammar, parsed by
+// strconv.ParseFloat like the stdlib does, with k an integer; and JSON
+// whitespace anywhere. It declines keys that only match
+// case-insensitively, duplicates, escaped keys, unknown keys, an escape
+// or a byte outside printable ASCII in an id, null, a missing coord or
+// vec, a fractional or exponent k, a number out of range, and anything
+// after the value.
 
 // errTrailingData is reported for a body that holds more than one JSON
 // value.
@@ -86,12 +98,23 @@ type nearestBody = struct {
 	RadiusMS *float64            `json:"radius_ms"`
 }
 
-// queryRequest is a pooled, parsed query body. Its coordinates and
-// radii point into floats, so nothing read from it may outlive the
-// handler that released it.
+// bodyKind names the endpoint whose body a request is decoded as.
+type bodyKind uint8
+
+const (
+	kindNearest bodyKind = iota // POST /nearest: one query
+	kindBatch                   // POST /nearest/batch: {"queries":[...]}
+	kindUpsert                  // POST /upsert: one entry, a batch, or both
+)
+
+// queryRequest is a pooled, parsed request body: a query body's
+// queries, or an upsert body's entries. A query's coordinates and radii
+// point into floats, so nothing read from them may outlive the handler
+// that released it; an entry's id and vector are its own.
 type queryRequest struct {
 	body    []byte
 	queries []nearestBatchQuery
+	entries []netcoord.RegistryEntry
 	floats  []float64
 	// batch and truncated are the batch handler's scratch.
 	batch     []netcoord.NearestQuery
@@ -101,40 +124,45 @@ type queryRequest struct {
 var queryRequests = sync.Pool{New: func() any { return new(queryRequest) }}
 
 // maxPooledQuery bounds the body a pooled request keeps (and, through
-// it, the floats and queries parsed from one): a rare large batch is
-// dropped instead of pinned.
+// it, the floats, queries and entries parsed from one): a rare large
+// batch is dropped instead of pinned.
 const maxPooledQuery = 64 << 10
 
 func (qr *queryRequest) release() {
-	if cap(qr.body) <= maxPooledQuery && cap(qr.floats) <= maxPooledQuery/2 && cap(qr.queries) <= maxBatchQueries {
+	if cap(qr.body) <= maxPooledQuery && cap(qr.floats) <= maxPooledQuery/2 && cap(qr.queries) <= maxBatchQueries && cap(qr.entries) <= maxPooledQuery/64 {
+		// The ids and vectors are the registry's now: the pool must not
+		// keep them alive after the registry lets them go.
+		clear(qr.entries[:cap(qr.entries)])
 		queryRequests.Put(qr)
 	}
 }
 
-// decodeQueries reads the request's body — a batch when batch is set,
-// else one query — into a pooled request, or answers 400 and returns
-// nil. The caller releases what it gets.
-func (s *Server) decodeQueries(w http.ResponseWriter, req *http.Request, batch bool) *queryRequest {
+// decodeBody reads the request's body, as the endpoint kind names, into
+// a pooled request, or answers 400 and returns nil. The caller releases
+// what it gets.
+func (s *Server) decodeBody(w http.ResponseWriter, req *http.Request, kind bodyKind) *queryRequest {
 	qr := queryRequests.Get().(*queryRequest)
 	body := http.MaxBytesReader(w, req.Body, s.maxBody)
 	var err error
 	qr.body, err = readAll(qr.body[:0], body)
-	if err == nil && qr.parse(batch) {
+	if err == nil && qr.parse(kind) {
 		return qr
 	}
 	// Declined: the same bytes, then whatever the reader reports after
 	// them, through encoding/json.
-	if qr.decodeStdlib(w, io.MultiReader(bytes.NewReader(qr.body), body), batch) {
+	if qr.decodeStdlib(w, io.MultiReader(bytes.NewReader(qr.body), body), kind) {
 		return qr
 	}
 	qr.release()
 	return nil
 }
 
-// decodeStdlib fills qr.queries from r through encoding/json, the way
-// every query body was decoded before the parser, or answers 400.
-func (qr *queryRequest) decodeStdlib(w http.ResponseWriter, r io.Reader, batch bool) bool {
-	if batch {
+// decodeStdlib fills qr.queries or qr.entries from r through
+// encoding/json, the way every body was decoded before the parser, or
+// answers 400.
+func (qr *queryRequest) decodeStdlib(w http.ResponseWriter, r io.Reader, kind bodyKind) bool {
+	switch kind {
+	case kindBatch:
 		var v struct {
 			Queries []nearestBatchQuery `json:"queries"`
 		}
@@ -142,13 +170,19 @@ func (qr *queryRequest) decodeStdlib(w http.ResponseWriter, r io.Reader, batch b
 			return false
 		}
 		qr.queries = v.Queries
-		return true
+	case kindUpsert:
+		var v upsertRequest
+		if !decodeJSON(w, r, &v) {
+			return false
+		}
+		qr.entries = v.fold(qr.entries[:0])
+	default:
+		var v nearestBody
+		if !decodeJSON(w, r, &v) {
+			return false
+		}
+		qr.queries = append(qr.queries[:0], nearestBatchQuery(v))
 	}
-	var v nearestBody
-	if !decodeJSON(w, r, &v) {
-		return false
-	}
-	qr.queries = append(qr.queries[:0], nearestBatchQuery(v))
 	return true
 }
 
@@ -169,28 +203,33 @@ func readAll(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// parse fills qr.queries from qr.body, or reports false when the body
-// is not in the subset the parser accepts.
-func (qr *queryRequest) parse(batch bool) bool {
-	p := queryParser{b: qr.body, queries: qr.queries[:0], floats: qr.floats[:0]}
+// parse fills qr.queries or qr.entries from qr.body, or reports false
+// when the body is not in the subset the parser accepts.
+func (qr *queryRequest) parse(kind bodyKind) bool {
+	p := queryParser{b: qr.body, queries: qr.queries[:0], entries: qr.entries[:0], floats: qr.floats[:0]}
 	var ok bool
-	if batch {
+	switch kind {
+	case kindBatch:
 		ok = p.batch()
-	} else {
+	case kindUpsert:
+		ok = p.upsert()
+	default:
 		ok = p.query()
 	}
 	// Keep the grown storage even when declining.
-	qr.queries, qr.floats = p.queries, p.floats
+	qr.queries, qr.entries, qr.floats = p.queries, p.entries, p.floats
 	p.space()
 	return ok && p.i == len(p.b)
 }
 
-// queryParser reads the query bodies' subset of JSON from b, appending
-// the queries it completes and the floats they are carved from.
+// queryParser reads the request bodies' subset of JSON from b,
+// appending the queries or entries it completes and the floats a
+// query's coordinates are carved from.
 type queryParser struct {
 	b       []byte
 	i       int
 	queries []nearestBatchQuery
+	entries []netcoord.RegistryEntry
 	floats  []float64
 }
 
@@ -340,6 +379,97 @@ func (p *queryParser) element() bool {
 	v, ok := p.float()
 	p.floats = append(p.floats, v)
 	return ok
+}
+
+// upsert reads {"id":…,"coord":…,"error":…,"entries":[entry,…]}, every
+// key optional, and lists the entries in the order handleUpsert applies
+// them: the single form first when it names an id, then the batch.
+func (p *queryParser) upsert() bool {
+	var single netcoord.RegistryEntry
+	var seen uint8
+	batch := false
+	ok := p.object(func(key []byte) bool {
+		if string(key) == "entries" && !batch {
+			batch = true
+			return p.array(p.entry)
+		}
+		return p.member(&single, &seen, key)
+	})
+	if !ok {
+		return false
+	}
+	if single.ID != "" {
+		if seen&2 == 0 {
+			return false // no coord: a nil vector, for encoding/json to report
+		}
+		p.entries = slices.Insert(p.entries, 0, single)
+	}
+	return true
+}
+
+// entry reads one {"id":…,"coord":…,"error":…} of an upsert's batch,
+// coord required, and appends it to p.entries.
+func (p *queryParser) entry() bool {
+	var e netcoord.RegistryEntry
+	var seen uint8
+	if !p.object(func(key []byte) bool { return p.member(&e, &seen, key) }) || seen&2 == 0 {
+		return false
+	}
+	p.entries = append(p.entries, e)
+	return true
+}
+
+// member reads the value of an upsert entry's key — id, coord or error,
+// each at most once, recorded in seen — into e.
+func (p *queryParser) member(e *netcoord.RegistryEntry, seen *uint8, key []byte) bool {
+	var ok bool
+	switch {
+	case string(key) == "id" && *seen&1 == 0:
+		*seen |= 1
+		e.ID, ok = p.string()
+	case string(key) == "coord" && *seen&2 == 0:
+		*seen |= 2
+		ok = p.ownedCoord(&e.Coord)
+	case string(key) == "error" && *seen&4 == 0:
+		*seen |= 4
+		e.Error, ok = p.float()
+	}
+	return ok
+}
+
+// ownedCoord reads a coordinate like coord, then moves its vector out of
+// the pooled floats into an allocation of its own, as encoding/json
+// would have made: the registry keeps the coordinate it is given.
+func (p *queryParser) ownedCoord(c *netcoord.Coordinate) bool {
+	start := len(p.floats)
+	if !p.coord(c) {
+		return false
+	}
+	v := make([]float64, len(c.Vec)) // "vec":[] stays empty, not nil
+	copy(v, c.Vec)
+	c.Vec = v
+	p.floats = p.floats[:start]
+	return true
+}
+
+// string reads a string of printable ASCII with no escapes — the bytes
+// are the value — into a fresh allocation. Anything else is declined:
+// the stdlib would unescape it, or replace invalid UTF-8.
+func (p *queryParser) string() (string, bool) {
+	if !p.eat('"') {
+		return "", false
+	}
+	for i := p.i; i < len(p.b); i++ {
+		switch c := p.b[i]; {
+		case c == '"':
+			s := string(p.b[p.i:i])
+			p.i = i + 1
+			return s, true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return "", false
+		}
+	}
+	return "", false
 }
 
 func (p *queryParser) float() (float64, bool) {

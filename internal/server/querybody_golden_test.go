@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"netcoord"
 )
@@ -168,6 +169,167 @@ func TestQueryBodiesGolden(t *testing.T) {
 		fmt.Fprintf(&got, "### %s\n%d %s", b.name, rec.Code, rec.Body.Bytes())
 	}
 	file := filepath.Join("testdata", "query_bodies.golden")
+	if *updateGolden {
+		if err := os.WriteFile(file, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s drifted at line %d:\n got %s\nwant %s", file, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s drifted: %d lines, want %d", file, len(gl), len(wl))
+	}
+}
+
+// upsertCorpus holds the POST /upsert bodies of the corpus, each served
+// to a fresh registry.
+var upsertCorpus = []namedBody{
+	{"single", []byte(`{"id":"n1","coord":{"vec":[12.5,-3.25,100],"height":0.5},"error":0.2}`)},
+	{"single-no-error", []byte(`{"id":"n1","coord":{"vec":[1,2,3]}}`)},
+	{"single-reordered", []byte(`{"error":0.75,"coord":{"height":1,"vec":[1,2,3]},"id":"n1"}`)},
+	{"batch", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,2,3]},"error":0.1},{"id":"b","coord":{"vec":[4,5,6],"height":1}}]}`)},
+	{"single-and-batch", []byte(`{"entries":[{"id":"b","coord":{"vec":[4,5,6]}}],"id":"a","coord":{"vec":[1,2,3]},"error":0.5}`)},
+	{"single-and-batch-same-id", []byte(`{"id":"a","coord":{"vec":[1,1,1]},"entries":[{"id":"a","coord":{"vec":[2,2,2]}}]}`)},
+	{"batch-repeated-id", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,1,1]}},{"id":"a","coord":{"vec":[2,2,2]},"error":1}]}`)},
+	{"empty-id-with-batch", []byte(`{"id":"","coord":{"vec":[1,2,3]},"entries":[{"id":"b","coord":{"vec":[4,5,6]}}]}`)},
+	{"empty-id-alone", []byte(`{"id":"","coord":{"vec":[1,2,3]}}`)},
+	{"empty-id-no-coord", []byte(`{"id":"","entries":[{"id":"b","coord":{"vec":[4,5,6]}}]}`)},
+	{"entry-empty-id", []byte(`{"entries":[{"id":"","coord":{"vec":[1,2,3]}}]}`)},
+	{"entry-no-id", []byte(`{"entries":[{"coord":{"vec":[1,2,3]}}]}`)},
+	{"coord-without-id", []byte(`{"coord":{"vec":[1,2,3]},"error":1,"entries":[{"id":"b","coord":{"vec":[4,5,6]}}]}`)},
+	{"empty-entries", []byte(`{"entries":[]}`)},
+	{"empty-object", []byte(`{}`)},
+	{"printable-id", []byte(`{"id":" ~!#$%&'()*+,-./:;<=>?@[]^_{|}` + "`" + `","coord":{"vec":[1,2,3]}}`)},
+	{"negative-zero", []byte(`{"id":"z","coord":{"vec":[-0,-0.0,0e0],"height":-0},"error":-0}`)},
+	{"exponents", []byte(`{"id":"x","coord":{"vec":[1E+2,2.5e-3,-3e0],"height":1e-7},"error":5E-1}`)},
+	{"extremes", []byte(`{"id":"x","coord":{"vec":[5e-324,2.2250738585072009e-308,1.7976931348623157e308]},"error":-1.7976931348623157e308}`)},
+	{"underflow", []byte(`{"id":"x","coord":{"vec":[1e-400,0,0]},"error":-1e-400}`)},
+	{"long-digits", []byte(`{"id":"x","coord":{"vec":[1.000000000000000000000000000000000000001,2,3]}}`)},
+	{"empty-vec", []byte(`{"id":"e","coord":{"vec":[]}}`)},
+	{"short-vec", []byte(`{"id":"s","coord":{"vec":[1,2]}}`)},
+	{"negative-height", []byte(`{"id":"h","coord":{"vec":[1,2,3],"height":-1}}`)},
+	{"bad-second-entry", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,2,3]}},{"id":"b","coord":{"vec":[1,2]}}]}`)},
+	{"spaced", []byte(" \t\n\r{ \"entries\" : [ { \"id\" : \"a\" , \"coord\" :\n{ \"vec\" : [ 1 , 2 ,\t3 ] } , \"error\" : 0.5 } ] ,\r\n\"id\" : \"b\" , \"coord\" : { \"vec\" : [ 4 , 5 , 6 ] } } \n")},
+
+	// Everything below is outside the parser's subset and is answered
+	// by encoding/json.
+	{"escaped-id", []byte(`{"id":"n\u0031","coord":{"vec":[1,2,3]}}`)},
+	{"escaped-quote-id", []byte(`{"id":"a\"b","coord":{"vec":[1,2,3]}}`)},
+	{"escaped-slash-id", []byte(`{"entries":[{"id":"a\/b","coord":{"vec":[1,2,3]}}]}`)},
+	{"non-ascii-id", []byte(`{"id":"nœud","coord":{"vec":[1,2,3]}}`)},
+	{"invalid-utf8-id", []byte("{\"id\":\"a\xffb\",\"coord\":{\"vec\":[1,2,3]}}")},
+	{"control-byte-id", []byte("{\"id\":\"a\tb\",\"coord\":{\"vec\":[1,2,3]}}")},
+	{"delete-byte-id", []byte("{\"id\":\"a\x7fb\",\"coord\":{\"vec\":[1,2,3]}}")},
+	{"null-id", []byte(`{"id":null,"coord":{"vec":[1,2,3]}}`)},
+	{"null-coord", []byte(`{"id":"a","coord":null}`)},
+	{"null-vec", []byte(`{"id":"a","coord":{"vec":null}}`)},
+	{"null-error", []byte(`{"id":"a","coord":{"vec":[1,2,3]},"error":null}`)},
+	{"null-entries", []byte(`{"entries":null}`)},
+	{"null-entry", []byte(`{"entries":[null]}`)},
+	{"missing-coord", []byte(`{"id":"a"}`)},
+	{"missing-coord-with-batch", []byte(`{"id":"a","entries":[{"id":"b","coord":{"vec":[4,5,6]}}]}`)},
+	{"entry-missing-coord", []byte(`{"entries":[{"id":"a"}]}`)},
+	{"entry-missing-coord-empty-id", []byte(`{"entries":[{"id":"","error":1}]}`)},
+	{"missing-vec", []byte(`{"id":"a","coord":{"height":1}}`)},
+	{"case-folded-key", []byte(`{"ID":"a","coord":{"vec":[1,2,3]}}`)},
+	{"case-folded-entries", []byte(`{"Entries":[{"id":"a","coord":{"vec":[1,2,3]}}]}`)},
+	{"case-folded-inner", []byte(`{"id":"a","coord":{"VEC":[1,2,3]}}`)},
+	{"case-folded-last-wins", []byte(`{"id":"a","coord":{"vec":[1,2,3]},"Id":"b"}`)},
+	{"duplicate-id", []byte(`{"id":"a","id":"b","coord":{"vec":[1,2,3]}}`)},
+	{"duplicate-entries", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,2,3]}}],"entries":[]}`)},
+	{"duplicate-entry-coord", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,2,3]},"coord":{"vec":[4,5,6]}}]}`)},
+	{"duplicate-entry-error", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,2,3]},"error":1,"error":2}]}`)},
+	{"escaped-key", []byte(`{"\u0069d":"a","coord":{"vec":[1,2,3]}}`)},
+	{"unknown-key", []byte(`{"id":"a","coord":{"vec":[1,2,3]},"ttl":5}`)},
+	{"unknown-entry-key", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,2,3]},"height":1}]}`)},
+	{"unknown-coord-key", []byte(`{"id":"a","coord":{"vec":[1,2,3],"error":1}}`)},
+	{"number-id", []byte(`{"id":5,"coord":{"vec":[1,2,3]}}`)},
+	{"string-error", []byte(`{"id":"a","coord":{"vec":[1,2,3]},"error":"0.5"}`)},
+	{"range-error", []byte(`{"id":"a","coord":{"vec":[1e400,2,3]}}`)},
+	{"range-error-weight", []byte(`{"id":"a","coord":{"vec":[1,2,3]},"error":-1e400}`)},
+	{"leading-zero", []byte(`{"id":"a","coord":{"vec":[01,2,3]}}`)},
+	{"plus-sign", []byte(`{"id":"a","coord":{"vec":[1,2,3]},"error":+1}`)},
+	{"entries-not-array", []byte(`{"entries":{"id":"a","coord":{"vec":[1,2,3]}}}`)},
+	{"entry-not-object", []byte(`{"entries":["a"]}`)},
+	{"trailing-comma", []byte(`{"entries":[{"id":"a","coord":{"vec":[1,2,3]}},]}`)},
+	{"top-level-array", []byte(`[{"id":"a","coord":{"vec":[1,2,3]}}]`)},
+	{"unterminated-id", []byte(`{"id":"a`)},
+	{"truncated", []byte(`{"id":"a","coord":{"vec":[1,2`)},
+	{"bom", []byte("\xef\xbb\xbf" + `{"id":"a","coord":{"vec":[1,2,3]}}`)},
+}
+
+// upsertBodies is the upsert corpus: every shape, bytes after a valid
+// body, and bodies around the server's size limit.
+func upsertBodies() []namedBody {
+	out := append([]namedBody(nil), upsertCorpus...)
+	single := `{"id":"a","coord":{"vec":[1,2,3]}}`
+	batch := `{"entries":[{"id":"a","coord":{"vec":[1,2,3]}},{"id":"b","coord":{"vec":[4,5,6]}}]}`
+	for _, b := range []namedBody{
+		{"trailing/second-value", []byte(single + `{"id":"b","coord":{"vec":[4,5,6]}}`)},
+		{"trailing/brackets", []byte(batch + `]]`)},
+		{"trailing/garbage", []byte(single + " x")},
+		{"trailing/whitespace-only", []byte(batch + " \n\t\r ")},
+		{"empty-body", nil},
+	} {
+		out = append(out, b)
+	}
+	// Padded with leading whitespace, so the value itself ends on the
+	// body's last byte and the limit is what decides.
+	for _, n := range []int{goldenMaxBody - 1, goldenMaxBody, goldenMaxBody + 1} {
+		out = append(out, namedBody{fmt.Sprintf("size/%d", n), []byte(strings.Repeat(" ", n-len(batch)) + batch)})
+	}
+	return out
+}
+
+// upsertServer is a fresh server for one upsert body: an empty registry
+// with the change stream on, a clock that stands still, and the
+// corpus's small body limit.
+func upsertServer(t testing.TB) (*Server, *netcoord.Registry) {
+	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{
+		ChangeStreamBuffer: 64,
+		Clock:              func() time.Time { return time.Unix(1_700_000_000, 0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.Close)
+	srv := New(Config{Registry: reg, MaxBody: goldenMaxBody})
+	t.Cleanup(srv.Stop)
+	return srv, reg
+}
+
+// serveUpsert posts body to /upsert.
+func serveUpsert(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/upsert", bytes.NewReader(body)))
+	return rec
+}
+
+// TestUpsertBodiesGolden pins, for every upsert corpus body served to a
+// fresh registry, the status and response bytes and then the
+// registry's /snapshot to testdata/upsert_bodies.golden. Regenerate
+// with `go test ./internal/server -run TestUpsertBodiesGolden -update`
+// and review the diff: the file holds what encoding/json decoding of
+// the bodies answered before the parser read them.
+func TestUpsertBodiesGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, b := range upsertBodies() {
+		srv, _ := upsertServer(t)
+		rec := serveUpsert(srv, b.body)
+		snap := httptest.NewRecorder()
+		srv.ServeHTTP(snap, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
+		fmt.Fprintf(&got, "### %s\n%d %s%d %s", b.name, rec.Code, rec.Body.Bytes(), snap.Code, snap.Body.Bytes())
+	}
+	file := filepath.Join("testdata", "upsert_bodies.golden")
 	if *updateGolden {
 		if err := os.WriteFile(file, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
