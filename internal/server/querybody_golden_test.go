@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -125,10 +124,10 @@ func goldenBodies() []namedBody {
 	return out
 }
 
-// goldenServer is the server the corpus is answered by: a few entries,
-// and the small body limit.
+// goldenServer is the server the corpora are answered by: a few
+// entries, the small body limit, and a change stream for /watch.
 func goldenServer(t testing.TB) *Server {
-	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{})
+	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{ChangeStreamBuffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,26 +167,7 @@ func TestQueryBodiesGolden(t *testing.T) {
 		rec := serveBody(srv, b)
 		fmt.Fprintf(&got, "### %s\n%d %s", b.name, rec.Code, rec.Body.Bytes())
 	}
-	file := filepath.Join("testdata", "query_bodies.golden")
-	if *updateGolden {
-		if err := os.WriteFile(file, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s drifted at line %d:\n got %s\nwant %s", file, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("%s drifted: %d lines, want %d", file, len(gl), len(wl))
-	}
+	checkGolden(t, filepath.Join("testdata", "query_bodies.golden"), got.Bytes())
 }
 
 // upsertCorpus holds the POST /upsert bodies of the corpus, each served
@@ -329,24 +309,5 @@ func TestUpsertBodiesGolden(t *testing.T) {
 		srv.ServeHTTP(snap, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
 		fmt.Fprintf(&got, "### %s\n%d %s%d %s", b.name, rec.Code, rec.Body.Bytes(), snap.Code, snap.Body.Bytes())
 	}
-	file := filepath.Join("testdata", "upsert_bodies.golden")
-	if *updateGolden {
-		if err := os.WriteFile(file, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s drifted at line %d:\n got %s\nwant %s", file, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("%s drifted: %d lines, want %d", file, len(gl), len(wl))
-	}
+	checkGolden(t, filepath.Join("testdata", "upsert_bodies.golden"), got.Bytes())
 }
