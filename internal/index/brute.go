@@ -8,9 +8,10 @@ import (
 	"netcoord/internal/coord"
 )
 
-// Brute is the O(n)-scan reference implementation of Index. It exists as
-// the correctness oracle for the kd-tree — identical semantics, no
-// cleverness — and as the baseline the registry benchmarks beat.
+// Brute is the O(n)-scan reference implementation of the kd-tree's
+// queries. It exists as the correctness oracle for the Tree — identical
+// semantics, no cleverness — and as the baseline the registry
+// benchmarks beat.
 type Brute struct {
 	dim int
 	pts map[string]coord.Coordinate

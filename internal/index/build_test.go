@@ -52,15 +52,7 @@ func TestBuildMatchesIncrementalInserts(t *testing.T) {
 				t.Fatalf("query %d k=%d: built %v != incremental %v", q, k, a, b)
 			}
 		}
-		ra, err := built.Within(from, 80)
-		if err != nil {
-			t.Fatalf("built Within: %v", err)
-		}
-		rb, err := inc.Within(from, 80)
-		if err != nil {
-			t.Fatalf("incremental Within: %v", err)
-		}
-		if !neighborsEqual(ra, rb) {
+		if ra, rb := treeWithin(t, built, from, 80), treeWithin(t, inc, from, 80); !neighborsEqual(ra, rb) {
 			t.Fatalf("query %d radius: built != incremental", q)
 		}
 	}

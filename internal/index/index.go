@@ -94,24 +94,6 @@ func (b *Bound) Tighten(v float64) {
 	}
 }
 
-// Index is the query contract shared by the kd-tree and the brute-force
-// oracle. Results are sorted by (distance, id) ascending, which makes
-// every query deterministic and lets tests compare implementations
-// exactly, ties included.
-type Index interface {
-	// Insert adds or replaces the point with the given id.
-	Insert(id string, c coord.Coordinate) error
-	// Remove deletes the point; it reports whether the id was present.
-	Remove(id string) bool
-	// Len reports the number of live points.
-	Len() int
-	// KNearest returns the k points nearest to from, fewer if the index
-	// holds fewer.
-	KNearest(from coord.Coordinate, k int) ([]Neighbor, error)
-	// Within returns every point at distance <= radius from from.
-	Within(from coord.Coordinate, radius float64) ([]Neighbor, error)
-}
-
 // Stats describes the internal shape of a Tree, for observability.
 type Stats struct {
 	// Live is the number of queryable points.
@@ -616,6 +598,9 @@ func (t *Tree) KNearest(from coord.Coordinate, k int) ([]Neighbor, error) {
 // KNearestBound is KNearest restricted to points at distance <= bound.
 // A caller that already holds k candidates passes its current kth-best
 // distance so the search prunes subtrees that cannot improve on them.
+// With k >= Len it is the radius query: every point within bound, the
+// same walk under a bound that never tightens because the heap never
+// fills.
 func (t *Tree) KNearestBound(from coord.Coordinate, k int, bound float64) ([]Neighbor, error) {
 	h := bheap.New(k, neighborBefore)
 	var b Bound
@@ -666,47 +651,8 @@ func (t *Tree) KNearestInto(from coord.Coordinate, k int, h *bheap.Heap[Neighbor
 	return nil
 }
 
-// Within returns every point at distance <= radius, sorted by
-// (distance, id) ascending.
-func (t *Tree) Within(from coord.Coordinate, radius float64) ([]Neighbor, error) {
-	res, err := t.WithinInto(from, radius, nil)
-	if err != nil {
-		return nil, err
-	}
-	sortNeighbors(res)
-	return res, nil
-}
-
-// WithinInto is the merge-friendly core of Within: it appends every
-// point at distance <= radius to buf (which may carry results from
-// other trees) and returns the extended slice UNSORTED — callers
-// merging several trees size and sort the combined result once instead
-// of sorting per tree. Steady-state reuse of buf's backing array makes
-// repeated radius queries allocation-free once it has grown to the
-// working size.
-//
-//nc:hotpath
-func (t *Tree) WithinInto(from coord.Coordinate, radius float64, buf []Neighbor) ([]Neighbor, error) {
-	if err := from.Validate(t.dim); err != nil {
-		//nc:allow(hotpath) validation-failure return: cold by definition
-		return nil, fmt.Errorf("index within: %w", err)
-	}
-	if radius < 0 || math.IsNaN(radius) {
-		//nc:allow(hotpath) validation-failure return: cold by definition
-		return nil, fmt.Errorf("index within: radius %v, want >= 0", radius)
-	}
-	if len(t.byID) > 0 {
-		s := search{t: t, q: from.Vec, qh: from.Height, radius: radius, res: buf}
-		s.visit(0)
-		buf = s.res
-	}
-	return buf, nil
-}
-
-// search is the state of one walk of the tree from the query (q, qh):
-// a kNN search into h under the bound b, or — h nil — a radius
-// search, the same walk under a bound that never tightens, collecting
-// everything it accepts into res.
+// search is the state of one kNN walk of the tree from the query
+// (q, qh) into h under the bound b.
 type search struct {
 	t  *Tree
 	q  []float64
@@ -714,20 +660,6 @@ type search struct {
 
 	b *Bound
 	h *bheap.Heap[Neighbor]
-
-	radius float64
-	res    []Neighbor
-}
-
-// bound is the distance no accepted point and no visited subtree's
-// lower bound may exceed.
-//
-//nc:hotpath
-func (s *search) bound() float64 {
-	if s.h == nil {
-		return s.radius
-	}
-	return s.b.Load()
 }
 
 // visit searches the subtree at slot i, which holds at least one live
@@ -740,7 +672,7 @@ func (s *search) bound() float64 {
 func (s *search) visit(i int32) {
 	t := s.t
 	n := &t.nodes[i]
-	bound := s.bound()
+	bound := s.b.Load()
 	if run := n.run; run > 0 && run <= runMax {
 		for j := i; j < i+run; j++ {
 			if t.nodes[j].deleted {
@@ -764,26 +696,20 @@ func (s *search) visit(i int32) {
 	}
 	if near != none && t.nodes[near].size > 0 && s.qh+t.nodes[near].minHeight <= bound {
 		s.visit(near)
-		bound = s.bound()
+		bound = s.b.Load()
 	}
 	if far != none && t.nodes[far].size > 0 && planeBound(delta, s.qh, t.nodes[far].minHeight) <= bound {
 		s.visit(far)
 	}
 }
 
-// accept materialises the Neighbor in slot i, whose distance d passed
-// the bound, and returns the bound to go on with. A kNN search offers
-// it to the heap — which breaks a tie at the bound by id — and tightens
-// the bound once the heap is full.
+// accept offers the Neighbor in slot i, whose distance d passed the
+// bound, to the heap — which breaks a tie at the bound by id — tightens
+// the bound once the heap is full, and returns the bound to go on with.
 //
 //nc:hotpath
 func (s *search) accept(i int32, d float64) float64 {
-	n := Neighbor{ID: s.t.ids[i], Coord: s.t.coords[i], Distance: d}
-	if s.h == nil {
-		s.res = append(s.res, n)
-		return s.radius
-	}
-	s.h.Offer(n)
+	s.h.Offer(Neighbor{ID: s.t.ids[i], Coord: s.t.coords[i], Distance: d})
 	if s.h.Full() {
 		// k candidates at distance <= Worst now exist, so the true
 		// kth-best cannot exceed it.
@@ -793,7 +719,7 @@ func (s *search) accept(i int32, d float64) float64 {
 }
 
 // sortNeighbors orders results by (distance, id) ascending — the
-// deterministic order every Index implementation promises.
+// deterministic order Tree and Brute both answer in.
 // slices.SortFunc rather than sort.Slice: the latter boxes the slice
 // into an interface (an allocation the zero-alloc query path cannot
 // afford); the former is generic and allocation-free.
@@ -834,8 +760,8 @@ func CompareNeighbors(a, b Neighbor) int {
 //nc:hotpath
 func NeighborBefore(a, b Neighbor) bool { return neighborBefore(a, b) }
 
-// neighborBefore is the (Distance, ID) total order every Index query
-// returns results in; it also drives the bounded k-best heap.
+// neighborBefore is the (Distance, ID) total order every query returns
+// results in; it also drives the bounded k-best heap.
 //
 //nc:hotpath
 func neighborBefore(a, b Neighbor) bool {

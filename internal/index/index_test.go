@@ -23,6 +23,17 @@ func randomCoord(rng *xrand.Stream, dim int) coord.Coordinate {
 	return c
 }
 
+// treeWithin is the radius query through the one walk: a kNN search
+// for every point within r, whose heap can never fill.
+func treeWithin(t *testing.T, tree *Tree, q coord.Coordinate, r float64) []Neighbor {
+	t.Helper()
+	got, err := tree.KNearestBound(q, max(tree.Len(), 1), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func neighborsEqual(a, b []Neighbor) bool {
 	if len(a) != len(b) {
 		return false
@@ -76,11 +87,7 @@ func checkAgainstBrute(t *testing.T, tree *Tree, brute *Brute, q coord.Coordinat
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tree.Within(q, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !neighborsEqual(got, want) {
+		if got := treeWithin(t, tree, q, r); !neighborsEqual(got, want) {
 			t.Fatalf("%s r=%v: tree has %d results, brute %d", label, r, len(got), len(want))
 		}
 	}
@@ -242,8 +249,8 @@ func TestTreeValidation(t *testing.T) {
 	if _, err := tree.KNearest(coord.New(1, 2, 3), 0); err == nil {
 		t.Fatal("k=0 query succeeded")
 	}
-	if _, err := tree.Within(coord.New(1, 2, 3), -1); err == nil {
-		t.Fatal("negative radius succeeded")
+	if _, err := tree.KNearestBound(coord.New(1, 2, 3), 1, math.NaN()); err == nil {
+		t.Fatal("NaN bound succeeded")
 	}
 }
 

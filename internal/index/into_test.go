@@ -93,10 +93,11 @@ func TestKNearestIntoSharedBoundMatchesMerge(t *testing.T) {
 	}
 }
 
-// TestWithinIntoAppendsAcrossTrees checks the unsorted append contract:
-// chaining WithinInto over several trees and sorting once must equal the
-// whole-set Within.
-func TestWithinIntoAppendsAcrossTrees(t *testing.T) {
+// TestRadiusWalkAcrossTrees: a radius query is a kNN walk whose heap
+// never fills. Searching several trees back to back into one such heap
+// under one Bound at the radius, and sorting once, must equal the
+// whole-set radius query and the brute-force scan.
+func TestRadiusWalkAcrossTrees(t *testing.T) {
 	const dim = 3
 	rng := xrand.NewStream(7)
 	trees := make([]*Tree, 4)
@@ -104,34 +105,46 @@ func TestWithinIntoAppendsAcrossTrees(t *testing.T) {
 		trees[i], _ = New(dim)
 	}
 	whole, _ := New(dim)
+	brute, _ := NewBrute(dim)
 	for p := 0; p < 300; p++ {
 		id := fmt.Sprintf("node-%04d", p)
 		c := randomCoord(rng, dim)
 		if err := whole.Insert(id, c); err != nil {
 			t.Fatal(err)
 		}
+		if err := brute.Insert(id, c); err != nil {
+			t.Fatal(err)
+		}
 		if err := trees[p%len(trees)].Insert(id, c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var buf []Neighbor
+	h := bheap.New(whole.Len(), NeighborBefore)
+	var b Bound
 	for trial := 0; trial < 20; trial++ {
 		q := randomCoord(rng, dim)
 		radius := rng.Uniform(0, 200)
-		want, err := whole.Within(q, radius)
+		want, err := brute.Within(q, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf = buf[:0]
+		if got := treeWithin(t, whole, q, radius); !neighborsEqual(got, want) {
+			t.Fatalf("trial %d r=%v: whole tree %d results, brute %d", trial, radius, len(got), len(want))
+		}
+		h.Reset(whole.Len())
+		b.Reset(radius)
 		for _, tr := range trees {
-			buf, err = tr.WithinInto(q, radius, buf)
-			if err != nil {
+			if err := tr.KNearestInto(q, whole.Len(), h, &b); err != nil {
 				t.Fatal(err)
 			}
 		}
-		SortNeighbors(buf)
-		if !neighborsEqual(buf, want) {
-			t.Fatalf("trial %d r=%v: merged %d results, whole %d", trial, radius, len(buf), len(want))
+		got := h.Items()
+		SortNeighbors(got)
+		if !neighborsEqual(got, want) {
+			t.Fatalf("trial %d r=%v: merged %d results, brute %d", trial, radius, len(got), len(want))
+		}
+		if b.Load() != radius {
+			t.Fatalf("trial %d: bound moved from %v to %v under a heap that never fills", trial, radius, b.Load())
 		}
 	}
 }

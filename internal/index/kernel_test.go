@@ -192,11 +192,7 @@ func TestFlappingIDReusesItsSlots(t *testing.T) {
 			t.Fatalf("step %d from %v: tree %v != brute %v", step, q, got, want)
 		}
 		wantR, _ := brute.Within(q, 12)
-		gotR, err := tree.Within(q, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !neighborsEqual(gotR, wantR) {
+		if gotR := treeWithin(t, tree, q, 12); !neighborsEqual(gotR, wantR) {
 			t.Fatalf("step %d within 12 of %v: tree %v != brute %v", step, q, gotR, wantR)
 		}
 	}
@@ -445,7 +441,7 @@ func TestResultsDoNotAliasTheArena(t *testing.T) {
 	}
 	q := coord.New(100, 100, 100)
 	knn, _ := tree.KNearest(q, 20)
-	within, _ := tree.Within(q, 90)
+	within := treeWithin(t, tree, q, 90)
 	type frozen struct {
 		id   string
 		c    coord.Coordinate
@@ -489,19 +485,21 @@ func TestSearchesDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := coord.New(100, 100, 100)
-	buf := make([]Neighbor, 0, len(entries))
+	all := bheap.New(len(entries), NeighborBefore)
 	h := bheap.New(8, NeighborBefore)
 	var b Bound
 	if n := testing.AllocsPerRun(50, func() {
-		buf, _ = tree.WithinInto(q, 60, buf[:0])
+		all.Reset(len(entries))
+		b.Reset(60)
+		_ = tree.KNearestInto(q, len(entries), all, &b)
 		h.Reset(8)
 		b.Reset(math.Inf(1))
 		_ = tree.KNearestInto(q, 8, h, &b)
 	}); n != 0 {
 		t.Fatalf("a radius plus a kNN search made %v allocations, want 0", n)
 	}
-	if len(buf) == 0 || h.Len() != 8 {
-		t.Fatalf("searches found %d in radius and %d nearest", len(buf), h.Len())
+	if all.Len() == 0 || h.Len() != 8 {
+		t.Fatalf("searches found %d in radius and %d nearest", all.Len(), h.Len())
 	}
 }
 
@@ -626,11 +624,7 @@ func FuzzTreeOps(f *testing.F) {
 				}
 				r := float64(next()) / 2
 				wantR, _ := brute.Within(q, r)
-				gotR, err := tree.Within(q, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !neighborsEqual(gotR, wantR) {
+				if gotR := treeWithin(t, tree, q, r); !neighborsEqual(gotR, wantR) {
 					t.Fatalf("step %d r=%v from %v: tree %v != brute %v", step, r, q, gotR, wantR)
 				}
 			}

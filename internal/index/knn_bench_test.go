@@ -32,7 +32,7 @@ func clusteredPoint(centres *[8][3]float64, rng *rand.Rand) coord.Coordinate {
 }
 
 // BenchmarkIndexKNN times one k=8 query over 100k clustered points held
-// in one tree — the call Registry.nearestInto makes per query. The
+// in one tree — the call Registry.Query makes per query. The
 // sub-benchmark keeps the name its history is recorded under in
 // BENCH_query.json.
 func BenchmarkIndexKNN(b *testing.B) {

@@ -186,105 +186,107 @@ func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleNearestGet answers proximity queries centered on a registered
-// node: /nearest?id=n1&k=8, or radius mode with &radius_ms=50. Radius
-// mode goes through Registry.WithinLimit — the untrusted-radius entry
-// point, which caps the result set before ranking — so a huge or
-// adversarial radius_ms costs O(maxK log maxK), not O(n log n).
+// node, which is not its own neighbor: /nearest?id=n1&k=8, or radius
+// mode with &radius_ms=50, where k is ignored. Either is the query POST
+// /nearest answers for the node's coordinate, with the node excluded.
 func (s *Server) handleNearestGet(w http.ResponseWriter, req *http.Request) {
-	id := req.URL.Query().Get("id")
+	params := req.URL.Query()
+	id := params.Get("id")
 	if id == "" {
 		writeError(w, http.StatusBadRequest, errors.New("missing id parameter (POST a coordinate for coordinate-centered queries)"))
 		return
 	}
-	if radiusStr := req.URL.Query().Get("radius_ms"); radiusStr != "" {
-		radius, err := strconv.ParseFloat(radiusStr, 64)
+	var body nearestBatchQuery
+	if raw := params.Get("radius_ms"); raw != "" {
+		radius, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad radius_ms: %w", err))
 			return
 		}
-		entry, ok := s.reg.Get(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown id %q", id))
+		body.RadiusMS = &radius
+	} else {
+		var ok bool
+		if body.K, ok = parseK(w, params.Get("k")); !ok {
 			return
 		}
-		// Bounded like k-mode: +1 slack for the excluded center, +1 to
-		// detect truncation.
-		res, err := s.reg.WithinLimit(entry.Coord, radius, maxK+2)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// Consistent with k-mode: the center node is not its own peer.
-		filtered := res[:0]
-		for _, rk := range res {
-			if rk.ID != id {
-				filtered = append(filtered, rk)
-			}
-		}
-		truncated := len(filtered) > maxK
-		if truncated {
-			filtered = filtered[:maxK]
-		}
-		writeResults(w, filtered, &truncated)
+	}
+	entry, found := s.reg.Get(id)
+	if !found {
+		writeUnknownID(w, id)
 		return
 	}
-	k, ok := parseK(w, req.URL.Query().Get("k"))
-	if !ok {
-		return
-	}
-	res, err := s.reg.NearestTo(id, k)
-	if errors.Is(err, netcoord.ErrUnknownID) {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeResults(w, res, nil)
+	body.Coord = entry.Coord
+	s.answerQuery(w, &body, id)
 }
 
 // handleNearestPost answers proximity queries centered on an arbitrary
 // coordinate — the "nearest replicas to this client" call for clients
-// that are not registered themselves. Like the GET handler, radius mode
-// uses Registry.WithinLimit (the untrusted-radius entry point) so a
-// client-supplied radius can never rank more than maxK+1 results.
+// that are not registered themselves.
 func (s *Server) handleNearestPost(w http.ResponseWriter, req *http.Request) {
 	if qr := s.decodeBody(w, req, kindNearest); qr != nil {
-		s.answerNearest(w, &qr.queries[0])
+		s.answerQuery(w, &qr.queries[0], "")
 		qr.release()
 	}
 }
 
-// answerNearest answers one decoded POST /nearest body.
-func (s *Server) answerNearest(w http.ResponseWriter, body *nearestBatchQuery) {
-	if body.RadiusMS != nil {
-		res, err := s.reg.WithinLimit(body.Coord, *body.RadiusMS, maxK+1)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		truncated := len(res) > maxK
-		if truncated {
-			res = res[:maxK]
-		}
-		writeResults(w, res, &truncated)
-		return
-	}
-	k := body.K
-	if k == 0 {
-		k = defaultK
-	}
-	if k < 1 || k > maxK {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be an integer in [1, %d]", maxK))
-		return
-	}
-	res, err := s.reg.Nearest(body.Coord, k)
+// answerQuery answers one query, excluding the id exclude: POST
+// /nearest's body, or GET /nearest's parameters.
+func (s *Server) answerQuery(w http.ResponseWriter, body *nearestBatchQuery, exclude string) {
+	q, err := nearestQuery(body, exclude)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeResults(w, res, nil)
+	res, err := s.reg.Query(q, nil)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	res, truncated := truncate(&q, res)
+	var flag *bool // a k-mode answer carries no "truncated"
+	if q.HasRadius {
+		flag = &truncated
+	}
+	writeResults(w, res, flag)
+}
+
+// errBadK answers a k outside [1, maxK].
+var errBadK = fmt.Errorf("k must be an integer in [1, %d]", maxK)
+
+// nearestQuery turns one parsed query into the registry query that
+// answers it — for POST /nearest, each element of POST /nearest/batch,
+// GET /nearest and /watch. k-mode takes defaultK for an absent k and
+// must be in [1, maxK]. Radius mode ignores k and asks for maxK+1
+// results, one more than truncate keeps, so a longer answer shows that
+// the radius held more, and a client-supplied radius never ranks more.
+func nearestQuery(body *nearestBatchQuery, exclude string) (netcoord.NearestQuery, error) {
+	q := netcoord.NearestQuery{From: body.Coord, K: body.K, Exclude: exclude}
+	if body.RadiusMS != nil {
+		q.K, q.HasRadius, q.RadiusMillis = maxK+1, true, *body.RadiusMS
+		return q, nil
+	}
+	if q.K == 0 {
+		q.K = defaultK
+	}
+	if q.K < 1 || q.K > maxK {
+		return q, errBadK
+	}
+	return q, nil
+}
+
+// truncate is the one truncation rule: a radius query's answer is cut
+// to maxK results, and reports whether it was.
+func truncate(q *netcoord.NearestQuery, res []netcoord.Ranked) ([]netcoord.Ranked, bool) {
+	if q.HasRadius && len(res) > maxK {
+		return res[:maxK], true
+	}
+	return res, false
+}
+
+// writeUnknownID answers 404 for an id the registry does not hold, in
+// the words of netcoord.ErrUnknownID.
+func writeUnknownID(w http.ResponseWriter, id string) {
+	writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", netcoord.ErrUnknownID, id))
 }
 
 // maxBatchQueries caps how many queries one POST /nearest/batch request
@@ -334,23 +336,13 @@ func (s *Server) answerBatch(w http.ResponseWriter, qr *queryRequest) {
 		return
 	}
 	queries := qr.batch[:0]
-	for i, q := range qr.queries {
-		if q.RadiusMS != nil {
-			// Same shape as POST /nearest radius mode: WithinLimit-style
-			// bounding with +1 slack to detect truncation. Registry-side
-			// validation rejects negative/NaN radii for the whole batch.
-			queries = append(queries, netcoord.NearestQuery{From: q.Coord, K: maxK + 1, HasRadius: true, RadiusMillis: *q.RadiusMS})
-			continue
-		}
-		k := q.K
-		if k == 0 {
-			k = defaultK
-		}
-		if k < 1 || k > maxK {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: k must be an integer in [1, %d]", i, maxK))
+	for i := range qr.queries {
+		q, err := nearestQuery(&qr.queries[i], "")
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
-		queries = append(queries, netcoord.NearestQuery{From: q.Coord, K: k})
+		queries = append(queries, q)
 	}
 	qr.batch = queries
 	results, err := s.reg.NearestBatch(queries)
@@ -359,11 +351,9 @@ func (s *Server) answerBatch(w http.ResponseWriter, qr *queryRequest) {
 		return
 	}
 	truncated := qr.truncated[:0]
-	for i, res := range results {
-		tr := queries[i].HasRadius && len(res) > maxK
-		if tr {
-			results[i] = res[:maxK]
-		}
+	for i := range results {
+		var tr bool
+		results[i], tr = truncate(&queries[i], results[i])
 		truncated = append(truncated, tr)
 	}
 	qr.truncated = truncated

@@ -93,12 +93,10 @@ func serveBench(b *testing.B, path string, body func(i int) []byte, h func(i int
 	}
 }
 
-// BenchmarkServeNearestBatch is the read-batch workload's request in
-// process: POST /nearest/batch of 32 k=8 queries, in the load
-// generator's body shape, against 100k entries, through ServeHTTP —
-// body read, decode, the batch, encode — with no socket. Per-op time
-// and allocations are one request's.
-func BenchmarkServeNearestBatch(b *testing.B) {
+// nearestBenchServer is the server both query benchmarks send to:
+// 100k entries, the load generator's, and the point generator that drew
+// them.
+func nearestBenchServer(b *testing.B) (*Server, func() netcoord.Coordinate) {
 	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{})
 	if err != nil {
 		b.Fatal(err)
@@ -110,15 +108,43 @@ func BenchmarkServeNearestBatch(b *testing.B) {
 	}
 	srv := New(Config{Registry: reg})
 	b.Cleanup(srv.Stop)
+	return srv, point
+}
 
+// appendBenchNearest appends a k=8 query for from, as the load generator
+// writes one.
+func appendBenchNearest(dst []byte, from netcoord.Coordinate) []byte {
+	dst = append(dst, `{"coord":`...)
+	dst = appendBenchCoord(dst, from)
+	return append(dst, `,"k":8}`...)
+}
+
+// BenchmarkServeNearest is the read-knn workload's request in process:
+// POST /nearest with k=8, in the load generator's body shape, against
+// 100k entries, through ServeHTTP — body read, decode, the query,
+// encode — with no socket. The query point cycles through 1024.
+func BenchmarkServeNearest(b *testing.B) {
+	srv, point := nearestBenchServer(b)
+	bodies := make([][]byte, 1024)
+	for i := range bodies {
+		bodies[i] = appendBenchNearest(nil, point())
+	}
+	serveBench(b, "/nearest", func(i int) []byte { return bodies[i%len(bodies)] }, func(int) http.Handler { return srv })
+}
+
+// BenchmarkServeNearestBatch is the read-batch workload's request in
+// process: POST /nearest/batch of 32 k=8 queries, in the load
+// generator's body shape, against 100k entries, through ServeHTTP —
+// body read, decode, the batch, encode — with no socket. Per-op time
+// and allocations are one request's.
+func BenchmarkServeNearestBatch(b *testing.B) {
+	srv, point := nearestBenchServer(b)
 	body := []byte(`{"queries":[`)
 	for i := 0; i < 32; i++ {
 		if i > 0 {
 			body = append(body, ',')
 		}
-		body = append(body, `{"coord":`...)
-		body = appendBenchCoord(body, point())
-		body = append(body, `,"k":8}`...)
+		body = appendBenchNearest(body, point())
 	}
 	body = append(body, "]}"...)
 	serveBench(b, "/nearest/batch", func(int) []byte { return body }, func(int) http.Handler { return srv })

@@ -172,7 +172,7 @@ func TestQueryBodiesAnswerLikeStdlib(t *testing.T) {
 			if batch {
 				srv.answerBatch(want, qr)
 			} else {
-				srv.answerNearest(want, &qr.queries[0])
+				srv.answerQuery(want, &qr.queries[0], "")
 			}
 		}
 		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {

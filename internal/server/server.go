@@ -205,7 +205,7 @@ func parseK(w http.ResponseWriter, raw string) (int, bool) {
 	}
 	k, err := strconv.Atoi(raw)
 	if err != nil || k <= 0 || k > maxK {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be an integer in [1, %d]", maxK))
+		writeError(w, http.StatusBadRequest, errBadK)
 		return 0, false
 	}
 	return k, true

@@ -353,3 +353,17 @@ func TestServiceBodyLimit(t *testing.T) {
 		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestUnknownIDIsOne404: every read centered on an id the registry does
+// not hold — GET /nearest in k-mode and radius mode, and /watch — answers
+// 404 with the one body netcoord.ErrUnknownID renders.
+func TestUnknownIDIsOne404(t *testing.T) {
+	srv := goldenServer(t)
+	want := fmt.Sprintf("{\"error\":%q}\n", fmt.Errorf("%w %q", netcoord.ErrUnknownID, "x").Error())
+	for _, path := range []string{"/nearest?id=x&k=3", "/nearest?id=x&radius_ms=5", "/watch?id=x"} {
+		rec := serveGet(srv, path)
+		if rec.Code != http.StatusNotFound || rec.Body.String() != want {
+			t.Errorf("GET %s: %d %s, want 404 %s", path, rec.Code, rec.Body, want)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case watchID != "":
 		if _, found := s.reg.Get(watchID); !found {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown id %q", watchID))
+			writeUnknownID(w, watchID)
 			return
 		}
 	case q.Get("vec") != "":
@@ -72,26 +72,21 @@ func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("missing id or vec parameter (vec=x,y,z&height=h watches an arbitrary coordinate)"))
 		return
 	}
+	// parseK range-checked k, which is all nearestQuery can refuse.
+	query, _ := nearestQuery(&nearestBatchQuery{Coord: fixed, K: k}, watchID)
 	// recompute answers "top-k now" plus the origin it was measured
 	// from (id-mode re-resolves the node's current coordinate, so a
 	// moving watched node keeps the question honest).
 	recompute := func() ([]netcoord.Ranked, netcoord.Coordinate, error) {
-		if watchID == "" {
-			res, err := s.reg.Nearest(fixed, k)
-			return res, fixed, err
+		if watchID != "" {
+			entry, found := s.reg.Get(watchID)
+			if !found {
+				return nil, netcoord.Coordinate{}, fmt.Errorf("watched id %q removed", watchID)
+			}
+			query.From = entry.Coord
 		}
-		entry, found := s.reg.Get(watchID)
-		if !found {
-			return nil, netcoord.Coordinate{}, fmt.Errorf("watched id %q removed", watchID)
-		}
-		// NearestTo's contract, spelled as a one-query batch: NearestTo
-		// would resolve the coordinate again, and the hub needs the
-		// origin this answer was measured from.
-		res, err := s.reg.NearestBatch([]netcoord.NearestQuery{{From: entry.Coord, K: k, Exclude: watchID}})
-		if err != nil {
-			return nil, netcoord.Coordinate{}, err
-		}
-		return res[0], entry.Coord, nil
+		res, err := s.reg.Query(query, nil)
+		return res, query.From, err
 	}
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {

@@ -59,7 +59,6 @@ package netcoord
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"netcoord/internal/coord"
@@ -292,8 +291,6 @@ func buildFilterFactory(cfg Config) (filter.Factory, error) {
 		UpdateAfter: cfg.FilterWarmup,
 	})
 }
-
-func inf() float64 { return math.Inf(1) }
 
 // Observe feeds one RTT measurement (milliseconds) of the remote node
 // identified by id, along with the remote's coordinate and error weight

@@ -1,18 +1,24 @@
 package netcoord
 
-// query.go is the Registry's read path: every proximity query — Nearest,
-// NearestTo, WithinLimit, Within, and their batched variants — is one
-// walk of the registry's one tree under the read lock. Read concurrency
-// comes from concurrent callers sharing that lock, not from splitting a
-// query up: a single query is never split, and a NearestBatch is split
-// only between queries, into contiguous per-core chunks, each query
-// still one walk under its own hold of the read lock.
+// query.go is the Registry's read path. Every proximity query is a
+// NearestQuery — k nearest, optionally excluding one id, optionally
+// within a radius — and every one is answered by Query's one walk of
+// the registry's one tree under the read lock. A radius query is that
+// same kNN walk with a K no registry reaches: its heap never fills, so
+// its bound is the radius and never tightens. Nearest, NearestInto,
+// NearestTo and Within are Query with a fixed shape; NearestBatch
+// answers many queries, each through the same core. Read concurrency
+// comes from concurrent callers sharing the read lock, not from
+// splitting a query up: a single query is never split, and a
+// NearestBatch is split only between queries, into contiguous per-core
+// chunks, each query still one walk under its own hold of the read lock.
 //
-// Allocation discipline: the scratch a query needs — its candidate heap
-// and radius buffer — is pooled, so the steady-state NearestInto path
-// performs zero allocations per query (CI-gated via benchjson
-// -require-zero-alloc, statically checked by nclint's hotpath analyzer
-// through the //nc:hotpath annotations).
+// Allocation discipline: the candidate heap a query needs is pooled,
+// and results are sized by what the walk returned, never by the
+// caller's K, so the steady-state NearestInto path performs zero
+// allocations per query (CI-gated via benchjson -require-zero-alloc,
+// statically checked by nclint's hotpath analyzer through the
+// //nc:hotpath annotations).
 
 import (
 	"fmt"
@@ -26,122 +32,107 @@ import (
 )
 
 // queryScratch is the pooled per-query scratch: the bounded candidate
-// heap of a kNN search with the bound it tightens (pooled because a
-// local one would escape to the heap through the search), and the match
-// buffer of a radius search. Both keep their backing arrays across
-// queries.
+// heap of the walk and the bound it tightens, pooled because a local
+// one would escape to the heap through the search. The heap keeps its
+// backing array across queries.
 type queryScratch struct {
 	heap  *bheap.Heap[index.Neighbor]
 	bound index.Bound
-	buf   []index.Neighbor
 }
 
 func newQueryScratch() *queryScratch {
 	return &queryScratch{heap: bheap.New(0, index.NeighborBefore)}
 }
 
-// Nearest returns the k registered nodes with the smallest estimated RTT
-// from the given coordinate, ascending (ties broken by id). Fewer than k
-// are returned if the registry holds fewer. The answer comes from the
-// spatial index, so it is exact while the work stays O(log n · k)
-// instead of a full scan. Callers on a zero-allocation budget use
-// NearestInto.
-func (r *Registry) Nearest(from Coordinate, k int) ([]Ranked, error) {
-	var dst []Ranked
-	if k > 0 {
-		dst = make([]Ranked, 0, k)
-	}
-	return r.NearestInto(from, k, dst)
+// NearestQuery is one proximity query: the K registered nodes with the
+// smallest estimated RTT from From, optionally excluding one id and
+// optionally within a radius.
+type NearestQuery struct {
+	// From is the query coordinate.
+	From Coordinate
+	// K bounds the result count; it must be > 0. A radius query that
+	// wants every match passes math.MaxInt, as Within does.
+	K int
+	// Exclude drops this id from the results (the NearestTo shape);
+	// empty excludes nothing.
+	Exclude string
+	// HasRadius restricts results to estimated RTT <= RadiusMillis (the
+	// Within shape). With HasRadius false, RadiusMillis is ignored.
+	HasRadius bool
+	// RadiusMillis is the radius bound when HasRadius is set.
+	RadiusMillis float64
 }
 
-// NearestInto is Nearest filling caller-owned storage: results are
-// appended to dst[:0] and the filled slice is returned, so a caller
-// that reuses dst across queries pays zero steady-state allocations.
+// Query answers one proximity query: up to q.K registered nodes, ranked
+// by estimated RTT from q.From ascending with ties broken by id, fewer
+// if fewer match. Results are appended to dst[:0] and the filled slice
+// is returned, so a caller that reuses dst across queries pays zero
+// steady-state allocations; storage is sized by the matches found,
+// never by q.K. The answer comes from the spatial index, so it is exact
+// while the work stays O(log n · K), and a radius doubles as the
+// search's pruning bound.
 //
 //nc:hotpath
-func (r *Registry) NearestInto(from Coordinate, k int, dst []Ranked) ([]Ranked, error) {
-	r.queries.Add(1)
-	return r.nearestInto(from, k, "", inf(), dst)
-}
-
-// NearestTo is Nearest centered on a registered node, excluding the node
-// itself — "which replicas are closest to this client".
-func (r *Registry) NearestTo(id string, k int) ([]Ranked, error) {
-	e, ok := r.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownID, id)
-	}
-	r.queries.Add(1)
-	var dst []Ranked
-	if k > 0 {
-		dst = make([]Ranked, 0, k)
-	}
-	return r.nearestInto(e.Coord, k, id, inf(), dst)
-}
-
-// WithinLimit returns the up-to-limit nearest nodes with estimated RTT
-// <= radiusMillis, ascending — Within with a result bound, for callers
-// (like ncserve) that must not let one query rank an unbounded slice of
-// the registry. The radius doubles as the search's pruning bound, so
-// the work is proportional to the results returned, not the matches
-// that exist.
-func (r *Registry) WithinLimit(from Coordinate, radiusMillis float64, limit int) ([]Ranked, error) {
-	if radiusMillis < 0 || math.IsNaN(radiusMillis) {
-		return nil, fmt.Errorf("netcoord: registry within: radius %v, want >= 0", radiusMillis)
-	}
-	r.queries.Add(1)
-	var dst []Ranked
-	if limit > 0 {
-		dst = make([]Ranked, 0, limit)
-	}
-	return r.nearestInto(from, limit, "", radiusMillis, dst)
-}
-
-// nearestInto is the kNN core shared by every entry point: validate,
-// search the tree into the pooled heap, fill dst. It does not bump the
-// query counter — exported wrappers do.
-//
-//nc:hotpath
-func (r *Registry) nearestInto(from Coordinate, k int, exclude string, bound float64, dst []Ranked) ([]Ranked, error) {
-	if k <= 0 {
+func (r *Registry) Query(q NearestQuery, dst []Ranked) ([]Ranked, error) {
+	if q.HasRadius && !(q.RadiusMillis >= 0) {
 		//nc:allow(hotpath) validation-failure return: cold by definition
-		return nil, fmt.Errorf("netcoord: k = %d, want > 0", k)
+		return nil, fmt.Errorf("netcoord: registry within: radius %v, want >= 0", q.RadiusMillis)
 	}
-	if err := from.Validate(r.dim); err != nil {
+	if q.K <= 0 {
+		//nc:allow(hotpath) validation-failure return: cold by definition
+		return nil, fmt.Errorf("netcoord: k = %d, want > 0", q.K)
+	}
+	if err := q.From.Validate(r.dim); err != nil {
 		//nc:allow(hotpath) validation-failure return: cold by definition
 		return nil, fmt.Errorf("netcoord: registry nearest: %w", err)
 	}
-	if math.IsNaN(bound) {
-		//nc:allow(hotpath) validation-failure return: cold by definition
-		return nil, fmt.Errorf("netcoord: registry nearest: bound is NaN")
-	}
-	// Ask for one extra result so dropping the excluded node still
-	// leaves k.
-	want := k
-	if exclude != "" {
+	r.queries.Add(1)
+	return r.query(&q, dst), nil
+}
+
+// query is Query's core for a validated query: one walk into the
+// pooled heap, then the excluded id dropped, the rest sorted and the
+// first K appended to dst[:0]. It does not count the query.
+//
+//nc:hotpath
+func (r *Registry) query(q *NearestQuery, dst []Ranked) []Ranked {
+	// One extra candidate, so dropping the excluded node still leaves K;
+	// a K that wants everything already has room for it.
+	want := q.K
+	if q.Exclude != "" && want < math.MaxInt {
 		want++
+	}
+	bound := math.Inf(1)
+	if q.HasRadius {
+		bound = q.RadiusMillis
 	}
 	qs := r.scratch.Get().(*queryScratch)
 	qs.heap.Reset(want)
 	qs.bound.Reset(bound)
 	r.mu.RLock()
-	// The inputs were validated above, which is the tree's only failure.
-	_ = r.tree.KNearestInto(from, want, qs.heap, &qs.bound)
+	// The query was validated, which is the tree's only failure.
+	_ = r.tree.KNearestInto(q.From, want, qs.heap, &qs.bound)
 	r.mu.RUnlock()
 	ns := qs.heap.Items()
-	index.SortNeighbors(ns)
-	dst = dst[:0]
-	for _, n := range ns {
-		if n.ID == exclude {
-			continue
-		}
-		dst = append(dst, ranked(n))
-		if len(dst) == k {
+	for i := range ns {
+		if ns[i].ID == q.Exclude {
+			// An id is in the tree once; order is restored by the sort.
+			ns[i] = ns[len(ns)-1]
+			ns = ns[:len(ns)-1]
 			break
 		}
 	}
+	index.SortNeighbors(ns)
+	ns = ns[:min(len(ns), q.K)]
+	dst = dst[:0]
+	if cap(dst) < len(ns) {
+		dst = make([]Ranked, 0, len(ns)) //nc:allow(hotpath) storage the caller did not supply, sized by the matches found
+	}
+	for _, n := range ns {
+		dst = append(dst, ranked(n))
+	}
 	r.scratch.Put(qs)
-	return dst, nil
+	return dst
 }
 
 // ranked is a search result in the form the registry hands out.
@@ -154,62 +145,38 @@ func ranked(n index.Neighbor) Ranked {
 	}
 }
 
+// Nearest returns the k registered nodes with the smallest estimated RTT
+// from the given coordinate, ascending (ties broken by id). Fewer than k
+// are returned if the registry holds fewer. Callers on a zero-allocation
+// budget use NearestInto.
+func (r *Registry) Nearest(from Coordinate, k int) ([]Ranked, error) {
+	return r.Query(NearestQuery{From: from, K: k}, nil)
+}
+
+// NearestInto is Nearest filling caller-owned storage, as Query does.
+//
+//nc:hotpath
+func (r *Registry) NearestInto(from Coordinate, k int, dst []Ranked) ([]Ranked, error) {
+	return r.Query(NearestQuery{From: from, K: k}, dst)
+}
+
+// NearestTo is Nearest centered on a registered node, excluding the node
+// itself — "which replicas are closest to this client".
+func (r *Registry) NearestTo(id string, k int) ([]Ranked, error) {
+	e, ok := r.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownID, id)
+	}
+	return r.Query(NearestQuery{From: e.Coord, K: k, Exclude: id}, nil)
+}
+
 // Within returns every registered node with estimated RTT <= radiusMillis
 // from the given coordinate, ascending (ties broken by id) — the
 // "replicas inside my latency budget" query. Cost is proportional to the
-// number of matches; services exposed to untrusted radii should use
-// WithinLimit instead.
+// number of matches; services exposed to untrusted radii pass a bounded
+// K to Query instead.
 func (r *Registry) Within(from Coordinate, radiusMillis float64) ([]Ranked, error) {
-	r.queries.Add(1)
-	return r.withinRanked(from, radiusMillis)
-}
-
-// withinRanked is the radius core: the matches stream into the pooled
-// buffer and are sorted once.
-func (r *Registry) withinRanked(from Coordinate, radius float64) ([]Ranked, error) {
-	if err := from.Validate(r.dim); err != nil {
-		return nil, fmt.Errorf("netcoord: registry within: %w", err)
-	}
-	if radius < 0 || math.IsNaN(radius) {
-		return nil, fmt.Errorf("netcoord: registry within: radius %v, want >= 0", radius)
-	}
-	qs := r.scratch.Get().(*queryScratch)
-	r.mu.RLock()
-	// The inputs were validated above, which is the tree's only failure.
-	ns, _ := r.tree.WithinInto(from, radius, qs.buf[:0])
-	r.mu.RUnlock()
-	index.SortNeighbors(ns)
-	out := make([]Ranked, len(ns))
-	for i, n := range ns {
-		out[i] = ranked(n)
-	}
-	qs.buf = ns
-	r.scratch.Put(qs)
-	return out, nil
-}
-
-// NearestQuery is one point query of a NearestBatch.
-type NearestQuery struct {
-	// From is the query coordinate.
-	From Coordinate
-	// K bounds the result count; it must be > 0.
-	K int
-	// Exclude drops this id from the results (the NearestTo shape);
-	// empty excludes nothing.
-	Exclude string
-	// HasRadius restricts results to estimated RTT <= RadiusMillis (the
-	// WithinLimit shape). With HasRadius false, RadiusMillis is ignored.
-	HasRadius bool
-	// RadiusMillis is the radius bound when HasRadius is set.
-	RadiusMillis float64
-}
-
-// WithinQuery is one radius query of a WithinBatch.
-type WithinQuery struct {
-	// From is the query coordinate.
-	From Coordinate
-	// RadiusMillis is the inclusive RTT radius; it must be >= 0.
-	RadiusMillis float64
+	return r.Query(NearestQuery{From: from, K: math.MaxInt, HasRadius: true, RadiusMillis: radiusMillis}, nil)
 }
 
 // batchForkMin is the size of the chunks a split NearestBatch is
@@ -217,7 +184,7 @@ type WithinQuery struct {
 // the hand-off costs more than the queries it moves.
 const batchForkMin = 8
 
-// NearestBatch answers many point queries in one call. The whole batch
+// NearestBatch answers many queries in one call. The whole batch
 // is validated first: on error, no query ran and the slice is nil.
 // Results per query match the equivalent single call exactly; the read
 // lock is taken per query, never across the batch, so a long batch does
@@ -233,7 +200,6 @@ const batchForkMin = 8
 // reference no query's From, so the caller may reuse the query
 // coordinates as soon as it returns.
 func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
-	total := 0
 	for i := range queries {
 		q := &queries[i]
 		if q.K <= 0 {
@@ -242,24 +208,30 @@ func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 		if err := q.From.Validate(r.dim); err != nil {
 			return nil, fmt.Errorf("netcoord: registry batch query %d: %w", i, err)
 		}
-		if q.HasRadius && (q.RadiusMillis < 0 || math.IsNaN(q.RadiusMillis)) {
+		if q.HasRadius && !(q.RadiusMillis >= 0) {
 			return nil, fmt.Errorf("netcoord: registry batch query %d: radius %v, want >= 0", i, q.RadiusMillis)
 		}
-		total += q.K
 	}
 	r.queries.Add(uint64(len(queries)))
-	out := make([][]Ranked, len(queries))
 	// Every query's results are carved out of one backing slice: one
-	// allocation per batch instead of one per query. Each carving is
-	// capped at its K, so appending to one result cannot reach the next.
+	// allocation per batch instead of one per query. A query is carved
+	// what it can return, min(K, entries), and its carving is capped
+	// there, so one that finds more (the registry grew meanwhile)
+	// reallocates rather than reaching into the next.
+	entries := r.Len()
+	total := 0
+	for i := range queries {
+		total += min(queries[i].K, entries)
+	}
+	out := make([][]Ranked, len(queries))
 	backing := make([]Ranked, total)
 	for i := range queries {
-		k := queries[i].K
-		out[i], backing = backing[:0:k], backing[k:]
+		n := min(queries[i].K, entries)
+		out[i], backing = backing[:0:n], backing[n:]
 	}
 	workers := min(len(queries)/batchForkMin, runtime.GOMAXPROCS(0))
 	if workers < 2 {
-		r.nearestChunk(queries, out)
+		r.answerChunk(queries, out)
 		return out, nil
 	}
 	var next atomic.Int64
@@ -270,7 +242,7 @@ func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 				return
 			}
 			hi := min(lo+batchForkMin, len(queries))
-			r.nearestChunk(queries[lo:hi], out[lo:hi])
+			r.answerChunk(queries[lo:hi], out[lo:hi])
 		}
 	}
 	var wg sync.WaitGroup
@@ -286,40 +258,9 @@ func (r *Registry) NearestBatch(queries []NearestQuery) ([][]Ranked, error) {
 	return out, nil
 }
 
-// nearestChunk answers validated queries, each into its carving in out.
-func (r *Registry) nearestChunk(queries []NearestQuery, out [][]Ranked) {
+// answerChunk answers validated queries, each into its carving in out.
+func (r *Registry) answerChunk(queries []NearestQuery, out [][]Ranked) {
 	for i := range queries {
-		q := &queries[i]
-		bound := inf()
-		if q.HasRadius {
-			bound = q.RadiusMillis
-		}
-		// The batch was validated, which is nearestInto's only failure.
-		out[i], _ = r.nearestInto(q.From, q.K, q.Exclude, bound, out[i])
+		out[i] = r.query(&queries[i], out[i])
 	}
-}
-
-// WithinBatch answers many radius queries in one call. The whole batch
-// is validated first: on error, no query ran and the slice is nil.
-func (r *Registry) WithinBatch(queries []WithinQuery) ([][]Ranked, error) {
-	for i := range queries {
-		q := &queries[i]
-		if err := q.From.Validate(r.dim); err != nil {
-			return nil, fmt.Errorf("netcoord: registry batch query %d: %w", i, err)
-		}
-		if q.RadiusMillis < 0 || math.IsNaN(q.RadiusMillis) {
-			return nil, fmt.Errorf("netcoord: registry batch query %d: radius %v, want >= 0", i, q.RadiusMillis)
-		}
-	}
-	r.queries.Add(uint64(len(queries)))
-	out := make([][]Ranked, len(queries))
-	for i := range queries {
-		res, err := r.withinRanked(queries[i].From, queries[i].RadiusMillis)
-		if err != nil {
-			// Unreachable: the batch was validated above.
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
 }

@@ -50,7 +50,8 @@ func waitGoroutines(t *testing.T, base int) {
 // TestNearestBatchSplitMatchesSequential: a batch answered in per-core
 // chunks is the sequential loop of single queries, bit for bit, at
 // every batch size around the split points; every result is capped at
-// its K, so appending to one cannot clobber the next; the results keep
+// what it can return, min(K, entries), so appending to one cannot
+// clobber the next; the results keep
 // nothing of the queries' coordinates; and no goroutine outlives the
 // call.
 func TestNearestBatchSplitMatchesSequential(t *testing.T) {
@@ -83,11 +84,7 @@ func TestNearestBatchSplitMatchesSequential(t *testing.T) {
 		qs := mixedBatch(rng, ids, n)
 		want := make([][]Ranked, n)
 		for i, q := range qs {
-			bound := math.Inf(1)
-			if q.HasRadius {
-				bound = q.RadiusMillis
-			}
-			res, err := r.nearestInto(q.From, q.K, q.Exclude, bound, nil)
+			res, err := r.Query(q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,8 +101,8 @@ func TestNearestBatchSplitMatchesSequential(t *testing.T) {
 			}
 		}
 		for i := range got {
-			if cap(got[i]) != qs[i].K {
-				t.Fatalf("n=%d query %d: cap %d, want its K %d", n, i, cap(got[i]), qs[i].K)
+			if want := min(qs[i].K, len(ids)); cap(got[i]) != want {
+				t.Fatalf("n=%d query %d: cap %d, want min(K, entries) %d", n, i, cap(got[i]), want)
 			}
 			_ = append(got[i], Ranked{EstimatedRTT: -1})
 		}

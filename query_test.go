@@ -3,6 +3,7 @@ package netcoord
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,8 +73,10 @@ func rankedSorted(rs []Ranked) bool {
 
 // TestQueryEngineMatchesOracle is the acceptance property test: over
 // random k, exclusions, radius bounds, and grid-snapped duplicate
-// distances, every read entry point — single queries, Into reuse, and
-// both batches — must agree bit-for-bit with index.Brute.
+// distances, Query and every entry point over it — Nearest, Into reuse,
+// NearestTo, Within, and the batch — must agree bit-for-bit with
+// index.Brute. Within is checked at a random radius and at 0, +Inf and
+// exactly a stored point's distance, where the <= bound must keep it.
 func TestQueryEngineMatchesOracle(t *testing.T) {
 	rng := xrand.NewStream(1011)
 	r := newTestRegistry(t, RegistryConfig{Dimension: 3})
@@ -121,8 +124,6 @@ func TestQueryEngineMatchesOracle(t *testing.T) {
 
 	var nbatch []NearestQuery
 	var nwant [][]Ranked
-	var wbatch []WithinQuery
-	var wwant [][]Ranked
 	var dst []Ranked
 	for trial := 0; trial < 60; trial++ {
 		q := testCoord(rng, 3)
@@ -145,17 +146,18 @@ func TestQueryEngineMatchesOracle(t *testing.T) {
 		}
 
 		want := bruteNearest(t, oracle, q, k, exclude, bound)
-		got, err := r.nearestInto(q, k, exclude, bound, nil)
+		query := NearestQuery{From: q, K: k, Exclude: exclude, HasRadius: hasRadius, RadiusMillis: bound}
+		got, err := r.Query(query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rankedEqual(got, want) {
 			t.Fatalf("trial %d (k=%d excl=%q bound=%v): engine %v, oracle %v", trial, k, exclude, bound, got, want)
 		}
-		nbatch = append(nbatch, NearestQuery{From: q, K: k, Exclude: exclude, HasRadius: hasRadius, RadiusMillis: bound})
+		nbatch = append(nbatch, query)
 		nwant = append(nwant, want)
 
-		// Exported wrappers on the shapes they serve.
+		// The wrappers on the shapes they serve.
 		if exclude == "" && !hasRadius {
 			dst, err = r.NearestInto(q, k, dst)
 			if err != nil {
@@ -164,14 +166,12 @@ func TestQueryEngineMatchesOracle(t *testing.T) {
 			if !rankedEqual(dst, want) {
 				t.Fatalf("trial %d: NearestInto %v, oracle %v", trial, dst, want)
 			}
-		}
-		if exclude == "" && hasRadius {
-			lim, err := r.WithinLimit(q, bound, k)
+			nearest, err := r.Nearest(q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rankedEqual(lim, want) {
-				t.Fatalf("trial %d: WithinLimit %v, oracle %v", trial, lim, want)
+			if !rankedEqual(nearest, want) {
+				t.Fatalf("trial %d: Nearest %v, oracle %v", trial, nearest, want)
 			}
 		}
 		if exclude != "" {
@@ -189,17 +189,29 @@ func TestQueryEngineMatchesOracle(t *testing.T) {
 			}
 		}
 
-		radius := rng.Uniform(0, 120)
-		within, err := r.Within(q, radius)
+		at, err := q.DistanceTo(snap[rng.Intn(len(snap))].Coord)
 		if err != nil {
 			t.Fatal(err)
 		}
-		withinWant := bruteNearest(t, oracle, q, len(snap), "", radius)
-		if !rankedEqual(within, withinWant) {
-			t.Fatalf("trial %d: Within(%v) %d results, oracle %d", trial, radius, len(within), len(withinWant))
+		radii := []float64{rng.Uniform(0, 120), at}
+		if trial%10 == 0 {
+			radii = append(radii, 0, math.Inf(1))
 		}
-		wbatch = append(wbatch, WithinQuery{From: q, RadiusMillis: radius})
-		wwant = append(wwant, withinWant)
+		for _, radius := range radii {
+			within, err := r.Within(q, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			withinWant := bruteNearest(t, oracle, q, len(snap), "", radius)
+			if !rankedEqual(within, withinWant) {
+				t.Fatalf("trial %d: Within(%v) %d results, oracle %d", trial, radius, len(within), len(withinWant))
+			}
+			if radius == at && (len(within) == 0 || within[len(within)-1].EstimatedRTT != at) {
+				t.Fatalf("trial %d: Within(%v) lost the point at exactly the radius", trial, radius)
+			}
+			nbatch = append(nbatch, NearestQuery{From: q, K: math.MaxInt, HasRadius: true, RadiusMillis: radius})
+			nwant = append(nwant, withinWant)
+		}
 	}
 
 	// Batches must match the accumulated single-query answers.
@@ -217,14 +229,66 @@ func TestQueryEngineMatchesOracle(t *testing.T) {
 			t.Fatalf("NearestBatch[%d] = %v, want %v", i, nres[i], nwant[i])
 		}
 	}
-	wres, err := r.WithinBatch(wbatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wres {
-		if !rankedEqual(wres[i], wwant[i]) {
-			t.Fatalf("WithinBatch[%d] = %v, want %v", i, wres[i], wwant[i])
+}
+
+// TestHugeKIsSizedByMatches: no entry point sizes storage by the
+// caller's K. On a 3-entry registry every one of them, at K =
+// math.MaxInt and at 1<<30 — with and without an excluded id, and a
+// batch whose Ks sum past MaxInt — answers exactly what K = 3 answers,
+// allocating under a megabyte in all.
+func TestHugeKIsSizedByMatches(t *testing.T) {
+	r := newTestRegistry(t, RegistryConfig{Dimension: 3})
+	for i, id := range []string{"a", "b", "c"} {
+		if err := r.Upsert(id, c3(float64(10*i), 0, 0), 0); err != nil {
+			t.Fatal(err)
 		}
+	}
+	from := c3(1, 0, 0)
+	all, err := r.Nearest(from, 3)
+	if err != nil || len(all) != 3 {
+		t.Fatalf("Nearest(k=3) = %v, %v", all, err)
+	}
+	butA, err := r.NearestTo("a", 3)
+	if err != nil || len(butA) != 2 {
+		t.Fatalf("NearestTo(a, 3) = %v, %v", butA, err)
+	}
+	check := func(name string, got []Ranked, err error, want []Ranked) {
+		t.Helper()
+		if err != nil || !rankedEqual(got, want) {
+			t.Fatalf("%s = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for _, k := range []int{math.MaxInt, 1 << 30} {
+		got, err := r.Nearest(from, k)
+		check(fmt.Sprintf("Nearest(k=%d)", k), got, err, all)
+		got, err = r.NearestInto(from, k, nil)
+		check(fmt.Sprintf("NearestInto(k=%d)", k), got, err, all)
+		got, err = r.NearestTo("a", k)
+		check(fmt.Sprintf("NearestTo(k=%d)", k), got, err, butA)
+		got, err = r.Query(NearestQuery{From: from, K: k, HasRadius: true, RadiusMillis: 1e9}, nil)
+		check(fmt.Sprintf("Query(radius, k=%d)", k), got, err, all)
+		got, err = r.Query(NearestQuery{From: c3(0, 0, 0), K: k, Exclude: "a"}, nil)
+		check(fmt.Sprintf("Query(exclude, k=%d)", k), got, err, butA)
+		batch, err := r.NearestBatch([]NearestQuery{
+			{From: from, K: k},
+			{From: c3(0, 0, 0), K: k, Exclude: "a"},
+			{From: from, K: k, HasRadius: true, RadiusMillis: math.Inf(1)},
+		})
+		if err != nil || len(batch) != 3 {
+			t.Fatalf("NearestBatch(k=%d) = %v, %v", k, batch, err)
+		}
+		check(fmt.Sprintf("NearestBatch[0](k=%d)", k), batch[0], nil, all)
+		check(fmt.Sprintf("NearestBatch[1](k=%d)", k), batch[1], nil, butA)
+		check(fmt.Sprintf("NearestBatch[2](k=%d)", k), batch[2], nil, all)
+	}
+	got, err := r.Within(from, math.Inf(1))
+	check("Within(+Inf)", got, err, all)
+	runtime.ReadMemStats(&ms)
+	if grew := ms.TotalAlloc - before; grew >= 1<<20 {
+		t.Fatalf("huge-K queries allocated %d bytes, want under 1 MB", grew)
 	}
 }
 
@@ -253,11 +317,11 @@ func TestBatchValidatesWholeBatch(t *testing.T) {
 	}); err == nil {
 		t.Fatal("batch with wrong-dimension coordinate succeeded")
 	}
-	if _, err := r.WithinBatch([]WithinQuery{
-		{From: c3(0, 0, 0), RadiusMillis: 10},
-		{From: c3(0, 0, 0), RadiusMillis: math.NaN()},
+	if _, err := r.NearestBatch([]NearestQuery{
+		{From: c3(0, 0, 0), K: math.MaxInt, HasRadius: true, RadiusMillis: 10},
+		{From: c3(0, 0, 0), K: math.MaxInt, HasRadius: true, RadiusMillis: math.NaN()},
 	}); err == nil {
-		t.Fatal("within batch with NaN radius succeeded")
+		t.Fatal("batch with NaN radius succeeded")
 	}
 	if got := r.Stats().Queries; got != q0 {
 		t.Fatalf("failed batches bumped the query counter: %d -> %d", q0, got)
@@ -269,7 +333,7 @@ func TestBatchValidatesWholeBatch(t *testing.T) {
 }
 
 // TestQueryEngineChurnStress hammers every read entry point — single
-// queries, Into reuse, and both batches — against concurrent upserts,
+// queries, Into reuse, and batches of both shapes — against concurrent upserts,
 // removes, and TTL evictions, under the race detector. Results must
 // stay well-formed (sorted, error-free) throughout, and once the dust
 // settles — and again after Close — match index.Brute exactly.
@@ -399,9 +463,9 @@ func TestQueryEngineChurnStress(t *testing.T) {
 						}
 					}
 				case 3:
-					res, err := r.WithinBatch([]WithinQuery{
-						{From: q, RadiusMillis: rng.Uniform(0, 80)},
-						{From: testCoord(rng, 3), RadiusMillis: rng.Uniform(0, 80)},
+					res, err := r.NearestBatch([]NearestQuery{
+						{From: q, K: math.MaxInt, HasRadius: true, RadiusMillis: rng.Uniform(0, 80)},
+						{From: testCoord(rng, 3), K: math.MaxInt, HasRadius: true, RadiusMillis: rng.Uniform(0, 80)},
 					})
 					if err != nil {
 						report("within batch: %v", err)

@@ -62,7 +62,8 @@ type RegistryStats struct {
 	// Entries is the number of live entries.
 	Entries int `json:"entries"`
 	// Upserts, Removes, Queries, and Evictions count operations since
-	// construction. Queries counts Nearest/NearestTo/Within calls.
+	// construction. Queries counts the queries answered: every valid
+	// Query, through whichever entry point, and each of a batch's.
 	Upserts   uint64 `json:"upserts"`
 	Removes   uint64 `json:"removes"`
 	Queries   uint64 `json:"queries"`
@@ -123,7 +124,7 @@ type Registry struct {
 	evictions  atomic.Uint64
 	feedErrors atomic.Uint64
 
-	// scratch pools the per-query heaps and radius buffers (see query.go).
+	// scratch pools the per-query heaps (see query.go).
 	scratch sync.Pool
 
 	// feed, when non-nil, is the change stream every applied mutation is

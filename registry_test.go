@@ -2,6 +2,7 @@ package netcoord
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -78,15 +79,24 @@ func TestRegistryBasics(t *testing.T) {
 		t.Fatalf("Within(35) = %v, want a, b", within)
 	}
 
-	limited, err := r.WithinLimit(c3(0, 0, 0), 35, 1)
+	limited, err := r.Query(NearestQuery{From: c3(0, 0, 0), K: 1, HasRadius: true, RadiusMillis: 35}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(limited) != 1 || limited[0].ID != "a" {
-		t.Fatalf("WithinLimit(35, 1) = %v, want just a", limited)
+		t.Fatalf("Query(radius 35, k 1) = %v, want just a", limited)
 	}
-	if _, err := r.WithinLimit(c3(0, 0, 0), -1, 5); err == nil {
-		t.Fatal("negative radius succeeded")
+	for _, tc := range []struct {
+		q    NearestQuery
+		want string
+	}{
+		{NearestQuery{From: c3(0, 0, 0), K: 5, HasRadius: true, RadiusMillis: -1}, "netcoord: registry within: radius -1, want >= 0"},
+		{NearestQuery{From: c3(0, 0, 0), K: 5, HasRadius: true, RadiusMillis: math.NaN()}, "netcoord: registry within: radius NaN, want >= 0"},
+		{NearestQuery{From: c3(0, 0, 0), K: 0}, "netcoord: k = 0, want > 0"},
+	} {
+		if _, err := r.Query(tc.q, nil); err == nil || err.Error() != tc.want {
+			t.Fatalf("Query(%+v) error %v, want %q", tc.q, err, tc.want)
+		}
 	}
 
 	d, err := r.Estimate("a", "b")
