@@ -8,20 +8,15 @@ import (
 	"netcoord/internal/wire"
 )
 
-// DefaultChangeStreamBuffer is the change-stream ring size used when a
-// component that requires the stream (PersistentRegistry, ncserve) is
-// built without an explicit RegistryConfig.ChangeStreamBuffer.
+// DefaultChangeStreamBuffer is the change-stream ring size of a
+// registry built with RegistryConfig.ChangeStreamBuffer <= 0.
 const DefaultChangeStreamBuffer = 4096
-
-// ErrChangeStreamDisabled is returned by change-stream methods on a
-// registry built without RegistryConfig.ChangeStreamBuffer.
-var ErrChangeStreamDisabled = errors.New("netcoord: change stream disabled (set RegistryConfig.ChangeStreamBuffer)")
 
 // ErrChangeHistoryTruncated is returned by ChangesSince when the
 // requested resume point is older than the retained history — the
-// in-memory ring for a plain Registry, the ring plus the WAL for a
-// PersistentRegistry. The consumer must re-bootstrap from a snapshot
-// (SnapshotWithSeq, or ncserve's /snapshot) instead of resuming.
+// in-memory ring, plus the WAL for a persistent registry. The consumer
+// must re-bootstrap from a snapshot (SnapshotWithSeq, or ncserve's
+// /snapshot) instead of resuming.
 var ErrChangeHistoryTruncated = errors.New("netcoord: change history truncated; re-bootstrap from a snapshot")
 
 // Change-stream operations: the values of ChangeEvent.Op.
@@ -45,120 +40,50 @@ const (
 // Its JSON form is the /changes body's event object.
 type ChangeEvent = wire.Event
 
-// ChangeSource is the seam between a registry's change stream and
-// anything that serves it: the read-then-subscribe bootstrap pair
-// (SnapshotWithSeq), history replay (ChangesSince), live delivery
-// (SubscribeChanges), and position/health (ChangeSeq, ChangeStreamStats).
-//
-// Every registry flavor satisfies it with the same code, because every
-// flavor has exactly one feed — its embedded Registry's:
-//
-//   - *Registry serves its own in-memory stream (history is the ring).
-//   - *PersistentRegistry extends history through the WAL on disk; it
-//     overrides ChangesSince and nothing else.
-//   - *FollowerRegistry overrides nothing: its Registry's feed carries
-//     the *leader's* sequence space, each relayed event published under
-//     the sequence and frame it arrived with — so a replica re-serves
-//     /changes, /watch, and /snapshot with the same sequence numbers
-//     the leader would, and replicas stack into fan-out tiers (a
-//     follower can follow a follower).
-//
-// The contract: sequences are dense and monotonic within a stream's
-// lifetime; SnapshotWithSeq and DeltaSince are exact — state and stream
-// change together under the registry's write lock and both calls read
-// under its read lock, so the entries returned are the stream's state
-// at the seq returned, no entry newer than it, on a leader and on a
-// replica mid-re-bootstrap alike; ChangesSince returns
-// ErrChangeHistoryTruncated when the resume point predates retained
-// history, and the consumer re-bootstraps from SnapshotWithSeq.
-type ChangeSource interface {
-	// ChangeSeq is the sequence of the most recent mutation.
-	ChangeSeq() uint64
-	// ChangeEpoch is the stream's current fencing epoch: bumped on
-	// every promotion, persisted, and carried by every event, so
-	// consumers can refuse a deposed leader's stale stream.
-	ChangeEpoch() uint64
-	// ChangesSince returns up to max events with sequence > since,
-	// oldest first (max <= 0 means no limit).
-	ChangesSince(since uint64, max int) ([]ChangeEvent, error)
-	// SubscribeChanges attaches a bounded live subscriber.
-	SubscribeChanges(buffer int) (*ChangeSubscription, error)
-	// SnapshotWithSeq captures every live entry plus the stream
-	// sequence to resume from.
-	SnapshotWithSeq() ([]RegistryEntry, uint64)
-	// DeltaSince captures the delta-snapshot triple in one call: the
-	// live entries whose last mutation has sequence > since (provable
-	// at any depth — entries carry their sequence), the ids removed
-	// since then, and the sequence to resume from. ok is false when
-	// removal-completeness cannot be proven (tombstone knowledge
-	// truncated) and only a full snapshot is safe. One method rather
-	// than three reads so the triple is one read-lock hold: exact, and
-	// atomic against state rewrites (a follower's re-bootstrap).
-	DeltaSince(since uint64) (entries []RegistryEntry, removed []string, seq uint64, ok bool)
-	// ChangeStreamStats snapshots the stream's operational counters.
-	ChangeStreamStats() ChangeStreamStats
-}
-
-// The three registry flavors all satisfy ChangeSource.
-var (
-	_ ChangeSource = (*Registry)(nil)
-	_ ChangeSource = (*PersistentRegistry)(nil)
-	_ ChangeSource = (*FollowerRegistry)(nil)
-)
-
 // ChangeStreamStats is an operational snapshot of a registry's change
-// stream: whether it exists at all, and the feed's own counters.
-type ChangeStreamStats struct {
-	// Enabled reports whether the stream exists at all.
-	Enabled bool `json:"enabled"`
-	changefeed.Stats
-}
+// stream: the feed's own counters.
+type ChangeStreamStats = changefeed.Stats
 
 // ChangeSeq returns the sequence number of the most recent mutation
-// (0 if nothing has mutated), or 0 with the stream disabled. A client
-// that reads state and then subscribes with since=ChangeSeq observes
-// every later mutation with no gap — the race-free read-then-follow
-// handshake. On a replica it is the position in the leader's sequence
-// space: hand it to an upstream's /changes to continue exactly there.
-func (r *Registry) ChangeSeq() uint64 {
-	if r.feed == nil {
-		return 0
-	}
-	return r.feed.Seq()
-}
+// (0 if nothing has mutated). A client that reads state and then
+// subscribes with since=ChangeSeq observes every later mutation with no
+// gap — the race-free read-then-follow handshake. On a replica it is
+// the position in the leader's sequence space: hand it to an upstream's
+// /changes to continue exactly there.
+func (r *Registry) ChangeSeq() uint64 { return r.feed.Seq() }
 
-// ChangeEpoch returns the stream's current fencing epoch (0 with the
-// stream disabled, or before any promotion has ever happened).
-func (r *Registry) ChangeEpoch() uint64 {
-	if r.feed == nil {
-		return 0
-	}
-	return r.feed.Epoch()
-}
+// ChangeEpoch returns the stream's current fencing epoch: bumped on
+// every promotion, persisted, and carried by every event, so consumers
+// can refuse a deposed leader's stale stream (0 before any promotion).
+func (r *Registry) ChangeEpoch() uint64 { return r.feed.Epoch() }
 
-// ChangeStreamStats snapshots the change stream's counters; Enabled is
-// false (and the rest zero) when the stream is disabled.
-func (r *Registry) ChangeStreamStats() ChangeStreamStats {
-	if r.feed == nil {
-		return ChangeStreamStats{}
-	}
-	return ChangeStreamStats{Enabled: true, Stats: r.feed.Stats()}
-}
+// ChangeStreamStats snapshots the change stream's counters.
+func (r *Registry) ChangeStreamStats() ChangeStreamStats { return r.feed.Stats() }
 
 // ChangesSince returns up to max events with sequence > since, oldest
-// first, from the in-memory ring (max <= 0 means no limit). It returns
-// ErrChangeHistoryTruncated when the ring no longer reaches back to
-// since+1; a PersistentRegistry extends this with WAL replay before
-// giving up — use its method when one is available.
+// first (max <= 0 means no limit). Recent history comes from the
+// in-memory ring; a persistent registry reads older history back from
+// its WAL — the same events with the same frame bytes the ring held —
+// so a consumer can resume from any sequence at or above the current
+// snapshot's capture point. Below what is retained it returns
+// ErrChangeHistoryTruncated and the consumer re-bootstraps from
+// SnapshotWithSeq.
 func (r *Registry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
-	if r.feed == nil {
-		return nil, ErrChangeStreamDisabled
-	}
 	evs, err := r.feed.Since(since, max)
-	if errors.Is(err, changefeed.ErrTruncated) {
+	if !errors.Is(err, changefeed.ErrTruncated) {
+		return evs, err
+	}
+	if r.store == nil {
 		return nil, fmt.Errorf("%w (ring starts at %d, requested %d)", ErrChangeHistoryTruncated, r.feed.OldestBuffered(), since+1)
 	}
-	return evs, err
+	evs, truncated, err := r.store.TailSince(since, max)
+	if err != nil {
+		return nil, fmt.Errorf("netcoord: persistent registry: wal tail: %w", err)
+	}
+	if truncated {
+		return nil, fmt.Errorf("%w (snapshot floor %d, requested %d)", ErrChangeHistoryTruncated, r.store.Stats().HistoryFloor, since+1)
+	}
+	return evs, nil
 }
 
 // SnapshotWithSeq captures every live entry together with the stream
@@ -195,9 +120,6 @@ func (r *Registry) EntriesChangedSince(since uint64) []RegistryEntry {
 // full snapshot can guarantee deleted entries do not survive on the
 // consumer.
 func (r *Registry) RemovedSince(since uint64) ([]string, bool) {
-	if r.feed == nil {
-		return nil, false
-	}
 	return r.feed.RemovedSince(since)
 }
 
@@ -206,9 +128,6 @@ func (r *Registry) RemovedSince(since uint64) ([]string, bool) {
 // (since, seq] and the live entries changed in (since, seq], with no
 // mutation — and no re-bootstrap rewrite — between the three reads.
 func (r *Registry) DeltaSince(since uint64) (entries []RegistryEntry, removed []string, seq uint64, ok bool) {
-	if r.feed == nil {
-		return nil, nil, 0, false
-	}
 	r.mu.RLock()
 	if seq = r.feed.Seq(); since <= seq { // a since from the future: don't guess
 		removed, ok = r.feed.RemovedSince(since)
@@ -238,10 +157,8 @@ type ChangeSubscription = changefeed.Subscription
 // SubscribeChanges attaches a subscriber buffering up to buffer events
 // (minimum 1). The subscription observes every event with sequence >
 // JoinSeq; fetch history at or before JoinSeq with ChangesSince — the
-// split is what makes catch-up-then-follow race-free.
-func (r *Registry) SubscribeChanges(buffer int) (*ChangeSubscription, error) {
-	if r.feed == nil {
-		return nil, ErrChangeStreamDisabled
-	}
-	return r.feed.Subscribe(buffer), nil
+// split is what makes catch-up-then-follow race-free. On a closed
+// registry the subscription's channel is already closed.
+func (r *Registry) SubscribeChanges(buffer int) *ChangeSubscription {
+	return r.feed.Subscribe(buffer)
 }

@@ -21,10 +21,7 @@ func BenchmarkWatchFanout(b *testing.B) {
 			}
 			var drained sync.WaitGroup
 			for i := 0; i < subs; i++ {
-				sub, err := r.SubscribeChanges(1 << 10)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sub := r.SubscribeChanges(1 << 10)
 				drained.Add(1)
 				go func(s *ChangeSubscription) {
 					defer drained.Done()

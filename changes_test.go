@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,25 +53,6 @@ func assertStateMatchesRegistry(t *testing.T, state map[string]RegistryEntry, re
 	}
 }
 
-func TestChangeStreamDisabledByDefault(t *testing.T) {
-	r := newTestRegistry(t, RegistryConfig{})
-	if err := r.Upsert("a", c3(1, 0, 0), 0); err != nil {
-		t.Fatalf("Upsert: %v", err)
-	}
-	if got := r.ChangeSeq(); got != 0 {
-		t.Fatalf("ChangeSeq on disabled stream = %d", got)
-	}
-	if _, err := r.ChangesSince(0, 0); !errors.Is(err, ErrChangeStreamDisabled) {
-		t.Fatalf("ChangesSince err = %v, want ErrChangeStreamDisabled", err)
-	}
-	if _, err := r.SubscribeChanges(8); !errors.Is(err, ErrChangeStreamDisabled) {
-		t.Fatalf("SubscribeChanges err = %v, want ErrChangeStreamDisabled", err)
-	}
-	if st := r.ChangeStreamStats(); st.Enabled {
-		t.Fatal("stats claim the stream is enabled")
-	}
-}
-
 func TestChangeStreamSequencesEveryMutation(t *testing.T) {
 	// Acceptance: zero missed events across 10k mutations — a
 	// subscriber with room for everything sees a dense, gap-free
@@ -78,10 +60,7 @@ func TestChangeStreamSequencesEveryMutation(t *testing.T) {
 	// them reconstructs the registry exactly.
 	const mutations = 10_000
 	r := newTestRegistry(t, RegistryConfig{ChangeStreamBuffer: mutations + 64})
-	sub, err := r.SubscribeChanges(mutations + 64)
-	if err != nil {
-		t.Fatalf("SubscribeChanges: %v", err)
-	}
+	sub := r.SubscribeChanges(mutations + 64)
 	defer sub.Close()
 
 	rng := rand.New(rand.NewSource(42))
@@ -232,10 +211,7 @@ func TestConcurrentWatchStress(t *testing.T) {
 		JanitorInterval:    time.Millisecond,
 		ChangeStreamBuffer: 1 << 15,
 	})
-	audit, err := r.SubscribeChanges(1 << 15)
-	if err != nil {
-		t.Fatal(err)
-	}
+	audit := r.SubscribeChanges(1 << 15)
 	defer audit.Close()
 
 	// Each writer performs a fixed op count so total events stay well
@@ -271,10 +247,7 @@ func TestConcurrentWatchStress(t *testing.T) {
 					return
 				default:
 				}
-				sub, err := r.SubscribeChanges(4) // deliberately tiny: overflow must be safe
-				if err != nil {
-					return
-				}
+				sub := r.SubscribeChanges(4) // deliberately tiny: overflow must be safe
 				prev := sub.JoinSeq()
 				for i := 0; i < 64; i++ {
 					select {
@@ -332,8 +305,24 @@ func TestConcurrentWatchStress(t *testing.T) {
 		}
 	}
 	st := r.ChangeStreamStats()
-	if !st.Enabled || st.Seq != finalSeq {
+	if st.Seq != finalSeq {
 		t.Fatalf("stream stats inconsistent: %+v (want seq %d)", st, finalSeq)
+	}
+}
+
+func TestRingOnlyChangesSinceNamesTheRing(t *testing.T) {
+	r := newTestRegistry(t, RegistryConfig{ChangeStreamBuffer: 4})
+	for i := 0; i < 10; i++ {
+		if err := r.Upsert(fmt.Sprintf("n%d", i), c3(float64(i), 0, 0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "(ring starts at 7, requested 1)"
+	if _, err := r.ChangesSince(0, 0); !errors.Is(err, ErrChangeHistoryTruncated) || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("ChangesSince(0) err = %v, want truncation ending %q", err, want)
+	}
+	if evs, err := r.ChangesSince(6, 0); err != nil || len(evs) != 4 {
+		t.Fatalf("ChangesSince(6) = %d events, %v; want the 4 the ring holds", len(evs), err)
 	}
 }
 
@@ -348,12 +337,12 @@ func TestPersistentChangesSinceFallsBackToWAL(t *testing.T) {
 	}
 	p.Remove("n000")
 
-	// The ring holds only the last 4 events; resuming from 0 must be
-	// served from the WAL, losslessly.
-	if _, err := p.Registry.ChangesSince(0, 0); !errors.Is(err, ErrChangeHistoryTruncated) {
-		t.Fatalf("ring-only ChangesSince err = %v, want truncation", err)
+	// The ring holds only the last 4 events; the embedded Registry's own
+	// ChangesSince must serve a resume from 0 out of the WAL, losslessly.
+	if oldest := p.Registry.ChangeStreamStats().OldestSeq; oldest <= 1 {
+		t.Fatalf("ring still starts at %d; the test needs it truncated", oldest)
 	}
-	evs, err := p.ChangesSince(0, 0)
+	evs, err := p.Registry.ChangesSince(0, 0)
 	if err != nil {
 		t.Fatalf("WAL-backed ChangesSince: %v", err)
 	}
@@ -371,7 +360,7 @@ func TestPersistentChangesSinceFallsBackToWAL(t *testing.T) {
 	state = make(map[string]RegistryEntry)
 	since := uint64(0)
 	for {
-		page, err := p.ChangesSince(since, 7)
+		page, err := p.Registry.ChangesSince(since, 7)
 		if err != nil {
 			t.Fatalf("page since %d: %v", since, err)
 		}
@@ -391,10 +380,11 @@ func TestPersistentChangesSinceFallsBackToWAL(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	floor := p.ChangeSeq()
-	if _, err := p.ChangesSince(0, 0); !errors.Is(err, ErrChangeHistoryTruncated) {
-		t.Fatalf("post-compaction ChangesSince(0) err = %v, want truncation", err)
+	want := fmt.Sprintf("(snapshot floor %d, requested 1)", floor)
+	if _, err := p.Registry.ChangesSince(0, 0); !errors.Is(err, ErrChangeHistoryTruncated) || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("post-compaction ChangesSince(0) err = %v, want truncation ending %q", err, want)
 	}
-	if evs, err := p.ChangesSince(floor, 0); err != nil || len(evs) != 0 {
+	if evs, err := p.Registry.ChangesSince(floor, 0); err != nil || len(evs) != 0 {
 		t.Fatalf("ChangesSince(floor) = %d events, err %v; want empty, nil", len(evs), err)
 	}
 }

@@ -29,7 +29,10 @@
 // and must never be exposed publicly — bind it to loopback or a
 // management network.
 //
-// Every mutation is sequenced into a change stream. /changes tails it:
+// Every mutation is sequenced into the registry's one change stream —
+// in memory, with -data-dir and with -upstreams alike, sized by
+// -change-buffer — and the server serves it through the same registry
+// handle that answers queries. /changes tails it:
 // pass the sequence you hold (mutation responses, /stats, and
 // /snapshot all report one) and receive everything after it, long-
 // polling up to wait when the stream is quiet; a 410 means the range
@@ -122,7 +125,7 @@ func run(args []string) (err error) {
 		flushEvery   = fs.Duration("flush-interval", 0, "WAL group-commit window (0 = 50ms; with -data-dir)")
 		compactBytes = fs.Int64("compact-wal-bytes", 0, "also compact when the active WAL exceeds this many bytes (0 = default, negative = timer only; with -data-dir)")
 		compactRecs  = fs.Int64("compact-wal-records", 0, "also compact when the active WAL exceeds this many records (0 = default, negative = timer only; with -data-dir)")
-		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory (with -upstreams, the replica's ring)")
+		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory (0 = default; with -upstreams, the replica's ring)")
 		upstreams    = fs.String("upstreams", "", "comma-separated ordered list of upstream ncserve URLs to replicate from; the first is preferred, the rest are failover targets")
 		maxLag       = fs.Uint64("max-lag", 0, "follower readiness bound: /healthz answers 503 when replication lag exceeds this many events (0 = default)")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address; bind to loopback only — this listener must never be exposed publicly")
@@ -161,7 +164,6 @@ func run(args []string) (err error) {
 		}
 		defer follower.Close()
 		srvCfg.Registry = follower.Registry
-		srvCfg.Source = follower
 		srvCfg.Follower = follower
 		st := follower.FollowerStats()
 		fmt.Printf("ncserve following %s (bootstrapped %d entries at seq %d, %d failover targets)\n",
@@ -190,7 +192,6 @@ func run(args []string) (err error) {
 			}
 		}()
 		srvCfg.Registry = pr.Registry
-		srvCfg.Source = pr
 		srvCfg.Persist = pr
 		rec := pr.Recovery()
 		fmt.Printf("ncserve recovered %d entries from %s (snapshot gen %d: %d entries, %d WAL records replayed, %d torn bytes dropped, stream seq %d)\n",
@@ -202,7 +203,6 @@ func run(args []string) (err error) {
 		}
 		defer reg.Close()
 		srvCfg.Registry = reg
-		srvCfg.Source = reg
 	}
 
 	if *debugAddr != "" {

@@ -158,33 +158,41 @@ func parseFilter(spec string) (filter.Factory, error) {
 	}
 }
 
+// defaultThreshold is a policy's paper default threshold — the value
+// netcoord picks for the same policy — and 0 for direct, which has none.
+func defaultThreshold(spec string) float64 {
+	switch spec {
+	case "energy":
+		return heuristic.DefaultEnergyTau
+	case "relative":
+		return heuristic.DefaultRelativeEpsilon
+	case "system", "application", "centroid":
+		return heuristic.DefaultThresholdTau
+	default:
+		return 0
+	}
+}
+
 // parsePolicy builds a policy factory from its CLI spec.
+// A threshold of 0 means the policy's paper default (defaultThreshold).
 func parsePolicy(spec string, window int, threshold float64) (sim.PolicyFactory, error) {
-	def := func(v float64) float64 {
-		if threshold != 0 {
-			return threshold
-		}
-		return v
+	if threshold == 0 {
+		threshold = defaultThreshold(spec)
 	}
 	switch spec {
 	case "direct":
 		return func(dim int) (heuristic.Policy, error) { return heuristic.NewDirect(dim) }, nil
 	case "energy":
-		tau := def(heuristic.DefaultEnergyTau)
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewEnergy(dim, window, tau) }, nil
+		return func(dim int) (heuristic.Policy, error) { return heuristic.NewEnergy(dim, window, threshold) }, nil
 	case "relative":
-		eps := def(heuristic.DefaultRelativeEpsilon)
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewRelative(dim, window, eps) }, nil
+		return func(dim int) (heuristic.Policy, error) { return heuristic.NewRelative(dim, window, threshold) }, nil
 	case "system":
-		tau := def(16)
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewSystem(dim, tau) }, nil
+		return func(dim int) (heuristic.Policy, error) { return heuristic.NewSystem(dim, threshold) }, nil
 	case "application":
-		tau := def(16)
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewApplication(dim, tau) }, nil
+		return func(dim int) (heuristic.Policy, error) { return heuristic.NewApplication(dim, threshold) }, nil
 	case "centroid":
-		tau := def(16)
 		return func(dim int) (heuristic.Policy, error) {
-			return heuristic.NewApplicationCentroid(dim, window, tau)
+			return heuristic.NewApplicationCentroid(dim, window, threshold)
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", spec)

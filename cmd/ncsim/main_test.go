@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"netcoord"
 	"netcoord/internal/heuristic"
 )
 
@@ -108,5 +109,58 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	// The engine-selecting flag is gone, not ignored.
 	if err := run([]string{"-parallel", "1", "-nodes", "12", "-seconds", "180"}); err == nil {
 		t.Fatal("-parallel still parses")
+	}
+}
+
+// TestDefaultThresholdMatchesLibrary: every -policy run with -threshold
+// 0 uses the threshold netcoord resolves for the same policy. Simulate
+// is bit-identical for equal configurations, so a run with the library
+// default (Threshold 0) must equal one with ncsim's default spelled out
+// — and differ from one with another threshold, or the check proves
+// nothing.
+func TestDefaultThresholdMatchesLibrary(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		kind netcoord.PolicyKind
+	}{
+		{"direct", netcoord.PolicyDirect},
+		{"energy", netcoord.PolicyEnergy},
+		{"relative", netcoord.PolicyRelative},
+		{"system", netcoord.PolicySystem},
+		{"application", netcoord.PolicyApplication},
+		{"centroid", netcoord.PolicyApplicationCentroid},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			if _, err := parsePolicy(tc.spec, heuristic.DefaultWindow, 0); err != nil {
+				t.Fatalf("parsePolicy(%q): %v", tc.spec, err)
+			}
+			run := func(threshold float64) netcoord.SimulationResult {
+				t.Helper()
+				res, err := netcoord.Simulate(netcoord.SimulationConfig{
+					Nodes:   16,
+					Seconds: 300,
+					Seed:    1,
+					Client:  netcoord.Config{Policy: tc.kind, Threshold: threshold},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			tau := defaultThreshold(tc.spec)
+			if tc.kind == netcoord.PolicyDirect {
+				if tau != 0 {
+					t.Fatalf("direct has no threshold, ncsim defaults it to %v", tau)
+				}
+				return
+			}
+			lib := run(0)
+			if got := run(tau); got != lib {
+				t.Fatalf("ncsim's default %v: %+v; netcoord's default: %+v", tau, got, lib)
+			}
+			if run(tau/4) == lib {
+				t.Fatalf("a quarter of the threshold changes nothing; the run cannot tell thresholds apart")
+			}
+		})
 	}
 }

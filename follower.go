@@ -55,11 +55,11 @@ type FollowerConfig struct {
 	// Registry configures the local replica. TTL and JanitorInterval
 	// are ignored (forced off): evictions are the leader's decision and
 	// arrive through the stream — a follower evicting on its own clock
-	// would diverge. ChangeStreamBuffer sizes the replica's ring
-	// (0 = DefaultChangeStreamBuffer): its one feed carries every applied
-	// event under the leader's own sequence number, so it re-serves
-	// /changes, /watch, and /snapshot in the leader's sequence space and
-	// replicas chain into fan-out tiers.
+	// would diverge. ChangeStreamBuffer sizes the replica's ring, as it
+	// does any registry's: its one feed carries every applied event under
+	// the leader's own sequence number, so it re-serves /changes, /watch,
+	// and /snapshot in the leader's sequence space and replicas chain into
+	// fan-out tiers.
 	Registry RegistryConfig
 	// WaitTimeout is the long-poll window handed to the leader's
 	// /changes endpoint; the tail loop blocks server-side up to this
@@ -178,7 +178,7 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // replica's staleness honestly so callers can decide how much to trust
 // a read.
 //
-// A follower is a ChangeSource with no code of its own: the embedded
+// A follower serves its stream with no code of its own: the embedded
 // Registry's feed IS the relayed stream. Each upstream event is applied
 // through the registry's one apply path — the leader's — which changes
 // entries, index and stream in one hold of the write lock, publishing
@@ -244,15 +244,12 @@ type FollowerRegistry struct {
 }
 
 // newReplicaRegistry builds the registry a follower embeds: read-only
-// until promoted, no TTL (evictions are the leader's decision and
-// arrive through the stream), and always with a change stream — the
-// replica's one feed, which carries the leader's sequence space.
+// until promoted, and no TTL (evictions are the leader's decision and
+// arrive through the stream). Its one feed carries the leader's
+// sequence space.
 func newReplicaRegistry(cfg RegistryConfig) (*Registry, error) {
 	cfg.TTL = 0
 	cfg.JanitorInterval = 0
-	if cfg.ChangeStreamBuffer <= 0 {
-		cfg.ChangeStreamBuffer = DefaultChangeStreamBuffer
-	}
 	reg, err := NewRegistry(cfg)
 	if err != nil {
 		return nil, err

@@ -43,6 +43,10 @@ const (
 	// DefaultRelativeEpsilon is the most conservative RELATIVE threshold
 	// that still grants a stability increase (Figure 8).
 	DefaultRelativeEpsilon = 0.3
+	// DefaultThresholdTau is the threshold of the windowless policies —
+	// System, Application and the ApplicationCentroid hybrid: Figure 10's
+	// only workable setting.
+	DefaultThresholdTau = 16.0
 )
 
 // ErrDimension is returned when an observation's dimension does not match

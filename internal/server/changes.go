@@ -58,7 +58,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, req *http.Request) {
 	frames := wantsFrames(req)
 	deadline := time.Now().Add(wait)
 	for {
-		evs, err := s.source.ChangesSince(since, limit)
+		evs, err := s.reg.ChangesSince(since, limit)
 		if errors.Is(err, netcoord.ErrChangeHistoryTruncated) {
 			writeError(w, http.StatusGone, fmt.Errorf("%v; %v", err, errGone))
 			return
@@ -81,7 +81,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, req *http.Request) {
 			// epoch is the body-level fencing signal: a client polling a
 			// deposed leader detects the stale epoch here (as followers do
 			// in the frame batch header) even when the batch is empty.
-			writeJSON(w, http.StatusOK, map[string]any{"seq": s.source.ChangeSeq(), "epoch": s.source.ChangeEpoch(), "events": evs})
+			writeJSON(w, http.StatusOK, map[string]any{"seq": s.reg.ChangeSeq(), "epoch": s.reg.ChangeEpoch(), "events": evs})
 			return
 		}
 	}
@@ -103,7 +103,7 @@ func wantsFrames(req *http.Request) bool {
 // back from the WAL — so this handler concatenates bytes and the body
 // for a seq range is the same at every tier.
 func (s *Server) writeFrameBatch(w http.ResponseWriter, evs []netcoord.ChangeEvent) {
-	hdr := wire.BatchHeader{Seq: s.source.ChangeSeq(), Epoch: s.source.ChangeEpoch(), Count: uint64(len(evs))}
+	hdr := wire.BatchHeader{Seq: s.reg.ChangeSeq(), Epoch: s.reg.ChangeEpoch(), Count: uint64(len(evs))}
 	buf := wire.AppendBatchHeader(make([]byte, 0, 64+96*len(evs)), hdr)
 	var err error
 	for i := range evs {
@@ -135,12 +135,12 @@ func (s *Server) waitForChange(req *http.Request, since uint64, deadline time.Ti
 		// Re-check after grabbing the channel: an event published
 		// between the caller's empty read and this park broadcast on a
 		// channel nobody held — the seq check is what can't miss it.
-		if s.source.ChangeSeq() > since {
+		if s.reg.ChangeSeq() > since {
 			return true
 		}
 		select {
 		case <-ch:
-			if s.source.ChangeSeq() > since {
+			if s.reg.ChangeSeq() > since {
 				return true
 			}
 		case <-timer.C:

@@ -72,9 +72,7 @@ func TestKillTheLeaderE2E(t *testing.T) {
 		target = seedN + phaseA + phaseB + phaseC
 	)
 
-	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 
 	// Topology, every replication edge through a fault proxy:
 	//

@@ -80,7 +80,7 @@ func (s *Server) applyUpsert(w http.ResponseWriter, batch []netcoord.RegistryEnt
 	// subsequent mutation with no read-then-subscribe race. epoch lets
 	// the writer prove it talked to the fenced-in leader, not a deposed
 	// one still answering.
-	entries, seq, epoch := s.reg.Len(), s.source.ChangeSeq(), s.source.ChangeEpoch()
+	entries, seq, epoch := s.reg.Len(), s.reg.ChangeSeq(), s.reg.ChangeEpoch()
 	var degraded error
 	if s.persist != nil {
 		degraded = s.persist.Err()
@@ -133,7 +133,7 @@ func (s *Server) handleRemove(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("no id in request"))
 		return
 	}
-	resp := map[string]any{"removed": s.reg.Remove(body.ID), "seq": s.source.ChangeSeq(), "epoch": s.source.ChangeEpoch()}
+	resp := map[string]any{"removed": s.reg.Remove(body.ID), "seq": s.reg.ChangeSeq(), "epoch": s.reg.ChangeEpoch()}
 	s.flagDegraded(resp)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -166,7 +166,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
 			"promoted": true,
 			"already":  already,
 			"epoch":    epoch,
-			"seq":      s.source.ChangeSeq(),
+			"seq":      s.reg.ChangeSeq(),
 		})
 	case s.persist != nil:
 		epoch, err := s.persist.Fence()
@@ -178,7 +178,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
 			"promoted": true,
 			"fenced":   true,
 			"epoch":    epoch,
-			"seq":      s.source.ChangeSeq(),
+			"seq":      s.reg.ChangeSeq(),
 		})
 	default:
 		writeError(w, http.StatusConflict, errors.New("already the leader (in-memory registry; nothing to promote)"))
@@ -378,9 +378,9 @@ func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 	body := map[string]any{
 		"registry":       s.reg.Stats(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
-		"change_stream":  s.source.ChangeStreamStats(),
-		"seq":            s.source.ChangeSeq(),
-		"epoch":          s.source.ChangeEpoch(),
+		"change_stream":  s.reg.ChangeStreamStats(),
+		"seq":            s.reg.ChangeSeq(),
+		"epoch":          s.reg.ChangeEpoch(),
 		"watch_hub":      s.hub.Stats(),
 	}
 	if s.follower != nil {

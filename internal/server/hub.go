@@ -91,7 +91,7 @@ const maxGridLevel = 40
 // re-read the stream themselves. Parking and waking is a channel
 // receive; an idle poll attaches nothing to the feed.
 type WatchHub struct {
-	source   netcoord.ChangeSource
+	reg      *netcoord.Registry
 	shutdown <-chan struct{}
 
 	// processed is the last drained sequence; watchers compare it to
@@ -113,7 +113,6 @@ type WatchHub struct {
 	deliverLag   *telemetry.Histogram
 
 	mu        sync.Mutex
-	disabled  bool
 	changed   chan struct{} // closed and replaced when the stream may have moved
 	parked    bool          // someone holds changed since it was last replaced
 	watchers  map[*HubWatcher]struct{}
@@ -126,8 +125,6 @@ type WatchHub struct {
 
 // WatchHubStats is the hub's operational snapshot, served in /stats.
 type WatchHubStats struct {
-	// Enabled is false when the underlying change stream is disabled.
-	Enabled bool `json:"enabled"`
 	// Watchers is the live watcher count; Cells the registrations in
 	// the spatial damage map across Levels occupied grid levels.
 	Watchers int `json:"watchers"`
@@ -199,9 +196,9 @@ type cellKey struct {
 	x, y, z int32
 }
 
-func newWatchHub(source netcoord.ChangeSource, shutdown <-chan struct{}) *WatchHub {
+func newWatchHub(reg *netcoord.Registry, shutdown <-chan struct{}) *WatchHub {
 	h := &WatchHub{
-		source:    source,
+		reg:       reg,
 		shutdown:  shutdown,
 		watchers:  make(map[*HubWatcher]struct{}),
 		byID:      make(map[string]map[*HubWatcher]struct{}),
@@ -214,13 +211,9 @@ func newWatchHub(source netcoord.ChangeSource, shutdown <-chan struct{}) *WatchH
 		recomputeLat: telemetry.NewHistogram(),
 		deliverLag:   telemetry.NewHistogram(),
 	}
-	// Subscribe synchronously so Watch can report a disabled stream
-	// rather than racing the drain goroutine's first attach.
-	sub, err := source.SubscribeChanges(hubSubBuffer)
-	if err != nil {
-		h.disabled = true
-		return h
-	}
+	// Subscribe synchronously: the first watcher joins at the stream
+	// position the drain starts from.
+	sub := reg.SubscribeChanges(hubSubBuffer)
 	h.processed.Store(sub.JoinSeq())
 	go h.run(sub)
 	return h
@@ -257,14 +250,7 @@ func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 				return
 			case <-time.After(delay):
 			}
-			var err error
-			sub, err = h.source.SubscribeChanges(hubSubBuffer)
-			if err != nil {
-				h.mu.Lock()
-				h.disabled = true
-				h.mu.Unlock()
-				return
-			}
+			sub = h.reg.SubscribeChanges(hubSubBuffer)
 			sawEvent = false
 			droppedSeen = 0
 			h.mu.Lock()
@@ -307,7 +293,7 @@ func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 			if d := sub.Dropped(); d > droppedSeen {
 				h.dropped.Add(d - droppedSeen)
 				droppedSeen = d
-				seqNow := h.source.ChangeSeq()
+				seqNow := h.reg.ChangeSeq()
 				h.mu.Lock()
 				if seqNow > h.processed.Load() {
 					h.processed.Store(seqNow)
@@ -475,12 +461,9 @@ func (h *WatchHub) Processed() uint64 {
 // "immature": damaged by every event, because nothing is known about
 // what could affect it — which is exactly what closes the gap between
 // registration and the handler's initial query.
-func (h *WatchHub) Watch(watchID string) (*HubWatcher, error) {
+func (h *WatchHub) Watch(watchID string) *HubWatcher {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.disabled {
-		return nil, errStreamUnavailable
-	}
 	w := &HubWatcher{
 		notify:   make(chan struct{}, 1),
 		watchID:  watchID,
@@ -493,7 +476,7 @@ func (h *WatchHub) Watch(watchID string) (*HubWatcher, error) {
 		h.addByIDLocked(watchID, w)
 	}
 	w.joinSeq = h.processed.Load()
-	return w, nil
+	return w
 }
 
 // SetInterest installs what the watcher now cares about — the origin
@@ -620,7 +603,6 @@ func (h *WatchHub) Stats() WatchHubStats {
 		cells += n
 	}
 	return WatchHubStats{
-		Enabled:             !h.disabled,
 		Watchers:            len(h.watchers),
 		Cells:               cells,
 		Levels:              len(h.levels),

@@ -51,10 +51,7 @@ func BenchmarkWatchHub(b *testing.B) {
 			// Each watcher runs the handler loop: park on damage,
 			// recompute, reinstall interest.
 			for i := 0; i < watchers; i++ {
-				w, err := hub.Watch("")
-				if err != nil {
-					b.Fatal(err)
-				}
+				w := hub.Watch("")
 				origin := c3(rng.Float64()*512, rng.Float64()*512, rng.Float64()*512)
 				hubSync(b, hub, w, reg, origin, 4)
 				go func(w *HubWatcher, origin netcoord.Coordinate) {

@@ -61,15 +61,9 @@ func TestWatchHubRoutesDamagePrecisely(t *testing.T) {
 
 	// Watcher near the origin (top-2 = n00, n01, kth = 10) and one far
 	// away (top-2 = n19, n18 around x=190).
-	near, err := hub.Watch("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	near := hub.Watch("")
 	defer hub.Detach(near)
-	far, err := hub.Watch("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	far := hub.Watch("")
 	defer hub.Detach(far)
 	hubSync(t, hub, near, reg, c3(0, 0, 0), 2)
 	hubSync(t, hub, far, reg, c3(190, 0, 0), 2)
@@ -146,10 +140,7 @@ func TestWatchHubSkipsEventsBehindAReconcileJump(t *testing.T) {
 	shutdown := make(chan struct{})
 	defer close(shutdown)
 	hub := newWatchHub(reg, shutdown)
-	w, err := hub.Watch("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := hub.Watch("")
 	defer hub.Detach(w)
 	hubSync(t, hub, w, reg, c3(0, 0, 0), 2)
 
@@ -202,10 +193,7 @@ func TestWatchHubStressRace(t *testing.T) {
 	// — the hub's 4096-slot buffer usually keeps it ahead of the storm,
 	// with no overflow→resync round to damage-all — so this is what pins
 	// the damage path as exercised.
-	idle, err := hub.Watch("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	idle := hub.Watch("")
 
 	const (
 		watcherGoroutines = 8
@@ -252,11 +240,7 @@ func TestWatchHubStressRace(t *testing.T) {
 					default:
 					}
 				}
-				w, err := hub.Watch("")
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				w := hub.Watch("")
 				origin := c3(rng.Float64()*120, rng.Float64()*60, rng.Float64()*25)
 				k := 1 + rng.Intn(6)
 				hubSync(t, hub, w, reg, origin, k)
@@ -306,10 +290,7 @@ func TestWatchHubStressRace(t *testing.T) {
 	// the registry's truth, and the damage map is empty once they
 	// detach.
 	for i := 0; i < 32; i++ {
-		w, err := hub.Watch("")
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := hub.Watch("")
 		origin := c3(float64(i*3), float64(i%5)*7, 0)
 		got := hubSync(t, hub, w, reg, origin, 4)
 		want, err := reg.Nearest(origin, 4)

@@ -144,7 +144,7 @@ func (s *Server) registerCollectors() {
 
 	// Change stream (the registry's one feed, on a leader and a follower alike).
 	cs := func(f func(netcoord.ChangeStreamStats) float64) func() float64 {
-		return func() float64 { return f(s.source.ChangeStreamStats()) }
+		return func() float64 { return f(s.reg.ChangeStreamStats()) }
 	}
 	reg.GaugeFunc("netcoord_changefeed_seq",
 		"Last assigned change-stream sequence number.", nil,
@@ -154,16 +154,16 @@ func (s *Server) registerCollectors() {
 		cs(func(st netcoord.ChangeStreamStats) float64 { return float64(st.Epoch) }))
 	reg.CounterFunc("netcoord_changefeed_rejected_stale_epoch_total",
 		"Events refused by this process's feed because they carried a stale fencing epoch.", nil,
-		func() uint64 { return s.source.ChangeStreamStats().RejectedStaleEpoch })
+		func() uint64 { return s.reg.ChangeStreamStats().RejectedStaleEpoch })
 	reg.CounterFunc("netcoord_changefeed_published_total",
 		"Change events published by this process (relayed events included on a follower).", nil,
-		func() uint64 { return s.source.ChangeStreamStats().Published })
+		func() uint64 { return s.reg.ChangeStreamStats().Published })
 	reg.GaugeFunc("netcoord_changefeed_subscribers",
 		"Live change-stream subscriptions.", nil,
 		cs(func(st netcoord.ChangeStreamStats) float64 { return float64(st.Subscribers) }))
 	reg.CounterFunc("netcoord_changefeed_overflows_total",
 		"Events dropped across all subscribers because their buffers were full.", nil,
-		func() uint64 { return s.source.ChangeStreamStats().Overflows })
+		func() uint64 { return s.reg.ChangeStreamStats().Overflows })
 	reg.CounterFunc("netcoord_changefeed_frames_served_total",
 		"Change events answered in the binary frame encoding on /changes.", nil,
 		func() uint64 { return s.framesServed.Load() })
@@ -218,7 +218,7 @@ func (s *Server) registerCollectors() {
 			"Stream events applied since start.", nil,
 			func() uint64 { return f.FollowerStats().EventsApplied })
 		reg.CounterFunc("netcoord_follower_frames_received_total",
-			"Events that arrived in the binary frame encoding (zero when the upstream serves JSON).", nil,
+			"Change frames decoded from upstream /changes batches, applied or not (replication speaks only frames).", nil,
 			func() uint64 { return f.FollowerStats().FramesReceived })
 		reg.CounterFunc("netcoord_follower_bootstraps_total",
 			"Snapshot bootstraps (initial plus one per stream truncation).", nil,
@@ -325,7 +325,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	body := map[string]any{"role": "leader", "status": "ok", "epoch": s.source.ChangeEpoch()}
+	body := map[string]any{"role": "leader", "status": "ok", "epoch": s.reg.ChangeEpoch()}
 	if s.follower != nil {
 		// A promoted follower reports as leader, flagged so an operator
 		// can tell a born leader from a failover survivor.

@@ -17,7 +17,7 @@ import (
 // dense run of events at a time, so a snapshot pair taken at seq can be
 // held to "exactly the stream's state at seq".
 type streamReplay struct {
-	src     netcoord.ChangeSource
+	src     *netcoord.Registry
 	seq     uint64
 	state   map[string]netcoord.RegistryEntry
 	removes []netcoord.ChangeEvent // remove and evict events, in order
@@ -118,6 +118,28 @@ func (r *streamReplay) checkRemoved(what string, removed []string, since, seq ui
 	return nil
 }
 
+// TestEveryRegistryServesItsStream: a registry built from a zero
+// RegistryConfig serves the whole stream surface through the server's
+// one handle — there is no stream-disabled mode to fall into.
+func TestEveryRegistryServesItsStream(t *testing.T) {
+	ts, _ := newTestServiceReg(t, netcoord.RegistryConfig{})
+	for i := 0; i < 3; i++ {
+		if code, out := postJSON(t, ts.URL+"/upsert", fmt.Sprintf(`{"id":"n%d","coord":{"vec":[%d,0,0]}}`, i, i)); code != http.StatusOK {
+			t.Fatalf("upsert %d: %d %v", i, code, out)
+		}
+	}
+	code, out := getJSON(t, ts.URL+"/changes?since=0")
+	if evs, _ := out["events"].([]any); code != http.StatusOK || len(evs) != 3 || out["seq"] != 3.0 {
+		t.Fatalf("/changes?since=0: %d %v; want 200 with 3 events at seq 3", code, out)
+	}
+	openWatch(t, ts.URL, "vec=0,0,0&k=2") // fails unless the first frame is a snapshot
+	for _, path := range []string{"/snapshot", "/stats"} {
+		if code, out := getJSON(t, ts.URL+path); code != http.StatusOK || out["seq"] != 3.0 {
+			t.Fatalf("%s: %d, seq %v; want 200 at seq 3", path, code, out["seq"])
+		}
+	}
+}
+
 // TestSnapshotPairIsExact: under a writer storm, SnapshotWithSeq and
 // DeltaSince on the leader and on a live follower return the stream's
 // state at exactly the seq they return — no entry newer than it, none
@@ -142,8 +164,8 @@ func TestSnapshotPairIsExact(t *testing.T) {
 	var readers sync.WaitGroup
 	for _, tier := range []struct {
 		name string
-		src  netcoord.ChangeSource
-	}{{"leader", leader}, {"follower", f}} {
+		src  *netcoord.Registry
+	}{{"leader", leader}, {"follower", f.Registry}} {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -199,7 +221,7 @@ func TestSnapshotPairIsExact(t *testing.T) {
 // numbered into the leader's sequence space — and nothing about it
 // moves; after Promote the next local write is seq+1 under epoch+1.
 func TestReplicaRefusesLocalWrites(t *testing.T) {
-	leaderTS, leader := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer})
+	leaderTS, leader := newTestServiceReg(t, netcoord.RegistryConfig{})
 	postJSON(t, leaderTS.URL+"/upsert", `{"entries":[
 		{"id":"a","coord":{"vec":[1,0,0]}},
 		{"id":"b","coord":{"vec":[2,0,0]}}]}`)
@@ -211,10 +233,7 @@ func TestReplicaRefusesLocalWrites(t *testing.T) {
 
 	seq, epoch, n := f.ChangeSeq(), f.ChangeEpoch(), f.Len()
 	published := f.ChangeStreamStats().Published
-	sub, err := f.SubscribeChanges(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := f.SubscribeChanges(8)
 	defer sub.Close()
 	untouched := func(after string) {
 		t.Helper()

@@ -152,18 +152,19 @@ func BenchmarkServeNearestBatch(b *testing.B) {
 
 // BenchmarkServeUpsert is POST /upsert in process, through ServeHTTP —
 // body read, decode, UpsertBatch, ack — with no socket, in the load
-// generator's two body shapes:
+// generator's two body shapes, each applied through the change stream
+// as on ncserve (one frame encoded per entry):
 //   - batch=4000: its set-up body of 4000 entries, into a registry that
 //     grows to 100k over 25 of them and then starts again empty (untimed).
 //     Per-op numbers are one body's: allocs/op ÷ 4000 is per entry.
-//   - one: write-replicate's single-entry body against 100k entries with
-//     the change stream on, nine heartbeats to every move; the moved
-//     entries go back and forth between two spots.
+//   - one: write-replicate's single-entry body against 100k entries,
+//     nine heartbeats to every move; the moved entries go back and forth
+//     between two spots.
 func BenchmarkServeUpsert(b *testing.B) {
 	const n, chunk = 100_000, 4000
 	entries, point := benchEntries(n)
-	newServer := func(cfg netcoord.RegistryConfig) (*netcoord.Registry, *Server) {
-		reg, err := netcoord.NewRegistry(cfg)
+	newServer := func() (*netcoord.Registry, *Server) {
+		reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,14 +196,14 @@ func BenchmarkServeUpsert(b *testing.B) {
 			if i%len(bodies) == 0 {
 				b.StopTimer()
 				stop()
-				reg, srv = newServer(netcoord.RegistryConfig{})
+				reg, srv = newServer()
 				b.StartTimer()
 			}
 			return srv
 		})
 	})
 	b.Run("one", func(b *testing.B) {
-		reg, srv := newServer(netcoord.RegistryConfig{ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer})
+		reg, srv := newServer()
 		b.Cleanup(func() { srv.Stop(); reg.Close() })
 		if err := reg.UpsertBatch(entries); err != nil {
 			b.Fatal(err)

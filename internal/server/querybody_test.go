@@ -309,7 +309,7 @@ func TestUpsertAckMatchesStdlib(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	srv := New(Config{Registry: pr.Registry, Source: pr, Persist: pr})
+	srv := New(Config{Registry: pr.Registry, Persist: pr})
 	defer srv.Stop()
 	if rec := serveUpsert(srv, []byte(`{"id":"a","coord":{"vec":[1,2,3]}}`)); rec.Code != http.StatusOK {
 		t.Fatalf("upsert: %d %s", rec.Code, rec.Body.Bytes())

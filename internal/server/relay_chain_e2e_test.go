@@ -43,7 +43,7 @@ func TestRelayChainE2E(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenPersistentRegistry: %v", err)
 		}
-		srv := New(Config{Registry: pr.Registry, Source: pr, Persist: pr})
+		srv := New(Config{Registry: pr.Registry, Persist: pr})
 		ts := httptest.NewServer(srv)
 		return pr, ts, func() {
 			ts.Close()

@@ -60,9 +60,7 @@ func tailAll(t *testing.T, base string, since, until uint64) []string {
 // payloads, byte for byte — the property that makes replica tiers
 // transparent to stream consumers.
 func TestFollowerChangesBitIdenticalToLeader(t *testing.T) {
-	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	for i := 0; i < 40; i++ {
 		postJSON(t, leaderTS.URL+"/upsert", fmt.Sprintf(`{"id":"seed%02d","coord":{"vec":[%d,0,0]},"error":0.1}`, i, i))
 	}
@@ -138,9 +136,7 @@ func openWatch(t *testing.T, base, params string) (*sseReader, sseEvent) {
 // identical, because the follower re-serves the watch in the leader's
 // sequence space.
 func TestFollowerWatchBitIdenticalToLeader(t *testing.T) {
-	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	postJSON(t, leaderTS.URL+"/upsert", `{"entries":[
 		{"id":"a","coord":{"vec":[1,0,0]}},
 		{"id":"b","coord":{"vec":[2,0,0]}},

@@ -40,7 +40,7 @@ func TestChunkedEvictionIsDistinctEventsEverywhere(t *testing.T) {
 			leader.Close()
 		}
 	}()
-	srv := New(Config{Registry: leader.Registry, Source: leader, Persist: leader})
+	srv := New(Config{Registry: leader.Registry, Persist: leader})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -129,7 +129,7 @@ func (u *jsonOnlyUpstream) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // type it sent, the follower rotates to the next upstream at once, and
 // nothing out of the JSON body is applied.
 func TestFollowerRefusesJSONUpstream(t *testing.T) {
-	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer})
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	for i := 0; i < 10; i++ {
 		postJSON(t, leaderTS.URL+"/upsert", fmt.Sprintf(`{"id":"n%02d","coord":{"vec":[%d,0,0]}}`, i, i))
 	}

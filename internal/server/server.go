@@ -2,14 +2,16 @@
 // snapshot, and stream (long-poll + SSE) handlers, extracted from the
 // binary so every registry flavor shares one implementation.
 //
-// The stream surface — /snapshot, /changes, /watch — is written against
-// netcoord.ChangeSource, not a concrete registry type. That seam is
-// what makes replicas first-class serving tiers: a *FollowerRegistry's
-// one feed carries its leader's stream in the leader's own sequence
-// space, so a Server wrapped around a follower re-serves all three
-// endpoints with sequence numbers (and exact snapshot pairs) identical
-// to the leader's, and watcher/tail fan-out distributes across a
-// replica tree instead of concentrating on the leader.
+// One registry, one stream, one handle: every flavor embeds a
+// *netcoord.Registry, every registry has exactly one change stream, and
+// the Server serves queries, mutations and the stream surface —
+// /snapshot, /changes, /watch — through that one handle. A persistent
+// registry's ChangesSince reaches back into its WAL by itself, and a
+// *FollowerRegistry's feed carries its leader's stream in the leader's
+// own sequence space, so a Server wrapped around a follower re-serves
+// all three endpoints with sequence numbers (and exact snapshot pairs)
+// identical to the leader's, and watcher/tail fan-out distributes
+// across a replica tree instead of concentrating on the leader.
 //
 // Live distribution is one drain per server: a single change-stream
 // subscription feeds the WatchHub, whose spatial damage map routes each
@@ -21,7 +23,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -36,15 +37,17 @@ import (
 
 // Config assembles a Server around a registry.
 type Config struct {
-	// Registry answers queries (Nearest, Estimate, ...) and applies
-	// mutations. Every flavor embeds one: pass pr.Registry or
+	// Registry answers queries (Nearest, Estimate, ...), applies
+	// mutations and serves the change stream (/snapshot, /changes,
+	// /watch). Every flavor embeds one: pass pr.Registry or
 	// follower.Registry for the persistent and replica variants.
 	Registry *netcoord.Registry
-	// Source serves the stream surface (/snapshot, /changes, /watch).
-	// Pass the widest implementation available: the PersistentRegistry
-	// (WAL-deep history), the FollowerRegistry (leader sequence space),
-	// or the Registry itself.
-	Source netcoord.ChangeSource
+	// Source is ignored: Registry serves the stream surface itself, a
+	// persistent one with WAL-deep history.
+	//
+	// Deprecated: the field stays only because bench/ncload still sets
+	// it; it goes when a benchmark issue stops doing so.
+	Source any
 	// Persist, when the registry is disk-backed, adds recovery/WAL
 	// counters to /stats and the persistence-degraded flag to mutation
 	// responses.
@@ -68,14 +71,13 @@ type Config struct {
 // Config.MaxLag is zero.
 const DefaultMaxLag = 4096
 
-// Server wires a Registry and a ChangeSource to the HTTP surface.
+// Server wires a Registry to the HTTP surface.
 // Create with New, serve it (it is an http.Handler), and call Stop
 // before shutting the http.Server down — Stop wakes the long-lived
 // /watch and /changes handlers, which http.Server.Shutdown alone would
 // wait on forever.
 type Server struct {
 	reg      *netcoord.Registry
-	source   netcoord.ChangeSource
 	persist  *netcoord.PersistentRegistry
 	follower *netcoord.FollowerRegistry
 	started  time.Time
@@ -103,10 +105,6 @@ func New(cfg Config) *Server {
 	if maxBody <= 0 {
 		maxBody = 1 << 20
 	}
-	source := cfg.Source
-	if source == nil {
-		source = cfg.Registry
-	}
 	maxLag := cfg.MaxLag
 	if maxLag == 0 {
 		maxLag = DefaultMaxLag
@@ -117,7 +115,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		reg:      cfg.Registry,
-		source:   source,
 		persist:  cfg.Persist,
 		follower: cfg.Follower,
 		started:  time.Now(),
@@ -127,7 +124,7 @@ func New(cfg Config) *Server {
 		met:      newServerMetrics(metrics),
 		shutdown: make(chan struct{}),
 	}
-	s.hub = newWatchHub(source, s.shutdown)
+	s.hub = newWatchHub(cfg.Registry, s.shutdown)
 	s.registerCollectors()
 	s.mux.HandleFunc("POST /upsert", s.instrument("/upsert", s.leaderOnly(s.handleUpsert)))
 	s.mux.HandleFunc("POST /remove", s.instrument("/remove", s.leaderOnly(s.handleRemove)))
@@ -247,7 +244,3 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
-
-// errStreamUnavailable is served when a stream endpoint is hit on a
-// registry whose change stream is disabled.
-var errStreamUnavailable = errors.New("change stream disabled on this registry")

@@ -14,9 +14,7 @@ import (
 )
 
 func newTestService(t *testing.T) *httptest.Server {
-	ts, _ := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	ts, _ := newTestServiceReg(t, netcoord.RegistryConfig{})
 	return ts
 }
 
@@ -29,7 +27,7 @@ func newTestServiceReg(t *testing.T, cfg netcoord.RegistryConfig) (*httptest.Ser
 		t.Fatal(err)
 	}
 	t.Cleanup(reg.Close)
-	srv := New(Config{Registry: reg, Source: reg})
+	srv := New(Config{Registry: reg})
 	t.Cleanup(srv.Stop)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -39,7 +37,7 @@ func newTestServiceReg(t *testing.T, cfg netcoord.RegistryConfig) (*httptest.Ser
 // newFollowerService serves a follower through the same stack.
 func newFollowerService(t *testing.T, f *netcoord.FollowerRegistry) *httptest.Server {
 	t.Helper()
-	srv := New(Config{Registry: f.Registry, Source: f, Follower: f})
+	srv := New(Config{Registry: f.Registry, Follower: f})
 	t.Cleanup(srv.Stop)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -330,7 +328,7 @@ func TestServiceBodyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	srv := New(Config{Registry: reg, Source: reg, MaxBody: 64})
+	srv := New(Config{Registry: reg, MaxBody: 64})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

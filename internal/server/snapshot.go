@@ -43,13 +43,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
 			return
 		}
-		// The source assembles the triple in one hold of its registry's
-		// read lock (exact, and atomic against a follower's re-bootstrap),
-		// or reports ok=false when only a full snapshot can guarantee
-		// correctness. The client applies
-		// removals before entries, so an id present in both (removed,
-		// then re-upserted) ends live, matching its newest state.
-		if entries, removed, seq, ok := s.source.DeltaSince(since); ok {
+		// The registry assembles the triple in one hold of its read lock
+		// (exact, and atomic against a follower's re-bootstrap), or
+		// reports ok=false when only a full snapshot can guarantee
+		// correctness. The client applies removals before entries, so an
+		// id present in both (removed, then re-upserted) ends live,
+		// matching its newest state.
+		if entries, removed, seq, ok := s.reg.DeltaSince(since); ok {
 			if wantsSnapshotFrames(req) {
 				s.writeSnapshotFrames(w, seq, followerOf, entries, removed, true)
 			} else {
@@ -58,7 +58,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	entries, seq := s.source.SnapshotWithSeq()
+	entries, seq := s.reg.SnapshotWithSeq()
 	if wantsSnapshotFrames(req) {
 		s.writeSnapshotFrames(w, seq, followerOf, entries, nil, false)
 		return
@@ -83,7 +83,7 @@ func wantsSnapshotFrames(req *http.Request) bool {
 func (s *Server) writeSnapshotFrames(w http.ResponseWriter, seq uint64, followerOf string, entries []netcoord.RegistryEntry, removed []string, delta bool) {
 	hdr := wire.SnapshotHeader{
 		Seq:        seq,
-		Epoch:      s.source.ChangeEpoch(),
+		Epoch:      s.reg.ChangeEpoch(),
 		Delta:      delta,
 		FollowerOf: followerOf,
 		Removed:    removed,
@@ -119,7 +119,7 @@ func (s *Server) writeSnapshotBody(w http.ResponseWriter, seq uint64, followerOf
 	// The epoch rides the bootstrap pair: a replica refusing to re-base
 	// onto a deposed leader's snapshot needs the epoch of the state it
 	// is about to adopt.
-	fmt.Fprintf(bw, `{"seq":%d,"epoch":%d`, seq, s.source.ChangeEpoch())
+	fmt.Fprintf(bw, `{"seq":%d,"epoch":%d`, seq, s.reg.ChangeEpoch())
 	if followerOf != "" {
 		quoted, _ := json.Marshal(followerOf)
 		fmt.Fprintf(bw, `,"follower_of":%s`, quoted)

@@ -16,14 +16,12 @@ import (
 // time from `ncserve -upstreams` starting to the replica serving warm
 // reads of a 100k-entry leader.
 func BenchmarkFollowerCatchup(b *testing.B) {
-	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer reg.Close()
-	srv := New(Config{Registry: reg, Source: reg})
+	srv := New(Config{Registry: reg})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

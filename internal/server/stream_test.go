@@ -70,7 +70,7 @@ func TestSnapshotAndChangesEndpoints(t *testing.T) {
 		t.Fatalf("stats seq: %d %v", code, out["seq"])
 	}
 	cs, ok := out["change_stream"].(map[string]any)
-	if !ok || cs["enabled"].(bool) != true || cs["seq"].(float64) != 3 {
+	if _, stale := cs["enabled"]; !ok || stale || cs["seq"].(float64) != 3 {
 		t.Fatalf("stats change_stream = %v", out["change_stream"])
 	}
 
@@ -331,9 +331,7 @@ func TestWatchByIDExcludesSelfAndFollowsMoves(t *testing.T) {
 }
 
 func TestFollowerOfFollowerChains(t *testing.T) {
-	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	for i := 0; i < 10; i++ {
 		postJSON(t, leaderTS.URL+"/upsert", fmt.Sprintf(`{"id":"n%02d","coord":{"vec":[%d,0,0]},"error":0.1}`, i, i))
 	}
@@ -442,9 +440,7 @@ func assertReplicaIdentical(t *testing.T, f *netcoord.FollowerRegistry, leader *
 }
 
 func TestFollowerReplicatesLiveLeader(t *testing.T) {
-	ts, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	ts, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	for i := 0; i < 50; i++ {
 		postJSON(t, ts.URL+"/upsert", fmt.Sprintf(`{"id":"n%02d","coord":{"vec":[%d,0,0]},"error":0.25}`, i, i))
 	}
@@ -518,9 +514,7 @@ func TestFollowerReBootstrapsAfterTruncation(t *testing.T) {
 }
 
 func TestFollowerModeHTTPSurface(t *testing.T) {
-	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	postJSON(t, leaderTS.URL+"/upsert", `{"entries":[
 		{"id":"a","coord":{"vec":[1,0,0]}},
 		{"id":"b","coord":{"vec":[2,0,0]}}]}`)

@@ -66,9 +66,7 @@ func getHealthz(t *testing.T, base string) int {
 // it served. This is the observability contract for the relay tree:
 // every tier can prove how far behind the origin it is running.
 func TestPropagationLagEndToEnd(t *testing.T) {
-	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	postJSON(t, leaderTS.URL+"/upsert", `{"entries":[
 		{"id":"a","coord":{"vec":[1,0,0]}},
 		{"id":"b","coord":{"vec":[2,0,0]}},
@@ -163,9 +161,7 @@ func TestPropagationLagEndToEnd(t *testing.T) {
 // instrument wrapper performs, and that latency/byte instruments fill
 // in for real traffic.
 func TestHTTPMetricsMiddleware(t *testing.T) {
-	ts, _ := newTestServiceReg(t, netcoord.RegistryConfig{
-		ChangeStreamBuffer: netcoord.DefaultChangeStreamBuffer,
-	})
+	ts, _ := newTestServiceReg(t, netcoord.RegistryConfig{})
 	if code, _ := postJSON(t, ts.URL+"/upsert", `{"id":"a","coord":{"vec":[1,0,0]}}`); code != http.StatusOK {
 		t.Fatalf("upsert: %d", code)
 	}

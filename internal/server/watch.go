@@ -96,11 +96,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {
 	// Register with the hub before the initial query: every mutation
 	// routed after this point either lands in the query's read or
 	// damages the (still promiscuous) watcher — no unwatched window.
-	watcher, err := s.hub.Watch(watchID)
-	if err != nil {
-		writeError(w, http.StatusNotImplemented, err)
-		return
-	}
+	watcher := s.hub.Watch(watchID)
 	defer s.hub.Detach(watcher)
 	cur, seq, err := s.syncWatch(watcher, recompute, k)
 	if err != nil {

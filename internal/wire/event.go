@@ -26,10 +26,9 @@ type Entry struct {
 	// and promotion.
 	UpdatedAt time.Time
 	// Seq is the change-stream sequence of the mutation that produced
-	// this entry state (0 with the stream disabled). It is what lets a
-	// delta snapshot answer "every entry changed since sequence N" by
-	// scanning live state, without event history back to N. Replication
-	// and recovery preserve it.
+	// this entry state. It is what lets a delta snapshot answer "every
+	// entry changed since sequence N" by scanning live state, without
+	// event history back to N. Replication and recovery preserve it.
 	Seq uint64
 }
 

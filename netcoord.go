@@ -242,7 +242,7 @@ func resolve(cfg Config) (Config, vivaldi.Config, error) {
 		case PolicyRelative:
 			cfg.Threshold = heuristic.DefaultRelativeEpsilon
 		case PolicySystem, PolicyApplication, PolicyApplicationCentroid:
-			cfg.Threshold = 16 // Figure 10's only workable setting
+			cfg.Threshold = heuristic.DefaultThresholdTau
 		case PolicyDirect:
 			cfg.Threshold = 1 // unused
 		default:

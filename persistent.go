@@ -1,7 +1,6 @@
 package netcoord
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -78,9 +77,11 @@ const compactCheckInterval = time.Second
 // mutations (a graceful Close loses nothing). Coordinate entries are
 // continuously re-published by their nodes, which makes that window an
 // easy trade for mutation paths that never block on the disk.
+//
+// The embedded Registry holds the store, so its own ChangesSince reads
+// history older than the ring back from the WAL.
 type PersistentRegistry struct {
 	*Registry
-	store       *persist.Store
 	interval    time.Duration
 	maxWALBytes int64
 	maxWALRecs  int64
@@ -129,11 +130,7 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	// at the recovered sequence and have its WAL tap before any
 	// background goroutine can mutate — an eviction during recovery would
 	// otherwise be published with a reused sequence, or not logged at all.
-	regCfg := cfg.Registry
-	if regCfg.ChangeStreamBuffer <= 0 {
-		regCfg.ChangeStreamBuffer = DefaultChangeStreamBuffer
-	}
-	reg, err := newRegistry(regCfg)
+	reg, err := newRegistry(cfg.Registry)
 	if err != nil {
 		_ = store.Close()
 		return nil, err
@@ -156,16 +153,17 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	// under the feed lock (hence under the registry's write lock), so
 	// the WAL misses nothing a bounded subscriber could, and cheap,
 	// because Append only enqueues the frame the event already carries —
-	// the store's flusher owns the disk.
+	// the store's flusher owns the disk. It also serves the history
+	// ChangesSince reads past the ring.
 	if floor, tombs := store.RecoveredTombstones(); len(tombs) > 0 || floor > 0 {
 		reg.feed.SeedTombstones(floor, tombs)
 	}
 	reg.feed.Tap(func(ev changefeed.Event) { store.Append(ev.Frame()) })
+	reg.store = store
 	reg.startJanitor()
 
 	p := &PersistentRegistry{
 		Registry:    reg,
-		store:       store,
 		interval:    interval,
 		maxWALBytes: maxWALBytes,
 		maxWALRecs:  maxWALRecs,
@@ -257,29 +255,6 @@ func (p *PersistentRegistry) Fence() (uint64, error) {
 		return epoch, err
 	}
 	return epoch, nil
-}
-
-// ChangesSince returns up to max events with sequence > since, oldest
-// first (max <= 0 means no limit). Unlike the in-memory registry's
-// method, history older than the ring is read back from the WAL on
-// disk — the same events with the same frame bytes the ring held — so
-// a consumer can resume from any sequence at or above the current
-// snapshot's capture point; only below that is
-// ErrChangeHistoryTruncated returned and a snapshot re-bootstrap
-// required.
-func (p *PersistentRegistry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
-	evs, err := p.Registry.ChangesSince(since, max)
-	if err == nil || !errors.Is(err, ErrChangeHistoryTruncated) {
-		return evs, err
-	}
-	evs, truncated, terr := p.store.TailSince(since, max)
-	if terr != nil {
-		return nil, fmt.Errorf("netcoord: persistent registry: wal tail: %w", terr)
-	}
-	if truncated {
-		return nil, fmt.Errorf("%w (snapshot floor %d, requested %d)", ErrChangeHistoryTruncated, p.store.Stats().HistoryFloor, since+1)
-	}
-	return evs, nil
 }
 
 // Sync forces a WAL group commit: every mutation applied before the

@@ -11,6 +11,7 @@ import (
 
 	"netcoord/internal/changefeed"
 	"netcoord/internal/index"
+	"netcoord/internal/persist"
 	"netcoord/internal/wire"
 )
 
@@ -45,13 +46,10 @@ type RegistryConfig struct {
 	// JanitorInterval is how often the background janitor sweeps when TTL
 	// is set; 0 means TTL/2.
 	JanitorInterval time.Duration
-	// ChangeStreamBuffer enables the change stream when > 0: every
-	// applied mutation is assigned a monotonic sequence number and
-	// retained in an in-memory ring of this many recent events, powering
-	// SubscribeChanges / ChangesSince (and, for a PersistentRegistry,
-	// the WAL). 0 disables the stream for registries that never watch
-	// or replicate — mutations then skip the feed's global ordering
-	// lock entirely.
+	// ChangeStreamBuffer sizes the change stream's in-memory ring: every
+	// registry sequences each applied mutation and retains this many
+	// recent events for ChangesSince (a persistent registry reads older
+	// ones back from its WAL). <= 0 means DefaultChangeStreamBuffer.
 	ChangeStreamBuffer int
 	// Clock overrides time.Now, for tests.
 	Clock func() time.Time
@@ -92,6 +90,11 @@ type RegistryStats struct {
 // a mutation takes the write lock for a map write and, only when the
 // coordinate actually moved, one O(depth) index update.
 //
+// Every registry has one change stream: each applied mutation is
+// sequenced and published in the same hold of the write lock (see
+// changes.go), whether the registry stands alone, is persistent or
+// mirrors a leader.
+//
 // Entries carry an update timestamp; configure TTL to have a background
 // janitor evict nodes that stopped refreshing — crashed or partitioned
 // peers age out instead of attracting traffic forever.
@@ -127,12 +130,16 @@ type Registry struct {
 	// scratch pools the per-query heaps (see query.go).
 	scratch sync.Pool
 
-	// feed, when non-nil, is the change stream every applied mutation is
-	// published to; persistence taps it, subscribers and replicas consume
-	// it. One feed per registry, fixed at construction: recovery, a
-	// follower's bootstraps and promotion reposition it (load, promote),
-	// they never replace it.
+	// feed is the change stream every applied mutation is published to;
+	// persistence taps it, subscribers and replicas consume it. One feed
+	// per registry, fixed at construction: recovery, a follower's
+	// bootstraps and promotion reposition it (load, promote), they never
+	// replace it.
 	feed *changefeed.Feed
+	// store, installed once at open beside the feed's WAL tap, is the
+	// persistent store whose WAL extends ChangesSince past the ring; nil
+	// for a ring-only registry.
+	store *persist.Store
 
 	// lifeMu orders goroutine starts (janitor, feeds) against Close:
 	// wg.Add never races wg.Wait, and no feed can start after Close.
@@ -172,6 +179,9 @@ func newRegistry(cfg RegistryConfig) (*Registry, error) {
 	if clock == nil {
 		clock = time.Now
 	}
+	if cfg.ChangeStreamBuffer <= 0 {
+		cfg.ChangeStreamBuffer = DefaultChangeStreamBuffer
+	}
 	tree, err := index.New(cfg.Dimension)
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: registry: %w", err)
@@ -182,10 +192,8 @@ func newRegistry(cfg RegistryConfig) (*Registry, error) {
 		clock:   clock,
 		entries: make(map[string]RegistryEntry),
 		tree:    tree,
+		feed:    changefeed.New(cfg.ChangeStreamBuffer, 0),
 		closed:  make(chan struct{}),
-	}
-	if cfg.ChangeStreamBuffer > 0 {
-		r.feed = changefeed.New(cfg.ChangeStreamBuffer, 0)
 	}
 	r.scratch.New = func() any { return newQueryScratch() }
 	if cfg.TTL > 0 {
@@ -223,9 +231,7 @@ func (r *Registry) Close() {
 		r.lifeMu.Unlock()
 	})
 	r.wg.Wait()
-	if r.feed != nil {
-		r.feed.Close()
-	}
+	r.feed.Close()
 }
 
 // janitor periodically evicts stale entries until Close.
@@ -310,9 +316,7 @@ func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 			if e.UpdatedAt.IsZero() {
 				e.UpdatedAt = now
 			}
-			if r.feed != nil {
-				e.Seq = r.feed.PublishUpsert(e)
-			}
+			e.Seq = r.feed.PublishUpsert(e)
 			r.entries[e.ID] = e // later duplicates win, as Build resolves them
 		}
 		r.upserts.Add(uint64(len(entries)))
@@ -395,7 +399,6 @@ func (r *Registry) applyLocked(ev *ChangeEvent) (bool, error) {
 		return false, fmt.Errorf("netcoord: registry: unknown change op %d (seq %d)", ev.Op, ev.Seq)
 	}
 	switch {
-	case r.feed == nil:
 	case relayed:
 		if err := r.feed.PublishAt(*ev); err != nil {
 			return false, err
@@ -515,9 +518,6 @@ func (r *Registry) load(entries []RegistryEntry, removed []string, delta bool, s
 		}
 	}
 	r.upserts.Add(uint64(len(entries)))
-	if r.feed == nil {
-		return nil
-	}
 	if delta {
 		r.feed.AdvanceTo(seq, removed)
 	} else {

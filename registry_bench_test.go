@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"netcoord/internal/changefeed"
 	"netcoord/internal/telemetry"
 	"netcoord/internal/xrand"
 )
@@ -115,7 +114,6 @@ func BenchmarkRegistryNearest(b *testing.B) {
 func BenchmarkRegistryMixed(b *testing.B) {
 	const n = 100_000
 	r, _ := buildBenchRegistry(b, n)
-	r.feed = changefeed.New(DefaultChangeStreamBuffer, 0)
 	rng := xrand.NewStream(7)
 	ids := make([]string, 4096)
 	moves := make([]Coordinate, len(ids))
@@ -272,15 +270,11 @@ func benchMutationFixtures(b *testing.B) (*Registry, []string, []Coordinate) {
 	b.Helper()
 	const n = 100_000
 	r, _ := buildBenchRegistry(b, n)
-	// The serving stack always runs with the change stream on, but the
-	// shared bench registry is built without one — install a feed (as
-	// recovery does) carrying a nonzero fencing epoch, so the measured
+	// A nonzero fencing epoch on the registry's own feed, so the measured
 	// path includes the sequencing and epoch stamp a post-promotion
 	// leader pays. The zero-alloc gate then proves fencing costs no
 	// garbage on the write path.
-	feed := changefeed.New(DefaultChangeStreamBuffer, 0)
-	feed.SetEpoch(3)
-	r.feed = feed
+	r.feed.SetEpoch(3)
 	rng := xrand.NewStream(7)
 	ids := make([]string, 4096)
 	coords := make([]Coordinate, 4096)
