@@ -99,34 +99,15 @@ func (r *Registry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
 	return sortedByID(found), seq
 }
 
-// EntriesChangedSince returns every live entry whose last mutation has
-// sequence > since, sorted by id. Unlike replaying history, this scans
-// current state — O(n) in registry size but provable no matter how far
-// back since reaches, because each entry carries the sequence that
-// produced it. Paired with RemovedSince it forms the delta-snapshot
-// bootstrap (DeltaSince reads both under one lock hold): apply the
-// removals, then these entries, then resume the stream, transferring
-// only what changed.
-func (r *Registry) EntriesChangedSince(since uint64) []RegistryEntry {
-	r.mu.RLock()
-	found := r.collectLocked(func(e RegistryEntry) bool { return e.Seq > since })
-	r.mu.RUnlock()
-	return sortedByID(found)
-}
-
-// RemovedSince lists the ids removed (or evicted) with sequence >
-// since, and whether the list is provably complete. False means the
-// tombstone ring has forgotten removals at or before since, and only a
-// full snapshot can guarantee deleted entries do not survive on the
-// consumer.
-func (r *Registry) RemovedSince(since uint64) ([]string, bool) {
-	return r.feed.RemovedSince(since)
-}
-
 // DeltaSince assembles the delta-snapshot triple in one hold of the
 // read lock, so it is as exact as SnapshotWithSeq: seq, the removals in
 // (since, seq] and the live entries changed in (since, seq], with no
 // mutation — and no re-bootstrap rewrite — between the three reads.
+// The entries come from a scan of current state, each carrying the
+// sequence that produced it, so they are complete however far back
+// since reaches. ok is false when the tombstone ring has forgotten
+// removals at or before since: only a full snapshot then guarantees
+// deleted entries do not survive on the consumer.
 func (r *Registry) DeltaSince(since uint64) (entries []RegistryEntry, removed []string, seq uint64, ok bool) {
 	r.mu.RLock()
 	if seq = r.feed.Seq(); since <= seq { // a since from the future: don't guess

@@ -39,9 +39,13 @@ const (
 	followerHeaderSlack = 10 * time.Second
 	// followerBootstrapTimeout bounds one whole snapshot transfer.
 	followerBootstrapTimeout = 5 * time.Minute
+	// followerBatchLimit caps the events fetched per /changes call.
+	followerBatchLimit = 4096
 )
 
-// FollowerConfig assembles a FollowerRegistry.
+// FollowerConfig assembles a FollowerRegistry. Each /changes long-poll
+// fetches at most 4096 events; a follower further behind catches up
+// over successive polls.
 type FollowerConfig struct {
 	// Upstreams is the ordered list of base URLs this follower may tail
 	// (e.g. "http://10.0.0.1:8700"): the first is preferred, the rest
@@ -69,8 +73,6 @@ type FollowerConfig struct {
 	// doubled per consecutive failure up to 5s, jittered. 0 means
 	// DefaultFollowerRetryBase (50ms).
 	RetryInterval time.Duration
-	// BatchLimit caps events fetched per /changes call. 0 means 4096.
-	BatchLimit int
 	// HTTPClient overrides the default client (which has a dial timeout
 	// and a response-header timeout sized to the long-poll window, but
 	// no overall timeout — long-polls hold connections open
@@ -211,7 +213,6 @@ type FollowerRegistry struct {
 	client    *http.Client
 	wait      time.Duration
 	retry     time.Duration
-	limit     int
 
 	leaderSeq      atomic.Uint64
 	framesReceived atomic.Uint64
@@ -287,10 +288,6 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 	if retry <= 0 {
 		retry = DefaultFollowerRetryBase
 	}
-	limit := cfg.BatchLimit
-	if limit <= 0 {
-		limit = 4096
-	}
 	client := cfg.HTTPClient
 	if client == nil {
 		client = &http.Client{
@@ -312,7 +309,6 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 		client:    client,
 		wait:      wait,
 		retry:     retry,
-		limit:     limit,
 		applyLag:  telemetry.NewHistogram(),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -517,15 +513,6 @@ func (f *FollowerRegistry) noteContact() {
 	f.mu.Unlock()
 }
 
-// LastContact reports when the current upstream last answered (zero
-// before first contact) — the basis of the staleness bound a degraded
-// replica advertises on reads.
-func (f *FollowerRegistry) LastContact() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lastContact
-}
-
 // pollOnce long-polls /changes once from the current position and
 // applies whatever it returns. The request carries a deadline past the
 // long-poll window so a wedged upstream (connected but never
@@ -533,7 +520,7 @@ func (f *FollowerRegistry) LastContact() time.Time {
 func (f *FollowerRegistry) pollOnce() error {
 	since := f.ChangeSeq()
 	u := fmt.Sprintf("%s/changes?since=%d&limit=%d&wait=%s",
-		f.upstream(), since, f.limit, url.QueryEscape(f.wait.String()))
+		f.upstream(), since, followerBatchLimit, url.QueryEscape(f.wait.String()))
 	ctx, cancel := context.WithTimeout(f.ctx, f.wait+2*followerHeaderSlack)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)

@@ -1,7 +1,10 @@
 package netcoord
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -92,6 +95,41 @@ func TestFinishBootstrap(t *testing.T) {
 				if c, ok := found[e.ID]; !ok || !c.Equal(e.Coord) {
 					t.Fatalf("Nearest has %q at %v (present %v), want %v", e.ID, c, ok, e.Coord)
 				}
+			}
+		})
+	}
+}
+
+// TestBootstrapErrorNamesUpstreamRefusal points a follower at upstreams
+// that refuse /snapshot: the error ends in the status, plus the JSON
+// error field when the body has one and nothing of a body that is not
+// JSON.
+func TestBootstrapErrorNamesUpstreamRefusal(t *testing.T) {
+	for _, tc := range []struct {
+		name, contentType, body string
+		status                  int
+		want                    string
+	}{
+		{"json", "application/json", `{"error":"draining"}`, http.StatusServiceUnavailable, "leader /snapshot: 503 Service Unavailable (draining)"},
+		{"plain", "text/plain", "upstream exploded", http.StatusBadGateway, "leader /snapshot: 502 Bad Gateway"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/snapshot" {
+					t.Errorf("unexpected request %s", r.URL.Path)
+				}
+				w.Header().Set("Content-Type", tc.contentType)
+				w.WriteHeader(tc.status)
+				_, _ = w.Write([]byte(tc.body))
+			}))
+			defer up.Close()
+			f, err := StartFollower(FollowerConfig{Upstreams: []string{up.URL}})
+			if err == nil {
+				f.Close()
+				t.Fatal("bootstrap against a refusing upstream succeeded")
+			}
+			if !strings.HasSuffix(err.Error(), tc.want) {
+				t.Fatalf("error %q does not end in %q", err, tc.want)
 			}
 		})
 	}

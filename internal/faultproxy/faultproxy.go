@@ -22,9 +22,10 @@ import (
 	"time"
 )
 
-// Options configures the injected faults. The zero value forwards
-// faithfully (a transparent proxy), which is the right starting state
-// for most tests: establish the topology clean, then flip faults on.
+// Options configures the injected faults, fixed for the proxy's life
+// at New. The zero value forwards faithfully (a transparent proxy),
+// which is the right starting state for most tests: establish the
+// topology clean, then cut links with SetPartitioned.
 type Options struct {
 	// Seed seeds the proxy's private rand; 0 means 1 (deterministic
 	// either way — there is no time-based fallback).
@@ -61,13 +62,10 @@ type Proxy struct {
 	accepted, refused, resets, truncations atomic.Uint64
 	partitioned                            atomic.Bool
 
-	// rngMu serializes draws from the seeded rng (accept loop only, but
-	// SetOptions can swap it).
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	optMu sync.Mutex
-	opts  Options
+	// opts and rng are fixed at New; only the accept loop reads them
+	// after that, so neither needs a lock.
+	opts Options
+	rng  *rand.Rand
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -113,14 +111,6 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // Upstreams entry points at.
 func (p *Proxy) URL() string { return "http://" + p.Addr() }
 
-// SetOptions replaces the fault options for connections accepted from
-// now on (in-flight connections keep the options they started with).
-func (p *Proxy) SetOptions(opts Options) {
-	p.optMu.Lock()
-	p.opts = opts
-	p.optMu.Unlock()
-}
-
 // SetPartitioned flips the partition: while partitioned, new
 // connections are refused at accept and every in-flight connection is
 // killed — both directions go dark at once, exactly like a cut link.
@@ -130,9 +120,6 @@ func (p *Proxy) SetPartitioned(partitioned bool) {
 		p.killAll()
 	}
 }
-
-// Partitioned reports the current partition state.
-func (p *Proxy) Partitioned() bool { return p.partitioned.Load() }
 
 // Stats snapshots the fault counters.
 func (p *Proxy) Stats() Stats {
@@ -218,15 +205,10 @@ func (p *Proxy) acceptLoop() {
 			abort(client)
 			continue
 		}
-		p.optMu.Lock()
-		opts := p.opts
-		p.optMu.Unlock()
-		p.rngMu.Lock()
-		doomed := opts.ResetProb > 0 && p.rng.Float64() < opts.ResetProb
-		p.rngMu.Unlock()
+		doomed := p.opts.ResetProb > 0 && p.rng.Float64() < p.opts.ResetProb
 		p.accepted.Add(1)
 		p.wg.Add(1)
-		go p.proxy(client, opts, doomed)
+		go p.proxy(client, p.opts, doomed)
 	}
 }
 

@@ -101,9 +101,6 @@ func reserveSeries(s *series, n int) {
 	s.vals = append(make([]float64, 0, n), s.vals...)
 }
 
-// MaxTick reports the last tick recorded.
-func (c *Collector) MaxTick() uint64 { return c.maxTick }
-
 func (c *Collector) growTo(tick uint64) {
 	if tick > c.maxTick {
 		c.maxTick = tick

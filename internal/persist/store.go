@@ -16,16 +16,14 @@ import (
 	"netcoord/internal/wire"
 )
 
-// Options tunes a Store.
+// Options tunes a Store. Besides the FlushInterval timer, a Store
+// flushes early once 512 records are pending, which bounds buffered
+// memory under write storms.
 type Options struct {
 	// FlushInterval is the group-commit window: appended records become
 	// durable at most this long after Append returns. 0 means
 	// DefaultFlushInterval.
 	FlushInterval time.Duration
-	// FlushBatch flushes early once this many records are pending,
-	// bounding buffered memory under write storms. 0 means
-	// DefaultFlushBatch.
-	FlushBatch int
 	// NoSync skips every fsync. Only for tests: a crash can then lose
 	// arbitrarily much, not just the flush window.
 	NoSync bool
@@ -35,8 +33,9 @@ type Options struct {
 const (
 	// DefaultFlushInterval is the default group-commit window.
 	DefaultFlushInterval = 50 * time.Millisecond
-	// DefaultFlushBatch is the default early-flush record count.
-	DefaultFlushBatch = 512
+	// flushBatch flushes early once this many records are pending,
+	// bounding buffered memory under write storms.
+	flushBatch = 512
 )
 
 // ErrClosed is returned by operations on a closed Store.
@@ -209,9 +208,6 @@ type Store struct {
 func Open(dir string, opts Options) (*Store, []Entry, error) {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = DefaultFlushInterval
-	}
-	if opts.FlushBatch <= 0 {
-		opts.FlushBatch = DefaultFlushBatch
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
@@ -563,7 +559,7 @@ func (s *Store) appendLocked(frame []byte) {
 	}
 	s.buf = appendFrame(s.buf, frame)
 	s.pending++
-	needKick := s.pending >= s.opts.FlushBatch
+	needKick := s.pending >= flushBatch
 	s.mu.Unlock()
 	if needKick {
 		select {

@@ -544,16 +544,14 @@ func TestCrashBetweenRotateAndSnapshot(t *testing.T) {
 }
 
 func TestStoreFlushBatchKicksEarly(t *testing.T) {
-	// With a tiny batch threshold, records become durable without any
-	// explicit Sync and long before the (1h) flush interval.
+	// Once flushBatch records are pending, they become durable without
+	// any explicit Sync and long before the (1h) flush interval.
 	dir := t.TempDir()
-	opts := testOptions()
-	opts.FlushBatch = 4
-	s, _, err := Open(dir, opts)
+	s, _, err := Open(dir, testOptions())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < flushBatch; i++ {
 		logUpsert(s, testEntry(fmt.Sprintf("n%d", i), float64(i), int64(i+1)))
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -897,4 +895,125 @@ func TestRecoveryRecordWithTrailingBytesIsCorrupt(t *testing.T) {
 	if rec := s2.Recovery(); rec.QuarantinedWALs != 1 || !errors.Is(s2.QuarantineErr(), ErrCorruptRecord) {
 		t.Fatalf("recovery %+v, quarantine err %v; want one quarantined WAL", rec, s2.QuarantineErr())
 	}
+}
+
+func TestWALWriteFailureIsStickyAndCounted(t *testing.T) {
+	// A WAL write error degrades the store: the failed batch and every
+	// later record are counted as dropped, the error sticks, Close still
+	// returns, and the records synced before the fault survive a reopen.
+	const durable, lost = 5, 3
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir)
+	var want []Entry
+	for i := 0; i < durable; i++ {
+		e := testEntry(fmt.Sprintf("d%d", i), float64(i), int64(i+1))
+		want = append(want, e)
+		logUpsert(s, e)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync before fault: %v", err)
+	}
+
+	// Swap the active WAL handle for a read-only one on the same file:
+	// the next flush's write fails the way a yanked disk would.
+	s.ioMu.Lock()
+	s.mu.Lock()
+	good := s.walFile
+	ro, err := os.Open(good.Name())
+	if err != nil {
+		s.mu.Unlock()
+		s.ioMu.Unlock()
+		t.Fatalf("open read-only: %v", err)
+	}
+	s.walFile = ro
+	s.mu.Unlock()
+	s.ioMu.Unlock()
+	if err := good.Close(); err != nil {
+		t.Fatalf("close writable handle: %v", err)
+	}
+
+	for i := 0; i < lost; i++ {
+		logUpsert(s, testEntry(fmt.Sprintf("l%d", i), float64(i), int64(i+100)))
+	}
+	serr := s.Sync()
+	if serr == nil || !strings.Contains(serr.Error(), "persist: wal write") {
+		t.Fatalf("Sync after fault = %v, want a persist: wal write error", serr)
+	}
+	if got := s.Err(); got != serr {
+		t.Fatalf("Err() = %v, want the sticky %v", got, serr)
+	}
+	if st := s.Stats(); st.Dropped != lost || st.Err != serr.Error() {
+		t.Fatalf("Stats after fault: dropped %d err %q, want %d and %q", st.Dropped, st.Err, lost, serr)
+	}
+	logUpsert(s, testEntry("after", 9, 999))
+	if got := s.Stats().Dropped; got != lost+1 {
+		t.Fatalf("Append on a failed store: dropped %d, want %d", got, lost+1)
+	}
+	if err := s.Sync(); err != serr {
+		t.Fatalf("second Sync = %v, want the sticky %v", err, serr)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != serr {
+			t.Fatalf("Close = %v, want the sticky %v", err, serr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on a failed store")
+	}
+
+	s2, recovered := mustOpen(t, dir)
+	defer s2.Close()
+	entriesEqual(t, recovered, want)
+	if rec := s2.Recovery(); rec.WALRecords != durable {
+		t.Fatalf("replayed %d records, want the %d durable ones", rec.WALRecords, durable)
+	}
+}
+
+func TestRecoveryWithSyncOn(t *testing.T) {
+	// Every other test runs with NoSync; this one fsyncs the WAL and the
+	// directory (snapshot rename, new generation) through a compaction.
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.NoSync = false
+	s, _, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var state []Entry
+	for i := 0; i < 10; i++ {
+		e := testEntry(fmt.Sprintf("n%02d", i), float64(i), int64(i+1))
+		state = append(state, e)
+		logUpsert(s, e)
+	}
+	if err := s.Compact("manual", func() (Capture, error) {
+		return Capture{Entries: state, Seq: testSeqCounter.Load(), Epoch: 1}, nil
+	}); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	logRemove(s, "n00")
+	logUpsert(s, testEntry("n05", 50, 500))
+	logUpsert(s, testEntry("n10", 10, 11))
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if st := s.Stats(); st.Syncs == 0 {
+		t.Fatalf("Syncs = 0 with sync on: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, recovered, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	want := append([]Entry(nil), state[1:5]...)
+	want = append(want, testEntry("n05", 50, 500))
+	want = append(want, state[6:]...)
+	want = append(want, testEntry("n10", 10, 11))
+	entriesEqual(t, recovered, want)
 }

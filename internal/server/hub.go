@@ -155,8 +155,7 @@ type WatchHubStats struct {
 // on C, recomputes its top-k when woken, and reinstalls its interest
 // with SetInterest.
 type HubWatcher struct {
-	notify    chan struct{}
-	damageSeq atomic.Uint64
+	notify chan struct{}
 	// pendingPubNs is the origin publish stamp of the OLDEST damaging
 	// event not yet reflected by a recompute (0 = none pending). Keeping
 	// the oldest makes the deliver-lag reading conservative: a coalesced
@@ -172,21 +171,12 @@ type HubWatcher struct {
 	immature bool
 	detached bool
 	cells    []cellKey
-	joinSeq  uint64
 }
 
 // C signals damage: at least one event since the last SetInterest may
 // have changed this watcher's top-k. Signals coalesce (the channel
 // holds one), so a burst costs one recompute.
 func (w *HubWatcher) C() <-chan struct{} { return w.notify }
-
-// DamageSeq is the highest stream sequence that damaged this watcher.
-func (w *HubWatcher) DamageSeq() uint64 { return w.damageSeq.Load() }
-
-// JoinSeq is the hub's stream position when the watcher registered:
-// the sequence its initial query is guaranteed to cover or be damaged
-// past.
-func (w *HubWatcher) JoinSeq() uint64 { return w.joinSeq }
 
 // cellKey addresses one cell of the damage map: a grid level (cell
 // side 2^level) and the cell's integer coordinates on the first three
@@ -257,7 +247,7 @@ func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 			h.processed.Store(sub.JoinSeq())
 			h.resyncs.Add(1)
 			for w := range h.watchers {
-				h.damageLocked(w, sub.JoinSeq(), 0)
+				h.damageLocked(w, 0)
 			}
 			h.wakePollersLocked()
 			h.mu.Unlock()
@@ -299,7 +289,7 @@ func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
 					h.processed.Store(seqNow)
 					h.resyncs.Add(1)
 					for w := range h.watchers {
-						h.damageLocked(w, seqNow, 0)
+						h.damageLocked(w, 0)
 					}
 					h.wakePollersLocked()
 				}
@@ -328,30 +318,30 @@ func (h *WatchHub) processEvent(ev netcoord.ChangeEvent) (gap bool) {
 		// everyone recomputes from live state.
 		h.resyncs.Add(1)
 		for w := range h.watchers {
-			h.damageLocked(w, ev.Seq, ev.PubNs)
+			h.damageLocked(w, ev.PubNs)
 		}
 		return true
 	}
 	for w := range h.anyOp {
-		h.damageLocked(w, ev.Seq, ev.PubNs)
+		h.damageLocked(w, ev.PubNs)
 	}
 	switch ev.Op {
 	case netcoord.ChangeUpsert:
-		h.damageUpsertLocked(ev.Entry.ID, ev.Entry.Coord, ev.Seq, ev.PubNs)
+		h.damageUpsertLocked(ev.Entry.ID, ev.Entry.Coord, ev.PubNs)
 	case netcoord.ChangeRemove:
 		for w := range h.byID[ev.ID] {
-			h.damageLocked(w, ev.Seq, ev.PubNs)
+			h.damageLocked(w, ev.PubNs)
 		}
 	case netcoord.ChangeEvict:
 		for _, id := range ev.IDs {
 			for w := range h.byID[id] {
-				h.damageLocked(w, ev.Seq, ev.PubNs)
+				h.damageLocked(w, ev.PubNs)
 			}
 		}
 	default:
 		// Unknown op: be conservative.
 		for w := range h.watchers {
-			h.damageLocked(w, ev.Seq, ev.PubNs)
+			h.damageLocked(w, ev.PubNs)
 		}
 	}
 	return false
@@ -363,7 +353,7 @@ func (h *WatchHub) processEvent(ev netcoord.ChangeEvent) (gap bool) {
 // whose interest ball contains c.
 //
 //nc:locked(mu)
-func (h *WatchHub) damageUpsertLocked(id string, c netcoord.Coordinate, seq uint64, pubNs int64) {
+func (h *WatchHub) damageUpsertLocked(id string, c netcoord.Coordinate, pubNs int64) {
 	for w := range h.byID[id] {
 		if id == w.watchID {
 			if c.Equal(w.origin) {
@@ -372,10 +362,10 @@ func (h *WatchHub) damageUpsertLocked(id string, c netcoord.Coordinate, seq uint
 		} else if mc, ok := w.members[id]; ok && c.Equal(mc) {
 			continue // heartbeat refresh of a current member
 		}
-		h.damageLocked(w, seq, pubNs)
+		h.damageLocked(w, pubNs)
 	}
 	for w := range h.anyUpsert {
-		h.damageLocked(w, seq, pubNs)
+		h.damageLocked(w, pubNs)
 	}
 	for level := range h.levels {
 		for _, w := range h.cells[cellAt(c, level)] {
@@ -386,7 +376,7 @@ func (h *WatchHub) damageUpsertLocked(id string, c netcoord.Coordinate, seq uint
 				continue // byID owns member events
 			}
 			if d, err := w.origin.DistanceTo(c); err == nil && d <= w.kth {
-				h.damageLocked(w, seq, pubNs)
+				h.damageLocked(w, pubNs)
 			}
 		}
 	}
@@ -417,22 +407,18 @@ func (h *WatchHub) wakePollersLocked() {
 
 // damage wakes one watcher from outside the drain loop — the handler
 // uses it to carry racing damage across a capped sync loop.
-func (h *WatchHub) damage(w *HubWatcher, seq uint64) {
+func (h *WatchHub) damage(w *HubWatcher) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.damageLocked(w, seq, 0)
+	h.damageLocked(w, 0)
 }
 
-// damageLocked records the damaging sequence and wakes the watcher.
-// pubNs, when nonzero, is the damaging event's origin publish stamp;
-// the oldest pending stamp is kept so deliver-lag measures the longest
-// wait in a coalesced burst.
+// damageLocked wakes the watcher. pubNs, when nonzero, is the damaging
+// event's origin publish stamp; the oldest pending stamp is kept so
+// deliver-lag measures the longest wait in a coalesced burst.
 //
 //nc:locked(mu)
-func (h *WatchHub) damageLocked(w *HubWatcher, seq uint64, pubNs int64) {
-	if seq > w.damageSeq.Load() {
-		w.damageSeq.Store(seq)
-	}
+func (h *WatchHub) damageLocked(w *HubWatcher, pubNs int64) {
 	if pubNs > 0 {
 		w.pendingPubNs.CompareAndSwap(0, pubNs)
 	}
@@ -475,7 +461,6 @@ func (h *WatchHub) Watch(watchID string) *HubWatcher {
 	if watchID != "" {
 		h.addByIDLocked(watchID, w)
 	}
-	w.joinSeq = h.processed.Load()
 	return w
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,5 +312,86 @@ func TestWatchHubStressRace(t *testing.T) {
 	}
 	if st.EventsProcessed == 0 || st.Damages == 0 {
 		t.Fatalf("stress exercised nothing: %+v", st)
+	}
+}
+
+// TestSyncWatchCarriesRacingDamage keeps the hub's position moving on
+// every attempt of syncWatch's capped loop: the loop must give up after
+// watchSyncLimit+1 queries, re-damage the watcher so it wakes again,
+// and a follow-up sync on a quiet stream must land on the registry's
+// exact top-k.
+func TestSyncWatchCarriesRacingDamage(t *testing.T) {
+	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{ChangeStreamBuffer: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	for i := 0; i < 10; i++ {
+		if err := reg.Upsert(fmt.Sprintf("n%02d", i), c3(float64(i*10+1), 0, 0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Config{Registry: reg})
+	defer s.Stop()
+	watcher := s.hub.Watch("")
+	defer s.hub.Detach(watcher)
+
+	const k = 3
+	origin := c3(0, 0, 0)
+	query := func() ([]netcoord.Ranked, netcoord.Coordinate, error) {
+		res, err := reg.Nearest(origin, k)
+		return res, origin, err
+	}
+	runs := 0
+	racing := func() ([]netcoord.Ranked, netcoord.Coordinate, error) {
+		runs++
+		// A fresh id far outside the top-k ball: only the immature first
+		// attempt is damaged by it, and that signal is drained below, so
+		// a pending signal after syncWatch can only come from the loop's
+		// own re-damage.
+		if err := reg.Upsert(fmt.Sprintf("far%d", runs), c3(1000+float64(runs), 0, 0), 0); err != nil {
+			return nil, netcoord.Coordinate{}, err
+		}
+		seq := reg.ChangeSeq()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.hub.Processed() < seq {
+			if time.Now().After(deadline) {
+				return nil, netcoord.Coordinate{}, fmt.Errorf("hub never processed seq %d", seq)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		drainDamage(watcher)
+		return query()
+	}
+	if _, _, err := s.syncWatch(watcher, racing, k); err != nil {
+		t.Fatal(err)
+	}
+	if runs != watchSyncLimit+1 {
+		t.Fatalf("recompute ran %d times, want watchSyncLimit+1 = %d", runs, watchSyncLimit+1)
+	}
+	if !drainDamage(watcher) {
+		t.Fatal("capped sync loop did not re-damage its watcher")
+	}
+
+	got, seq, err := s.syncWatch(watcher, query, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != reg.ChangeSeq() {
+		t.Fatalf("quiet sync at seq %d, stream at %d", seq, reg.ChangeSeq())
+	}
+	snap := reg.Snapshot()
+	sort.Slice(snap, func(i, j int) bool {
+		di, _ := origin.DistanceTo(snap[i].Coord)
+		dj, _ := origin.DistanceTo(snap[j].Coord)
+		return di < dj
+	})
+	if len(got) != k {
+		t.Fatalf("quiet sync returned %d results, want %d", len(got), k)
+	}
+	for i := range got {
+		if got[i].ID != snap[i].ID {
+			t.Fatalf("quiet sync result %d = %s, brute force says %s", i, got[i].ID, snap[i].ID)
+		}
 	}
 }

@@ -170,7 +170,7 @@ func (s *Server) syncWatch(watcher *HubWatcher, recompute func() ([]netcoord.Ran
 			if post != pre {
 				// Events raced every attempt; ship this result and make
 				// sure the pending damage wakes us again.
-				s.hub.damage(watcher, post)
+				s.hub.damage(watcher)
 			}
 			s.hub.observeRecompute(time.Since(start))
 			if pending > 0 {

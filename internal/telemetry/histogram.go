@@ -95,9 +95,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Summary is a point-in-time quantile readout of a histogram, in the
 // histogram's raw (pre-scale) units. The zero value means "no
 // observations yet".

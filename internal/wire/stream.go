@@ -98,18 +98,6 @@ func (d *Reader) ReadFrame(fr *Frame) error {
 	})
 }
 
-// ReadBatchHeader decodes a /changes batch header.
-func (d *Reader) ReadBatchHeader() (BatchHeader, error) {
-	var h BatchHeader
-	err := d.decode(func(src []byte) (int, error) {
-		var n int
-		var err error
-		h, n, err = DecodeBatchHeader(src)
-		return n, err
-	})
-	return h, err
-}
-
 // ReadSnapshotHeader decodes a /snapshot header.
 func (d *Reader) ReadSnapshotHeader() (SnapshotHeader, error) {
 	var h SnapshotHeader

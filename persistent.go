@@ -231,9 +231,10 @@ func (p *PersistentRegistry) compactAs(reason string) error {
 	return p.store.Compact(reason, func() (persist.Capture, error) {
 		// The exact pair first, the tombstone ring after it: the ring then
 		// knows every removal up to seq, and the ones it has seen past seq
-		// are replayed from the WAL tail as well, which RemovedSince
-		// de-duplicates. The capture also carries the fencing epoch, so
-		// promotion and delta re-bootstraps survive restarts.
+		// are replayed from the WAL tail as well, which the feed's
+		// RemovedSince (read by DeltaSince) de-duplicates. The capture
+		// also carries the fencing epoch, so promotion and delta
+		// re-bootstraps survive restarts.
 		c := persist.Capture{Epoch: p.Registry.ChangeEpoch()}
 		c.Entries, c.Seq = p.Registry.SnapshotWithSeq()
 		c.TombstoneFloor, c.Tombstones = p.Registry.feed.Tombstones()
