@@ -158,43 +158,12 @@ func parseFilter(spec string) (filter.Factory, error) {
 	}
 }
 
-// defaultThreshold is a policy's paper default threshold — the value
-// netcoord picks for the same policy — and 0 for direct, which has none.
-func defaultThreshold(spec string) float64 {
-	switch spec {
-	case "energy":
-		return heuristic.DefaultEnergyTau
-	case "relative":
-		return heuristic.DefaultRelativeEpsilon
-	case "system", "application", "centroid":
-		return heuristic.DefaultThresholdTau
-	default:
-		return 0
-	}
-}
-
-// parsePolicy builds a policy factory from its CLI spec.
-// A threshold of 0 means the policy's paper default (defaultThreshold).
+// parsePolicy builds a policy factory from its CLI spec, a row of
+// heuristic.Choices. A threshold of 0 means the policy's paper default.
 func parsePolicy(spec string, window int, threshold float64) (sim.PolicyFactory, error) {
-	if threshold == 0 {
-		threshold = defaultThreshold(spec)
-	}
-	switch spec {
-	case "direct":
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewDirect(dim) }, nil
-	case "energy":
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewEnergy(dim, window, threshold) }, nil
-	case "relative":
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewRelative(dim, window, threshold) }, nil
-	case "system":
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewSystem(dim, threshold) }, nil
-	case "application":
-		return func(dim int) (heuristic.Policy, error) { return heuristic.NewApplication(dim, threshold) }, nil
-	case "centroid":
-		return func(dim int) (heuristic.Policy, error) {
-			return heuristic.NewApplicationCentroid(dim, window, threshold)
-		}, nil
-	default:
+	choice, ok := heuristic.Choose(spec)
+	if !ok {
 		return nil, fmt.Errorf("unknown policy %q", spec)
 	}
+	return func(dim int) (heuristic.Policy, error) { return choice.New(dim, window, threshold) }, nil
 }

@@ -147,7 +147,8 @@ func TestDefaultThresholdMatchesLibrary(t *testing.T) {
 				}
 				return res
 			}
-			tau := defaultThreshold(tc.spec)
+			choice, _ := heuristic.Choose(tc.spec)
+			tau := choice.Threshold
 			if tc.kind == netcoord.PolicyDirect {
 				if tau != 0 {
 					t.Fatalf("direct has no threshold, ncsim defaults it to %v", tau)

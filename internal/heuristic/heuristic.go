@@ -22,15 +22,23 @@
 //     threshold rule but publishing the centroid of recent system
 //     coordinates. Shows that the *when* matters, not just the *what*.
 //
+// RankSum, an extension baseline, is a seventh: the two-window scheme
+// with a one-dimensional Wilcoxon rank-sum test.
+//
+// Relative, Energy and RankSum share one skeleton (windowed): each
+// supplies only its threshold test on a statistic internal/window's Pair
+// computes. Choices is the one table of the policies a configuration can
+// select, with their paper-default thresholds.
+//
 // Policies are not safe for concurrent use; each node owns one.
 package heuristic
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"netcoord/internal/coord"
-	"netcoord/internal/vec"
 	"netcoord/internal/window"
 )
 
@@ -72,9 +80,9 @@ type Observation struct {
 // Observe path of each of the paper's six policies performs zero heap
 // allocations, because it runs once per latency observation of every
 // node in the simulator (locked in by TestObserveSteadyStateZeroAllocs).
-// The RankSum extension baseline is the exception: its detector projects
-// both windows per observation and is only used by the extension
-// experiment, not by any deployed configuration.
+// The RankSum extension baseline is the exception: its statistic projects
+// both windows per test and is only used by the extension experiment,
+// not by any deployed configuration.
 type Policy interface {
 	// Observe feeds one system-coordinate update and reports the
 	// resulting application coordinate and whether it changed now. The
@@ -172,9 +180,8 @@ func (d *Direct) Reset() { d.reset(d.dim) }
 // without ever updating.
 type System struct {
 	base
-	tau     float64
-	prev    coord.Coordinate
-	prevSet bool
+	tau  float64
+	prev coord.Coordinate
 }
 
 // NewSystem builds the SYSTEM policy.
@@ -202,7 +209,7 @@ func (s *System) Observe(obs Observation) (coord.Coordinate, bool, error) {
 	if !first {
 		moved, err := obs.Sys.DisplacementFrom(s.prev)
 		if err != nil {
-			s.rememberPrev(obs.Sys)
+			s.prev.CopyFrom(obs.Sys)
 			return s.app, false, fmt.Errorf("system policy: %w", err)
 		}
 		if moved > s.tau {
@@ -210,25 +217,15 @@ func (s *System) Observe(obs Observation) (coord.Coordinate, bool, error) {
 			changed = true
 		}
 	}
-	s.rememberPrev(obs.Sys)
+	s.prev.CopyFrom(obs.Sys)
 	return s.app, changed, nil
-}
-
-// rememberPrev records the latest system coordinate in the preallocated
-// previous-step buffer.
-func (s *System) rememberPrev(sys coord.Coordinate) {
-	s.prev.CopyFrom(sys)
-	s.prevSet = true
 }
 
 // Name implements Policy.
 func (*System) Name() string { return "system" }
 
 // Reset implements Policy.
-func (s *System) Reset() {
-	s.reset(s.dim)
-	s.prevSet = false
-}
+func (s *System) Reset() { s.reset(s.dim) }
 
 // --- Application -------------------------------------------------------------
 
@@ -279,225 +276,161 @@ func (a *Application) Reset() { a.reset(a.dim) }
 
 // --- window-based machinery ---------------------------------------------------
 
-// windowed embeds the two-window pair plus a mirror ring of full
-// coordinates (the pair stores only the Euclidean vectors; the mirror
-// preserves heights so the published centroid is a complete coordinate).
-// Mirror slots and the centroid output buffer are preallocated so the
-// per-observation path allocates nothing.
+// windowed is the skeleton the two-window policies share (Section V-A):
+// adopt the first observation, push every system coordinate into the
+// window pair, and once both windows are full let the policy's test
+// decide; on a change point publish C(Wc) and restart both windows.
+// Each policy's Observe is admit, its own statistic against its own
+// threshold, then settle — called directly, so the ENERGY path makes no
+// indirect call.
+//
+// The pair keeps only the Euclidean vectors. heights, the last k
+// heights, completes C(Wc) as a coordinate. A test needs k pushes since
+// the last restart, so the ring then holds exactly Wc's heights and
+// never needs clearing.
 type windowed struct {
 	base
-	pair     *window.Pair
-	mirror   []coord.Coordinate
-	mhead    int
-	mlen     int
-	centroid coord.Coordinate // reusable currentCentroid output
+	pair      *window.Pair
+	heights   []float64
+	slot      int     // where the next height goes: the oldest once k are in
+	threshold float64 // the policy's; > 0
+	what      string  // the policy's name in errors
 }
 
-func newWindowed(dim, k int) (windowed, error) {
+func newWindowed(dim, k int, threshold float64, what string) (windowed, error) {
 	p, err := window.NewPair(k, dim)
 	if err != nil {
 		return windowed{}, err
 	}
-	w := windowed{
-		base:     base{app: coord.Origin(dim), dim: dim},
-		pair:     p,
-		mirror:   make([]coord.Coordinate, k),
-		centroid: coord.Origin(dim),
+	if !(threshold > 0) {
+		return windowed{}, fmt.Errorf("heuristic: %s threshold %v, want > 0", what, threshold)
 	}
-	buf := make([]float64, k*dim) // one backing array for the ring's vectors
-	for i := range w.mirror {
-		w.mirror[i].Vec = buf[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return w, nil
+	return windowed{
+		base:      base{app: coord.Origin(dim), dim: dim},
+		pair:      p,
+		heights:   make([]float64, k),
+		threshold: threshold,
+		what:      what,
+	}, nil
 }
 
-func (w *windowed) push(sys coord.Coordinate) error {
+// admit runs the skeleton up to the test: it validates and, on the first
+// observation, adopts sys, then pushes sys into the windows. test reports
+// whether the policy's statistic must now decide; when it is false,
+// changed and err are the observation's result.
+func (w *windowed) admit(sys coord.Coordinate) (test, changed bool, err error) {
+	first, err := w.prime(sys)
+	if err != nil {
+		return false, false, err
+	}
 	if err := w.pair.Append(sys.Vec); err != nil {
-		return err
+		//nc:allow(hotpath) dimension-mismatch return: cold by definition
+		return false, false, fmt.Errorf("%s policy: %w", w.what, err)
 	}
-	k := len(w.mirror)
-	if w.mlen < k {
-		w.mirror[w.mlen].CopyFrom(sys)
-		w.mlen++
-		return nil
+	w.heights[w.slot] = sys.Height
+	if w.slot++; w.slot == len(w.heights) {
+		w.slot = 0
 	}
-	w.mirror[w.mhead].CopyFrom(sys)
-	w.mhead = (w.mhead + 1) % k
-	return nil
+	return !first && w.pair.Full(), first, nil
 }
 
-// centroidInto computes the centroid of the first n ring slots (arrival
-// order, oldest at head) into dst without allocating. dst must be
-// pre-sized to the ring's dimension.
-func centroidInto(dst *coord.Coordinate, ring []coord.Coordinate, head, n int) error {
-	if n == 0 {
-		//nc:allow(hotpath) empty-window return: cold by definition
-		return errors.New("heuristic: centroid of empty window")
+// settle finishes the skeleton on the policy's verdict: a change point
+// publishes C(Wc) — the pair's current centroid and the mean of the
+// matching heights, both summed oldest first — and restarts both windows.
+func (w *windowed) settle(fired bool, err error) (coord.Coordinate, bool, error) {
+	if err != nil {
+		//nc:allow(hotpath) statistic-failure return: cold by definition
+		return w.app, false, fmt.Errorf("%s policy: %w", w.what, err)
 	}
-	for i := range dst.Vec {
-		dst.Vec[i] = 0
+	if !fired {
+		return w.app, false, nil
 	}
+	centroid, err := w.pair.CurrentCentroid()
+	if err != nil {
+		//nc:allow(hotpath) not-full return: cold by definition
+		return w.app, false, fmt.Errorf("%s policy: %w", w.what, err)
+	}
+	copy(w.app.Vec, centroid)
 	var h float64
-	k := len(ring)
-	for i := 0; i < n; i++ {
-		m := ring[(head+i)%k]
-		for j := range dst.Vec {
-			dst.Vec[j] += m.Vec[j]
-		}
-		h += m.Height
+	for i := range w.heights {
+		h += w.heights[(w.slot+i)%len(w.heights)]
 	}
-	dst.Vec.ScaleInPlace(1 / float64(n))
-	dst.Height = h / float64(n)
-	return nil
-}
-
-// currentCentroid computes the centroid of the mirrored current window
-// into the reusable output buffer. The result aliases internal state and
-// is valid until the next currentCentroid call; callers publish it with
-// setApp (which copies).
-func (w *windowed) currentCentroid() (coord.Coordinate, error) {
-	if err := centroidInto(&w.centroid, w.mirror, w.mhead, w.mlen); err != nil {
-		return coord.Coordinate{}, err
-	}
-	return w.centroid, nil
-}
-
-func (w *windowed) resetWindows() {
+	w.app.Height = h / float64(len(w.heights))
 	w.pair.Reset()
-	w.mhead, w.mlen = 0, 0
+	return w.app, true, nil
+}
+
+// Reset implements Policy.
+func (w *windowed) Reset() {
+	w.reset(w.dim)
+	w.pair.Reset()
 }
 
 // --- Relative --------------------------------------------------------------
 
 // Relative is the first window-based policy: it fires when the window
 // centroid shift, normalized by the distance from the start centroid to
-// the nearest known neighbor, exceeds Epsilon; it then publishes C(Wc)
-// and restarts both windows.
-type Relative struct {
-	windowed
-	det *window.RelativeDetector
-}
+// the nearest known neighbor (window.Pair.Relative), exceeds epsilon; it
+// then publishes C(Wc) and restarts both windows. With no known neighbor
+// there is no locale to be relative to, and it never fires.
+type Relative struct{ windowed }
 
 // NewRelative builds the RELATIVE policy with window size k and threshold
 // epsilon.
 func NewRelative(dim, k int, epsilon float64) (*Relative, error) {
-	w, err := newWindowed(dim, k)
+	w, err := newWindowed(dim, k, epsilon, "relative")
 	if err != nil {
 		return nil, err
 	}
-	det, err := window.NewRelativeDetector(epsilon)
-	if err != nil {
-		return nil, err
-	}
-	return &Relative{windowed: w, det: det}, nil
+	return &Relative{w}, nil
 }
 
 // Observe implements Policy.
 func (r *Relative) Observe(obs Observation) (coord.Coordinate, bool, error) {
-	first, err := r.prime(obs.Sys)
-	if err != nil {
-		return r.app, false, err
+	test, changed, err := r.admit(obs.Sys)
+	if !test || !obs.HasNeighbor {
+		return r.app, changed, err
 	}
-	if err := r.push(obs.Sys); err != nil {
-		return r.app, false, fmt.Errorf("relative policy: %w", err)
-	}
-	if first {
-		return r.app, true, nil
-	}
-	var neighborVec vec.Vector
-	if obs.HasNeighbor {
-		neighborVec = obs.Neighbor.Vec
-	}
-	fired, err := r.det.DivergedFrom(r.pair, neighborVec, obs.HasNeighbor)
-	if err != nil {
-		return r.app, false, fmt.Errorf("relative policy: %w", err)
-	}
-	if !fired {
-		return r.app, false, nil
-	}
-	centroid, err := r.currentCentroid()
-	if err != nil {
-		return r.app, false, fmt.Errorf("relative policy: %w", err)
-	}
-	r.setApp(centroid)
-	r.resetWindows()
-	return r.app, true, nil
+	ratio, err := r.pair.Relative(obs.Neighbor.Vec)
+	// +Inf is movement with the neighbor on C(Ws): significant at any
+	// threshold.
+	return r.settle(ratio > r.threshold || math.IsInf(ratio, 1), err)
 }
 
 // Name implements Policy.
 func (*Relative) Name() string { return "relative" }
 
-// Reset implements Policy.
-func (r *Relative) Reset() {
-	r.reset(r.dim)
-	r.resetWindows()
-}
-
 // --- Energy ---------------------------------------------------------------
 
 // Energy fires when the energy statistic between the start and current
-// windows exceeds Tau, publishing C(Wc). The paper's deployed
+// windows exceeds tau, publishing C(Wc). The paper's deployed
 // configuration.
-type Energy struct {
-	windowed
-	det *window.EnergyDetector
-}
+type Energy struct{ windowed }
 
 // NewEnergy builds the ENERGY policy with window size k and threshold
 // tau.
 func NewEnergy(dim, k int, tau float64) (*Energy, error) {
-	w, err := newWindowed(dim, k)
+	w, err := newWindowed(dim, k, tau, "energy")
 	if err != nil {
 		return nil, err
 	}
-	det, err := window.NewEnergyDetector(tau)
-	if err != nil {
-		return nil, err
-	}
-	return &Energy{windowed: w, det: det}, nil
+	return &Energy{w}, nil
 }
 
 // Observe implements Policy.
 //
 //nc:hotpath
 func (e *Energy) Observe(obs Observation) (coord.Coordinate, bool, error) {
-	first, err := e.prime(obs.Sys)
-	if err != nil {
-		return e.app, false, err
+	test, changed, err := e.admit(obs.Sys)
+	if !test {
+		return e.app, changed, err
 	}
-	if err := e.push(obs.Sys); err != nil {
-		//nc:allow(hotpath) dimension-mismatch return: cold by definition
-		return e.app, false, fmt.Errorf("energy policy: %w", err)
-	}
-	if first {
-		return e.app, true, nil
-	}
-	fired, err := e.det.Diverged(e.pair)
-	if err != nil {
-		//nc:allow(hotpath) detector-failure return: cold by definition
-		return e.app, false, fmt.Errorf("energy policy: %w", err)
-	}
-	if !fired {
-		return e.app, false, nil
-	}
-	centroid, err := e.currentCentroid()
-	if err != nil {
-		//nc:allow(hotpath) empty-window return: cold by definition
-		return e.app, false, fmt.Errorf("energy policy: %w", err)
-	}
-	e.setApp(centroid)
-	e.resetWindows()
-	return e.app, true, nil
+	energy, err := e.pair.Energy()
+	return e.settle(energy > e.threshold, err)
 }
 
 // Name implements Policy.
 func (*Energy) Name() string { return "energy" }
-
-// Reset implements Policy.
-func (e *Energy) Reset() {
-	e.reset(e.dim)
-	e.resetWindows()
-}
 
 // --- Application/Centroid ----------------------------------------------------
 
@@ -507,11 +440,10 @@ func (e *Energy) Reset() {
 // but, lacking a window-based trigger, remains fragile to its threshold.
 type ApplicationCentroid struct {
 	base
-	tau      float64
-	ring     []coord.Coordinate
-	head     int
-	n        int
-	centroid coord.Coordinate // reusable centroid output
+	tau  float64
+	ring []coord.Coordinate
+	head int
+	n    int
 }
 
 // NewApplicationCentroid builds the APPLICATION/CENTROID policy.
@@ -526,10 +458,9 @@ func NewApplicationCentroid(dim, k int, tau float64) (*ApplicationCentroid, erro
 		return nil, fmt.Errorf("heuristic: threshold %v, want > 0", tau)
 	}
 	ac := &ApplicationCentroid{
-		base:     base{app: coord.Origin(dim), dim: dim},
-		tau:      tau,
-		ring:     make([]coord.Coordinate, k),
-		centroid: coord.Origin(dim),
+		base: base{app: coord.Origin(dim), dim: dim},
+		tau:  tau,
+		ring: make([]coord.Coordinate, k),
 	}
 	for i := range ac.ring {
 		ac.ring[i] = coord.Origin(dim)
@@ -560,11 +491,27 @@ func (a *ApplicationCentroid) Observe(obs Observation) (coord.Coordinate, bool, 
 	if drift <= a.tau {
 		return a.app, false, nil
 	}
-	if err := centroidInto(&a.centroid, a.ring, a.head, a.n); err != nil {
-		return a.app, false, fmt.Errorf("application/centroid policy: %w", err)
-	}
-	a.setApp(a.centroid)
+	a.setRingCentroid()
 	return a.app, true, nil
+}
+
+// setRingCentroid publishes the centroid of the ring's a.n coordinates,
+// summed oldest first (from a.head), without allocating.
+func (a *ApplicationCentroid) setRingCentroid() {
+	for i := range a.app.Vec {
+		a.app.Vec[i] = 0
+	}
+	var h float64
+	k := len(a.ring)
+	for i := 0; i < a.n; i++ {
+		m := a.ring[(a.head+i)%k]
+		for j := range a.app.Vec {
+			a.app.Vec[j] += m.Vec[j]
+		}
+		h += m.Height
+	}
+	a.app.Vec.ScaleInPlace(1 / float64(a.n))
+	a.app.Height = h / float64(a.n)
 }
 
 // Name implements Policy.
@@ -574,6 +521,50 @@ func (*ApplicationCentroid) Name() string { return "application-centroid" }
 func (a *ApplicationCentroid) Reset() {
 	a.reset(a.dim)
 	a.head, a.n = 0, 0
+}
+
+// --- Selection ----------------------------------------------------------------
+
+// Choice is one policy a configuration can select: its spelling, its
+// paper-default threshold and its constructor. RANKSUM, an extension
+// baseline only the extension experiment builds, is not a Choice.
+type Choice struct {
+	// Flag is the policy's spelling on ncsim's -policy flag.
+	Flag string
+	// Threshold is the paper's threshold for the policy; 0 for direct,
+	// which has none.
+	Threshold float64
+	build     func(dim, window int, threshold float64) (Policy, error)
+}
+
+// New builds the policy for dim-dimensional coordinates. window is read
+// by the policies that keep one; a threshold of 0 means c.Threshold.
+func (c Choice) New(dim, window int, threshold float64) (Policy, error) {
+	if threshold == 0 {
+		threshold = c.Threshold
+	}
+	return c.build(dim, window, threshold)
+}
+
+// Choices is the one table of selectable policies, in the order of
+// netcoord's PolicyKind values (which count from 1).
+var Choices = [...]Choice{
+	{"energy", DefaultEnergyTau, func(dim, k int, tau float64) (Policy, error) { return NewEnergy(dim, k, tau) }},
+	{"relative", DefaultRelativeEpsilon, func(dim, k int, eps float64) (Policy, error) { return NewRelative(dim, k, eps) }},
+	{"system", DefaultThresholdTau, func(dim, _ int, tau float64) (Policy, error) { return NewSystem(dim, tau) }},
+	{"application", DefaultThresholdTau, func(dim, _ int, tau float64) (Policy, error) { return NewApplication(dim, tau) }},
+	{"centroid", DefaultThresholdTau, func(dim, k int, tau float64) (Policy, error) { return NewApplicationCentroid(dim, k, tau) }},
+	{"direct", 0, func(dim, _ int, _ float64) (Policy, error) { return NewDirect(dim) }},
+}
+
+// Choose returns the Choice spelled flag.
+func Choose(flag string) (Choice, bool) {
+	for _, c := range Choices {
+		if c.Flag == flag {
+			return c, true
+		}
+	}
+	return Choice{}, false
 }
 
 // Interface conformance checks.

@@ -59,6 +59,11 @@ func TestConstructorsValidate(t *testing.T) {
 		{name: "energy tau NaN", fn: func() error { _, err := NewEnergy(3, 32, math.NaN()); return err }},
 		{name: "centroid tau NaN", fn: func() error { _, err := NewApplicationCentroid(3, 32, math.NaN()); return err }},
 		{name: "ranksum z NaN", fn: func() error { _, err := NewRankSum(3, 32, math.NaN()); return err }},
+		// Every window policy's threshold must be positive.
+		{name: "energy tau negative", fn: func() error { _, err := NewEnergy(3, 32, -1); return err }},
+		{name: "relative eps negative", fn: func() error { _, err := NewRelative(3, 32, -0.3); return err }},
+		{name: "ranksum z", fn: func() error { _, err := NewRankSum(3, 32, 0); return err }},
+		{name: "ranksum z negative", fn: func() error { _, err := NewRankSum(3, 32, -1); return err }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,10 +1,9 @@
 package heuristic
 
 import (
-	"fmt"
+	"math"
 
 	"netcoord/internal/coord"
-	"netcoord/internal/window"
 )
 
 // DefaultRankSumZ is the conventional 5% significance threshold for the
@@ -18,61 +17,30 @@ const DefaultRankSumZ = 1.96
 // centroid publication — differing only in the statistical test, so the
 // extension experiment isolates exactly the value of a genuinely
 // multi-dimensional statistic.
-type RankSum struct {
-	windowed
-	det *window.RankSumDetector
-}
+type RankSum struct{ windowed }
 
 // NewRankSum builds the RANKSUM policy with window size k and |z|
 // threshold z.
 func NewRankSum(dim, k int, z float64) (*RankSum, error) {
-	w, err := newWindowed(dim, k)
+	w, err := newWindowed(dim, k, z, "rank-sum")
 	if err != nil {
 		return nil, err
 	}
-	det, err := window.NewRankSumDetector(z)
-	if err != nil {
-		return nil, err
-	}
-	return &RankSum{windowed: w, det: det}, nil
+	return &RankSum{w}, nil
 }
 
 // Observe implements Policy.
 func (r *RankSum) Observe(obs Observation) (coord.Coordinate, bool, error) {
-	first, err := r.prime(obs.Sys)
-	if err != nil {
-		return r.app, false, err
+	test, changed, err := r.admit(obs.Sys)
+	if !test {
+		return r.app, changed, err
 	}
-	if err := r.push(obs.Sys); err != nil {
-		return r.app, false, fmt.Errorf("rank-sum policy: %w", err)
-	}
-	if first {
-		return r.app, true, nil
-	}
-	fired, err := r.det.Diverged(r.pair)
-	if err != nil {
-		return r.app, false, fmt.Errorf("rank-sum policy: %w", err)
-	}
-	if !fired {
-		return r.app, false, nil
-	}
-	centroid, err := r.currentCentroid()
-	if err != nil {
-		return r.app, false, fmt.Errorf("rank-sum policy: %w", err)
-	}
-	r.setApp(centroid)
-	r.resetWindows()
-	return r.app, true, nil
+	z, err := r.pair.RankSum()
+	return r.settle(math.Abs(z) > r.threshold, err)
 }
 
 // Name implements Policy.
 func (*RankSum) Name() string { return "ranksum" }
-
-// Reset implements Policy.
-func (r *RankSum) Reset() {
-	r.reset(r.dim)
-	r.resetWindows()
-}
 
 // Interface conformance.
 var _ Policy = (*RankSum)(nil)

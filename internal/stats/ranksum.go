@@ -10,7 +10,8 @@ import (
 // framework — the origin of the paper's two-window scheme — uses standard
 // tests like this one for one-dimensional streams; the paper generalizes
 // to multi-dimensional coordinates with RELATIVE and ENERGY. We implement
-// rank-sum both as the 1-D baseline detector and to document the lineage.
+// rank-sum both as the 1-D baseline statistic (window.Pair.RankSum) and
+// to document the lineage.
 //
 // The returned value is the normal-approximation z score of sample a's
 // rank sum (ties handled by midranks). |z| > 1.96 rejects "same

@@ -1,10 +1,9 @@
 // Package stats implements the descriptive and test statistics the
-// reproduction needs: percentiles and summaries, the paper's histogram
-// bucket layouts, empirical CDFs, boxplot five-number summaries, the
-// Szekely-Rizzo energy distance used by the ENERGY heuristic (both the
-// O(n^2) definition and an O(n) incremental form), and the Wilcoxon
-// rank-sum test referenced by the change-detection literature the paper
-// builds on.
+// reproduction needs: percentiles, the paper's histogram bucket layouts,
+// empirical CDFs, boxplot five-number summaries, the O(n^2) definition
+// of the Szekely-Rizzo energy distance (internal/window maintains the
+// ENERGY heuristic's copy incrementally), and the Wilcoxon rank-sum test
+// referenced by the change-detection literature the paper builds on.
 package stats
 
 import (
@@ -75,58 +74,6 @@ func Mean(values []float64) (float64, error) {
 		sum += v
 	}
 	return sum / float64(len(values)), nil
-}
-
-// StdDev returns the population standard deviation of values.
-func StdDev(values []float64) (float64, error) {
-	mean, err := Mean(values)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, v := range values {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(values))), nil
-}
-
-// Summary is a five-number-plus summary of a sample.
-type Summary struct {
-	Count  int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	P25    float64
-	P75    float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes a Summary of values.
-func Summarize(values []float64) (Summary, error) {
-	if len(values) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	mean, err := Mean(values)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		Count:  len(values),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   mean,
-		Median: percentileSorted(sorted, 50),
-		P25:    percentileSorted(sorted, 25),
-		P75:    percentileSorted(sorted, 75),
-		P95:    percentileSorted(sorted, 95),
-		P99:    percentileSorted(sorted, 99),
-	}, nil
 }
 
 // Boxplot is the Tukey boxplot summary used by the paper's Figure 4:

@@ -128,45 +128,6 @@ func TestMedianMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	sd, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatalf("StdDev: %v", err)
-	}
-	if !almostEqual(sd, 2, 1e-9) {
-		t.Fatalf("StdDev = %v, want 2", sd)
-	}
-	if _, err := StdDev(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("StdDev empty = %v", err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	data := make([]float64, 100)
-	for i := range data {
-		data[i] = float64(i + 1) // 1..100
-	}
-	s, err := Summarize(data)
-	if err != nil {
-		t.Fatalf("Summarize: %v", err)
-	}
-	if s.Count != 100 || s.Min != 1 || s.Max != 100 {
-		t.Fatalf("Summary basics wrong: %+v", s)
-	}
-	if !almostEqual(s.Mean, 50.5, 1e-9) {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
-	if !almostEqual(s.Median, 50.5, 1e-9) {
-		t.Fatalf("Median = %v", s.Median)
-	}
-	if s.P95 < 95 || s.P95 > 96 {
-		t.Fatalf("P95 = %v", s.P95)
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Summarize empty = %v", err)
-	}
-}
-
 func TestBoxplot(t *testing.T) {
 	// 1..11 plus one extreme outlier.
 	data := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 100}

@@ -222,13 +222,9 @@ func TestColdSumsMatchReference(t *testing.T) {
 }
 
 // TestRelativeDetectorNeverBuildsSums: a pair read only through
-// RelativeDetector pays for no distance sums, and what the detector does
-// read — windows and centroids — is what it read before.
+// Relative pays for no distance sums, and what Relative does read —
+// windows and centroids — is what it read before.
 func TestRelativeDetectorNeverBuildsSums(t *testing.T) {
-	det, err := NewRelativeDetector(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	forEachShape(t, func(t *testing.T, k, dim int, rng *xrand.Stream) {
 		p, ref := mustPair(t, k, dim), newRefPair(k, dim)
 		neighbor := vec.Zero(dim)
@@ -237,9 +233,13 @@ func TestRelativeDetectorNeverBuildsSums(t *testing.T) {
 			pt := driftingPoint(rng, dim, i)
 			appendN(t, p, []vec.Vector{pt})
 			ref.append(pt)
-			fired, err := det.DivergedFrom(p, neighbor, true)
-			if err != nil {
-				t.Fatalf("DivergedFrom: %v", err)
+			fired := false
+			if p.Full() {
+				ratio, err := p.Relative(neighbor)
+				if err != nil {
+					t.Fatalf("Relative: %v", err)
+				}
+				fired = ratio > 0.3
 			}
 			if p.sumsValid || p.sumCross != 0 || p.sumWithinS != 0 || p.sumWithinC != 0 {
 				t.Fatalf("append %d: sums built (%v, %v, %v) though Energy was never read", i, p.sumCross, p.sumWithinS, p.sumWithinC)

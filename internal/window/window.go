@@ -10,20 +10,26 @@
 // declared different, a change point is recorded and both windows restart
 // from empty.
 //
-// The package maintains the Szekely-Rizzo energy statistic between Ws and
-// Wc incrementally. Its three distance sums are built at the first Energy
-// call after a fill — from the k(k-1)/2 distinct distances when that call
-// comes before any slide, because Ws and Wc then hold the same points —
-// and each later slide updates them in O(k) instead of recomputing the
-// O(k^2) definition, which matters because the detector runs on every
-// coordinate observation of every node. A pair whose Energy is never read
-// (the RELATIVE and rank-sum detectors) keeps no sums at all.
+// Pair computes the statistic each window policy compares Ws and Wc
+// with (Energy for ENERGY, Relative for RELATIVE, RankSum for the
+// rank-sum baseline); the thresholds, and so the decision, belong to
+// internal/heuristic.
+//
+// The Szekely-Rizzo energy statistic is maintained incrementally. Its
+// three distance sums are built at the first Energy call after a fill —
+// from the k(k-1)/2 distinct distances when that call comes before any
+// slide, because Ws and Wc then hold the same points — and each later
+// slide updates them in O(k) instead of recomputing the O(k^2)
+// definition, which matters because ENERGY runs on every coordinate
+// observation of every node. A pair whose Energy is never read keeps no
+// sums at all.
 package window
 
 import (
 	"fmt"
 	"math"
 
+	"netcoord/internal/stats"
 	"netcoord/internal/vec"
 )
 
@@ -177,9 +183,10 @@ func (p *Pair) StartCentroid() (vec.Vector, error) {
 
 // CurrentCentroid returns C(Wc). The returned vector aliases a reusable
 // internal buffer and must not be modified; it is valid until the next
-// CurrentCentroid call.
+// CurrentCentroid or Relative call.
 func (p *Pair) CurrentCentroid() (vec.Vector, error) {
 	if !p.Full() {
+		//nc:allow(hotpath) not-full return: cold by definition
 		return nil, fmt.Errorf("window: centroid requested before windows full")
 	}
 	meanInto(p.curCentroid, p.current, p.head, p.k)
@@ -217,6 +224,64 @@ func (p *Pair) Energy() (float64, error) {
 	// with n1 = n2 = k.
 	return (n * n / (2 * n)) *
 		(2/(n*n)*p.sumCross - p.sumWithinS/(n*n) - p.sumWithinC/(n*n)), nil
+}
+
+// Relative returns RELATIVE's statistic: the displacement between the
+// window centroids, normalized by the distance from C(Ws) to the node's
+// nearest known neighbor r,
+//
+//	||C(Ws) - C(Wc)|| / ||C(Ws) - r||
+//
+// The normalization makes updates "relative to the node's locale": a
+// 5 ms wobble is significant inside a metro cluster and noise across an
+// ocean. A neighbor exactly on C(Ws) is a zero locale: the ratio is then
+// +Inf if the centroid moved at all and 0 if it did not. Only defined
+// when both windows are full.
+func (p *Pair) Relative(neighbor vec.Vector) (float64, error) {
+	if neighbor.Dim() != p.dim {
+		return 0, fmt.Errorf("window: %d-dim neighbor for %d-dim pair: %w", neighbor.Dim(), p.dim, vec.ErrDimensionMismatch)
+	}
+	cs, err := p.StartCentroid()
+	if err != nil {
+		return 0, err
+	}
+	cc, err := p.CurrentCentroid()
+	if err != nil {
+		return 0, err
+	}
+	moved, scale := dist(cs, cc), dist(cs, neighbor)
+	if scale == 0 {
+		if moved > 0 {
+			return math.Inf(1), nil
+		}
+		return 0, nil
+	}
+	return moved / scale, nil
+}
+
+// RankSum returns the Wilcoxon rank-sum z score of Ws against Wc, both
+// projected onto one dimension: each point's distance from C(Ws). It
+// adapts the kind of "well-known statistical test" Kifer, Ben-David and
+// Gehrke built their detector on; the paper notes such tests "are all
+// for one-dimensional data" and introduces ENERGY and RELATIVE instead.
+//
+// Its blind spot is a direction-only change: a cloud that moves to a new
+// place equidistant from C(Ws) barely shifts the projected distribution,
+// so z stays small while the energy statistic grows. Only defined when
+// both windows are full; unlike the other two statistics it allocates.
+func (p *Pair) RankSum() (float64, error) {
+	center, err := p.StartCentroid()
+	if err != nil {
+		return 0, err
+	}
+	proj := make([]float64, 2*p.k)
+	for i, pt := range p.start {
+		proj[i] = dist(pt, center)
+	}
+	for i := 0; i < p.k; i++ {
+		proj[p.k+i] = dist(p.current[(p.head+i)%p.k], center)
+	}
+	return stats.RankSum(proj[:p.k], proj[p.k:])
 }
 
 // initSums builds the three distance sums; Energy is its only caller.

@@ -251,97 +251,82 @@ func TestEnergyStationaryVsShifted(t *testing.T) {
 	}
 }
 
+// TestEnergyDetector: the energy statistic against the paper's tau = 8
+// at window 32 — undefined before the windows fill, below tau on a
+// stationary stream, far above it after a 70 ms shift.
 func TestEnergyDetector(t *testing.T) {
 	rng := xrand.NewStream(14)
-	det, err := NewEnergyDetector(8)
-	if err != nil {
-		t.Fatalf("NewEnergyDetector: %v", err)
-	}
+	const tau = 8
 	p := mustPair(t, 32, 3)
-	// Not full: never fires.
-	if fired, err := det.Diverged(p); err != nil || fired {
-		t.Fatalf("empty pair: fired=%v err=%v", fired, err)
+	if _, err := p.Energy(); err == nil {
+		t.Fatal("empty pair: Energy defined")
 	}
 	appendN(t, p, cloud(rng, 64, 50, 50, 50, 1))
-	fired, err := det.Diverged(p)
+	e, err := p.Energy()
 	if err != nil {
-		t.Fatalf("Diverged: %v", err)
+		t.Fatalf("Energy: %v", err)
 	}
-	if fired {
-		t.Fatal("detector fired on stationary stream")
+	if e > tau {
+		t.Fatalf("stationary stream: energy %v > %v", e, tau)
 	}
 	appendN(t, p, cloud(rng, 32, 120, 50, 50, 1))
-	fired, err = det.Diverged(p)
-	if err != nil {
-		t.Fatalf("Diverged: %v", err)
+	if e, err = p.Energy(); err != nil {
+		t.Fatalf("Energy: %v", err)
 	}
-	if !fired {
-		t.Fatal("detector missed a 70 ms shift")
+	if !(e > tau) {
+		t.Fatalf("70 ms shift: energy %v, want > %v", e, tau)
 	}
 }
 
-func TestEnergyDetectorValidation(t *testing.T) {
-	if _, err := NewEnergyDetector(0); err == nil {
-		t.Fatal("tau=0 accepted")
+// relative reads p.Relative, failing the test on an error.
+func relative(t *testing.T, p *Pair, neighbor vec.Vector) float64 {
+	t.Helper()
+	r, err := p.Relative(neighbor)
+	if err != nil {
+		t.Fatalf("Relative: %v", err)
 	}
-	if _, err := NewEnergyDetector(-1); err == nil {
-		t.Fatal("tau<0 accepted")
-	}
-	if _, err := NewEnergyDetector(math.NaN()); err == nil {
-		t.Fatal("tau=NaN accepted")
-	}
+	return r
 }
 
 func TestRelativeDetector(t *testing.T) {
 	rng := xrand.NewStream(15)
-	det, err := NewRelativeDetector(0.3)
-	if err != nil {
-		t.Fatalf("NewRelativeDetector: %v", err)
-	}
+	const epsilon = 0.3
 	p := mustPair(t, 32, 3)
 	appendN(t, p, cloud(rng, 64, 50, 50, 50, 0.5))
 	neighbor := vec.New(80, 50, 50) // ~30 ms away
 
-	fired, err := det.DivergedFrom(p, neighbor, true)
-	if err != nil {
-		t.Fatalf("DivergedFrom: %v", err)
+	if r := relative(t, p, neighbor); r > epsilon {
+		t.Fatalf("stationary stream: ratio %v > %v", r, epsilon)
 	}
-	if fired {
-		t.Fatal("relative detector fired on stationary stream")
-	}
-
-	// Move the node by ~20 ms: 20/30 = 0.67 > 0.3, must fire.
+	// Move the node by ~20 ms: 20/30 = 0.67 > 0.3.
 	appendN(t, p, cloud(rng, 32, 70, 50, 50, 0.5))
-	fired, err = det.DivergedFrom(p, neighbor, true)
-	if err != nil {
-		t.Fatalf("DivergedFrom: %v", err)
+	if r := relative(t, p, neighbor); !(r > epsilon) {
+		t.Fatalf("20 ms move with 30 ms neighbor: ratio %v, want > %v", r, epsilon)
 	}
-	if !fired {
-		t.Fatal("relative detector missed a 20 ms move with 30 ms neighbor")
+	if _, err := p.Relative(vec.New(80, 50)); err == nil {
+		t.Fatal("2-dim neighbor accepted by a 3-dim pair")
+	}
+	if _, err := mustPair(t, 32, 3).Relative(neighbor); err == nil {
+		t.Fatal("empty pair: Relative defined")
 	}
 }
 
+// TestRelativeDetectorNoNeighbor: with no neighbor there is no locale to
+// be relative to, so Relative yields an error, never a ratio some
+// threshold could pass (RELATIVE does not ask until it knows one).
 func TestRelativeDetectorNoNeighbor(t *testing.T) {
 	rng := xrand.NewStream(16)
-	det, err := NewRelativeDetector(0.3)
-	if err != nil {
-		t.Fatalf("NewRelativeDetector: %v", err)
-	}
 	p := mustPair(t, 8, 3)
 	appendN(t, p, cloud(rng, 8, 0, 0, 0, 1))
 	appendN(t, p, cloud(rng, 8, 100, 0, 0, 1))
-	fired, err := det.DivergedFrom(p, nil, false)
-	if err != nil {
-		t.Fatalf("DivergedFrom: %v", err)
-	}
-	if fired {
-		t.Fatal("relative detector fired with no known neighbor")
+	if r, err := p.Relative(nil); err == nil {
+		t.Fatalf("no neighbor: ratio %v, want an error", r)
 	}
 }
 
 func TestRelativeDetectorScaleDependence(t *testing.T) {
-	// The same absolute movement must fire with a near neighbor and stay
-	// quiet with a far one.
+	// The same absolute movement must be significant with a near
+	// neighbor and not with a far one.
 	build := func(t *testing.T) *Pair {
 		rng := xrand.NewStream(17)
 		p := mustPair(t, 16, 3)
@@ -349,52 +334,27 @@ func TestRelativeDetectorScaleDependence(t *testing.T) {
 		appendN(t, p, cloud(rng, 16, 56, 50, 50, 0.1)) // ~6 ms move
 		return p
 	}
-	det, err := NewRelativeDetector(0.3)
-	if err != nil {
-		t.Fatalf("NewRelativeDetector: %v", err)
+	const epsilon = 0.3
+	near := vec.New(60, 50, 50) // 10 ms locale: 6/10 = 0.6
+	far := vec.New(250, 50, 50) // 200 ms locale: 6/200 = 0.03
+	if r := relative(t, build(t), near); !(r > epsilon) {
+		t.Fatalf("6 ms move with 10 ms neighbor: ratio %v, want > %v", r, epsilon)
 	}
-	near := vec.New(60, 50, 50) // 10 ms locale: 6/10 = 0.6 fires
-	far := vec.New(250, 50, 50) // 200 ms locale: 6/200 = 0.03 quiet
-	fired, err := det.DivergedFrom(build(t), near, true)
-	if err != nil {
-		t.Fatalf("DivergedFrom: %v", err)
-	}
-	if !fired {
-		t.Fatal("6 ms move with 10 ms neighbor should fire")
-	}
-	fired, err = det.DivergedFrom(build(t), far, true)
-	if err != nil {
-		t.Fatalf("DivergedFrom: %v", err)
-	}
-	if fired {
-		t.Fatal("6 ms move with 200 ms neighbor should not fire")
+	if r := relative(t, build(t), far); r > epsilon {
+		t.Fatalf("6 ms move with 200 ms neighbor: ratio %v, want <= %v", r, epsilon)
 	}
 }
 
 func TestRelativeDetectorZeroScale(t *testing.T) {
-	det, err := NewRelativeDetector(0.3)
-	if err != nil {
-		t.Fatalf("NewRelativeDetector: %v", err)
-	}
 	p := mustPair(t, 2, 2)
 	appendN(t, p, []vec.Vector{vec.New(1, 1), vec.New(1, 1)})
+	// Neighbor exactly at the start centroid, no movement yet: 0/0.
+	if r := relative(t, p, vec.New(1, 1)); r != 0 {
+		t.Fatalf("no movement with zero-distance neighbor: ratio %v, want 0", r)
+	}
 	appendN(t, p, []vec.Vector{vec.New(5, 5), vec.New(5, 5)})
-	// Neighbor exactly at the start centroid.
-	fired, err := det.DivergedFrom(p, vec.New(1, 1), true)
-	if err != nil {
-		t.Fatalf("DivergedFrom: %v", err)
-	}
-	if !fired {
-		t.Fatal("movement with zero-distance neighbor should fire")
-	}
-}
-
-func TestRelativeDetectorValidation(t *testing.T) {
-	if _, err := NewRelativeDetector(0); err == nil {
-		t.Fatal("epsilon=0 accepted")
-	}
-	if _, err := NewRelativeDetector(math.NaN()); err == nil {
-		t.Fatal("epsilon=NaN accepted")
+	if r := relative(t, p, vec.New(1, 1)); !math.IsInf(r, 1) {
+		t.Fatalf("movement with zero-distance neighbor: ratio %v, want +Inf", r)
 	}
 }
 

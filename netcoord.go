@@ -236,18 +236,11 @@ func resolve(cfg Config) (Config, vivaldi.Config, error) {
 		cfg.WindowSize = heuristic.DefaultWindow
 	}
 	if cfg.Threshold == 0 {
-		switch cfg.Policy {
-		case PolicyEnergy:
-			cfg.Threshold = heuristic.DefaultEnergyTau
-		case PolicyRelative:
-			cfg.Threshold = heuristic.DefaultRelativeEpsilon
-		case PolicySystem, PolicyApplication, PolicyApplicationCentroid:
-			cfg.Threshold = heuristic.DefaultThresholdTau
-		case PolicyDirect:
-			cfg.Threshold = 1 // unused
-		default:
+		choice, ok := cfg.Policy.choice()
+		if !ok {
 			return Config{}, vivaldi.Config{}, fmt.Errorf("netcoord: unknown policy %d", cfg.Policy)
 		}
+		cfg.Threshold = choice.Threshold
 	}
 	vcfg := vivaldi.Config{
 		Dimension:    cfg.Dimension,
@@ -263,22 +256,19 @@ func resolve(cfg Config) (Config, vivaldi.Config, error) {
 }
 
 func buildPolicy(cfg Config) (heuristic.Policy, error) {
-	switch cfg.Policy {
-	case PolicyEnergy:
-		return heuristic.NewEnergy(cfg.Dimension, cfg.WindowSize, cfg.Threshold)
-	case PolicyRelative:
-		return heuristic.NewRelative(cfg.Dimension, cfg.WindowSize, cfg.Threshold)
-	case PolicySystem:
-		return heuristic.NewSystem(cfg.Dimension, cfg.Threshold)
-	case PolicyApplication:
-		return heuristic.NewApplication(cfg.Dimension, cfg.Threshold)
-	case PolicyApplicationCentroid:
-		return heuristic.NewApplicationCentroid(cfg.Dimension, cfg.WindowSize, cfg.Threshold)
-	case PolicyDirect:
-		return heuristic.NewDirect(cfg.Dimension)
-	default:
+	choice, ok := cfg.Policy.choice()
+	if !ok {
 		return nil, fmt.Errorf("unknown policy %d", cfg.Policy)
 	}
+	return choice.New(cfg.Dimension, cfg.WindowSize, cfg.Threshold)
+}
+
+// choice returns k's row of heuristic.Choices, the one policy table.
+func (k PolicyKind) choice() (heuristic.Choice, bool) {
+	if k < PolicyEnergy || k > PolicyDirect {
+		return heuristic.Choice{}, false
+	}
+	return heuristic.Choices[k-PolicyEnergy], true
 }
 
 func buildFilterFactory(cfg Config) (filter.Factory, error) {
@@ -302,6 +292,9 @@ func buildFilterFactory(cfg Config) (filter.Factory, error) {
 // or with a non-finite component, are rejected with an error and leave
 // every piece of local state untouched. remote is copied where it is
 // kept; the caller may reuse its buffer.
+//
+// Observing a peer seen before allocates only the returned State's Sys
+// and App copies, which belong to the caller.
 func (c *Client) Observe(id string, rttMillis float64, remote Coordinate, remoteError float64) (State, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

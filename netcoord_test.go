@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"netcoord/internal/heuristic"
 	"netcoord/internal/vivaldi"
 	"netcoord/internal/xrand"
 )
@@ -43,6 +44,37 @@ func TestNewClientPolicyVariants(t *testing.T) {
 	bad.Policy = PolicyKind(99)
 	if _, err := NewClient(bad); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// TestPolicyKindsIndexTheTable: heuristic.Choices is indexed by
+// PolicyKind, so each kind must build its own policy.
+func TestPolicyKindsIndexTheTable(t *testing.T) {
+	for kind, name := range map[PolicyKind]string{
+		PolicyEnergy:              "energy",
+		PolicyRelative:            "relative",
+		PolicySystem:              "system",
+		PolicyApplication:         "application",
+		PolicyApplicationCentroid: "application-centroid",
+		PolicyDirect:              "direct",
+	} {
+		cfg, _, err := resolve(Config{Policy: kind})
+		if err != nil {
+			t.Fatalf("policy %d: %v", kind, err)
+		}
+		p, err := buildPolicy(cfg)
+		if err != nil {
+			t.Fatalf("policy %d: %v", kind, err)
+		}
+		if p.Name() != name {
+			t.Errorf("policy %d builds %q, want %q", kind, p.Name(), name)
+		}
+	}
+	if len(heuristic.Choices) != int(PolicyDirect) {
+		t.Fatalf("%d policy kinds, %d table rows", PolicyDirect, len(heuristic.Choices))
+	}
+	if _, err := buildPolicy(Config{Policy: PolicyDirect + 1, Dimension: 3}); err == nil {
+		t.Fatal("policy past the table accepted")
 	}
 }
 

@@ -13,12 +13,20 @@ type peerState struct {
 
 // rememberPeer records the freshest remote state, respecting the
 // MaxLinks bound (shared with the filter bank: if we filter a link, we
-// can afford to remember its coordinate). Callers hold c.mu.
+// can afford to remember its coordinate). A known peer's coordinate is
+// overwritten in place; only a new peer's is cloned. Callers hold c.mu.
 func (c *Client) rememberPeer(id string, remote Coordinate, remoteErr float64) {
-	if _, known := c.peers[id]; !known && c.cfg.MaxLinks > 0 && len(c.peers) >= c.cfg.MaxLinks {
+	st, known := c.peers[id]
+	switch {
+	case known:
+		st.coord.CopyFrom(remote)
+		st.err = remoteErr
+	case c.cfg.MaxLinks > 0 && len(c.peers) >= c.cfg.MaxLinks:
 		return
+	default:
+		st = peerState{coord: remote.Clone(), err: remoteErr}
 	}
-	c.peers[id] = peerState{coord: remote.Clone(), err: remoteErr}
+	c.peers[id] = st
 }
 
 // PeerCoordinate returns the last coordinate observed for the given peer

@@ -200,3 +200,29 @@ func TestForgetLinkClearsNearestNeighbor(t *testing.T) {
 		t.Fatal("ForgetLink left the departed peer's nearest-neighbor state behind")
 	}
 }
+
+// TestKnownPeerObserveCopiesInPlace: a peer observed before has its
+// stored coordinate overwritten, not re-cloned, so the caller may reuse
+// its buffer and Observe allocates only the State it returns.
+func TestKnownPeerObserveCopiesInPlace(t *testing.T) {
+	c, err := NewClient(DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	buf := c3(50, 0, 0)
+	if _, err := c.Observe("a", 50, buf, 0.5); err != nil {
+		t.Fatalf("Observe: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Observe("a", 50, buf, 0.5); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("Observe of a known peer allocated %v times, want 2 (State.Sys and State.App)", allocs)
+	}
+	buf.Vec[0] = 9999
+	if got, _ := c.PeerCoordinate("a"); got.Vec[0] != 50 {
+		t.Fatalf("remembered coordinate follows the caller's buffer: %v", got)
+	}
+}
