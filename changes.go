@@ -9,7 +9,8 @@ import (
 )
 
 // DefaultChangeStreamBuffer is the change-stream ring size of a
-// registry built with RegistryConfig.ChangeStreamBuffer <= 0.
+// registry built with RegistryConfig.ChangeStreamBuffer <= 0 — and so,
+// at defaults, how far a server's watch hub may lag before it resyncs.
 const DefaultChangeStreamBuffer = 4096
 
 // ErrChangeHistoryTruncated is returned by ChangesSince when the
@@ -123,23 +124,18 @@ func (r *Registry) DeltaSince(since uint64) (entries []RegistryEntry, removed []
 	return sortedByID(entries), removed, seq, true
 }
 
-// ChangeSubscription delivers every change event published after
-// JoinSeq, in sequence order: prev.Seq+1 == ev.Seq. Receive from C; the
-// channel closes when the subscription or the registry is closed. A
-// subscriber that cannot keep up loses events rather than slowing
-// mutations — any gap in Seq is loss (Dropped counts it); repair it
-// with ChangesSince. JoinSeq is the stream sequence at attach time;
-// Close detaches it and is safe to call repeatedly and concurrently.
-// The channel also closes when a replica re-bootstraps from a full
-// snapshot or a delta (its ring no longer connects to the rewritten
-// state): re-subscribe and resynchronize from current state.
-type ChangeSubscription = changefeed.Subscription
+// ChangeCursor reads the change stream from memory behind a wake-up:
+// Wake is signalled after every mutation and every stream restart, and
+// Read(since, buf) copies what the ring holds past since. Read fails
+// when the ring (ChangeStreamBuffer events) has overwritten events
+// after since, or when the stream restarted — a replica
+// re-bootstrapped, even at or below its old sequence, or the registry
+// closed — since the last Read; either way the owner resyncs from
+// current state and continues from ChangeSeq. Close detaches it.
+type ChangeCursor = changefeed.Cursor
 
-// SubscribeChanges attaches a subscriber buffering up to buffer events
-// (minimum 1). The subscription observes every event with sequence >
-// JoinSeq; fetch history at or before JoinSeq with ChangesSince — the
-// split is what makes catch-up-then-follow race-free. On a closed
-// registry the subscription's channel is already closed.
-func (r *Registry) SubscribeChanges(buffer int) *ChangeSubscription {
-	return r.feed.Subscribe(buffer)
-}
+// FollowChanges attaches a ChangeCursor: every mutation published after
+// it returns signals the cursor's Wake. Its sink runs inline on the
+// mutation path and only signals, so a cursor costs publishers one
+// non-blocking channel send.
+func (r *Registry) FollowChanges() *ChangeCursor { return r.feed.Follow() }

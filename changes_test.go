@@ -54,14 +54,12 @@ func assertStateMatchesRegistry(t *testing.T, state map[string]RegistryEntry, re
 }
 
 func TestChangeStreamSequencesEveryMutation(t *testing.T) {
-	// Acceptance: zero missed events across 10k mutations — a
-	// subscriber with room for everything sees a dense, gap-free
-	// sequence covering every applied upsert and remove, and replaying
-	// them reconstructs the registry exactly.
+	// Acceptance: zero missed events across 10k mutations — a reader
+	// paging through ChangesSince (as a /changes client does) sees a
+	// dense, gap-free sequence covering every applied upsert and remove,
+	// and replaying it reconstructs the registry exactly.
 	const mutations = 10_000
 	r := newTestRegistry(t, RegistryConfig{ChangeStreamBuffer: mutations + 64})
-	sub := r.SubscribeChanges(mutations + 64)
-	defer sub.Close()
 
 	rng := rand.New(rand.NewSource(42))
 	applied := uint64(0)
@@ -82,24 +80,22 @@ func TestChangeStreamSequencesEveryMutation(t *testing.T) {
 	if finalSeq != applied {
 		t.Fatalf("ChangeSeq = %d, want %d (every applied mutation sequenced exactly once)", finalSeq, applied)
 	}
-	if sub.Dropped() != 0 {
-		t.Fatalf("subscriber dropped %d events despite sufficient buffer", sub.Dropped())
-	}
 
 	state := make(map[string]RegistryEntry)
 	var got []ChangeEvent
 	var prev uint64
 	for prev < finalSeq {
-		select {
-		case ev := <-sub.C():
+		page, err := r.ChangesSince(prev, 512)
+		if err != nil || len(page) == 0 {
+			t.Fatalf("ChangesSince(%d) = %d events, %v", prev, len(page), err)
+		}
+		for _, ev := range page {
 			if prev+1 != ev.Seq {
 				t.Fatalf("gap: event %d after %d", ev.Seq, prev)
 			}
 			prev = ev.Seq
-			got = append(got, ev)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("subscriber starved at seq %d/%d", prev, finalSeq)
 		}
+		got = append(got, page...)
 	}
 	if err := applyChangeEvents(state, got); err != nil {
 		t.Fatal(err)
@@ -202,22 +198,20 @@ func TestEvictionsArePublishedWithIDs(t *testing.T) {
 }
 
 func TestConcurrentWatchStress(t *testing.T) {
-	// Satellite acceptance: subscribers attach and detach while
-	// upserts, removes, and TTL evictions run, under -race. Every
-	// subscriber must observe strictly increasing sequences; the
-	// long-lived auditor must see a dense stream.
+	// Satellite acceptance: readers attach and detach while upserts,
+	// removes, and TTL evictions run, under -race. Every reader — a
+	// cursor woken by the stream, paging the ring with ChangesSince —
+	// must observe a dense stream from wherever it resumes; afterwards
+	// the whole history reads back dense.
 	r := newTestRegistry(t, RegistryConfig{
 		TTL:                time.Millisecond,
 		JanitorInterval:    time.Millisecond,
 		ChangeStreamBuffer: 1 << 15,
 	})
-	audit := r.SubscribeChanges(1 << 15)
-	defer audit.Close()
 
 	// Each writer performs a fixed op count so total events stay well
-	// inside the auditor's buffer on any machine speed: 3×3000 writer
-	// ops plus at most one eviction per upsert bounds the stream below
-	// 2^15 even before the churning subscribers stop reading.
+	// inside the ring on any machine speed: 3×3000 writer ops plus at
+	// most one eviction per upsert bounds the stream below 2^15.
 	const opsPerWriter = 3000
 	stop := make(chan struct{})
 	var writers, wg sync.WaitGroup
@@ -236,45 +230,45 @@ func TestConcurrentWatchStress(t *testing.T) {
 			}
 		}(w)
 	}
-	var badOrder atomic.Bool
+	var gap atomic.Bool
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sub := r.SubscribeChanges(4) // deliberately tiny: overflow must be safe
-				prev := sub.JoinSeq()
+				c := r.FollowChanges()
+				pos := r.ChangeSeq()
 				for i := 0; i < 64; i++ {
 					select {
-					case ev, ok := <-sub.C():
-						if !ok {
-							sub.Close()
-							return
-						}
-						if ev.Seq <= prev {
-							badOrder.Store(true)
-						}
-						prev = ev.Seq
 					case <-stop:
-						sub.Close()
+						c.Close()
 						return
-					default:
+					case <-c.Wake():
+					}
+					// Deliberately tiny pages: a reader that falls behind
+					// keeps resuming from its own position.
+					evs, err := r.ChangesSince(pos, 4)
+					if err != nil {
+						t.Errorf("ChangesSince(%d): %v", pos, err)
+						c.Close()
+						return
+					}
+					for _, ev := range evs {
+						if ev.Seq != pos+1 {
+							gap.Store(true)
+						}
+						pos = ev.Seq
 					}
 				}
-				sub.Close()
+				c.Close()
 			}
 		}()
 	}
 	writers.Wait()
 	close(stop)
 	wg.Wait()
-	if badOrder.Load() {
-		t.Fatal("a subscriber observed non-increasing sequences")
+	if gap.Load() {
+		t.Fatal("a reader observed a gap or a repeat")
 	}
 
 	// Quiesce the stream before reading its final sequence: the writers
@@ -287,26 +281,20 @@ func TestConcurrentWatchStress(t *testing.T) {
 		}
 	}
 
-	// The auditor (big buffer) must lose nothing: a dense sequence.
+	// The ring holds the whole history: it must read back dense.
 	finalSeq := r.ChangeSeq()
-	if audit.Dropped() != 0 {
-		t.Fatalf("auditor dropped %d events; raise the buffer", audit.Dropped())
+	evs, err := r.ChangesSince(0, 0)
+	if err != nil || uint64(len(evs)) != finalSeq {
+		t.Fatalf("history: %d events, %v; want %d", len(evs), err, finalSeq)
 	}
-	var prev uint64
-	for prev < finalSeq {
-		select {
-		case ev := <-audit.C():
-			if prev+1 != ev.Seq {
-				t.Fatalf("auditor saw a gap: %d after %d", ev.Seq, prev)
-			}
-			prev = ev.Seq
-		case <-time.After(5 * time.Second):
-			t.Fatalf("auditor starved at seq %d/%d", prev, finalSeq)
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("history has event %d at position %d", ev.Seq, i)
 		}
 	}
 	st := r.ChangeStreamStats()
-	if st.Seq != finalSeq {
-		t.Fatalf("stream stats inconsistent: %+v (want seq %d)", st, finalSeq)
+	if st.Seq != finalSeq || st.Subscribers != 0 {
+		t.Fatalf("stream stats inconsistent: %+v (want seq %d, no cursor left)", st, finalSeq)
 	}
 }
 

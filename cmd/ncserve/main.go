@@ -44,8 +44,8 @@
 // delta only when the top-k membership or order actually changes —
 // stable application-level coordinates make those pushes rare, which
 // is the point of pushing rather than polling. All watchers — and all
-// /changes long-pollers — hang off the server's one internal
-// subscription, routed through a spatial damage map, so watcher count
+// /changes long-pollers — hang off the server's one internal reader
+// of the stream, routed through a spatial damage map, so watcher count
 // does not multiply the per-mutation work.
 //
 // A TTL (with the -ttl flag) makes the registry self-cleaning: nodes
@@ -125,7 +125,7 @@ func run(args []string) (err error) {
 		flushEvery   = fs.Duration("flush-interval", 0, "WAL group-commit window (0 = 50ms; with -data-dir)")
 		compactBytes = fs.Int64("compact-wal-bytes", 0, "also compact when the active WAL exceeds this many bytes (0 = default, negative = timer only; with -data-dir)")
 		compactRecs  = fs.Int64("compact-wal-records", 0, "also compact when the active WAL exceeds this many records (0 = default, negative = timer only; with -data-dir)")
-		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory (0 = default; with -upstreams, the replica's ring)")
+		streamBuffer = fs.Int("change-buffer", netcoord.DefaultChangeStreamBuffer, "change-stream ring size: how many recent mutations /changes can serve from memory, and how far the watch hub may lag before it resyncs (0 = default; with -upstreams, the replica's ring)")
 		upstreams    = fs.String("upstreams", "", "comma-separated ordered list of upstream ncserve URLs to replicate from; the first is preferred, the rest are failover targets")
 		maxLag       = fs.Uint64("max-lag", 0, "follower readiness bound: /healthz answers 503 when replication lag exceeds this many events (0 = default)")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address; bind to loopback only — this listener must never be exposed publicly")

@@ -424,8 +424,8 @@ func (f *FollowerRegistry) Promote() (uint64, error) {
 	return f.ChangeEpoch(), nil
 }
 
-// Close stops the tail loop and the local registry (closing every
-// subscription).
+// Close stops the tail loop and the local registry (detaching every
+// change-stream cursor).
 func (f *FollowerRegistry) Close() {
 	f.closeOnce.Do(func() {
 		f.cancel()
@@ -603,7 +603,7 @@ func (f *FollowerRegistry) applyFrames(body []byte) error {
 // apply replays a batch of leader events, in order, through the
 // registry's one apply path: each event changes entries, index and
 // stream in one hold of the write lock, published under the leader's
-// own sequence number, so a subscriber woken by an event — and a poller
+// own sequence number, so a cursor woken by an event — and a poller
 // re-checking ChangeSeq — always observes a registry that already
 // reflects it. Upserts preserve UpdatedAt and Seq exactly. The feed is
 // the judge of continuity and fencing, before anything changes: a
@@ -648,8 +648,9 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 //
 // The stream moves to the snapshot sequence in the same lock hold as
 // the state: the previous ring described a stream position that no
-// longer connects to the rewritten state, so every subscriber is closed
-// and resyncs — the same protocol they run when they fall off the ring.
+// longer connects to the rewritten state, so every cursor is told and
+// its owner resyncs — the same protocol it runs when it falls off the
+// ring.
 //
 // A snapshot carrying a lower fencing epoch than the stream already
 // adopted is refused outright: re-basing onto a deposed leader's state

@@ -1,12 +1,16 @@
 package netcoord
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"netcoord/internal/telemetry"
+	"netcoord/internal/wire"
 )
 
 // TestFinishBootstrap drives the one place a follower turns a decoded
@@ -133,4 +137,66 @@ func TestBootstrapErrorNamesUpstreamRefusal(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzFollowerFrames feeds arbitrary bytes to a follower's /changes
+// ingest, on a replica registry with no tail loop behind it. Whatever
+// the body, ingest must not panic, and the stream may move only by the
+// events it applied: ChangeSeq advances by exactly the eventsApplied
+// delta, so a hostile or torn body can never leave a gap. The seed
+// corpus is a real /changes frame body — what a leader serves for the
+// mutations below — and its truncations.
+func FuzzFollowerFrames(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
+	leader, err := NewRegistry(RegistryConfig{TTL: time.Hour, Clock: func() time.Time { return now }})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer leader.Close()
+	cur := leader.FollowChanges() // a served leader has its hub's sink: frames are encoded at publish
+	defer cur.Close()
+	for i := 0; i < 7; i++ {
+		if err := leader.Upsert(fmt.Sprintf("n%d", i%6), c3(float64(i), 1, 2), 0.25); err != nil {
+			f.Fatal(err)
+		}
+	}
+	leader.Remove("n1")
+	now = now.Add(2 * time.Hour)
+	if err := leader.Upsert("fresh", c3(7, 7, 7), 0.1); err != nil {
+		f.Fatal(err)
+	}
+	if leader.EvictStale() == 0 {
+		f.Fatal("nothing evicted")
+	}
+	evs, err := leader.ChangesSince(0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := wire.AppendBatchHeader(nil, wire.BatchHeader{Seq: leader.ChangeSeq(), Epoch: leader.ChangeEpoch(), Count: uint64(len(evs))})
+	for i := range evs {
+		if len(evs[i].Frame()) == 0 {
+			f.Fatalf("event %d carries no frame", evs[i].Seq)
+		}
+		if body, err = evs[i].AppendFrameTo(body); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for cut := 0; cut <= len(body); cut += 7 {
+		f.Add(body[:cut])
+	}
+	f.Add(body)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		reg, err := newReplicaRegistry(RegistryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		fr := &FollowerRegistry{Registry: reg, applyLag: telemetry.NewHistogram()}
+		seq, applied := fr.ChangeSeq(), fr.eventsApplied.Load()
+		_ = fr.applyFrames(body) // refusals are fine; gaps are not
+		if moved, ok := fr.ChangeSeq()-seq, fr.eventsApplied.Load()-applied; moved != ok {
+			t.Fatalf("ChangeSeq moved by %d, %d events applied", moved, ok)
+		}
+	})
 }

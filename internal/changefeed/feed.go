@@ -1,39 +1,33 @@
 // Package changefeed is the registry's change-stream core: a totally
 // ordered, sequence-numbered log of applied mutations that durability,
-// live subscribers, and read replicas all consume through one seam.
+// watchers, and read replicas all consume through one seam.
 //
 // The paper's observation — application-level coordinates change
-// rarely — is what makes a push stream the right distribution
-// primitive: the stream is almost always quiet, so fanning every
-// mutation out to persistence, watchers, and followers costs almost
-// nothing, while pull-based consumers would poll mostly-unchanged
-// state forever.
+// rarely — is what makes the stream cheap to consume: it is almost
+// always quiet, so a few inline sinks per mutation and consumers that
+// re-read history when woken cost almost nothing, while polling
+// mostly-unchanged state would cost forever.
 //
 // A Feed assigns each published event the next sequence number (dense:
-// seq n+1 follows n with no holes) and delivers it to two kinds of
-// consumer:
+// seq n+1 follows n with no holes) and has two kinds of consumer:
 //
-//   - Taps are synchronous: invoked inline under the feed lock, in
+//   - Sinks are synchronous: invoked inline under the feed lock, in
 //     sequence order, with no buffering and no loss. The persistence
-//     layer is a tap — its WAL append only enqueues, so the inline
-//     call is cheap, and a tap can never miss an event the way a
-//     bounded subscriber can. Taps are registered before the feed is
-//     shared and never removed.
-//   - Subscriptions are asynchronous: each holds a bounded buffer that
-//     is written without ever blocking, and receives every event in
-//     sequence order (see deliver.go). A subscriber that falls behind
-//     loses events (counted in Dropped; a sequence gap is always loss)
-//     and is expected to resume from history — the ring via Since, or
-//     the WAL beneath it — rather than slow the mutation path down.
-//
-// The feed also retains the most recent events in a ring so that
-// late-joining or lagging subscribers can catch up without touching
-// disk; Since reports when the ring no longer reaches back far enough
-// and the caller must fall back to WAL replay.
+//     layer's WAL append is one (Tap — its append only enqueues, so the
+//     inline call is cheap); a Cursor's wake-up is another. A sink only
+//     enqueues or signals and takes no lock of its own: it runs on
+//     every mutation path, under the publishing registry's write lock.
+//   - Readers re-read history: Since serves the ring of recent events
+//     and reports when it no longer reaches back far enough, so the
+//     caller falls back to WAL replay or a snapshot. A Cursor is a sink
+//     that wakes its owner plus a ring-only read, which reports a
+//     position the ring has overwritten, or a stream restarted under
+//     it, so the owner resyncs from current state.
 package changefeed
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +77,12 @@ const (
 // WAL) or re-bootstrap from a snapshot.
 var ErrTruncated = errors.New("changefeed: history truncated (resume point older than the ring)")
 
+// ErrReset is returned by Cursor.Read when the stream was restarted
+// (ResetTo, AdvanceTo) or the feed closed since the cursor's last read:
+// the owner's position no longer connects to the feed's state, whether
+// or not the sequence moved past it.
+var ErrReset = errors.New("changefeed: stream restarted under the cursor")
+
 // PublishAt's refusals: what a relayed event can be instead of the next
 // one in the stream. None of them changes the feed.
 var (
@@ -98,11 +98,10 @@ type Stats struct {
 	// Published counts events published since construction (events
 	// published by this process; excludes the StartSeq offset).
 	Published uint64 `json:"published"`
-	// Subscribers is the current subscription count.
+	// Subscribers counts the attached sinks other than taps.
 	Subscribers int `json:"subscribers"`
-	// Overflows counts events dropped across all subscribers because
-	// their buffers were full — each one a gap some subscriber must
-	// repair by resuming from history.
+	// Overflows counts events a sink refused (SubscribeFunc's sink
+	// returned false).
 	Overflows uint64 `json:"overflows"`
 	// OldestSeq is the oldest event still in the ring (0 = ring empty);
 	// Since can serve any resume point >= OldestSeq-1.
@@ -125,32 +124,17 @@ type Stats struct {
 }
 
 // Feed is the sequenced change stream. Create with New; methods are
-// safe for concurrent use except Tap, which must be called before the
-// feed is shared.
+// safe for concurrent use.
 type Feed struct {
 	mu     sync.Mutex
 	seq    uint64 // last assigned, guarded by mu; mirrored in seqAtomic
 	chunk  []byte // frame slab publish is appending to; guarded by mu
 	ring   []Event
-	next   int // ring slot the next event lands in
-	len    int // live events in the ring
-	taps   []func(Event)
-	subs   map[*Subscription]struct{}
+	next   int             // ring slot the next event lands in
+	len    int             // live events in the ring
+	sinks  []*Subscription // called in attach order for every event; guarded by mu
+	taps   int             // how many of sinks are taps
 	closed bool
-
-	// Subscriber delivery is an asynchronous hand-off; see deliver.go.
-	// deliverMu serializes delivery (flusher batches and the inline
-	// drains in Subscribe/Close) and orders strictly before mu — every
-	// path that takes both takes deliverMu first, which is what lets the
-	// flusher send to subscriber channels without holding mu while
-	// Close/ResetTo can still safely close those channels.
-	deliverMu sync.Mutex
-	pend      []Event         // pending queue, guarded by mu
-	pendSpare []Event         // previous batch's backing, reused on swap
-	subsList  []*Subscription // copy-on-write snapshot of subs for lock-free fan-out
-	wake      chan struct{}   // cap 1: nudges the flusher
-	quit      chan struct{}   // closed to stop the flusher
-	flusherOn bool            // guarded by mu
 
 	// The tombstone ring remembers (seq, id) for removals only. Because
 	// heartbeat upserts dominate real streams, the event ring forgets a
@@ -196,23 +180,20 @@ func New(ringSize int, startSeq uint64) *Feed {
 	f := &Feed{
 		seq:       startSeq,
 		ring:      make([]Event, ringSize),
-		subs:      make(map[*Subscription]struct{}),
 		tombs:     make([]tombstone, tombCap),
 		tombFloor: startSeq,
-		wake:      make(chan struct{}, 1),
-		quit:      make(chan struct{}),
 	}
 	f.seqAtomic.Store(startSeq)
 	return f
 }
 
-// Tap registers a synchronous consumer invoked inline, under the feed
-// lock, for every subsequent event in sequence order. fn must only
-// enqueue — it runs on every mutation path, under the publishing
-// registry's write lock. Tap is not safe to call concurrently with publishing:
-// register taps before the feed is shared.
+// Tap attaches fn as a durable sink: invoked inline, under the feed
+// lock, for every subsequent event in sequence order, never detached —
+// not even by Close — and not counted among Stats.Subscribers. fn must
+// only enqueue: it runs on every mutation path, under the publishing
+// registry's write lock.
 func (f *Feed) Tap(fn func(Event)) {
-	f.taps = append(f.taps, fn)
+	f.attach(&Subscription{f: f, sink: func(ev *Event) bool { fn(*ev); return true }, tap: true})
 }
 
 // Seq returns the last assigned sequence number.
@@ -299,18 +280,9 @@ func (f *Feed) PublishAt(ev Event) error {
 	}
 	f.seq = ev.Seq
 	f.seqAtomic.Store(f.seq)
-	f.ring[f.next] = ev
-	f.next = (f.next + 1) % len(f.ring)
-	if f.len < len(f.ring) {
-		f.len++
-	}
-	f.recordTombsLocked(ev)
-	full := f.deliverLocked(ev)
+	f.appendLocked(ev)
 	f.mu.Unlock()
 	f.published.Add(1)
-	if full {
-		f.Flush()
-	}
 	return nil
 }
 
@@ -318,13 +290,10 @@ func (f *Feed) PublishAt(ev Event) error {
 // space at seq — a relay that re-bootstrapped from a FULL snapshot
 // calls this, because its previous ring (and removal knowledge, which
 // the full snapshot did not carry forward) no longer connects to its
-// rewritten state. Every live subscription is closed: consumers
-// holding one re-subscribe and resynchronize from current state,
-// exactly as they would after falling off the ring. The feed itself
-// stays open for subsequent Subscribe/PublishAt.
+// rewritten state. Every sink but the taps gets its reset callback and
+// stays attached: a Cursor's owner resynchronizes from current state,
+// exactly as it would after falling off the ring.
 func (f *Feed) ResetTo(seq uint64) {
-	f.deliverMu.Lock()
-	defer f.deliverMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.next, f.len = 0, 0
@@ -344,8 +313,6 @@ func (f *Feed) ResetTo(seq uint64) {
 // on every tier below it, in exactly the truncation-under-churn
 // scenario delta snapshots exist for.
 func (f *Feed) AdvanceTo(seq uint64, removed []string) {
-	f.deliverMu.Lock()
-	defer f.deliverMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.next, f.len = 0, 0
@@ -355,23 +322,19 @@ func (f *Feed) AdvanceTo(seq uint64, removed []string) {
 	f.resetLocked(seq)
 }
 
-// resetLocked restarts the sequence space and closes every subscriber;
-// the caller holds f.deliverMu (so no flush is mid-delivery on the
-// channels being closed) and f.mu, and has already settled ring and
-// tombstones. Events still pending against the old sequence space are
-// discarded — the subscribers they were destined for are being closed.
+// resetLocked restarts the sequence space and runs every non-tap
+// sink's reset callback; the caller holds f.mu and has already settled
+// ring and tombstones.
 //
 //nc:locked(mu)
 func (f *Feed) resetLocked(seq uint64) {
 	f.seq = seq
 	f.seqAtomic.Store(seq)
-	clear(f.pend)
-	f.pend = f.pend[:0]
-	for sub := range f.subs {
-		sub.finish()
+	for _, sub := range f.sinks {
+		if !sub.tap {
+			sub.onReset()
+		}
 	}
-	f.subs = make(map[*Subscription]struct{})
-	f.subsList = nil
 }
 
 // recordTombLocked remembers one removal in the tombstone ring; the
@@ -392,8 +355,8 @@ func (f *Feed) recordTombLocked(seq uint64, id string) {
 // SeedTombstones replays persisted removal knowledge into the ring:
 // floor is the sequence below which knowledge was already incomplete
 // when it was captured, and tombs are the remembered removals, oldest
-// first. Call before the feed is shared (recovery), like Tap — the
-// normal ring-overwrite accounting applies, so seeding more tombstones
+// first. Call before the feed is shared (recovery) — the normal
+// ring-overwrite accounting applies, so seeding more tombstones
 // than the ring holds simply raises the floor as it would live.
 func (f *Feed) SeedTombstones(floor uint64, tombs []Tombstone) {
 	f.mu.Lock()
@@ -460,24 +423,30 @@ func (f *Feed) RemovedSince(since uint64) ([]string, bool) {
 	return out, true
 }
 
-// deliverLocked runs the taps inline and queues ev for the flusher to
-// fan out to subscribers (see deliver.go). It reports
-// whether the pending queue hit capacity — the caller must then drain
-// it with Flush after releasing f.mu. The caller holds f.mu.
+// appendLocked retains a sequenced event in the ring, records its
+// removals, and hands its ring slot to every sink in attach order; a
+// sink refusing it counts one overflow. The caller holds f.mu.
 //
 //nc:locked(mu)
-func (f *Feed) deliverLocked(ev Event) (full bool) {
-	for _, tap := range f.taps {
-		tap(ev)
+func (f *Feed) appendLocked(ev Event) {
+	slot := &f.ring[f.next]
+	*slot = ev
+	f.next = (f.next + 1) % len(f.ring)
+	if f.len < len(f.ring) {
+		f.len++
 	}
-	return f.enqueueLocked(ev)
+	f.recordTombsLocked(ev)
+	for _, sub := range f.sinks {
+		if !sub.sink(slot) {
+			f.overflows.Add(1)
+		}
+	}
 }
 
-// publish assigns the next sequence, encodes the event's frame when
-// anyone is listening, retains the event in the ring, runs the taps,
-// and offers the event to every subscriber without blocking. This is
-// the stream's origin, so the propagation stamp is taken and the frame
-// encoded here — once per event, before any relay tier sees it.
+// publish assigns the next sequence, encodes the event's frame when a
+// sink is attached, and appends the event. This is the stream's
+// origin, so the propagation stamp is taken and the frame encoded here
+// — once per event, before any relay tier sees it.
 func (f *Feed) publish(ev Event) uint64 {
 	ev.PubNs = time.Now().UnixNano()
 	ev.Epoch = f.epoch.Load()
@@ -487,9 +456,9 @@ func (f *Feed) publish(ev Event) uint64 {
 	if ev.Op == OpUpsert {
 		ev.Entry.Seq = ev.Seq
 	}
-	if len(f.taps) > 0 || len(f.subs) > 0 {
+	if len(f.sinks) > 0 {
 		// The one encode of this mutation, before the ring copy so every
-		// copy of the event — ring slot, tap, subscriber, relay tiers
+		// copy of the event — ring slot, tap, reader, relay tiers
 		// downstream — shares the bytes. With nobody listening there is
 		// nobody to share them with: the event goes without (a later
 		// history read encodes what it serves), which keeps a registry
@@ -504,22 +473,9 @@ func (f *Feed) publish(ev Event) uint64 {
 		}
 	}
 	f.seqAtomic.Store(f.seq)
-	f.ring[f.next] = ev
-	f.next = (f.next + 1) % len(f.ring)
-	if f.len < len(f.ring) {
-		f.len++
-	}
-	f.recordTombsLocked(ev)
-	// A full subscriber buffer means a slow subscriber; the mutation
-	// path must not wait for it. The gap is visible to the subscriber
-	// (non-contiguous Seq, Dropped counter) and repairable via Since /
-	// WAL replay.
-	full := f.deliverLocked(ev)
+	f.appendLocked(ev)
 	f.mu.Unlock()
 	f.published.Add(1)
-	if full {
-		f.Flush()
-	}
 	return ev.Seq
 }
 
@@ -532,25 +488,36 @@ func (f *Feed) publish(ev Event) uint64 {
 func (f *Feed) Since(since uint64, max int) ([]Event, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.readLocked(since, max, nil)
+}
+
+// readLocked appends to dst (allocated to fit when nil) up to max
+// events with sequence > since from the ring, oldest first; max <= 0
+// means no limit. The caller holds f.mu.
+//
+//nc:locked(mu)
+func (f *Feed) readLocked(since uint64, max int, dst []Event) ([]Event, error) {
 	if since >= f.seq {
-		return nil, nil
+		return dst, nil
 	}
 	oldest := f.seq - uint64(f.len) + 1 // oldest seq in the ring
 	if f.len == 0 || since+1 < oldest {
-		return nil, ErrTruncated
+		return dst, ErrTruncated
 	}
 	n := int(f.seq - since)
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]Event, 0, n)
+	if dst == nil {
+		dst = make([]Event, 0, n)
+	}
 	// The ring is chronological starting at slot next-len.
 	start := (f.next - f.len + len(f.ring)) % len(f.ring)
 	skip := int(since + 1 - oldest)
-	for i := skip; i < f.len && len(out) < n; i++ {
-		out = append(out, f.ring[(start+i)%len(f.ring)])
+	for i := skip; i < skip+n; i++ {
+		dst = append(dst, f.ring[(start+i)%len(f.ring)])
 	}
-	return out, nil
+	return dst, nil
 }
 
 // OldestBuffered reports the oldest sequence still in the ring
@@ -567,7 +534,7 @@ func (f *Feed) OldestBuffered() uint64 {
 // Stats snapshots operational counters.
 func (f *Feed) Stats() Stats {
 	f.mu.Lock()
-	subs := len(f.subs)
+	subs := len(f.sinks) - f.taps
 	ringLen := f.len
 	ringCap := len(f.ring)
 	tombLen := f.tombLen
@@ -594,146 +561,139 @@ func (f *Feed) Stats() Stats {
 	}
 }
 
-// Close closes every subscription's channel and stops accepting new
-// ones. Publishing remains legal after Close (the owning registry
-// stays mutable after its background work stops); events still reach
-// taps and the ring, but no subscribers. Events already pending are
-// flushed into subscriber buffers first, so a consumer that drains its
-// channel after close still sees everything published before it.
+// Close detaches every sink but the taps, running each one's reset
+// callback, and refuses later SubscribeFunc attachments the same way.
+// Publishing remains legal after Close (the owning registry stays
+// mutable after its background work stops): events still reach the
+// taps and the ring.
 func (f *Feed) Close() {
-	f.deliverMu.Lock()
-	defer f.deliverMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return
 	}
-	f.drainPendLocked()
 	f.closed = true
-	if f.flusherOn {
-		close(f.quit)
-		f.flusherOn = false
-	}
-	for sub := range f.subs {
-		sub.finish()
-	}
-	f.subs = make(map[*Subscription]struct{})
-	f.subsList = nil
-}
-
-// Subscription is one bounded asynchronous consumer. Receive from C;
-// detect loss via Dropped (or a gap in Event.Seq) and repair it with
-// Since. Close when done — an abandoned subscription otherwise drops
-// events forever and pollutes the feed's overflow accounting.
-type Subscription struct {
-	f       *Feed
-	ch      chan Event
-	joinSeq uint64
-	dropped atomic.Uint64
-	closed  atomic.Bool
-
-	// sink/onClose replace ch for callback subscriptions (SubscribeFunc):
-	// the flusher hands each event to sink instead of a channel send, and
-	// onClose fires exactly where ch would have been closed.
-	sink    func(*Event) bool
-	onClose func()
-}
-
-// finish ends delivery to the subscription: closes the channel for
-// channel subscriptions, invokes onClose for callback ones. Called
-// exactly once, always under f.deliverMu (so no delivery is mid-flight).
-func (s *Subscription) finish() {
-	if s.ch != nil {
-		close(s.ch)
-		return
-	}
-	s.onClose()
-}
-
-// Subscribe attaches a subscriber whose buffer holds up to buffer
-// events (minimum 1). The subscription observes every event published
-// after the returned JoinSeq; history at or before it is fetched
-// separately (Since), which makes the two-step "catch up, then follow"
-// pattern race-free. Subscribing to a closed feed returns a
-// subscription whose channel is already closed.
-func (f *Feed) Subscribe(buffer int) *Subscription {
-	if buffer < 1 {
-		buffer = 1
-	}
-	sub := &Subscription{f: f, ch: make(chan Event, buffer)}
-	f.attach(sub)
-	return sub
-}
-
-// SubscribeFunc attaches a callback subscription: the flusher invokes
-// sink for every event instead of a channel send, and onClose fires
-// exactly where the channel would have closed (feed close, reset, or
-// Subscription.Close). sink must not block — it runs on the delivery
-// path for every subscriber — and reports whether it accepted the
-// event; false counts as an overflow drop exactly like a full channel
-// buffer. The event pointer is valid only for the duration of the call (it aims at the
-// delivery batch's slot, zeroed once the batch is out); a sink that
-// retains the event copies it.
-// sink and onClose are serialized with each other: onClose is never
-// invoked while a sink call is in flight, and sink is never invoked
-// after onClose. Subscribing to a closed feed invokes onClose before
-// returning.
-func (f *Feed) SubscribeFunc(sink func(*Event) bool, onClose func()) *Subscription {
-	sub := &Subscription{f: f, sink: sink, onClose: onClose}
-	f.attach(sub)
-	return sub
-}
-
-// attach wires a new subscription into the feed (or finishes it
-// immediately when the feed is closed).
-func (f *Feed) attach(sub *Subscription) {
-	f.deliverMu.Lock()
-	f.mu.Lock()
-	// Drain anything still pending before reading joinSeq: a pending
-	// event's seq is at or below f.seq, so attaching first would let
-	// the flusher deliver events at or below the join point.
-	f.drainPendLocked()
-	sub.joinSeq = f.seq
-	if f.closed {
-		sub.finish()
-	} else {
-		f.subs[sub] = struct{}{}
-		f.rebuildSubsLocked()
-		if !f.flusherOn {
-			f.flusherOn = true
-			go f.flushLoop()
+	kept := f.sinks[:0]
+	for _, sub := range f.sinks {
+		if sub.tap {
+			kept = append(kept, sub)
+		} else {
+			sub.onReset()
 		}
 	}
-	f.mu.Unlock()
-	f.deliverMu.Unlock()
+	clear(f.sinks[len(kept):])
+	f.sinks = kept
 }
 
-// C is the event channel. It is closed when the subscription or the
-// feed is closed; events already buffered remain readable first.
-func (s *Subscription) C() <-chan Event { return s.ch }
+// Subscription is one synchronous sink; Close detaches it.
+type Subscription struct {
+	f       *Feed
+	sink    func(*Event) bool
+	onReset func()
+	tap     bool
+}
 
-// JoinSeq is the feed sequence at attach time: the subscription sees
-// every event with Seq > JoinSeq (buffer permitting).
-func (s *Subscription) JoinSeq() uint64 { return s.joinSeq }
+// SubscribeFunc attaches sink, invoked inline under the feed lock for
+// every event published after it returns, in sequence order. The event
+// pointer aims at the event's ring slot: valid only for the call and
+// not to be modified (a sink that retains the event copies it). sink
+// must not block and takes no lock — the lock order is the registry's
+// lock, then the feed's — and reports whether it accepted the event;
+// false counts as an overflow (Stats.Overflows). onReset runs under the
+// same lock when the stream restarts under the subscription (ResetTo,
+// AdvanceTo: it stays attached) and when Close detaches it — at once,
+// on a closed feed.
+func (f *Feed) SubscribeFunc(sink func(*Event) bool, onReset func()) *Subscription {
+	sub := &Subscription{f: f, sink: sink, onReset: onReset}
+	f.attach(sub)
+	return sub
+}
 
-// Dropped counts events this subscription missed to a full buffer.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
-
-// Close detaches the subscription and closes its channel. Safe to call
-// multiple times and concurrently with publishing.
-func (s *Subscription) Close() {
-	if s.closed.Swap(true) {
+// attach adds sub to the sink list. A closed feed takes only taps;
+// anything else gets its reset callback instead.
+func (f *Feed) attach(sub *Subscription) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case sub.tap:
+		f.taps++
+	case f.closed:
+		sub.onReset()
 		return
 	}
-	// deliverMu first: the flusher must not be mid-send on this channel
-	// when it closes.
-	s.f.deliverMu.Lock()
-	s.f.mu.Lock()
-	if _, ok := s.f.subs[s]; ok {
-		delete(s.f.subs, s)
-		s.f.rebuildSubsLocked()
-		s.finish()
-	}
-	s.f.mu.Unlock()
-	s.f.deliverMu.Unlock()
+	f.sinks = append(f.sinks, sub)
 }
+
+// Close detaches the subscription: once it returns, neither callback is
+// in flight or runs again. Safe to call more than once and concurrently
+// with publishing, but not from inside a callback, which already holds
+// the lock Close takes.
+func (s *Subscription) Close() {
+	s.f.mu.Lock()
+	defer s.f.mu.Unlock()
+	s.f.sinks = slices.DeleteFunc(s.f.sinks, func(sub *Subscription) bool { return sub == s })
+}
+
+// Cursor is a ring reader behind a wake-up: its sink signals Wake,
+// coalescing and never blocking, after every event and every stream
+// restart, and its owner — which keeps its own position — Reads what
+// the ring holds past that position. The ring's size bounds how far the
+// owner may lag before Read reports ErrTruncated.
+type Cursor struct {
+	sub   *Subscription
+	wake  chan struct{}
+	reset bool // a restart since the last Read; guarded by the feed's mu
+}
+
+// Follow attaches a Cursor: every event published after it returns
+// signals Wake.
+func (f *Feed) Follow() *Cursor {
+	c := &Cursor{wake: make(chan struct{}, 1)}
+	c.sub = f.SubscribeFunc(c.accept, c.restart)
+	return c
+}
+
+// accept is the cursor's sink: the event is in the ring, so the owner
+// only needs waking.
+func (c *Cursor) accept(*Event) bool {
+	c.signal()
+	return true
+}
+
+// restart is the cursor's reset callback, run under the feed's mu.
+func (c *Cursor) restart() {
+	c.reset = true
+	c.signal()
+}
+
+func (c *Cursor) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Wake is signalled after every event and every restart; signals
+// coalesce, so one wake may stand for many events.
+func (c *Cursor) Wake() <-chan struct{} { return c.wake }
+
+// Read copies into buf up to len(buf) events with sequence > since
+// (every one the ring holds when buf is empty), oldest first, holding
+// the feed lock for that copy only; it never
+// reads deeper history than the ring. ErrTruncated means the ring has
+// overwritten events after since, ErrReset that the stream restarted or
+// the feed closed since the last Read: either way the owner resyncs
+// from current state and continues from the feed's sequence.
+func (c *Cursor) Read(since uint64, buf []Event) ([]Event, error) {
+	f := c.sub.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c.reset {
+		c.reset = false
+		return nil, ErrReset
+	}
+	return f.readLocked(since, len(buf), buf[:0])
+}
+
+// Close detaches the cursor.
+func (c *Cursor) Close() { c.sub.Close() }

@@ -1,12 +1,14 @@
 package changefeed
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"netcoord/internal/coord"
+	"netcoord/internal/wire"
 )
 
 func upsert(id string, x float64) Entry {
@@ -101,18 +103,17 @@ func TestEmptyFeedSince(t *testing.T) {
 func TestSubscribeFollowsAndJoinSeqSplitsHistory(t *testing.T) {
 	f := New(16, 0)
 	f.PublishUpsert(upsert("a", 1))
-	sub := f.Subscribe(8)
+	join := f.Seq()
+	var seen []Event
+	sub := f.SubscribeFunc(func(ev *Event) bool { seen = append(seen, *ev); return true }, func() {})
 	defer sub.Close()
-	if sub.JoinSeq() != 1 {
-		t.Fatalf("JoinSeq = %d, want 1", sub.JoinSeq())
-	}
 	f.PublishRemove("a")
-	ev := <-sub.C()
-	if ev.Seq != 2 || ev.Op != OpRemove {
-		t.Fatalf("subscriber got %+v, want remove seq 2", ev)
+	if len(seen) != 1 || seen[0].Seq != 2 || seen[0].Op != OpRemove {
+		t.Fatalf("sink saw %+v, want the remove at seq 2 only", seen)
 	}
-	// History at or before JoinSeq comes from Since — no overlap, no gap.
-	hist, err := f.Since(0, int(sub.JoinSeq()))
+	// History at or before the join point comes from Since — no overlap,
+	// no gap.
+	hist, err := f.Since(0, int(join))
 	if err != nil || len(hist) != 1 || hist[0].Seq != 1 {
 		t.Fatalf("history = %v, %v; want seq 1 only", hist, err)
 	}
@@ -120,27 +121,70 @@ func TestSubscribeFollowsAndJoinSeqSplitsHistory(t *testing.T) {
 
 func TestSlowSubscriberDropsAndCounts(t *testing.T) {
 	f := New(16, 0)
-	sub := f.Subscribe(2)
+	var took []uint64
+	sub := f.SubscribeFunc(func(ev *Event) bool {
+		if len(took) == 2 {
+			return false // full: the rest count as overflows
+		}
+		took = append(took, ev.Seq)
+		return true
+	}, func() {})
 	defer sub.Close()
 	for i := 0; i < 5; i++ {
 		f.PublishUpsert(upsert(fmt.Sprintf("n%d", i), float64(i)))
 	}
-	// Delivery is asynchronous; drain the pending queue so the drop
-	// accounting below is deterministic.
-	f.Flush()
-	if got := sub.Dropped(); got != 3 {
-		t.Fatalf("Dropped = %d, want 3", got)
-	}
 	if got := f.Stats().Overflows; got != 3 {
 		t.Fatalf("feed Overflows = %d, want 3", got)
 	}
-	// The two buffered events are the oldest two: delivery is in order,
-	// losses are at the tail.
-	if ev := <-sub.C(); ev.Seq != 1 {
-		t.Fatalf("first buffered seq = %d, want 1", ev.Seq)
+	// Delivery is in order, so the two accepted events are the oldest.
+	if len(took) != 2 || took[0] != 1 || took[1] != 2 {
+		t.Fatalf("accepted seqs %v, want [1 2]", took)
 	}
-	if ev := <-sub.C(); ev.Seq != 2 {
-		t.Fatalf("second buffered seq = %d, want 2", ev.Seq)
+}
+
+// TestCursorReadsTheRing: a cursor is woken by every event, reads the
+// ring past any position in bounded batches, and reports a position
+// the ring has overwritten instead of reading deeper history.
+func TestCursorReadsTheRing(t *testing.T) {
+	f := New(4, 0)
+	c := f.Follow()
+	if st := f.Stats(); st.Subscribers != 1 {
+		t.Fatalf("Subscribers = %d with one cursor, want 1", st.Subscribers)
+	}
+	for i := 1; i <= 3; i++ {
+		f.PublishUpsert(upsert(fmt.Sprintf("n%d", i), float64(i)))
+	}
+	select {
+	case <-c.Wake():
+	default:
+		t.Fatal("publishing did not signal the cursor")
+	}
+	buf := make([]Event, 2)
+	if evs, err := c.Read(0, buf); err != nil || len(evs) != 2 || evs[0].Seq != 1 || evs[1].Seq != 2 {
+		t.Fatalf("Read(0) into 2 slots = %v, %v; want seqs 1, 2", evs, err)
+	}
+	if evs, err := c.Read(2, buf); err != nil || len(evs) != 1 || evs[0].Seq != 3 {
+		t.Fatalf("Read(2) = %v, %v; want seq 3", evs, err)
+	}
+	if evs, err := c.Read(3, buf); err != nil || len(evs) != 0 {
+		t.Fatalf("Read(current) = %v, %v; want nothing", evs, err)
+	}
+	for i := 4; i <= 10; i++ {
+		f.PublishUpsert(upsert(fmt.Sprintf("n%d", i), float64(i)))
+	}
+	if _, err := c.Read(3, buf); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Read behind the ring = %v, want ErrTruncated", err)
+	}
+	c.Close()
+	<-c.Wake() // drain the signal left by the publishes above
+	f.PublishRemove("n1")
+	select {
+	case <-c.Wake():
+		t.Fatal("a closed cursor was signalled")
+	default:
+	}
+	if st := f.Stats(); st.Subscribers != 0 {
+		t.Fatalf("Subscribers = %d after Close, want 0", st.Subscribers)
 	}
 }
 
@@ -175,25 +219,37 @@ func TestEvictChunking(t *testing.T) {
 
 func TestCloseClosesSubscribersButPublishingContinues(t *testing.T) {
 	f := New(8, 0)
-	sub := f.Subscribe(4)
+	var tapped, sunk, resets int
+	f.Tap(func(Event) { tapped++ })
+	sub := f.SubscribeFunc(func(*Event) bool { sunk++; return true }, func() { resets++ })
 	f.PublishUpsert(upsert("a", 1))
 	f.Close()
-	// Buffered event still readable, then the channel closes.
-	if ev, ok := <-sub.C(); !ok || ev.Seq != 1 {
-		t.Fatalf("buffered event after Close = %+v, %v", ev, ok)
+	if sunk != 1 || resets != 1 {
+		t.Fatalf("before and at Close: sink ran %d times, reset %d; want 1, 1", sunk, resets)
 	}
-	if _, ok := <-sub.C(); ok {
-		t.Fatal("channel still open after feed Close")
-	}
-	// Publishing after Close still sequences and reaches taps/ring.
+	// Publishing after Close still sequences and reaches taps and ring,
+	// but no detached sink.
 	if got := f.PublishRemove("a"); got != 2 {
 		t.Fatalf("seq after Close = %d, want 2", got)
 	}
-	late := f.Subscribe(1)
-	if _, ok := <-late.C(); ok {
-		t.Fatal("subscription on a closed feed should be closed immediately")
+	if tapped != 2 || sunk != 1 {
+		t.Fatalf("after Close: tap ran %d times, sink %d; want 2, 1", tapped, sunk)
 	}
+	if evs, err := f.Since(1, 0); err != nil || len(evs) != 1 {
+		t.Fatalf("ring after Close: %v, %v", evs, err)
+	}
+	lateResets := 0
+	late := f.SubscribeFunc(func(*Event) bool { t.Fatal("sink attached to a closed feed"); return true }, func() { lateResets++ })
+	if lateResets != 1 {
+		t.Fatalf("subscribing to a closed feed reset %d times, want 1 at once", lateResets)
+	}
+	f.PublishRemove("b")
+	late.Close()
+	sub.Close()
 	sub.Close() // double close is safe
+	if st := f.Stats(); st.Subscribers != 0 {
+		t.Fatalf("Subscribers = %d after Close, want 0 (taps are not counted)", st.Subscribers)
+	}
 }
 
 func TestConcurrentPublishSubscribeRace(t *testing.T) {
@@ -221,30 +277,43 @@ func TestConcurrentPublishSubscribeRace(t *testing.T) {
 			}
 		}(p)
 	}
-	// Churning subscribers: attach, read a little, detach.
+	// Churning sinks and cursors: attach, follow a little, detach.
 	monotonic := atomic.Bool{}
 	monotonic.Store(true)
 	for s := 0; s < 4; s++ {
 		auxWg.Add(1)
 		go func() {
 			defer auxWg.Done()
+			buf := make([]Event, 8)
 			for !done.Load() {
-				sub := f.Subscribe(16)
-				prev := sub.JoinSeq()
+				prev := f.Seq()
+				sub := f.SubscribeFunc(func(ev *Event) bool {
+					if ev.Seq <= prev {
+						monotonic.Store(false)
+					}
+					prev = ev.Seq
+					return true
+				}, func() {})
+				c := f.Follow()
+				pos := f.Seq()
 				for i := 0; i < 32; i++ {
 					select {
-					case ev, ok := <-sub.C():
-						if !ok {
-							sub.Close()
-							return
+					case <-c.Wake():
+						evs, err := c.Read(pos, buf)
+						if err != nil {
+							pos = f.Seq()
+							continue
 						}
-						if ev.Seq <= prev {
-							monotonic.Store(false)
+						for _, ev := range evs {
+							if ev.Seq != pos+1 {
+								monotonic.Store(false)
+							}
+							pos = ev.Seq
 						}
-						prev = ev.Seq
 					default:
 					}
 				}
+				c.Close()
 				sub.Close()
 			}
 		}()
@@ -265,7 +334,7 @@ func TestConcurrentPublishSubscribeRace(t *testing.T) {
 	done.Store(true)
 	auxWg.Wait()
 	if !monotonic.Load() {
-		t.Fatal("a subscriber observed non-monotonic sequence delivery")
+		t.Fatal("a sink or cursor observed non-monotonic sequence delivery")
 	}
 
 	if got := f.Seq(); got != publishers*perPublisher {
@@ -332,28 +401,42 @@ func TestPublishAtRefusesGap(t *testing.T) {
 	relay(t, f, Event{Seq: 3, Op: OpRemove, ID: "c"})
 }
 
-func TestResetToClosesSubscribersAndRestartsSequence(t *testing.T) {
+// TestResetToWakesSinksAndRestartsSequence: a reset keeps every sink
+// attached and tells it — a cursor's next Read reports ErrReset even
+// when the sequence did not advance past its position (a re-base at an
+// equal or lower seq) — and the stream continues from the reset point.
+func TestResetToWakesSinksAndRestartsSequence(t *testing.T) {
 	f := New(8, 0)
 	relay(t, f, Event{Seq: 1, Op: OpUpsert, Entry: upsert("a", 1)})
-	sub := f.Subscribe(4)
-	f.ResetTo(50)
-	if _, open := <-sub.C(); open {
-		t.Fatal("subscription survived ResetTo; consumers must resync")
-	}
-	if got := f.Seq(); got != 50 {
-		t.Fatalf("Seq() after ResetTo = %d, want 50", got)
+	c := f.Follow()
+	defer c.Close()
+	buf := make([]Event, 8)
+	for _, seq := range []uint64{50, 50, 20} {
+		f.ResetTo(seq)
+		select {
+		case <-c.Wake():
+		default:
+			t.Fatalf("ResetTo(%d) did not signal the cursor", seq)
+		}
+		if _, err := c.Read(seq, buf); !errors.Is(err, ErrReset) {
+			t.Fatalf("Read after ResetTo(%d) = %v, want ErrReset", seq, err)
+		}
+		if evs, err := c.Read(seq, buf); err != nil || len(evs) != 0 {
+			t.Fatalf("second Read after ResetTo(%d) = %v, %v; want nothing: the reset is reported once", seq, evs, err)
+		}
+		if got := f.Seq(); got != seq {
+			t.Fatalf("Seq() after ResetTo = %d, want %d", got, seq)
+		}
 	}
 	if _, err := f.Since(0, -1); err != ErrTruncated {
 		t.Fatalf("Since(0) after ResetTo = %v, want ErrTruncated", err)
 	}
-	// The feed stays usable: new subscribers and relayed events work.
-	sub2 := f.Subscribe(4)
-	relay(t, f, Event{Seq: 51, Op: OpUpsert, Entry: upsert("b", 2)})
-	if ev := <-sub2.C(); ev.Seq != 51 {
-		t.Fatalf("post-reset event seq = %d, want 51", ev.Seq)
+	// The cursor stays attached: relayed events keep flowing to it.
+	relay(t, f, Event{Seq: 21, Op: OpUpsert, Entry: upsert("b", 2)})
+	<-c.Wake()
+	if evs, err := c.Read(20, buf); err != nil || len(evs) != 1 || evs[0].Seq != 21 {
+		t.Fatalf("post-reset Read = %v, %v; want seq 21", evs, err)
 	}
-	sub.Close() // closing the dead subscription must not panic
-	sub2.Close()
 }
 
 func TestRemovedSinceTracksTombstones(t *testing.T) {
@@ -421,13 +504,14 @@ func TestResetToClearsTombstones(t *testing.T) {
 func TestAdvanceToPreservesTombstoneDepth(t *testing.T) {
 	f := New(4, 0)
 	f.PublishRemove("old") // seq 1; tombFloor stays 0
-	sub := f.Subscribe(4)
+	c := f.Follow()
+	defer c.Close()
 	// A delta repair jumps the stream to 100, folding the delta's
 	// removed ids in at the jump seq; knowledge below the jump must
 	// survive (that is the difference from ResetTo).
 	f.AdvanceTo(100, []string{"x", "y"})
-	if _, open := <-sub.C(); open {
-		t.Fatal("subscription survived AdvanceTo; consumers must resync")
+	if _, err := c.Read(1, make([]Event, 4)); !errors.Is(err, ErrReset) {
+		t.Fatalf("Read after AdvanceTo = %v, want ErrReset: the cursor's owner must resync", err)
 	}
 	if _, err := f.Since(0, -1); err != ErrTruncated {
 		t.Fatal("event ring survived AdvanceTo")
@@ -496,11 +580,11 @@ func TestPublishAtAdoptsHigherEpoch(t *testing.T) {
 func TestPublishStampsCurrentEpoch(t *testing.T) {
 	f := New(8, 0)
 	f.SetEpoch(3)
-	sub := f.Subscribe(4)
+	var epoch uint64
+	sub := f.SubscribeFunc(func(ev *Event) bool { epoch = ev.Epoch; return true }, func() {})
 	f.PublishUpsert(upsert("a", 1))
-	ev := <-sub.C()
-	if ev.Epoch != 3 {
-		t.Fatalf("published event epoch = %d, want 3", ev.Epoch)
+	if epoch != 3 {
+		t.Fatalf("published event epoch = %d, want 3", epoch)
 	}
 	evs, err := f.Since(0, -1)
 	if err != nil || len(evs) != 1 || evs[0].Epoch != 3 {
@@ -545,5 +629,167 @@ func TestTombstoneExportSeedRoundTrip(t *testing.T) {
 	}
 	if removed, ok := f3.RemovedSince(2); !ok || len(removed) != 2 {
 		t.Fatalf("seeded RemovedSince(2) = %v, %v; want [b c], true", removed, ok)
+	}
+}
+
+// publishStorm runs 4 concurrent publishers mixing back-to-back upserts
+// of a three-id set, removes and evictions until each has published at
+// least n events or stop is set.
+func publishStorm(f *Feed, n int, stop *atomic.Bool) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < n && !stop.Load(); i += 2 {
+				id := fmt.Sprintf("n%d", (p+i)%3)
+				f.PublishUpsert(upsert(id, float64(i)))
+				switch i % 8 {
+				case 4:
+					f.PublishRemove(id)
+				case 6:
+					f.PublishEvict([]string{id, "x"})
+				default:
+					f.PublishUpsert(upsert(id, float64(i)+0.5))
+				}
+			}
+		}(p)
+	}
+	return &wg
+}
+
+// TestDeliveryContract: what a sink observes under concurrent
+// publishers is every event after it attached, exactly once and in
+// order (prev.Seq+1 == ev.Seq); a refused event is an overflow, counted
+// one for one.
+func TestDeliveryContract(t *testing.T) {
+	f := New(64, 0)
+	var prev, got, refused uint64
+	dense := true
+	accept := f.SubscribeFunc(func(ev *Event) bool {
+		dense = dense && ev.Seq == prev+1
+		prev = ev.Seq
+		got++
+		return true
+	}, func() {})
+	refuse := f.SubscribeFunc(func(*Event) bool { refused++; return false }, func() {})
+	publishStorm(f, 600, new(atomic.Bool)).Wait()
+	accept.Close()
+	refuse.Close()
+	total := f.Seq()
+	if !dense || got != total {
+		t.Errorf("accepting sink: %d of %d events, dense %v", got, total, dense)
+	}
+	if st := f.Stats(); refused != total || st.Overflows != total {
+		t.Errorf("refusing sink saw %d of %d events, Overflows = %d", refused, total, st.Overflows)
+	}
+
+	// Teardown racing the storm: once the call that ends delivery
+	// returns, the sink never runs again; nothing at or below the attach
+	// point is delivered; and a reset is reported exactly once, in
+	// sequence, with the stream continuing past it.
+	for _, tc := range []struct {
+		name   string
+		act    func(*Feed, *Subscription)
+		resets int
+	}{
+		{"Subscription.Close", func(_ *Feed, sub *Subscription) { sub.Close() }, 0},
+		{"ResetTo", func(f *Feed, _ *Subscription) { f.ResetTo(f.Seq() + 1000) }, 1},
+		{"Close", func(f *Feed, _ *Subscription) { f.Close() }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New(64, 0)
+			var stop atomic.Bool
+			wg := publishStorm(f, 1<<30, &stop)
+			for round := 0; round < 100; round++ {
+				var ended atomic.Bool
+				// Events published between this read and the attach are
+				// not delivered: the first event, like the first after a
+				// reset, need only follow prev.
+				prev, reset, resets := f.Seq(), true, 0
+				sub := f.SubscribeFunc(func(ev *Event) bool {
+					if ended.Load() {
+						t.Errorf("round %d: sink ran after delivery ended", round)
+					}
+					if ev.Seq <= prev || (!reset && ev.Seq != prev+1) {
+						t.Errorf("round %d: event %d after %d (reset %v)", round, ev.Seq, prev, reset)
+					}
+					prev, reset = ev.Seq, false
+					return true
+				}, func() { reset, resets = true, resets+1 })
+				tc.act(f, sub)
+				sub.Close()
+				ended.Store(true)
+				if round == 0 && resets != tc.resets {
+					t.Fatalf("%d resets, want %d", resets, tc.resets)
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+		})
+	}
+}
+
+// TestPublishEncodesOnce: an event published while any sink is attached
+// carries its frame; the ring copy, the tap's copy and the copy a sink
+// is handed share the same bytes; a relay (PublishAt) keeps whatever the
+// event arrived with — it never encodes; and with nothing attached
+// publish pays for no encoding at all.
+func TestPublishEncodesOnce(t *testing.T) {
+	quiet := New(16, 0)
+	quiet.PublishUpsert(upsert("a", 1))
+	if evs, err := quiet.Since(0, 0); err != nil || len(evs) != 1 || evs[0].Frame() != nil {
+		t.Fatalf("event published with nobody listening: %+v, %v; want it without a frame", evs, err)
+	}
+	c := quiet.Follow()
+	defer c.Close()
+	quiet.PublishUpsert(upsert("b", 2))
+	if evs, err := quiet.Since(1, 0); err != nil || len(evs) != 1 || len(evs[0].Frame()) == 0 {
+		t.Fatalf("event published to a cursor carries no frame: %+v, %v", evs, err)
+	}
+
+	f := New(16, 0)
+	var tapped, sunk []Event
+	f.Tap(func(ev Event) { tapped = append(tapped, ev) })
+	f.PublishUpsert(upsert("a", 1))
+	sub := f.SubscribeFunc(func(ev *Event) bool { sunk = append(sunk, *ev); return true }, func() {})
+	defer sub.Close()
+	f.PublishRemove("a")
+	evs, err := f.Since(0, 0)
+	if err != nil || len(evs) != 2 || len(tapped) != 2 || len(sunk) != 1 {
+		t.Fatalf("Since: %v %v (tapped %d, sunk %d)", evs, err, len(tapped), len(sunk))
+	}
+	for i, ev := range evs {
+		frame := ev.Frame()
+		if len(frame) == 0 || &frame[0] != &tapped[i].Frame()[0] {
+			t.Fatalf("event %d: ring frame %x, tap frame %x: not one shared encoding", i, frame, tapped[i].Frame())
+		}
+		back, n, err := wire.DecodeEvent(frame)
+		if err != nil || n != len(frame) || back.Seq != ev.Seq || back.Op != ev.Op || back.PubNs != ev.PubNs || back.Entry.ID != ev.Entry.ID || back.ID != ev.ID {
+			t.Fatalf("event %d: frame decodes to %+v (n=%d err=%v), want %+v", i, back, n, err, ev)
+		}
+	}
+	if evs[0].Entry.Seq != 1 {
+		t.Fatalf("published upsert's entry seq = %d, want the event's", evs[0].Entry.Seq)
+	}
+	if &sunk[0].Frame()[0] != &evs[1].Frame()[0] {
+		t.Fatal("ring copy and the sink's copy do not share one frame")
+	}
+
+	relay := New(16, 0)
+	for _, ev := range []Event{evs[0], {Seq: 2, Op: OpRemove, ID: "hand-built"}} {
+		if err := relay.PublishAt(ev); err != nil {
+			t.Fatalf("relay PublishAt(%d): %v", ev.Seq, err)
+		}
+	}
+	got, err := relay.Since(0, 0)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("relay Since: %v %v", got, err)
+	}
+	if &got[0].Frame()[0] != &evs[0].Frame()[0] {
+		t.Fatal("relay re-encoded an event that arrived with its frame")
+	}
+	if got[1].Frame() != nil {
+		t.Fatal("relay encoded an event that arrived without a frame")
 	}
 }

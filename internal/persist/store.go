@@ -751,7 +751,7 @@ func (s *Store) compact(capture func() (Capture, error)) error {
 // TailSince returns up to max durable WAL records with change-stream
 // sequence > since, oldest first (max <= 0 means no limit), as events
 // carrying the frame bytes that were logged — the on-disk continuation
-// of the in-memory ring for subscribers resuming from further back. It
+// of the in-memory ring for readers resuming from further back. It
 // reports truncated=true when compaction has folded part of the
 // requested range into the snapshot (since < the history floor); the
 // caller must then re-bootstrap from a snapshot instead. A best-effort

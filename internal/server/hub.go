@@ -1,62 +1,32 @@
 package server
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"netcoord"
+	"netcoord/internal/changefeed"
 	"netcoord/internal/telemetry"
 )
 
-// hubSubBuffer is the watch hub's single subscription buffer. Overflow
-// is not loss: the resulting sequence gap damages every watcher, which
-// recomputes from live state.
-const hubSubBuffer = 4096
-
-// hubReconcileInterval paces the trailing-drop check. A gap is
-// normally detected by the NEXT event's non-contiguous sequence — but
-// if the dropped event was a storm's last and the stream then goes
-// quiet, no next event ever comes, and without this check every
-// watcher would serve a stale top-k indefinitely.
-const hubReconcileInterval = time.Second
-
-// resubscribeDelay paces the hub's re-attach loop after its
-// subscription closes (a follower re-bootstrapped, or the registry shut
-// down): long enough never to spin against a feed that closes
-// subscriptions immediately, short enough that a re-bootstrap costs one
-// beat of wakeups. Each consecutive dead attach (a subscription that
-// closed without delivering anything — the signature of a closed feed,
-// since Subscribe reports closure as an immediately closed channel, not
-// an error) doubles the delay up to maxResubscribeDelay, so a registry
-// closed out from under the server costs a slow heartbeat instead of a
-// hot loop.
-const (
-	resubscribeDelay    = 50 * time.Millisecond
-	maxResubscribeDelay = 5 * time.Second
-)
-
-// nextResubscribeDelay implements that backoff.
-func nextResubscribeDelay(cur time.Duration) time.Duration {
-	if cur *= 2; cur > maxResubscribeDelay {
-		return maxResubscribeDelay
-	}
-	return cur
-}
+// hubReadBatch bounds one read of the ring: the hub holds the feed's
+// lock for copying at most this many events.
+const hubReadBatch = 256
 
 // maxGridLevel bounds the damage map's cell hierarchy; a watch radius
 // past 2^maxGridLevel ms falls back to the any-upsert set.
 const maxGridLevel = 40
 
-// WatchHub is a server's one drain of the change stream: every /watch
-// and every /changes long-poll hangs off ONE subscription and one
-// re-attach loop. The old scheme attached a private subscription per
-// watcher and ran a relevance check in every watcher against every
-// mutation: N watchers cost N buffer offers plus N checks per event.
-// The hub inverts that: a single drain goroutine routes each event
-// through a spatial damage map to just the watchers it could affect,
-// so the per-mutation cost is one subscription offer plus O(damaged).
+// WatchHub is a server's one reader of the change stream: every /watch
+// and every /changes long-poll hangs off ONE cursor on the registry's
+// ring. A synchronous sink wakes one goroutine, which reads what the
+// ring holds past its position and routes each event through a spatial
+// damage map to just the watchers it could affect, so the per-mutation
+// cost is one non-blocking wake plus O(damaged), not a relevance check
+// per watcher.
 //
 // The damage map has three indexes, consulted by event shape:
 //
@@ -80,21 +50,24 @@ const maxGridLevel = 40
 //     insert enters it) or whose interest is not yet registered; every
 //     upsert damages them.
 //
-// A sequence gap — subscriber overflow, a stream restart after a
-// follower re-bootstrap, a WAL-chunked eviction — conservatively damages
-// every watcher: correctness never depends on the stream being gapless.
+// A resync — the hub fell more than the ring (ChangeStreamBuffer
+// events) behind and the ring overwrote its position, or the stream
+// restarted under it (a follower re-bootstrap, at any sequence, or the
+// registry's Close) — conservatively damages every watcher and jumps to
+// the stream's sequence: correctness never depends on routing every
+// event.
 //
 // /changes long-pollers need no routing, only a wake: they park on a
-// broadcast channel (Changed) that the drain closes and replaces on
-// every event, on every subscription close and re-attach, and on the
-// reconcile jump — whenever the stream position may have moved — and
-// re-read the stream themselves. Parking and waking is a channel
-// receive; an idle poll attaches nothing to the feed.
+// broadcast channel (Changed) that the hub closes and replaces on every
+// read that found events and on every resync — whenever the stream
+// position may have moved — and re-read the stream themselves. Parking
+// and waking is a channel receive; an idle poll attaches nothing to the
+// feed.
 type WatchHub struct {
 	reg      *netcoord.Registry
 	shutdown <-chan struct{}
 
-	// processed is the last drained sequence; watchers compare it to
+	// processed is the last routed sequence; watchers compare it to
 	// decide whether their interest was installed race-free. Written
 	// under mu, read anywhere.
 	processed atomic.Uint64
@@ -130,17 +103,17 @@ type WatchHubStats struct {
 	Watchers int `json:"watchers"`
 	Cells    int `json:"cells"`
 	Levels   int `json:"levels"`
-	// EventsProcessed counts drained stream events; Damages the watcher
+	// EventsProcessed counts routed stream events; Damages the watcher
 	// notifications they caused (the fan-out actually paid, vs
 	// EventsProcessed × Watchers under per-watcher subscriptions);
-	// Resyncs the conservative damage-everyone rounds after a sequence
-	// gap or a re-subscribe.
+	// Resyncs the conservative damage-everyone rounds after the ring
+	// overwrote the hub's position or the stream restarted.
 	EventsProcessed uint64 `json:"events_processed"`
 	Damages         uint64 `json:"damages"`
 	Resyncs         uint64 `json:"resyncs"`
-	// SubscriptionDropped counts events the hub's own stream
-	// subscription lost to buffer overflow (each detected drop run also
-	// shows up as one resync).
+	// SubscriptionDropped counts events the hub never routed because the
+	// ring overwrote them before it read them (each such run also shows
+	// up as one resync).
 	SubscriptionDropped uint64 `json:"subscription_dropped"`
 	// ProcessedSeq is the hub's position in the stream.
 	ProcessedSeq uint64 `json:"processed_seq"`
@@ -201,127 +174,71 @@ func newWatchHub(reg *netcoord.Registry, shutdown <-chan struct{}) *WatchHub {
 		recomputeLat: telemetry.NewHistogram(),
 		deliverLag:   telemetry.NewHistogram(),
 	}
-	// Subscribe synchronously: the first watcher joins at the stream
-	// position the drain starts from.
-	sub := reg.SubscribeChanges(hubSubBuffer)
-	h.processed.Store(sub.JoinSeq())
-	go h.run(sub)
+	// Follow synchronously: the first watcher joins at the stream
+	// position the reads start from.
+	c := reg.FollowChanges()
+	h.processed.Store(reg.ChangeSeq())
+	go h.run(c)
 	return h
 }
 
-// run drains the stream for the server's lifetime. A closed
-// subscription (registry close, or a follower re-bootstrap restarting
-// its stream) is re-attached after a beat, and the gap is repaired by
-// damaging every watcher — their registries may have been rewritten
-// wholesale underneath them. Pollers are woken at the close (they
-// re-check the stream position rather than sleeping through a restart)
-// and again at the re-attach (events published while nothing was
-// subscribed were never broadcast).
-func (h *WatchHub) run(sub *netcoord.ChangeSubscription) {
-	delay := resubscribeDelay
-	sawEvent := false
-	droppedSeen := uint64(0)
-	reconcile := time.NewTicker(hubReconcileInterval)
-	defer reconcile.Stop()
+// run reads the stream for the server's lifetime: woken by its
+// cursor's sink, it routes everything the ring holds past processed.
+func (h *WatchHub) run(c *netcoord.ChangeCursor) {
+	defer c.Close()
+	buf := make([]netcoord.ChangeEvent, hubReadBatch)
 	for {
-		if sub == nil {
-			// Back off while the feed keeps handing out dead
-			// subscriptions (a closed registry shows up as an
-			// immediately closed channel, not an error): a damage-all
-			// heartbeat every few seconds instead of a hot loop waking
-			// every watcher into a recompute 20 times a second.
-			if sawEvent {
-				delay = resubscribeDelay
-			} else {
-				delay = nextResubscribeDelay(delay)
-			}
-			select {
-			case <-h.shutdown:
-				return
-			case <-time.After(delay):
-			}
-			sub = h.reg.SubscribeChanges(hubSubBuffer)
-			sawEvent = false
-			droppedSeen = 0
-			h.mu.Lock()
-			h.processed.Store(sub.JoinSeq())
-			h.resyncs.Add(1)
-			for w := range h.watchers {
-				h.damageLocked(w, 0)
-			}
-			h.wakePollersLocked()
-			h.mu.Unlock()
-		}
 		select {
 		case <-h.shutdown:
-			sub.Close()
 			return
-		case ev, ok := <-sub.C():
-			if !ok {
-				sub = nil
-				h.mu.Lock()
-				h.wakePollersLocked()
-				h.mu.Unlock()
-				continue
-			}
-			sawEvent = true
-			if h.processEvent(ev) {
-				// The gap just got repaired by a damage-all; the drops
-				// behind it are accounted for.
-				if d := sub.Dropped(); d > droppedSeen {
-					h.dropped.Add(d - droppedSeen)
-					droppedSeen = d
-				}
-			}
-		case <-reconcile.C:
-			// Trailing-drop check: drops whose gap no later event has
-			// surfaced (the buffer overflowed on a storm's final
-			// events, then the stream went quiet) leave processed
-			// behind the stream with nothing left to deliver. Repair
-			// exactly like a detected gap: jump to the stream position
-			// and damage everyone.
-			if d := sub.Dropped(); d > droppedSeen {
-				h.dropped.Add(d - droppedSeen)
-				droppedSeen = d
-				seqNow := h.reg.ChangeSeq()
-				h.mu.Lock()
-				if seqNow > h.processed.Load() {
-					h.processed.Store(seqNow)
-					h.resyncs.Add(1)
-					for w := range h.watchers {
-						h.damageLocked(w, 0)
-					}
-					h.wakePollersLocked()
-				}
-				h.mu.Unlock()
-			}
+		case <-c.Wake():
+		}
+		for h.drain(c, buf) {
 		}
 	}
 }
 
-// processEvent routes one stream event through the damage map and
-// reports whether it found (and repaired) a sequence gap.
-func (h *WatchHub) processEvent(ev netcoord.ChangeEvent) (gap bool) {
-	h.events.Add(1)
+// drain routes one read of the ring and reports whether the ring may
+// hold more: a read that filled buf. Anything published after the wake
+// that led here signals the next one.
+func (h *WatchHub) drain(c *netcoord.ChangeCursor, buf []netcoord.ChangeEvent) bool {
+	evs, err := c.Read(h.processed.Load(), buf)
+	if err == nil && len(evs) == 0 {
+		return false
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.wakePollersLocked()
-	last := h.processed.Load()
-	if ev.Seq <= last {
-		// Still buffered from before a reconcile jump moved processed
-		// past it: the jump's damage-all already covers this event.
-		return false
-	}
-	h.processed.Store(ev.Seq)
-	if ev.Seq != last+1 {
-		// Dropped sequence: the filter state cannot be trusted, so
-		// everyone recomputes from live state.
+	if err != nil {
+		// The position no longer connects to the ring: everyone
+		// recomputes from live state, and the hub continues from the
+		// stream's sequence, read under mu so a resync covers every
+		// event a Read that waited on mu meanwhile could have missed.
+		seq, last := h.reg.ChangeSeq(), h.processed.Load()
+		if errors.Is(err, changefeed.ErrTruncated) && seq > last {
+			h.dropped.Add(seq - last)
+		}
+		h.processed.Store(seq)
 		h.resyncs.Add(1)
 		for w := range h.watchers {
-			h.damageLocked(w, ev.PubNs)
+			h.damageLocked(w, 0)
 		}
-		return true
+		return false
 	}
+	for i := range evs {
+		h.routeLocked(&evs[i])
+	}
+	h.processed.Store(evs[len(evs)-1].Seq)
+	h.events.Add(uint64(len(evs)))
+	full := len(evs) == len(buf)
+	clear(evs) // the ring owns the events; keep none of them alive here
+	return full
+}
+
+// routeLocked damages the watchers one event could affect.
+//
+//nc:locked(mu)
+func (h *WatchHub) routeLocked(ev *netcoord.ChangeEvent) {
 	for w := range h.anyOp {
 		h.damageLocked(w, ev.PubNs)
 	}
@@ -344,7 +261,6 @@ func (h *WatchHub) processEvent(ev netcoord.ChangeEvent) (gap bool) {
 			h.damageLocked(w, ev.PubNs)
 		}
 	}
-	return false
 }
 
 // damageUpsertLocked damages the watchers an upsert at coordinate c
@@ -405,7 +321,7 @@ func (h *WatchHub) wakePollersLocked() {
 	}
 }
 
-// damage wakes one watcher from outside the drain loop — the handler
+// damage wakes one watcher from outside the read loop — the handler
 // uses it to carry racing damage across a capped sync loop.
 func (h *WatchHub) damage(w *HubWatcher) {
 	h.mu.Lock()

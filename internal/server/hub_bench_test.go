@@ -11,16 +11,16 @@ import (
 
 // BenchmarkWatchHub measures the per-mutation cost of the shared watch
 // hub with real watcher populations attached: every upsert is
-// sequenced, offered to the hub's single subscription, routed through
-// the spatial damage map, and any damaged watcher recomputes its top-k
-// and reinstalls its interest — the full serving path minus HTTP.
+// sequenced, retained in the ring and wakes the hub's sink; the hub
+// reads it back from the ring, routes it through the spatial damage
+// map, and any damaged watcher recomputes its top-k and reinstalls its
+// interest — the full serving path minus HTTP.
 //
-// The contrast is BenchmarkWatchFanout (the retired per-watcher
-// scheme, recorded beside this one in BENCH_stream.json), where every
-// event was offered to every watcher's buffer: linear in watchers by
-// construction. Here the damage map touches only the watchers an event
-// can affect, so the cost at watchers=10240 must stay within a small
-// multiple of watchers=8 — sublinear fan-out is the whole point.
+// BenchmarkWatchFanout (recorded beside this one in BENCH_stream.json)
+// is what each attached sink costs the mutation path by itself. Here
+// the damage map touches only the watchers an event can affect, so the
+// cost at watchers=10240 must stay within a small multiple of
+// watchers=8 — sublinear fan-out is the whole point.
 func BenchmarkWatchHub(b *testing.B) {
 	for _, watchers := range []int{8, 1024, 10240} {
 		b.Run(fmt.Sprintf("watchers=%d", watchers), func(b *testing.B) {
@@ -81,12 +81,11 @@ func BenchmarkWatchHub(b *testing.B) {
 				if err := reg.Upsert(ids[j], c, 0.2); err != nil {
 					b.Fatal(err)
 				}
-				// Backpressure: cap the hub's backlog below its buffer
-				// so no event is ever dropped — the measurement then
-				// includes every routing cost, and the final drain wait
-				// is guaranteed to terminate. (A real mutation path
-				// never waits; overflow there is a counted gap plus a
-				// conservative resync.)
+				// Backpressure: cap the hub's backlog below the ring so
+				// no event is ever overwritten unread — the measurement
+				// then includes every routing cost. (A real mutation
+				// path never waits; falling off the ring there is a
+				// counted skip plus a conservative resync.)
 				if i%1024 == 1023 {
 					for reg.ChangeSeq()-hub.Processed() > 2048 {
 						runtime.Gosched()

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sort"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"netcoord"
+	"netcoord/internal/wire"
 )
 
 func c3(x, y, z float64) netcoord.Coordinate {
@@ -123,47 +126,219 @@ func TestWatchHubRoutesDamagePrecisely(t *testing.T) {
 	}
 }
 
-// TestWatchHubSkipsEventsBehindAReconcileJump: once the reconcile
-// ticker has moved processed to the stream position and damaged
-// everyone, the events still buffered below it are already covered —
-// they must not cost a damage-everyone round each.
-func TestWatchHubSkipsEventsBehindAReconcileJump(t *testing.T) {
-	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{ChangeStreamBuffer: 64})
+// awaitHub spins (no sleeping) until the hub's position reaches seq.
+func awaitHub(t *testing.T, hub *WatchHub, seq uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); hub.Processed() != seq; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("hub stuck at %d, stream at %d", hub.Processed(), seq)
+		}
+	}
+}
+
+// bruteTopK is the k nearest of a registry's whole snapshot by direct
+// distance computation.
+func bruteTopK(t *testing.T, reg *netcoord.Registry, origin netcoord.Coordinate, k int) []string {
+	t.Helper()
+	snap := reg.Snapshot()
+	sort.Slice(snap, func(i, j int) bool {
+		di, _ := origin.DistanceTo(snap[i].Coord)
+		dj, _ := origin.DistanceTo(snap[j].Coord)
+		return di < dj
+	})
+	ids := make([]string, 0, k)
+	for i := 0; i < k && i < len(snap); i++ {
+		ids = append(ids, snap[i].ID)
+	}
+	return ids
+}
+
+// assertTopK fails unless res names exactly want, in order.
+func assertTopK(t *testing.T, res []netcoord.Ranked, want []string) {
+	t.Helper()
+	if len(res) != len(want) {
+		t.Fatalf("top-k %v, brute force says %v", res, want)
+	}
+	for i := range res {
+		if res[i].ID != want[i] {
+			t.Fatalf("top-k result %d = %s, brute force says %s", i, res[i].ID, want[i])
+		}
+	}
+}
+
+// TestWatchHubResyncsWhenTheRingOverwritesItsPosition: with a ring of
+// 4 and the hub unable to route (its lock held) while 50 events are
+// published, the ring overwrites the hub's position. The hub must
+// resync exactly once — every watcher damaged, position jumped to the
+// stream's, the skipped events counted — and a quiet recompute must
+// land on the registry's exact top-k.
+func TestWatchHubResyncsWhenTheRingOverwritesItsPosition(t *testing.T) {
+	reg, err := netcoord.NewRegistry(netcoord.RegistryConfig{ChangeStreamBuffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	for i := 0; i < 4; i++ {
-		if err := reg.Upsert(fmt.Sprintf("n%d", i), c3(float64(i*10), 0, 0), 0); err != nil {
+	for i := 0; i < 10; i++ {
+		if err := reg.Upsert(fmt.Sprintf("n%02d", i), c3(float64(i*10), 0, 0), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	shutdown := make(chan struct{})
 	defer close(shutdown)
 	hub := newWatchHub(reg, shutdown)
-	w := hub.Watch("")
-	defer hub.Detach(w)
-	hubSync(t, hub, w, reg, c3(0, 0, 0), 2)
-
-	const jump, stale = 1000, 50
-	hub.mu.Lock()
-	hub.processed.Store(jump)
-	hub.mu.Unlock()
+	origins := []netcoord.Coordinate{c3(0, 0, 0), c3(90, 0, 0), c3(500, 500, 500)}
+	watchers := make([]*HubWatcher, len(origins))
+	for i, o := range origins {
+		watchers[i] = hub.Watch("")
+		defer hub.Detach(watchers[i])
+		hubSync(t, hub, watchers[i], reg, o, 3)
+		drainDamage(watchers[i])
+	}
 	before := hub.Stats()
-	for seq := uint64(jump - stale + 1); seq <= jump; seq++ {
-		if hub.processEvent(netcoord.ChangeEvent{Seq: seq, Op: netcoord.ChangeRemove, ID: "n0"}) {
-			t.Fatalf("stale event %d (processed %d) reported a gap", seq, jump)
+
+	hub.mu.Lock()
+	for i := 0; i < 50; i++ {
+		// Far from every watcher: only a resync can damage them all.
+		if err := reg.Upsert(fmt.Sprintf("m%02d", i), c3(-1000-float64(i), 0, 0), 0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if after := hub.Stats(); after.Resyncs != before.Resyncs || after.Damages != before.Damages || after.ProcessedSeq != jump || drainDamage(w) {
-		t.Fatalf("%d stale events moved the hub: resyncs %d -> %d, damages %d -> %d, processed %d", stale, before.Resyncs, after.Resyncs, before.Damages, after.Damages, after.ProcessedSeq)
+	hub.mu.Unlock()
+	awaitHub(t, hub, reg.ChangeSeq())
+
+	after := hub.Stats()
+	if after.Resyncs != before.Resyncs+1 {
+		t.Fatalf("resyncs %d -> %d, want exactly one", before.Resyncs, after.Resyncs)
 	}
-	// The next in-order event routes through the damage map as usual.
-	if hub.processEvent(netcoord.ChangeEvent{Seq: jump + 1, Op: netcoord.ChangeRemove, ID: "n0"}) || !drainDamage(w) {
-		t.Fatal("in-order member removal after the jump did not route to its watcher")
+	if after.SubscriptionDropped == before.SubscriptionDropped {
+		t.Fatalf("subscription_dropped stayed %d: the overwritten events were not counted", after.SubscriptionDropped)
 	}
-	if after := hub.Stats(); after.Resyncs != before.Resyncs || after.ProcessedSeq != jump+1 {
-		t.Fatalf("in-order event after the jump: resyncs %d -> %d, processed %d", before.Resyncs, after.Resyncs, after.ProcessedSeq)
+	if after.ProcessedSeq != reg.ChangeSeq() {
+		t.Fatalf("processed_seq %d, stream at %d", after.ProcessedSeq, reg.ChangeSeq())
+	}
+	for i, w := range watchers {
+		if !drainDamage(w) {
+			t.Fatalf("watcher %d not damaged by the resync", i)
+		}
+	}
+	for i, w := range watchers {
+		assertTopK(t, hubSync(t, hub, w, reg, origins[i], 3), bruteTopK(t, reg, origins[i], 3))
+	}
+}
+
+// fakeUpstream is a leader that serves whatever full snapshot the test
+// sets, and answers a follower's next /changes poll with 410 when the
+// test asks — so the follower re-bootstraps onto that snapshot, which
+// may sit at any sequence, the current one or below it included.
+type fakeUpstream struct {
+	mu      sync.Mutex
+	seq     uint64
+	entries []netcoord.RegistryEntry
+	gone    chan struct{}
+}
+
+func (u *fakeUpstream) set(seq uint64, entries []netcoord.RegistryEntry) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.seq, u.entries = seq, entries
+}
+
+func (u *fakeUpstream) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	u.mu.Lock()
+	seq, entries := u.seq, u.entries
+	u.mu.Unlock()
+	switch req.URL.Path {
+	case "/snapshot":
+		body, err := wire.AppendSnapshotHeader(nil, &wire.SnapshotHeader{Seq: seq, EntryCount: uint64(len(entries))})
+		for i := range entries {
+			if err == nil {
+				body, err = wire.AppendEntryFrame(body, &entries[i])
+			}
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentTypeSnapshot)
+		_, _ = w.Write(body)
+	case "/changes":
+		select {
+		case <-u.gone:
+			http.Error(w, `{"error":"gone"}`, http.StatusGone)
+		case <-time.After(50 * time.Millisecond):
+			w.Header().Set("Content-Type", wire.ContentTypeFrames)
+			_, _ = w.Write(wire.AppendBatchHeader(nil, wire.BatchHeader{Seq: seq}))
+		case <-req.Context().Done():
+		}
+	default:
+		http.NotFound(w, req)
+	}
+}
+
+// TestWatchHubResyncsOnReloadAtEqualOrLowerSeq: a follower that
+// re-bases onto a full snapshot at its own sequence, or below it,
+// changes its state without moving its sequence forward. A parked
+// /changes poller and a watcher must both wake, and the watcher's
+// recompute must land on the new state's exact top-k.
+func TestWatchHubResyncsOnReloadAtEqualOrLowerSeq(t *testing.T) {
+	state := func(x float64, n int) []netcoord.RegistryEntry {
+		entries := make([]netcoord.RegistryEntry, n)
+		for i := range entries {
+			entries[i] = netcoord.RegistryEntry{ID: fmt.Sprintf("e%.0f-%d", x, i), Coord: c3(x+float64(i), 0, 0), Seq: uint64(i + 1)}
+		}
+		return entries
+	}
+	up := &fakeUpstream{gone: make(chan struct{}, 1)}
+	up.set(10, state(100, 6))
+	ts := httptest.NewServer(up)
+	defer ts.Close()
+	f := startTestFollower(t, ts.URL)
+	s := New(Config{Registry: f.Registry, Follower: f})
+	defer s.Stop()
+
+	const k = 3
+	origin := c3(0, 0, 0)
+	w := s.hub.Watch("")
+	defer s.hub.Detach(w)
+	hubSync(t, s.hub, w, f.Registry, origin, k)
+	drainDamage(w)
+
+	for _, tc := range []struct {
+		name string
+		seq  uint64
+		x    float64
+	}{{"equal", 10, 40}, {"lower", 4, 20}} {
+		t.Run(tc.name, func(t *testing.T) {
+			poller := s.hub.Changed() // what a parked /changes long-poll holds
+			bootstraps := f.FollowerStats().Bootstraps
+			resyncs := s.hub.Stats().Resyncs
+			up.set(tc.seq, state(tc.x, 5))
+			up.gone <- struct{}{}
+			select {
+			case <-poller:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("parked poller slept through a reload at seq %d", tc.seq)
+			}
+			select {
+			case <-w.C():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("watcher slept through a reload at seq %d", tc.seq)
+			}
+			// The follower counts its bootstrap once load has returned.
+			for deadline := time.Now().Add(10 * time.Second); f.FollowerStats().Bootstraps == bootstraps; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatal("the follower never finished its re-bootstrap")
+				}
+			}
+			if f.FollowerStats().Bootstraps != bootstraps+1 || f.ChangeSeq() != tc.seq {
+				t.Fatalf("premise: bootstraps %d -> %d, seq %d; want one reload at seq %d", bootstraps, f.FollowerStats().Bootstraps, f.ChangeSeq(), tc.seq)
+			}
+			if got := s.hub.Stats().Resyncs; got != resyncs+1 {
+				t.Fatalf("resyncs %d -> %d, want one", resyncs, got)
+			}
+			awaitHub(t, s.hub, tc.seq)
+			assertTopK(t, hubSync(t, s.hub, w, f.Registry, origin, k), bruteTopK(t, f.Registry, origin, k))
+		})
 	}
 }
 

@@ -159,10 +159,10 @@ func (s *Server) registerCollectors() {
 		"Change events published by this process (relayed events included on a follower).", nil,
 		func() uint64 { return s.reg.ChangeStreamStats().Published })
 	reg.GaugeFunc("netcoord_changefeed_subscribers",
-		"Live change-stream subscriptions.", nil,
+		"Live change-stream sinks (taps excluded): one per server, its watch hub's.", nil,
 		cs(func(st netcoord.ChangeStreamStats) float64 { return float64(st.Subscribers) }))
 	reg.CounterFunc("netcoord_changefeed_overflows_total",
-		"Events dropped across all subscribers because their buffers were full.", nil,
+		"Change events a stream sink refused.", nil,
 		func() uint64 { return s.reg.ChangeStreamStats().Overflows })
 	reg.CounterFunc("netcoord_changefeed_frames_served_total",
 		"Change events answered in the binary frame encoding on /changes.", nil,
@@ -188,16 +188,16 @@ func (s *Server) registerCollectors() {
 		"Live /watch subscribers registered with the hub.", nil,
 		hs(func(st WatchHubStats) float64 { return float64(st.Watchers) }))
 	reg.CounterFunc("netcoord_watch_events_total",
-		"Stream events drained by the watch hub.", nil,
+		"Stream events routed by the watch hub.", nil,
 		func() uint64 { return s.hub.events.Load() })
 	reg.CounterFunc("netcoord_watch_damages_total",
 		"Watcher damage notifications routed by the hub (the fan-out actually paid).", nil,
 		func() uint64 { return s.hub.damages.Load() })
 	reg.CounterFunc("netcoord_watch_resyncs_total",
-		"Conservative damage-everyone rounds after sequence gaps or re-subscribes.", nil,
+		"Conservative damage-everyone rounds after the ring overwrote the hub's position or the stream restarted.", nil,
 		func() uint64 { return s.hub.resyncs.Load() })
 	reg.CounterFunc("netcoord_watch_subscription_dropped_total",
-		"Events the hub's own stream subscription lost to buffer overflow.", nil,
+		"Events the hub never routed because the ring overwrote them first.", nil,
 		func() uint64 { return s.hub.dropped.Load() })
 	reg.SummaryFunc("netcoord_watch_recompute_seconds",
 		"Watcher recompute latency (query plus interest install).", nil, 1e-9,

@@ -233,8 +233,8 @@ func TestReplicaRefusesLocalWrites(t *testing.T) {
 
 	seq, epoch, n := f.ChangeSeq(), f.ChangeEpoch(), f.Len()
 	published := f.ChangeStreamStats().Published
-	sub := f.SubscribeChanges(8)
-	defer sub.Close()
+	cur := f.FollowChanges()
+	defer cur.Close()
 	untouched := func(after string) {
 		t.Helper()
 		if f.ChangeSeq() != seq || f.Len() != n || f.ChangeStreamStats().Published != published {
@@ -251,8 +251,8 @@ func TestReplicaRefusesLocalWrites(t *testing.T) {
 			t.Fatalf("after %s: the stream grew: %v, %v", after, evs, err)
 		}
 		select {
-		case ev := <-sub.C():
-			t.Fatalf("after %s: a subscriber was handed %+v", after, ev)
+		case <-cur.Wake():
+			t.Fatalf("after %s: a stream cursor was woken", after)
 		default:
 		}
 	}
@@ -311,10 +311,9 @@ func TestReplicaRefusesLocalWrites(t *testing.T) {
 // TestFollowerLongPollWakesOnReBootstrap: a /changes long-poll parked
 // on a follower is woken when the follower re-bootstraps underneath it
 // — by a delta and by a full transfer — instead of running out its
-// wait: the watch hub's one subscription closes with the rewrite, and
-// the hub's drain wakes pollers on the close and on the re-attach. The
-// poller's resume point is gone with the old ring, so it is told to
-// re-bootstrap too (410).
+// wait: the rewrite restarts the stream under the watch hub's cursor,
+// and the hub's resync wakes pollers. The poller's resume point is gone
+// with the old ring, so it is told to re-bootstrap too (410).
 func TestFollowerLongPollWakesOnReBootstrap(t *testing.T) {
 	leaderTS, leader := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: 8})
 	postJSON(t, leaderTS.URL+"/upsert", `{"entries":[

@@ -13,12 +13,12 @@
 // identical to the leader's, and watcher/tail fan-out distributes
 // across a replica tree instead of concentrating on the leader.
 //
-// Live distribution is one drain per server: a single change-stream
-// subscription feeds the WatchHub, whose spatial damage map routes each
-// mutation to the watchers it could actually affect and whose broadcast
-// channel wakes /changes long-pollers. N watchers cost one subscription
-// plus O(damaged) recomputes per mutation, not N relevance checks; idle
-// pollers cost nothing per request.
+// Live distribution is one reader per server: a single cursor on the
+// change stream's ring feeds the WatchHub, whose spatial damage map
+// routes each mutation to the watchers it could actually affect and
+// whose broadcast channel wakes /changes long-pollers. N watchers cost
+// one wake-up plus O(damaged) recomputes per mutation, not N relevance
+// checks; idle pollers cost nothing per request.
 package server
 
 import (
@@ -90,7 +90,7 @@ type Server struct {
 	// encoding (negotiated per request; JSON pollers don't move it).
 	framesServed atomic.Uint64
 
-	// hub is the server's one change-stream subscription: it routes
+	// hub is the server's one change-stream reader: it routes
 	// events to /watch handlers and wakes /changes long-pollers.
 	hub *WatchHub
 

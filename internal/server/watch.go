@@ -34,7 +34,7 @@ type watchDelta struct {
 // as server-sent events: an initial "snapshot" with the current top-k,
 // then a "delta" only when the top-k membership or order actually
 // changes. The watcher registers its interest with the server's shared
-// WatchHub — one change-stream subscription and a spatial damage map
+// WatchHub — one change-stream cursor and a spatial damage map
 // for all watchers — and recomputes only when the hub wakes it, so
 // events that cannot affect this top-k (the vastly common case with
 // stable application-level coordinates) cost it nothing at all.
@@ -44,7 +44,7 @@ type watchDelta struct {
 // recompute, so the watch follows the node when it moves. The stream
 // ends if the watched node is removed.
 //
-// On a follower the hub drains the leader's relayed stream, so the
+// On a follower the hub reads the leader's relayed stream, so the
 // sequence numbers in these events are the leader's — a watcher moved
 // between tiers sees one sequence space.
 func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {

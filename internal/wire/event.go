@@ -47,8 +47,8 @@ func (e Entry) MarshalJSON() ([]byte, error) {
 // Event is one sequenced registry mutation — the record. Sequence
 // numbers are dense and monotonic: a consumer holding everything
 // through sequence N resumes with since=N and misses nothing. Every
-// exported field is part of the frame: an event reads the same on a
-// live subscription, in a history read and at every relay tier.
+// exported field is part of the frame: an event reads the same to a
+// stream sink, in a history read and at every relay tier.
 type Event struct {
 	// Seq is the event's position in the total mutation order.
 	Seq uint64

@@ -151,7 +151,7 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	// re-bootstraps, and only after the tap is in place may the janitor
 	// start evicting. The store consumes the stream as a tap: inline
 	// under the feed lock (hence under the registry's write lock), so
-	// the WAL misses nothing a bounded subscriber could, and cheap,
+	// the WAL misses nothing, and cheap,
 	// because Append only enqueues the frame the event already carries —
 	// the store's flusher owns the disk. It also serves the history
 	// ChangesSince reads past the ring.

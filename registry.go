@@ -49,7 +49,9 @@ type RegistryConfig struct {
 	// ChangeStreamBuffer sizes the change stream's in-memory ring: every
 	// registry sequences each applied mutation and retains this many
 	// recent events for ChangesSince (a persistent registry reads older
-	// ones back from its WAL). <= 0 means DefaultChangeStreamBuffer.
+	// ones back from its WAL). It also bounds how far a ChangeCursor —
+	// a server's watch hub — may lag before it must resync from current
+	// state. <= 0 means DefaultChangeStreamBuffer.
 	ChangeStreamBuffer int
 	// Clock overrides time.Now, for tests.
 	Clock func() time.Time
@@ -131,7 +133,7 @@ type Registry struct {
 	scratch sync.Pool
 
 	// feed is the change stream every applied mutation is published to;
-	// persistence taps it, subscribers and replicas consume it. One feed
+	// persistence taps it, cursors and replicas consume it. One feed
 	// per registry, fixed at construction: recovery, a follower's
 	// bootstraps and promotion reposition it (load, promote), they never
 	// replace it.
@@ -219,11 +221,10 @@ func (r *Registry) startJanitor() {
 	go r.janitor(r.janitorInterval)
 }
 
-// Close stops the janitor and every Feed goroutine, and closes every
-// change-stream subscription (their channels drain, then close). The
-// registry remains queryable — and mutable, with mutations still
-// sequenced — after Close; only background work and subscriber
-// delivery stop.
+// Close stops the janitor and detaches every change-stream cursor (its
+// next Read reports the restart). The registry remains queryable — and
+// mutable, with mutations still sequenced and logged — after Close;
+// only background work and cursor wake-ups stop.
 func (r *Registry) Close() {
 	r.closeOnce.Do(func() {
 		r.lifeMu.Lock()
@@ -475,8 +476,8 @@ func (r *Registry) Remove(id string) bool {
 // of a repeated id winning — one balanced index build whether the
 // registry was empty or not — and restarts the stream at seq: the old
 // ring and removal knowledge no longer connect to the rewritten state,
-// so every subscriber is closed and resyncs, the same protocol they run
-// when they fall off the ring. A delta load leaves untouched entries in
+// so every cursor is told and its owner resyncs, the same protocol it
+// runs when it falls off the ring. A delta load leaves untouched entries in
 // place; removals apply FIRST — an id removed and later re-upserted
 // appears in both lists, and the entry (the newer state) must win —
 // and the stream keeps its tombstone depth, the delta's removed list
@@ -484,8 +485,8 @@ func (r *Registry) Remove(id string) bool {
 // can still repair with deltas of their own instead of cascading full
 // transfers.
 //
-// Lock order: r.mu → the feed's deliverMu → its mu, which a publisher
-// draining inline at pendMax already takes.
+// Lock order: r.mu → the feed's mu, as on every publish; the feed's
+// sinks take no lock.
 func (r *Registry) load(entries []RegistryEntry, removed []string, delta bool, seq, epoch uint64) error {
 	if err := r.validateBatch(entries); err != nil {
 		return err
