@@ -1,6 +1,7 @@
 package netcoord
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -197,6 +198,119 @@ func FuzzFollowerFrames(f *testing.F) {
 		_ = fr.applyFrames(body) // refusals are fine; gaps are not
 		if moved, ok := fr.ChangeSeq()-seq, fr.eventsApplied.Load()-applied; moved != ok {
 			t.Fatalf("ChangeSeq moved by %d, %d events applied", moved, ok)
+		}
+	})
+}
+
+// snapshotFramesBody is what a leader's /snapshot?format=frames serves
+// for the registry's state — the full snapshot, or, with delta, the
+// delta since since — encoded as the server encodes it.
+func snapshotFramesBody(t testing.TB, r *Registry, delta bool, since uint64) []byte {
+	t.Helper()
+	entries, seq := r.SnapshotWithSeq()
+	var removed []string
+	if delta {
+		var ok bool
+		if entries, removed, seq, ok = r.DeltaSince(since); !ok {
+			t.Fatalf("no delta since %d", since)
+		}
+	}
+	hdr := wire.SnapshotHeader{Seq: seq, Epoch: r.ChangeEpoch(), Delta: delta, Removed: removed, EntryCount: uint64(len(entries))}
+	body, err := wire.AppendSnapshotHeader(nil, &hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range entries {
+		if body, err = wire.AppendEntryFrame(body, &entries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return body
+}
+
+// FuzzBootstrapFrames feeds arbitrary bytes to a follower's /snapshot
+// ingest, on a replica registry that already holds a bootstrapped state
+// at epoch 1, with no tail loop behind it. Whatever the body, ingest
+// must not panic. When it succeeds, the registry holds what the body's
+// header and frames describe — for a full snapshot its distinct ids, for
+// a delta the old ids less the removed ones plus the entries' — and the
+// stream sits at the header's Seq. When it fails, the registry is
+// unchanged: entries, sequence and epoch. The seed corpus is a real full
+// and a real delta /snapshot frame body and their truncations.
+func FuzzBootstrapFrames(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
+	leader, err := NewRegistry(RegistryConfig{Clock: func() time.Time { return now }})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer leader.Close()
+	leader.feed.SetEpoch(1)
+	for i := 0; i < 9; i++ {
+		if err := leader.Upsert(fmt.Sprintf("n%d", i%7), c3(float64(i), 1, 2), 0.25); err != nil {
+			f.Fatal(err)
+		}
+	}
+	initial := snapshotFramesBody(f, leader, false, 0)
+	since := leader.ChangeSeq()
+	leader.Remove("n2")
+	if err := leader.Upsert("n3", c3(30, 3, 3), 0.5); err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range [][]byte{snapshotFramesBody(f, leader, false, 0), snapshotFramesBody(f, leader, true, since)} {
+		for cut := 0; cut < len(body); cut += 5 {
+			f.Add(body[:cut])
+		}
+		f.Add(body)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		reg, err := newReplicaRegistry(RegistryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		fr := &FollowerRegistry{Registry: reg}
+		if err := fr.bootstrapFrames(bytes.NewReader(initial), time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		before, seq, epoch := reg.Snapshot(), reg.ChangeSeq(), reg.ChangeEpoch()
+		if err := fr.bootstrapFrames(bytes.NewReader(body), time.Now()); err != nil {
+			if got := reg.Snapshot(); !reflect.DeepEqual(got, before) || reg.ChangeSeq() != seq || reg.ChangeEpoch() != epoch {
+				t.Fatalf("a refused body (%v) changed the registry: seq %d -> %d, epoch %d -> %d, %d -> %d entries",
+					err, seq, reg.ChangeSeq(), epoch, reg.ChangeEpoch(), len(before), len(got))
+			}
+			return
+		}
+		// It decoded: decode it again to know what it said.
+		r := wire.NewReader(bytes.NewReader(body), 0)
+		hdr, err := r.ReadSnapshotHeader()
+		if err != nil {
+			t.Fatalf("ingest accepted a body whose header does not decode: %v", err)
+		}
+		want := map[string]bool{}
+		if hdr.Delta {
+			for _, e := range before {
+				want[e.ID] = true
+			}
+			for _, id := range hdr.Removed {
+				delete(want, id)
+			}
+		}
+		var fr2 wire.Frame
+		for i := uint64(0); i < hdr.EntryCount; i++ {
+			if err := r.ReadFrame(&fr2); err != nil {
+				t.Fatalf("ingest accepted a body whose frame %d does not decode: %v", i, err)
+			}
+			want[fr2.Entry().ID] = true
+		}
+		if reg.Len() != len(want) || reg.ChangeSeq() != hdr.Seq || reg.ChangeEpoch() != hdr.Epoch {
+			t.Fatalf("ingested %+v: %d entries at seq %d epoch %d, want %d at seq %d epoch %d",
+				hdr, reg.Len(), reg.ChangeSeq(), reg.ChangeEpoch(), len(want), hdr.Seq, hdr.Epoch)
+		}
+		for id := range want {
+			if _, ok := reg.Get(id); !ok {
+				t.Fatalf("ingested %+v: %q missing", hdr, id)
+			}
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync/atomic"
+	"unsafe"
 
 	"netcoord/internal/vec"
 )
@@ -51,6 +53,74 @@ func (c Coordinate) AppendJSON(dst []byte) (_ []byte, ok bool) {
 		}
 	}
 	return append(dst, '}'), true
+}
+
+// JSONCell memoizes the opening of one stored point's JSON result
+// object, {"id":<id>,"coord":<coordinate> — all of it but the estimated
+// RTT, which differs per answer. The index keeps one beside every slot,
+// filled by the first answer that renders the slot and copied by every
+// later one; it is safe for concurrent use without the index's lock. A
+// rendering is served only for the point it was made from — the same
+// id bytes, the same vector backing array and the same height, by
+// address — so a cell whose slot has since been handed to another point
+// renders afresh rather than answer with the old bytes, and since the
+// rendering holds the id and the vector, their memory cannot be reused
+// while it exists. What it renders must be immutable, as every stored
+// id and coordinate is. It holds the id as well as the coordinate
+// because an answer would otherwise read each id's bytes, a cache miss
+// per result.
+type JSONCell struct {
+	rec atomic.Pointer[jsonRecord]
+}
+
+// jsonRecord is one rendering: the point it was made from, by
+// identity, and its bytes — in the record's own array when they fit, as
+// a 3-D coordinate's with a short id do, so that checking the record and
+// copying its bytes read one allocation.
+type jsonRecord struct {
+	vec    vec.Vector
+	height float64
+	id     string
+	json   []byte
+	inline [136]byte
+}
+
+// of reports whether the record renders (id, c): the same id and
+// vector, by address and length, and the same height bits.
+//
+//nc:hotpath
+func (r *jsonRecord) of(id string, c Coordinate) bool {
+	return len(r.vec) == len(c.Vec) && &r.vec[0] == &c.Vec[0] &&
+		len(r.id) == len(id) && unsafe.StringData(r.id) == unsafe.StringData(id) &&
+		math.Float64bits(r.height) == math.Float64bits(c.Height)
+}
+
+// AppendResultPrefix appends {"id":<id>,"coord":<c>, the id through
+// AppendJSONString and c through AppendJSON, copied from the cell when
+// it holds that rendering and otherwise rendered and stored there for
+// the next answer. ok is false, and the slice nil, when either appender
+// declines. A nil cell only renders.
+//
+//nc:hotpath
+func (m *JSONCell) AppendResultPrefix(dst []byte, id string, c Coordinate) (_ []byte, ok bool) {
+	if m != nil {
+		if r := m.rec.Load(); r != nil && r.of(id, c) {
+			return append(dst, r.json...), true
+		}
+	}
+	start := len(dst)
+	dst = append(dst, `{"id":`...)
+	if dst, ok = AppendJSONString(dst, id); !ok {
+		return nil, false
+	}
+	dst = append(dst, `,"coord":`...)
+	if dst, ok = c.AppendJSON(dst); ok && m != nil && len(c.Vec) > 0 && len(id) > 0 {
+		//nc:allow(hotpath) memo fill: once per stored point, not per answer
+		r := &jsonRecord{vec: c.Vec, height: c.Height, id: id}
+		r.json = append(r.inline[:0], dst[start:]...)
+		m.rec.Store(r)
+	}
+	return dst, ok
 }
 
 // MarshalJSON implements json.Marshaler.

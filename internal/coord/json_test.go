@@ -85,3 +85,63 @@ func TestAppendJSONStringDeclinesEscapes(t *testing.T) {
 		t.Fatal("fast path declined a plain ASCII id")
 	}
 }
+
+// TestJSONCellServesOnlyItsPoint: a cell renders what the appenders
+// render, keeps the rendering for the point it was made from — same id
+// bytes, same vector array, same height — and renders afresh, replacing
+// it, for any other: an equal id or vector in other memory, the same
+// array at another height, or a part of the array. A nil cell, an empty
+// id and an empty vector only render, and a declined id or number
+// declines.
+func TestJSONCellServesOnlyItsPoint(t *testing.T) {
+	render := func(m *JSONCell, id string, c Coordinate) []byte {
+		t.Helper()
+		got, ok := m.AppendResultPrefix([]byte("prefix:"), id, c)
+		want, wok := AppendJSONString([]byte(`prefix:{"id":`), id)
+		if wok {
+			want, wok = c.AppendJSON(append(want, `,"coord":`...))
+		}
+		if ok != wok || !bytes.Equal(got, want) {
+			t.Fatalf("%q %v: cell rendered %q (%v), the appenders %q (%v)", id, c, got, ok, want, wok)
+		}
+		return got
+	}
+	var m JSONCell
+	id := string([]byte("node-1"))
+	c := Coordinate{Vec: []float64{1.5, 2, 3}, Height: 0.25}
+	render(&m, id, c)
+	first := m.rec.Load()
+	if first == nil || !first.of(id, c) {
+		t.Fatal("the first rendering was not kept")
+	}
+	render(&m, id, c)
+	if m.rec.Load() != first {
+		t.Fatal("the same point was rendered again")
+	}
+	for _, other := range []struct {
+		id string
+		c  Coordinate
+	}{
+		{id, Coordinate{Vec: []float64{1.5, 2, 3}, Height: 0.25}},
+		{string([]byte("node-1")), c},
+		{"node-2", c},
+		{id, Coordinate{Vec: c.Vec, Height: 0.5}},
+		{id, Coordinate{Vec: c.Vec[:2], Height: 0.25}},
+		{id, Coordinate{Vec: c.Vec[1:], Height: 0.25}},
+	} {
+		before := m.rec.Load()
+		render(&m, other.id, other.c)
+		if after := m.rec.Load(); after == before || !after.of(other.id, other.c) {
+			t.Fatalf("%q %v: served the rendering of another point", other.id, other.c)
+		}
+	}
+	before := m.rec.Load()
+	render(&m, id, Coordinate{Vec: []float64{}})
+	render(&m, "", c)
+	render(nil, id, c)
+	render(&m, "a<b", c)
+	render(&m, id, Coordinate{Vec: []float64{math.NaN()}})
+	if m.rec.Load() != before {
+		t.Fatal("a rendering that must not be kept was kept")
+	}
+}

@@ -57,7 +57,7 @@ func (b *Brute) KNearest(from coord.Coordinate, k int) ([]Neighbor, error) {
 	h := bheap.New(k, neighborBefore)
 	for id, c := range b.pts {
 		d, _ := from.DistanceTo(c)
-		h.Offer(Neighbor{ID: id, Coord: c, Distance: d})
+		h.Offer(Neighbor{ID: id, Distance: d, Slot: none})
 	}
 	res := h.Items()
 	sortNeighbors(res)
@@ -76,7 +76,7 @@ func (b *Brute) Within(from coord.Coordinate, radius float64) ([]Neighbor, error
 	for id, c := range b.pts {
 		d, _ := from.DistanceTo(c)
 		if d <= radius {
-			res = append(res, Neighbor{ID: id, Coord: c, Distance: d})
+			res = append(res, Neighbor{ID: id, Distance: d, Slot: none})
 		}
 	}
 	sortNeighbors(res)

@@ -12,10 +12,11 @@
 //
 // Layout: a tree is one arena, not a graph of heap objects. Slot i is a
 // pointer-free node (nodes[i]: split value, heights, int32 links), its
-// point vector (vecs[i*dim : (i+1)*dim]) and, in parallel slices that a
-// search touches only when it accepts a candidate, the id and the caller's
-// coordinate. Build and Rebuild lay the arena out in pre-order — a node's
-// left child is the next slot, a subtree is one contiguous run of slots —
+// point vector (vecs[i*dim : (i+1)*dim]) and, in parallel slices, the id
+// a search hands out with each candidate, and the caller's coordinate
+// beside the cell that memoizes the point's JSON, which only a result
+// that is kept reads (Point). Build and Rebuild lay the arena out in
+// pre-order — a node's left child is the next slot, a subtree is one contiguous run of slots —
 // so the near-first descent walks forward through memory and a small
 // subtree is scanned as a run instead of being descended.
 //
@@ -56,14 +57,20 @@ import (
 )
 
 // Neighbor is one query result: a stored point and its distance (the
-// estimated RTT in milliseconds) from the query coordinate.
+// estimated RTT in milliseconds) from the query coordinate. It is 32
+// bytes, what the search's heap moves at every level; the stored
+// coordinate stays in the arena, reached through Slot.
 type Neighbor struct {
 	// ID is the stored point's identifier.
 	ID string
-	// Coord is the stored coordinate.
-	Coord coord.Coordinate
-	// Distance is coord.DistanceTo between the query and Coord.
+	// Distance is coord.DistanceTo between the query and the point.
 	Distance float64
+	// Slot is the point's arena slot, for Tree.Point. It is valid only
+	// until the tree next changes — an insert, a removal or a rebuild
+	// may hand the slot to another point or drop the arena — so a
+	// caller resolves it under the same hold of its lock as the search.
+	// Brute's neighbors carry -1.
+	Slot int32
 }
 
 // Bound is the monotonically tightening distance bound one kNN search
@@ -148,18 +155,28 @@ type node struct {
 	deleted bool
 }
 
+// point is a slot's coordinate as the caller stored it, beside the cell
+// that memoizes the JSON rendering of the slot's id and coordinate, so
+// that resolving a result reads both from one place. Readers fill the cell without the caller's lock,
+// so the arena is never copied by append: Insert grows it by hand.
+type point struct {
+	coord coord.Coordinate
+	json  coord.JSONCell
+}
+
 // Tree is the incremental kd-tree. Not safe for concurrent use.
 type Tree struct {
 	dim int
 	// nodes[0] is the root whenever the arena is non-empty.
 	nodes []node
 	// The per-slot payload, parallel to nodes: the flat vectors the
-	// search reads, and the id and coordinate it hands out. coords keeps
-	// the caller's immutable coordinate so that a Neighbor never refers
-	// to vecs, which a rebuild rewrites.
+	// search reads, the id it hands out, and the point Point resolves a
+	// kept result's slot to. points keeps the caller's immutable
+	// coordinate so that a result never refers to vecs, which a rebuild
+	// rewrites.
 	vecs   []float64
 	ids    []string
-	coords []coord.Coordinate
+	points []point
 	byID   map[string]int32
 
 	dead          int
@@ -300,7 +317,7 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 	t.nodes = append(t.nodes, n)
 	t.vecs = append(t.vecs, c.Vec...)
 	t.ids = append(t.ids, id)
-	t.coords = append(t.coords, c)
+	t.appendPoint(c)
 	t.byID[id] = i
 	t.inserts++
 	if depth > t.heightHint {
@@ -315,6 +332,24 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 	}
 	t.maybeRebuild()
 	return nil
+}
+
+// appendPoint appends a slot's point. Growing by append would copy the
+// memo cells with plain reads while readers may be filling them, so a
+// full arena moves to a new one by hand: the coordinates are copied,
+// the cells start empty, and a reader still holding an old cell fills a
+// cell no one reads again.
+func (t *Tree) appendPoint(c coord.Coordinate) {
+	n := len(t.points)
+	if n == cap(t.points) {
+		grown := make([]point, n, n+n/4+16) //nc:allow(hotpath) arena growth: amortized, by a quarter as append grows the other slices
+		for i := range t.points {
+			grown[i].coord = t.points[i].coord
+		}
+		t.points = grown
+	}
+	t.points = t.points[:n+1]
+	t.points[n].coord = c
 }
 
 // liveSize is the number of live points under slot i, and -1 for an
@@ -332,8 +367,9 @@ func (t *Tree) liveSize(i int32) int32 {
 // and a leaf's own split constrains nothing beneath it, so rewriting the
 // slot in place keeps every search invariant. The slot stays where it
 // is — ancestors' run is untouched — and its old coordinate is
-// replaced, never written through, so a Neighbor handed out earlier
-// keeps what it had. The tree neither grows nor deepens, which is why a
+// replaced, never written through, so a coordinate Point handed out
+// earlier keeps what it had; the slot's memo cell is left to notice the
+// change itself. The tree neither grows nor deepens, which is why a
 // revival does not count toward the doubling rule.
 func (t *Tree) revive(i int32, id string, c coord.Coordinate) {
 	n := &t.nodes[i]
@@ -342,7 +378,7 @@ func (t *Tree) revive(i int32, id string, c coord.Coordinate) {
 	n.deleted = false
 	copy(t.vecs[int(i)*t.dim:], c.Vec)
 	t.ids[i] = id
-	t.coords[i] = c
+	t.points[i].coord = c
 	t.byID[id] = i
 	t.dead--
 	n.size = 1
@@ -404,7 +440,7 @@ func (t *Tree) Rebuild() {
 	live := make([]Entry, 0, len(t.byID)) //nc:allow(hotpath) amortized rebalance: O(log n) rebuilds over n inserts
 	for i := range t.nodes {
 		if !t.nodes[i].deleted {
-			live = append(live, Entry{ID: t.ids[i], Coord: t.coords[i]})
+			live = append(live, Entry{ID: t.ids[i], Coord: t.points[i].coord})
 		}
 	}
 	t.layout(live)
@@ -424,11 +460,11 @@ func (t *Tree) Rebuild() {
 // id leave the map shorter than the arena; Build looks for that.
 func (t *Tree) layout(entries []Entry) {
 	n := len(entries)
-	t.nodes = make([]node, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
-	t.vecs = make([]float64, n*t.dim)      //nc:allow(hotpath) arena allocation: once per build or rebuild
-	t.ids = make([]string, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
-	t.coords = make([]coord.Coordinate, n) //nc:allow(hotpath) arena allocation: once per build or rebuild
-	order := make([]keyed, n)              //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.nodes = make([]node, n)         //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.vecs = make([]float64, n*t.dim) //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.ids = make([]string, n)         //nc:allow(hotpath) arena allocation: once per build or rebuild
+	t.points = make([]point, n)       //nc:allow(hotpath) arena allocation: once per build or rebuild
+	order := make([]keyed, n)         //nc:allow(hotpath) arena allocation: once per build or rebuild
 	for i := range order {
 		order[i].at = int32(i)
 	}
@@ -476,7 +512,7 @@ func (t *Tree) place(entries []Entry, order []keyed, axis int, parent, slot int3
 	}
 	copy(t.vecs[int(slot)*t.dim:], e.Coord.Vec)
 	t.ids[slot] = e.ID
-	t.coords[slot] = e.Coord
+	t.points[slot].coord = e.Coord
 	next := (axis + 1) % t.dim
 	var left, right int32
 	if procs > 1 && len(order) >= forkMin {
@@ -709,13 +745,25 @@ func (s *search) visit(i int32) {
 //
 //nc:hotpath
 func (s *search) accept(i int32, d float64) float64 {
-	s.h.Offer(Neighbor{ID: s.t.ids[i], Coord: s.t.coords[i], Distance: d})
+	s.h.Offer(Neighbor{ID: s.t.ids[i], Distance: d, Slot: i})
 	if s.h.Full() {
 		// k candidates at distance <= Worst now exist, so the true
 		// kth-best cannot exceed it.
 		s.b.Tighten(s.h.Worst().Distance)
 	}
 	return s.b.Load()
+}
+
+// Point returns the coordinate stored in slot and the cell that
+// memoizes the JSON rendering of the slot's id and coordinate. slot is a Neighbor's, from a search since
+// which the tree has not changed; the coordinate returned is the
+// caller's own and stays valid, and so does the cell, though a later
+// change may give its slot to another point.
+//
+//nc:hotpath
+func (t *Tree) Point(slot int32) (coord.Coordinate, *coord.JSONCell) {
+	p := &t.points[slot]
+	return p.coord, &p.json
 }
 
 // sortNeighbors orders results by (distance, id) ascending — the

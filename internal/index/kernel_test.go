@@ -302,7 +302,8 @@ func TestRevivalCases(t *testing.T) {
 		if len(before) != 1 || before[0].ID != "p00" {
 			t.Fatalf("nearest = %v, want p00", before)
 		}
-		was := before[0].Coord.Clone()
+		held, _ := tree.Point(before[0].Slot)
+		was := held.Clone()
 		tree.Remove("p00")
 		if err := tree.Insert("fresh", at(3, 1)); err != nil {
 			t.Fatal(err)
@@ -310,8 +311,11 @@ func TestRevivalCases(t *testing.T) {
 		if slots(tree) != 15 {
 			t.Fatalf("%d slots: the insert did not revive p00's leaf", slots(tree))
 		}
-		if before[0].ID != "p00" || !before[0].Coord.Equal(was) {
-			t.Fatalf("a result handed out earlier changed to %v, was %v", before[0], was)
+		if before[0].ID != "p00" || !held.Equal(was) {
+			t.Fatalf("a result handed out earlier changed to %v at %v, was %v", before[0], held, was)
+		}
+		if now, _ := tree.Point(before[0].Slot); !now.Equal(at(3, 1)) {
+			t.Fatalf("the revived slot holds %v, want fresh's coordinate", now)
 		}
 	})
 }
@@ -424,10 +428,11 @@ func TestSixteenTreesSharingOneBound(t *testing.T) {
 	}
 }
 
-// TestResultsDoNotAliasTheArena takes results, then rewrites the arena
-// under them every way it can be rewritten — moves, removals, appends
-// that reallocate it, rebuilds that compact it — and requires the
-// results, coordinates included, to be what they were.
+// TestResultsDoNotAliasTheArena takes results and resolves their slots
+// to coordinates, then rewrites the arena under them every way it can
+// be rewritten — moves, removals, appends that reallocate it, rebuilds
+// that compact it — and requires the results, coordinates included, to
+// be what they were.
 func TestResultsDoNotAliasTheArena(t *testing.T) {
 	const dim = 3
 	rng := xrand.NewStream(3)
@@ -448,8 +453,11 @@ func TestResultsDoNotAliasTheArena(t *testing.T) {
 		dist float64
 	}
 	var before []frozen
+	var held []coord.Coordinate
 	for _, n := range append(append([]Neighbor(nil), knn...), within...) {
-		before = append(before, frozen{n.ID, n.Coord.Clone(), n.Distance})
+		c, _ := tree.Point(n.Slot)
+		held = append(held, c)
+		before = append(before, frozen{n.ID, c.Clone(), n.Distance})
 	}
 	for round := 0; round < 4; round++ {
 		for _, e := range entries {
@@ -465,8 +473,8 @@ func TestResultsDoNotAliasTheArena(t *testing.T) {
 		tree.Rebuild()
 	}
 	for i, n := range append(append([]Neighbor(nil), knn...), within...) {
-		if n.ID != before[i].id || n.Distance != before[i].dist || !n.Coord.Equal(before[i].c) {
-			t.Fatalf("result %d changed under later mutations: %v, was %v", i, n, before[i])
+		if n.ID != before[i].id || n.Distance != before[i].dist || !held[i].Equal(before[i].c) {
+			t.Fatalf("result %d changed under later mutations: %v at %v, was %v", i, n, held[i], before[i])
 		}
 	}
 }

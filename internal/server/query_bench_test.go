@@ -135,19 +135,25 @@ func BenchmarkServeNearest(b *testing.B) {
 // BenchmarkServeNearestBatch is the read-batch workload's request in
 // process: POST /nearest/batch of 32 k=8 queries, in the load
 // generator's body shape, against 100k entries, through ServeHTTP —
-// body read, decode, the batch, encode — with no socket. Per-op time
-// and allocations are one request's.
+// body read, decode, the batch, encode — with no socket. The body
+// cycles through 1024, 32 768 query points in all, so that neither the
+// tree's hot paths nor the coordinates' JSON memos are warmer than under
+// the load generator's stream of fresh points. Per-op time and
+// allocations are one request's.
 func BenchmarkServeNearestBatch(b *testing.B) {
 	srv, point := nearestBenchServer(b)
-	body := []byte(`{"queries":[`)
-	for i := 0; i < 32; i++ {
-		if i > 0 {
-			body = append(body, ',')
+	bodies := make([][]byte, 1024)
+	for i := range bodies {
+		body := []byte(`{"queries":[`)
+		for j := 0; j < 32; j++ {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = appendBenchNearest(body, point())
 		}
-		body = appendBenchNearest(body, point())
+		bodies[i] = append(body, "]}"...)
 	}
-	body = append(body, "]}"...)
-	serveBench(b, "/nearest/batch", func(int) []byte { return body }, func(int) http.Handler { return srv })
+	serveBench(b, "/nearest/batch", func(i int) []byte { return bodies[i%len(bodies)] }, func(int) http.Handler { return srv })
 }
 
 // BenchmarkServeUpsert is POST /upsert in process, through ServeHTTP —

@@ -5,15 +5,19 @@ import (
 	"sync"
 
 	"netcoord"
-	"netcoord/internal/coord"
 )
 
 // The query endpoints answer with ranked result lists, which at 32
 // queries × 8 results a batch made encoding/json — map → reflection →
 // Coordinate.MarshalJSON → re-compaction, three allocations a result —
 // a fifth of a request's CPU. They are rendered here instead by
-// appending into one pooled buffer written once. The bytes are exactly
-// encoding/json's (TestResultEncodingMatchesStdlib): when the append
+// appending into one pooled buffer written once, each result through
+// Ranked.AppendJSON: a result's id and coordinate are copied from the
+// JSON the index memoizes beside the stored point, so only its
+// estimated RTT is formatted per answer, and encoding cost follows how
+// often coordinates change, not how often they are read. The bytes
+// are exactly encoding/json's (TestResultEncodingMatchesStdlib, and
+// TestResultBodiesIgnoreStaleMemos for the memo): when the append
 // encoder declines a value — an id that needs escaping — the whole
 // response goes through encoding/json, so no response is ever a mix.
 
@@ -87,23 +91,12 @@ func writeBody(w http.ResponseWriter, buf *[]byte, body []byte) {
 func appendResults(dst []byte, res []netcoord.Ranked, truncated *bool) (_ []byte, ok bool) {
 	dst = append(dst, `{"results":[`...)
 	for i := range res {
-		r := &res[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"id":`...)
-		if dst, ok = coord.AppendJSONString(dst, r.ID); !ok {
+		if dst, ok = res[i].AppendJSON(dst); !ok {
 			return nil, false
 		}
-		dst = append(dst, `,"coord":`...)
-		if dst, ok = r.Coord.AppendJSON(dst); !ok {
-			return nil, false
-		}
-		dst = append(dst, `,"estimated_rtt_ms":`...)
-		if dst, ok = coord.AppendJSONFloat(dst, r.EstimatedRTT); !ok {
-			return nil, false
-		}
-		dst = append(dst, '}')
 	}
 	dst = append(dst, ']')
 	if truncated != nil {

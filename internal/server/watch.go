@@ -98,18 +98,22 @@ func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {
 	// damages the (still promiscuous) watcher — no unwatched window.
 	watcher := s.hub.Watch(watchID)
 	defer s.hub.Detach(watcher)
-	cur, seq, err := s.syncWatch(watcher, recompute, k)
+	// The stream keeps its current answer as the JSON rows it sends,
+	// not as Ranked: a Ranked holds its memo cell, and with it the index
+	// arena the answer came from, alive for as long as the watch lasts.
+	res, seq, err := s.syncWatch(watcher, recompute, k)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	cur := toRankedJSON(res)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	sse := newSSEWriter(w)
-	if sse.write("snapshot", watchDelta{Seq: seq, Results: toRankedJSON(cur)}) != nil {
+	if sse.write("snapshot", watchDelta{Seq: seq, Results: cur}) != nil {
 		return
 	}
 	fl.Flush()
@@ -130,16 +134,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {
 			}
 			fl.Flush()
 		case <-watcher.C():
-			next, seq, err := s.syncWatch(watcher, recompute, k)
+			res, seq, err := s.syncWatch(watcher, recompute, k)
 			if err != nil {
 				return // watched node removed (or registry torn down)
 			}
+			next := toRankedJSON(res)
 			added, removed, changed := diffRanked(cur, next)
 			cur = next
 			if !changed {
 				continue
 			}
-			if sse.write("delta", watchDelta{Seq: seq, Results: toRankedJSON(cur), Added: added, Removed: removed}) != nil {
+			if sse.write("delta", watchDelta{Seq: seq, Results: cur, Added: added, Removed: removed}) != nil {
 				return
 			}
 			fl.Flush()
@@ -183,7 +188,7 @@ func (s *Server) syncWatch(watcher *HubWatcher, recompute func() ([]netcoord.Ran
 
 // diffRanked compares two ranked lists by id sequence. added/removed
 // report membership changes; changed is also true for pure reorders.
-func diffRanked(old, next []netcoord.Ranked) (added, removed []string, changed bool) {
+func diffRanked(old, next []rankedJSON) (added, removed []string, changed bool) {
 	if len(old) == len(next) {
 		same := true
 		for i := range old {

@@ -92,7 +92,8 @@ func (r *Registry) Query(q NearestQuery, dst []Ranked) ([]Ranked, error) {
 
 // query is Query's core for a validated query: one walk into the
 // pooled heap, then the excluded id dropped, the rest sorted and the
-// first K appended to dst[:0]. It does not count the query.
+// first K resolved and appended to dst[:0], all in one hold of the read
+// lock. It does not count the query.
 //
 //nc:hotpath
 func (r *Registry) query(q *NearestQuery, dst []Ranked) []Ranked {
@@ -112,7 +113,6 @@ func (r *Registry) query(q *NearestQuery, dst []Ranked) []Ranked {
 	r.mu.RLock()
 	// The query was validated, which is the tree's only failure.
 	_ = r.tree.KNearestInto(q.From, want, qs.heap, &qs.bound)
-	r.mu.RUnlock()
 	ns := qs.heap.Items()
 	for i := range ns {
 		if ns[i].ID == q.Exclude {
@@ -128,21 +128,15 @@ func (r *Registry) query(q *NearestQuery, dst []Ranked) []Ranked {
 	if cap(dst) < len(ns) {
 		dst = make([]Ranked, 0, len(ns)) //nc:allow(hotpath) storage the caller did not supply, sized by the matches found
 	}
+	// A neighbor's slot is valid until the tree next changes, so the
+	// kept ones are resolved to their coordinates in the walk's hold.
 	for _, n := range ns {
-		dst = append(dst, ranked(n))
+		c, memo := r.tree.Point(n.Slot)
+		dst = append(dst, Ranked{Candidate: Candidate{ID: n.ID, Coord: c}, EstimatedRTT: n.Distance, memo: memo})
 	}
+	r.mu.RUnlock()
 	r.scratch.Put(qs)
 	return dst
-}
-
-// ranked is a search result in the form the registry hands out.
-//
-//nc:hotpath
-func ranked(n index.Neighbor) Ranked {
-	return Ranked{
-		Candidate:    Candidate{ID: n.ID, Coord: n.Coord},
-		EstimatedRTT: n.Distance,
-	}
 }
 
 // Nearest returns the k registered nodes with the smallest estimated RTT

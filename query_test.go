@@ -12,47 +12,55 @@ import (
 	"netcoord/internal/xrand"
 )
 
-// bruteOracle is index.Brute over a registry snapshot: the O(n) scan
-// every registry answer must match bit for bit.
-func bruteOracle(t *testing.T, snap []RegistryEntry) *index.Brute {
+// oracle is index.Brute over a registry snapshot — the O(n) scan every
+// registry answer must match bit for bit — and the snapshot's
+// coordinates by id, which an answer must carry.
+type oracle struct {
+	*index.Brute
+	coords map[string]Coordinate
+}
+
+func bruteOracle(t *testing.T, snap []RegistryEntry) *oracle {
 	t.Helper()
 	b, err := index.NewBrute(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := &oracle{Brute: b, coords: make(map[string]Coordinate, len(snap))}
 	for _, e := range snap {
 		if err := b.Insert(e.ID, e.Coord); err != nil {
 			t.Fatal(err)
 		}
+		o.coords[e.ID] = e.Coord
 	}
-	return b
+	return o
 }
 
 // bruteNearest asks the oracle for everything within bound, ranked by
 // (distance, id), drops the excluded id and keeps k.
-func bruteNearest(t *testing.T, b *index.Brute, from Coordinate, k int, exclude string, bound float64) []Ranked {
+func bruteNearest(t *testing.T, o *oracle, from Coordinate, k int, exclude string, bound float64) []Ranked {
 	t.Helper()
-	ns, err := b.Within(from, bound)
+	ns, err := o.Within(from, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []Ranked
 	for _, n := range ns {
 		if n.ID != exclude && len(out) < k {
-			out = append(out, ranked(n))
+			out = append(out, Ranked{Candidate: Candidate{ID: n.ID, Coord: o.coords[n.ID]}, EstimatedRTT: n.Distance})
 		}
 	}
 	return out
 }
 
 // rankedEqual requires bit-identical results: same ids, same distances,
-// same order.
+// same coordinates, same order.
 func rankedEqual(a, b []Ranked) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].EstimatedRTT != b[i].EstimatedRTT {
+		if a[i].ID != b[i].ID || a[i].EstimatedRTT != b[i].EstimatedRTT || !a[i].Coord.Equal(b[i].Coord) {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package netcoord
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -652,22 +654,68 @@ func (r *Registry) collectLocked(keep func(RegistryEntry) bool) []RegistryEntry 
 }
 
 // sortedByID returns found sorted by id (nil when empty). The sort
-// moves 4-byte positions, not 88-byte entries, and each entry is then
-// copied once into its place.
+// moves 16-byte (id key, position) pairs, not 88-byte entries, and each
+// entry is then copied once into its place.
 func sortedByID(found []RegistryEntry) []RegistryEntry {
 	if len(found) == 0 {
 		return nil
 	}
-	order := make([]int32, len(found))
-	for i := range order {
-		order[i] = int32(i)
+	keys := make([]idKey, len(found))
+	for i := range keys {
+		keys[i].at = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(found[a].ID, found[b].ID) })
+	sortIDKeys(found, keys, 0)
 	out := make([]RegistryEntry, len(found))
-	for i, at := range order {
-		out[i] = found[at]
+	for i, k := range keys {
+		out[i] = found[k.at]
 	}
 	return out
+}
+
+// idKey is one entry's place in an id sort: the 8 bytes of its id the
+// sort is at, big-endian, and the entry's position.
+type idKey struct {
+	key uint64
+	at  int32
+}
+
+// sortIDKeys sorts keys by the ids of the entries they name, all of
+// which agree on their first depth bytes: by the next 8 bytes of each id
+// as one integer, shorter ids padded with zero bytes, so that most
+// comparisons are one integer compare instead of a strings.Compare that
+// chases each id and walks a prefix every id shares. A run that ties on
+// those 8 bytes is re-keyed on the 8 after them, unless one of its ids
+// ends inside them — padding cannot tell "a" from "a\x00" — in which
+// case the run is sorted by strings.Compare.
+func sortIDKeys(found []RegistryEntry, keys []idKey, depth int) {
+	for i := range keys {
+		keys[i].key = idChunk(found[keys[i].at].ID, depth)
+	}
+	slices.SortFunc(keys, func(a, b idKey) int { return cmp.Compare(a.key, b.key) })
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].key == keys[lo].key {
+			hi++
+		}
+		if run := keys[lo:hi]; len(run) > 1 {
+			if slices.ContainsFunc(run, func(k idKey) bool { return len(found[k.at].ID) <= depth+8 }) {
+				slices.SortFunc(run, func(a, b idKey) int { return strings.Compare(found[a.at].ID, found[b.at].ID) })
+			} else {
+				sortIDKeys(found, run, depth+8)
+			}
+		}
+		lo = hi
+	}
+}
+
+// idChunk is bytes [depth, depth+8) of id as a big-endian integer, the
+// bytes past its end taken as zero.
+func idChunk(id string, depth int) uint64 {
+	var b [8]byte
+	if depth < len(id) {
+		copy(b[:], id[depth:])
+	}
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // Stats snapshots operational counters.

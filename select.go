@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"netcoord/internal/bheap"
+	"netcoord/internal/coord"
 )
 
 // Candidate pairs an application identifier with that node's coordinate,
@@ -23,6 +24,34 @@ type Ranked struct {
 	Candidate
 	// EstimatedRTT is the predicted round-trip time in milliseconds.
 	EstimatedRTT float64
+
+	// memo, on a Registry's answer, is the cell beside the stored point
+	// in the index that memoizes its JSON rendering (see AppendJSON);
+	// nil elsewhere. It keeps the index arena it points into alive while
+	// the Ranked is.
+	memo *coord.JSONCell
+}
+
+// AppendJSON appends r as {"id":…,"coord":…,"estimated_rtt_ms":…},
+// byte for byte what encoding/json renders for those three fields. ok
+// is false, and the slice nil, when a value needs encoding/json itself:
+// an id that needs escaping, or a number that is not finite. A Registry
+// stores application-level coordinates, which change rarely, so the id
+// and coordinate of a Ranked it returned are rendered once per stored
+// point, not once per answer: the first answer to render them stores the
+// bytes beside the point in the index, and later answers copy them, so
+// an answer formats only its estimated RTTs.
+//
+//nc:hotpath
+func (r *Ranked) AppendJSON(dst []byte) (_ []byte, ok bool) {
+	if dst, ok = r.memo.AppendResultPrefix(dst, r.ID, r.Coord); !ok {
+		return nil, false
+	}
+	dst = append(dst, `,"estimated_rtt_ms":`...)
+	if dst, ok = coord.AppendJSONFloat(dst, r.EstimatedRTT); !ok {
+		return nil, false
+	}
+	return append(dst, '}'), true
 }
 
 // Nearest returns the k candidates with the smallest estimated RTT from
