@@ -183,7 +183,7 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // A follower serves its stream with no code of its own: the embedded
 // Registry's feed IS the relayed stream. Each upstream event is applied
 // through the registry's one apply path — the leader's — which changes
-// entries, index and stream in one hold of the write lock, publishing
+// the store (its index) and stream in one hold of the write lock, publishing
 // the event under the leader's sequence number and with the leader's
 // frame bytes (decoded here to apply, never re-encoded). So at every
 // sequence the replica's state equals the leader's at that sequence,
@@ -601,7 +601,7 @@ func (f *FollowerRegistry) applyFrames(body []byte) error {
 }
 
 // apply replays a batch of leader events, in order, through the
-// registry's one apply path: each event changes entries, index and
+// registry's one apply path: each event changes the store (its index) and
 // stream in one hold of the write lock, published under the leader's
 // own sequence number, so a cursor woken by an event — and a poller
 // re-checking ChangeSeq — always observes a registry that already

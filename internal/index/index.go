@@ -13,12 +13,15 @@
 // Layout: a tree is one arena, not a graph of heap objects. Slot i is a
 // pointer-free node (nodes[i]: split value, heights, int32 links), its
 // point vector (vecs[i*dim : (i+1)*dim]) and, in parallel slices, the id
-// a search hands out with each candidate, and the caller's coordinate
-// beside the cell that memoizes the point's JSON, which only a result
-// that is kept reads (Point). Build and Rebuild lay the arena out in
-// pre-order — a node's left child is the next slot, a subtree is one contiguous run of slots —
-// so the near-first descent walks forward through memory and a small
-// subtree is scanned as a run instead of being descended.
+// a search hands out with each candidate, and the caller's whole record
+// — id, coordinate, error, timestamp, sequence — beside the cell that
+// memoizes the point's JSON, which only a result that is kept reads
+// (Point). The arena is the store: the Registry keeps no copy of its
+// entries beside it, and the tree's id map is its one id map. Build and
+// Rebuild lay the arena out in pre-order — a node's left child is the
+// next slot, a subtree is one contiguous run of slots — so the
+// near-first descent walks forward through memory and a small subtree
+// is scanned as a run instead of being descended.
 //
 // Mutation strategy: inserts descend to a leaf and append a slot; removals
 // tombstone the slot in place. Both are O(depth). An insert whose descent
@@ -30,7 +33,7 @@
 // values on both — so an insert that ties descends into the child with
 // fewer live points, an absent child counting as the fewest. A crowd
 // that registers one coordinate, such as fresh Vivaldi nodes all at the
-// origin, then grows a balanced subtree instead of a chain that Insert's
+// origin, then grows a balanced subtree instead of a chain that Put's
 // depth trigger would answer with a full rebuild every few dozen inserts.
 // Tombstones and unbalanced insertion degrade the tree over time, so the index rebuilds
 // itself — a balanced median build over the live points, compacting the
@@ -47,6 +50,7 @@ package index
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"runtime"
@@ -54,6 +58,7 @@ import (
 
 	"netcoord/internal/bheap"
 	"netcoord/internal/coord"
+	"netcoord/internal/wire"
 )
 
 // Neighbor is one query result: a stored point and its distance (the
@@ -155,13 +160,15 @@ type node struct {
 	deleted bool
 }
 
-// point is a slot's coordinate as the caller stored it, beside the cell
+// point is a slot's record as the caller stored it, beside the cell
 // that memoizes the JSON rendering of the slot's id and coordinate, so
-// that resolving a result reads both from one place. Readers fill the cell without the caller's lock,
-// so the arena is never copied by append: Insert grows it by hand.
+// that resolving a result reads both from one place: the cell first,
+// then the id and coordinate, then the fields only Record reads.
+// Readers fill the cell without the caller's lock, so the arena is
+// never copied by append: Put grows it by hand.
 type point struct {
-	coord coord.Coordinate
-	json  coord.JSONCell
+	json coord.JSONCell
+	rec  Entry
 }
 
 // Tree is the incremental kd-tree. Not safe for concurrent use.
@@ -171,9 +178,9 @@ type Tree struct {
 	nodes []node
 	// The per-slot payload, parallel to nodes: the flat vectors the
 	// search reads, the id it hands out, and the point Point resolves a
-	// kept result's slot to. points keeps the caller's immutable
-	// coordinate so that a result never refers to vecs, which a rebuild
-	// rewrites.
+	// kept result's slot to. points keeps the caller's record, with its
+	// immutable coordinate, so that a result never refers to vecs, which
+	// a rebuild rewrites.
 	vecs   []float64
 	ids    []string
 	points []point
@@ -198,14 +205,11 @@ func New(dim int) (*Tree, error) {
 	return &Tree{dim: dim, byID: make(map[string]int32)}, nil
 }
 
-// Entry is one point for bulk construction with Build.
-type Entry struct {
-	// ID identifies the point; duplicate IDs resolve last-wins, matching
-	// a sequence of Inserts.
-	ID string
-	// Coord is the point's coordinate.
-	Coord coord.Coordinate
-}
+// Entry is one point and the record stored with it: the tree files it
+// by ID and Coord and keeps the rest — Error, UpdatedAt, Seq — for
+// Record. In Build's input, duplicate IDs resolve last-wins, matching a
+// sequence of Puts.
+type Entry = wire.Entry
 
 // Build constructs a balanced Tree over the given entries in one pass:
 // validate, dedupe, and median-build, O(n log n) total. It produces the
@@ -230,7 +234,7 @@ func Build(dim int, entries []Entry) (*Tree, error) {
 	if len(t.byID) < len(entries) {
 		// Some id repeats, which the id map just showed for free and a
 		// snapshot never does: keep the last of each, as the same
-		// sequence of Inserts would, and lay the survivors out instead.
+		// sequence of Puts would, and lay the survivors out instead.
 		last := make(map[string]int, len(t.byID)) //nc:allow(hotpath) bulk build with duplicate ids: cold, once per build
 		for i := range entries {
 			last[entries[i].ID] = i
@@ -266,7 +270,16 @@ func balancedHeight(n int) int {
 }
 
 // Insert adds the point, replacing any existing point with the same id.
+// It is Put with an otherwise empty record.
 func (t *Tree) Insert(id string, c coord.Coordinate) error {
+	return t.Put(Entry{ID: id, Coord: c})
+}
+
+// Put adds the record's point, replacing any existing point with the
+// same id — a new slot, even at an equal coordinate; Refresh is the
+// in-place rewrite.
+func (t *Tree) Put(e Entry) error {
+	id, c := e.ID, e.Coord
 	if err := c.Validate(t.dim); err != nil {
 		//nc:allow(hotpath) validation-failure return: cold by definition
 		return fmt.Errorf("index insert %q: %w", id, err)
@@ -289,7 +302,7 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 			depth++
 			p := &t.nodes[cur]
 			if p.deleted && p.left == none && p.right == none {
-				t.revive(cur, id, c)
+				t.revive(cur, e)
 				return nil
 			}
 			link := &p.right
@@ -317,7 +330,7 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 	t.nodes = append(t.nodes, n)
 	t.vecs = append(t.vecs, c.Vec...)
 	t.ids = append(t.ids, id)
-	t.appendPoint(c)
+	t.appendPoint(e)
 	t.byID[id] = i
 	t.inserts++
 	if depth > t.heightHint {
@@ -336,20 +349,20 @@ func (t *Tree) Insert(id string, c coord.Coordinate) error {
 
 // appendPoint appends a slot's point. Growing by append would copy the
 // memo cells with plain reads while readers may be filling them, so a
-// full arena moves to a new one by hand: the coordinates are copied,
-// the cells start empty, and a reader still holding an old cell fills a
+// full arena moves to a new one by hand: the records are copied, the
+// cells start empty, and a reader still holding an old cell fills a
 // cell no one reads again.
-func (t *Tree) appendPoint(c coord.Coordinate) {
+func (t *Tree) appendPoint(e Entry) {
 	n := len(t.points)
 	if n == cap(t.points) {
 		grown := make([]point, n, n+n/4+16) //nc:allow(hotpath) arena growth: amortized, by a quarter as append grows the other slices
 		for i := range t.points {
-			grown[i].coord = t.points[i].coord
+			grown[i].rec = t.points[i].rec
 		}
 		t.points = grown
 	}
 	t.points = t.points[:n+1]
-	t.points[n].coord = c
+	t.points[n].rec = e
 }
 
 // liveSize is the number of live points under slot i, and -1 for an
@@ -361,7 +374,7 @@ func (t *Tree) liveSize(i int32) int32 {
 	return t.nodes[i].size
 }
 
-// revive hands the tombstoned leaf in slot i to the point (id, c), whose
+// revive hands the tombstoned leaf in slot i to the record e, whose
 // descent ended there: the descent kept the point on an admissible side
 // of every ancestor's plane — below it, above it, or either on a tie —
 // and a leaf's own split constrains nothing beneath it, so rewriting the
@@ -371,14 +384,15 @@ func (t *Tree) liveSize(i int32) int32 {
 // earlier keeps what it had; the slot's memo cell is left to notice the
 // change itself. The tree neither grows nor deepens, which is why a
 // revival does not count toward the doubling rule.
-func (t *Tree) revive(i int32, id string, c coord.Coordinate) {
+func (t *Tree) revive(i int32, e Entry) {
+	id, c := e.ID, e.Coord
 	n := &t.nodes[i]
 	n.split = c.Vec[n.axis]
 	n.height, n.minHeight = c.Height, c.Height
 	n.deleted = false
 	copy(t.vecs[int(i)*t.dim:], c.Vec)
 	t.ids[i] = id
-	t.points[i].coord = c
+	t.points[i].rec = e
 	t.byID[id] = i
 	t.dead--
 	n.size = 1
@@ -440,7 +454,7 @@ func (t *Tree) Rebuild() {
 	live := make([]Entry, 0, len(t.byID)) //nc:allow(hotpath) amortized rebalance: O(log n) rebuilds over n inserts
 	for i := range t.nodes {
 		if !t.nodes[i].deleted {
-			live = append(live, Entry{ID: t.ids[i], Coord: t.points[i].coord})
+			live = append(live, t.points[i].rec)
 		}
 	}
 	t.layout(live)
@@ -512,7 +526,7 @@ func (t *Tree) place(entries []Entry, order []keyed, axis int, parent, slot int3
 	}
 	copy(t.vecs[int(slot)*t.dim:], e.Coord.Vec)
 	t.ids[slot] = e.ID
-	t.points[slot].coord = e.Coord
+	t.points[slot].rec = *e
 	next := (axis + 1) % t.dim
 	var left, right int32
 	if procs > 1 && len(order) >= forkMin {
@@ -763,7 +777,48 @@ func (s *search) accept(i int32, d float64) float64 {
 //nc:hotpath
 func (t *Tree) Point(slot int32) (coord.Coordinate, *coord.JSONCell) {
 	p := &t.points[slot]
-	return p.coord, &p.json
+	return p.rec.Coord, &p.json
+}
+
+// Lookup returns the slot holding id's point, valid until the tree
+// next changes, and whether there is one.
+//
+//nc:hotpath
+func (t *Tree) Lookup(id string) (int32, bool) {
+	slot, ok := t.byID[id]
+	return slot, ok
+}
+
+// Record returns the record stored in slot, a live slot from Lookup
+// since which the tree has not changed. It is for reading: a record
+// changes through Put and Refresh.
+//
+//nc:hotpath
+func (t *Tree) Record(slot int32) *Entry { return &t.points[slot].rec }
+
+// Refresh rewrites the record in slot, a live slot from Lookup since
+// which the tree has not changed, with e, which names the same id at
+// an Equal coordinate: the slot keeps its id and coordinate — so its
+// place in the tree and its memo — and takes the rest of e. The tree
+// does not change shape, so slots stay valid.
+//
+//nc:hotpath
+func (t *Tree) Refresh(slot int32, e Entry) {
+	p := &t.points[slot].rec
+	e.ID, e.Coord = p.ID, p.Coord
+	*p = e
+}
+
+// All yields the record of every live point, in arena order. The tree
+// must not change while it runs.
+func (t *Tree) All() iter.Seq[*Entry] {
+	return func(yield func(*Entry) bool) {
+		for i := range t.nodes {
+			if !t.nodes[i].deleted && !yield(&t.points[i].rec) {
+				return
+			}
+		}
+	}
 }
 
 // sortNeighbors orders results by (distance, id) ascending — the

@@ -70,7 +70,9 @@ type NearestQuery struct {
 // steady-state allocations; storage is sized by the matches found,
 // never by q.K. The answer comes from the spatial index, so it is exact
 // while the work stays O(log n · K), and a radius doubles as the
-// search's pruning bound.
+// search's pruning bound. Each Ranked returned pins the index arena —
+// the registry's whole store — it was read from, until it is dropped
+// (see Ranked).
 //
 //nc:hotpath
 func (r *Registry) Query(q NearestQuery, dst []Ranked) ([]Ranked, error) {

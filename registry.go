@@ -87,12 +87,14 @@ type RegistryStats struct {
 // consumer layer that turns coordinates into server selection and
 // operator placement decisions at scale.
 //
-// A hash map (point lookups) and one incremental kd-tree (proximity
-// queries) are kept in lockstep under one RWMutex. Application-level
-// coordinates change rarely, so the registry is read-dominated: queries
-// from many goroutines share the read lock and each is one tree walk;
-// a mutation takes the write lock for a map write and, only when the
-// coordinate actually moved, one O(depth) index update.
+// One incremental kd-tree under one RWMutex is the whole store: its
+// arena keeps every entry's record beside the point it files, and its
+// id map answers point lookups. Application-level coordinates change
+// rarely, so the registry is read-dominated: queries from many
+// goroutines share the read lock and each is one tree walk; a mutation
+// takes the write lock for one id lookup and then either rewrites the
+// record in place (a refresh) or, when the coordinate actually moved,
+// makes one O(depth) index update.
 //
 // Every registry has one change stream: each applied mutation is
 // sequenced and published in the same hold of the write lock (see
@@ -110,14 +112,13 @@ type Registry struct {
 	janitorInterval time.Duration
 	clock           func() time.Time
 
-	// mu guards entries and tree — and orders the stream with them: every
-	// mutation changes all three in one hold of the write lock (apply),
-	// and a state load moves all three in one hold (load), so a reader
-	// holding the read lock sees entries that are exactly the stream's
-	// state at feed.Seq().
-	mu      sync.RWMutex
-	entries map[string]RegistryEntry
-	tree    *index.Tree
+	// mu guards tree, the one store of entries — and orders the stream
+	// with it: every mutation changes both in one hold of the write lock
+	// (apply), and a state load moves both in one hold (load), so a
+	// reader holding the read lock sees entries that are exactly the
+	// stream's state at feed.Seq().
+	mu   sync.RWMutex
+	tree *index.Tree
 
 	// replica is set while this registry mirrors an upstream stream (a
 	// FollowerRegistry before promotion): relayed events are its only
@@ -191,13 +192,12 @@ func newRegistry(cfg RegistryConfig) (*Registry, error) {
 		return nil, fmt.Errorf("netcoord: registry: %w", err)
 	}
 	r := &Registry{
-		dim:     cfg.Dimension,
-		ttl:     cfg.TTL,
-		clock:   clock,
-		entries: make(map[string]RegistryEntry),
-		tree:    tree,
-		feed:    changefeed.New(cfg.ChangeStreamBuffer, 0),
-		closed:  make(chan struct{}),
+		dim:    cfg.Dimension,
+		ttl:    cfg.TTL,
+		clock:  clock,
+		tree:   tree,
+		feed:   changefeed.New(cfg.ChangeStreamBuffer, 0),
+		closed: make(chan struct{}),
 	}
 	r.scratch.New = func() any { return newQueryScratch() }
 	if cfg.TTL > 0 {
@@ -306,21 +306,24 @@ func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 	if r.replica.Load() {
 		return ErrReadOnlyReplica
 	}
-	if len(r.entries) == 0 && len(entries) > 0 {
+	if r.tree.Len() == 0 && len(entries) > 0 {
 		// Empty registry: bulk-build the index balanced in one pass
 		// instead of n incremental inserts with rebuild cascades. This is
 		// the warm-up path (first Feed burst, a bulk hand-off) —
-		// O(n log n) instead of O(n log^2 n) amortized. The index then
-		// holds the batch, and what is left of apply is publish and store.
-		if err := r.rebuildLocked(entries); err != nil {
-			return err
-		}
-		for _, e := range entries {
+		// O(n log n) instead of O(n log^2 n) amortized. Each entry is
+		// published first, so that its record carries its Seq into the
+		// build; the records are a copy, leaving the caller's slice as it
+		// was.
+		recs := make([]RegistryEntry, len(entries)) //nc:allow(hotpath) warm-up path: one slice per bulk build
+		for i, e := range entries {
 			if e.UpdatedAt.IsZero() {
 				e.UpdatedAt = now
 			}
 			e.Seq = r.feed.PublishUpsert(e)
-			r.entries[e.ID] = e // later duplicates win, as Build resolves them
+			recs[i] = e // later duplicates win, as Build resolves them
+		}
+		if err := r.rebuildLocked(recs); err != nil {
+			return err
 		}
 		r.upserts.Add(uint64(len(entries)))
 		return nil
@@ -337,17 +340,12 @@ func (r *Registry) UpsertBatch(entries []RegistryEntry) error {
 	return nil
 }
 
-// rebuildLocked replaces the index with one balanced build over entries
-// and the map with an empty one sized for them; the caller stores the
-// entries.
+// rebuildLocked replaces the store with one balanced build over
+// entries, whole records, the last of a repeated id winning.
 //
 //nc:locked(r.mu)
 func (r *Registry) rebuildLocked(entries []RegistryEntry) error {
-	pts := make([]index.Entry, len(entries)) //nc:allow(hotpath) warm-up path: one slice per bulk build
-	for i := range entries {
-		pts[i] = index.Entry{ID: entries[i].ID, Coord: entries[i].Coord}
-	}
-	tree, err := index.Build(r.dim, pts)
+	tree, err := index.Build(r.dim, entries)
 	if err != nil {
 		// Unreachable from UpsertBatch and load, which validate first:
 		// validation is Build's only failure.
@@ -355,14 +353,13 @@ func (r *Registry) rebuildLocked(entries []RegistryEntry) error {
 		return fmt.Errorf("netcoord: registry upsert: %w", err)
 	}
 	r.tree = tree
-	r.entries = make(map[string]RegistryEntry, len(entries)) //nc:allow(hotpath) warm-up path: one map sized for the bulk load
 	return nil
 }
 
 // applyLocked is the one place a single mutation — local or relayed —
-// changes the registry: stream, entries and tree move together inside
-// the caller's hold of the write lock, so no reader ever sees one
-// without the others. A local mutation (ev.Seq == 0) is published
+// changes the registry: stream and store move together inside the
+// caller's hold of the write lock, so no reader ever sees one without
+// the other. A local mutation (ev.Seq == 0) is published
 // under the stream's next sequence; a relayed event (a follower
 // applying its upstream's stream) under the sequence, epoch and frame
 // it carries, once the feed has judged it — changefeed.ErrStaleEpoch,
@@ -378,22 +375,24 @@ func (r *Registry) applyLocked(ev *ChangeEvent) (bool, error) {
 	if !relayed && r.replica.Load() {
 		return false, ErrReadOnlyReplica
 	}
-	moved, present := false, false
+	moved := false
+	var slot int32
 	switch ev.Op {
 	case ChangeUpsert:
 		// TTL heartbeats re-upsert unchanged coordinates constantly (stable
 		// app-level coordinates are the norm); a pure refresh must not
 		// churn the index with tombstone+reinsert cycles and the rebuilds
-		// they trigger.
-		old, existed := r.entries[ev.Entry.ID]
-		if moved = !existed || !old.Coord.Equal(ev.Entry.Coord); moved {
+		// they trigger, so it rewrites the record in its slot.
+		var existed bool
+		slot, existed = r.tree.Lookup(ev.Entry.ID)
+		if moved = !existed || !r.tree.Record(slot).Coord.Equal(ev.Entry.Coord); moved {
 			if err := ev.Entry.Coord.Validate(r.dim); err != nil {
 				//nc:allow(hotpath) validation-failure return: cold by definition
 				return false, fmt.Errorf("netcoord: registry upsert %q: %w", ev.Entry.ID, err)
 			}
 		}
 	case ChangeRemove:
-		if _, present = r.entries[ev.ID]; !present && !relayed {
+		if _, present := r.tree.Lookup(ev.ID); !present && !relayed {
 			return false, nil
 		}
 	case ChangeEvict:
@@ -417,27 +416,23 @@ func (r *Registry) applyLocked(ev *ChangeEvent) (bool, error) {
 	}
 	switch ev.Op {
 	case ChangeUpsert:
-		if moved {
-			if err := r.tree.Insert(ev.Entry.ID, ev.Entry.Coord); err != nil {
-				// Unreachable: the coordinate was validated above, and
-				// validation is the tree's only insert failure.
-				//nc:allow(hotpath) unreachable wrap: input was pre-validated
-				return false, fmt.Errorf("netcoord: registry upsert: %w", err)
-			}
+		if !moved {
+			// Publishing left the tree alone, so the slot still holds the id.
+			r.tree.Refresh(slot, ev.Entry)
+		} else if err := r.tree.Put(ev.Entry); err != nil {
+			// Unreachable: the coordinate was validated above, and
+			// validation is the tree's only insert failure.
+			//nc:allow(hotpath) unreachable wrap: input was pre-validated
+			return false, fmt.Errorf("netcoord: registry upsert: %w", err)
 		}
-		r.entries[ev.Entry.ID] = ev.Entry
 		r.upserts.Add(1)
 	case ChangeRemove:
-		if present {
-			delete(r.entries, ev.ID)
-			r.tree.Remove(ev.ID)
+		if r.tree.Remove(ev.ID) {
 			r.removes.Add(1)
 		}
 	case ChangeEvict:
 		for _, id := range ev.IDs {
-			if _, ok := r.entries[id]; ok {
-				delete(r.entries, id)
-				r.tree.Remove(id)
+			if r.tree.Remove(id) {
 				r.evictions.Add(1)
 			}
 		}
@@ -497,28 +492,20 @@ func (r *Registry) load(entries []RegistryEntry, removed []string, delta bool, s
 	defer r.mu.Unlock()
 	if delta {
 		for _, id := range removed {
-			if _, ok := r.entries[id]; ok {
-				delete(r.entries, id)
-				r.tree.Remove(id)
+			if r.tree.Remove(id) {
 				r.removes.Add(1)
 			}
 		}
 		for _, e := range entries {
-			if old, existed := r.entries[e.ID]; !existed || !old.Coord.Equal(e.Coord) {
-				if err := r.tree.Insert(e.ID, e.Coord); err != nil {
-					// Unreachable: validated above.
-					return fmt.Errorf("netcoord: registry load: %w", err)
-				}
+			if slot, ok := r.tree.Lookup(e.ID); ok && r.tree.Record(slot).Coord.Equal(e.Coord) {
+				r.tree.Refresh(slot, e)
+			} else if err := r.tree.Put(e); err != nil {
+				// Unreachable: validated above.
+				return fmt.Errorf("netcoord: registry load: %w", err)
 			}
-			r.entries[e.ID] = e
 		}
-	} else {
-		if err := r.rebuildLocked(entries); err != nil {
-			return err
-		}
-		for _, e := range entries {
-			r.entries[e.ID] = e
-		}
+	} else if err := r.rebuildLocked(entries); err != nil {
+		return err
 	}
 	r.upserts.Add(uint64(len(entries)))
 	if delta {
@@ -547,15 +534,18 @@ func (r *Registry) promote() uint64 {
 func (r *Registry) Get(id string) (RegistryEntry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[id]
-	return e, ok
+	slot, ok := r.tree.Lookup(id)
+	if !ok {
+		return RegistryEntry{}, false
+	}
+	return *r.tree.Record(slot), true
 }
 
 // Len reports the number of live entries.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.entries)
+	return r.tree.Len()
 }
 
 // Estimate predicts the RTT in milliseconds between two registered
@@ -589,15 +579,16 @@ func (r *Registry) EvictStale() int {
 	return r.evictIfStale(stale, cutoff)
 }
 
-// idsWhere scans for the ids of the entries pred accepts. The whole-map
-// scan holds only the read lock, so queries proceed beside it.
+// idsWhere scans for the ids of the entries pred accepts. The scan of
+// the whole arena holds only the read lock, so queries proceed beside
+// it.
 func (r *Registry) idsWhere(pred func(RegistryEntry) bool) []string {
 	var ids []string
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for id, e := range r.entries {
-		if pred(e) {
-			ids = append(ids, id)
+	for e := range r.tree.All() {
+		if pred(*e) {
+			ids = append(ids, e.ID)
 		}
 	}
 	return ids
@@ -615,7 +606,7 @@ func (r *Registry) evictIfStale(ids []string, cutoff time.Time) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, id := range ids {
-		if e, ok := r.entries[id]; ok && e.UpdatedAt.Before(cutoff) {
+		if slot, ok := r.tree.Lookup(id); ok && r.tree.Record(slot).UpdatedAt.Before(cutoff) {
 			stale = append(stale, id)
 		}
 	}
@@ -643,11 +634,11 @@ func (r *Registry) Snapshot() []RegistryEntry {
 func (r *Registry) collectLocked(keep func(RegistryEntry) bool) []RegistryEntry {
 	var found []RegistryEntry
 	if keep == nil {
-		found = make([]RegistryEntry, 0, len(r.entries))
+		found = make([]RegistryEntry, 0, r.tree.Len())
 	}
-	for _, e := range r.entries {
-		if keep == nil || keep(e) {
-			found = append(found, e)
+	for e := range r.tree.All() {
+		if keep == nil || keep(*e) {
+			found = append(found, *e)
 		}
 	}
 	return found
@@ -728,9 +719,9 @@ func (r *Registry) Stats() RegistryStats {
 		FeedErrors: r.feedErrors.Load(),
 	}
 	r.mu.RLock()
-	st.Entries = len(r.entries)
 	ts := r.tree.Stats()
 	r.mu.RUnlock()
+	st.Entries = ts.Live
 	st.IndexTombstones = ts.Tombstones
 	st.IndexRebuilds = ts.Rebuilds
 	st.IndexHeight = ts.Height

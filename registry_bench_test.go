@@ -8,6 +8,8 @@ package netcoord
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +168,88 @@ func BenchmarkRegistryMixed(b *testing.B) {
 	close(stop)
 	writer.Wait()
 	b.ReportMetric(float64(writes)/b.Elapsed().Seconds(), "writes/s")
+}
+
+// BenchmarkRegistryHeap reports the live heap a 100k-entry registry
+// holds per entry, in B/entry: "built" right after the state load a
+// restart or a replica bootstrap makes, and "rendered" after every
+// stored point has rendered its JSON memo once, as answers do. Entries
+// are node-%07d ids at 3-D coordinates with a height, each id and
+// vector an allocation of its own, as a decoded snapshot's are. ns/op
+// is the load, the rendering and the collections around them.
+func BenchmarkRegistryHeap(b *testing.B) {
+	const n = 100_000
+	for _, rendered := range []bool{false, true} {
+		name := "built"
+		if rendered {
+			name = "rendered"
+		}
+		b.Run(name, func(b *testing.B) {
+			var total uint64
+			for i := 0; i < b.N; i++ {
+				before := liveHeap()
+				r := loadHeapRegistry(b, n)
+				if rendered {
+					renderAll(b, r)
+				}
+				total += liveHeap() - before
+				runtime.KeepAlive(r)
+			}
+			b.ReportMetric(float64(total)/float64(b.N)/n, "B/entry")
+		})
+	}
+}
+
+// liveHeap is the heap in use once collections have freed what is
+// dead; the second one also empties sync.Pool victim caches.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// loadHeapRegistry builds a registry of n entries through a full state
+// load, the path recovery and a follower's bootstrap take; the input
+// slice is garbage once it returns.
+func loadHeapRegistry(b *testing.B, n int) *Registry {
+	b.Helper()
+	r, err := newRegistry(RegistryConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.NewStream(uint64(n))
+	at := time.Unix(1_700_000_000, 0)
+	entries := make([]RegistryEntry, n)
+	for i := range entries {
+		c := Origin(3)
+		for d := range c.Vec {
+			c.Vec[d] = rng.Uniform(0, 300)
+		}
+		c.Height = rng.Uniform(0, 20)
+		entries[i] = RegistryEntry{ID: fmt.Sprintf("node-%07d", i), Coord: c, Error: 0.2, UpdatedAt: at, Seq: uint64(i + 1)}
+	}
+	if err := r.load(entries, nil, false, uint64(n), 0); err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// renderAll renders every stored point once through its memo.
+func renderAll(b *testing.B, r *Registry) {
+	b.Helper()
+	res, err := r.Query(NearestQuery{From: Origin(3), K: math.MaxInt}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	for i := range res {
+		var ok bool
+		if buf, ok = res[i].AppendJSON(buf[:0]); !ok {
+			b.Fatalf("%s: AppendJSON declined", res[i].ID)
+		}
+	}
 }
 
 // BenchmarkNearestBatch measures the batched read path: 256 queries

@@ -20,6 +20,12 @@ type Candidate struct {
 
 // Ranked is a Candidate with its estimated RTT from the reference
 // coordinate.
+//
+// A Ranked that a Registry returned pins the registry's index arena as
+// it was when the query ran — every stored record, not just this one —
+// until the Ranked is dropped, even after the registry has rebuilt or
+// reloaded into a new arena. A caller that keeps answers for long
+// copies out the fields it needs instead of holding the Ranked.
 type Ranked struct {
 	Candidate
 	// EstimatedRTT is the predicted round-trip time in milliseconds.
@@ -27,8 +33,7 @@ type Ranked struct {
 
 	// memo, on a Registry's answer, is the cell beside the stored point
 	// in the index that memoizes its JSON rendering (see AppendJSON);
-	// nil elsewhere. It keeps the index arena it points into alive while
-	// the Ranked is.
+	// nil elsewhere. It is the pointer that pins the arena.
 	memo *coord.JSONCell
 }
 

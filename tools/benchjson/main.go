@@ -17,36 +17,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
+
+	"netcoord/tools/internal/benchfmt"
 )
-
-// Result is one parsed benchmark line.
-type Result struct {
-	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
-	Name string `json:"name"`
-	// Procs is the GOMAXPROCS suffix (1 if absent).
-	Procs int `json:"procs"`
-	// Iterations is the measured iteration count.
-	Iterations int64 `json:"iterations"`
-	// Metrics maps unit -> value for every reported pair (ns/op, B/op,
-	// allocs/op, and any custom b.ReportMetric units).
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// Document is the emitted JSON shape.
-type Document struct {
-	// CPU and Package echo the bench header lines when present.
-	CPU     string `json:"cpu,omitempty"`
-	Package string `json:"package,omitempty"`
-	// Results are the parsed benchmark lines in input order.
-	Results []Result `json:"results"`
-}
 
 func main() {
 	requireZero := flag.String("require-zero-alloc", "", "fail if benchmarks with this name prefix report allocs/op > 0")
 	flag.Parse()
-	doc, err := parse(bufio.NewScanner(os.Stdin))
+	doc, err := benchfmt.Parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
@@ -82,60 +61,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: no benchmark matched gate prefix %q\n", *requireZero)
 		os.Exit(1)
 	}
-}
-
-// parse consumes go test -bench output.
-func parse(sc *bufio.Scanner) (Document, error) {
-	var doc Document
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "cpu:"):
-			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case strings.HasPrefix(line, "pkg:"):
-			doc.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 || len(fields)%2 != 0 {
-			continue // not a results line (e.g. a benchmark log print)
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		name, procs := splitProcs(fields[0])
-		r := Result{Name: name, Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return doc, fmt.Errorf("bad metric value %q in %q", fields[i], line)
-			}
-			r.Metrics[fields[i+1]] = v
-		}
-		doc.Results = append(doc.Results, r)
-	}
-	if err := sc.Err(); err != nil {
-		return doc, err
-	}
-	if len(doc.Results) == 0 {
-		return doc, fmt.Errorf("no benchmark result lines found")
-	}
-	return doc, nil
-}
-
-// splitProcs separates the -N GOMAXPROCS suffix from a benchmark name.
-func splitProcs(name string) (string, int) {
-	i := strings.LastIndex(name, "-")
-	if i < 0 {
-		return name, 1
-	}
-	n, err := strconv.Atoi(name[i+1:])
-	if err != nil || n <= 0 {
-		return name, 1
-	}
-	return name[:i], n
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"strings"
 	"testing"
+
+	"netcoord/tools/internal/benchfmt"
 )
 
 const sample = `goos: linux
@@ -17,7 +19,7 @@ ok  	netcoord	2.785s
 `
 
 func TestParse(t *testing.T) {
-	doc, err := parse(bufio.NewScanner(strings.NewReader(sample)))
+	doc, err := benchfmt.Parse(bufio.NewScanner(strings.NewReader(sample)))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -41,7 +43,7 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseRejectsEmpty(t *testing.T) {
-	if _, err := parse(bufio.NewScanner(strings.NewReader("PASS\n"))); err == nil {
+	if _, err := benchfmt.Parse(bufio.NewScanner(strings.NewReader("PASS\n"))); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -56,9 +58,9 @@ func TestSplitProcs(t *testing.T) {
 		{"BenchmarkStep", "BenchmarkStep", 1},
 		{"BenchmarkFoo-bar", "BenchmarkFoo-bar", 1},
 	} {
-		name, procs := splitProcs(tc.in)
+		name, procs := benchfmt.SplitProcs(tc.in)
 		if name != tc.name || procs != tc.procs {
-			t.Fatalf("splitProcs(%q) = %q, %d", tc.in, name, procs)
+			t.Fatalf("SplitProcs(%q) = %q, %d", tc.in, name, procs)
 		}
 	}
 }
@@ -68,7 +70,7 @@ func TestGateMetricPresence(t *testing.T) {
 	// without an allocs/op metric (no -benchmem) is a gate failure, not
 	// a pass. Exercised end-to-end by the process exit in main; here we
 	// pin the parse-side contract the gate relies on.
-	doc, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkStep-4 \t 100 \t 1000 ns/op\nPASS\n")))
+	doc, err := benchfmt.Parse(bufio.NewScanner(strings.NewReader("BenchmarkStep-4 \t 100 \t 1000 ns/op\nPASS\n")))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

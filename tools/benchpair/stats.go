@@ -1,0 +1,151 @@
+package main
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"strings"
+)
+
+// summary is one metric of one benchmark at one GOMAXPROCS, over every
+// pair.
+type summary struct {
+	Package string `json:"package"`
+	Name    string `json:"name"`
+	Procs   int    `json:"procs"`
+	Metric  string `json:"metric"`
+	// Better is "lower" or "higher": rates (units ending in /s) are
+	// better higher, everything else lower.
+	Better string `json:"better"`
+	Base   spread `json:"base"`
+	Head   spread `json:"head"`
+	// Delta is the change's median relative to the base's: -0.1 is 10 %
+	// below it.
+	Delta float64 `json:"delta"`
+	// Wins is in how many of the N pairs that ran the metric on both
+	// sides the change did better than the base.
+	Wins int `json:"wins"`
+	N    int `json:"n"`
+	// Verdict is "better", "worse" or "level"; see verdict.
+	Verdict string `json:"verdict"`
+}
+
+// spread is one side's values of a metric across the pairs.
+type spread struct {
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+}
+
+// key names one summary row.
+type key struct {
+	pkg, name string
+	procs     int
+	metric    string
+}
+
+// summarize groups the runs' results by package, benchmark, procs and
+// metric, pairs each base value with the change's from the same pair,
+// and reduces every group to a summary row, in a stable order.
+func summarize(runs []run) []summary {
+	type sides struct{ base, head map[int]float64 }
+	groups := map[key]*sides{}
+	for _, r := range runs {
+		for _, res := range r.Results {
+			for metric, v := range res.Metrics {
+				k := key{r.Package, res.Name, res.Procs, metric}
+				g := groups[k]
+				if g == nil {
+					g = &sides{map[int]float64{}, map[int]float64{}}
+					groups[k] = g
+				}
+				if r.Side == sideBase {
+					g.base[r.Pair] = v
+				} else {
+					g.head[r.Pair] = v
+				}
+			}
+		}
+	}
+	var out []summary
+	for k, g := range groups {
+		var base, head []float64
+		for p, b := range g.base {
+			if h, ok := g.head[p]; ok {
+				base, head = append(base, b), append(head, h)
+			}
+		}
+		if len(base) == 0 {
+			continue
+		}
+		lower := !strings.HasSuffix(k.metric, "/s")
+		s := summary{
+			Package: k.pkg, Name: k.name, Procs: k.procs, Metric: k.metric,
+			Better: "lower", Base: spreadOf(base), Head: spreadOf(head),
+			Wins: wins(base, head, lower), N: len(base),
+		}
+		if !lower {
+			s.Better = "higher"
+		}
+		if s.Base.Median != 0 {
+			s.Delta = s.Head.Median/s.Base.Median - 1
+		}
+		s.Verdict = verdict(s.Base, s.Head, s.Wins, s.N, lower)
+		out = append(out, s)
+	}
+	slices.SortFunc(out, func(a, b summary) int {
+		return cmp.Or(cmp.Compare(a.Package, b.Package), cmp.Compare(a.Name, b.Name),
+			cmp.Compare(a.Procs, b.Procs), cmp.Compare(a.Metric, b.Metric))
+	})
+	return out
+}
+
+// spreadOf is the quartiles of xs, which must not be empty.
+func spreadOf(xs []float64) spread {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return spread{Q1: quantile(s, 0.25), Median: quantile(s, 0.5), Q3: quantile(s, 0.75)}
+}
+
+// quantile is the q-quantile of the sorted, non-empty s, interpolated
+// linearly between the two nearest ranks (R's type 7, numpy's default).
+func quantile(s []float64, q float64) float64 {
+	h := q * float64(len(s)-1)
+	lo := int(math.Floor(h))
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo] + (h-float64(lo))*(s[lo+1]-s[lo])
+}
+
+// wins counts the pairs in which head did better than base: lower when
+// lower is better, higher otherwise. A tie is no win.
+func wins(base, head []float64, lower bool) int {
+	n := 0
+	for i := range base {
+		if lower && head[i] < base[i] || !lower && head[i] > base[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// verdict is "better" when the change won at least 9 pairs in 10 and
+// its median beats the base's by more than the base's interquartile
+// range, "worse" when the base did the same to it, and "level"
+// otherwise.
+func verdict(base, head spread, wins, n int, lower bool) string {
+	gain := base.Median - head.Median
+	if !lower {
+		gain = -gain
+	}
+	iqr := base.Q3 - base.Q1
+	switch {
+	case 10*wins >= 9*n && gain > iqr:
+		return "better"
+	case 10*(n-wins) >= 9*n && -gain > iqr:
+		return "worse"
+	default:
+		return "level"
+	}
+}
