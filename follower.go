@@ -226,6 +226,10 @@ type FollowerRegistry struct {
 
 	promoteOnce sync.Once
 
+	// slab holds the frame bytes of every event the tail loop decodes;
+	// only that goroutine appends to it.
+	slab wire.Slab
+
 	// applyLag accumulates publish→apply propagation lag (ns) for every
 	// applied event that carries a leader publish stamp.
 	applyLag *telemetry.Histogram
@@ -513,10 +517,11 @@ func (f *FollowerRegistry) noteContact() {
 	f.mu.Unlock()
 }
 
-// pollOnce long-polls /changes once from the current position and
-// applies whatever it returns. The request carries a deadline past the
-// long-poll window so a wedged upstream (connected but never
-// finishing) fails the poll instead of hanging the tail loop forever.
+// pollOnce opens one /changes stream from the current position and
+// applies each batch as it arrives, until the upstream ends the body at
+// its window's close. The request carries a deadline past the window
+// so a wedged upstream (connected but never finishing) fails the
+// stream instead of hanging the tail loop forever.
 func (f *FollowerRegistry) pollOnce() error {
 	since := f.ChangeSeq()
 	u := fmt.Sprintf("%s/changes?since=%d&limit=%d&wait=%s",
@@ -532,10 +537,10 @@ func (f *FollowerRegistry) pollOnce() error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		_ = resp.Body.Close() // drained above; the response was already consumed
-	}()
+	// Closed, never drained: the upstream holds the body open until its
+	// window closes, so draining would wait out the window. A stream left
+	// early costs its connection, once.
+	defer func() { _ = resp.Body.Close() }()
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
@@ -547,57 +552,48 @@ func (f *FollowerRegistry) pollOnce() error {
 	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeFrames {
 		return fmt.Errorf("%w (/changes answered %q, want %q)", errNotFrames, ct, wire.ContentTypeFrames)
 	}
-	// The whole batch is read as one byte slab, and each frame's bytes
-	// stay the event's encoding — applied here, served on verbatim.
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("leader /changes: read frames: %w", err)
-	}
-	f.noteContact()
-	return f.applyFrames(data)
+	return f.ingest(resp.Body)
 }
 
-// applyFrames decodes one /changes batch and applies it. Each event
-// keeps a zero-copy view of its own frame bytes, so when the feed fans
-// it out to the next tier it forwards the leader's bytes verbatim — the
-// decode here is for applying, never for re-encoding.
-func (f *FollowerRegistry) applyFrames(body []byte) error {
-	hdr, n, err := wire.DecodeBatchHeader(body)
-	if err != nil {
-		return fmt.Errorf("leader /changes: frames: %w", err)
-	}
-	// Body-level fencing: an upstream whose stream epoch is behind ours
-	// is deposed (or still following the deposed leader) — detectable
-	// even on an empty batch, so the follower rotates away instead of
-	// quietly tailing a fork. An upstream merely lagging the promotion
-	// reports the old epoch too, but rotating off it is also right: it
-	// cannot have events we need that the promoted chain lacks.
-	if own := f.ChangeEpoch(); hdr.Epoch < own {
-		f.rejectedStale.Add(1)
-		return fmt.Errorf("%w (/changes epoch %d < local %d)", errStaleEpoch, hdr.Epoch, own)
-	}
-	if hdr.Count > uint64(len(body)) {
-		// Every frame takes more than one byte, so a count past the body
-		// length is structurally impossible — refuse before sizing
-		// anything by it.
-		return fmt.Errorf("leader /changes: frames: count %d exceeds body size %d", hdr.Count, len(body))
-	}
-	f.leaderSeq.Store(hdr.Seq)
-	events := make([]ChangeEvent, 0, hdr.Count)
-	off := n
-	for i := uint64(0); i < hdr.Count; i++ {
-		ev, m, err := wire.DecodeEvent(body[off:])
-		if err != nil {
-			return fmt.Errorf("leader /changes: frame %d/%d: %w", i+1, hdr.Count, err)
+// ingest reads /changes batches off body until it ends, fencing and
+// applying each as it arrives; an upstream that predates streaming
+// sends one. Each event keeps a view of its own frame bytes in the
+// follower's slab, so when the feed fans it out to the next tier it
+// forwards the leader's bytes verbatim — the decode here is for
+// applying, never for re-encoding. A batch cut short applies nothing.
+func (f *FollowerRegistry) ingest(body io.Reader) error {
+	r := wire.NewReader(body, 0)
+	var events []ChangeEvent
+	for batches := 0; ; batches++ {
+		hdr, evs, err := r.ReadBatch(events[:0], &f.slab)
+		if err == io.EOF && batches > 0 {
+			return nil
 		}
-		events = append(events, ev)
-		off += m
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a body must carry at least one batch
+		}
+		if err != nil {
+			return fmt.Errorf("leader /changes: frames: batch %d: %w", batches+1, err)
+		}
+		events = evs
+		f.noteContact()
+		// Body-level fencing: an upstream whose stream epoch is behind
+		// ours is deposed (or still following the deposed leader) —
+		// detectable even on an empty batch, so the follower rotates away
+		// instead of quietly tailing a fork. An upstream merely lagging
+		// the promotion reports the old epoch too, but rotating off it is
+		// also right: it cannot have events we need that the promoted
+		// chain lacks.
+		if own := f.ChangeEpoch(); hdr.Epoch < own {
+			f.rejectedStale.Add(1)
+			return fmt.Errorf("%w (/changes epoch %d < local %d)", errStaleEpoch, hdr.Epoch, own)
+		}
+		f.leaderSeq.Store(hdr.Seq)
+		f.framesReceived.Add(uint64(len(evs)))
+		if err := f.apply(evs); err != nil {
+			return err
+		}
 	}
-	if off != len(body) {
-		return fmt.Errorf("leader /changes: frames: %d trailing bytes after %d frames", len(body)-off, hdr.Count)
-	}
-	f.framesReceived.Add(uint64(len(events)))
-	return f.apply(events)
 }
 
 // apply replays a batch of leader events, in order, through the
@@ -611,7 +607,7 @@ func (f *FollowerRegistry) applyFrames(body []byte) error {
 // hole, and the only safe repair is a fresh bootstrap; an event
 // carrying a lower fencing epoch than the stream already adopted is a
 // deposed leader's write, and the follower rotates upstream (per-event
-// defense in depth under the body-level check in applyFrames).
+// defense in depth under the body-level check in ingest).
 func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 	for i := range events {
 		ev := &events[i]

@@ -140,13 +140,32 @@ func TestBootstrapErrorNamesUpstreamRefusal(t *testing.T) {
 	}
 }
 
+// framesBatch is one /changes batch as a leader serves it: the header
+// for seq and epoch, then each event's frame.
+func framesBatch(t testing.TB, seq, epoch uint64, evs []ChangeEvent) []byte {
+	t.Helper()
+	body := wire.AppendBatchHeader(nil, wire.BatchHeader{Seq: seq, Epoch: epoch, Count: uint64(len(evs))})
+	for i := range evs {
+		if len(evs[i].Frame()) == 0 {
+			t.Fatalf("event %d carries no frame", evs[i].Seq)
+		}
+		var err error
+		if body, err = evs[i].AppendFrameTo(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return body
+}
+
 // FuzzFollowerFrames feeds arbitrary bytes to a follower's /changes
-// ingest, on a replica registry with no tail loop behind it. Whatever
-// the body, ingest must not panic, and the stream may move only by the
-// events it applied: ChangeSeq advances by exactly the eventsApplied
-// delta, so a hostile or torn body can never leave a gap. The seed
-// corpus is a real /changes frame body — what a leader serves for the
-// mutations below — and its truncations.
+// ingest — the batch reader a live stream goes through — on a replica
+// registry with no tail loop behind it. Whatever the body, ingest must
+// not panic, and the stream may move only by the events it applied:
+// ChangeSeq advances by exactly the eventsApplied delta, so a hostile or
+// torn body can never leave a gap. The seed corpus is a real /changes
+// frame body — what a leader serves for the mutations below, as one
+// batch and as a stream of two and of three — and their truncations,
+// among them cuts inside the second batch.
 func FuzzFollowerFrames(f *testing.F) {
 	now := time.Unix(1_700_000_000, 0)
 	leader, err := NewRegistry(RegistryConfig{TTL: time.Hour, Clock: func() time.Time { return now }})
@@ -173,19 +192,21 @@ func FuzzFollowerFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	body := wire.AppendBatchHeader(nil, wire.BatchHeader{Seq: leader.ChangeSeq(), Epoch: leader.ChangeEpoch(), Count: uint64(len(evs))})
-	for i := range evs {
-		if len(evs[i].Frame()) == 0 {
-			f.Fatalf("event %d carries no frame", evs[i].Seq)
-		}
-		if body, err = evs[i].AppendFrameTo(body); err != nil {
-			f.Fatal(err)
-		}
-	}
+	seq, epoch := leader.ChangeSeq(), leader.ChangeEpoch()
+	body := framesBatch(f, seq, epoch, evs)
 	for cut := 0; cut <= len(body); cut += 7 {
 		f.Add(body[:cut])
 	}
 	f.Add(body)
+	first := framesBatch(f, evs[3].Seq, epoch, evs[:4])
+	two := append(first, framesBatch(f, seq, epoch, evs[4:])...)
+	three := append(framesBatch(f, evs[1].Seq, epoch, evs[:2]), framesBatch(f, evs[5].Seq, epoch, evs[2:6])...)
+	three = append(three, framesBatch(f, seq, epoch, evs[6:])...)
+	f.Add(two)
+	f.Add(three)
+	for cut := len(first) + 1; cut < len(two); cut += 9 {
+		f.Add(two[:cut])
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		reg, err := newReplicaRegistry(RegistryConfig{})
@@ -195,7 +216,7 @@ func FuzzFollowerFrames(f *testing.F) {
 		defer reg.Close()
 		fr := &FollowerRegistry{Registry: reg, applyLag: telemetry.NewHistogram()}
 		seq, applied := fr.ChangeSeq(), fr.eventsApplied.Load()
-		_ = fr.applyFrames(body) // refusals are fine; gaps are not
+		_ = fr.ingest(bytes.NewReader(body)) // refusals are fine; gaps are not
 		if moved, ok := fr.ChangeSeq()-seq, fr.eventsApplied.Load()-applied; moved != ok {
 			t.Fatalf("ChangeSeq moved by %d, %d events applied", moved, ok)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -20,11 +21,22 @@ const (
 )
 
 // handleChanges tails the change stream: everything after ?since=,
-// long-polling up to ?wait= when the stream is quiet. History older
-// than the ring is replayed from the WAL when the registry is
-// persistent; beyond that, 410 tells the client to re-bootstrap from
-// /snapshot (on a follower, sequences — like the events themselves —
-// are the leader's, so a client can move between tiers freely).
+// waiting up to ?wait= when the stream is quiet. History older than the
+// ring is replayed from the WAL when the registry is persistent; beyond
+// that, 410 tells the client to re-bootstrap from /snapshot (on a
+// follower, sequences — like the events themselves — are the leader's,
+// so a client can move between tiers freely).
+//
+// One wait loop serves both encodings. The first answer goes out when
+// there are events or when the window closes with none. A JSON body is
+// that one answer. A frames body with a window is a stream: after the
+// first batch, every newly published range goes out on the same
+// response as a further batch, flushed at once, until the window closes,
+// the client leaves or shutdown begins — so a replica pays one HTTP
+// round trip per window, not per batch. An error once the status is
+// sent (history truncated under the stream, a failed write) ends the
+// body at a batch boundary; the client's next request hears it as a
+// status. Without a window a frames body is one batch.
 func (s *Server) handleChanges(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	since, err := strconv.ParseUint(q.Get("since"), 10, 64)
@@ -57,24 +69,31 @@ func (s *Server) handleChanges(w http.ResponseWriter, req *http.Request) {
 	}
 	frames := wantsFrames(req)
 	deadline := time.Now().Add(wait)
-	for {
+	var buf []byte // one batch's bytes, reused by the next
+	for sent := false; ; {
 		evs, err := s.reg.ChangesSince(since, limit)
-		if errors.Is(err, netcoord.ErrChangeHistoryTruncated) {
-			writeError(w, http.StatusGone, fmt.Errorf("%v; %v", err, errGone))
-			return
-		}
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		// Answer when there is something to send or the wait is over —
-		// including when the client went away or shutdown began: an empty
-		// answer keeps long-poll loops simple.
-		if len(evs) > 0 || wait <= 0 || !time.Now().Before(deadline) || !s.waitForChange(req, since, deadline) {
-			if frames {
-				s.writeFrameBatch(w, evs)
+			if sent {
 				return
 			}
+			if errors.Is(err, netcoord.ErrChangeHistoryTruncated) {
+				writeError(w, http.StatusGone, fmt.Errorf("%v; %v", err, errGone))
+			} else {
+				writeError(w, http.StatusInternalServerError, err)
+			}
+			return
+		}
+		// Park while there is nothing to send and the window is open.
+		// Answer when that changes — including when the client went away
+		// or shutdown began: an empty answer keeps poll loops simple. An
+		// open stream has answered already and just ends.
+		if len(evs) == 0 && wait > 0 && time.Now().Before(deadline) && s.waitForChange(req, since, deadline) {
+			continue
+		}
+		if len(evs) == 0 && sent {
+			return
+		}
+		if !frames {
 			if evs == nil {
 				evs = []netcoord.ChangeEvent{} // "events":[] — never null
 			}
@@ -83,6 +102,14 @@ func (s *Server) handleChanges(w http.ResponseWriter, req *http.Request) {
 			// in the frame batch header) even when the batch is empty.
 			writeJSON(w, http.StatusOK, map[string]any{"seq": s.reg.ChangeSeq(), "epoch": s.reg.ChangeEpoch(), "events": evs})
 			return
+		}
+		if buf, err = s.writeFrameBatch(w, buf, evs, sent); err != nil || len(evs) == 0 || wait <= 0 {
+			return
+		}
+		sent = true
+		since = evs[len(evs)-1].Seq
+		if fl, ok := w.(http.Flusher); ok {
+			fl.Flush()
 		}
 	}
 }
@@ -96,29 +123,39 @@ func wantsFrames(req *http.Request) bool {
 		req.URL.Query().Get("format") == "frames"
 }
 
-// writeFrameBatch answers a /changes poll in the binary encoding: a
-// batch header carrying the seq/epoch fencing pair, then one frame per
-// event. Every event a registry hands out carries its frame — encoded
-// at the leader's publish, received from upstream by a relay, or read
-// back from the WAL — so this handler concatenates bytes and the body
-// for a seq range is the same at every tier.
-func (s *Server) writeFrameBatch(w http.ResponseWriter, evs []netcoord.ChangeEvent) {
+// writeFrameBatch writes one /changes batch in the binary encoding,
+// built in buf: a batch header carrying the seq/epoch fencing pair,
+// then one frame per event. Every event a registry hands out carries
+// its frame — encoded at the leader's publish, received from upstream
+// by a relay, or read back from the WAL — so this concatenates bytes
+// and the body for a seq range is the same at every tier. The first
+// batch of a response (sent false) writes the status; a later one
+// appends to the open body. It returns buf for reuse, and an error when
+// the batch did not go out.
+func (s *Server) writeFrameBatch(w http.ResponseWriter, buf []byte, evs []netcoord.ChangeEvent, sent bool) ([]byte, error) {
 	hdr := wire.BatchHeader{Seq: s.reg.ChangeSeq(), Epoch: s.reg.ChangeEpoch(), Count: uint64(len(evs))}
-	buf := wire.AppendBatchHeader(make([]byte, 0, 64+96*len(evs)), hdr)
+	buf = wire.AppendBatchHeader(slices.Grow(buf[:0], 64+96*len(evs)), hdr)
 	var err error
 	for i := range evs {
 		if buf, err = evs[i].AppendFrameTo(buf); err != nil {
 			// Only an event the frame cannot carry (an id or dimension past
 			// the wire's bounds); fail loudly rather than send a truncated
 			// batch the client would decode as damage.
-			writeError(w, http.StatusInternalServerError, err)
-			return
+			if !sent {
+				writeError(w, http.StatusInternalServerError, err)
+			}
+			return buf, err
 		}
 	}
-	w.Header().Set("Content-Type", wire.ContentTypeFrames)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
+	if !sent {
+		w.Header().Set("Content-Type", wire.ContentTypeFrames)
+		w.WriteHeader(http.StatusOK)
+	}
+	if _, err = w.Write(buf); err != nil {
+		return buf, err
+	}
 	s.framesServed.Add(uint64(len(evs)))
+	return buf, nil
 }
 
 // waitForChange parks on the hub's broadcast until the stream moves

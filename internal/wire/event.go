@@ -172,7 +172,13 @@ func DecodeEvent(src []byte) (Event, int, error) {
 	if err != nil {
 		return Event{}, 0, err
 	}
-	ev := Event{Seq: fr.Seq, Op: fr.Op, PubNs: fr.PubNs, Epoch: fr.Epoch, frame: src[:n:n]}
+	return eventOf(&fr, src[:n:n]), n, nil
+}
+
+// eventOf is the event a decoded frame describes, carrying frame as its
+// encoding.
+func eventOf(fr *Frame, frame []byte) Event {
+	ev := Event{Seq: fr.Seq, Op: fr.Op, PubNs: fr.PubNs, Epoch: fr.Epoch, frame: frame}
 	switch fr.Op {
 	case OpUpsert:
 		ev.Entry = fr.Entry()
@@ -181,7 +187,7 @@ func DecodeEvent(src []byte) (Event, int, error) {
 	case OpEvict:
 		ev.IDs = fr.IDs
 	}
-	return ev, n, nil
+	return ev
 }
 
 // Entry returns an upsert frame's payload as an entry.

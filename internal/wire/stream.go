@@ -109,3 +109,67 @@ func (d *Reader) ReadSnapshotHeader() (SnapshotHeader, error) {
 	})
 	return h, err
 }
+
+// slabChunk sizes the chunks a Slab starts: the frames of some 900
+// heartbeats share one allocation, as they do in the publishing feed.
+const slabChunk = 64 << 10
+
+// Slab is append-only storage for frame bytes that must outlive a
+// Reader's window. ReadBatch copies each frame into it and the event
+// keeps a view of the copy; bytes once handed out are never written
+// again, so a Slab can serve every batch of every stream its owner
+// reads. The zero value is ready to use.
+type Slab struct{ buf []byte }
+
+// keep copies b into the slab and returns the copy, capacity-capped so
+// no append through it can reach the slab's next frame.
+func (s *Slab) keep(b []byte) []byte {
+	if cap(s.buf)-len(s.buf) < len(b) {
+		s.buf = make([]byte, 0, max(slabChunk, len(b)))
+	}
+	start := len(s.buf)
+	s.buf = append(s.buf, b...)
+	return s.buf[start:len(s.buf):len(s.buf)]
+}
+
+// ReadBatch reads one /changes batch: a batch header and the Count
+// frames behind it, appended to evs as events. Each frame is decoded
+// once, in the window, and its bytes are copied into slab: the events
+// point into slab, never into the window the next read reuses. The
+// batch comes back whole or not at all (on an error evs is returned as
+// it was passed): io.EOF means the stream ended cleanly before a
+// header, and a stream that ends anywhere inside a batch is
+// io.ErrUnexpectedEOF. A frames /changes body is one or more batches
+// back to back, so a caller reads until io.EOF.
+func (d *Reader) ReadBatch(evs []Event, slab *Slab) (BatchHeader, []Event, error) {
+	var hdr BatchHeader
+	err := d.decode(func(src []byte) (int, error) {
+		var n int
+		var err error
+		hdr, n, err = DecodeBatchHeader(src)
+		return n, err
+	})
+	if err != nil {
+		return hdr, evs, err
+	}
+	had := len(evs)
+	for i := uint64(0); i < hdr.Count; i++ {
+		var ev Event
+		err := d.decode(func(src []byte) (int, error) {
+			var fr Frame
+			n, err := DecodeFrameInto(&fr, src)
+			if err == nil {
+				ev = eventOf(&fr, slab.keep(src[:n]))
+			}
+			return n, err
+		})
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return hdr, evs[:had], err
+		}
+		evs = append(evs, ev)
+	}
+	return hdr, evs, nil
+}

@@ -442,3 +442,99 @@ func TestStreamReaderEvictReusesIDBacking(t *testing.T) {
 		}
 	}
 }
+
+// TestReadBatchStreamsBatches reads a /changes body of three batches —
+// one empty — through a one-byte reader and a four-byte initial window,
+// so every frame is decoded across refills that move the window. Every
+// event read earlier must still carry its own frame bytes and fields
+// after the later batches went through the window, an evict's ids
+// included, and the body must end in io.EOF at the batch boundary.
+func TestReadBatchStreamsBatches(t *testing.T) {
+	frames := sampleFrames()
+	parts := [][]Frame{frames[0:3], nil, frames[3:7]}
+	var body []byte
+	var encoded [][]byte
+	for i, part := range parts {
+		body = AppendBatchHeader(body, BatchHeader{Seq: uint64(10 + i), Epoch: 2, Count: uint64(len(part))})
+		for j := range part {
+			start := len(body)
+			var err error
+			if body, err = AppendFrame(body, &part[j]); err != nil {
+				t.Fatal(err)
+			}
+			encoded = append(encoded, body[start:])
+		}
+	}
+	d := NewReader(&oneByteReader{rest: body}, 4)
+	var slab Slab
+	var all []Event
+	for i, part := range parts {
+		hdr, evs, err := d.ReadBatch(all, &slab)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if hdr.Seq != uint64(10+i) || hdr.Epoch != 2 || hdr.Count != uint64(len(part)) || len(evs) != len(all)+len(part) {
+			t.Fatalf("batch %d: header %+v with %d events, want %d", i, hdr, len(evs)-len(all), len(part))
+		}
+		all = evs
+	}
+	if _, _, err := d.ReadBatch(nil, &slab); err != io.EOF {
+		t.Fatalf("after the last batch: %v, want io.EOF", err)
+	}
+	for i := range all {
+		if !bytes.Equal(all[i].Frame(), encoded[i]) {
+			t.Fatalf("event %d frame %x, want %x", i, all[i].Frame(), encoded[i])
+		}
+		want, _, err := DecodeEvent(encoded[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := all[i]
+		if got.Seq != want.Seq || got.Op != want.Op || got.ID != want.ID || got.Entry.ID != want.Entry.ID ||
+			!got.Entry.Coord.Equal(want.Entry.Coord) || got.PubNs != want.PubNs || len(got.IDs) != len(want.IDs) {
+			t.Fatalf("event %d: %+v, want %+v", i, got, want)
+		}
+		for j := range got.IDs {
+			if got.IDs[j] != want.IDs[j] {
+				t.Fatalf("event %d ids %q, want %q", i, got.IDs, want.IDs)
+			}
+		}
+	}
+}
+
+// TestReadBatchCutInsideABatch cuts a two-batch body at every offset.
+// The first batch reads whole at any cut at or after its end; a cut
+// exactly at the boundary is a clean io.EOF, and a cut anywhere inside
+// the second batch — after its header or between its frames too — is
+// io.ErrUnexpectedEOF with nothing of that batch returned.
+func TestReadBatchCutInsideABatch(t *testing.T) {
+	frames := sampleFrames()
+	body := AppendBatchHeader(nil, BatchHeader{Seq: 2, Count: 2})
+	var err error
+	for i := 0; i < 2; i++ {
+		if body, err = AppendFrame(body, &frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := len(body)
+	body = AppendBatchHeader(body, BatchHeader{Seq: 5, Count: 3})
+	for i := 3; i < 6; i++ {
+		if body, err = AppendFrame(body, &frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cut := first; cut < len(body); cut++ {
+		d := NewReader(bytes.NewReader(body[:cut]), 16)
+		var slab Slab
+		if _, evs, err := d.ReadBatch(nil, &slab); err != nil || len(evs) != 2 {
+			t.Fatalf("cut at %d: first batch %d events, %v", cut, len(evs), err)
+		}
+		want := io.ErrUnexpectedEOF
+		if cut == first {
+			want = io.EOF
+		}
+		if _, evs, err := d.ReadBatch(nil, &slab); err != want || len(evs) != 0 {
+			t.Fatalf("cut at %d: second batch %d events, %v; want none, %v", cut, len(evs), err, want)
+		}
+	}
+}
