@@ -34,8 +34,10 @@
 // -change-buffer — and the server serves it through the same registry
 // handle that answers queries. /changes tails it:
 // pass the sequence you hold (mutation responses, /stats, and
-// /snapshot all report one) and receive everything after it, long-
-// polling up to wait when the stream is quiet; a 410 means the range
+// /snapshot all report one) and receive everything after it, waiting
+// up to wait when the stream is quiet — in the frame encoding the
+// response stays open for the whole window and carries each later
+// range as a further batch, which is how replicas tail; a 410 means the range
 // was compacted away and you must re-bootstrap from /snapshot —
 // /snapshot?since=<your seq> returns just the entries changed since
 // then when the server still holds enough history to prove coverage.
@@ -44,7 +46,7 @@
 // delta only when the top-k membership or order actually changes —
 // stable application-level coordinates make those pushes rare, which
 // is the point of pushing rather than polling. All watchers — and all
-// /changes long-pollers — hang off the server's one internal reader
+// waiting /changes readers — hang off the server's one internal reader
 // of the stream, routed through a spatial damage map, so watcher count
 // does not multiply the per-mutation work.
 //

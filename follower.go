@@ -33,19 +33,19 @@ const (
 	// upstream fails fast instead of consuming a kernel-default TCP
 	// timeout per attempt.
 	followerDialTimeout = 5 * time.Second
-	// followerHeaderSlack is added to the long-poll wait window to bound
-	// how long a /changes call may go headerless before the client gives
-	// up on a wedged upstream.
+	// followerHeaderSlack is added to the stream window to bound how
+	// long a /changes call may go headerless before the client gives up
+	// on a wedged upstream.
 	followerHeaderSlack = 10 * time.Second
 	// followerBootstrapTimeout bounds one whole snapshot transfer.
 	followerBootstrapTimeout = 5 * time.Minute
-	// followerBatchLimit caps the events fetched per /changes call.
+	// followerBatchLimit caps the events in one /changes batch.
 	followerBatchLimit = 4096
 )
 
-// FollowerConfig assembles a FollowerRegistry. Each /changes long-poll
-// fetches at most 4096 events; a follower further behind catches up
-// over successive polls.
+// FollowerConfig assembles a FollowerRegistry. Each /changes batch
+// carries at most 4096 events; a follower further behind catches up
+// over successive batches of the same stream.
 type FollowerConfig struct {
 	// Upstreams is the ordered list of base URLs this follower may tail
 	// (e.g. "http://10.0.0.1:8700"): the first is preferred, the rest
@@ -65,18 +65,21 @@ type FollowerConfig struct {
 	// and /snapshot in the leader's sequence space and replicas chain into
 	// fan-out tiers.
 	Registry RegistryConfig
-	// WaitTimeout is the long-poll window handed to the leader's
-	// /changes endpoint; the tail loop blocks server-side up to this
-	// long when the stream is quiet. 0 means 25s.
+	// WaitTimeout is the stream window handed to the upstream's
+	// /changes endpoint: the upstream holds one response open this long,
+	// writing each newly published range on it as a batch, and the
+	// follower then opens the next. It also bounds how long a deposed
+	// leader with nothing new to send goes unnoticed: its first batch,
+	// whose header carries the epoch, comes when the window closes.
+	// 0 means 25s.
 	WaitTimeout time.Duration
 	// RetryInterval is the backoff BASE after an error: the first sleep,
 	// doubled per consecutive failure up to 5s, jittered. 0 means
 	// DefaultFollowerRetryBase (50ms).
 	RetryInterval time.Duration
 	// HTTPClient overrides the default client (which has a dial timeout
-	// and a response-header timeout sized to the long-poll window, but
-	// no overall timeout — long-polls hold connections open
-	// deliberately).
+	// and a response-header timeout sized to the stream window, but no
+	// overall timeout — streams hold connections open deliberately).
 	HTTPClient *http.Client
 }
 
@@ -163,9 +166,11 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // FollowerRegistry is a read-only replica of a leader registry,
 // synchronized over the leader's change stream in the binary frame
 // encoding (internal/wire): it bootstraps from /snapshot (bulk-building
-// the spatial index in one pass), then tails /changes with long-polls,
-// applying upserts, removes, and evictions in leader order with
-// UpdatedAt timestamps preserved bit-identically.
+// the spatial index in one pass), then tails /changes as a stream — one
+// request per WaitTimeout window, on whose held-open response the
+// upstream writes each newly published range as a batch — applying
+// each batch's upserts, removes, and evictions as it arrives, in leader
+// order with UpdatedAt timestamps preserved bit-identically.
 // If it falls further behind than the leader retains (ring + WAL), it
 // re-bootstraps automatically — fetching only the entries changed since
 // its applied sequence when the leader can serve a delta.
@@ -299,8 +304,8 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 				DialContext: (&net.Dialer{
 					Timeout: followerDialTimeout,
 				}).DialContext,
-				// A wedged upstream must fail the poll shortly after the
-				// long-poll window, not hold a goroutine hostage.
+				// A wedged upstream must fail the stream shortly after
+				// its window, not hold a goroutine hostage.
 				ResponseHeaderTimeout: wait + followerHeaderSlack,
 				MaxIdleConnsPerHost:   4,
 			},
@@ -450,13 +455,13 @@ func (f *FollowerRegistry) tail() {
 	backoff := f.retry
 	consecutive := 0
 	for f.ctx.Err() == nil {
-		err := f.pollOnce()
+		err := f.streamOnce()
 		if err != nil && f.ctx.Err() != nil {
 			return
 		}
 		if errors.Is(err, errStreamGone) {
 			// Fell off the upstream's history: re-bootstrap, and let the
-			// bootstrap's outcome stand in for the poll's below.
+			// bootstrap's outcome stand in for the stream's below.
 			f.noteErr(err)
 			err = f.bootstrap()
 		}
@@ -517,12 +522,12 @@ func (f *FollowerRegistry) noteContact() {
 	f.mu.Unlock()
 }
 
-// pollOnce opens one /changes stream from the current position and
+// streamOnce opens one /changes stream from the current position and
 // applies each batch as it arrives, until the upstream ends the body at
 // its window's close. The request carries a deadline past the window
 // so a wedged upstream (connected but never finishing) fails the
 // stream instead of hanging the tail loop forever.
-func (f *FollowerRegistry) pollOnce() error {
+func (f *FollowerRegistry) streamOnce() error {
 	since := f.ChangeSeq()
 	u := fmt.Sprintf("%s/changes?since=%d&limit=%d&wait=%s",
 		f.upstream(), since, followerBatchLimit, url.QueryEscape(f.wait.String()))

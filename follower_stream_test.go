@@ -174,13 +174,14 @@ func assertFollowerIs(t *testing.T, f *FollowerRegistry, leader *Registry) {
 // request.
 func TestFollowerStreamAppliesBatchesInOrder(t *testing.T) {
 	leader, snap, evs := streamLeader(t, 6)
+	b1, b2, b3 := framesBatch(t, 5, 1, evs[0:2]), framesBatch(t, 8, 1, evs[2:5]), framesBatch(t, 9, 1, evs[5:6])
 	up := &streamUpstream{t: t, snapshot: func(uint64) []byte { return snap }}
 	up.changes = append(up.changes, func(w http.ResponseWriter, req *http.Request) {
-		send(w, framesBatch(t, 5, 1, evs[0:2]))
+		send(w, b1)
 		up.waitApplied(5)
-		send(w, framesBatch(t, 8, 1, evs[2:5]))
+		send(w, b2)
 		up.waitApplied(8)
-		send(w, framesBatch(t, 9, 1, evs[5:6]))
+		send(w, b3)
 		<-req.Context().Done()
 	})
 	f := startStreamFollower(t, up)
@@ -227,16 +228,17 @@ func TestFollowerStreamStaleEpochRotates(t *testing.T) {
 	if err != nil || len(stale) != 2 || stale[0].Epoch != 0 {
 		t.Fatalf("deposed history %+v, %v", stale, err)
 	}
+	first, deposedBatch, rest := framesBatch(t, 5, 1, evs[0:2]), framesBatch(t, 7, 0, stale), framesBatch(t, 7, 1, evs[2:4])
 	a := &streamUpstream{t: t, snapshot: func(uint64) []byte { return snap }}
 	a.changes = append(a.changes, func(w http.ResponseWriter, req *http.Request) {
-		send(w, framesBatch(t, 5, 1, evs[0:2]))
+		send(w, first)
 		a.waitApplied(5)
-		send(w, framesBatch(t, 7, 0, stale))
+		send(w, deposedBatch)
 		<-req.Context().Done()
 	})
 	b := &streamUpstream{t: t}
 	b.changes = append(b.changes, func(w http.ResponseWriter, req *http.Request) {
-		send(w, framesBatch(t, 7, 1, evs[2:4]))
+		send(w, rest)
 		<-req.Context().Done()
 	})
 	f := startStreamFollower(t, a, b)
@@ -255,16 +257,21 @@ func TestFollowerStreamStaleEpochRotates(t *testing.T) {
 // with a delta from the last sequence it applied.
 func TestFollowerStreamGapReBootstraps(t *testing.T) {
 	leader, snap, evs := streamLeader(t, 5)
+	delta := snapshotFramesBody(t, leader, true, 5)
+	first, gapped := framesBatch(t, 5, 1, evs[0:2]), framesBatch(t, 8, 1, evs[3:5]) // seq 6 missing
 	up := &streamUpstream{t: t, snapshot: func(since uint64) []byte {
 		if since == 0 {
 			return snap
 		}
-		return snapshotFramesBody(t, leader, true, since)
+		if since != 5 {
+			t.Errorf("delta /snapshot asked since %d, want 5", since)
+		}
+		return delta
 	}}
 	up.changes = append(up.changes, func(w http.ResponseWriter, req *http.Request) {
-		send(w, framesBatch(t, 5, 1, evs[0:2]))
+		send(w, first)
 		up.waitApplied(5)
-		send(w, framesBatch(t, 8, 1, evs[3:5])) // seq 6 missing
+		send(w, gapped)
 		<-req.Context().Done()
 	})
 	f := startStreamFollower(t, up)
@@ -285,14 +292,14 @@ func TestFollowerStreamGapReBootstraps(t *testing.T) {
 func TestFollowerStreamCutBatchAppliesNothing(t *testing.T) {
 	leader, snap, evs := streamLeader(t, 4)
 	up := &streamUpstream{t: t, snapshot: func(uint64) []byte { return snap }}
-	cut := framesBatch(t, 7, 1, evs[2:4])
-	cut = cut[:len(cut)-len(evs[3].Frame())/2]
+	first, whole := framesBatch(t, 5, 1, evs[0:2]), framesBatch(t, 7, 1, evs[2:4])
+	cut := whole[:len(whole)-len(evs[3].Frame())/2]
 	up.changes = append(up.changes, func(w http.ResponseWriter, req *http.Request) {
-		send(w, framesBatch(t, 5, 1, evs[0:2]))
+		send(w, first)
 		up.waitApplied(5)
 		send(w, cut)
 	}, func(w http.ResponseWriter, req *http.Request) {
-		send(w, framesBatch(t, 7, 1, evs[2:4]))
+		send(w, whole)
 		<-req.Context().Done()
 	})
 	f := startStreamFollower(t, up)

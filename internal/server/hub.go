@@ -21,7 +21,7 @@ const hubReadBatch = 256
 const maxGridLevel = 40
 
 // WatchHub is a server's one reader of the change stream: every /watch
-// and every /changes long-poll hangs off ONE cursor on the registry's
+// and every waiting /changes request hangs off ONE cursor on the registry's
 // ring. A synchronous sink wakes one goroutine, which reads what the
 // ring holds past its position and routes each event through a spatial
 // damage map to just the watchers it could affect, so the per-mutation
@@ -57,7 +57,7 @@ const maxGridLevel = 40
 // the stream's sequence: correctness never depends on routing every
 // event.
 //
-// /changes long-pollers need no routing, only a wake: they park on a
+// /changes readers need no routing, only a wake: they park on a
 // broadcast channel (Changed) that the hub closes and replaces on every
 // read that found events and on every resync — whenever the stream
 // position may have moved — and re-read the stream themselves. Parking
@@ -309,7 +309,7 @@ func (h *WatchHub) Changed() <-chan struct{} {
 }
 
 // wakePollersLocked closes the broadcast channel and installs a fresh
-// one — when anyone took the current one; a stream nobody long-polls
+// one — when anyone took the current one; a stream nobody waits on
 // pays nothing per event.
 //
 //nc:locked(mu)

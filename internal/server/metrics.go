@@ -36,7 +36,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return &serverMetrics{
 		registry: reg,
 		inflight: reg.Gauge("netcoord_http_inflight_requests",
-			"Requests currently being served (long-lived /watch and /changes long-polls included).", nil),
+			"Requests currently being served (long-lived /watch and /changes streams included).", nil),
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package server is ncserve's HTTP serving stack: the query, mutation,
-// snapshot, and stream (long-poll + SSE) handlers, extracted from the
+// snapshot, and stream (/changes + SSE) handlers, extracted from the
 // binary so every registry flavor shares one implementation.
 //
 // One registry, one stream, one handle: every flavor embeds a
@@ -16,7 +16,7 @@
 // Live distribution is one reader per server: a single cursor on the
 // change stream's ring feeds the WatchHub, whose spatial damage map
 // routes each mutation to the watchers it could actually affect and
-// whose broadcast channel wakes /changes long-pollers. N watchers cost
+// whose broadcast channel wakes waiting /changes readers. N watchers cost
 // one wake-up plus O(damaged) recomputes per mutation, not N relevance
 // checks; idle pollers cost nothing per request.
 package server
@@ -91,7 +91,7 @@ type Server struct {
 	framesServed atomic.Uint64
 
 	// hub is the server's one change-stream reader: it routes
-	// events to /watch handlers and wakes /changes long-pollers.
+	// events to /watch handlers and wakes waiting /changes readers.
 	hub *WatchHub
 
 	shutdown     chan struct{}

@@ -32,6 +32,12 @@
 // that is the event's own position, in a snapshot (on the wire or on
 // disk) the sequence of the mutation that produced the entry.
 //
+// A /changes frames body is one or more batches back to back, each a
+// batch header (MagicBatch: seq, epoch, frame count) followed by that
+// many frames: one batch when the request has no wait window, and on a
+// held-open stream one batch per range published inside the window.
+// Reader.ReadBatch reads them one at a time.
+//
 // Decoding never allocates more than a capped size from
 // attacker-controlled length prefixes: id lengths are bounded by both
 // MaxIDLen and the bytes actually remaining in the buffer, coordinate
@@ -373,9 +379,9 @@ func readCoordinate(src []byte, off int) (coord.Coordinate, int, error) {
 	return c, off + need, nil
 }
 
-// BatchHeader fronts a binary /changes response: the body-level seq and
-// epoch (mirroring the JSON body fields so epoch fencing survives empty
-// batches) and the number of frames that follow.
+// BatchHeader fronts each batch of a binary /changes response: the
+// body-level seq and epoch (mirroring the JSON body fields so epoch
+// fencing survives empty batches) and the number of frames that follow.
 type BatchHeader struct {
 	Seq   uint64
 	Epoch uint64
