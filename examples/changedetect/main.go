@@ -16,6 +16,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"netcoord/internal/filter"
@@ -33,13 +34,13 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "changedetect: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cfg := netsim.DefaultWideArea(nodes, 11)
 	cfg.RouteChanges = []netsim.RouteChange{
 		{AtTick: changeAt, RegionA: 0, RegionB: 2, Factor: 2}, // us-west <-> europe doubles
@@ -71,7 +72,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("route change at t=%ds: us-west <-> europe latency doubles\n\n", changeAt)
+	fmt.Fprintf(w, "route change at t=%ds: us-west <-> europe latency doubles\n\n", changeAt)
 	if err := runner.Run(gen); err != nil {
 		return err
 	}
@@ -79,7 +80,7 @@ func run() error {
 	// Per-two-minute windows: app update fraction and estimate accuracy
 	// on a us-west -> europe pair (nodes 0 and 2).
 	app := runner.App()
-	fmt.Printf("%-12s %-18s %-20s\n", "window", "app updates/s (%)", "note")
+	fmt.Fprintf(w, "%-12s %-18s %-20s\n", "window", "app updates/s (%)", "note")
 	const width = 120
 	for start := uint64(0); start < seconds; start += width {
 		end := start + width - 1
@@ -100,7 +101,7 @@ func run() error {
 		case start == changeAt+width:
 			note = "re-stabilizing"
 		}
-		fmt.Printf("t=%4d-%4d  %-18.2f %-20s\n", start, end, mean*100, note)
+		fmt.Fprintf(w, "t=%4d-%4d  %-18.2f %-20s\n", start, end, mean*100, note)
 	}
 
 	// The estimate between an affected pair must track the new latency.
@@ -116,8 +117,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nfinal us-west->europe estimate: %.0f ms (base before change %.0f, after %.0f)\n",
+	fmt.Fprintf(w, "\nfinal us-west->europe estimate: %.0f ms (base before change %.0f, after %.0f)\n",
 		est, net.BaseRTT(0, 2, 0), net.BaseRTT(0, 2, seconds))
-	fmt.Println("the detector fires around the event and goes quiet — adaptation without jitter.")
+	fmt.Fprintln(w, "the detector fires around the event and goes quiet — adaptation without jitter.")
 	return nil
 }

@@ -19,6 +19,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -38,13 +39,13 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "overlay: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	net, err := netsim.New(netsim.DefaultWideArea(nodes, 7))
 	if err != nil {
 		return err
@@ -145,21 +146,21 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("coordinate space: %d nodes over 4 regions, %d s of observations\n\n", nodes, seconds)
-	fmt.Printf("k-NN (k=%d) precision for node %d (%s), app-level coordinates: %.0f%%\n",
+	fmt.Fprintf(w, "coordinate space: %d nodes over 4 regions, %d s of observations\n\n", nodes, seconds)
+	fmt.Fprintf(w, "k-NN (k=%d) precision for node %d (%s), app-level coordinates: %.0f%%\n",
 		k, client, net.Region(client), precision*100)
 
 	sysPrecision, err := knnPrecision(net, sysCoords, client, k)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("k-NN (k=%d) precision with system-level coordinates:          %.0f%%\n\n", k, sysPrecision*100)
+	fmt.Fprintf(w, "k-NN (k=%d) precision with system-level coordinates:          %.0f%%\n\n", k, sysPrecision*100)
 
-	fmt.Printf("operator placement churn over %d decisions (producer %s, consumer %s):\n",
+	fmt.Fprintf(w, "operator placement churn over %d decisions (producer %s, consumer %s):\n",
 		(seconds/60)-1, net.Region(producer), net.Region(consumer))
-	fmt.Printf("  driven by system-level coordinates:      %d migrations\n", sysChurn)
-	fmt.Printf("  driven by application-level coordinates: %d migrations\n", appChurn)
-	fmt.Println("\nevery migration is 'heavyweight'; the app-level stream avoids almost all of them.")
+	fmt.Fprintf(w, "  driven by system-level coordinates:      %d migrations\n", sysChurn)
+	fmt.Fprintf(w, "  driven by application-level coordinates: %d migrations\n", appChurn)
+	fmt.Fprintln(w, "\nevery migration is 'heavyweight'; the app-level stream avoids almost all of them.")
 	return nil
 }
 
