@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"netcoord/internal/netsim"
+	"netcoord/internal/sim"
 	"netcoord/internal/stats"
 	"netcoord/internal/trace"
 )
@@ -40,17 +41,13 @@ func run(args []string) error {
 		return err
 	}
 
-	cfg := netsim.DefaultWideArea(*nodes, *seed)
-	cfg.Static = *static
-	net, err := netsim.New(cfg)
-	if err != nil {
-		return err
-	}
-	gen, err := trace.NewGenerator(net, trace.GeneratorConfig{
+	gen, err := sim.Recipe{
+		Nodes:         *nodes,
+		Seed:          *seed,
 		IntervalTicks: *interval,
 		DurationTicks: *seconds,
-		Seed:          *seed + 1,
-	})
+		EditNetwork:   func(c *netsim.Config) { c.Static = *static },
+	}.Trace()
 	if err != nil {
 		return err
 	}

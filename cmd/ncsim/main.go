@@ -19,10 +19,8 @@ import (
 
 	"netcoord/internal/filter"
 	"netcoord/internal/heuristic"
-	"netcoord/internal/netsim"
 	"netcoord/internal/sim"
 	"netcoord/internal/trace"
-	"netcoord/internal/vivaldi"
 )
 
 func main() {
@@ -37,7 +35,7 @@ func run(args []string) error {
 	var (
 		in         = fs.String("in", "", "input trace file; empty generates on the fly")
 		nodes      = fs.Int("nodes", 64, "number of hosts (must cover the trace's node ids)")
-		seconds    = fs.Uint64("seconds", 2400, "generated trace duration (ignored with -in)")
+		seconds    = fs.Uint64("seconds", 2400, "generated trace duration (with -in, only sizes the metric storage)")
 		interval   = fs.Uint64("interval", 1, "generated per-node sampling period")
 		seed       = fs.Uint64("seed", 20050502, "random seed")
 		filterSpec = fs.String("filter", "mp", "filter: mp | none | ewma:<alpha> | threshold:<ms>")
@@ -48,12 +46,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *interval < 1 {
-		// The generator path validates this inside trace.GeneratorConfig,
-		// but the -in path would otherwise divide by it below.
-		return fmt.Errorf("interval %d, want >= 1", *interval)
-	}
-
 	factory, err := parseFilter(*filterSpec)
 	if err != nil {
 		return err
@@ -63,8 +55,16 @@ func run(args []string) error {
 		return err
 	}
 
-	var src trace.Source
-	var duration uint64
+	recipe := sim.Recipe{
+		Nodes:         *nodes,
+		Seed:          *seed,
+		IntervalTicks: *interval,
+		DurationTicks: *seconds,
+		Filter:        factory,
+		Policy:        policy,
+	}
+	var runner *sim.Runner
+	duration := *seconds
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
@@ -74,48 +74,15 @@ func run(args []string) error {
 			_ = f.Close() // read-only
 		}()
 		r := trace.NewReader(f)
-		src = r
-		duration = 0 // learned from the runner afterwards
-	} else {
-		net, err := netsim.New(netsim.DefaultWideArea(*nodes, *seed))
-		if err != nil {
+		if runner, err = recipe.Replay(r); err != nil {
 			return err
 		}
-		gen, err := trace.NewGenerator(net, trace.GeneratorConfig{
-			IntervalTicks: *interval,
-			DurationTicks: *seconds,
-			Seed:          *seed + 1,
-		})
-		if err != nil {
+		if err := r.Err(); err != nil {
 			return err
 		}
-		src = gen
-		duration = *seconds
-	}
-
-	vcfg := vivaldi.DefaultConfig()
-	vcfg.Seed = *seed + 2
-	runner, err := sim.NewRunner(sim.Config{
-		Nodes:                  *nodes,
-		Vivaldi:                vcfg,
-		Filter:                 factory,
-		Policy:                 policy,
-		ExpectedTicks:          duration,
-		ExpectedSamplesPerNode: int(duration / *interval),
-	})
-	if err != nil {
-		return err
-	}
-	if err := runner.Run(src); err != nil {
-		return err
-	}
-	if rd, ok := src.(*trace.Reader); ok {
-		if err := rd.Err(); err != nil {
-			return err
-		}
-	}
-	if duration == 0 {
 		duration = runner.LastTick()
+	} else if runner, err = recipe.Run(); err != nil {
+		return err
 	}
 	from := duration / 2
 

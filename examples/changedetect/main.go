@@ -23,8 +23,6 @@ import (
 	"netcoord/internal/heuristic"
 	"netcoord/internal/netsim"
 	"netcoord/internal/sim"
-	"netcoord/internal/trace"
-	"netcoord/internal/vivaldi"
 )
 
 const (
@@ -41,37 +39,29 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	cfg := netsim.DefaultWideArea(nodes, 11)
-	cfg.RouteChanges = []netsim.RouteChange{
-		{AtTick: changeAt, RegionA: 0, RegionB: 2, Factor: 2}, // us-west <-> europe doubles
-	}
-	net, err := netsim.New(cfg)
-	if err != nil {
-		return err
-	}
-	gen, err := trace.NewGenerator(net, trace.GeneratorConfig{
-		IntervalTicks: 1, DurationTicks: seconds, Seed: 12,
-	})
-	if err != nil {
-		return err
-	}
-	vcfg := vivaldi.DefaultConfig()
-	vcfg.Seed = 13
 	mp, err := filter.MPFactory(filter.DefaultMPConfig())
 	if err != nil {
 		return err
 	}
-	runner, err := sim.NewRunner(sim.Config{
-		Nodes:   nodes,
-		Vivaldi: vcfg,
-		Filter:  mp,
+	runner, gen, err := sim.Recipe{
+		Nodes:         nodes,
+		Seed:          11,
+		IntervalTicks: 1,
+		DurationTicks: seconds,
+		EditNetwork: func(c *netsim.Config) {
+			c.RouteChanges = []netsim.RouteChange{
+				{AtTick: changeAt, RegionA: 0, RegionB: 2, Factor: 2}, // us-west <-> europe doubles
+			}
+		},
+		Filter: mp,
 		Policy: func(dim int) (heuristic.Policy, error) {
 			return heuristic.NewEnergy(dim, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
 		},
-	})
+	}.Start()
 	if err != nil {
 		return err
 	}
+	net := gen.Network()
 	fmt.Fprintf(w, "route change at t=%ds: us-west <-> europe latency doubles\n\n", changeAt)
 	if err := runner.Run(gen); err != nil {
 		return err

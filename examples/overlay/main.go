@@ -28,8 +28,6 @@ import (
 	"netcoord/internal/heuristic"
 	"netcoord/internal/netsim"
 	"netcoord/internal/sim"
-	"netcoord/internal/trace"
-	"netcoord/internal/vivaldi"
 )
 
 const (
@@ -46,33 +44,24 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	net, err := netsim.New(netsim.DefaultWideArea(nodes, 7))
-	if err != nil {
-		return err
-	}
-	gen, err := trace.NewGenerator(net, trace.GeneratorConfig{
-		IntervalTicks: 1, DurationTicks: seconds, Seed: 8,
-	})
-	if err != nil {
-		return err
-	}
-	vcfg := vivaldi.DefaultConfig()
-	vcfg.Seed = 9
 	mp, err := filter.MPFactory(filter.DefaultMPConfig())
 	if err != nil {
 		return err
 	}
-	runner, err := sim.NewRunner(sim.Config{
-		Nodes:   nodes,
-		Vivaldi: vcfg,
-		Filter:  mp,
+	runner, gen, err := sim.Recipe{
+		Nodes:         nodes,
+		Seed:          7,
+		IntervalTicks: 1,
+		DurationTicks: seconds,
+		Filter:        mp,
 		Policy: func(dim int) (heuristic.Policy, error) {
 			return heuristic.NewEnergy(dim, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
 		},
-	})
+	}.Start()
 	if err != nil {
 		return err
 	}
+	net := gen.Network()
 	// Track placement churn while the space converges: re-decide the
 	// operator placement every minute using both coordinate streams.
 	producer, consumer := 0, 3 // us-west and china

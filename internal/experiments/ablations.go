@@ -25,11 +25,13 @@ func AblationStaticMatrix(scale Scale) (*AblationStaticMatrixResult, error) {
 		return nil, err
 	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
-	staticRun, err := run(runSpec{scale: scale, netMutate: func(c *netsim.Config) { c.Static = true }})
+	static := scale.recipe(nil, nil)
+	static.EditNetwork = func(c *netsim.Config) { c.Static = true }
+	staticRun, err := static.Run()
 	if err != nil {
 		return nil, err
 	}
-	liveRun, err := run(runSpec{scale: scale})
+	liveRun, err := scale.recipe(nil, nil).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +84,7 @@ func AblationThresholdFilter(scale Scale) (*AblationThresholdResult, error) {
 	}
 	sums := make([]metrics.Summary, len(cfgs))
 	for i, c := range cfgs {
-		r, err := run(runSpec{scale: scale, filter: c.factory})
+		r, err := scale.recipe(c.factory, nil).Run()
 		if err != nil {
 			return nil, fmt.Errorf("ablation threshold %s: %w", c.name, err)
 		}
@@ -143,14 +145,15 @@ func AblationDampedVivaldi(scale Scale) (*AblationDampingResult, error) {
 	preFrom, preTo := scale.DurationTicks*4/10, changeAt-1
 	postFrom, postTo := scale.DurationTicks*8/10, scale.DurationTicks
 
-	damped, err := run(runSpec{
-		scale: scale, filter: mpFactory, netMutate: mutate,
-		vivMutate: func(v *vivaldi.Config) { v.DampingConstant = 50 },
-	})
+	recipe := scale.recipe(mpFactory, nil)
+	recipe.EditNetwork = mutate
+	mp, err := recipe.Run()
 	if err != nil {
 		return nil, err
 	}
-	mp, err := run(runSpec{scale: scale, filter: mpFactory, netMutate: mutate})
+	recipe.Vivaldi = vivaldi.DefaultConfig()
+	recipe.Vivaldi.DampingConstant = 50
+	damped, err := recipe.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -215,11 +218,11 @@ func AblationFilterWarmup(scale Scale) (*AblationWarmupResult, error) {
 	}
 	earlyTo := scale.DurationTicks / 10
 	from, to := scale.MeasureFrom(), scale.DurationTicks
-	immediate, err := run(runSpec{scale: scale, filter: mpFactoryImmediate})
+	immediate, err := scale.recipe(mpFactoryImmediate, nil).Run()
 	if err != nil {
 		return nil, err
 	}
-	warm, err := run(runSpec{scale: scale, filter: mpFactory})
+	warm, err := scale.recipe(mpFactory, nil).Run()
 	if err != nil {
 		return nil, err
 	}

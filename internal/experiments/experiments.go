@@ -7,6 +7,16 @@
 // Two scales are provided: QuickScale for CI-speed runs that preserve the
 // qualitative shape of every result, and PaperScale matching the paper's
 // deployment (269 nodes, four hours, per-second sampling).
+//
+// Every run is a sim.Recipe built from its Scale (Scale.recipe), which
+// is where all of a run's seeds come from: with s = Scale.Seed, the
+// network is seeded with s, the trace generator with s+1 and Vivaldi
+// with s+2. Configurations compared in one figure therefore replay the
+// same trace. A figure states only what differs: its filter and policy,
+// an edit of the default network (A1's static matrix, A3's route
+// change, Figure 7's drift), Figure 6's low-latency cluster, or E2's
+// join spread. The network itself is chosen in sim.Recipe, so a change
+// there reaches every figure.
 package experiments
 
 import (
@@ -15,11 +25,8 @@ import (
 
 	"netcoord/internal/filter"
 	"netcoord/internal/heuristic"
-	"netcoord/internal/netsim"
 	"netcoord/internal/sim"
 	"netcoord/internal/stats"
-	"netcoord/internal/trace"
-	"netcoord/internal/vivaldi"
 )
 
 // Scale sizes an experiment.
@@ -34,20 +41,6 @@ type Scale struct {
 	Seed uint64
 }
 
-// runnerConfig assembles the common sim.Config for this scale, including
-// the metric-storage reservations that keep the replay loop
-// allocation-free.
-func (s Scale) runnerConfig(vcfg vivaldi.Config, f filter.Factory, p sim.PolicyFactory) sim.Config {
-	return sim.Config{
-		Nodes:                  s.Nodes,
-		Vivaldi:                vcfg,
-		Filter:                 f,
-		Policy:                 p,
-		ExpectedTicks:          s.DurationTicks,
-		ExpectedSamplesPerNode: int(s.DurationTicks/s.IntervalTicks) + 1,
-	}
-}
-
 // PaperScale matches the paper's PlanetLab runs: 269 nodes, four hours,
 // one observation per node per second.
 func PaperScale() Scale {
@@ -60,78 +53,24 @@ func QuickScale() Scale {
 	return Scale{Nodes: 64, DurationTicks: 2400, IntervalTicks: 1, Seed: 20050502}
 }
 
-// Validate checks the scale.
-func (s Scale) Validate() error {
-	if s.Nodes < 4 {
-		return fmt.Errorf("experiments: %d nodes, want >= 4", s.Nodes)
-	}
-	if s.DurationTicks < 60 {
-		return fmt.Errorf("experiments: duration %d ticks, want >= 60", s.DurationTicks)
-	}
-	if s.IntervalTicks < 1 {
-		return fmt.Errorf("experiments: interval %d, want >= 1", s.IntervalTicks)
-	}
-	return nil
-}
+// Validate checks the scale: sim.Recipe's rule for a measured run.
+func (s Scale) Validate() error { return s.recipe(nil, nil).Validate() }
 
 // MeasureFrom returns the start of the measurement window: the paper
 // always reports the second half of each run.
 func (s Scale) MeasureFrom() uint64 { return s.DurationTicks / 2 }
 
-// network builds the wide-area model for this scale, applying an
-// optional mutation.
-func (s Scale) network(mutate func(*netsim.Config)) (*netsim.Network, error) {
-	cfg := netsim.DefaultWideArea(s.Nodes, s.Seed)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return netsim.New(cfg)
-}
-
-// generator builds the trace generator over a network.
-func (s Scale) generator(net *netsim.Network) (*trace.Generator, error) {
-	return trace.NewGenerator(net, trace.GeneratorConfig{
+// recipe is this scale's synthetic run with the given filter and
+// policy, on the default network with default Vivaldi.
+func (s Scale) recipe(f filter.Factory, p sim.PolicyFactory) sim.Recipe {
+	return sim.Recipe{
+		Nodes:         s.Nodes,
+		Seed:          s.Seed,
 		IntervalTicks: s.IntervalTicks,
 		DurationTicks: s.DurationTicks,
-		Seed:          s.Seed + 1,
-	})
-}
-
-// runSpec describes one simulation run.
-type runSpec struct {
-	scale     Scale
-	filter    filter.Factory
-	policy    sim.PolicyFactory
-	netMutate func(*netsim.Config)
-	vivMutate func(*vivaldi.Config)
-}
-
-// run executes one simulation and returns its runner for metric readout.
-func run(spec runSpec) (*sim.Runner, error) {
-	if err := spec.scale.Validate(); err != nil {
-		return nil, err
+		Filter:        f,
+		Policy:        p,
 	}
-	net, err := spec.scale.network(spec.netMutate)
-	if err != nil {
-		return nil, err
-	}
-	vcfg := vivaldi.DefaultConfig()
-	vcfg.Seed = spec.scale.Seed + 2
-	if spec.vivMutate != nil {
-		spec.vivMutate(&vcfg)
-	}
-	runner, err := sim.NewRunner(spec.scale.runnerConfig(vcfg, spec.filter, spec.policy))
-	if err != nil {
-		return nil, err
-	}
-	gen, err := spec.scale.generator(net)
-	if err != nil {
-		return nil, err
-	}
-	if err := runner.Run(gen); err != nil {
-		return nil, err
-	}
-	return runner, nil
 }
 
 // mpFactory is the paper's recommended filter; mpFactoryImmediate is

@@ -9,8 +9,6 @@ import (
 	"netcoord/internal/metrics"
 	"netcoord/internal/sim"
 	"netcoord/internal/stats"
-	"netcoord/internal/trace"
-	"netcoord/internal/vivaldi"
 )
 
 // ExtensionDetectorResult (E1) goes one step beyond the paper: it adds
@@ -50,7 +48,7 @@ func ExtensionDetectorComparison(scale Scale) (*ExtensionDetectorResult, error) 
 		}},
 	}
 	for _, e := range entries {
-		r, err := run(runSpec{scale: scale, filter: mpFactory, policy: e.factory})
+		r, err := scale.recipe(mpFactory, e.factory).Run()
 		if err != nil {
 			return nil, err
 		}
@@ -106,29 +104,9 @@ func ExtensionChurnRobustness(scale Scale) (*ExtensionChurnResult, error) {
 	}
 	churnSpread := scale.DurationTicks * 3 / 4
 	runChurn := func(f filter.Factory) (*sim.Runner, error) {
-		net, err := scale.network(nil)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := trace.NewGenerator(net, trace.GeneratorConfig{
-			IntervalTicks:   scale.IntervalTicks,
-			DurationTicks:   scale.DurationTicks,
-			JoinSpreadTicks: churnSpread,
-			Seed:            scale.Seed + 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		vcfg := vivaldi.DefaultConfig()
-		vcfg.Seed = scale.Seed + 2
-		runner, err := sim.NewRunner(scale.runnerConfig(vcfg, f, nil))
-		if err != nil {
-			return nil, err
-		}
-		if err := runner.Run(gen); err != nil {
-			return nil, err
-		}
-		return runner, nil
+		r := scale.recipe(f, nil)
+		r.JoinSpreadTicks = churnSpread
+		return r.Run()
 	}
 	immediate, err := runChurn(mpFactoryImmediate)
 	if err != nil {

@@ -25,11 +25,7 @@ func Fig02RawLatencyHistogram(scale Scale) (*Fig02Result, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
-	net, err := scale.network(nil)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := scale.generator(net)
+	gen, err := scale.recipe(nil, nil).Trace()
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +82,7 @@ func Fig03SingleLinkDistribution(scale Scale) (*Fig03Result, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
-	net, err := scale.network(nil)
+	net, err := scale.recipe(nil, nil).Network()
 	if err != nil {
 		return nil, err
 	}

@@ -53,11 +53,7 @@ func Fig04HistorySizeSweep(scale Scale) (*Fig04Result, error) {
 }
 
 func fig04OneHistory(scale Scale, h int) (Fig04Row, error) {
-	net, err := scale.network(nil)
-	if err != nil {
-		return Fig04Row{}, err
-	}
-	gen, err := scale.generator(net)
+	gen, err := scale.recipe(nil, nil).Trace()
 	if err != nil {
 		return Fig04Row{}, err
 	}

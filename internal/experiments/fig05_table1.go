@@ -83,7 +83,7 @@ func Fig05FilterCDFs(scale Scale) (*Fig05Result, error) {
 	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 
-	mpRun, err := run(runSpec{scale: scale, filter: mpFactory})
+	mpRun, err := scale.recipe(mpFactory, nil).Run()
 	if err != nil {
 		return nil, fmt.Errorf("fig 5 mp run: %w", err)
 	}
@@ -91,7 +91,7 @@ func Fig05FilterCDFs(scale Scale) (*Fig05Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rawRun, err := run(runSpec{scale: scale})
+	rawRun, err := scale.recipe(nil, nil).Run()
 	if err != nil {
 		return nil, fmt.Errorf("fig 5 raw run: %w", err)
 	}
@@ -128,11 +128,7 @@ func Fig05FilterCDFs(scale Scale) (*Fig05Result, error) {
 // fig05Histograms builds the bottom panel: raw observations vs MP filter
 // outputs over the measurement half of the trace.
 func fig05Histograms(scale Scale) (raw, filtered *stats.Histogram, err error) {
-	net, err := scale.network(nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	gen, err := scale.generator(net)
+	gen, err := scale.recipe(nil, nil).Trace()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,7 +216,7 @@ func Table1FilterComparison(scale Scale) (*Table1Result, error) {
 	}
 	summaries := make([]metrics.Summary, len(cfgs))
 	for i, c := range cfgs {
-		r, err := run(runSpec{scale: scale, filter: c.factory})
+		r, err := scale.recipe(c.factory, nil).Run()
 		if err != nil {
 			return nil, fmt.Errorf("table 1 %s: %w", c.name, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"netcoord/internal/netsim"
 	"netcoord/internal/sim"
 	"netcoord/internal/stats"
-	"netcoord/internal/trace"
 	"netcoord/internal/vivaldi"
 )
 
@@ -35,22 +34,16 @@ func Fig06ConfidenceBuilding(scale Scale) (*Fig06Result, error) {
 	const nodes = 3
 	const duration = 600
 	runOne := func(margin float64) ([]stats.Point, float64, error) {
-		net, err := netsim.New(netsim.LowLatencyCluster(nodes, scale.Seed))
-		if err != nil {
-			return nil, 0, err
-		}
-		gen, err := trace.NewGenerator(net, trace.GeneratorConfig{
+		recipe := sim.Recipe{
+			Nodes:         nodes,
+			Seed:          scale.Seed,
 			IntervalTicks: 1,
 			DurationTicks: duration,
-			Seed:          scale.Seed + 1,
-		})
-		if err != nil {
-			return nil, 0, err
+			Base:          netsim.LowLatencyCluster,
+			Vivaldi:       vivaldi.DefaultConfig(),
 		}
-		vcfg := vivaldi.DefaultConfig()
-		vcfg.ErrorMargin = margin
-		vcfg.Seed = scale.Seed + 2
-		runner, err := sim.NewRunner(sim.Config{Nodes: nodes, Vivaldi: vcfg})
+		recipe.Vivaldi.ErrorMargin = margin
+		runner, gen, err := recipe.Start()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -148,7 +141,9 @@ func Fig07CoordinateDrift(scale Scale) (*Fig07Result, error) {
 	if duration < 3*3600 && scale.Nodes >= 200 {
 		duration = 3 * 3600
 	}
-	net, err := scale.network(func(c *netsim.Config) {
+	recipe := scale.recipe(mpFactory, nil)
+	recipe.DurationTicks = duration
+	recipe.EditNetwork = func(c *netsim.Config) {
 		// Slow continental drift: a few ms/hour, enough to displace
 		// coordinates measurably over the run.
 		c.DriftPerHour = []netsim.Drift{
@@ -157,24 +152,12 @@ func Fig07CoordinateDrift(scale Scale) (*Fig07Result, error) {
 			{DX: 5, DY: 3},
 			{DX: -6, DY: -2},
 		}
-	})
+	}
+	runner, gen, err := recipe.Start()
 	if err != nil {
 		return nil, err
 	}
-	gen, err := trace.NewGenerator(net, trace.GeneratorConfig{
-		IntervalTicks: scale.IntervalTicks,
-		DurationTicks: duration,
-		Seed:          scale.Seed + 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	vcfg := vivaldi.DefaultConfig()
-	vcfg.Seed = scale.Seed + 2
-	runner, err := sim.NewRunner(sim.Config{Nodes: scale.Nodes, Vivaldi: vcfg, Filter: mpFactory})
-	if err != nil {
-		return nil, err
-	}
+	net := gen.Network()
 	// One tracked node per region: nodes 0..3 under round-robin
 	// assignment.
 	tracked := []int{0, 1, 2, 3}

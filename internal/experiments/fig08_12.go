@@ -33,7 +33,7 @@ func sweep(scale Scale, params []float64, build func(p float64) sim.PolicyFactor
 func sweepWith(workers int, scale Scale, params []float64, build func(p float64) sim.PolicyFactory) ([]SweepPoint, error) {
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 	one := func(p float64) (SweepPoint, error) {
-		r, err := run(runSpec{scale: scale, filter: mpFactory, policy: build(p)})
+		r, err := scale.recipe(mpFactory, build(p)).Run()
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("sweep param %v: %w", p, err)
 		}
@@ -198,24 +198,10 @@ type Fig10Result struct {
 	Application []SweepPoint
 }
 
-// Fig10HeuristicComparison sweeps all four policies.
+// Fig10HeuristicComparison sweeps all four policies: Figure 8's two
+// window-based sweeps plus the two windowless ones.
 func Fig10HeuristicComparison(scale Scale) (*Fig10Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
-	energy, err := sweep(scale, energyTaus(), func(tau float64) sim.PolicyFactory {
-		return func(dim int) (heuristic.Policy, error) {
-			return heuristic.NewEnergy(dim, heuristic.DefaultWindow, tau)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	relative, err := sweep(scale, relativeEpsilons(), func(eps float64) sim.PolicyFactory {
-		return func(dim int) (heuristic.Policy, error) {
-			return heuristic.NewRelative(dim, heuristic.DefaultWindow, eps)
-		}
-	})
+	windowed, err := Fig08ThresholdSweep(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +221,7 @@ func Fig10HeuristicComparison(scale Scale) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fig10Result{Energy: energy, Relative: relative, System: system, Application: application}, nil
+	return &Fig10Result{Energy: windowed.Energy, Relative: windowed.Relative, System: system, Application: application}, nil
 }
 
 // Render implements the experiment output contract.
@@ -266,9 +252,9 @@ func Fig11AppLevelCDFs(scale Scale) (*Fig11Result, error) {
 	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 
-	energyRun, err := run(runSpec{scale: scale, filter: mpFactory, policy: func(dim int) (heuristic.Policy, error) {
+	energyRun, err := scale.recipe(mpFactory, func(dim int) (heuristic.Policy, error) {
 		return heuristic.NewEnergy(dim, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
-	}})
+	}).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -276,9 +262,9 @@ func Fig11AppLevelCDFs(scale Scale) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	relativeRun, err := run(runSpec{scale: scale, filter: mpFactory, policy: func(dim int) (heuristic.Policy, error) {
+	relativeRun, err := scale.recipe(mpFactory, func(dim int) (heuristic.Policy, error) {
 		return heuristic.NewRelative(dim, heuristic.DefaultWindow, heuristic.DefaultRelativeEpsilon)
-	}})
+	}).Run()
 	if err != nil {
 		return nil, err
 	}

@@ -46,11 +46,11 @@ func Fig13PlanetLabComparison(scale Scale) (*Fig13Result, error) {
 	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 
-	mpRun, err := run(runSpec{scale: scale, filter: mpFactoryImmediate, policy: energyPolicy})
+	mpRun, err := scale.recipe(mpFactoryImmediate, energyPolicy).Run()
 	if err != nil {
 		return nil, fmt.Errorf("fig 13 mp run: %w", err)
 	}
-	rawRun, err := run(runSpec{scale: scale, policy: energyPolicy})
+	rawRun, err := scale.recipe(nil, energyPolicy).Run()
 	if err != nil {
 		return nil, fmt.Errorf("fig 13 raw run: %w", err)
 	}
@@ -161,11 +161,11 @@ func Fig14ConvergenceTimeline(scale Scale) (*Fig14Result, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
-	mpRun, err := run(runSpec{scale: scale, filter: mpFactoryImmediate, policy: energyPolicy})
+	mpRun, err := scale.recipe(mpFactoryImmediate, energyPolicy).Run()
 	if err != nil {
 		return nil, err
 	}
-	rawRun, err := run(runSpec{scale: scale, policy: energyPolicy})
+	rawRun, err := scale.recipe(nil, energyPolicy).Run()
 	if err != nil {
 		return nil, err
 	}

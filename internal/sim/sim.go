@@ -44,6 +44,16 @@
 // Callers that want more cores than that run whole simulations side by
 // side (experiments.sweep).
 //
+// # Synthetic runs
+//
+// Every synthetic run in the repository — netcoord.Simulate, each
+// experiment, cmd/ncsim and cmd/ncgen, the overlay and changedetect
+// examples — is a Recipe. A recipe takes one seed s: the network is
+// seeded with s, the trace generator with s+1 and Vivaldi with s+2, and
+// the network is netsim.DefaultWideArea unless the recipe names another
+// base or edits it. Recipe is therefore the one place to change the
+// network those runs replay.
+//
 // # Allocation discipline
 //
 // A steady-state Step performs zero heap allocations: Endpoint.Observe

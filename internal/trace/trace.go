@@ -136,6 +136,9 @@ func NewGenerator(net *netsim.Network, cfg GeneratorConfig) (*Generator, error) 
 	return g, nil
 }
 
+// Network returns the network the generator samples.
+func (g *Generator) Network() *netsim.Network { return g.net }
+
 // JoinTick reports when node i joins the system (0 without churn).
 func (g *Generator) JoinTick(i int) uint64 { return g.joinTick[i] }
 

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"netcoord/internal/heuristic"
-	"netcoord/internal/netsim"
 	"netcoord/internal/sim"
-	"netcoord/internal/trace"
 )
 
 // SimulationConfig describes a synthetic what-if run: N nodes on a
@@ -65,16 +63,15 @@ type StreamSummary struct {
 	UpdatesPerSecond float64
 }
 
-// Simulate runs a synthetic evaluation of the given configuration.
+// Simulate runs a synthetic evaluation of the given configuration. The
+// run is a sim.Recipe, the one place where every synthetic run's network
+// and seeds are chosen. With s = cfg.Seed, the network is
+// netsim.DefaultWideArea seeded with s, the trace generator is seeded
+// with s+1 and every node's Vivaldi with s+2, so the results of configs
+// that differ only in Client come from the same trace.
 func Simulate(cfg SimulationConfig) (SimulationResult, error) {
-	if cfg.Nodes < 4 {
-		return SimulationResult{}, fmt.Errorf("netcoord: simulate with %d nodes, want >= 4", cfg.Nodes)
-	}
-	if cfg.Seconds < 60 {
-		return SimulationResult{}, fmt.Errorf("netcoord: simulate for %d s, want >= 60", cfg.Seconds)
-	}
-	if cfg.SampleEverySeconds < 0 {
-		return SimulationResult{}, fmt.Errorf("netcoord: simulate sampling every %d s, want >= 0", cfg.SampleEverySeconds)
+	if cfg.Seconds < 0 || cfg.SampleEverySeconds < 0 {
+		return SimulationResult{}, fmt.Errorf("netcoord: simulate for %d s sampling every %d s, want both >= 0", cfg.Seconds, cfg.SampleEverySeconds)
 	}
 	if cfg.SampleEverySeconds == 0 {
 		cfg.SampleEverySeconds = 1
@@ -87,41 +84,24 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 	if err != nil {
 		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
 	}
-	policyFactory := func(dim int) (heuristic.Policy, error) {
-		c := resolved
-		c.Dimension = dim
-		return buildPolicy(c)
-	}
-
-	net, err := netsim.New(netsim.DefaultWideArea(cfg.Nodes, cfg.Seed))
-	if err != nil {
-		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
-	}
-	genCfg := trace.GeneratorConfig{
+	recipe := sim.Recipe{
+		Nodes:         cfg.Nodes,
+		Seed:          cfg.Seed,
 		IntervalTicks: uint64(cfg.SampleEverySeconds),
 		DurationTicks: uint64(cfg.Seconds),
-		Seed:          cfg.Seed + 1,
+		Vivaldi:       vcfg,
+		Filter:        factory,
+		Policy: func(dim int) (heuristic.Policy, error) {
+			c := resolved
+			c.Dimension = dim
+			return buildPolicy(c)
+		},
 	}
 	if cfg.Churn {
-		genCfg.JoinSpreadTicks = uint64(cfg.Seconds) * 3 / 4
+		recipe.JoinSpreadTicks = uint64(cfg.Seconds) * 3 / 4
 	}
-	gen, err := trace.NewGenerator(net, genCfg)
+	runner, err := recipe.Run()
 	if err != nil {
-		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
-	}
-	vcfg.Seed = cfg.Seed + 2
-	runner, err := sim.NewRunner(sim.Config{
-		Nodes:                  cfg.Nodes,
-		Vivaldi:                vcfg,
-		Filter:                 factory,
-		Policy:                 policyFactory,
-		ExpectedTicks:          uint64(cfg.Seconds),
-		ExpectedSamplesPerNode: cfg.Seconds/cfg.SampleEverySeconds + 1,
-	})
-	if err != nil {
-		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
-	}
-	if err := runner.Run(gen); err != nil {
 		return SimulationResult{}, fmt.Errorf("netcoord: %w", err)
 	}
 
