@@ -358,6 +358,7 @@ func (f *FollowerRegistry) rotateUpstream() {
 // FollowerStats snapshots the replication position.
 func (f *FollowerRegistry) FollowerStats() FollowerStats {
 	applied, leader := f.ChangeSeq(), f.leaderSeq.Load()
+	age, _ := f.Staleness()
 	st := FollowerStats{
 		LeaderURL:             f.upstream(),
 		Upstreams:             f.upstreams,
@@ -373,7 +374,7 @@ func (f *FollowerRegistry) FollowerStats() FollowerStats {
 		Reconnects:            f.reconnects.Load(),
 		RejectedStaleEpoch:    f.rejectedStale.Load(),
 		Errors:                f.errCount.Load(),
-		LastContactAgeSeconds: -1,
+		LastContactAgeSeconds: age,
 		ApplyLagNs:            f.applyLag.Summary(),
 		LastBootstrapSeconds:  float64(f.lastBootstrapNs.Load()) / 1e9,
 	}
@@ -388,12 +389,28 @@ func (f *FollowerRegistry) FollowerStats() FollowerStats {
 		st.Lag = leader - applied
 	}
 	f.mu.Lock()
-	if !f.lastContact.IsZero() {
-		st.LastContactAgeSeconds = time.Since(f.lastContact).Seconds()
-	}
 	st.LastError = f.lastErr
 	f.mu.Unlock()
 	return st
+}
+
+// Staleness reports FollowerStats' LastContactAgeSeconds and Lag alone:
+// how long ago the upstream last answered (-1 before first contact) and
+// the events known outstanding. Every read a replica serves is stamped
+// with the two, so they cost two atomic loads and one short lock hold,
+// not a full FollowerStats.
+func (f *FollowerRegistry) Staleness() (contactAgeSeconds float64, lag uint64) {
+	applied, leader := f.ChangeSeq(), f.leaderSeq.Load()
+	if leader > applied {
+		lag = leader - applied
+	}
+	contactAgeSeconds = -1
+	f.mu.Lock()
+	if !f.lastContact.IsZero() {
+		contactAgeSeconds = time.Since(f.lastContact).Seconds()
+	}
+	f.mu.Unlock()
+	return contactAgeSeconds, lag
 }
 
 // AppliedSeq is the last leader sequence applied locally — ChangeSeq

@@ -179,11 +179,11 @@ func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) staleness(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if s.replica() {
-			st := s.follower.FollowerStats()
-			if st.LastContactAgeSeconds >= 0 {
-				w.Header().Set("X-NC-Staleness", strconv.FormatFloat(st.LastContactAgeSeconds, 'f', 3, 64))
+			age, lag := s.follower.Staleness()
+			if age >= 0 {
+				w.Header().Set("X-NC-Staleness", strconv.FormatFloat(age, 'f', 3, 64))
 			}
-			w.Header().Set("X-NC-Lag", strconv.FormatUint(st.Lag, 10))
+			w.Header().Set("X-NC-Lag", strconv.FormatUint(lag, 10))
 		}
 		h(w, req)
 	}

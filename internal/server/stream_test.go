@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -575,6 +576,19 @@ func TestFollowerModeHTTPSurface(t *testing.T) {
 	}
 	if code, out = getJSON(t, fts.URL+"/healthz"); code != http.StatusOK || out["role"] != "follower" {
 		t.Fatalf("follower healthz: %d %v, want 200 role follower", code, out)
+	}
+
+	// A replica read is stamped with what Staleness reports: the age of
+	// the last upstream contact, and no lag with the leader idle.
+	read, err := http.Get(fts.URL + "/nearest?id=a&k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = read.Body.Close()
+	stamped, perr := strconv.ParseFloat(read.Header.Get("X-NC-Staleness"), 64)
+	if age, lag := f.Staleness(); read.StatusCode != http.StatusOK || perr != nil || stamped < 0 || stamped > age+0.001 ||
+		lag != 0 || read.Header.Get("X-NC-Lag") != "0" {
+		t.Fatalf("replica read: %d, headers %v; Staleness() = %v s, lag %d", read.StatusCode, read.Header, age, lag)
 	}
 
 	// Promoted through the library, not through POST /promote: the
