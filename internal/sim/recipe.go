@@ -69,7 +69,11 @@ func (r Recipe) Network() (*netsim.Network, error) {
 	}
 	cfg := base(r.Nodes, r.Seed)
 	if r.EditNetwork != nil {
-		r.EditNetwork(&cfg)
+		// A copy: handing &cfg itself to an unknown function would move
+		// cfg to the heap on every run, edited or not.
+		edited := cfg
+		r.EditNetwork(&edited)
+		cfg = edited
 	}
 	return netsim.New(cfg)
 }
@@ -112,8 +116,8 @@ func (r Recipe) Run() (*Runner, error) {
 }
 
 // Replay runs src through the recipe's runner: the recipe's own trace
-// for Run, or a recorded one (a file written by ncgen). The recipe's
-// timing then only sizes the metric storage.
+// for Run, or a recorded one (a file written by ncgen), whose length the
+// recipe's timing then only sizes the metric storage for.
 func (r Recipe) Replay(src trace.Source) (*Runner, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
