@@ -45,9 +45,10 @@ type Recipe struct {
 // Validate checks that the recipe is a run worth measuring: at least 4
 // nodes (one per region of the wide-area network), at least 60 ticks
 // (the metrics read the second half) and an interval of at least 1.
-// Run and Replay apply it. Network, Trace and Start leave it to their
-// callers, whose traces need not be measured runs: ncgen writes 30-s
-// files, and Figure 6 steps a 3-node cluster.
+// Run and Replay apply it before they build anything, so a rejected
+// recipe costs no network and no trace. Network, Trace and Start leave
+// it to their callers, whose traces need not be measured runs: ncgen
+// writes 30-s files, and Figure 6 steps a 3-node cluster.
 func (r Recipe) Validate() error {
 	if r.Nodes < 4 {
 		return fmt.Errorf("sim: %d nodes, want >= 4", r.Nodes)
@@ -108,6 +109,9 @@ func (r Recipe) Start() (*Runner, *trace.Generator, error) {
 
 // Run replays the run's whole trace through a runner.
 func (r Recipe) Run() (*Runner, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
 	gen, err := r.Trace()
 	if err != nil {
 		return nil, err

@@ -41,7 +41,7 @@ func TestRecipeReplayEqualsRun(t *testing.T) {
 }
 
 // TestRecipeValidatesMeasuredRunsOnly: Run and Replay refuse a run too
-// small to measure; Start, which Figure 6 steps a 3-node cluster with,
+// small to measure, before building it; Start, which Figure 6 steps a 3-node cluster with,
 // does not.
 func TestRecipeValidatesMeasuredRunsOnly(t *testing.T) {
 	for _, r := range []Recipe{
@@ -55,6 +55,16 @@ func TestRecipeValidatesMeasuredRunsOnly(t *testing.T) {
 		if _, err := r.Replay(trace.NewSliceSource(nil)); err == nil {
 			t.Errorf("Replay accepted %+v", r)
 		}
+	}
+	// A rejected recipe builds nothing: a 2000-node network and trace
+	// would allocate tens of MB in thousands of allocations.
+	big := Recipe{Nodes: 2000, IntervalTicks: 1, DurationTicks: 30}
+	if allocs := testing.AllocsPerRun(1, func() {
+		if _, err := big.Run(); err == nil {
+			t.Errorf("Run accepted %+v", big)
+		}
+	}); allocs > 8 {
+		t.Errorf("Run of a rejected recipe made %.0f allocations, want only its error's", allocs)
 	}
 	if _, _, err := (Recipe{Nodes: 3, IntervalTicks: 1, DurationTicks: 600}).Start(); err != nil {
 		t.Fatalf("Start refused a 3-node run: %v", err)
