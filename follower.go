@@ -358,7 +358,10 @@ func (f *FollowerRegistry) rotateUpstream() {
 // FollowerStats snapshots the replication position.
 func (f *FollowerRegistry) FollowerStats() FollowerStats {
 	applied, leader := f.ChangeSeq(), f.leaderSeq.Load()
-	age, _ := f.Staleness()
+	f.mu.Lock()
+	lastContact, lastErr := f.lastContact, f.lastErr
+	f.mu.Unlock()
+	age, lag := staleness(applied, leader, lastContact)
 	st := FollowerStats{
 		LeaderURL:             f.upstream(),
 		Upstreams:             f.upstreams,
@@ -374,7 +377,9 @@ func (f *FollowerRegistry) FollowerStats() FollowerStats {
 		Reconnects:            f.reconnects.Load(),
 		RejectedStaleEpoch:    f.rejectedStale.Load(),
 		Errors:                f.errCount.Load(),
+		LastError:             lastErr,
 		LastContactAgeSeconds: age,
+		Lag:                   lag,
 		ApplyLagNs:            f.applyLag.Summary(),
 		LastBootstrapSeconds:  float64(f.lastBootstrapNs.Load()) / 1e9,
 	}
@@ -385,12 +390,6 @@ func (f *FollowerRegistry) FollowerStats() FollowerStats {
 			st.LastBootstrapKind = "full"
 		}
 	}
-	if leader > applied {
-		st.Lag = leader - applied
-	}
-	f.mu.Lock()
-	st.LastError = f.lastErr
-	f.mu.Unlock()
 	return st
 }
 
@@ -401,15 +400,22 @@ func (f *FollowerRegistry) FollowerStats() FollowerStats {
 // not a full FollowerStats.
 func (f *FollowerRegistry) Staleness() (contactAgeSeconds float64, lag uint64) {
 	applied, leader := f.ChangeSeq(), f.leaderSeq.Load()
+	f.mu.Lock()
+	lastContact := f.lastContact
+	f.mu.Unlock()
+	return staleness(applied, leader, lastContact)
+}
+
+// staleness derives Staleness' two numbers from one read of the applied
+// and leader sequences and the last contact time.
+func staleness(applied, leader uint64, lastContact time.Time) (contactAgeSeconds float64, lag uint64) {
+	contactAgeSeconds = -1
+	if !lastContact.IsZero() {
+		contactAgeSeconds = time.Since(lastContact).Seconds()
+	}
 	if leader > applied {
 		lag = leader - applied
 	}
-	contactAgeSeconds = -1
-	f.mu.Lock()
-	if !f.lastContact.IsZero() {
-		contactAgeSeconds = time.Since(f.lastContact).Seconds()
-	}
-	f.mu.Unlock()
 	return contactAgeSeconds, lag
 }
 

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"netcoord"
 )
@@ -130,6 +132,53 @@ func BenchmarkServeNearest(b *testing.B) {
 		bodies[i] = appendBenchNearest(nil, point())
 	}
 	serveBench(b, "/nearest", func(i int) []byte { return bodies[i%len(bodies)] }, func(int) http.Handler { return srv })
+}
+
+// BenchmarkServeReplicaRead is a read served by a replica: a follower
+// that bootstrapped from the 100k-entry leader over loopback HTTP and
+// then applied 1000 single-entry moves, so that its apply-lag histogram
+// is filled as under write-replicate. Requests go through the
+// follower's ServeHTTP with no socket.
+//   - nearest: BenchmarkServeNearest's request. What it adds to that
+//     benchmark is the X-NC-Staleness and X-NC-Lag stamp every replica
+//     read carries.
+//   - stamp: that stamp alone, around a handler that writes one byte.
+func BenchmarkServeReplicaRead(b *testing.B) {
+	leader, point := nearestBenchServer(b)
+	ts := httptest.NewServer(leader)
+	b.Cleanup(ts.Close)
+	f, err := netcoord.StartFollower(netcoord.FollowerConfig{Upstreams: []string{ts.URL}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(f.Close)
+	for i := 0; i < 1000; i++ {
+		if err := leader.reg.Upsert(fmt.Sprintf("node-%07d", i), point(), 0.2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); f.AppliedSeq() < leader.reg.ChangeSeq(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			b.Fatalf("follower stuck at seq %d, leader at %d", f.AppliedSeq(), leader.reg.ChangeSeq())
+		}
+	}
+	srv := New(Config{Registry: f.Registry, Follower: f})
+	b.Cleanup(srv.Stop)
+
+	b.Run("nearest", func(b *testing.B) {
+		bodies := make([][]byte, 1024)
+		for i := range bodies {
+			bodies[i] = appendBenchNearest(nil, point())
+		}
+		serveBench(b, "/nearest", func(i int) []byte { return bodies[i%len(bodies)] }, func(int) http.Handler { return srv })
+	})
+	b.Run("stamp", func(b *testing.B) {
+		stamped := srv.staleness(func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write([]byte{'{'})
+		})
+		serveBench(b, "/nearest", func(int) []byte { return nil }, func(int) http.Handler { return stamped })
+	})
 }
 
 // BenchmarkServeNearestBatch is the read-batch workload's request in
