@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/run.golden from what run prints now")
+	"netcoord/internal/golden"
+)
 
 // TestRunGolden runs the example end to end and holds everything it
 // prints to testdata/run.golden, byte for byte: the run is seeded, so
@@ -19,18 +17,5 @@ func TestRunGolden(t *testing.T) {
 	if err := run(&out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	path := filepath.Join("testdata", "run.golden")
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (create it with -update)", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("output differs from %s:\n--- got\n%s--- want\n%s", path, out.Bytes(), want)
-	}
+	golden.Check(t, filepath.Join("testdata", "run.golden"), out.Bytes())
 }

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"netcoord/internal/golden"
 	"netcoord/internal/heuristic"
 	"netcoord/internal/sim"
 )
@@ -16,8 +15,6 @@ func tinyScale() Scale {
 	return Scale{Nodes: 24, DurationTicks: 900, IntervalTicks: 1, Seed: 20050502}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the renders the tests produce now")
-
 // checkGolden holds an experiment's whole render at tinyScale to
 // testdata/<id>.golden (id as cmd/ncbench names it), byte for byte. The
 // shape checks beside it pass across a wide range of outputs; this one
@@ -26,21 +23,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the rend
 // the diff.
 func checkGolden(t *testing.T, id string, r interface{ Render() string }) {
 	t.Helper()
-	path := filepath.Join("testdata", id+".golden")
-	got := r.Render()
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (create it with -update)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("%s render differs from %s:\n--- got\n%s--- want\n%s", id, path, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", id+".golden"), []byte(r.Render()))
 }
 
 func TestScaleValidate(t *testing.T) {

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
+
+	"netcoord/internal/golden"
 )
 
 // getCorpus holds the GET requests of the read surface the golden pins:
@@ -95,30 +95,5 @@ func TestGetBodiesGolden(t *testing.T) {
 		rec := serveGet(srv, path)
 		fmt.Fprintf(&got, "### GET %s\n%d %s", path, rec.Code, rec.Body.Bytes())
 	}
-	checkGolden(t, filepath.Join("testdata", "get_bodies.golden"), got.Bytes())
-}
-
-// checkGolden compares got with the golden file, or rewrites the file
-// under -update, and names the first line that drifted.
-func checkGolden(t *testing.T, file string, got []byte) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.WriteFile(file, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s drifted at line %d:\n got %s\nwant %s", file, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("%s drifted: %d lines, want %d", file, len(gl), len(wl))
-	}
+	golden.Check(t, filepath.Join("testdata", "get_bodies.golden"), got.Bytes())
 }

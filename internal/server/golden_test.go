@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sync/atomic"
@@ -14,9 +11,8 @@ import (
 	"time"
 
 	"netcoord"
+	"netcoord/internal/golden"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the golden JSON bodies in testdata/ from what the server produces now")
 
 // pubNs is the one field of these bodies that is wall-clock time.
 var pubNs = regexp.MustCompile(`"pub_ns":\d+`)
@@ -77,19 +73,6 @@ func TestGoldenJSONBodies(t *testing.T) {
 			t.Fatalf("%s: events carry no pub_ns: %s", path, got)
 		}
 		got = pubNs.ReplaceAll(got, []byte(`"pub_ns":1700000000000000000`))
-		file := filepath.Join("testdata", name)
-		if *updateGolden {
-			if err := os.WriteFile(file, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from %s:\n got %s\nwant %s", path, file, got, want)
-		}
+		golden.Check(t, filepath.Join("testdata", name), got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"netcoord"
+	"netcoord/internal/golden"
 )
 
 // goldenMaxBody is the body limit of the server the query-body corpus is
@@ -167,7 +168,7 @@ func TestQueryBodiesGolden(t *testing.T) {
 		rec := serveBody(srv, b)
 		fmt.Fprintf(&got, "### %s\n%d %s", b.name, rec.Code, rec.Body.Bytes())
 	}
-	checkGolden(t, filepath.Join("testdata", "query_bodies.golden"), got.Bytes())
+	golden.Check(t, filepath.Join("testdata", "query_bodies.golden"), got.Bytes())
 }
 
 // upsertCorpus holds the POST /upsert bodies of the corpus, each served
@@ -309,5 +310,5 @@ func TestUpsertBodiesGolden(t *testing.T) {
 		srv.ServeHTTP(snap, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
 		fmt.Fprintf(&got, "### %s\n%d %s%d %s", b.name, rec.Code, rec.Body.Bytes(), snap.Code, snap.Body.Bytes())
 	}
-	checkGolden(t, filepath.Join("testdata", "upsert_bodies.golden"), got.Bytes())
+	golden.Check(t, filepath.Join("testdata", "upsert_bodies.golden"), got.Bytes())
 }
