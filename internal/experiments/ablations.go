@@ -21,9 +21,6 @@ type AblationStaticMatrixResult struct {
 
 // AblationStaticMatrix runs unfiltered Vivaldi on both inputs.
 func AblationStaticMatrix(scale Scale) (*AblationStaticMatrixResult, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 	static := scale.recipe(nil, nil)
 	static.EditNetwork = func(c *netsim.Config) { c.Static = true }
@@ -66,9 +63,6 @@ type AblationThresholdResult struct {
 
 // AblationThresholdFilter compares cutoffs against MP and no filter.
 func AblationThresholdFilter(scale Scale) (*AblationThresholdResult, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 	threshold := func(cutoff float64) filter.Factory { return mustFactory(filter.ThresholdFactory(cutoff)) }
 	type cfg struct {
@@ -133,9 +127,6 @@ type AblationDampingResult struct {
 // AblationDampedVivaldi doubles the us-west/europe long-haul latency at
 // 60% of the run and compares adaptation.
 func AblationDampedVivaldi(scale Scale) (*AblationDampingResult, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	changeAt := scale.DurationTicks * 6 / 10
 	mutate := func(c *netsim.Config) {
 		c.RouteChanges = []netsim.RouteChange{{AtTick: changeAt, RegionA: 0, RegionB: 2, Factor: 2}}
@@ -213,9 +204,6 @@ type AblationWarmupResult struct {
 
 // AblationFilterWarmup compares UpdateAfter = 1 vs 2.
 func AblationFilterWarmup(scale Scale) (*AblationWarmupResult, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	earlyTo := scale.DurationTicks / 10
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 	immediate, err := scale.recipe(mpFactoryImmediate, nil).Run()

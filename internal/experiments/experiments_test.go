@@ -44,6 +44,44 @@ func TestScaleValidate(t *testing.T) {
 	}
 }
 
+// TestExperimentsRefuseUnmeasurableScales: every experiment sized by
+// its scale refuses one too short to measure before building anything;
+// most leave the check to sim.Recipe.Run. Building this scale's
+// 2000-node network and trace would take thousands of allocations.
+// Figure 6 is absent: it has its own fixed shape.
+func TestExperimentsRefuseUnmeasurableScales(t *testing.T) {
+	bad := Scale{Nodes: 2000, DurationTicks: 30, IntervalTicks: 1, Seed: 1}
+	for id, run := range map[string]func(Scale) error{
+		"fig2": refusal(Fig02RawLatencyHistogram), "fig3": refusal(Fig03SingleLinkDistribution),
+		"fig4": refusal(Fig04HistorySizeSweep), "fig5": refusal(Fig05FilterCDFs),
+		"table1": refusal(Table1FilterComparison), "fig7": refusal(Fig07CoordinateDrift),
+		"fig8": refusal(Fig08ThresholdSweep), "fig9": refusal(Fig09WindowSizeSweep),
+		"fig10": refusal(Fig10HeuristicComparison), "fig11": refusal(Fig11AppLevelCDFs),
+		"fig12": refusal(Fig12ApplicationCentroid), "fig13": refusal(Fig13PlanetLabComparison),
+		"fig14": refusal(Fig14ConvergenceTimeline), "a1": refusal(AblationStaticMatrix),
+		"a2": refusal(AblationThresholdFilter), "a3": refusal(AblationDampedVivaldi),
+		"a4": refusal(AblationFilterWarmup), "e1": refusal(ExtensionDetectorComparison),
+		"e2": refusal(ExtensionChurnRobustness),
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if err := run(bad); err == nil {
+				t.Errorf("%s accepted %+v", id, bad)
+			}
+		})
+		if allocs > 200 { // a sweep's workers and errors: about 70
+			t.Errorf("%s made %.0f allocations refusing %+v", id, allocs, bad)
+		}
+	}
+}
+
+// refusal adapts an experiment to the error alone.
+func refusal[R any](experiment func(Scale) (R, error)) func(Scale) error {
+	return func(s Scale) error {
+		_, err := experiment(s)
+		return err
+	}
+}
+
 func TestPaperScaleMatchesPaper(t *testing.T) {
 	s := PaperScale()
 	if s.Nodes != 269 {

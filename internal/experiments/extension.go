@@ -27,9 +27,6 @@ type ExtensionDetectorResult struct {
 // ExtensionDetectorComparison runs ENERGY, RELATIVE and RANKSUM with the
 // paper's window of 32 and their respective standard thresholds.
 func ExtensionDetectorComparison(scale Scale) (*ExtensionDetectorResult, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 	res := &ExtensionDetectorResult{}
 	type entry struct {
@@ -99,9 +96,6 @@ type ExtensionChurnResult struct {
 // ExtensionChurnRobustness runs the churn workload with MP warm-up of 1
 // (the paper's deployed filter) vs 2 (the proposed fix).
 func ExtensionChurnRobustness(scale Scale) (*ExtensionChurnResult, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	churnSpread := scale.DurationTicks * 3 / 4
 	runChurn := func(f filter.Factory) (*sim.Runner, error) {
 		r := scale.recipe(f, nil)

@@ -78,9 +78,6 @@ type Fig05Result struct {
 
 // Fig05FilterCDFs runs the MP-vs-none comparison.
 func Fig05FilterCDFs(scale Scale) (*Fig05Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 
 	mpRun, err := scale.recipe(mpFactory, nil).Run()
@@ -198,9 +195,6 @@ type Table1Result struct {
 // Table1FilterComparison runs the five configurations of Table I on
 // identical traces.
 func Table1FilterComparison(scale Scale) (*Table1Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 	type cfg struct {
 		name    string

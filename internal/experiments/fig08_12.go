@@ -104,9 +104,6 @@ type Fig08Result struct {
 // Fig08ThresholdSweep runs both window-based heuristics across their
 // threshold ranges.
 func Fig08ThresholdSweep(scale Scale) (*Fig08Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	energy, err := sweep(scale, energyTaus(), func(tau float64) sim.PolicyFactory {
 		return func(dim int) (heuristic.Policy, error) {
 			return heuristic.NewEnergy(dim, heuristic.DefaultWindow, tau)
@@ -247,9 +244,6 @@ type Fig11Result struct {
 // Fig11AppLevelCDFs runs ENERGY+MP and RELATIVE+MP and compares their
 // app-level streams with the raw (Direct) MP stream.
 func Fig11AppLevelCDFs(scale Scale) (*Fig11Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 
 	energyRun, err := scale.recipe(mpFactory, func(dim int) (heuristic.Policy, error) {
@@ -300,9 +294,6 @@ type Fig12Result struct {
 // Fig12ApplicationCentroid sweeps APPLICATION/CENTROID's threshold with
 // the standard window of 32.
 func Fig12ApplicationCentroid(scale Scale) (*Fig12Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	pts, err := sweep(scale, energyTaus(), func(tau float64) sim.PolicyFactory {
 		return func(dim int) (heuristic.Policy, error) {
 			return heuristic.NewApplicationCentroid(dim, heuristic.DefaultWindow, tau)

@@ -41,9 +41,6 @@ type Fig13Result struct {
 // configuration faithfully here (UpdateAfter=1) — the A4 ablation
 // measures the fix.
 func Fig13PlanetLabComparison(scale Scale) (*Fig13Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	from, to := scale.MeasureFrom(), scale.DurationTicks
 
 	mpRun, err := scale.recipe(mpFactoryImmediate, energyPolicy).Run()
@@ -158,9 +155,6 @@ type Fig14Result struct {
 // Fig14ConvergenceTimeline reruns the paired systems and buckets metrics
 // into ten-minute intervals.
 func Fig14ConvergenceTimeline(scale Scale) (*Fig14Result, error) {
-	if err := scale.Validate(); err != nil {
-		return nil, err
-	}
 	mpRun, err := scale.recipe(mpFactoryImmediate, energyPolicy).Run()
 	if err != nil {
 		return nil, err
