@@ -41,8 +41,8 @@ func TestRecipeReplayEqualsRun(t *testing.T) {
 }
 
 // TestRecipeValidatesMeasuredRunsOnly: Run and Replay refuse a run too
-// small to measure, before building it; Start, which Figure 6 steps a 3-node cluster with,
-// does not.
+// small to measure, before building it; Start, which Figure 6 steps a
+// 3-node cluster with, does not.
 func TestRecipeValidatesMeasuredRunsOnly(t *testing.T) {
 	for _, r := range []Recipe{
 		{Nodes: 3, IntervalTicks: 1, DurationTicks: 600},
