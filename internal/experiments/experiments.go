@@ -16,7 +16,9 @@
 // an edit of the default network (A1's static matrix, A3's route
 // change, Figure 7's drift), Figure 6's low-latency cluster, or E2's
 // join spread. The network itself is chosen in sim.Recipe, so a change
-// there reaches every figure.
+// there reaches every figure. Recipe.Run refuses an unmeasurable scale
+// before it builds anything; a figure checks the scale itself only when
+// it builds a trace or divides by the interval first.
 package experiments
 
 import (
