@@ -10,9 +10,12 @@
 // package twice: once from the base revision, checked out with `git
 // worktree add` under .bench_build/benchpair/ (and removed on exit),
 // and once from the work tree as it stands, uncommitted changes
-// included. Each pair then runs both binaries with the same -bench,
-// -cpu and -benchtime, base first in even pairs and the change first
-// in odd ones. The summary holds, per package, benchmark, procs and
+// included. Each _test.go file of a package that the base revision
+// lacks is copied into the base checkout first, so that a benchmark the
+// change adds is paired too; a benchmark that still runs on one side
+// only fails the run. Each pair then runs both binaries with the same
+// -bench, -cpu and -benchtime, base first in even pairs and the change
+// first in odd ones. The summary holds, per package, benchmark, procs and
 // metric, each side's median and quartiles, in how many pairs the
 // change did better, and a verdict (see summarize).
 package main
@@ -134,6 +137,11 @@ func benchpair(args []string) error {
 		return err
 	}
 	defer func() { _, _ = git(root, "worktree", "remove", "--force", baseTree) }()
+	for _, pkg := range pkgs {
+		if err := copyMissingTests(filepath.Join(root, pkg), filepath.Join(baseTree, pkg)); err != nil {
+			return err
+		}
+	}
 
 	trees := map[string]string{sideBase: baseTree, sideHead: root}
 	bins := map[string][]string{}
@@ -177,7 +185,9 @@ func benchpair(args []string) error {
 		}
 	}
 	rep.Machine = fmt.Sprintf("%s, %s/%s, %d CPUs", cpuModel, runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
-	rep.Summary = summarize(rep.Runs)
+	if rep.Summary, err = summarize(rep.Runs); err != nil {
+		return err
+	}
 
 	doc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -192,6 +202,35 @@ func benchpair(args []string) error {
 		return err
 	}
 	return os.WriteFile(*out, doc, 0o644)
+}
+
+// copyMissingTests copies into the base package dir each _test.go file
+// of the work tree's that the base lacks, so that a benchmark the
+// change adds runs on both sides. A file the base has is never
+// overwritten: the base measures its own version of it.
+func copyMissingTests(headDir, baseDir string) error {
+	files, err := filepath.Glob(filepath.Join(headDir, "*_test.go"))
+	if err != nil {
+		return err
+	}
+	for _, src := range files {
+		dst := filepath.Join(baseDir, filepath.Base(src))
+		if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		data, err := os.ReadFile(src)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "benchpair: base lacks %s; copying it from the work tree\n", dst)
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // git runs git in dir and returns its trimmed output.

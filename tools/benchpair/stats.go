@@ -2,6 +2,7 @@ package main
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -46,12 +47,21 @@ type key struct {
 
 // summarize groups the runs' results by package, benchmark, procs and
 // metric, pairs each base value with the change's from the same pair,
-// and reduces every group to a summary row, in a stable order.
-func summarize(runs []run) []summary {
+// and reduces every group to a summary row, in a stable order. A
+// benchmark that ran on one side only is an error that names it: left
+// out of the summary without a word, it would read as one the change
+// did not touch.
+func summarize(runs []run) ([]summary, error) {
 	type sides struct{ base, head map[int]float64 }
 	groups := map[key]*sides{}
+	ranOn := map[key]map[string]bool{} // keyed with no metric: the benchmark itself
 	for _, r := range runs {
 		for _, res := range r.Results {
+			b := key{r.Package, res.Name, res.Procs, ""}
+			if ranOn[b] == nil {
+				ranOn[b] = map[string]bool{}
+			}
+			ranOn[b][r.Side] = true
 			for metric, v := range res.Metrics {
 				k := key{r.Package, res.Name, res.Procs, metric}
 				g := groups[k]
@@ -67,6 +77,20 @@ func summarize(runs []run) []summary {
 			}
 		}
 	}
+	var unpaired []string
+	for b, sides := range ranOn {
+		if !sides[sideBase] || !sides[sideHead] {
+			side := sideBase
+			if sides[sideHead] {
+				side = sideHead
+			}
+			unpaired = append(unpaired, fmt.Sprintf("%s %s-%d ran on the %s side only", b.pkg, b.name, b.procs, side))
+		}
+	}
+	if len(unpaired) > 0 {
+		slices.Sort(unpaired)
+		return nil, fmt.Errorf("unpaired: %s", strings.Join(unpaired, "; "))
+	}
 	var out []summary
 	for k, g := range groups {
 		var base, head []float64
@@ -76,7 +100,7 @@ func summarize(runs []run) []summary {
 			}
 		}
 		if len(base) == 0 {
-			continue
+			continue // a metric one side alone reports, such as one the change adds
 		}
 		lower := !strings.HasSuffix(k.metric, "/s")
 		s := summary{
@@ -97,7 +121,7 @@ func summarize(runs []run) []summary {
 		return cmp.Or(cmp.Compare(a.Package, b.Package), cmp.Compare(a.Name, b.Name),
 			cmp.Compare(a.Procs, b.Procs), cmp.Compare(a.Metric, b.Metric))
 	})
-	return out
+	return out, nil
 }
 
 // spreadOf is the quartiles of xs, which must not be empty.

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"netcoord/tools/internal/benchfmt"
@@ -89,7 +93,10 @@ func TestSummarizePairsValuesByPair(t *testing.T) {
 	}
 	// A pair whose head run is missing is not counted.
 	runs = append(runs, run{Pair: 10, Side: sideBase, Package: ".", Results: res("BenchmarkX", 2, 1, 1)})
-	got := summarize(runs)
+	got, err := summarize(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 2 {
 		t.Fatalf("%d rows, want 2: %+v", len(got), got)
 	}
@@ -106,5 +113,62 @@ func TestSummarizePairsValuesByPair(t *testing.T) {
 	}
 	if math.Abs(ns.Delta-(1400.0/1450-1)) > 1e-12 {
 		t.Errorf("delta = %v", ns.Delta)
+	}
+}
+
+func TestSummarizeRefusesABenchmarkRunOnOneSide(t *testing.T) {
+	res := func(name string, metrics ...string) benchfmt.Result {
+		r := benchfmt.Result{Name: name, Procs: 1, Metrics: map[string]float64{}}
+		for _, m := range metrics {
+			r.Metrics[m] = 1
+		}
+		return r
+	}
+	var runs []run
+	for p := 0; p < 3; p++ {
+		runs = append(runs,
+			run{Pair: p, Side: sideBase, Package: "./x", Results: []benchfmt.Result{res("BenchmarkOld", "ns/op")}},
+			run{Pair: p, Side: sideHead, Package: "./x", Results: []benchfmt.Result{res("BenchmarkOld", "ns/op", "hits/op")}})
+	}
+	// A metric the change adds to a paired benchmark has nothing to
+	// pair with, and is no error.
+	got, err := summarize(runs)
+	if err != nil || len(got) != 1 || got[0].Metric != "ns/op" {
+		t.Fatalf("summarize = %+v, %v; want the ns/op row alone", got, err)
+	}
+	runs = append(runs, run{Pair: 3, Side: sideHead, Package: "./x", Results: []benchfmt.Result{res("BenchmarkNew", "ns/op")}})
+	got, err = summarize(runs)
+	if err == nil {
+		t.Fatalf("summarize paired a head-only benchmark: %+v", got)
+	}
+	if want := "./x BenchmarkNew-1 ran on the head side only"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if strings.Contains(err.Error(), "BenchmarkOld") {
+		t.Fatalf("error %q names the paired benchmark", err)
+	}
+}
+
+func TestCopyMissingTestsKeepsTheBasesFiles(t *testing.T) {
+	head, base := t.TempDir(), t.TempDir()
+	write := func(dir, name, body string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(head, "old_test.go", "head")
+	write(head, "new_test.go", "head")
+	write(head, "code.go", "head")
+	write(base, "old_test.go", "base")
+	if err := copyMissingTests(head, base); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"old_test.go": "base", "new_test.go": "head"} {
+		if got, err := os.ReadFile(filepath.Join(base, name)); err != nil || string(got) != want {
+			t.Errorf("base %s = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(base, "code.go")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("copied a non-test file: %v", err)
 	}
 }
