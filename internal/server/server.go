@@ -169,7 +169,9 @@ func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
 
 // staleness stamps follower read responses with how stale they may be:
 // X-NC-Staleness is seconds since the upstream last answered, X-NC-Lag
-// the events known outstanding. A replica cut off from its upstream
+// the events known outstanding. The keys are spelled canonically
+// (X-Nc-…), as the wire carries them, so that setting them costs no
+// allocation of its own. A replica cut off from its upstream
 // keeps serving reads — availability degrades gracefully instead of
 // cliffing — but every response discloses the bound, so a client that
 // needs read-your-writes (it just mutated through the leader) knows to
@@ -181,9 +183,9 @@ func (s *Server) staleness(h http.HandlerFunc) http.HandlerFunc {
 		if s.replica() {
 			age, lag := s.follower.Staleness()
 			if age >= 0 {
-				w.Header().Set("X-NC-Staleness", strconv.FormatFloat(age, 'f', 3, 64))
+				w.Header().Set("X-Nc-Staleness", strconv.FormatFloat(age, 'f', 3, 64))
 			}
-			w.Header().Set("X-NC-Lag", strconv.FormatUint(lag, 10))
+			w.Header().Set("X-Nc-Lag", strconv.FormatUint(lag, 10))
 		}
 		h(w, req)
 	}

@@ -514,6 +514,37 @@ func TestFollowerReBootstrapsAfterTruncation(t *testing.T) {
 	}
 }
 
+// TestReplicaStampAllocs holds the staleness stamp on a replica read to
+// four allocations: two in strconv.FormatFloat for the age and one value
+// slice per header (a lag under 100 formats without one). The header
+// keys are written in canonical form, so Header().Set does not rebuild
+// them; spelled X-NC-…, each would cost one more.
+func TestReplicaStampAllocs(t *testing.T) {
+	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
+	postJSON(t, leaderTS.URL+"/upsert", `{"id":"a","coord":{"vec":[1,0,0]}}`)
+	f := startTestFollower(t, leaderTS.URL)
+	waitConverged(t, f, leaderReg)
+	srv := New(Config{Registry: f.Registry, Follower: f})
+	t.Cleanup(srv.Stop)
+
+	stamped := srv.staleness(func(http.ResponseWriter, *http.Request) {})
+	req, err := http.NewRequest(http.MethodGet, "/nearest", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardWriter{h: http.Header{}}
+	allocs := testing.AllocsPerRun(100, func() {
+		clear(w.h)
+		stamped(w, req)
+	})
+	if w.h.Get("X-NC-Staleness") == "" || w.h.Get("X-NC-Lag") == "" {
+		t.Fatalf("replica read not stamped: %v", w.h)
+	}
+	if allocs > 4 {
+		t.Fatalf("stamp made %.0f allocations, want 4", allocs)
+	}
+}
+
 func TestFollowerModeHTTPSurface(t *testing.T) {
 	leaderTS, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{})
 	postJSON(t, leaderTS.URL+"/upsert", `{"entries":[
