@@ -1,7 +1,7 @@
 // Command ncbench regenerates every table and figure in the paper's
 // evaluation, rendering the full experiment output (the rows/series the
-// paper plots) to stdout or a file. EXPERIMENTS.md is produced from this
-// tool's output.
+// paper plots) to stdout or a file. It runs experiments.Table, in that
+// table's order; -list prints its ids.
 //
 // Usage:
 //
@@ -22,53 +22,6 @@ import (
 	"netcoord/internal/experiments"
 )
 
-// renderer is the common experiment output contract.
-type renderer interface {
-	Render() string
-}
-
-// experiment couples an id with its runner.
-type experiment struct {
-	id  string
-	run func(experiments.Scale) (renderer, error)
-}
-
-// wrap adapts a typed experiment constructor to the renderer interface.
-func wrap[T renderer](f func(experiments.Scale) (T, error)) func(experiments.Scale) (renderer, error) {
-	return func(s experiments.Scale) (renderer, error) {
-		r, err := f(s)
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-}
-
-func allExperiments() []experiment {
-	return []experiment{
-		{id: "fig2", run: wrap(experiments.Fig02RawLatencyHistogram)},
-		{id: "fig3", run: wrap(experiments.Fig03SingleLinkDistribution)},
-		{id: "fig4", run: wrap(experiments.Fig04HistorySizeSweep)},
-		{id: "fig5", run: wrap(experiments.Fig05FilterCDFs)},
-		{id: "table1", run: wrap(experiments.Table1FilterComparison)},
-		{id: "fig6", run: wrap(experiments.Fig06ConfidenceBuilding)},
-		{id: "fig7", run: wrap(experiments.Fig07CoordinateDrift)},
-		{id: "fig8", run: wrap(experiments.Fig08ThresholdSweep)},
-		{id: "fig9", run: wrap(experiments.Fig09WindowSizeSweep)},
-		{id: "fig10", run: wrap(experiments.Fig10HeuristicComparison)},
-		{id: "fig11", run: wrap(experiments.Fig11AppLevelCDFs)},
-		{id: "fig12", run: wrap(experiments.Fig12ApplicationCentroid)},
-		{id: "fig13", run: wrap(experiments.Fig13PlanetLabComparison)},
-		{id: "fig14", run: wrap(experiments.Fig14ConvergenceTimeline)},
-		{id: "a1", run: wrap(experiments.AblationStaticMatrix)},
-		{id: "a2", run: wrap(experiments.AblationThresholdFilter)},
-		{id: "a3", run: wrap(experiments.AblationDampedVivaldi)},
-		{id: "a4", run: wrap(experiments.AblationFilterWarmup)},
-		{id: "e1", run: wrap(experiments.ExtensionDetectorComparison)},
-		{id: "e2", run: wrap(experiments.ExtensionChurnRobustness)},
-	}
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "ncbench: %v\n", err)
@@ -87,10 +40,10 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	exps := allExperiments()
+	exps := experiments.Table()
 	if *list {
 		for _, e := range exps {
-			fmt.Println(e.id)
+			fmt.Println(e.ID)
 		}
 		return nil
 	}
@@ -110,11 +63,11 @@ func run(args []string) (err error) {
 		for _, id := range strings.Split(*only, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
-		selected = selected[:0:0]
+		selected = nil
 		for _, e := range exps {
-			if want[e.id] {
+			if want[e.ID] {
 				selected = append(selected, e)
-				delete(want, e.id)
+				delete(want, e.ID)
 			}
 		}
 		if len(want) > 0 {
@@ -140,11 +93,11 @@ func run(args []string) (err error) {
 		*scaleName, scale.Nodes, scale.DurationTicks, scale.IntervalTicks)
 	for _, e := range selected {
 		started := time.Now()
-		r, rerr := e.run(scale)
+		r, rerr := e.Run(scale)
 		if rerr != nil {
-			return fmt.Errorf("%s: %w", e.id, rerr)
+			return fmt.Errorf("%s: %w", e.ID, rerr)
 		}
-		fmt.Fprintf(w, "[%s] (%.1fs)\n%s\n", e.id, time.Since(started).Seconds(), r.Render())
+		fmt.Fprintf(w, "[%s] (%.1fs)\n%s\n", e.ID, time.Since(started).Seconds(), r.Render())
 	}
 	return nil
 }

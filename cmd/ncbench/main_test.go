@@ -7,34 +7,6 @@ import (
 	"testing"
 )
 
-func TestAllExperimentsHaveUniqueIDs(t *testing.T) {
-	seen := map[string]bool{}
-	for _, e := range allExperiments() {
-		if seen[e.id] {
-			t.Fatalf("duplicate experiment id %q", e.id)
-		}
-		seen[e.id] = true
-		if e.run == nil {
-			t.Fatalf("experiment %q has no runner", e.id)
-		}
-	}
-	// Every figure/table from the paper plus the four ablations and the
-	// extension.
-	want := []string{
-		"fig2", "fig3", "fig4", "fig5", "table1", "fig6", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"a1", "a2", "a3", "a4", "e1", "e2",
-	}
-	for _, id := range want {
-		if !seen[id] {
-			t.Errorf("missing experiment %q", id)
-		}
-	}
-	if len(seen) != len(want) {
-		t.Errorf("have %d experiments, want %d", len(seen), len(want))
-	}
-}
-
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
 		t.Fatalf("run -list: %v", err)

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation. Each Fig/Table function runs the necessary simulations at a
 // requested Scale and returns a typed result with a Render method that
-// prints the same rows/series the paper reports. The bench harness at the
-// repository root and cmd/ncbench both drive these runners.
+// prints the same rows/series the paper reports. Table lists all twenty
+// experiments once, in order; cmd/ncbench and BenchmarkExperiments walk
+// it, and each id names its golden render, testdata/<id>.golden.
 //
 // Two scales are provided: QuickScale for CI-speed runs that preserve the
 // qualitative shape of every result, and PaperScale matching the paper's
@@ -30,6 +31,57 @@ import (
 	"netcoord/internal/sim"
 	"netcoord/internal/stats"
 )
+
+// Result is what every experiment returns: Render prints the rows and
+// series the paper reports.
+type Result interface{ Render() string }
+
+// Experiment is one entry of Table: its id, as cmd/ncbench names it,
+// and the runner that reproduces it at a Scale.
+type Experiment struct {
+	ID  string
+	Run func(Scale) (Result, error)
+}
+
+// Table is the paper's evaluation in the order cmd/ncbench runs it:
+// Figures 2 to 14 with Table I after Figure 5, then the ablations A1 to
+// A4 and the extensions E1 and E2. Each call returns a new slice.
+func Table() []Experiment {
+	return []Experiment{
+		entry("fig2", Fig02RawLatencyHistogram),
+		entry("fig3", Fig03SingleLinkDistribution),
+		entry("fig4", Fig04HistorySizeSweep),
+		entry("fig5", Fig05FilterCDFs),
+		entry("table1", Table1FilterComparison),
+		entry("fig6", Fig06ConfidenceBuilding),
+		entry("fig7", Fig07CoordinateDrift),
+		entry("fig8", Fig08ThresholdSweep),
+		entry("fig9", Fig09WindowSizeSweep),
+		entry("fig10", Fig10HeuristicComparison),
+		entry("fig11", Fig11AppLevelCDFs),
+		entry("fig12", Fig12ApplicationCentroid),
+		entry("fig13", Fig13PlanetLabComparison),
+		entry("fig14", Fig14ConvergenceTimeline),
+		entry("a1", AblationStaticMatrix),
+		entry("a2", AblationThresholdFilter),
+		entry("a3", AblationDampedVivaldi),
+		entry("a4", AblationFilterWarmup),
+		entry("e1", ExtensionDetectorComparison),
+		entry("e2", ExtensionChurnRobustness),
+	}
+}
+
+// entry adapts a typed runner to Experiment.Run. A failed run returns
+// a nil Result, not a nil pointer wrapped in one.
+func entry[R Result](id string, run func(Scale) (R, error)) Experiment {
+	return Experiment{ID: id, Run: func(s Scale) (Result, error) {
+		r, err := run(s)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}}
+}
 
 // Scale sizes an experiment.
 type Scale struct {

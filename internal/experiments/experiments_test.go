@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"netcoord/internal/golden"
@@ -16,12 +17,12 @@ func tinyScale() Scale {
 }
 
 // checkGolden holds an experiment's whole render at tinyScale to
-// testdata/<id>.golden (id as cmd/ncbench names it), byte for byte. The
+// testdata/<id>.golden (id as Table names it), byte for byte. The
 // shape checks beside it pass across a wide range of outputs; this one
 // fails on a slipped seed, a different network or a changed metric.
 // Regenerate with `go test ./internal/experiments -update` and review
 // the diff.
-func checkGolden(t *testing.T, id string, r interface{ Render() string }) {
+func checkGolden(t *testing.T, id string, r Result) {
 	t.Helper()
 	golden.Check(t, filepath.Join("testdata", id+".golden"), []byte(r.Render()))
 }
@@ -48,37 +49,54 @@ func TestScaleValidate(t *testing.T) {
 // its scale refuses one too short to measure before building anything;
 // most leave the check to sim.Recipe.Run. Building this scale's
 // 2000-node network and trace would take thousands of allocations.
-// Figure 6 is absent: it has its own fixed shape.
+// Figure 6 is skipped: it has its own fixed shape.
 func TestExperimentsRefuseUnmeasurableScales(t *testing.T) {
 	bad := Scale{Nodes: 2000, DurationTicks: 30, IntervalTicks: 1, Seed: 1}
-	for id, run := range map[string]func(Scale) error{
-		"fig2": refusal(Fig02RawLatencyHistogram), "fig3": refusal(Fig03SingleLinkDistribution),
-		"fig4": refusal(Fig04HistorySizeSweep), "fig5": refusal(Fig05FilterCDFs),
-		"table1": refusal(Table1FilterComparison), "fig7": refusal(Fig07CoordinateDrift),
-		"fig8": refusal(Fig08ThresholdSweep), "fig9": refusal(Fig09WindowSizeSweep),
-		"fig10": refusal(Fig10HeuristicComparison), "fig11": refusal(Fig11AppLevelCDFs),
-		"fig12": refusal(Fig12ApplicationCentroid), "fig13": refusal(Fig13PlanetLabComparison),
-		"fig14": refusal(Fig14ConvergenceTimeline), "a1": refusal(AblationStaticMatrix),
-		"a2": refusal(AblationThresholdFilter), "a3": refusal(AblationDampedVivaldi),
-		"a4": refusal(AblationFilterWarmup), "e1": refusal(ExtensionDetectorComparison),
-		"e2": refusal(ExtensionChurnRobustness),
-	} {
+	for _, e := range Table() {
+		if e.ID == "fig6" {
+			continue
+		}
 		allocs := testing.AllocsPerRun(1, func() {
-			if err := run(bad); err == nil {
-				t.Errorf("%s accepted %+v", id, bad)
+			if _, err := e.Run(bad); err == nil {
+				t.Errorf("%s accepted %+v", e.ID, bad)
 			}
 		})
 		if allocs > 200 { // a sweep's workers and errors: about 70
-			t.Errorf("%s made %.0f allocations refusing %+v", id, allocs, bad)
+			t.Errorf("%s made %.0f allocations refusing %+v", e.ID, allocs, bad)
 		}
 	}
 }
 
-// refusal adapts an experiment to the error alone.
-func refusal[R any](experiment func(Scale) (R, error)) func(Scale) error {
-	return func(s Scale) error {
-		_, err := experiment(s)
-		return err
+// TestTableMatchesGoldens ties Table to testdata in both directions:
+// each id is unique, has a runner and a testdata/<id>.golden, and each
+// golden names an id. The goldens themselves are compared by the shape
+// tests below, so this runs no experiment.
+func TestTableMatchesGoldens(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens := map[string]bool{}
+	for _, f := range files {
+		goldens[strings.TrimSuffix(filepath.Base(f), ".golden")] = true
+	}
+	ids := map[string]bool{}
+	for _, e := range Table() {
+		if ids[e.ID] {
+			t.Errorf("id %q listed twice", e.ID)
+		}
+		ids[e.ID] = true
+		if e.Run == nil {
+			t.Errorf("%s has no runner", e.ID)
+		}
+		if !goldens[e.ID] {
+			t.Errorf("%s has no testdata/%s.golden", e.ID, e.ID)
+		}
+	}
+	for id := range goldens {
+		if !ids[id] {
+			t.Errorf("testdata/%s.golden names no experiment in Table", id)
+		}
 	}
 }
 

@@ -380,7 +380,9 @@ func BenchmarkPairAppendIncrementalEnergy(b *testing.B) {
 }
 
 func BenchmarkNaiveEnergyPerSlide(b *testing.B) {
-	// The O(k^2) alternative, for the ablation comparison in DESIGN.md.
+	// The O(k^2) alternative: BenchmarkPairAppendIncrementalEnergy's
+	// baseline. It is no ablation of the paper's; those are A1 to A4 in
+	// experiments.Table.
 	p, err := NewPair(32, 3)
 	if err != nil {
 		b.Fatal(err)
