@@ -15,6 +15,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,13 +25,13 @@ import (
 const clusterSize = 5
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "livecluster: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cfg := netcoord.DefaultConfig()
 	cfg.ErrorMargin = 3 // confidence building: Section IV-B
 
@@ -60,7 +61,7 @@ func run() error {
 		if i == 0 {
 			seeds = []string{n.Addr()} // everyone else joins via node 0
 		}
-		fmt.Printf("started node %d on %s\n", i, n.Addr())
+		fmt.Fprintf(w, "started node %d on %s\n", i, n.Addr())
 	}
 
 	// Push convergence along synchronously, then report.
@@ -80,15 +81,15 @@ func run() error {
 	}
 	time.Sleep(500 * time.Millisecond) // let background samplers breathe
 
-	fmt.Printf("\n%-6s %-28s %-12s %-10s %-8s\n", "node", "coordinate", "confidence", "neighbors", "samples")
+	fmt.Fprintf(w, "\n%-6s %-28s %-12s %-10s %-8s\n", "node", "coordinate", "confidence", "neighbors", "samples")
 	for i, n := range nodes {
-		fmt.Printf("%-6d %-28v %-12.2f %-10d %-8d\n",
+		fmt.Fprintf(w, "%-6d %-28v %-12.2f %-10d %-8d\n",
 			i, n.Coordinate(), n.Confidence(), len(n.Neighbors()), n.Samples())
 	}
 
 	// Pairwise latency estimates: on loopback every pair should predict
 	// a few milliseconds at most.
-	fmt.Println("\npairwise RTT estimates (ms):")
+	fmt.Fprintln(w, "\npairwise RTT estimates (ms):")
 	for i := range nodes {
 		for j := range nodes {
 			if i >= j {
@@ -98,9 +99,9 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  node %d <-> node %d: %6.2f\n", i, j, est)
+			fmt.Fprintf(w, "  node %d <-> node %d: %6.2f\n", i, j, est)
 		}
 	}
-	fmt.Println("\ngossip spread the membership from one seed; confidence building handled sub-precision RTTs.")
+	fmt.Fprintln(w, "\ngossip spread the membership from one seed; confidence building handled sub-precision RTTs.")
 	return nil
 }

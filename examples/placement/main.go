@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -30,13 +31,13 @@ type site struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "placement: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	sites := []*site{
 		{name: "sfo-1", region: "us-west", x: 0, y: 0},
 		{name: "sfo-2", region: "us-west", x: 4, y: 3},
@@ -92,9 +93,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("three nearest replicas to sfo-1 (app-level coordinates):")
+	fmt.Fprintln(w, "three nearest replicas to sfo-1 (app-level coordinates):")
 	for _, r := range nearest {
-		fmt.Printf("  %-8s estimated %6.1f ms\n", r.ID, r.EstimatedRTT)
+		fmt.Fprintf(w, "  %-8s estimated %6.1f ms\n", r.ID, r.EstimatedRTT)
 	}
 
 	// Question 2: place a stream operator between sfo-2 and ams-1.
@@ -105,8 +106,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\noperator between sfo-2 and ams-1 placed at %s (worst-case leg %.1f ms)\n",
+	fmt.Fprintf(w, "\noperator between sfo-2 and ams-1 placed at %s (worst-case leg %.1f ms)\n",
 		best.ID, best.EstimatedRTT)
-	fmt.Println("expected: a us-east site — the geographic midpoint wins the minimax.")
+	fmt.Fprintln(w, "expected: a us-east site — the geographic midpoint wins the minimax.")
 	return nil
 }

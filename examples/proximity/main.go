@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -26,13 +27,13 @@ import (
 const clusterSize = 6
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "proximity: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cfg := netcoord.DefaultConfig()
 	cfg.ErrorMargin = 3 // loopback RTTs sit below measurement precision
 
@@ -76,7 +77,7 @@ func run() error {
 		if i == 0 {
 			seeds = []string{n.Addr()}
 		}
-		fmt.Printf("started %s on %s\n", id, n.Addr())
+		fmt.Fprintf(w, "started %s on %s\n", id, n.Addr())
 	}
 
 	// Drive convergence synchronously so the example finishes quickly.
@@ -99,7 +100,7 @@ func run() error {
 	}
 
 	st := reg.Stats()
-	fmt.Printf("\nregistry: %d entries, %d upserts from node feeds\n", st.Entries, st.Upserts)
+	fmt.Fprintf(w, "\nregistry: %d entries, %d upserts from node feeds\n", st.Entries, st.Upserts)
 
 	// The payoff query: nearest 3 replicas to a client. The client is
 	// not part of the cluster — it only knows its own coordinate (here,
@@ -109,9 +110,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("nearest 3 replicas to the client:")
+	fmt.Fprintln(w, "nearest 3 replicas to the client:")
 	for rank, r := range nearest {
-		fmt.Printf("  %d. %-10s estimated RTT %6.2f ms\n", rank+1, r.ID, r.EstimatedRTT)
+		fmt.Fprintf(w, "  %d. %-10s estimated RTT %6.2f ms\n", rank+1, r.ID, r.EstimatedRTT)
 	}
 
 	// And the same through a registered node's perspective — guarded on
@@ -122,9 +123,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("nearest 3 peers to replica-1 (itself excluded):")
+		fmt.Fprintln(w, "nearest 3 peers to replica-1 (itself excluded):")
 		for rank, r := range peers {
-			fmt.Printf("  %d. %-10s estimated RTT %6.2f ms\n", rank+1, r.ID, r.EstimatedRTT)
+			fmt.Fprintf(w, "  %d. %-10s estimated RTT %6.2f ms\n", rank+1, r.ID, r.EstimatedRTT)
 		}
 	}
 	return nil

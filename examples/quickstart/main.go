@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -21,13 +22,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cfgA := netcoord.DefaultConfig()
 	cfgA.Seed = 1
 	alice, err := netcoord.NewClient(cfgA)
@@ -72,7 +73,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("after %3d observations: estimated RTT %6.1f ms (true %.0f), confidence %.2f\n",
+			fmt.Fprintf(w, "after %3d observations: estimated RTT %6.1f ms (true %.0f), confidence %.2f\n",
 				i+1, est, trueRTT, alice.Confidence())
 		}
 	}
@@ -85,9 +86,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nfinal system-level estimate:      %.1f ms\n", est)
-	fmt.Printf("final application-level estimate: %.1f ms\n", appEst)
-	fmt.Printf("application coordinate updates:   %d (of 600 observations)\n", appUpdates)
-	fmt.Println("\nthe app coordinate moved rarely; the estimate stayed accurate — that is the paper's point.")
+	fmt.Fprintf(w, "\nfinal system-level estimate:      %.1f ms\n", est)
+	fmt.Fprintf(w, "final application-level estimate: %.1f ms\n", appEst)
+	fmt.Fprintf(w, "application coordinate updates:   %d (of 600 observations)\n", appUpdates)
+	fmt.Fprintln(w, "\nthe app coordinate moved rarely; the estimate stayed accurate — that is the paper's point.")
 	return nil
 }
