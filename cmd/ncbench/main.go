@@ -15,7 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -71,7 +73,7 @@ func run(args []string) (err error) {
 			}
 		}
 		if len(want) > 0 {
-			return fmt.Errorf("unknown experiment ids: %v (use -list)", keys(want))
+			return fmt.Errorf("unknown experiment ids: %v (use -list)", slices.Sorted(maps.Keys(want)))
 		}
 	}
 
@@ -100,12 +102,4 @@ func run(args []string) (err error) {
 		fmt.Fprintf(w, "[%s] (%.1fs)\n%s\n", e.ID, time.Since(started).Seconds(), r.Render())
 	}
 	return nil
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

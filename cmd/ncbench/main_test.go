@@ -25,6 +25,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+func TestRunListsUnknownIDsSorted(t *testing.T) {
+	const want = "unknown experiment ids: [w x y z] (use -list)"
+	// A four-key map often walks in sorted order by chance, so one run
+	// proves little; the listing is checked a hundred times.
+	for range 100 {
+		err := run([]string{"-only", "w,x,y,z"})
+		if err == nil || err.Error() != want {
+			t.Fatalf("run -only w,x,y,z: got %v, want %q", err, want)
+		}
+	}
+}
+
 func TestRunSubsetToFile(t *testing.T) {
 	// fig2 is the cheapest experiment; quick scale keeps this test
 	// meaningful but fast.

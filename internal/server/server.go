@@ -183,7 +183,8 @@ func (s *Server) staleness(h http.HandlerFunc) http.HandlerFunc {
 		if s.replica() {
 			age, lag := s.follower.Staleness()
 			if age >= 0 {
-				w.Header().Set("X-Nc-Staleness", strconv.FormatFloat(age, 'f', 3, 64))
+				var buf [32]byte
+				w.Header().Set("X-Nc-Staleness", string(strconv.AppendFloat(buf[:0], age, 'f', 3, 64)))
 			}
 			w.Header().Set("X-Nc-Lag", strconv.FormatUint(lag, 10))
 		}

@@ -7,7 +7,7 @@ import (
 
 // Registration failures are programming errors — a bad metric name or
 // a kind conflict is a bug in the component registering it, not an
-// operational condition — so the convenience constructors (Counter,
+// operational condition — so the Registry's constructors (Counter,
 // Gauge, ...) panic. The panic value is always a *RegistrationError
 // wrapping one of the sentinels below, so a recover-and-inspect
 // harness (and the nclint metricnames analyzer's fixtures) can assert
@@ -45,7 +45,7 @@ func (e *RegistrationError) Unwrap() error { return e.Err }
 // registration and the nclint metricnames analyzer — there is exactly
 // one definition of "valid" in the build.
 func ValidateMetricName(name string) error {
-	if !validMetricName(name) {
+	if !validName(name, true) {
 		return &RegistrationError{Metric: name, Err: ErrInvalidMetricName}
 	}
 	return nil
@@ -54,22 +54,8 @@ func ValidateMetricName(name string) error {
 // ValidateLabelName checks name against the Prometheus label-name
 // charset (no colons, unlike metric names).
 func ValidateLabelName(name string) error {
-	if !validLabelName(name) {
+	if !validName(name, false) {
 		return &RegistrationError{Metric: name, Err: ErrInvalidLabelName}
 	}
 	return nil
-}
-
-// MustRegister unwraps an error-returning registration, panicking with
-// the typed *RegistrationError on failure:
-//
-//	c := telemetry.MustRegister(reg.RegisterCounter("netcoord_x_total", "...", nil))
-//
-// The convenience constructors (Counter, Gauge, Histogram, ...) are
-// exactly this wrapper applied to their Register* counterparts.
-func MustRegister[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

@@ -5,27 +5,38 @@ import (
 	"testing"
 )
 
+// registerPanic runs register and returns the *RegistrationError it
+// panicked with, failing the test if it did not panic with one.
+func registerPanic(t *testing.T, register func()) (re *RegistrationError) {
+	t.Helper()
+	defer func() {
+		v := recover()
+		err, ok := v.(error)
+		if !ok || !errors.As(err, &re) {
+			t.Fatalf("panic value %#v, want a *RegistrationError", v)
+		}
+	}()
+	register()
+	return nil
+}
+
 func TestRegisterTypedErrors(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.RegisterCounter("0bad", "", nil); !errors.Is(err, ErrInvalidMetricName) {
-		t.Fatalf("invalid name: got %v, want ErrInvalidMetricName", err)
+	if re := registerPanic(t, func() { r.Counter("0bad", "", nil) }); !errors.Is(re, ErrInvalidMetricName) {
+		t.Fatalf("invalid name: got %v, want ErrInvalidMetricName", re)
 	}
-	if _, err := r.RegisterCounter("netcoord_ok_total", "", Labels{"0bad": "x"}); !errors.Is(err, ErrInvalidLabelName) {
-		t.Fatalf("invalid label: got %v, want ErrInvalidLabelName", err)
+	if re := registerPanic(t, func() { r.Counter("netcoord_ok_total", "", Labels{"0bad": "x"}) }); !errors.Is(re, ErrInvalidLabelName) {
+		t.Fatalf("invalid label: got %v, want ErrInvalidLabelName", re)
 	}
-	if _, err := r.RegisterCounter("netcoord_dual", "", nil); err != nil {
-		t.Fatalf("first registration: %v", err)
-	}
-	_, err := r.RegisterGauge("netcoord_dual", "", nil)
-	if !errors.Is(err, ErrKindConflict) {
-		t.Fatalf("kind conflict: got %v, want ErrKindConflict", err)
-	}
-	var re *RegistrationError
-	if !errors.As(err, &re) || re.Metric != "netcoord_dual" {
-		t.Fatalf("kind conflict: want *RegistrationError naming the metric, got %#v", err)
+	r.Counter("netcoord_dual", "", nil)
+	re := registerPanic(t, func() { r.Gauge("netcoord_dual", "", nil) })
+	if !errors.Is(re, ErrKindConflict) || re.Metric != "netcoord_dual" {
+		t.Fatalf("kind conflict: got %#v, want ErrKindConflict naming the metric", re)
 	}
 }
 
+// TestMustRegisterPanicsTyped checks that a constructor given a bad
+// name panics with an error value (not a string) wrapping the sentinel.
 func TestMustRegisterPanicsTyped(t *testing.T) {
 	defer func() {
 		v := recover()
@@ -38,7 +49,7 @@ func TestMustRegisterPanicsTyped(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	MustRegister(r.RegisterCounter("not a name", "", nil))
+	r.Counter("not a name", "", nil)
 }
 
 func TestValidateMetricName(t *testing.T) {
@@ -51,5 +62,8 @@ func TestValidateMetricName(t *testing.T) {
 		if err := ValidateMetricName(bad); !errors.Is(err, ErrInvalidMetricName) {
 			t.Errorf("ValidateMetricName(%q) = %v, want ErrInvalidMetricName", bad, err)
 		}
+	}
+	if err := ValidateLabelName("a:b"); !errors.Is(err, ErrInvalidLabelName) {
+		t.Errorf("ValidateLabelName(%q) = %v, want ErrInvalidLabelName: labels take no colon", "a:b", err)
 	}
 }

@@ -19,12 +19,17 @@
 // directly, and func-bridged instruments (CounterFunc, GaugeFunc,
 // SummaryFunc) that pull a value from an existing stats struct only
 // when /metrics is scraped — so subsystems that already maintain
-// atomic counters are exposed without double-counting work.
+// atomic counters are exposed without double-counting work. Each has
+// one registration form: the Registry method of that name, which
+// panics with a typed *RegistrationError on an invalid name or label
+// or a kind conflict (see errors.go).
 package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -117,8 +122,10 @@ type family struct {
 // Registration is idempotent for owned instruments: asking twice for
 // the same name + label set returns the same instrument, so two
 // components may share a process-wide series without coordinating.
-// Registering a name with a conflicting instrument kind panics —
-// that is a programming error, not an operational condition.
+// Func-bridged instruments replace their predecessor instead. An
+// invalid name or label, or a name registered under a second
+// instrument kind, panics with a *RegistrationError — that is a
+// programming error, not an operational condition.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -174,168 +181,90 @@ func (f *family) add(s *series, replace bool) (*series, error) {
 	return s, nil
 }
 
-// register is the error-returning core every Register*/convenience
-// constructor funnels through. Caller does not hold r.mu.
-func (r *Registry) register(name, help string, k kind, s *series, replace bool) (*series, error) {
+// register installs s under name, panicking with the typed
+// *RegistrationError on an invalid name or label or a kind conflict.
+// Every constructor below funnels through it. Caller does not hold
+// r.mu.
+func (r *Registry) register(name, help string, k kind, s *series, replace bool) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, err := r.familyFor(name, help, k)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		s, err = f.add(s, replace)
 	}
-	return f.add(s, replace)
-}
-
-// RegisterCounter registers (or finds) the counter under name + labels,
-// reporting a *RegistrationError instead of panicking on invalid input.
-func (r *Registry) RegisterCounter(name, help string, labels Labels) (*Counter, error) {
-	s, err := r.register(name, help, kindCounter, &series{labels: labels, counter: &Counter{}}, false)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	return s.counter, nil
-}
-
-// RegisterGauge registers (or finds) the gauge under name + labels.
-func (r *Registry) RegisterGauge(name, help string, labels Labels) (*Gauge, error) {
-	s, err := r.register(name, help, kindGauge, &series{labels: labels, gauge: &Gauge{}}, false)
-	if err != nil {
-		return nil, err
-	}
-	return s.gauge, nil
-}
-
-// RegisterHistogram registers (or finds) the histogram under name +
-// labels, scaled by scale at exposition time.
-func (r *Registry) RegisterHistogram(name, help string, labels Labels, scale float64) (*Histogram, error) {
-	s, err := r.register(name, help, kindSummary, &series{labels: labels, hist: newHistogram(scale)}, false)
-	if err != nil {
-		return nil, err
-	}
-	return s.hist, nil
+	return s
 }
 
 // Counter returns the counter registered under name + labels, creating
-// it on first use. It is MustRegister(RegisterCounter(...)): invalid
-// names panic with a typed *RegistrationError.
+// it on first use.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	return MustRegister(r.RegisterCounter(name, help, labels))
+	return r.register(name, help, kindCounter, &series{labels: labels, counter: &Counter{}}, false).counter
 }
 
 // Gauge returns the gauge registered under name + labels, creating it
-// on first use. Panics with *RegistrationError on invalid input.
+// on first use.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	return MustRegister(r.RegisterGauge(name, help, labels))
+	return r.register(name, help, kindGauge, &series{labels: labels, gauge: &Gauge{}}, false).gauge
 }
 
 // Histogram returns the histogram registered under name + labels,
 // creating it on first use. It renders as a Prometheus summary
 // (quantiles computed from the log buckets at scrape time) with the
 // value scaled by scale — pass 1e-9 for a nanosecond-observed
-// histogram exported in seconds. Panics with *RegistrationError on
-// invalid input.
+// histogram exported in seconds.
 func (r *Registry) Histogram(name, help string, labels Labels, scale float64) *Histogram {
-	return MustRegister(r.RegisterHistogram(name, help, labels, scale))
+	return r.register(name, help, kindSummary, &series{labels: labels, hist: newHistogram(scale)}, false).hist
 }
 
-// RegisterCounterFunc registers a counter whose value is pulled from fn
-// at scrape time — the bridge for subsystems that already keep their
-// own atomic counters.
-func (r *Registry) RegisterCounterFunc(name, help string, labels Labels, fn func() uint64) error {
-	_, err := r.register(name, help, kindCounter, &series{labels: labels, countFn: fn}, true)
-	return err
+// CounterFunc registers a counter whose value is pulled from fn at
+// scrape time — the bridge for subsystems that already keep their own
+// atomic counters.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
+	r.register(name, help, kindCounter, &series{labels: labels, countFn: fn}, true)
 }
 
-// RegisterGaugeFunc registers a gauge whose value is pulled from fn at
-// scrape time.
-func (r *Registry) RegisterGaugeFunc(name, help string, labels Labels, fn func() float64) error {
-	_, err := r.register(name, help, kindGauge, &series{labels: labels, gaugeFn: fn}, true)
-	return err
+// GaugeFunc registers a gauge whose value is pulled from fn at scrape
+// time.
+func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.register(name, help, kindGauge, &series{labels: labels, gaugeFn: fn}, true)
 }
 
-// RegisterSummaryFunc registers a summary whose snapshot is pulled from
-// fn at scrape time. scale converts raw units to exposition units
-// (1e-9 for nanosecond summaries exported as seconds; 0 means 1).
-func (r *Registry) RegisterSummaryFunc(name, help string, labels Labels, scale float64, fn func() Summary) error {
+// SummaryFunc registers a summary whose snapshot is pulled from fn at
+// scrape time — the bridge for histograms owned by another package
+// that exposes only a Summary through its stats struct. scale converts
+// raw units to exposition units (1e-9 for nanosecond summaries
+// exported as seconds; 0 means 1).
+func (r *Registry) SummaryFunc(name, help string, labels Labels, scale float64, fn func() Summary) {
 	if scale == 0 {
 		scale = 1
 	}
-	_, err := r.register(name, help, kindSummary, &series{labels: labels, summaryFn: fn, sumScale: scale}, true)
-	return err
-}
-
-// CounterFunc is MustRegister-style RegisterCounterFunc: panics with a
-// typed *RegistrationError on invalid input.
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	if err := r.RegisterCounterFunc(name, help, labels, fn); err != nil {
-		panic(err)
-	}
-}
-
-// GaugeFunc is MustRegister-style RegisterGaugeFunc.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	if err := r.RegisterGaugeFunc(name, help, labels, fn); err != nil {
-		panic(err)
-	}
-}
-
-// SummaryFunc is MustRegister-style RegisterSummaryFunc — the bridge
-// for histograms owned by another package that exposes only a Summary
-// through its stats struct.
-func (r *Registry) SummaryFunc(name, help string, labels Labels, scale float64, fn func() Summary) {
-	if err := r.RegisterSummaryFunc(name, help, labels, scale, fn); err != nil {
-		panic(err)
-	}
+	r.register(name, help, kindSummary, &series{labels: labels, summaryFn: fn, sumScale: scale}, true)
 }
 
 // labelKey builds a canonical, order-independent key for a label set.
 func labelKey(labels Labels) string {
-	if len(labels) == 0 {
-		return ""
+	var key strings.Builder
+	for _, k := range slices.Sorted(maps.Keys(labels)) {
+		key.WriteString(k + "\x00" + labels[k] + "\x00")
 	}
-	names := make([]string, 0, len(labels))
-	for k := range labels {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	key := ""
-	for _, k := range names {
-		key += k + "\x00" + labels[k] + "\x00"
-	}
-	return key
+	return key.String()
 }
 
-// validMetricName reports whether name matches the Prometheus metric
-// name charset [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validMetricName(name string) bool {
-	if name == "" {
-		return false
-	}
+// validName reports whether name matches the Prometheus label-name
+// charset [a-zA-Z_][a-zA-Z0-9_]*, or, with colon set, the metric-name
+// charset [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validName(name string, colon bool) bool {
 	for i := 0; i < len(name); i++ {
 		c := name[i]
-		ok := c == '_' || c == ':' ||
+		ok := c == '_' || (colon && c == ':') ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
 			return false
 		}
 	}
-	return true
-}
-
-// validLabelName reports whether name matches [a-zA-Z_][a-zA-Z0-9_]*.
-func validLabelName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := c == '_' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return name != ""
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // module is a small module tree: a library package with a method, a
-// generic method and a function, plus a command.
+// generic method and a function, a command, and a tool with a library
+// of its own.
 var module = fstest.MapFS{
 	"go.mod": {Data: []byte("module example.com/m\n\ngo 1.24\n")},
 	"lib/lib.go": {Data: []byte(`package lib
@@ -25,7 +26,9 @@ func (g *G[K]) Get() {}
 
 func Free() {}
 `)},
-	"cmd/tool/main.go": {Data: []byte("package main\n\nfunc main() {}\n")},
+	"cmd/tool/main.go":                     {Data: []byte("package main\n\nfunc main() {}\n")},
+	"tools/nclint/main.go":                 {Data: []byte("package main\n\nfunc main() {}\n")},
+	"tools/nclint/internal/nclib/nclib.go": {Data: []byte("package nclib\n\nfunc Run() {}\n")},
 }
 
 // line builds one `go tool cover -func` report line.
@@ -75,6 +78,12 @@ func TestGate(t *testing.T) {
 		{
 			name:   "commands are exempt",
 			report: line("example.com/m/cmd/tool/main.go:3:", "main", "0.0%") + total,
+		},
+		{
+			name:      "the lint's library is gated, its main is not",
+			report:    line("example.com/m/tools/nclint/main.go:3:", "main", "0.0%") + line("example.com/m/tools/nclint/internal/nclib/nclib.go:3:", "Run", "0.0%") + total,
+			unrun:     []string{"nclib.Run"},
+			functions: 1,
 		},
 		{
 			name:   "missing total",

@@ -58,10 +58,9 @@ func (*Fact) AFact() {}
 const maxSitesPerFunc = 4
 
 var Analyzer = &nclib.Analyzer{
-	Name:      "hotpath",
-	Doc:       "//nc:hotpath functions must not reach allocators, transitively through project calls",
-	Run:       run,
-	FactTypes: []nclib.Fact{(*Fact)(nil)},
+	Name: "hotpath",
+	Doc:  "//nc:hotpath functions must not reach allocators, transitively through project calls",
+	Run:  run,
 }
 
 // funcInfo is the per-function scratch state for the fixed point.

@@ -42,3 +42,21 @@ func sink(any) {}
 func Spawns() { // want `hot path Spawns reaches allocation: goroutine spawn`
 	go func() {}()
 }
+
+// A capturing closure stays off the heap when it is only called on the
+// spot or deferred; stored or returned, it is allocated.
+
+//nc:hotpath
+func ClosureCalled(n int) int {
+	return func() int { return n + 1 }()
+}
+
+//nc:hotpath
+func ClosureDeferred(n *int) {
+	defer func() { *n++ }()
+}
+
+//nc:hotpath
+func ClosureEscapes(n int) func() int { // want `hot path ClosureEscapes reaches allocation: closure captures "n"`
+	return func() int { return n }
+}

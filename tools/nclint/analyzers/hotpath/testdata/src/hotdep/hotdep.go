@@ -12,3 +12,10 @@ func Describe(n int) string {
 
 // Cheap does not allocate.
 func Cheap(n int) int { return n + 1 }
+
+// Box is generic: importers call its methods through an instance,
+// whose summary is the generic method's.
+type Box[T any] struct{}
+
+// Fill allocates.
+func (*Box[T]) Fill(n int) []T { return make([]T, n) }

@@ -13,3 +13,8 @@ func Hot(n int) string { // want `hot path Hot reaches allocation: call to Descr
 func FineViaDep(n int) int {
 	return hotdep.Cheap(n)
 }
+
+//nc:hotpath
+func HotGeneric(b *hotdep.Box[int]) []int { // want `hot path HotGeneric reaches allocation: call to Fill → make`
+	return b.Fill(4)
+}

@@ -45,10 +45,9 @@ type Fact struct {
 func (*Fact) AFact() {}
 
 var Analyzer = &nclib.Analyzer{
-	Name:      "lockdiscipline",
-	Doc:       "//nc:locked(mu) callees require the lock visibly held at every call site; atomic fields must not be read plainly",
-	Run:       run,
-	FactTypes: []nclib.Fact{(*Fact)(nil)},
+	Name: "lockdiscipline",
+	Doc:  "//nc:locked(mu) callees require the lock visibly held at every call site; atomic fields must not be read plainly",
+	Run:  run,
 }
 
 func run(pass *nclib.Pass) error {

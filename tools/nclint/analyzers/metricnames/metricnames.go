@@ -13,7 +13,7 @@
 //     a finding at the second site);
 //   - appear in the README's metric catalog, either verbatim or under
 //     a documented netcoord_foo_* wildcard (whole-program check,
-//     standalone driver only).
+//     module mode only).
 //
 // Label keys in telemetry.Labels literals are validated the same way
 // via telemetry.ValidateLabelName.
@@ -49,21 +49,14 @@ var Analyzer = &nclib.Analyzer{
 const telemetryPkg = "netcoord/internal/telemetry"
 
 // methodKind maps Registry method names to the metric kind they
-// register. Must-variants and error-returning variants are the same
-// registration.
+// register.
 var methodKind = map[string]string{
-	"Counter":             "counter",
-	"RegisterCounter":     "counter",
-	"CounterFunc":         "counter",
-	"RegisterCounterFunc": "counter",
-	"Gauge":               "gauge",
-	"RegisterGauge":       "gauge",
-	"GaugeFunc":           "gauge",
-	"RegisterGaugeFunc":   "gauge",
-	"Histogram":           "histogram",
-	"RegisterHistogram":   "histogram",
-	"SummaryFunc":         "summary",
-	"RegisterSummaryFunc": "summary",
+	"Counter":     "counter",
+	"CounterFunc": "counter",
+	"Gauge":       "gauge",
+	"GaugeFunc":   "gauge",
+	"Histogram":   "histogram",
+	"SummaryFunc": "summary",
 }
 
 // A decl records one registration site for the whole-program checks.
@@ -84,9 +77,8 @@ var (
 
 func run(pass *nclib.Pass) error {
 	if pass.Pkg.Path() == telemetryPkg {
-		// The registry's own forwarding wrappers (Counter →
-		// RegisterCounter) pass names through parameters; the check
-		// applies to the call sites that supply the literals.
+		// The registry's own code passes names through parameters;
+		// the check applies to the call sites that supply the literals.
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -204,7 +196,7 @@ func finalize(prog *nclib.Program, report func(nclib.Diagnostic)) {
 				Position: d.Pos,
 
 				Message: "metric " + d.Name + " registered as " + d.Kind +
-					" here but as " + first.Kind + " at " + first.String(),
+					" here but as " + first.Kind + " at " + first.Pos.String(),
 			})
 		}
 	}
@@ -248,5 +240,3 @@ func matchesWildcard(name string, wildcards []string) bool {
 	}
 	return false
 }
-
-func (d decl) String() string { return d.Pos.String() }

@@ -18,7 +18,4 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge         { retu
 func (r *Registry) Histogram(name, help string, labels Labels, scale float64) *Histogram {
 	return nil
 }
-func (r *Registry) RegisterCounter(name, help string, labels Labels) (*Counter, error) {
-	return nil, nil
-}
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {}

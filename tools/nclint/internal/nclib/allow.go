@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -54,13 +55,8 @@ func (prog *Program) allowed(name string, pos token.Position) bool {
 		if a.reason == "" {
 			continue
 		}
-		if pos.Line != a.pos.Line && pos.Line != a.pos.Line+1 {
-			continue
-		}
-		for _, n := range a.analyzers {
-			if n == name {
-				return true
-			}
+		if (pos.Line == a.pos.Line || pos.Line == a.pos.Line+1) && slices.Contains(a.analyzers, name) {
+			return true
 		}
 	}
 	return false

@@ -9,12 +9,12 @@
 //     source, and dependencies are imported through the compiler's
 //     export data out of the build cache (offline, no GOPROXY);
 //   - passes and facts: each analyzer runs once per package in
-//     dependency order and may attach serializable facts to objects
-//     or packages, visible to later passes — the same bottom-up flow
-//     x/tools facts have, which is what lets hotpath summaries and
-//     lock annotations propagate across package boundaries;
-//   - driving: a standalone multichecker over `./...` patterns, a
-//     `go vet -vettool` unit-checker protocol, and an
+//     dependency order and may attach serializable facts to objects,
+//     visible to later passes — the same bottom-up flow x/tools facts
+//     have, which is what lets hotpath summaries and lock annotations
+//     propagate across package boundaries;
+//   - driving: one whole-program driver (RunAnalyzers), shared by the
+//     nclint command over `./...` patterns and by the
 //     analysistest-style fixture harness (nclibtest) with `// want`
 //     expectations.
 //
@@ -26,12 +26,14 @@ package nclib
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // An Analyzer describes one nclint check.
@@ -43,20 +45,15 @@ type Analyzer struct {
 	Doc string
 	// Run performs the per-package analysis.
 	Run func(*Pass) error
-	// FactTypes lists the fact values the analyzer exports, for gob
-	// registration (required in vettool mode, harmless otherwise).
-	FactTypes []Fact
 	// Finalize, if set, runs once after every package's Run completed,
 	// with the whole program in view — for checks that are inherently
-	// global, like metric-name uniqueness across the build. Finalize
-	// only runs in whole-program drivers (standalone and nclibtest);
-	// the vet unit checker analyzes one package at a time and skips it.
+	// global, like metric-name uniqueness across the build.
 	Finalize func(prog *Program, report func(Diagnostic))
 }
 
-// A Fact is a serializable value attached to an object or package by
-// one pass and imported by later passes of the same analyzer. The
-// AFact marker mirrors x/tools; facts must be gob-encodable.
+// A Fact is a serializable value attached to an object by one pass
+// and imported by later passes of the same analyzer. The AFact marker
+// mirrors x/tools; facts must be gob-encodable.
 type Fact interface{ AFact() }
 
 // A Diagnostic is one finding, positioned in the file set of the run.
@@ -78,18 +75,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// isProject reports whether a package belongs to the code under
-	// analysis (the module, or any non-stdlib package in fixture
-	// mode) as opposed to the standard library.
-	isProject func(path string) bool
-	// allowed reports whether findings of analyzer name at pos are
-	// suppressed by an //nc:allow comment. Analyzers consult it when
-	// computing facts, so a suppressed allocation site never enters a
-	// summary; the driver applies the same filter to diagnostics.
-	allowed func(name string, pos token.Position) bool
-
+	prog   *Program
 	report func(Diagnostic)
-	facts  *factStore
+	facts  factStore
 }
 
 // Reportf records a finding at pos.
@@ -102,94 +90,37 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // IsProject reports whether pkg is part of the code under analysis
-// (as opposed to the standard library). A nil pkg is the universe
-// scope — builtins — and is never project code.
+// (the module, or any non-stdlib package in fixture mode) as opposed
+// to the standard library. A nil pkg is the universe scope — builtins
+// — and is never project code.
 func (p *Pass) IsProject(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	return p.isProject(pkg.Path())
+	return pkg != nil && p.prog.IsProject(pkg.Path())
 }
 
 // Allowed reports whether a finding of this analyzer at pos carries an
 // //nc:allow suppression. Use it to keep suppressed sites out of
-// exported facts; plain diagnostics are filtered by the driver and do
-// not need it.
+// exported facts, so a suppressed allocation site never enters a
+// summary; plain diagnostics are filtered by the driver and do not
+// need it.
 func (p *Pass) Allowed(pos token.Pos) bool {
-	return p.allowed(p.Analyzer.Name, p.Fset.Position(pos))
+	return p.prog.allowed(p.Analyzer.Name, p.Fset.Position(pos))
 }
 
 // ExportObjectFact attaches fact to obj, which must belong to the
 // package under analysis.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	p.facts.set(p.Analyzer.Name, objFactKey(obj), fact)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
+		panic(fmt.Sprintf("nclib: encoding %T fact: %v", fact, err))
+	}
+	p.facts[p.factKey(obj)] = buf.Bytes()
 }
 
 // ImportObjectFact copies the fact of this analyzer attached to obj
 // into *fact, reporting whether one exists. obj may belong to any
 // package analyzed earlier in dependency order (or this one).
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	return p.facts.get(p.Analyzer.Name, objFactKey(obj), fact)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.set(p.Analyzer.Name, pkgFactKey(p.Pkg.Path()), fact)
-}
-
-// ImportPackageFact copies the fact attached to pkg into *fact.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	return p.facts.get(p.Analyzer.Name, pkgFactKey(pkg.Path()), fact)
-}
-
-// objFactKey builds a stable, process-independent key for a
-// package-level object (function, method, var, type). Methods include
-// their receiver type so (T).M and (*T).M and a package-level M are
-// distinct.
-func objFactKey(obj types.Object) string {
-	pkg := "_"
-	if obj.Pkg() != nil {
-		pkg = obj.Pkg().Path()
-	}
-	name := obj.Name()
-	if f, ok := obj.(*types.Func); ok {
-		if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-			t := sig.Recv().Type()
-			star := ""
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-				star = "*"
-			}
-			if named, ok := t.(*types.Named); ok {
-				name = "(" + star + named.Obj().Name() + ")." + f.Name()
-			}
-		}
-	}
-	return pkg + "\x1f" + name
-}
-
-func pkgFactKey(path string) string { return path + "\x1f\x00pkg" }
-
-// factStore holds gob-encoded facts keyed by (analyzer, object key).
-// Facts are always round-tripped through gob, even in-process, so the
-// standalone driver and the vet unit checker (which must serialize
-// them to .vetx files) exercise identical semantics.
-type factStore struct {
-	m map[string][]byte // "analyzer\x1ekey" -> gob bytes
-}
-
-func newFactStore() *factStore { return &factStore{m: make(map[string][]byte)} }
-
-func (s *factStore) set(analyzer, key string, fact Fact) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		panic(fmt.Sprintf("nclib: encoding %T fact: %v", fact, err))
-	}
-	s.m[analyzer+"\x1e"+key] = buf.Bytes()
-}
-
-func (s *factStore) get(analyzer, key string, fact Fact) bool {
-	b, ok := s.m[analyzer+"\x1e"+key]
+	b, ok := p.facts[p.factKey(obj)]
 	if !ok {
 		return false
 	}
@@ -199,43 +130,35 @@ func (s *factStore) get(analyzer, key string, fact Fact) bool {
 	return true
 }
 
-// keysForPackage returns the stored fact keys whose object belongs to
-// pkgPath — what the vet unit checker serializes into its .vetx
-// output for downstream packages.
-func (s *factStore) keysForPackage(pkgPath string) map[string][]byte {
-	out := make(map[string][]byte)
-	prefix := pkgPath + "\x1f"
-	for k, v := range s.m {
-		// k is "analyzer\x1epkg\x1fname"
-		if i := indexByte(k, '\x1e'); i >= 0 && len(k) > i+len(prefix) && k[i+1:i+1+len(prefix)] == prefix {
-			out[k] = v
-		}
+// factKey names this analyzer's fact about obj. Load imports every
+// project package by identity, so an object is the same value in every
+// pass of a run; an instantiated generic function or method is keyed
+// by its origin.
+func (p *Pass) factKey(obj types.Object) factKey {
+	if f, ok := obj.(*types.Func); ok {
+		obj = f.Origin()
 	}
-	return out
+	return factKey{p.Analyzer.Name, obj}
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
+type factKey struct {
+	analyzer string
+	obj      types.Object
 }
+
+// factStore holds gob-encoded facts. Facts are round-tripped through
+// gob, so an importing pass gets its own copy and can never alias, or
+// mutate, a fact another pass exported.
+type factStore map[factKey][]byte
 
 // sortDiagnostics orders findings by file, line, column, analyzer.
 func sortDiagnostics(ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.Position.Filename != b.Position.Filename {
-			return a.Position.Filename < b.Position.Filename
-		}
-		if a.Position.Line != b.Position.Line {
-			return a.Position.Line < b.Position.Line
-		}
-		if a.Position.Column != b.Position.Column {
-			return a.Position.Column < b.Position.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(ds, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Position.Filename, b.Position.Filename),
+			cmp.Compare(a.Position.Line, b.Position.Line),
+			cmp.Compare(a.Position.Column, b.Position.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+		)
 	})
 }

@@ -19,12 +19,11 @@ import (
 // full type information; standard-library dependencies carry only the
 // path to their export data.
 type Package struct {
-	PkgPath  string
-	Dir      string
-	GoFiles  []string
-	Standard bool
-	Project  bool
-	export   string
+	PkgPath string
+	Dir     string
+	GoFiles []string
+	Project bool
+	export  string
 
 	Syntax []*ast.File
 	Types  *types.Package
@@ -124,12 +123,11 @@ func Load(cfg LoadConfig) (*Program, error) {
 			return nil, fmt.Errorf("nclib: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
 		p := &Package{
-			PkgPath:  lp.ImportPath,
-			Dir:      lp.Dir,
-			GoFiles:  lp.GoFiles,
-			Standard: lp.Standard,
-			Project:  !lp.Standard && lp.ImportPath != "unsafe",
-			export:   lp.Export,
+			PkgPath: lp.ImportPath,
+			Dir:     lp.Dir,
+			GoFiles: lp.GoFiles,
+			Project: !lp.Standard && lp.ImportPath != "unsafe",
+			export:  lp.Export,
 		}
 		if lp.Module != nil && lp.Module.Main {
 			prog.ModulePath = lp.Module.Path
@@ -201,12 +199,6 @@ func (pi *progImporter) Import(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	return pi.gc.Import(path)
-}
-
-// ImportFrom satisfies types.ImporterFrom; vendoring does not apply to
-// the packages nclint loads, so the path is authoritative.
-func (pi *progImporter) ImportFrom(path, _ string, _ types.ImportMode) (*types.Package, error) {
-	return pi.Import(path)
 }
 
 // lookup feeds the gc importer export data straight from the build

@@ -10,7 +10,6 @@
 package nclibtest
 
 import (
-	"fmt"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -104,45 +103,17 @@ func parseWants(t *testing.T, file string, line int, text string) []*want {
 	var out []*want
 	rest = strings.TrimSpace(rest)
 	for rest != "" {
-		lit, tail, err := cutStringLit(rest)
+		lit, err := strconv.QuotedPrefix(rest)
 		if err != nil {
-			t.Fatalf("%s:%d: malformed want: %v", file, line, err)
+			t.Fatalf("%s:%d: malformed want: pattern must be a string literal: %q", file, line, rest)
 		}
-		re, err := regexp.Compile(lit)
+		pattern, _ := strconv.Unquote(lit) // lit is a valid literal
+		re, err := regexp.Compile(pattern)
 		if err != nil {
 			t.Fatalf("%s:%d: want pattern: %v", file, line, err)
 		}
 		out = append(out, &want{re: re})
-		rest = strings.TrimSpace(tail)
+		rest = strings.TrimSpace(rest[len(lit):])
 	}
 	return out
-}
-
-// cutStringLit splits one leading Go string literal off s.
-func cutStringLit(s string) (value, rest string, err error) {
-	switch {
-	case strings.HasPrefix(s, "`"):
-		end := strings.Index(s[1:], "`")
-		if end < 0 {
-			return "", "", fmt.Errorf("unterminated raw string in %q", s)
-		}
-		return s[1 : 1+end], s[end+2:], nil
-	case strings.HasPrefix(s, `"`):
-		for i := 1; i < len(s); i++ {
-			if s[i] == '\\' {
-				i++
-				continue
-			}
-			if s[i] == '"' {
-				v, err := strconv.Unquote(s[:i+1])
-				if err != nil {
-					return "", "", err
-				}
-				return v, s[i+1:], nil
-			}
-		}
-		return "", "", fmt.Errorf("unterminated string in %q", s)
-	default:
-		return "", "", fmt.Errorf("want pattern must be a string literal, got %q", s)
-	}
 }

@@ -9,7 +9,7 @@ import (
 // findings through //nc:allow suppressions and appends malformed-allow
 // findings. The returned diagnostics are sorted by position.
 func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := newFactStore()
+	facts := factStore{}
 	var raw []Diagnostic
 	report := func(d Diagnostic) { raw = append(raw, d) }
 
@@ -26,8 +26,7 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Syntax,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				isProject: prog.IsProject,
-				allowed:   prog.allowed,
+				prog:      prog,
 				report:    report,
 				facts:     facts,
 			}

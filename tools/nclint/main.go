@@ -4,20 +4,15 @@
 // context-bound I/O, lock and atomic discipline, metric-name hygiene,
 // sentinel-error matching, and checked durability errors.
 //
-// Run standalone over package patterns:
+// Run it over package patterns (default ./...) from the module root:
 //
 //	go run ./tools/nclint ./...
 //
-// or as a go vet tool, which reuses go vet's caching and per-package
-// parallelism:
-//
-//	go build -o /tmp/nclint ./tools/nclint
-//	go vet -vettool=/tmp/nclint ./...
-//
-// Findings are suppressed with an `//nc:allow(<analyzer>) <reason>`
-// comment on the finding's line or the line above; the reason is
-// mandatory, and whole-program checks (metric catalog coverage) run
-// only in standalone mode.
+// It loads the whole build at once, so cross-package facts and the
+// whole-program checks (metric kind uniqueness, README catalog
+// coverage) always run. Findings are suppressed with an
+// `//nc:allow(<analyzer>) <reason>` comment on the finding's line or
+// the line above; the reason is mandatory.
 package main
 
 import (
@@ -32,11 +27,6 @@ import (
 	"netcoord/tools/nclint/analyzers/sentinelerr"
 	"netcoord/tools/nclint/internal/nclib"
 )
-
-// version feeds go vet's result cache; bump it whenever any
-// analyzer's behavior changes or stale cached verdicts will mask new
-// findings.
-const version = "nclint-1.0.0"
 
 func analyzers() []*nclib.Analyzer {
 	return []*nclib.Analyzer{
@@ -60,13 +50,7 @@ func main() {
 			fmt.Printf("  %-15s %s\n", a.Name, a.Doc)
 		}
 		fmt.Println()
-		fmt.Println("usage: nclint [packages]   (standalone, defaults to ./...)")
-		fmt.Println("       go vet -vettool=$(which nclint) [packages]")
-		return
-	}
-
-	// go vet unit-checker protocol (-V=full, -flags, *.cfg).
-	if nclib.VetMain(args, version, as) {
+		fmt.Println("usage: go run ./tools/nclint [packages]   (defaults to ./...)")
 		return
 	}
 
