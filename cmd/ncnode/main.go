@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -26,13 +27,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ncnode: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run runs one node as args say and prints its status to w.
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("ncnode", flag.ContinueOnError)
 	var (
 		listen   = fs.String("listen", "127.0.0.1:0", "UDP listen address")
@@ -73,7 +75,7 @@ func run(args []string) error {
 			err = serr
 		}
 	}()
-	fmt.Printf("ncnode listening on %s (filter: %v, policy: energy w=32 tau=8)\n", n.Addr(), !*noFilter)
+	fmt.Fprintf(w, "ncnode listening on %s (filter: %v, policy: energy w=32 tau=8)\n", n.Addr(), !*noFilter)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
@@ -89,14 +91,14 @@ func run(args []string) error {
 	for {
 		select {
 		case <-sigCh:
-			fmt.Println("\nshutting down")
+			fmt.Fprintln(w, "\nshutting down")
 			return nil
 		case <-deadline:
 			return nil
 		case u := <-updates:
-			fmt.Printf("%s application coordinate updated: %v\n", u.At.Format(time.TimeOnly), u.Coord)
+			fmt.Fprintf(w, "%s application coordinate updated: %v\n", u.At.Format(time.TimeOnly), u.Coord)
 		case <-reportTicker.C:
-			fmt.Printf("%s sys=%v app=%v confidence=%.2f neighbors=%d samples=%d\n",
+			fmt.Fprintf(w, "%s sys=%v app=%v confidence=%.2f neighbors=%d samples=%d\n",
 				time.Now().Format(time.TimeOnly),
 				n.Coordinate(), n.AppCoordinate(), n.Confidence(), len(n.Neighbors()), n.Samples())
 		}

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
+	"io"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestRunRejectsBadListenAddr(t *testing.T) {
-	if err := run([]string{"-listen", "999.999.0.1:not-a-port"}); err == nil {
+	if err := run([]string{"-listen", "999.999.0.1:not-a-port"}, io.Discard); err == nil {
 		t.Fatal("bad listen address accepted")
 	}
 }
@@ -20,7 +23,7 @@ func TestRunWithDeadline(t *testing.T) {
 			"-interval", "50ms",
 			"-report", "100ms",
 			"-duration", "400ms",
-		})
+		}, io.Discard)
 	}()
 	select {
 	case err := <-done:
@@ -33,27 +36,44 @@ func TestRunWithDeadline(t *testing.T) {
 }
 
 func TestTwoNodesOverCLI(t *testing.T) {
-	// Start a seed node in the background, then a second node that
-	// joins it; both exit on their deadlines without error.
+	// Start a seed node on an ephemeral port, then a second node that
+	// joins it at the address the seed prints; both exit on their
+	// deadlines without error.
+	out, w := io.Pipe()
 	seedDone := make(chan error, 1)
 	go func() {
-		seedDone <- run([]string{
-			"-listen", "127.0.0.1:29471",
+		err := run([]string{
+			"-listen", "127.0.0.1:0",
 			"-interval", "50ms",
 			"-report", "1s",
 			"-duration", "2s",
-		})
+		}, w)
+		_ = w.Close() // ends the reader below; a pipe's Close cannot fail
+		seedDone <- err
 	}()
-	time.Sleep(200 * time.Millisecond)
+	addr := make(chan string, 1)
+	go func() {
+		lines := bufio.NewScanner(out)
+		for lines.Scan() {
+			if rest, ok := strings.CutPrefix(lines.Text(), "ncnode listening on "); ok {
+				addr <- strings.Fields(rest)[0]
+			}
+		}
+		close(addr)
+	}()
+	seed, ok := <-addr
+	if !ok {
+		t.Fatalf("seed node printed no listening line: %v", <-seedDone)
+	}
 	joinDone := make(chan error, 1)
 	go func() {
 		joinDone <- run([]string{
 			"-listen", "127.0.0.1:0",
-			"-join", "127.0.0.1:29471",
+			"-join", seed,
 			"-interval", "50ms",
 			"-report", "1s",
 			"-duration", "1500ms",
-		})
+		}, io.Discard)
 	}()
 	for i, ch := range []chan error{seedDone, joinDone} {
 		select {

@@ -748,14 +748,11 @@ func (f *FollowerRegistry) bootstrapFrames(body io.Reader, start time.Time) erro
 
 // finishBootstrap loads a decoded snapshot into the local registry —
 // state, sequence and epoch in one step (Registry.load) — and records
-// the bootstrap.
+// the bootstrap. The caller fenced the snapshot's epoch on its header,
+// and nothing else moves the epoch while the tail loop runs (Promote
+// stops the loop first), so adopting it here is only ever upward: a
+// replica bootstrapping across a promotion joins the new epoch.
 func (f *FollowerRegistry) finishBootstrap(start time.Time, seq, epoch uint64, delta bool, removed []string, batch []RegistryEntry) error {
-	// Adopting the snapshot's epoch is only ever upward: a replica
-	// bootstrapping across a promotion joins the new epoch here.
-	if own := f.ChangeEpoch(); epoch < own {
-		f.rejectedStale.Add(1)
-		return fmt.Errorf("%w (/snapshot epoch %d < local %d)", errStaleEpoch, epoch, own)
-	}
 	if err := f.Registry.load(batch, removed, delta, seq, epoch); err != nil {
 		return fmt.Errorf("apply snapshot: %w", err)
 	}

@@ -63,54 +63,22 @@ type AblationThresholdResult struct {
 
 // AblationThresholdFilter compares cutoffs against MP and no filter.
 func AblationThresholdFilter(scale Scale) (*AblationThresholdResult, error) {
-	from, to := scale.MeasureFrom(), scale.DurationTicks
 	threshold := func(cutoff float64) filter.Factory { return mustFactory(filter.ThresholdFactory(cutoff)) }
-	type cfg struct {
-		name    string
-		factory filter.Factory
+	rows, err := compareFilters(scale, "ablation threshold",
+		filterConfig{name: "Cutoff 1000ms", factory: threshold(1000)},
+		filterConfig{name: "Cutoff 500ms", factory: threshold(500)},
+		filterConfig{name: "Cutoff 250ms", factory: threshold(250)},
+	)
+	if err != nil {
+		return nil, err
 	}
-	cfgs := []cfg{
-		{name: "MP Filter", factory: mpFactory},
-		{name: "No Filter", factory: nil},
-		{name: "Cutoff 1000ms", factory: threshold(1000)},
-		{name: "Cutoff 500ms", factory: threshold(500)},
-		{name: "Cutoff 250ms", factory: threshold(250)},
-	}
-	sums := make([]metrics.Summary, len(cfgs))
-	for i, c := range cfgs {
-		r, err := scale.recipe(c.factory, nil).Run()
-		if err != nil {
-			return nil, fmt.Errorf("ablation threshold %s: %w", c.name, err)
-		}
-		if sums[i], err = r.Sys().Summarize(from, to); err != nil {
-			return nil, err
-		}
-	}
-	base := sums[1]
-	res := &AblationThresholdResult{}
-	for i, c := range cfgs {
-		res.Rows = append(res.Rows, Table1Row{
-			Name:              c.name,
-			MedianRelErr:      sums[i].MedianRelErr,
-			MedianInstability: sums[i].MedianInstability,
-			RelErrDelta:       pct(sums[i].MedianRelErr, base.MedianRelErr),
-			InstabilityDelta:  pct(sums[i].MedianInstability, base.MedianInstability),
-		})
-	}
-	return res, nil
+	return &AblationThresholdResult{Rows: rows}, nil
 }
 
 // Render implements the experiment output contract.
 func (r *AblationThresholdResult) Render() string {
-	var sb strings.Builder
-	sb.WriteString(header("Ablation A2: fixed discard thresholds vs MP filter"))
-	sb.WriteString(fmt.Sprintf("%-14s %-22s %-22s\n", "filter", "median rel err", "instability (ms/s)"))
-	for _, row := range r.Rows {
-		sb.WriteString(fmt.Sprintf("%-14s %-8.3f (%-6s)      %-8.1f (%-6s)\n",
-			row.Name, row.MedianRelErr, row.RelErrDelta, row.MedianInstability, row.InstabilityDelta))
-	}
-	sb.WriteString("paper: thresholds in isolation give only minimal improvement (Section IV-B)\n")
-	return sb.String()
+	return renderFilterTable("Ablation A2: fixed discard thresholds vs MP filter", r.Rows,
+		"paper: thresholds in isolation give only minimal improvement (Section IV-B)")
 }
 
 // AblationDampingResult (A3) measures the de Launois damping variant
@@ -149,8 +117,8 @@ func AblationDampedVivaldi(scale Scale) (*AblationDampingResult, error) {
 		return nil, err
 	}
 	res := &AblationDampingResult{}
-	read := func(r summaryReader, from, to uint64) (float64, error) {
-		s, err := r.Summarize(from, to)
+	read := func(c *metrics.Collector, from, to uint64) (float64, error) {
+		s, err := c.Summarize(from, to)
 		if err != nil {
 			return 0, err
 		}
@@ -169,11 +137,6 @@ func AblationDampedVivaldi(scale Scale) (*AblationDampingResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// summaryReader is the slice of metrics.Collector the ablation needs.
-type summaryReader interface {
-	Summarize(from, to uint64) (metrics.Summary, error)
 }
 
 // Render implements the experiment output contract.

@@ -195,54 +195,70 @@ type Table1Result struct {
 // Table1FilterComparison runs the five configurations of Table I on
 // identical traces.
 func Table1FilterComparison(scale Scale) (*Table1Result, error) {
-	from, to := scale.MeasureFrom(), scale.DurationTicks
-	type cfg struct {
-		name    string
-		factory filter.Factory
-	}
 	ewma := func(alpha float64) filter.Factory { return mustFactory(filter.EWMAFactory(alpha)) }
-	cfgs := []cfg{
-		{name: "MP Filter", factory: mpFactory},
-		{name: "No Filter", factory: nil},
-		{name: "EWMA a=0.02", factory: ewma(0.02)},
-		{name: "EWMA a=0.10", factory: ewma(0.10)},
-		{name: "EWMA a=0.20", factory: ewma(0.20)},
+	rows, err := compareFilters(scale, "table 1",
+		filterConfig{name: "EWMA a=0.02", factory: ewma(0.02)},
+		filterConfig{name: "EWMA a=0.10", factory: ewma(0.10)},
+		filterConfig{name: "EWMA a=0.20", factory: ewma(0.20)},
+	)
+	if err != nil {
+		return nil, err
 	}
+	return &Table1Result{Rows: rows}, nil
+}
+
+// Render implements the experiment output contract.
+func (r *Table1Result) Render() string {
+	return renderFilterTable("Table I: exponentially-weighted histories vs MP filter", r.Rows,
+		"paper: MP 0.07 (-42%) / 415 (-47%); none 0.12 / 783; EWMAs worse on accuracy than no filter")
+}
+
+// filterConfig is one filter a filter comparison runs.
+type filterConfig struct {
+	name    string
+	factory filter.Factory
+}
+
+// compareFilters runs the MP filter, no filter and then each of others
+// on identical traces, and tabulates every one against no filter, as
+// Table I does. what names the experiment in errors.
+func compareFilters(scale Scale, what string, others ...filterConfig) ([]Table1Row, error) {
+	from, to := scale.MeasureFrom(), scale.DurationTicks
+	cfgs := append([]filterConfig{{name: "MP Filter", factory: mpFactory}, {name: "No Filter"}}, others...)
 	summaries := make([]metrics.Summary, len(cfgs))
 	for i, c := range cfgs {
 		r, err := scale.recipe(c.factory, nil).Run()
 		if err != nil {
-			return nil, fmt.Errorf("table 1 %s: %w", c.name, err)
+			return nil, fmt.Errorf("%s %s: %w", what, c.name, err)
 		}
-		s, err := r.Sys().Summarize(from, to)
-		if err != nil {
+		if summaries[i], err = r.Sys().Summarize(from, to); err != nil {
 			return nil, err
 		}
-		summaries[i] = s
 	}
 	base := summaries[1] // No Filter
-	res := &Table1Result{}
+	rows := make([]Table1Row, len(cfgs))
 	for i, c := range cfgs {
-		res.Rows = append(res.Rows, Table1Row{
+		rows[i] = Table1Row{
 			Name:              c.name,
 			MedianRelErr:      summaries[i].MedianRelErr,
 			MedianInstability: summaries[i].MedianInstability,
 			RelErrDelta:       pct(summaries[i].MedianRelErr, base.MedianRelErr),
 			InstabilityDelta:  pct(summaries[i].MedianInstability, base.MedianInstability),
-		})
+		}
 	}
-	return res, nil
+	return rows, nil
 }
 
-// Render implements the experiment output contract.
-func (r *Table1Result) Render() string {
+// renderFilterTable renders rows from compareFilters under title, with
+// note as the last line.
+func renderFilterTable(title string, rows []Table1Row, note string) string {
 	var sb strings.Builder
-	sb.WriteString(header("Table I: exponentially-weighted histories vs MP filter"))
+	sb.WriteString(header(title))
 	sb.WriteString(fmt.Sprintf("%-14s %-22s %-22s\n", "filter", "median rel err", "instability (ms/s)"))
-	for _, row := range r.Rows {
+	for _, row := range rows {
 		sb.WriteString(fmt.Sprintf("%-14s %-8.3f (%-6s)      %-8.1f (%-6s)\n",
 			row.Name, row.MedianRelErr, row.RelErrDelta, row.MedianInstability, row.InstabilityDelta))
 	}
-	sb.WriteString("paper: MP 0.07 (-42%) / 415 (-47%); none 0.12 / 783; EWMAs worse on accuracy than no filter\n")
+	sb.WriteString(note + "\n")
 	return sb.String()
 }

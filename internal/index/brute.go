@@ -54,13 +54,13 @@ func (b *Brute) KNearest(from coord.Coordinate, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("index knearest: k = %d, want > 0", k)
 	}
-	h := bheap.New(k, neighborBefore)
+	h := bheap.New(k, NeighborBefore)
 	for id, c := range b.pts {
 		d, _ := from.DistanceTo(c)
 		h.Offer(Neighbor{ID: id, Distance: d, Slot: none})
 	}
 	res := h.Items()
-	sortNeighbors(res)
+	SortNeighbors(res)
 	return res, nil
 }
 
@@ -79,6 +79,6 @@ func (b *Brute) Within(from coord.Coordinate, radius float64) ([]Neighbor, error
 			res = append(res, Neighbor{ID: id, Distance: d, Slot: none})
 		}
 	}
-	sortNeighbors(res)
+	SortNeighbors(res)
 	return res, nil
 }

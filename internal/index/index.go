@@ -16,12 +16,15 @@
 // a search hands out with each candidate, and the caller's whole record
 // — id, coordinate, error, timestamp, sequence — beside the cell that
 // memoizes the point's JSON, which only a result that is kept reads
-// (Point). The arena is the store: the Registry keeps no copy of its
-// entries beside it, and the tree's id map is its one id map. Build and
-// Rebuild lay the arena out in pre-order — a node's left child is the
-// next slot, a subtree is one contiguous run of slots — so the
-// near-first descent walks forward through memory and a small subtree
-// is scanned as a run instead of being descended.
+// (Point). The id is there twice on purpose: the walk reads the dense
+// 16-byte ids slot, because reading the record's id instead measured
+// slower on BenchmarkIndexKNN (pairs/arena-ids-knn.json). The arena is
+// the store: the Registry keeps no copy of its entries beside it, and
+// the tree's id map is its one id map. Build and Rebuild lay the arena
+// out in pre-order — a node's left child is the next slot, a subtree is
+// one contiguous run of slots — so the near-first descent walks forward
+// through memory and a small subtree is scanned as a run instead of
+// being descended.
 //
 // Mutation strategy: inserts descend to a leaf and append a slot; removals
 // tombstone the slot in place. Both are O(depth). An insert whose descent
@@ -652,14 +655,14 @@ func (t *Tree) KNearest(from coord.Coordinate, k int) ([]Neighbor, error) {
 // same walk under a bound that never tightens because the heap never
 // fills.
 func (t *Tree) KNearestBound(from coord.Coordinate, k int, bound float64) ([]Neighbor, error) {
-	h := bheap.New(k, neighborBefore)
+	h := bheap.New(k, NeighborBefore)
 	var b Bound
 	b.Reset(bound)
 	if err := t.KNearestInto(from, k, h, &b); err != nil {
 		return nil, err
 	}
 	res := h.Items()
-	sortNeighbors(res)
+	SortNeighbors(res)
 	return res, nil
 }
 
@@ -821,27 +824,24 @@ func (t *Tree) All() iter.Seq[*Entry] {
 	}
 }
 
-// sortNeighbors orders results by (distance, id) ascending — the
-// deterministic order Tree and Brute both answer in.
-// slices.SortFunc rather than sort.Slice: the latter boxes the slice
-// into an interface (an allocation the zero-alloc query path cannot
-// afford); the former is generic and allocation-free.
-func sortNeighbors(ns []Neighbor) {
-	//nc:allow(hotpath) generic SortFunc: the slice binds a type parameter, no interface boxing happens at runtime
-	slices.SortFunc(ns, CompareNeighbors)
-}
-
-// SortNeighbors exposes the canonical (Distance, ID) ascending ordering
-// for callers that merge per-tree results themselves.
+// SortNeighbors orders results by (distance, id) ascending — the
+// deterministic order Tree and Brute both answer in — for callers that
+// merge per-tree results themselves. slices.SortFunc rather than
+// sort.Slice: the latter boxes the slice into an interface (an
+// allocation the zero-alloc query path cannot afford); the former is
+// generic and allocation-free.
 //
 //nc:hotpath
-func SortNeighbors(ns []Neighbor) { sortNeighbors(ns) }
+func SortNeighbors(ns []Neighbor) {
+	//nc:allow(hotpath) generic SortFunc: the slice binds a type parameter, no interface boxing happens at runtime
+	slices.SortFunc(ns, compareNeighbors)
+}
 
-// CompareNeighbors is the (Distance, ID) total order as a three-way
+// compareNeighbors is the (Distance, ID) total order as a three-way
 // comparison, for slices.SortFunc.
 //
 //nc:hotpath
-func CompareNeighbors(a, b Neighbor) int {
+func compareNeighbors(a, b Neighbor) int {
 	switch {
 	case a.Distance < b.Distance:
 		return -1
@@ -857,17 +857,11 @@ func CompareNeighbors(a, b Neighbor) int {
 }
 
 // NeighborBefore reports whether a sorts before b under the canonical
-// (Distance, ID) order — the order function for caller-owned k-best
-// heaps fed through KNearestInto.
+// (Distance, ID) order every query returns results in — the order
+// function for the bounded k-best heaps fed through KNearestInto.
 //
 //nc:hotpath
-func NeighborBefore(a, b Neighbor) bool { return neighborBefore(a, b) }
-
-// neighborBefore is the (Distance, ID) total order every query returns
-// results in; it also drives the bounded k-best heap.
-//
-//nc:hotpath
-func neighborBefore(a, b Neighbor) bool {
+func NeighborBefore(a, b Neighbor) bool {
 	if a.Distance != b.Distance {
 		return a.Distance < b.Distance
 	}

@@ -147,22 +147,18 @@ func (c *Collector) RecordMovement(node int, tick uint64, displacement float64, 
 	return nil
 }
 
-// PerNodeErrorQuantile returns, for each node with data in [from, to],
-// the q-th percentile (0-100) of its relative errors. The result's
-// length is the number of nodes with data.
-func (c *Collector) PerNodeErrorQuantile(q float64, from, to uint64) ([]float64, error) {
-	return single(perNodeQuantiles(c.errs, from, to, q))
-}
-
-// PerNodeErrorQuantiles is PerNodeErrorQuantile for several percentiles
-// at the price of one: each node's window is sorted once and every q
-// read from it. Result i belongs to qs[i].
+// PerNodeErrorQuantiles returns, for each percentile qs[i] (0-100),
+// the qs[i]-th percentile of the relative errors of each node with
+// data in [from, to]: result i belongs to qs[i], and its length is the
+// number of nodes with data. Each node's window is sorted once and
+// every q read from it.
 func (c *Collector) PerNodeErrorQuantiles(from, to uint64, qs ...float64) ([][]float64, error) {
 	return perNodeQuantiles(c.errs, from, to, qs...)
 }
 
-// PerNodeMovementQuantile is PerNodeErrorQuantile over displacement
-// samples (Figure 5's third graph uses q=95).
+// PerNodeMovementQuantile is PerNodeErrorQuantiles for the one
+// percentile q over displacement samples (Figure 5's third graph uses
+// q=95).
 func (c *Collector) PerNodeMovementQuantile(q float64, from, to uint64) ([]float64, error) {
 	return single(perNodeQuantiles(c.moves, from, to, q))
 }

@@ -43,11 +43,11 @@ func TestRecordErrorValidation(t *testing.T) {
 	if err := c.RecordError(0, 0, math.Inf(1)); err != nil {
 		t.Fatalf("Inf error sample: %v", err)
 	}
-	got, err := c.PerNodeErrorQuantile(50, 0, 100)
+	got, err := c.PerNodeErrorQuantiles(0, 100, 50)
 	if err != nil {
-		t.Fatalf("PerNodeErrorQuantile: %v", err)
+		t.Fatalf("PerNodeErrorQuantiles: %v", err)
 	}
-	if len(got) != 0 {
+	if len(got[0]) != 0 {
 		t.Fatalf("non-finite samples were recorded: %v", got)
 	}
 }
@@ -78,10 +78,11 @@ func TestPerNodeErrorQuantile(t *testing.T) {
 			t.Fatalf("RecordError: %v", err)
 		}
 	}
-	meds, err := c.PerNodeErrorQuantile(50, 0, 100)
+	qs, err := c.PerNodeErrorQuantiles(0, 100, 50)
 	if err != nil {
-		t.Fatalf("PerNodeErrorQuantile: %v", err)
+		t.Fatalf("PerNodeErrorQuantiles: %v", err)
 	}
+	meds := qs[0]
 	if len(meds) != 2 {
 		t.Fatalf("got %d nodes with data, want 2", len(meds))
 	}
@@ -105,19 +106,19 @@ func TestQuantileWindowFiltering(t *testing.T) {
 			t.Fatalf("RecordError: %v", err)
 		}
 	}
-	full, err := c.PerNodeErrorQuantile(50, 0, 99)
+	full, err := c.PerNodeErrorQuantiles(0, 99, 50)
 	if err != nil {
-		t.Fatalf("PerNodeErrorQuantile: %v", err)
+		t.Fatalf("PerNodeErrorQuantiles: %v", err)
 	}
-	second, err := c.PerNodeErrorQuantile(50, 50, 99)
+	second, err := c.PerNodeErrorQuantiles(50, 99, 50)
 	if err != nil {
-		t.Fatalf("PerNodeErrorQuantile: %v", err)
+		t.Fatalf("PerNodeErrorQuantiles: %v", err)
 	}
-	if second[0] != 0.1 {
-		t.Fatalf("second-half median = %v, want 0.1", second[0])
+	if second[0][0] != 0.1 {
+		t.Fatalf("second-half median = %v, want 0.1", second[0][0])
 	}
-	if full[0] <= second[0] {
-		t.Fatalf("full median %v should exceed second-half %v", full[0], second[0])
+	if full[0][0] <= second[0][0] {
+		t.Fatalf("full median %v should exceed second-half %v", full[0][0], second[0][0])
 	}
 }
 
@@ -368,11 +369,11 @@ func TestSortOnceMatchesSortPerQuantile(t *testing.T) {
 	}
 
 	for _, q := range []float64{0, 50, 95, 100} {
-		got, err := c.PerNodeErrorQuantile(q, from, to)
-		if err != nil || !reflect.DeepEqual(got, perNode(c.errs, q)) {
-			t.Fatalf("PerNodeErrorQuantile(%v) = %v, %v; want %v", q, got, err, perNode(c.errs, q))
+		errs, err := c.PerNodeErrorQuantiles(from, to, q)
+		if err != nil || !reflect.DeepEqual(errs[0], perNode(c.errs, q)) {
+			t.Fatalf("PerNodeErrorQuantiles(%v) = %v, %v; want %v", q, errs, err, perNode(c.errs, q))
 		}
-		got, err = c.PerNodeMovementQuantile(q, from, to)
+		got, err := c.PerNodeMovementQuantile(q, from, to)
 		if err != nil || !reflect.DeepEqual(got, perNode(c.moves, q)) {
 			t.Fatalf("PerNodeMovementQuantile(%v) = %v, %v; want %v", q, got, err, perNode(c.moves, q))
 		}
@@ -382,7 +383,7 @@ func TestSortOnceMatchesSortPerQuantile(t *testing.T) {
 		!reflect.DeepEqual(both[0], perNode(c.errs, 50)) || !reflect.DeepEqual(both[1], perNode(c.errs, 95)) {
 		t.Fatalf("PerNodeErrorQuantiles(50, 95) = %v, %v", both, err)
 	}
-	if _, err := c.PerNodeErrorQuantile(math.NaN(), from, to); err == nil {
+	if _, err := c.PerNodeErrorQuantiles(from, to, math.NaN()); err == nil {
 		t.Fatal("NaN quantile accepted")
 	}
 

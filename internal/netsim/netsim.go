@@ -267,9 +267,6 @@ func (n *Network) Region(i int) string {
 	return n.cfg.Regions[n.regionOf[i]].Name
 }
 
-// RegionIndex returns the region index of node i.
-func (n *Network) RegionIndex(i int) int { return n.regionOf[i] }
-
 // positionAt returns node i's plane position at the given tick,
 // accounting for regional drift.
 func (n *Network) positionAt(i int, tick uint64) (float64, float64) {

@@ -138,8 +138,8 @@ func TestRegionAssignmentRoundRobin(t *testing.T) {
 	if n.Region(4) != "us-west" {
 		t.Fatalf("round robin broken: node 4 in %s", n.Region(4))
 	}
-	if n.RegionIndex(5) != 1 {
-		t.Fatalf("RegionIndex(5) = %d", n.RegionIndex(5))
+	if n.Region(5) != "us-east" {
+		t.Fatalf("round robin broken: node 5 in %s", n.Region(5))
 	}
 	if n.Nodes() != 9 {
 		t.Fatalf("Nodes = %d", n.Nodes())

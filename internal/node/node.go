@@ -63,11 +63,11 @@ type Config struct {
 	Seeds []string
 	// Vivaldi configures the update algorithm.
 	Vivaldi vivaldi.Config
-	// Filter builds the per-link filter; nil means the paper's MP
-	// defaults.
+	// Filter builds the per-link filter; nil means no filtering, as in
+	// endpoint.New.
 	Filter filter.Factory
-	// Policy is the application-update policy; nil means ENERGY with the
-	// paper's PlanetLab parameters (window 32, tau 8).
+	// Policy is the application-update policy; nil means Direct, as in
+	// endpoint.New.
 	Policy heuristic.Policy
 	// SampleInterval is the time between pings; 0 means the default.
 	SampleInterval time.Duration
@@ -112,22 +112,7 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Vivaldi.Dimension == 0 {
 		cfg.Vivaldi = vivaldi.DefaultConfig()
 	}
-	factory := cfg.Filter
-	if factory == nil {
-		var err error
-		if factory, err = filter.MPFactory(filter.DefaultMPConfig()); err != nil {
-			return nil, fmt.Errorf("node: %w", err)
-		}
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		energy, err := heuristic.NewEnergy(cfg.Vivaldi.Dimension, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
-		if err != nil {
-			return nil, fmt.Errorf("node: %w", err)
-		}
-		policy = energy
-	}
-	ep, err := endpoint.New[string](cfg.Vivaldi, factory, policy, cfg.MaxNeighbors)
+	ep, err := endpoint.New[string](cfg.Vivaldi, cfg.Filter, cfg.Policy, cfg.MaxNeighbors)
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}

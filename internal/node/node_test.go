@@ -9,17 +9,30 @@ import (
 
 	"netcoord/internal/coord"
 	"netcoord/internal/filter"
+	"netcoord/internal/heuristic"
 	"netcoord/internal/transport"
 	"netcoord/internal/vivaldi"
 )
 
-// startNode launches a node with fast test timings.
+// startNode launches a node with fast test timings that runs the paper's
+// pipeline, MP filter and ENERGY, as every deployment through
+// netcoord.StartNode does by default.
 func startNode(t *testing.T, seeds []string, mutate func(*Config)) *Node {
 	t.Helper()
+	mp, err := filter.MPFactory(filter.DefaultMPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	energy, err := heuristic.NewEnergy(vivaldi.DefaultConfig().Dimension, heuristic.DefaultWindow, heuristic.DefaultEnergyTau)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
 		ListenAddr:     "127.0.0.1:0",
 		Seeds:          seeds,
 		Vivaldi:        vivaldi.DefaultConfig(),
+		Filter:         mp,
+		Policy:         energy,
 		SampleInterval: 20 * time.Millisecond,
 		PingTimeout:    500 * time.Millisecond,
 	}

@@ -140,8 +140,6 @@ type HubWatcher struct {
 	origin   netcoord.Coordinate
 	members  map[string]netcoord.Coordinate
 	kth      float64
-	full     bool
-	immature bool
 	detached bool
 	cells    []cellKey
 }
@@ -367,10 +365,9 @@ func (h *WatchHub) Watch(watchID string) *HubWatcher {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	w := &HubWatcher{
-		notify:   make(chan struct{}, 1),
-		watchID:  watchID,
-		kth:      math.Inf(1),
-		immature: true,
+		notify:  make(chan struct{}, 1),
+		watchID: watchID,
+		kth:     math.Inf(1),
 	}
 	h.watchers[w] = struct{}{}
 	h.anyOp[w] = struct{}{}
@@ -394,7 +391,6 @@ func (h *WatchHub) SetInterest(w *HubWatcher, origin netcoord.Coordinate, result
 		return h.processed.Load()
 	}
 	h.clearInterestLocked(w)
-	w.immature = false
 	w.origin = origin
 	w.members = make(map[string]netcoord.Coordinate, len(results))
 	for _, r := range results {
@@ -404,13 +400,13 @@ func (h *WatchHub) SetInterest(w *HubWatcher, origin netcoord.Coordinate, result
 	if w.watchID != "" {
 		h.addByIDLocked(w.watchID, w)
 	}
-	w.full = k > 0 && len(results) == k
-	if w.full {
+	full := k > 0 && len(results) == k
+	if full {
 		w.kth = results[len(results)-1].EstimatedRTT
 	} else {
 		w.kth = math.Inf(1)
 	}
-	if level, ok := levelFor(w.kth); w.full && ok {
+	if level, ok := levelFor(w.kth); full && ok {
 		w.cells = coverCells(origin, w.kth, level, w.cells[:0])
 		for _, key := range w.cells {
 			h.cells[key] = append(h.cells[key], w)

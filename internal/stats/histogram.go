@@ -94,13 +94,6 @@ func (h *Histogram) bucketIndex(v float64) int {
 	return idx
 }
 
-// Counts returns a copy of the per-bucket counts.
-func (h *Histogram) Counts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
 // Total returns the number of observed values.
 func (h *Histogram) Total() uint64 { return h.total }
 

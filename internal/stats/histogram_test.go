@@ -27,7 +27,7 @@ func TestHistogramObserve(t *testing.T) {
 	for _, v := range []float64{0, 5, 9.999, 10, 15, 25, 1000} {
 		h.Observe(v)
 	}
-	counts := h.Counts()
+	counts := h.counts
 	if counts[0] != 3 {
 		t.Errorf("bucket 0 = %d, want 3", counts[0])
 	}
@@ -158,7 +158,7 @@ func TestHistogramManyBucketsBinarySearch(t *testing.T) {
 	for v := 0.0; v < 640; v++ {
 		h.Observe(v)
 	}
-	counts := h.Counts()
+	counts := h.counts
 	for i, c := range counts {
 		if c != 10 {
 			t.Fatalf("bucket %d = %d, want 10", i, c)

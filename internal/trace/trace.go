@@ -139,9 +139,6 @@ func NewGenerator(net *netsim.Network, cfg GeneratorConfig) (*Generator, error) 
 // Network returns the network the generator samples.
 func (g *Generator) Network() *netsim.Network { return g.net }
 
-// JoinTick reports when node i joins the system (0 without churn).
-func (g *Generator) JoinTick(i int) uint64 { return g.joinTick[i] }
-
 // buildNeighborSet returns node i's neighbor list: all other nodes in
 // ring order when count is 0 or exceeds the population, otherwise a
 // deterministic random subset of the requested size.

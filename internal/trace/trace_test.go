@@ -378,15 +378,15 @@ func TestGeneratorChurn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	if g.JoinTick(0) != 0 {
-		t.Fatalf("node 0 join tick = %d, want 0", g.JoinTick(0))
+	if g.joinTick[0] != 0 {
+		t.Fatalf("node 0 join tick = %d, want 0", g.joinTick[0])
 	}
 	spread := false
 	for i := 1; i < 12; i++ {
-		if g.JoinTick(i) >= 100 {
-			t.Fatalf("node %d join tick %d out of spread", i, g.JoinTick(i))
+		if g.joinTick[i] >= 100 {
+			t.Fatalf("node %d join tick %d out of spread", i, g.joinTick[i])
 		}
-		if g.JoinTick(i) > 0 {
+		if g.joinTick[i] > 0 {
 			spread = true
 		}
 	}
@@ -400,11 +400,11 @@ func TestGeneratorChurn(t *testing.T) {
 			break
 		}
 		// No activity before either endpoint's join tick.
-		if s.Tick < g.JoinTick(s.From) {
-			t.Fatalf("node %d sampled at %d before joining at %d", s.From, s.Tick, g.JoinTick(s.From))
+		if s.Tick < g.joinTick[s.From] {
+			t.Fatalf("node %d sampled at %d before joining at %d", s.From, s.Tick, g.joinTick[s.From])
 		}
-		if s.Tick < g.JoinTick(s.To) {
-			t.Fatalf("node %d sampled at %d before target %d joined at %d", s.From, s.Tick, s.To, g.JoinTick(s.To))
+		if s.Tick < g.joinTick[s.To] {
+			t.Fatalf("node %d sampled at %d before target %d joined at %d", s.From, s.Tick, s.To, g.joinTick[s.To])
 		}
 		if _, ok := firstSeen[s.From]; !ok {
 			firstSeen[s.From] = s.Tick
@@ -445,8 +445,8 @@ func TestGeneratorNoChurnAllJoinAtZero(t *testing.T) {
 		t.Fatalf("NewGenerator: %v", err)
 	}
 	for i := 0; i < 6; i++ {
-		if g.JoinTick(i) != 0 {
-			t.Fatalf("node %d join tick = %d without churn", i, g.JoinTick(i))
+		if g.joinTick[i] != 0 {
+			t.Fatalf("node %d join tick = %d without churn", i, g.joinTick[i])
 		}
 	}
 }

@@ -6,9 +6,9 @@
 //   - Value-style operations (Add, Sub, Scale, Centroid) allocate their
 //     result. They read clearly and are fine anywhere off the per-sample
 //     path.
-//   - In-place / into-style operations (AddInPlace, SubInto, ScaleInPlace,
-//     AddScaledInPlace, the fused SubScaleAdd, Set, RandomUnitInto) write
-//     into storage the caller owns and perform zero heap allocations.
+//   - In-place operations (ScaleInPlace, AddScaledInPlace, the fused
+//     SubScaleAdd, Set, RandomUnitInto) write into storage the caller
+//     owns and perform zero heap allocations.
 //     Everything the simulator's steady-state step touches comes from
 //     this family (directly or via coord.CopyFrom), which is what makes
 //     the per-sample path allocation-free.
@@ -96,28 +96,6 @@ func (v Vector) Scale(s float64) Vector {
 	return out
 }
 
-// AddInPlace adds w into v without allocating.
-func (v Vector) AddInPlace(w Vector) error {
-	if len(v) != len(w) {
-		return ErrDimensionMismatch
-	}
-	for i := range v {
-		v[i] += w[i]
-	}
-	return nil
-}
-
-// SubInto stores a - b into dst without allocating. dst may alias a or b.
-func SubInto(dst, a, b Vector) error {
-	if len(dst) != len(a) || len(a) != len(b) {
-		return ErrDimensionMismatch
-	}
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-	return nil
-}
-
 // ScaleInPlace multiplies every component of v by s without allocating.
 func (v Vector) ScaleInPlace(s float64) {
 	for i := range v {
@@ -182,18 +160,6 @@ func (v Vector) Dist(w Vector) (float64, error) {
 	return math.Sqrt(sum), nil
 }
 
-// Dot returns the inner product of v and w.
-func (v Vector) Dot(w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("dot %d-dim and %d-dim: %w", len(v), len(w), ErrDimensionMismatch)
-	}
-	var sum float64
-	for i := range v {
-		sum += v[i] * w[i]
-	}
-	return sum, nil
-}
-
 // Equal reports whether v and w have the same dimension and components.
 func (v Vector) Equal(w Vector) bool {
 	if len(v) != len(w) {
@@ -223,27 +189,6 @@ func (v Vector) IsFinite() bool {
 // as co-located, requiring a random direction for the repulsive force.
 const zeroThreshold = 1e-6
 
-// UnitDirection returns the unit vector pointing from w toward v together
-// with the distance between them. If the two points are effectively
-// co-located (distance below an internal threshold) the direction is taken
-// from random, which must yield values in [0,1), and the returned distance
-// is zero. This is the standard Vivaldi bootstrap trick: nodes all start
-// at the origin and need a random push to separate.
-func UnitDirection(v, w Vector, random func() float64) (Vector, float64, error) {
-	diff := make(Vector, len(v))
-	if err := SubInto(diff, v, w); err != nil {
-		return nil, 0, err
-	}
-	mag := diff.Norm()
-	if mag > zeroThreshold {
-		return diff.Scale(1 / mag), mag, nil
-	}
-	// Co-located: pick a random direction on the unit sphere.
-	dir := make(Vector, len(v))
-	RandomUnitInto(dir, random)
-	return dir, 0, nil
-}
-
 // RandomUnitInto fills dst with a random unit vector without allocating,
 // drawing components from random (which must yield values in [0,1)). It
 // retries until the pre-normalization magnitude is safely above zero, so
@@ -263,11 +208,11 @@ func RandomUnitInto(dst Vector, random func() float64) {
 	}
 }
 
-// Colocated reports whether a Euclidean separation is below the
+// Colocated reports whether a Euclidean separation is at or below the
 // co-location threshold — the regime where Vivaldi substitutes a random
-// push for the undefined unit direction. Exposed so callers that compute
-// the separation themselves (to reuse it for error measurement) classify
-// it exactly as UnitDirection would.
+// push (RandomUnitInto) for the undefined unit direction. This is the
+// standard Vivaldi bootstrap trick: nodes all start at the origin and
+// need a random push to separate.
 func Colocated(mag float64) bool { return mag <= zeroThreshold }
 
 // Centroid returns the arithmetic mean of the given vectors. All vectors

@@ -124,19 +124,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestAddInPlace(t *testing.T) {
-	v := New(1, 2)
-	if err := v.AddInPlace(New(10, 20)); err != nil {
-		t.Fatalf("AddInPlace: %v", err)
-	}
-	if !v.Equal(New(11, 22)) {
-		t.Fatalf("AddInPlace = %v, want [11, 22]", v)
-	}
-	if err := v.AddInPlace(New(1)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("AddInPlace mismatch error = %v, want ErrDimensionMismatch", err)
-	}
-}
-
 func TestNorm(t *testing.T) {
 	tests := []struct {
 		name string
@@ -171,20 +158,6 @@ func TestDist(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	a, b := New(1, 2, 3), New(4, -5, 6)
-	got, err := a.Dot(b)
-	if err != nil {
-		t.Fatalf("Dot: %v", err)
-	}
-	if got != 4-10+18 {
-		t.Fatalf("Dot = %v, want 12", got)
-	}
-	if _, err := a.Dot(New(1)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("Dot mismatch error = %v", err)
-	}
-}
-
 func TestIsFinite(t *testing.T) {
 	tests := []struct {
 		name string
@@ -203,42 +176,6 @@ func TestIsFinite(t *testing.T) {
 				t.Fatalf("IsFinite = %v, want %v", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestUnitDirectionSeparated(t *testing.T) {
-	v, w := New(4, 0, 0), New(1, 0, 0)
-	dir, dist, err := UnitDirection(v, w, func() float64 { t.Fatal("random should not be called"); return 0 })
-	if err != nil {
-		t.Fatalf("UnitDirection: %v", err)
-	}
-	if dist != 3 {
-		t.Fatalf("dist = %v, want 3", dist)
-	}
-	if !dir.Equal(New(1, 0, 0)) {
-		t.Fatalf("dir = %v, want [1,0,0]", dir)
-	}
-}
-
-func TestUnitDirectionColocated(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	v := New(5, 5, 5)
-	dir, dist, err := UnitDirection(v, v.Clone(), rng.Float64)
-	if err != nil {
-		t.Fatalf("UnitDirection: %v", err)
-	}
-	if dist != 0 {
-		t.Fatalf("dist = %v, want 0 for co-located points", dist)
-	}
-	if math.Abs(dir.Norm()-1) > 1e-9 {
-		t.Fatalf("random direction norm = %v, want 1", dir.Norm())
-	}
-}
-
-func TestUnitDirectionMismatch(t *testing.T) {
-	_, _, err := UnitDirection(New(1, 2), New(1), func() float64 { return 0.5 })
-	if !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("error = %v, want ErrDimensionMismatch", err)
 	}
 }
 
@@ -359,38 +296,6 @@ func BenchmarkDist3D(b *testing.B) {
 	}
 }
 
-func BenchmarkUnitDirection(b *testing.B) {
-	v, w := New(1, 2, 3), New(4, 5, 6)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := UnitDirection(v, w, rng.Float64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestSubInto(t *testing.T) {
-	dst := Zero(3)
-	if err := SubInto(dst, New(5, 7, 9), New(1, 2, 3)); err != nil {
-		t.Fatalf("SubInto: %v", err)
-	}
-	if !dst.Equal(New(4, 5, 6)) {
-		t.Fatalf("SubInto = %v, want [4, 5, 6]", dst)
-	}
-	// Aliasing: dst == a is the common scratch-buffer pattern.
-	a := New(5, 7, 9)
-	if err := SubInto(a, a, New(1, 2, 3)); err != nil {
-		t.Fatalf("SubInto aliased: %v", err)
-	}
-	if !a.Equal(New(4, 5, 6)) {
-		t.Fatalf("aliased SubInto = %v, want [4, 5, 6]", a)
-	}
-	if err := SubInto(Zero(2), New(1, 2, 3), New(1, 2, 3)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("mismatched dst error = %v", err)
-	}
-}
-
 func TestScaleInPlace(t *testing.T) {
 	v := New(1, -2, 3)
 	v.ScaleInPlace(2)
@@ -418,13 +323,13 @@ func TestSubScaleAddMatchesComposedOps(t *testing.T) {
 	v := New(10, 20, 30)
 	a := New(4, 5, 6)
 	b := New(1, 3, 5)
-	want := v.Clone()
 	diff, err := a.Sub(b)
 	if err != nil {
 		t.Fatalf("Sub: %v", err)
 	}
-	if err := want.AddInPlace(diff.Scale(0.5)); err != nil {
-		t.Fatalf("AddInPlace: %v", err)
+	want, err := v.Add(diff.Scale(0.5))
+	if err != nil {
+		t.Fatalf("Add: %v", err)
 	}
 	if err := v.SubScaleAdd(a, b, 0.5); err != nil {
 		t.Fatalf("SubScaleAdd: %v", err)
@@ -477,15 +382,6 @@ func TestColocated(t *testing.T) {
 	if Colocated(zeroThreshold * 1.01) {
 		t.Fatal("clearly separated classified co-located")
 	}
-	// Must agree with UnitDirection's own classification.
-	v, w := New(1e-7, 0, 0), Zero(3)
-	_, mag, err := UnitDirection(v, w, rand.New(rand.NewSource(1)).Float64)
-	if err != nil {
-		t.Fatalf("UnitDirection: %v", err)
-	}
-	if (mag == 0) != Colocated(1e-7) {
-		t.Fatal("Colocated disagrees with UnitDirection")
-	}
 }
 
 func TestHotPathVariantsDoNotAllocate(t *testing.T) {
@@ -493,8 +389,6 @@ func TestHotPathVariantsDoNotAllocate(t *testing.T) {
 	dst := Zero(3)
 	rng := rand.New(rand.NewSource(9))
 	allocs := testing.AllocsPerRun(200, func() {
-		_ = SubInto(dst, a, b)
-		_ = v.AddInPlace(a)
 		v.ScaleInPlace(0.5)
 		_ = v.AddScaledInPlace(b, 0.25)
 		_ = v.SubScaleAdd(a, b, 0.25)

@@ -285,7 +285,7 @@ func (n *Node) update(rtt float64, remote coord.Coordinate, remoteErr float64, s
 	ws := wi / (wi + wj)
 
 	// Effective distance: the co-located regime collapses the separation
-	// to zero, exactly as vec.UnitDirection reports it.
+	// to zero.
 	mag := sep
 	colocated := vec.Colocated(mag)
 	if colocated {

@@ -69,19 +69,6 @@ func (s *Stream) Uint64() uint64 {
 	return mix(s.state)
 }
 
-// Int63 returns a non-negative 63-bit integer. It matches the contract of
-// math/rand.Source64's Int63 so a Stream can back a math/rand.Rand if a
-// caller ever needs the full stdlib distribution set.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
-// Seed resets the stream state. Implements math/rand.Source.
-func (s *Stream) Seed(seed int64) {
-	s.state = uint64(seed)
-	s.hasSpare = false
-}
-
 // Float64 returns a uniform variate in [0, 1).
 func (s *Stream) Float64() float64 {
 	// 53 high bits give a uniform dyadic rational in [0,1).
@@ -140,11 +127,6 @@ func (s *Stream) Pareto(xm, alpha float64) float64 {
 		u = s.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// LogNormal returns exp(Normal(mu, sigma)).
-func (s *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
 }
 
 // Bernoulli returns true with probability p.

@@ -16,6 +16,13 @@ BenchmarkStep-4         	  936750	      1287 ns/op	       0 B/op	       0 allocs
 BenchmarkSimulateN256   	       1	  25077210 ns/op	    918874 samples/s	 9674448 B/op	  106116 allocs/op
 PASS
 ok  	netcoord	2.785s
+goos: linux
+goarch: amd64
+pkg: netcoord/internal/index
+cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
+BenchmarkIndexKNN/shards=1-2 	  153170	      7938 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	netcoord/internal/index	1.402s
 `
 
 func TestParse(t *testing.T) {
@@ -23,11 +30,17 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if doc.Package != "netcoord" || !strings.Contains(doc.CPU, "Xeon") {
+	if !strings.Contains(doc.CPU, "Xeon") {
 		t.Fatalf("header: %+v", doc)
 	}
-	if len(doc.Results) != 2 {
+	if len(doc.Results) != 3 {
 		t.Fatalf("got %d results", len(doc.Results))
+	}
+	// Each result carries the package of the pkg: header above it.
+	for i, want := range []string{"netcoord", "netcoord", "netcoord/internal/index"} {
+		if got := doc.Results[i].Package; got != want {
+			t.Errorf("result %d (%s) package = %q, want %q", i, doc.Results[i].Name, got, want)
+		}
 	}
 	step := doc.Results[0]
 	if step.Name != "BenchmarkStep" || step.Procs != 4 || step.Iterations != 936750 {
@@ -39,6 +52,9 @@ func TestParse(t *testing.T) {
 	sim := doc.Results[1]
 	if sim.Procs != 1 || sim.Metrics["samples/s"] != 918874 || sim.Metrics["allocs/op"] != 106116 {
 		t.Fatalf("sim = %+v", sim)
+	}
+	if knn := doc.Results[2]; knn.Name != "BenchmarkIndexKNN/shards=1" || knn.Procs != 2 || knn.Metrics["ns/op"] != 7938 {
+		t.Fatalf("knn = %+v", knn)
 	}
 }
 

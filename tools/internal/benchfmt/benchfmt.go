@@ -13,6 +13,8 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
+	// Package is the import path of the last pkg: header above the line.
+	Package string `json:"package,omitempty"`
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
 	// Procs is the GOMAXPROCS suffix (1 if absent).
@@ -24,11 +26,10 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Document is one run's output: its headers and its result lines.
+// Document is one run's output: its cpu header and its result lines.
 type Document struct {
-	// CPU and Package echo the bench header lines when present.
-	CPU     string `json:"cpu,omitempty"`
-	Package string `json:"package,omitempty"`
+	// CPU echoes the cpu: header line when present.
+	CPU string `json:"cpu,omitempty"`
 	// Results are the parsed benchmark lines in input order.
 	Results []Result `json:"results"`
 }
@@ -37,6 +38,7 @@ type Document struct {
 // single result line.
 func Parse(sc *bufio.Scanner) (Document, error) {
 	var doc Document
+	var pkg string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -44,7 +46,7 @@ func Parse(sc *bufio.Scanner) (Document, error) {
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
@@ -58,7 +60,7 @@ func Parse(sc *bufio.Scanner) (Document, error) {
 			continue
 		}
 		name, procs := SplitProcs(fields[0])
-		r := Result{Name: name, Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
+		r := Result{Package: pkg, Name: name, Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
