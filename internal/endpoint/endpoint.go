@@ -5,7 +5,9 @@
 // keyed by address) and the public netcoord.Client (keyed by peer id)
 // each own one Endpoint per participant and add only what is theirs: a
 // tick-start snapshot and metric collectors, a transport and neighbor
-// set, a lock and a peer table.
+// set, a lock and a peer table. Each hands its Endpoint the per-link
+// filter table that fits its keys: the simulator a filter.Dense indexed
+// by node id, the live node and Client a bounded filter.Bank map.
 //
 // Invariants every caller inherits from Observe:
 //
@@ -24,15 +26,27 @@ import (
 	"math"
 
 	"netcoord/internal/coord"
-	"netcoord/internal/filter"
 	"netcoord/internal/heuristic"
 	"netcoord/internal/vivaldi"
 )
 
+// Links is the per-link filter table an Endpoint routes every sample
+// through: filter.Bank[K] for any key, filter.Dense for node ids.
+type Links[K comparable] interface {
+	// Observe filters one sample of the link to peer.
+	Observe(peer K, sample float64) (estimate float64, ok bool)
+	// Forget drops peer's filter state.
+	Forget(peer K)
+	// Reset restarts every link's filter.
+	Reset()
+	// Peers reports how many links hold filter state.
+	Peers() int
+}
+
 // Endpoint is one participant's coordinate state.
 type Endpoint[K comparable] struct {
 	viv    *vivaldi.Node
-	bank   *filter.Bank[K]
+	links  Links[K]
 	policy heuristic.Policy
 	dim    int
 
@@ -68,17 +82,14 @@ type Result struct {
 	AppChanged bool
 }
 
-// New builds an endpoint at the origin. A nil factory means no filtering
-// (the paper's "No Filter" configuration); a nil policy means Direct (the
-// application coordinate follows the system coordinate). maxLinks bounds
-// per-link filter state; <= 0 means unbounded.
-func New[K comparable](cfg vivaldi.Config, factory filter.Factory, policy heuristic.Policy, maxLinks int) (*Endpoint[K], error) {
+// New builds an endpoint at the origin that filters each link through
+// links (filter.NewBank and filter.NewDense read a nil factory as the
+// paper's "No Filter" configuration). A nil policy means Direct (the
+// application coordinate follows the system coordinate).
+func New[K comparable](cfg vivaldi.Config, links Links[K], policy heuristic.Policy) (*Endpoint[K], error) {
 	viv, err := vivaldi.New(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if factory == nil {
-		factory = func() filter.Filter { return filter.NewNone() }
 	}
 	if policy == nil {
 		if policy, err = heuristic.NewDirect(cfg.Dimension); err != nil {
@@ -92,7 +103,7 @@ func New[K comparable](cfg vivaldi.Config, factory filter.Factory, policy heuris
 	}
 	return &Endpoint[K]{
 		viv:     viv,
-		bank:    filter.NewBank[K](factory, maxLinks),
+		links:   links,
 		policy:  policy,
 		dim:     cfg.Dimension,
 		nnDist:  math.Inf(1),
@@ -121,7 +132,7 @@ func (e *Endpoint[K]) Observe(key K, rtt float64, remote coord.Coordinate, remot
 	if err != nil {
 		return Result{}, err
 	}
-	filtered, released := e.bank.Observe(key, rtt)
+	filtered, released := e.links.Observe(key, rtt)
 	if !released {
 		return Result{Predicted: predicted, Filtered: filtered}, nil
 	}
@@ -169,7 +180,7 @@ func (e *Endpoint[K]) Observe(key K, rtt float64, remote coord.Coordinate, remot
 // keeps measuring centroid shift against a stale coordinate and no
 // farther peer can ever displace its distance.
 func (e *Endpoint[K]) Forget(key K) {
-	e.bank.Forget(key)
+	e.links.Forget(key)
 	if e.hasNN && e.nnKey == key {
 		var zero K
 		e.nnKey, e.nnDist, e.hasNN = zero, math.Inf(1), false
@@ -192,7 +203,7 @@ func (e *Endpoint[K]) Restore(sys, app coord.Coordinate, errWeight float64) erro
 	if _, _, err := e.policy.Observe(heuristic.Observation{Sys: app}); err != nil {
 		return err
 	}
-	e.bank.Reset()
+	e.links.Reset()
 	return nil
 }
 
@@ -209,7 +220,7 @@ func (e *Endpoint[K]) App() coord.Coordinate { return e.policy.AppRef() }
 func (e *Endpoint[K]) Error() float64 { return e.viv.Error() }
 
 // Links reports how many peers hold filter state.
-func (e *Endpoint[K]) Links() int { return e.bank.Peers() }
+func (e *Endpoint[K]) Links() int { return e.links.Peers() }
 
 // Neighbor returns the current nearest neighbor's key and a view of its
 // coordinate as copied when it was last observed.

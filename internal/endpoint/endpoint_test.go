@@ -32,7 +32,7 @@ func deployed(t testing.TB) *Endpoint[int] {
 		}
 		return f
 	}
-	e, err := New[int](vivaldi.DefaultConfig(), mp, policy, 0)
+	e, err := New[int](vivaldi.DefaultConfig(), filter.NewBank[int](mp, 0), policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func deployed(t testing.TB) *Endpoint[int] {
 }
 
 func TestNewDefaultsAndValidation(t *testing.T) {
-	e, err := New[int](vivaldi.DefaultConfig(), nil, nil, 0)
+	e, err := New[int](vivaldi.DefaultConfig(), filter.NewBank[int](nil, 0), nil)
 	if err != nil {
 		t.Fatalf("New with nil filter and policy: %v", err)
 	}
@@ -56,14 +56,14 @@ func TestNewDefaultsAndValidation(t *testing.T) {
 
 	bad := vivaldi.DefaultConfig()
 	bad.CC = 0
-	if _, err := New[int](bad, nil, nil, 0); err == nil {
+	if _, err := New[int](bad, filter.NewBank[int](nil, 0), nil); err == nil {
 		t.Fatal("invalid Vivaldi config accepted")
 	}
 	two, err := heuristic.NewDirect(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New[int](vivaldi.DefaultConfig(), nil, two, 0); err == nil {
+	if _, err := New[int](vivaldi.DefaultConfig(), filter.NewBank[int](nil, 0), two); err == nil {
 		t.Fatal("2-dimensional policy accepted on a 3-dimensional endpoint")
 	}
 }
@@ -151,7 +151,7 @@ func TestRefusedSampleTouchesNothing(t *testing.T) {
 }
 
 func TestForgetClearsNearestNeighborOnlyForItsKey(t *testing.T) {
-	e, err := New[int](vivaldi.DefaultConfig(), nil, nil, 0)
+	e, err := New[int](vivaldi.DefaultConfig(), filter.NewBank[int](nil, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

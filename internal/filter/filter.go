@@ -89,8 +89,10 @@ func (c MPConfig) Validate() error {
 // observations.
 type MP struct {
 	cfg    MPConfig
-	ring   []float64 // insertion-ordered history, oldest first
-	sorted []float64 // scratch: sorted copy of ring
+	ring   []float64 // the last n observations, overwritten oldest first
+	sorted []float64 // scratch: the history in ascending order
+	next   int       // ring slot the next observation overwrites
+	n      int       // observations held, up to h
 	seen   int       // total observations, for warm-up
 }
 
@@ -106,7 +108,7 @@ func NewMP(cfg MPConfig) (*MP, error) {
 func newMP(cfg MPConfig) *MP {
 	h := cfg.History
 	buf := make([]float64, 2*h) // ring and sorted scratch share one array
-	return &MP{cfg: cfg, ring: buf[:0:h], sorted: buf[h : h : 2*h]}
+	return &MP{cfg: cfg, ring: buf[:h:h], sorted: buf[h:]}
 }
 
 // MPFactory validates cfg once and returns a factory of MP filters
@@ -119,49 +121,48 @@ func MPFactory(cfg MPConfig) (Factory, error) {
 }
 
 // Observe implements Filter.
+//
+//nc:hotpath
 func (f *MP) Observe(sample float64) (float64, bool) {
-	if len(f.ring) == cap(f.ring) {
-		copy(f.ring, f.ring[1:])
-		f.ring[len(f.ring)-1] = sample
-	} else {
-		f.ring = append(f.ring, sample)
+	f.ring[f.next] = sample
+	if f.next++; f.next == len(f.ring) {
+		f.next = 0
+	}
+	if f.n < len(f.ring) {
+		f.n++
 	}
 	f.seen++
 	if f.seen < f.cfg.UpdateAfter {
 		return 0, false
 	}
-	f.sorted = append(f.sorted[:0], f.ring...)
-	// The paper's window is h=4: insertion sort beats the general sort
-	// for these tiny windows and keeps the per-sample path branch-cheap.
-	if len(f.sorted) <= 16 {
-		insertionSort(f.sorted)
-	} else {
-		sort.Float64s(f.sorted)
-	}
-	return percentileSorted(f.sorted, f.cfg.Percentile), true
-}
-
-// insertionSort sorts a tiny slice in place.
-func insertionSort(x []float64) {
-	for i := 1; i < len(x); i++ {
-		v := x[i]
-		j := i - 1
-		for j >= 0 && x[j] > v {
-			x[j+1] = x[j]
-			j--
+	// The percentile needs the history's values, not their order, so
+	// they are sorted straight from the ring. The paper's window is
+	// h=4: insertion sort beats the general sort for these tiny windows
+	// and keeps the per-sample path branch-cheap.
+	sorted := f.sorted[:f.n]
+	if f.n <= 16 {
+		for i, v := range f.ring[:f.n] {
+			j := i - 1
+			for j >= 0 && sorted[j] > v {
+				sorted[j+1] = sorted[j]
+				j--
+			}
+			sorted[j+1] = v
 		}
-		x[j+1] = v
+	} else {
+		copy(sorted, f.ring[:f.n])
+		sort.Float64s(sorted)
 	}
+	return percentileSorted(sorted, f.cfg.Percentile), true
 }
 
 // Reset implements Filter.
 func (f *MP) Reset() {
-	f.ring = f.ring[:0]
-	f.seen = 0
+	f.next, f.n, f.seen = 0, 0, 0
 }
 
 // Len reports the current history occupancy (for tests and diagnostics).
-func (f *MP) Len() int { return len(f.ring) }
+func (f *MP) Len() int { return f.n }
 
 // percentileSorted mirrors stats.PercentileSorted without the error path;
 // the window is guaranteed non-empty here and p pre-validated. Duplicated

@@ -392,6 +392,109 @@ func TestBankReset(t *testing.T) {
 	}
 }
 
+// TestMPRingMatchesSortReference holds the ring filter to the plain
+// definition bit for bit: keep the last h samples oldest first, sort a
+// copy and read stats.PercentileSorted. Streams are seeded, half of
+// them drawn from a few values so that ties are common, and each is
+// Reset part way through.
+func TestMPRingMatchesSortReference(t *testing.T) {
+	rng := xrand.NewStream(7)
+	for _, h := range []int{1, 4, 17} { // 17 is past the insertion-sort cutoff
+		for _, p := range []float64{0, 25, 50, 100} {
+			for after := 1; after <= 3; after++ {
+				for _, ties := range []bool{false, true} {
+					cfg := MPConfig{History: h, Percentile: p, UpdateAfter: after}
+					f := mustMP(t, cfg)
+					var hist []float64
+					seen := 0
+					resetAt := 5 + rng.Intn(40)
+					for i := 0; i < 100; i++ {
+						if i == resetAt {
+							f.Reset()
+							hist, seen = hist[:0], 0
+						}
+						s := 20 + rng.Pareto(10, 1.5)
+						if ties {
+							s = float64(10 * (1 + rng.Intn(3)))
+						}
+						hist = append(hist, s)
+						if len(hist) > h {
+							hist = hist[1:]
+						}
+						seen++
+						got, ok := f.Observe(s)
+						if wantOK := seen >= after; ok != wantOK {
+							t.Fatalf("%+v ties=%v sample %d: ok = %v, want %v", cfg, ties, i, ok, wantOK)
+						}
+						if f.Len() != len(hist) {
+							t.Fatalf("%+v ties=%v sample %d: Len = %d, want %d", cfg, ties, i, f.Len(), len(hist))
+						}
+						if !ok {
+							continue
+						}
+						sorted := append([]float64(nil), hist...)
+						sort.Float64s(sorted)
+						want, err := stats.PercentileSorted(sorted, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%+v ties=%v sample %d: %v, want %v (history %v)", cfg, ties, i, got, want, hist)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseMatchesBank runs one seeded script of Observe, Forget, Reset
+// and Peers against a Dense table and an unbounded Bank: every estimate
+// must agree bit for bit and every count exactly.
+func TestDenseMatchesBank(t *testing.T) {
+	factory, err := MPFactory(MPConfig{History: 4, Percentile: 25, UpdateAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	dense, bank := NewDense(factory, n), NewBank[int](factory, 0)
+	rng := xrand.NewStream(11)
+	for i := 0; i < 5000; i++ {
+		peer := rng.Intn(n)
+		switch op := rng.Intn(100); {
+		case op < 2:
+			dense.Reset()
+			bank.Reset()
+		case op < 8:
+			dense.Forget(peer) // often a peer with no state
+			bank.Forget(peer)
+		default:
+			s := 20 + rng.Pareto(10, 1.5)
+			got, gotOK := dense.Observe(peer, s)
+			want, wantOK := bank.Observe(peer, s)
+			if math.Float64bits(got) != math.Float64bits(want) || gotOK != wantOK {
+				t.Fatalf("op %d: peer %d: dense %v,%v, bank %v,%v", i, peer, got, gotOK, want, wantOK)
+			}
+		}
+		if dense.Peers() != bank.Peers() {
+			t.Fatalf("op %d: dense holds %d peers, bank %d", i, dense.Peers(), bank.Peers())
+		}
+	}
+}
+
+// TestNilFactoryIsNoFilter: both tables read a nil factory as the
+// paper's "No Filter" configuration.
+func TestNilFactoryIsNoFilter(t *testing.T) {
+	for name, links := range map[string]interface {
+		Observe(int, float64) (float64, bool)
+		Peers() int
+	}{"bank": NewBank[int](nil, 0), "dense": NewDense(nil, 2)} {
+		if est, ok := links.Observe(1, 42); !ok || est != 42 || links.Peers() != 1 {
+			t.Errorf("%s: Observe = %v, %v with %d peers; want the raw sample from one peer", name, est, ok, links.Peers())
+		}
+	}
+}
+
 // The headline claim of Figure 4: on heavy-tailed input, a short history
 // with a low percentile predicts the next observation far better than the
 // raw stream does.
@@ -456,6 +559,17 @@ func BenchmarkBankObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bank.Observe(peers[i%len(peers)], float64(i%100))
+	}
+}
+
+func BenchmarkDenseObserve(b *testing.B) {
+	dense := NewDense(func() Filter {
+		f, _ := NewMP(DefaultMPConfig())
+		return f
+	}, 5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dense.Observe(i%5, float64(i%100))
 	}
 }
 

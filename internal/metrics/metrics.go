@@ -22,7 +22,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"netcoord/internal/stats"
 )
@@ -150,8 +149,8 @@ func (c *Collector) RecordMovement(node int, tick uint64, displacement float64, 
 // PerNodeErrorQuantiles returns, for each percentile qs[i] (0-100),
 // the qs[i]-th percentile of the relative errors of each node with
 // data in [from, to]: result i belongs to qs[i], and its length is the
-// number of nodes with data. Each node's window is sorted once and
-// every q read from it.
+// number of nodes with data. Each q is selected from the node's window
+// in place, with no sort.
 func (c *Collector) PerNodeErrorQuantiles(from, to uint64, qs ...float64) ([][]float64, error) {
 	return perNodeQuantiles(c.errs, from, to, qs...)
 }
@@ -182,9 +181,8 @@ func perNodeQuantiles(ss []series, from, to uint64, qs ...float64) ([][]float64,
 		if len(buf) == 0 {
 			continue
 		}
-		sort.Float64s(buf)
 		for j, q := range qs {
-			v, err := stats.PercentileSorted(buf, q)
+			v, err := stats.PercentileInPlace(buf, q)
 			if err != nil {
 				return nil, fmt.Errorf("per-node quantile: %w", err)
 			}
@@ -326,12 +324,11 @@ func (c *Collector) Intervals(width uint64) ([]IntervalStat, error) {
 		errs := c.AllErrors(start, end)
 		st.Samples = len(errs)
 		if len(errs) > 0 {
-			sort.Float64s(errs) // AllErrors' slice is ours: sort once, read both
-			var err error
-			if st.MedianRelErr, err = stats.PercentileSorted(errs, 50); err != nil {
+			var err error // AllErrors' slice is ours to reorder
+			if st.MedianRelErr, err = stats.PercentileInPlace(errs, 50); err != nil {
 				return nil, err
 			}
-			if st.P95RelErr, err = stats.PercentileSorted(errs, 95); err != nil {
+			if st.P95RelErr, err = stats.PercentileInPlace(errs, 95); err != nil {
 				return nil, err
 			}
 		}

@@ -64,7 +64,7 @@ type Config struct {
 	// Vivaldi configures the update algorithm.
 	Vivaldi vivaldi.Config
 	// Filter builds the per-link filter; nil means no filtering, as in
-	// endpoint.New.
+	// filter.NewBank.
 	Filter filter.Factory
 	// Policy is the application-update policy; nil means Direct, as in
 	// endpoint.New.
@@ -112,7 +112,7 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Vivaldi.Dimension == 0 {
 		cfg.Vivaldi = vivaldi.DefaultConfig()
 	}
-	ep, err := endpoint.New[string](cfg.Vivaldi, cfg.Filter, cfg.Policy, cfg.MaxNeighbors)
+	ep, err := endpoint.New[string](cfg.Vivaldi, filter.NewBank[string](cfg.Filter, cfg.MaxNeighbors), cfg.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}

@@ -166,7 +166,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 				return nil, fmt.Errorf("sim node %d policy: %w", i, err)
 			}
 		}
-		ep, err := endpoint.New[int](vcfg, cfg.Filter, policy, 0)
+		ep, err := endpoint.New[int](vcfg, filter.NewDense(cfg.Filter, cfg.Nodes), policy)
 		if err != nil {
 			return nil, fmt.Errorf("sim node %d: %w", i, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -20,43 +21,129 @@ var ErrEmpty = errors.New("stats: empty input")
 // linear interpolation between closest ranks. The input need not be
 // sorted; it is not modified.
 func Percentile(values []float64, p float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, ErrEmpty
-	}
-	if !(p >= 0 && p <= 100) {
-		return 0, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
+	return PercentileInPlace(append([]float64(nil), values...), p)
 }
 
 // PercentileSorted is Percentile for input already in ascending order. It
 // performs no allocation, making it suitable for hot loops that maintain
 // sorted windows (the MP filter).
 func PercentileSorted(sorted []float64, p float64) (float64, error) {
-	if len(sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if !(p >= 0 && p <= 100) {
-		return 0, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
+	if err := checkPercentile(len(sorted), p); err != nil {
+		return 0, err
 	}
 	return percentileSorted(sorted, p), nil
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
+// PercentileInPlace is Percentile without the copy: it reorders values,
+// selecting the one or two order statistics the percentile interpolates
+// between instead of sorting them all. It reads the same order
+// statistics through the same formula as PercentileSorted on the sorted
+// values, so the result is equal bit for bit (save that -0 and 0, which
+// compare equal, may trade places, as they may in a sort). It performs
+// no allocation.
+func PercentileInPlace(values []float64, p float64) (float64, error) {
+	if err := checkPercentile(len(values), p); err != nil {
+		return 0, err
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := ranks(len(values), p)
+	selectKth(values, lo, 2*bits.Len(uint(len(values))))
+	if lo == hi {
+		return values[lo], nil
+	}
+	// Nothing after values[lo] sorts below it, so the next order
+	// statistic is the least of them.
+	next := values[hi]
+	for _, v := range values[hi+1:] {
+		if less(v, next) {
+			next = v
+		}
+	}
+	return values[lo]*(1-frac) + next*frac, nil
+}
+
+func checkPercentile(n int, p float64) error {
+	if n == 0 {
+		return ErrEmpty
+	}
+	if !(p >= 0 && p <= 100) {
+		return fmt.Errorf("stats: percentile %v out of [0, 100]", p)
+	}
+	return nil
+}
+
+func percentileSorted(sorted []float64, p float64) float64 {
+	lo, hi, frac := ranks(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// ranks locates the p-th percentile of n sorted values: between the
+// values at ranks lo and hi (equal when it falls on one), hi weighted
+// frac.
+func ranks(n int, p float64) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// less is sort.Float64s's order: NaN below every number.
+func less(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// selectKth reorders x so that x[k] holds what sorting would put there,
+// with nothing after it that sorts below it and nothing before it that
+// sorts above it: Hoare's selection with a median-of-three pivot, which
+// sorts what is left once it has partitioned budget times. The
+// 2·log2(len(x)) that PercentileInPlace gives it is more than pivots
+// that split the range even roughly in half ever spend, and bounds a
+// hostile input's cost by a sort's.
+func selectKth(x []float64, k, budget int) {
+	lo, hi := 0, len(x)-1
+	for ; hi > lo; budget-- {
+		if budget == 0 {
+			sort.Float64s(x[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if less(x[mid], x[lo]) {
+			x[mid], x[lo] = x[lo], x[mid]
+		}
+		if less(x[hi], x[mid]) {
+			x[hi], x[mid] = x[mid], x[hi]
+			if less(x[mid], x[lo]) {
+				x[mid], x[lo] = x[lo], x[mid]
+			}
+		}
+		pivot := x[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(x[i], pivot) {
+				i++
+			}
+			for less(pivot, x[j]) {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		// x[lo..j] sorts no higher than the pivot, x[i..hi] no lower,
+		// and whatever lies between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Median returns the 50th percentile of values.

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"netcoord/internal/xrand"
@@ -106,6 +107,95 @@ func TestPercentileSortedMatchesPercentile(t *testing.T) {
 		}
 		if !almostEqual(a, b, 1e-9) {
 			t.Fatalf("trial %d: Percentile=%v PercentileSorted=%v", trial, a, b)
+		}
+	}
+}
+
+// TestPercentileInPlaceMatchesSort holds the selection to
+// sort-then-PercentileSorted bit for bit on seeded inputs: sizes 1, 2,
+// 1 200 and odd ones between, continuous values, heavy duplicates, runs
+// already in order and in reverse, and NaNs (which sort.Float64s puts
+// first).
+func TestPercentileInPlaceMatchesSort(t *testing.T) {
+	rng := xrand.NewStream(5)
+	kinds := map[string]func(i, n int) float64{
+		"pareto":     func(int, int) float64 { return rng.Pareto(1, 1.2) },
+		"duplicates": func(int, int) float64 { return float64(rng.Intn(3)) },
+		"ascending":  func(i, _ int) float64 { return float64(i) },
+		"descending": func(i, n int) float64 { return float64(n - i) },
+		"nans": func(int, int) float64 {
+			if rng.Bernoulli(0.1) {
+				return math.NaN()
+			}
+			return rng.Normal(0, 1)
+		},
+	}
+	for kind, gen := range kinds {
+		for _, n := range []int{1, 2, 3, 7, 100, 1200} {
+			values := make([]float64, n)
+			for i := range values {
+				values[i] = gen(i, n)
+			}
+			sorted := append([]float64(nil), values...)
+			sort.Float64s(sorted)
+			for _, q := range []float64{0, 50, 95, 100, 12.5, 99.9} {
+				want, err := PercentileSorted(sorted, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch := append([]float64(nil), values...)
+				got, err := PercentileInPlace(scratch, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d q=%v: %v, want %v", kind, n, q, got, want)
+				}
+				again := append([]float64(nil), scratch...)
+				sort.Float64s(again)
+				for i := range again {
+					if math.Float64bits(again[i]) != math.Float64bits(sorted[i]) {
+						t.Fatalf("%s n=%d q=%v: reordering lost or changed values", kind, n, q)
+					}
+				}
+			}
+		}
+	}
+	if _, err := PercentileInPlace(nil, 50); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("empty input: %v, want ErrEmpty", err)
+	}
+	if _, err := PercentileInPlace([]float64{1}, 101); err == nil {
+		t.Fatal("percentile 101 accepted")
+	}
+	values := make([]float64, 1200)
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = PercentileInPlace(values, 95) }); allocs != 0 {
+		t.Fatalf("PercentileInPlace allocates %v times", allocs)
+	}
+}
+
+// TestSelectKthSortsWhatItCannotSplit: whether its partition budget
+// runs out at once, part way or never, the selection leaves x[k] exactly
+// where sorting would, with x partitioned around it.
+func TestSelectKthSortsWhatItCannotSplit(t *testing.T) {
+	rng := xrand.NewStream(9)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(300)
+		budget := []int{0, 1, 3, 64}[trial%4]
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(rng.Intn(n))
+		}
+		want := append([]float64(nil), x...)
+		sort.Float64s(want)
+		k := rng.Intn(n)
+		selectKth(x, k, budget)
+		if x[k] != want[k] {
+			t.Fatalf("n=%d k=%d: x[k] = %v, want %v", n, k, x[k], want[k])
+		}
+		for i := range x {
+			if i < k && less(x[k], x[i]) || i > k && less(x[i], x[k]) {
+				t.Fatalf("n=%d k=%d budget %d: x[%d] = %v on the wrong side of %v", n, k, budget, i, x[i], x[k])
+			}
 		}
 	}
 }

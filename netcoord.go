@@ -201,7 +201,7 @@ func NewClient(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: %w", err)
 	}
-	ep, err := endpoint.New[string](vcfg, factory, policy, resolved.MaxLinks)
+	ep, err := endpoint.New[string](vcfg, filter.NewBank[string](factory, resolved.MaxLinks), policy)
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: %w", err)
 	}

@@ -16,8 +16,9 @@
 // only fails the run. Each pair then runs both binaries with the same
 // -bench, -cpu and -benchtime, base first in even pairs and the change
 // first in odd ones. The summary holds, per package, benchmark, procs and
-// metric, each side's median and quartiles, in how many pairs the
-// change did better, and a verdict (see summarize).
+// metric, each side's median and quartiles, the quartiles of the
+// per-pair changes, in how many pairs the change did better, and a
+// verdict on those changes (see verdict).
 package main
 
 import (

@@ -23,6 +23,9 @@ type summary struct {
 	// Delta is the change's median relative to the base's: -0.1 is 10 %
 	// below it.
 	Delta float64 `json:"delta"`
+	// Change is the quartiles of the per-pair changes, head/base - 1
+	// (head - base where a base value is 0), that verdict judges.
+	Change spread `json:"change"`
 	// Wins is in how many of the N pairs that ran the metric on both
 	// sides the change did better than the base.
 	Wins int `json:"wins"`
@@ -103,10 +106,12 @@ func summarize(runs []run) ([]summary, error) {
 			continue // a metric one side alone reports, such as one the change adds
 		}
 		lower := !strings.HasSuffix(k.metric, "/s")
+		ch := changes(base, head)
 		s := summary{
 			Package: k.pkg, Name: k.name, Procs: k.procs, Metric: k.metric,
 			Better: "lower", Base: spreadOf(base), Head: spreadOf(head),
-			Wins: wins(base, head, lower), N: len(base),
+			Change: spreadOf(ch),
+			Wins:   wins(base, head, lower), N: len(base),
 		}
 		if !lower {
 			s.Better = "higher"
@@ -114,7 +119,7 @@ func summarize(runs []run) ([]summary, error) {
 		if s.Base.Median != 0 {
 			s.Delta = s.Head.Median/s.Base.Median - 1
 		}
-		s.Verdict = verdict(s.Base, s.Head, s.Wins, s.N, lower)
+		s.Verdict = verdict(ch, lower)
 		out = append(out, s)
 	}
 	slices.SortFunc(out, func(a, b summary) int {
@@ -154,20 +159,44 @@ func wins(base, head []float64, lower bool) int {
 	return n
 }
 
-// verdict is "better" when the change won at least 9 pairs in 10 and
-// its median beats the base's by more than the base's interquartile
-// range, "worse" when the base did the same to it, and "level"
-// otherwise.
-func verdict(base, head spread, wins, n int, lower bool) string {
-	gain := base.Median - head.Median
-	if !lower {
-		gain = -gain
+// changes is each pair's change, head/base - 1: a drift that slows
+// both runs of a pair alike cancels out of it. Where any base value is
+// 0 (an allocation count, say) every change is head - base instead.
+func changes(base, head []float64) []float64 {
+	out := make([]float64, len(base))
+	relative := !slices.Contains(base, 0)
+	for i := range base {
+		if out[i] = head[i] - base[i]; relative {
+			out[i] = head[i]/base[i] - 1
+		}
 	}
-	iqr := base.Q3 - base.Q1
+	return out
+}
+
+// verdict judges the per-pair changes: "better" when at least 9 pairs
+// in 10 moved the better way and their median change is larger than
+// their interquartile range, "worse" when as many moved the worse way
+// by as much, and "level" otherwise.
+func verdict(changes []float64, lower bool) string {
+	sign := 1.0 // a gain is positive
+	if lower {
+		sign = -1
+	}
+	up, down := 0, 0
+	for _, c := range changes {
+		switch {
+		case sign*c > 0:
+			up++
+		case sign*c < 0:
+			down++
+		}
+	}
+	s := spreadOf(changes)
+	gain, iqr, n := sign*s.Median, s.Q3-s.Q1, len(changes)
 	switch {
-	case 10*wins >= 9*n && gain > iqr:
+	case 10*up >= 9*n && gain > iqr:
 		return "better"
-	case 10*(n-wins) >= 9*n && -gain > iqr:
+	case 10*down >= 9*n && -gain > iqr:
 		return "worse"
 	default:
 		return "level"

@@ -57,26 +57,67 @@ func TestWinsFollowTheMetricsDirection(t *testing.T) {
 }
 
 func TestVerdictNeedsNineInTenAndMoreThanTheIQR(t *testing.T) {
-	base := spread{Q1: 95, Median: 100, Q3: 105} // IQR 10
+	// Ten per-pair changes, head/base - 1, around mid with an IQR of
+	// 0.0275.
+	around := func(mid float64, flip ...int) []float64 {
+		c := []float64{-0.02, -0.02, -0.01, -0.01, 0, 0, 0.01, 0.02, 0.02, 0.03}
+		for i := range c {
+			c[i] += mid
+		}
+		for _, i := range flip {
+			c[i] = -c[i]
+		}
+		return c
+	}
 	for _, tc := range []struct {
-		name  string
-		head  spread
-		wins  int
-		lower bool
-		want  string
+		name    string
+		changes []float64
+		lower   bool
+		want    string
 	}{
-		{"clear gain", spread{Median: 80}, 10, true, "better"},
-		{"nine of ten", spread{Median: 80}, 9, true, "better"},
-		{"eight of ten", spread{Median: 80}, 8, true, "level"},
-		{"inside the IQR", spread{Median: 91}, 10, true, "level"},
-		{"clear loss", spread{Median: 120}, 0, true, "worse"},
-		{"one win spoils no loss", spread{Median: 120}, 1, true, "worse"},
-		{"a rate that rose", spread{Median: 120}, 10, false, "better"},
-		{"a rate that fell", spread{Median: 80}, 0, false, "worse"},
+		{"clear loss", around(0.1), true, "worse"},
+		{"clear gain", around(-0.1), true, "better"},
+		{"nine of ten", around(-0.1, 0), true, "better"},
+		{"eight of ten", around(-0.1, 0, 1), true, "level"},
+		{"inside the IQR", []float64{-0.01, -0.01, -0.01, -0.02, -0.02, -0.05, -0.06, -0.07, -0.08, -0.09}, true, "level"},
+		{"a rate that rose", around(0.1), false, "better"},
+		{"a rate that fell", around(-0.1), false, "worse"},
+		{"ties win nothing", make([]float64, 10), true, "level"},
 	} {
-		if got := verdict(base, tc.head, tc.wins, 10, tc.lower); got != tc.want {
+		if got := verdict(tc.changes, tc.lower); got != tc.want {
 			t.Errorf("%s: verdict = %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestVerdictSeesALossTheBasesSpreadHides: BenchmarkIndexKNN at -cpu 2
+// from pairs/arena-ids.json lost all ten pairs by a median 12 %, inside
+// the base's IQR of 13 % because the box drifted between pairs, not
+// within them. Judged pair by pair it is worse.
+func TestVerdictSeesALossTheBasesSpreadHides(t *testing.T) {
+	base := []float64{6344, 6139, 6040, 5091, 5769, 6657, 7069, 7005, 6541, 8545}
+	head := []float64{7337, 6621, 6207, 6289, 6579, 8005, 7184, 7282, 7936, 9979}
+	if got := verdict(changes(base, head), true); got != "worse" {
+		t.Fatalf("verdict = %s, want worse", got)
+	}
+	// Every pair one way but by changes of -1 % to -40 %: the median
+	// gap is smaller than the pairs' own spread, and stays level.
+	noisy := []float64{-0.01, -0.02, -0.3, -0.4, -0.03, -0.35, -0.02, -0.4, -0.01, -0.38}
+	if got := verdict(noisy, true); got != "level" {
+		t.Fatalf("one-sided sub-noise gap: verdict = %s, want level", got)
+	}
+}
+
+func TestChangesFallBackToDifferencesOnAZeroBase(t *testing.T) {
+	if got := changes([]float64{100, 200}, []float64{110, 180}); math.Abs(got[0]-0.1) > 1e-12 || math.Abs(got[1]+0.1) > 1e-12 {
+		t.Errorf("relative changes = %v, want [0.1 -0.1]", got)
+	}
+	got := changes([]float64{0, 2}, []float64{1, 2})
+	if got[0] != 1 || got[1] != 0 {
+		t.Errorf("changes over a zero base = %v, want [1 0]", got)
+	}
+	if v := verdict(changes(make([]float64, 10), []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}), true); v != "worse" {
+		t.Errorf("0 -> 1 allocs/op in every pair: verdict = %s, want worse", v)
 	}
 }
 
@@ -107,9 +148,14 @@ func TestSummarizePairsValuesByPair(t *testing.T) {
 	if ns.Metric != "ns/op" || ns.Better != "lower" || ns.Wins != 10 || ns.N != 10 {
 		t.Errorf("ns row = %+v", ns)
 	}
-	// Every pair won, but by 50 ns against a base IQR of 450: level.
-	if ns.Verdict != "level" || ns.Base.Median != 1450 || ns.Head.Median != 1400 {
-		t.Errorf("ns row = %+v, want level at medians 1450 and 1400", ns)
+	// Every pair won by 50 ns. The drift gives the base an IQR of
+	// 450 ns, but it falls on both runs of a pair alike, so the
+	// per-pair changes (-2.6 % to -5 %) are tight: better.
+	if ns.Verdict != "better" || ns.Base.Median != 1450 || ns.Head.Median != 1400 {
+		t.Errorf("ns row = %+v, want better at medians 1450 and 1400", ns)
+	}
+	if ns.Change.Q3 >= 0 || ns.Change.Q1 < -0.05 {
+		t.Errorf("per-pair changes = %+v, want all within [-5 %%, 0)", ns.Change)
 	}
 	if math.Abs(ns.Delta-(1400.0/1450-1)) > 1e-12 {
 		t.Errorf("delta = %v", ns.Delta)
