@@ -14,10 +14,10 @@ import (
 const DefaultChangeStreamBuffer = 4096
 
 // ErrChangeHistoryTruncated is returned by ChangesSince when the
-// requested resume point is older than the retained history — the
-// in-memory ring, plus the WAL for a persistent registry. The consumer
-// must re-bootstrap from a snapshot (SnapshotWithSeq, or ncserve's
-// /snapshot) instead of resuming.
+// requested resume point is older than the in-memory ring, which is all
+// the history any registry keeps. The consumer must re-bootstrap from a
+// snapshot (DeltaSince or SnapshotWithSeq, or ncserve's
+// /snapshot?since=) instead of resuming.
 var ErrChangeHistoryTruncated = errors.New("netcoord: change history truncated; re-bootstrap from a snapshot")
 
 // Change-stream operations: the values of ChangeEvent.Op.
@@ -62,29 +62,18 @@ func (r *Registry) ChangeEpoch() uint64 { return r.feed.Epoch() }
 func (r *Registry) ChangeStreamStats() ChangeStreamStats { return r.feed.Stats() }
 
 // ChangesSince returns up to max events with sequence > since, oldest
-// first (max <= 0 means no limit). Recent history comes from the
-// in-memory ring; a persistent registry reads older history back from
-// its WAL — the same events with the same frame bytes the ring held —
-// so a consumer can resume from any sequence at or above the current
-// snapshot's capture point. Below what is retained it returns
-// ErrChangeHistoryTruncated and the consumer re-bootstraps from
-// SnapshotWithSeq.
+// first (max <= 0 means no limit), from the in-memory ring. History is
+// the ring, for every registry flavour: below it — a resume point the
+// ring has overwritten, or one from before a persistent registry's
+// restart — it returns ErrChangeHistoryTruncated and the consumer
+// re-bootstraps, with DeltaSince when it holds state or SnapshotWithSeq
+// when it does not.
 func (r *Registry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
 	evs, err := r.feed.Since(since, max)
-	if !errors.Is(err, changefeed.ErrTruncated) {
-		return evs, err
-	}
-	if r.store == nil {
+	if errors.Is(err, changefeed.ErrTruncated) {
 		return nil, fmt.Errorf("%w (ring starts at %d, requested %d)", ErrChangeHistoryTruncated, r.feed.OldestBuffered(), since+1)
 	}
-	evs, truncated, err := r.store.TailSince(since, max)
-	if err != nil {
-		return nil, fmt.Errorf("netcoord: persistent registry: wal tail: %w", err)
-	}
-	if truncated {
-		return nil, fmt.Errorf("%w (snapshot floor %d, requested %d)", ErrChangeHistoryTruncated, r.store.Stats().HistoryFloor, since+1)
-	}
-	return evs, nil
+	return evs, err
 }
 
 // SnapshotWithSeq captures every live entry together with the stream

@@ -64,11 +64,10 @@ func BenchmarkWatchFanout(b *testing.B) {
 
 // BenchmarkRelayForward measures the relay-forward hot path: an event
 // that carries its frame bytes (as a follower keeps them at ingest, as
-// publish encodes them at the origin, as the WAL hands them back) is
-// appended to an outgoing batch. This must be a pure copy of those
-// bytes — zero allocations, zero encodes — or every tier of a fan-out
-// tree re-pays the encode the origin already paid once. CI gates it at
-// 0 allocs/op.
+// publish encodes them at the origin) is appended to an outgoing batch.
+// This must be a pure copy of those bytes — zero allocations, zero
+// encodes — or every tier of a fan-out tree re-pays the encode the
+// origin already paid once. CI gates it at 0 allocs/op.
 func BenchmarkRelayForward(b *testing.B) {
 	evs := make([]ChangeEvent, 256)
 	for i := range evs {

@@ -314,67 +314,62 @@ func TestRingOnlyChangesSinceNamesTheRing(t *testing.T) {
 	}
 }
 
-func TestPersistentChangesSinceFallsBackToWAL(t *testing.T) {
+// TestPersistentChangesSinceNamesTheRing: a persistent registry keeps
+// no more history than a ring-only one. Below its ring — overwritten,
+// or emptied by a restart — ChangesSince is truncated with the ring's
+// own message, and DeltaSince repairs a consumer from the same point.
+func TestPersistentChangesSinceNamesTheRing(t *testing.T) {
 	dir := t.TempDir()
-	p := openTestPR(t, dir, RegistryConfig{ChangeStreamBuffer: 4}) // tiny ring: force WAL reads
-	defer p.Close()
-	for i := 0; i < 100; i++ {
-		if err := p.Upsert(fmt.Sprintf("n%03d", i), c3(float64(i), 0, 0), 0.1); err != nil {
-			t.Fatal(err)
+	p := openTestPR(t, dir, RegistryConfig{ChangeStreamBuffer: 4})
+	upsert := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := p.Upsert(fmt.Sprintf("n%03d", i%70), c3(float64(i), 0, 0), 0.1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	upsert(0, 50)
+	snap, mark := p.SnapshotWithSeq()
+	state := make(map[string]RegistryEntry, len(snap))
+	for _, e := range snap {
+		state[e.ID] = e
+	}
+	upsert(50, 100)
 	p.Remove("n000")
 
-	// The ring holds only the last 4 events; the embedded Registry's own
-	// ChangesSince must serve a resume from 0 out of the WAL, losslessly.
-	if oldest := p.Registry.ChangeStreamStats().OldestSeq; oldest <= 1 {
-		t.Fatalf("ring still starts at %d; the test needs it truncated", oldest)
+	const want = "(ring starts at 98, requested 1)"
+	if _, err := p.ChangesSince(0, 0); !errors.Is(err, ErrChangeHistoryTruncated) || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("ChangesSince(0) err = %v, want truncation ending %q", err, want)
 	}
-	evs, err := p.Registry.ChangesSince(0, 0)
-	if err != nil {
-		t.Fatalf("WAL-backed ChangesSince: %v", err)
+	if evs, err := p.ChangesSince(97, 0); err != nil || len(evs) != 4 {
+		t.Fatalf("ChangesSince(97) = %d events, %v; want the 4 the ring holds", len(evs), err)
 	}
-	if len(evs) != 101 {
-		t.Fatalf("replayed %d events, want 101", len(evs))
+
+	// A restart empties the ring: every earlier resume point is below
+	// it, and only the current sequence resumes.
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	state := make(map[string]RegistryEntry)
-	if err := applyChangeEvents(state, evs); err != nil {
-		t.Fatal(err)
+	p = openTestPR(t, dir, RegistryConfig{ChangeStreamBuffer: 4})
+	defer p.Close()
+	wantAfter := fmt.Sprintf("(ring starts at 102, requested %d)", mark+1)
+	if _, err := p.ChangesSince(mark, 0); !errors.Is(err, ErrChangeHistoryTruncated) || !strings.HasSuffix(err.Error(), wantAfter) {
+		t.Fatalf("restarted ChangesSince(%d) err = %v, want truncation ending %q", mark, err, wantAfter)
+	}
+	if evs, err := p.ChangesSince(101, 0); err != nil || len(evs) != 0 {
+		t.Fatalf("restarted ChangesSince(current) = %d events, %v; want empty, nil", len(evs), err)
+	}
+	entries, removed, seq, ok := p.DeltaSince(mark)
+	if !ok || seq != 101 || len(removed) != 1 || removed[0] != "n000" {
+		t.Fatalf("DeltaSince(%d) = seq %d, removed %v, ok %v; want seq 101 and n000 removed", mark, seq, removed, ok)
+	}
+	for _, id := range removed {
+		delete(state, id)
+	}
+	for _, e := range entries {
+		state[e.ID] = e
 	}
 	assertStateMatchesRegistry(t, state, p.Registry)
-
-	// Pagination across the ring/WAL boundary: fetch in pages of 7 and
-	// arrive at the same state.
-	state = make(map[string]RegistryEntry)
-	since := uint64(0)
-	for {
-		page, err := p.Registry.ChangesSince(since, 7)
-		if err != nil {
-			t.Fatalf("page since %d: %v", since, err)
-		}
-		if len(page) == 0 {
-			break
-		}
-		if err := applyChangeEvents(state, page); err != nil {
-			t.Fatal(err)
-		}
-		since = page[len(page)-1].Seq
-	}
-	assertStateMatchesRegistry(t, state, p.Registry)
-
-	// Compaction raises the history floor: pre-floor resume points are
-	// gone for good and must say so.
-	if err := p.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	floor := p.ChangeSeq()
-	want := fmt.Sprintf("(snapshot floor %d, requested 1)", floor)
-	if _, err := p.Registry.ChangesSince(0, 0); !errors.Is(err, ErrChangeHistoryTruncated) || !strings.HasSuffix(err.Error(), want) {
-		t.Fatalf("post-compaction ChangesSince(0) err = %v, want truncation ending %q", err, want)
-	}
-	if evs, err := p.Registry.ChangesSince(floor, 0); err != nil || len(evs) != 0 {
-		t.Fatalf("ChangesSince(floor) = %d events, err %v; want empty, nil", len(evs), err)
-	}
 }
 
 func TestChangeSeqContinuesAcrossRestart(t *testing.T) {
@@ -403,8 +398,8 @@ func TestChangeSeqContinuesAcrossRestart(t *testing.T) {
 	if got := p2.ChangeSeq(); got != 11 {
 		t.Fatalf("post-restart mutation seq = %d, want 11 (no reuse)", got)
 	}
-	// And the WAL records the continued sequence: resume from 10 yields
-	// exactly the one new event.
+	// And the ring carries on from the recovered sequence: resume from
+	// 10 yields exactly the one new event.
 	evs, err := p2.ChangesSince(10, 0)
 	if err != nil || len(evs) != 1 || evs[0].Seq != 11 {
 		t.Fatalf("ChangesSince(10) = %+v, %v; want the seq-11 upsert", evs, err)

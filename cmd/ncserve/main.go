@@ -60,9 +60,10 @@
 // -compact-wal-bytes / -compact-wal-records), so a restarted ncserve
 // comes back warm — serving the pre-restart entries with their update
 // times preserved — instead of empty. A graceful shutdown
-// (SIGINT/SIGTERM) flushes the log before exiting. The WAL doubles as
-// deep /changes history, so resumers can reach back past the in-memory
-// ring.
+// (SIGINT/SIGTERM) flushes the log before exiting. The WAL is for
+// recovery only: /changes history is the in-memory ring, which a
+// restart empties, and a resumer below it gets 410 and re-bootstraps
+// from /snapshot?since=, as at every tier.
 //
 // With -upstreams=<url,url,...> ncserve runs as a read-only replica: it
 // bootstraps from the first live upstream's /snapshot, tails its

@@ -663,12 +663,13 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 // The initial call (and any re-bootstrap the leader answers in full)
 // makes the registry exactly the snapshot — every entry with its
 // original UpdatedAt and Seq, one balanced index build — through
-// Registry.load. A re-bootstrap after truncation
-// asks for /snapshot?since=<applied> instead: when the leader can prove
-// coverage from its ring/WAL history it answers with a delta — only the
-// entries changed since that sequence, plus the removed ids — so a
-// replica that fell just past the retained stream repairs itself with
-// traffic proportional to what it missed, not to the registry.
+// Registry.load. A re-bootstrap after truncation asks for
+// /snapshot?since=<applied> instead: when the leader's tombstone ring
+// (restored by recovery) proves it knows every removal since that
+// sequence, it answers with a delta — only the entries changed since
+// then, plus the removed ids — so a replica that fell behind the
+// upstream's ring, or lost it to a restart, repairs itself with traffic
+// proportional to what it missed, not to the registry.
 //
 // The stream moves to the snapshot sequence in the same lock hold as
 // the state: the previous ring described a stream position that no

@@ -520,14 +520,12 @@ func (f *Feed) readLocked(since uint64, max int, dst []Event) ([]Event, error) {
 	return dst, nil
 }
 
-// OldestBuffered reports the oldest sequence still in the ring
-// (0 when the ring is empty).
+// OldestBuffered reports the oldest sequence the ring can serve: the
+// oldest event in it, or the next to be published when it is empty (a
+// feed repositioned by recovery or a bootstrap holds no history yet).
 func (f *Feed) OldestBuffered() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.len == 0 {
-		return 0
-	}
 	return f.seq - uint64(f.len) + 1
 }
 

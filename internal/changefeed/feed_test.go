@@ -98,6 +98,9 @@ func TestEmptyFeedSince(t *testing.T) {
 	if _, err := f.Since(10, 0); err != ErrTruncated {
 		t.Fatalf("Since(pre-start) err = %v, want ErrTruncated", err)
 	}
+	if got := f.OldestBuffered(); got != 51 {
+		t.Fatalf("OldestBuffered on an empty feed at 50 = %d, want 51, the next event", got)
+	}
 }
 
 func TestSubscribeFollowsAndJoinSeqSplitsHistory(t *testing.T) {

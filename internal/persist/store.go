@@ -111,11 +111,6 @@ type StoreStats struct {
 	CompactErr        string            `json:"compact_error,omitempty"`
 	CompactReasons    map[string]uint64 `json:"compactions_by_reason,omitempty"`
 	LastCompactReason string            `json:"last_compact_reason,omitempty"`
-	// HistoryFloor is the change-stream sequence of the current
-	// snapshot: mutations at or below it exist only folded into the
-	// snapshot, so a stream consumer must resume above it (or
-	// re-bootstrap from the snapshot).
-	HistoryFloor uint64 `json:"history_floor"`
 	// Dropped counts records discarded because the store had already
 	// failed or closed.
 	Dropped uint64 `json:"dropped_records"`
@@ -170,7 +165,6 @@ type Store struct {
 	compactions   atomic.Uint64
 	compactErrs   atomic.Uint64
 	dropped       atomic.Uint64
-	histFloor     atomic.Uint64
 
 	// fsyncLat times each WAL fsync; compactDur each completed
 	// compaction (snapshot write included).
@@ -272,7 +266,6 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 		lastEpoch = sc.epoch
 		tombs = append(tombs, sc.tombs...)
 		tombFloor = sc.tombFloor
-		s.histFloor.Store(sc.seq)
 		s.recovery.SnapshotGen = baseGen
 		s.recovery.SnapshotEntries = len(sc.entries)
 		loadedSnap = true
@@ -496,7 +489,6 @@ func (s *Store) Stats() StoreStats {
 		Compactions:     s.compactions.Load(),
 		CompactFailures: s.compactErrs.Load(),
 		Dropped:         s.dropped.Load(),
-		HistoryFloor:    s.histFloor.Load(),
 		FsyncNs:         s.fsyncLat.Summary(),
 		CompactionNs:    s.compactDur.Summary(),
 	}
@@ -736,64 +728,10 @@ func (s *Store) compact(capture func() (Capture, error)) error {
 	if err := writeSnapshot(s.dir, newGen, captured, s.opts.NoSync); err != nil {
 		return err
 	}
-	// Generations below newGen are gone: the stream's history floor
-	// rises to the capture sequence. Publish it before deleting so a
-	// concurrent TailSince never reports "available" history that the
-	// removal is about to delete (TailSince holds compactMu anyway;
-	// this ordering is defense in depth).
-	s.histFloor.Store(captured.Seq)
 	s.removeObsolete(newGen)
 	s.compactions.Add(1)
 	s.compactDur.Observe(time.Since(start).Nanoseconds())
 	return nil
-}
-
-// TailSince returns up to max durable WAL records with change-stream
-// sequence > since, oldest first (max <= 0 means no limit), as events
-// carrying the frame bytes that were logged — the on-disk continuation
-// of the in-memory ring for readers resuming from further back. It
-// reports truncated=true when compaction has folded part of the
-// requested range into the snapshot (since < the history floor); the
-// caller must then re-bootstrap from a snapshot instead. A best-effort
-// Sync runs first so records still in the group-commit buffer become
-// readable.
-//
-// Cost is a full read of the WAL generations on disk — acceptable for
-// the rare late joiner; live tailing is served from the ring. The
-// events' frames are views of that read, which they keep alive.
-func (s *Store) TailSince(since uint64, max int) (evs []wire.Event, truncated bool, err error) {
-	_ = s.Sync() // a failed store can still serve what already hit disk
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	if since < s.histFloor.Load() {
-		return nil, true, nil
-	}
-	_, wals, err := scanDir(s.dir)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, gen := range wals {
-		rep, rerr := replayWAL(walPath(s.dir, gen), gen, func(ev wire.Event) {
-			if ev.Seq > since && (max <= 0 || len(evs) < max) {
-				evs = append(evs, ev)
-			}
-		})
-		if rerr != nil {
-			return nil, false, rerr
-		}
-		if rep.corrupt {
-			// Records past the damaged one are unreachable, and later
-			// generations would leave a sequence gap — the one thing a
-			// resumed stream must never contain. Serve the dense prefix
-			// if any was collected; otherwise report truncation so the
-			// consumer re-bootstraps from a snapshot.
-			if len(evs) == 0 {
-				return nil, true, nil
-			}
-			return evs, false, nil
-		}
-	}
-	return evs, false, nil
 }
 
 // removeObsolete deletes snapshot and WAL generations strictly below

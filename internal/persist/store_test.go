@@ -378,47 +378,6 @@ func TestRecoveryCorruptMidRecordChecksum(t *testing.T) {
 	}
 }
 
-func TestTailSinceStopsAtCorruptRecordDensely(t *testing.T) {
-	// A corrupt record mid-WAL must never let TailSince serve a gapped
-	// sequence: the dense prefix below the damage is served, and a
-	// resume point at or past the damage reports truncation so the
-	// consumer re-bootstraps.
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir)
-	defer s.Close()
-	for i := 1; i <= 6; i++ {
-		s.LogUpsert(testEntry(fmt.Sprintf("n%d", i), float64(i), int64(i)), uint64(i), 1)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	path := walPath(dir, 1)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	// Flip a bit inside record 4 of 6: three records of damage-free
-	// prefix, two unreachable behind the damage. Records are equal-sized
-	// here, so byte math locates record 4's payload.
-	recSize := (int64(len(data)) - walHeaderSize) / 6
-	data[walHeaderSize+3*recSize+recSize/2] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	recs, truncated, err := s.TailSince(1, 0)
-	if err != nil || truncated {
-		t.Fatalf("TailSince(1): truncated=%v err=%v", truncated, err)
-	}
-	if len(recs) != 2 || recs[0].Seq != 2 || recs[1].Seq != 3 {
-		t.Fatalf("TailSince(1) across damage not dense: %+v", recs)
-	}
-	// Nothing clean above the resume point: must report truncation, not
-	// an empty "caught up" answer that would strand the consumer.
-	if _, truncated, err := s.TailSince(4, 0); err != nil || !truncated {
-		t.Fatalf("TailSince past damage: truncated=%v err=%v", truncated, err)
-	}
-}
-
 func TestRecoveryOnlyCorruptSnapshotRefusesToOpen(t *testing.T) {
 	// When the sole snapshot fails verification, the older generations
 	// that could back a fallback are already deleted: opening anyway
@@ -582,8 +541,7 @@ func TestBadWALHeaderIsHardError(t *testing.T) {
 // (512 ids / 256 KiB, one sequence each) must be records the replay
 // path accepts — a sweep of maximum-length ids in one frame would
 // exceed the record size limit and be dropped. Each chunk is its own
-// event with its own sequence in the log, and a TailSince max cuts
-// between any two of them.
+// event with its own sequence in the log.
 func TestFeedChunkedEvictionsFitTheLog(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
@@ -604,9 +562,13 @@ func TestFeedChunkedEvictionsFitTheLog(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	evs, truncated, err := s.TailSince(first-1, 0)
-	if err != nil || truncated || uint64(len(evs)) != last-first+2 {
-		t.Fatalf("TailSince: %d events truncated=%v err=%v, want %d", len(evs), truncated, err, last-first+2)
+	var evs []wire.Event
+	if _, err := replayWAL(walPath(dir, 1), 1, func(ev wire.Event) {
+		if ev.Seq >= first {
+			evs = append(evs, ev)
+		}
+	}); err != nil || uint64(len(evs)) != last-first+2 {
+		t.Fatalf("replay: %d events from seq %d, err %v; want %d", len(evs), first, err, last-first+2)
 	}
 	total := 0
 	for i, ev := range evs[:len(evs)-1] {
@@ -617,9 +579,6 @@ func TestFeedChunkedEvictionsFitTheLog(t *testing.T) {
 	}
 	if total != n {
 		t.Fatalf("eviction records carry %d ids, want %d", total, n)
-	}
-	if evs, _, _ := s.TailSince(first-1, 1); len(evs) != 1 || evs[0].Seq != first {
-		t.Fatalf("TailSince(max 1) = %d events; max must bound the result with every chunk its own event", len(evs))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -670,50 +629,6 @@ func TestCompactFailureSurfaced(t *testing.T) {
 	}
 }
 
-func TestTailSinceServesWALAndHonorsHistoryFloor(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir)
-	defer s.Close()
-	state := make([]Entry, 0, 10)
-	for i := 1; i <= 10; i++ {
-		e := testEntry(fmt.Sprintf("n%02d", i), float64(i), int64(i))
-		s.LogUpsert(e, uint64(i), 1)
-		state = append(state, e)
-	}
-	recs, truncated, err := s.TailSince(4, 0)
-	if err != nil || truncated {
-		t.Fatalf("TailSince(4): truncated=%v err=%v", truncated, err)
-	}
-	if len(recs) != 6 || recs[0].Seq != 5 || recs[5].Seq != 10 {
-		t.Fatalf("TailSince(4) seqs wrong: %d recs, first %d last %d",
-			len(recs), recs[0].Seq, recs[len(recs)-1].Seq)
-	}
-	if recs, _, _ := s.TailSince(4, 2); len(recs) != 2 || recs[1].Seq != 6 {
-		t.Fatalf("TailSince(4, max 2) = %d recs", len(recs))
-	}
-	if recs, truncated, err := s.TailSince(10, 0); err != nil || truncated || len(recs) != 0 {
-		t.Fatalf("TailSince(current) = %d recs, truncated=%v, err=%v", len(recs), truncated, err)
-	}
-
-	// Compaction folds seqs <= 10 into the snapshot: resuming below the
-	// floor must report truncation, resuming at it must work and span
-	// the generation boundary.
-	if err := s.Compact("manual", func() (Capture, error) { return Capture{Entries: state, Seq: 10}, nil }); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	s.LogUpsert(testEntry("n11", 11, 11), 11, 1)
-	if _, truncated, err := s.TailSince(3, 0); err != nil || !truncated {
-		t.Fatalf("TailSince below floor: truncated=%v err=%v", truncated, err)
-	}
-	recs, truncated, err = s.TailSince(10, 0)
-	if err != nil || truncated || len(recs) != 1 || recs[0].Seq != 11 {
-		t.Fatalf("TailSince(floor) = %+v truncated=%v err=%v", recs, truncated, err)
-	}
-	if got := s.Stats().HistoryFloor; got != 10 {
-		t.Fatalf("HistoryFloor = %d, want 10", got)
-	}
-}
-
 func TestRecoveryLastSeqAcrossSnapshotAndWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
@@ -739,9 +654,6 @@ func TestRecoveryLastSeqAcrossSnapshotAndWAL(t *testing.T) {
 	s3, _ := mustOpen(t, dir)
 	if got := s3.Recovery().LastSeq; got != 7 {
 		t.Fatalf("LastSeq = %d, want 7", got)
-	}
-	if got := s3.Stats().HistoryFloor; got != 5 {
-		t.Fatalf("recovered HistoryFloor = %d, want 5", got)
 	}
 	// Snapshot-only recovery (empty WAL tail): the snapshot's capture
 	// sequence alone must seed LastSeq.

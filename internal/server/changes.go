@@ -21,9 +21,9 @@ const (
 )
 
 // handleChanges tails the change stream: everything after ?since=,
-// waiting up to ?wait= when the stream is quiet. History older than the
-// ring is replayed from the WAL when the registry is persistent; beyond
-// that, 410 tells the client to re-bootstrap from /snapshot (on a
+// waiting up to ?wait= when the stream is quiet. History is the
+// registry's ring, at every tier and for every registry flavour: below
+// it, 410 tells the client to re-bootstrap from /snapshot?since= (on a
 // follower, sequences — like the events themselves — are the leader's,
 // so a client can move between tiers freely).
 //
@@ -126,12 +126,11 @@ func wantsFrames(req *http.Request) bool {
 // writeFrameBatch writes one /changes batch in the binary encoding,
 // built in buf: a batch header carrying the seq/epoch fencing pair,
 // then one frame per event. Every event a registry hands out carries
-// its frame — encoded at the leader's publish, received from upstream
-// by a relay, or read back from the WAL — so this concatenates bytes
-// and the body for a seq range is the same at every tier. The first
-// batch of a response (sent false) writes the status; a later one
-// appends to the open body. It returns buf for reuse, and an error when
-// the batch did not go out.
+// its frame — encoded at the leader's publish, or received from
+// upstream by a relay — so this concatenates bytes and the body for a
+// seq range is the same at every tier. The first batch of a response
+// (sent false) writes the status; a later one appends to the open body.
+// It returns buf for reuse, and an error when the batch did not go out.
 func (s *Server) writeFrameBatch(w http.ResponseWriter, buf []byte, evs []netcoord.ChangeEvent, sent bool) ([]byte, error) {
 	hdr := wire.BatchHeader{Seq: s.reg.ChangeSeq(), Epoch: s.reg.ChangeEpoch(), Count: uint64(len(evs))}
 	buf = wire.AppendBatchHeader(slices.Grow(buf[:0], 64+96*len(evs)), hdr)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"netcoord"
@@ -27,6 +28,18 @@ func framesBody(t *testing.T, base string, since uint64, limit int) []byte {
 	return body
 }
 
+// changesStatus is the status /changes answers for a resume point, in
+// the JSON or the frames encoding.
+func changesStatus(t *testing.T, base string, since uint64, format string) int {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/changes?since=%d&format=%s", base, since, format))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // TestRelayChainE2E runs a persistent leader → follower → follower →
 // leaf chain and drives a heartbeat storm of repeated ids through it
 // while every relay is tailing. Every tier must converge bit-identically
@@ -34,8 +47,10 @@ func framesBody(t *testing.T, base string, since uint64, limit int) []byte {
 // encode-once claim is a test here: the binary /changes body for a
 // sequence range is byte-identical at every tier — each frame was
 // encoded once, at the leader's publish, and every hop below forwarded
-// those bytes — and identical again when the leader is restarted and
-// serves the same range from its WAL instead of its ring.
+// those bytes. A restarted leader's ring is empty, and history is the
+// ring at every tier: it answers the same range with 410 and the delta
+// snapshot that repairs its reader, while the live tiers still serve
+// the range's bytes.
 func TestRelayChainE2E(t *testing.T) {
 	dir := t.TempDir()
 	openLeader := func() (*netcoord.PersistentRegistry, *httptest.Server, func()) {
@@ -127,8 +142,9 @@ func TestRelayChainE2E(t *testing.T) {
 		}
 	}
 
-	// Restart the leader: its ring is empty, so the same range now
-	// comes off the disk — the same bytes.
+	// Restart the leader: its ring is empty, so the range is below it —
+	// a 410 in either encoding, and a delta snapshot that carries the
+	// reader across, removals included. The live tiers still hold it.
 	stopLeader()
 	stopped = true
 	leader, leaderTS, stopLeader = openLeader()
@@ -137,9 +153,113 @@ func TestRelayChainE2E(t *testing.T) {
 		t.Fatalf("restarted leader at seq %d, want %d", got, until)
 	}
 	if st := leader.ChangeStreamStats(); st.RingLen != 0 {
-		t.Fatalf("restarted leader's ring holds %d events; the range must come from the WAL", st.RingLen)
+		t.Fatalf("restarted leader's ring holds %d events, want none", st.RingLen)
 	}
-	if body := framesBody(t, leaderTS.URL, since, 64); !bytes.Equal(body, wantFrames) {
-		t.Fatalf("restarted leader serves different frame bytes from its WAL for (%d, %d]:\nring %x\nWAL  %x", since, until, wantFrames, body)
+	for _, format := range []string{"json", "frames"} {
+		if code := changesStatus(t, leaderTS.URL, since, format); code != http.StatusGone {
+			t.Fatalf("restarted leader answers /changes?since=%d&format=%s with %d, want 410", since, format, code)
+		}
+	}
+	code, out := getJSON(t, fmt.Sprintf("%s/snapshot?since=%d", leaderTS.URL, since))
+	if code != http.StatusOK || out["delta"] != true || out["seq"].(float64) != float64(until) || len(out["removed"].([]any)) != 3 {
+		t.Fatalf("restarted leader /snapshot?since=%d: %d delta=%v seq=%v removed=%v; want a delta to %d with the 3 removals", since, code, out["delta"], out["seq"], out["removed"], until)
+	}
+	for _, tr := range tiers {
+		if body := framesBody(t, tr.url, since, 64); !bytes.Equal(body, wantFrames) {
+			t.Fatalf("%s serves different frame bytes after the leader's restart for (%d, %d]", tr.name, since, until)
+		}
+	}
+}
+
+// switchable serves whichever Server is current at one stable URL, so a
+// follower's upstream outlives a leader restart; with none current it
+// answers 503.
+type switchable struct {
+	mu  sync.RWMutex
+	srv *Server
+}
+
+func (s *switchable) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.srv == nil {
+		http.Error(w, "leader down", http.StatusServiceUnavailable)
+		return
+	}
+	s.srv.ServeHTTP(w, req)
+}
+
+// set makes srv current once every request in flight has finished.
+func (s *switchable) set(srv *Server) {
+	s.mu.Lock()
+	s.srv = srv
+	s.mu.Unlock()
+}
+
+// TestRestartedLeaderResyncsLaggingFollower pins the one catch-up rule
+// at the top of the tree. A follower stops applying while a persistent
+// leader takes more writes than its ring holds, and the leader restarts
+// on the same directory with an empty ring. It answers the follower's
+// resume point with 410, as every tier does below its ring, and the
+// follower catches up through exactly one delta bootstrap to a replica
+// bit-identical to the leader.
+func TestRestartedLeaderResyncsLaggingFollower(t *testing.T) {
+	dir := t.TempDir()
+	const ring = 16
+	open := func() (*netcoord.PersistentRegistry, *Server) {
+		pr, err := netcoord.OpenPersistentRegistry(netcoord.PersistentRegistryConfig{
+			Dir: dir, Registry: netcoord.RegistryConfig{ChangeStreamBuffer: ring}, SnapshotInterval: -1, NoSync: true,
+		})
+		if err != nil {
+			t.Fatalf("OpenPersistentRegistry: %v", err)
+		}
+		return pr, New(Config{Registry: pr.Registry, Persist: pr})
+	}
+	upsert := func(reg *netcoord.Registry, from, to int) {
+		for i := from; i < to; i++ {
+			if err := reg.Upsert(fmt.Sprintf("n%02d", i%40), netcoord.Coordinate{Vec: []float64{float64(i), 1, 0}}, 0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	leader, srv := open()
+	front := &switchable{srv: srv}
+	ts := httptest.NewServer(front)
+	t.Cleanup(ts.Close)
+	upsert(leader.Registry, 0, 40)
+	f := startTestFollower(t, ts.URL)
+	waitConverged(t, f, leader.Registry)
+	before := f.FollowerStats()
+
+	// The follower stops applying: its upstream answers only 503.
+	srv.Stop()
+	front.set(nil)
+	applied := f.AppliedSeq()
+	upsert(leader.Registry, 40, 40+8*ring)
+	leader.Remove("n07")
+	if err := leader.Close(); err != nil {
+		t.Fatalf("leader Close: %v", err)
+	}
+	leader, srv = open()
+	defer func() {
+		srv.Stop()
+		if err := leader.Close(); err != nil {
+			t.Errorf("leader Close: %v", err)
+		}
+	}()
+	if st := leader.ChangeStreamStats(); st.RingLen != 0 || st.Seq != applied+8*ring+1 {
+		t.Fatalf("restarted leader: ring %d events at seq %d, want none at %d", st.RingLen, st.Seq, applied+8*ring+1)
+	}
+	front.set(srv)
+	if code := changesStatus(t, ts.URL, applied, "frames"); code != http.StatusGone {
+		t.Fatalf("restarted leader answers /changes?since=%d with %d, want 410", applied, code)
+	}
+
+	waitConverged(t, f, leader.Registry)
+	assertReplicaIdentical(t, f, leader.Registry)
+	after := f.FollowerStats()
+	if after.Bootstraps != before.Bootstraps+1 || after.DeltaBootstraps != before.DeltaBootstraps+1 {
+		t.Fatalf("follower bootstraps %d → %d (delta %d → %d), want exactly one more, a delta",
+			before.Bootstraps, after.Bootstraps, before.DeltaBootstraps, after.DeltaBootstraps)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // TestChunkedEvictionIsDistinctEventsEverywhere: a TTL sweep of
 // 2×512+17 ids is three events with three consecutive sequences — in
 // the leader's ring, at a follower (whose relay serves them on under
-// the same numbers), and in the leader's WAL after a reopen. No tier
+// the same numbers), and in the leader's WAL, whose recovery resumes
+// the stream after the third and still knows every removal. No tier
 // ever sees two records share a sequence.
 func TestChunkedEvictionIsDistinctEventsEverywhere(t *testing.T) {
 	const n = 2*512 + 17
@@ -98,8 +99,13 @@ func TestChunkedEvictionIsDistinctEventsEverywhere(t *testing.T) {
 	if reopened.Len() != 1 {
 		t.Fatalf("reopened registry holds %d entries, want only the fresh one", reopened.Len())
 	}
-	evs, err = reopened.ChangesSince(before, 0)
-	check("WAL after reopen", evs, err)
+	if got := reopened.ChangeSeq(); got != before+3 {
+		t.Fatalf("reopened stream at seq %d, want %d: the WAL holds the sweep as 3 events", got, before+3)
+	}
+	_, removed, _, ok := reopened.DeltaSince(before)
+	if !ok || len(removed) != n {
+		t.Fatalf("reopened DeltaSince(%d): %d removals, ok %v; want %d", before, len(removed), ok, n)
+	}
 }
 
 // jsonOnlyUpstream fronts a live leader the way a server without the

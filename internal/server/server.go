@@ -5,13 +5,14 @@
 // One registry, one stream, one handle: every flavor embeds a
 // *netcoord.Registry, every registry has exactly one change stream, and
 // the Server serves queries, mutations and the stream surface —
-// /snapshot, /changes, /watch — through that one handle. A persistent
-// registry's ChangesSince reaches back into its WAL by itself, and a
-// *FollowerRegistry's feed carries its leader's stream in the leader's
-// own sequence space, so a Server wrapped around a follower re-serves
-// all three endpoints with sequence numbers (and exact snapshot pairs)
-// identical to the leader's, and watcher/tail fan-out distributes
-// across a replica tree instead of concentrating on the leader.
+// /snapshot, /changes, /watch — through that one handle. History is
+// the registry's ring at every tier: below it /changes answers 410 and
+// the reader re-bootstraps from /snapshot?since=. A *FollowerRegistry's
+// feed carries its leader's stream in the leader's own sequence space,
+// so a Server wrapped around a follower re-serves all three endpoints
+// with sequence numbers (and exact snapshot pairs) identical to the
+// leader's, and watcher/tail fan-out distributes across a replica tree
+// instead of concentrating on the leader.
 //
 // Live distribution is one reader per server: a single cursor on the
 // change stream's ring feeds the WatchHub, whose spatial damage map
@@ -42,8 +43,7 @@ type Config struct {
 	// /watch). Every flavor embeds one: pass pr.Registry or
 	// follower.Registry for the persistent and replica variants.
 	Registry *netcoord.Registry
-	// Source is ignored: Registry serves the stream surface itself, a
-	// persistent one with WAL-deep history.
+	// Source is ignored: Registry serves the stream surface itself.
 	//
 	// Deprecated: the field stays only because bench/ncload still sets
 	// it; it goes when a benchmark issue stops doing so.

@@ -94,6 +94,14 @@ func TestPropagationLagEndToEnd(t *testing.T) {
 		}
 	}
 	waitConverged(t, f, leaderReg)
+	// The follower publishes an event before it observes the event's
+	// lag, so convergence can run one observation ahead of the
+	// histogram: wait for the count itself.
+	for deadline := time.Now().Add(10 * time.Second); f.FollowerStats().ApplyLagNs.Count < steps; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("apply lag count stuck at %d, want >= %d", f.FollowerStats().ApplyLagNs.Count, steps)
+		}
+	}
 
 	fm := scrapeMetrics(t, fts.URL)
 

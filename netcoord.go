@@ -138,7 +138,9 @@ type Config struct {
 	// for the windowless heuristics).
 	Threshold float64
 
-	// MaxLinks bounds per-link filter state; 0 means unbounded.
+	// MaxLinks bounds a Client's per-link filter state; 0 means
+	// unbounded. StartNode ignores it: a live node bounds its filter
+	// table by NodeConfig.MaxNeighbors.
 	MaxLinks int
 	// Seed drives the deterministic randomness (coordinate bootstrap).
 	Seed uint64

@@ -24,7 +24,9 @@ type NodeConfig struct {
 	SampleInterval time.Duration
 	// PingTimeout bounds each sample (0 = 2 s).
 	PingTimeout time.Duration
-	// MaxNeighbors bounds the gossip-grown neighbor set (0 = 64).
+	// MaxNeighbors bounds the gossip-grown neighbor set (0 = 64), and
+	// with it the node's per-link filter table: Client.MaxLinks is
+	// ignored here.
 	MaxNeighbors int
 	// Updates, if non-nil, receives application-level coordinate change
 	// notifications. Use a buffered channel; overflow is dropped.
@@ -55,7 +57,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 // nodeConfig resolves a NodeConfig into the internal node's
 // configuration, also returning the resolved Client tuning. resolve
 // fills per-field defaults, so a partially specified Client keeps every
-// field the user did set (a Config with only, say, MaxLinks or Seed
+// field the user did set (a Config with only, say, FilterWarmup or Seed
 // must not be silently swapped for DefaultConfig). Split from StartNode
 // so the resolution is testable without binding a socket.
 func nodeConfig(cfg NodeConfig) (node.Config, Config, error) {

@@ -78,10 +78,12 @@ const compactCheckInterval = time.Second
 // continuously re-published by their nodes, which makes that window an
 // easy trade for mutation paths that never block on the disk.
 //
-// The embedded Registry holds the store, so its own ChangesSince reads
-// history older than the ring back from the WAL.
+// The WAL is for recovery only: history is the ring, as for every
+// registry, and a consumer behind it — a restart empties it —
+// re-bootstraps.
 type PersistentRegistry struct {
 	*Registry
+	store       *persist.Store
 	interval    time.Duration
 	maxWALBytes int64
 	maxWALRecs  int64
@@ -151,19 +153,18 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	// re-bootstraps, and only after the tap is in place may the janitor
 	// start evicting. The store consumes the stream as a tap: inline
 	// under the feed lock (hence under the registry's write lock), so
-	// the WAL misses nothing, and cheap,
-	// because Append only enqueues the frame the event already carries —
-	// the store's flusher owns the disk. It also serves the history
-	// ChangesSince reads past the ring.
+	// the WAL misses nothing, and cheap, because Append only enqueues
+	// the frame the event already carries — the store's flusher owns the
+	// disk.
 	if floor, tombs := store.RecoveredTombstones(); len(tombs) > 0 || floor > 0 {
 		reg.feed.SeedTombstones(floor, tombs)
 	}
 	reg.feed.Tap(func(ev changefeed.Event) { store.Append(ev.Frame()) })
-	reg.store = store
 	reg.startJanitor()
 
 	p := &PersistentRegistry{
 		Registry:    reg,
+		store:       store,
 		interval:    interval,
 		maxWALBytes: maxWALBytes,
 		maxWALRecs:  maxWALRecs,

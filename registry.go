@@ -13,7 +13,6 @@ import (
 
 	"netcoord/internal/changefeed"
 	"netcoord/internal/index"
-	"netcoord/internal/persist"
 	"netcoord/internal/wire"
 )
 
@@ -50,10 +49,10 @@ type RegistryConfig struct {
 	JanitorInterval time.Duration
 	// ChangeStreamBuffer sizes the change stream's in-memory ring: every
 	// registry sequences each applied mutation and retains this many
-	// recent events for ChangesSince (a persistent registry reads older
-	// ones back from its WAL). It also bounds how far a ChangeCursor —
-	// a server's watch hub — may lag before it must resync from current
-	// state. <= 0 means DefaultChangeStreamBuffer.
+	// recent events for ChangesSince — the only history it keeps; a
+	// consumer behind the ring re-bootstraps. It also bounds how far a
+	// ChangeCursor — a server's watch hub — may lag before it must
+	// resync from current state. <= 0 means DefaultChangeStreamBuffer.
 	ChangeStreamBuffer int
 	// Clock overrides time.Now, for tests.
 	Clock func() time.Time
@@ -141,10 +140,6 @@ type Registry struct {
 	// bootstraps and promotion reposition it (load, promote), they never
 	// replace it.
 	feed *changefeed.Feed
-	// store, installed once at open beside the feed's WAL tap, is the
-	// persistent store whose WAL extends ChangesSince past the ring; nil
-	// for a ring-only registry.
-	store *persist.Store
 
 	// lifeMu orders goroutine starts (janitor, feeds) against Close:
 	// wg.Add never races wg.Wait, and no feed can start after Close.

@@ -17,7 +17,8 @@
 // -bench, -cpu and -benchtime, base first in even pairs and the change
 // first in odd ones. The summary holds, per package, benchmark, procs and
 // metric, each side's median and quartiles, the quartiles of the
-// per-pair changes, in how many pairs the change did better, and a
+// per-pair changes, in how many pairs the change did better — overall
+// and among the pairs it ran first, which shows an order effect — and a
 // verdict on those changes (see verdict).
 package main
 

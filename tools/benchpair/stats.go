@@ -30,6 +30,12 @@ type summary struct {
 	// sides the change did better than the base.
 	Wins int `json:"wins"`
 	N    int `json:"n"`
+	// HeadFirstWins is in how many of the HeadFirstN pairs in which the
+	// change ran first it did better. Set beside Wins and N it shows an
+	// order effect: a change that wins only when it runs second is the
+	// machine's doing, not the code's.
+	HeadFirstWins int `json:"head_first_wins"`
+	HeadFirstN    int `json:"head_first_n"`
 	// Verdict is "better", "worse" or "level"; see verdict.
 	Verdict string `json:"verdict"`
 }
@@ -57,8 +63,15 @@ type key struct {
 func summarize(runs []run) ([]summary, error) {
 	type sides struct{ base, head map[int]float64 }
 	groups := map[key]*sides{}
-	ranOn := map[key]map[string]bool{} // keyed with no metric: the benchmark itself
+	ranOn := map[key]map[string]bool{}     // keyed with no metric: the benchmark itself
+	headFirst := map[string]map[int]bool{} // package, pair: the change ran first
 	for _, r := range runs {
+		if r.Side == sideHead && r.First {
+			if headFirst[r.Package] == nil {
+				headFirst[r.Package] = map[int]bool{}
+			}
+			headFirst[r.Package][r.Pair] = true
+		}
 		for _, res := range r.Results {
 			b := key{r.Package, res.Name, res.Procs, ""}
 			if ranOn[b] == nil {
@@ -96,10 +109,13 @@ func summarize(runs []run) ([]summary, error) {
 	}
 	var out []summary
 	for k, g := range groups {
-		var base, head []float64
+		var base, head, baseHF, headHF []float64
 		for p, b := range g.base {
 			if h, ok := g.head[p]; ok {
 				base, head = append(base, b), append(head, h)
+				if headFirst[k.pkg][p] {
+					baseHF, headHF = append(baseHF, b), append(headHF, h)
+				}
 			}
 		}
 		if len(base) == 0 {
@@ -112,6 +128,7 @@ func summarize(runs []run) ([]summary, error) {
 			Better: "lower", Base: spreadOf(base), Head: spreadOf(head),
 			Change: spreadOf(ch),
 			Wins:   wins(base, head, lower), N: len(base),
+			HeadFirstWins: wins(baseHF, headHF, lower), HeadFirstN: len(baseHF),
 		}
 		if !lower {
 			s.Better = "higher"

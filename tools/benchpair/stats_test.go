@@ -162,6 +162,32 @@ func TestSummarizePairsValuesByPair(t *testing.T) {
 	}
 }
 
+// TestSummarizeSplitsWinsByOrder: on a box where the second run of a
+// pair is the faster one, whichever side it is, the change wins half
+// the pairs and the verdict is level — and the split says why: it won
+// none of the pairs it ran first.
+func TestSummarizeSplitsWinsByOrder(t *testing.T) {
+	var runs []run
+	for p := 0; p < 10; p++ {
+		headFirst := p%2 == 1 // as benchpair alternates
+		first, second := 1000.0, 900.0
+		baseNs, headNs := first, second
+		if headFirst {
+			baseNs, headNs = second, first
+		}
+		runs = append(runs,
+			run{Pair: p, Side: sideBase, First: !headFirst, Package: ".", Results: []benchfmt.Result{{Name: "BenchmarkX", Procs: 1, Metrics: map[string]float64{"ns/op": baseNs}}}},
+			run{Pair: p, Side: sideHead, First: headFirst, Package: ".", Results: []benchfmt.Result{{Name: "BenchmarkX", Procs: 1, Metrics: map[string]float64{"ns/op": headNs}}}})
+	}
+	got, err := summarize(runs)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("summarize = %+v, %v; want one row", got, err)
+	}
+	if r := got[0]; r.Wins != 5 || r.N != 10 || r.HeadFirstWins != 0 || r.HeadFirstN != 5 || r.Verdict != "level" {
+		t.Fatalf("row = %+v; want 5 of 10 wins, 0 of the 5 the change ran first, level", r)
+	}
+}
+
 func TestSummarizeRefusesABenchmarkRunOnOneSide(t *testing.T) {
 	res := func(name string, metrics ...string) benchfmt.Result {
 		r := benchfmt.Result{Name: name, Procs: 1, Metrics: map[string]float64{}}
