@@ -264,7 +264,8 @@ func TestFollowerCatchupE2E(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	// Leader with a WAL, so /changes history survives its ring.
+	// A persistent leader. Its WAL is for recovery; its /changes history
+	// is its ring, as at every tier.
 	leader := startNCServe(t, bin, "-data-dir", filepath.Join(scratch, "leader-data"))
 	const n = 40
 	for i := 0; i < n; i++ {

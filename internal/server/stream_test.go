@@ -486,9 +486,9 @@ func TestFollowerReplicatesLiveLeader(t *testing.T) {
 }
 
 func TestFollowerReBootstrapsAfterTruncation(t *testing.T) {
-	// A leader with a tiny ring and no WAL forgets history fast; a
-	// follower that missed it must get a 410 and re-bootstrap, and
-	// still converge to identical contents.
+	// History is the ring, so a leader with a tiny ring forgets it
+	// fast; a follower that missed it must get a 410 and re-bootstrap,
+	// and still converge to identical contents.
 	ts, leaderReg := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: 8})
 	for i := 0; i < 10; i++ {
 		postJSON(t, ts.URL+"/upsert", fmt.Sprintf(`{"id":"n%02d","coord":{"vec":[%d,0,0]}}`, i, i))

@@ -281,3 +281,103 @@ func requireSameWindows(t *testing.T, i int, p *Pair, ref *refPair) {
 		}
 	}
 }
+
+// freshDriver feeds one seeded drifting stream to a Pair and to refPair
+// side by side. The reference builds its sums at the fill, as the old
+// code did; when the pair's first Energy since the fill comes after a
+// slide, the pair builds cold, and the reference is made to rebuild
+// from the windows as they stand at the same read, which is what the
+// old code's Energy did when it found its sums invalid.
+type freshDriver struct {
+	t     *testing.T
+	rng   *xrand.Stream
+	dim   int
+	n     int // points drawn so far
+	p     *Pair
+	ref   *refPair
+	built bool // Energy read since the last Reset
+}
+
+func newFreshDriver(t *testing.T, k, dim int) *freshDriver {
+	return &freshDriver{t: t, rng: xrand.NewStream(uint64(1000*k + dim)), dim: dim, p: mustPair(t, k, dim), ref: newRefPair(k, dim)}
+}
+
+func (d *freshDriver) append() {
+	pt := driftingPoint(d.rng, d.dim, d.n)
+	d.n++
+	appendN(d.t, d.p, []vec.Vector{pt})
+	d.ref.append(pt)
+}
+
+func (d *freshDriver) read(at string) {
+	d.t.Helper()
+	if !d.built {
+		d.ref.sumsValid = false
+		d.built = true
+	}
+	requireSameSums(d.t, at, d.p, d.ref)
+	requireFreshInvariant(d.t, at, d.p)
+}
+
+func (d *freshDriver) reset() {
+	d.p.Reset()
+	d.ref.reset()
+	d.built = false
+}
+
+// requireFreshInvariant: while a slot from head on still holds its fill
+// point, fresh counts exactly those slots, which run to the ring's end.
+func requireFreshInvariant(t *testing.T, at string, p *Pair) {
+	t.Helper()
+	if p.fresh < 0 || p.fresh > p.k || (p.fresh > 0 && p.head+p.fresh != p.k) {
+		t.Fatalf("%s: fresh %d with head %d, k %d", at, p.fresh, p.head, p.k)
+	}
+	for i := p.head; i < p.head+p.fresh; i++ {
+		if !p.current[i].Equal(p.start[i]) {
+			t.Fatalf("%s: slot %d counted fresh but holds %v, fill point %v", at, i, p.current[i], p.start[i])
+		}
+	}
+}
+
+// TestFreshSlidesMatchReference walks every slide across the boundary
+// where the last fill point leaves Wc — the slides that read the
+// cross-distance table instead of taking square roots, and the first
+// ones after them that cannot — and requires the reference's bits after
+// each, with the sums built at the fill, built cold after 1, k-1 and k
+// slides, and read on every append or only on every third. A run that
+// stops short of the boundary comes right before a Reset and a cold
+// build, so a fresh count left over from it would be read.
+func TestFreshSlidesMatchReference(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 5, 32} {
+		for _, dim := range []int{2, 3, 5} {
+			t.Run(fmt.Sprintf("k=%d/dim=%d", k, dim), func(t *testing.T) {
+				d := newFreshDriver(t, k, dim)
+				for _, every := range []int{1, 3} {
+					for _, slides := range []int{k + 3, k, k - 1} {
+						d.reset()
+						for i := 0; i < k+slides; i++ {
+							d.append()
+							if d.p.Full() && (i+1)%every == 0 {
+								d.read(fmt.Sprintf("every %d, %d slides, append %d", every, slides, i))
+							}
+						}
+					}
+				}
+				for _, cold := range []int{1, k - 1, k} {
+					d.reset()
+					for i := 0; i < k+cold; i++ {
+						d.append()
+					}
+					d.read(fmt.Sprintf("cold build after %d slides", cold))
+					if cold > 0 && d.p.fresh != 0 {
+						t.Fatalf("cold build after %d slides: fresh %d, want 0", cold, d.p.fresh)
+					}
+					for i := 0; i < 2*k; i++ {
+						d.append()
+						d.read(fmt.Sprintf("cold build after %d slides, slide %d", cold, i))
+					}
+				}
+			})
+		}
+	}
+}

@@ -23,6 +23,16 @@
 // definition, which matters because ENERGY runs on every coordinate
 // observation of every node. A pair whose Energy is never read keeps no
 // sums at all.
+//
+// Beside the sums the pair keeps the k×k table of cross distances
+// ||Ws[a] - Wc[r]||, one row per Wc slot, so a slide takes no distance
+// twice: the departing point's row is what it leaves sumCross, and while
+// Wc still holds fill points (which are Ws's points in the same slots)
+// the table also holds their distances to the departing and the arriving
+// point. A slide then takes k plus head square roots instead of 4k-2,
+// and 3k-2 once every slot has slid; on a stream that restarts every
+// 44 observations at k = 32, as the paper-scale simulation does, that is
+// 946 square roots per restart instead of 2 008.
 package window
 
 import (
@@ -51,7 +61,6 @@ type Pair struct {
 	current  []vec.Vector // Wc slots: ring, oldest at head
 	head     int          // ring index of oldest element of current
 	curLen   int
-	slid     bool // Wc has slid since the fill: it no longer equals Ws
 
 	// Incremental sums for the energy statistic, built by the first
 	// Energy call after a fill and maintained by every slide after it.
@@ -62,15 +71,29 @@ type Pair struct {
 	sumCross   float64
 	sumWithinS float64
 	sumWithinC float64
-	sumsValid  bool
-	pairDist   []float64 // initSums' k×k scratch; only d(i,j), j < i, is used
+
+	// crossDist is the k×k table of cross distances behind sumCross:
+	// crossDist[r*k+a] = ||start[a] - current[r]||, valid while sumsValid
+	// holds. initSums fills it; each slide rewrites row head for the
+	// arriving point.
+	crossDist []float64
+	// fresh counts the Wc slots from head on that still hold their fill
+	// point (current[i] is bitwise start[i]): k after a fill-time build,
+	// 0 after a cold one, one fewer per slide; while it is positive,
+	// head+fresh == k.
+	fresh int
 
 	// startCentroid caches C(Ws) in a preallocated buffer; the paper
 	// notes this cacheability as one of RELATIVE's virtues.
-	startCentroid    vec.Vector
-	startCentroidSet bool
+	startCentroid vec.Vector
 	// curCentroid is the reusable output buffer for CurrentCentroid.
 	curCentroid vec.Vector
+
+	// The flags share one word, which keeps a Pair, fresh included, in
+	// the 208-byte malloc size class on 64-bit platforms.
+	slid             bool // Wc has slid since the fill: it no longer equals Ws
+	sumsValid        bool // the sums and crossDist are built
+	startCentroidSet bool // startCentroid holds C(Ws)
 }
 
 // NewPair builds a window pair with windows of size k over points of the
@@ -82,7 +105,7 @@ func NewPair(k, dim int) (*Pair, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("window: dimension %d, want >= 1", dim)
 	}
-	// One backing array: 2k slots, the two centroids, then the scratch.
+	// One backing array: 2k slots, the two centroids, then the table.
 	buf := make([]float64, (2*k+2)*dim+k*k)
 	vecs := make([]vec.Vector, 2*k+2)
 	for i := range vecs {
@@ -95,7 +118,7 @@ func NewPair(k, dim int) (*Pair, error) {
 		current:       vecs[k : 2*k : 2*k],
 		startCentroid: vecs[2*k],
 		curCentroid:   vecs[2*k+1],
-		pairDist:      buf[(2*k+2)*dim:],
+		crossDist:     buf[(2*k+2)*dim:],
 	}, nil
 }
 
@@ -135,7 +158,9 @@ func (p *Pair) Append(v vec.Vector) error {
 	old := p.current[p.head]
 	p.slideSums(old, v)
 	copy(old, v)
-	p.head = (p.head + 1) % p.k
+	if p.head++; p.head == p.k {
+		p.head = 0
+	}
 	p.slid = true
 	return nil
 }
@@ -148,6 +173,7 @@ func (p *Pair) Reset() {
 	p.head = 0
 	p.slid = false
 	p.sumsValid = false
+	p.fresh = 0
 	p.startCentroidSet = false
 }
 
@@ -284,37 +310,47 @@ func (p *Pair) RankSum() (float64, error) {
 	return stats.RankSum(proj[:p.k], proj[p.k:])
 }
 
-// initSums builds the three distance sums; Energy is its only caller.
+// initSums builds the three distance sums and the cross-distance
+// table; Energy is its only caller.
 //
 // Before the first slide Wc still holds Ws's k points slot for slot, so
-// the k(k-1)/2 distances d(i,j), i < j, define all three sums, and adding
-// them in the general loops' order gives the general loops' bits: d is
-// bitwise symmetric ((a-b)^2 is (b-a)^2), so row i of the row-major
-// sumCross reads d(i,j), j < i, back from pairDist, skips the diagonal
-// (+0 added to a non-negative sum of finite points) and computes the
-// rest; sumWithinC is sumWithinS's addition sequence. After a slide the
-// windows differ and the general loops run, over the slot arrays — the
-// sums are pair aggregates, so ring order does not matter.
+// the k(k-1)/2 distances d(i,j), i < j, define all three sums and the
+// whole table, and adding them in the general loops' order gives the
+// general loops' bits: d is bitwise symmetric ((a-b)^2 is (b-a)^2), so
+// row i of the row-major sumCross reads d(i,j), j < i, back from the
+// table, skips the diagonal (+0 added to a non-negative sum of finite
+// points, and stored as the table's zero) and computes the rest, writing
+// each into both triangles; sumWithinC is sumWithinS's addition
+// sequence. Every slot then holds its fill point: fresh = k. After a
+// slide the windows differ and the general loops run, over the slot
+// arrays — the sums are pair aggregates, so ring order does not matter —
+// storing each of the k^2 cross distances they take; fresh = 0.
 func (p *Pair) initSums() {
-	start, cur, k := p.start, p.current, p.k
+	start, cur, k, table := p.start, p.current, p.k, p.crossDist
 	var cross, withinS, withinC float64
 	if !p.slid {
 		for i := 0; i < k; i++ {
-			for _, d := range p.pairDist[i*k : i*k+i] {
+			row := table[i*k : i*k+k]
+			for _, d := range row[:i] {
 				cross += d
 			}
+			row[i] = 0
 			for j := i + 1; j < k; j++ {
 				d := dist(start[i], start[j])
-				p.pairDist[j*k+i] = d
+				row[j] = d
+				table[j*k+i] = d
 				cross += d
 				withinS += 2 * d
 			}
 		}
 		withinC = withinS
+		p.fresh = k
 	} else {
-		for _, a := range start {
-			for _, b := range cur {
-				cross += dist(a, b)
+		for a, s := range start {
+			for r, b := range cur {
+				d := dist(s, b)
+				table[r*k+a] = d
+				cross += d
 			}
 		}
 		for i := range start {
@@ -323,33 +359,71 @@ func (p *Pair) initSums() {
 				withinC += 2 * dist(cur[i], cur[j])
 			}
 		}
+		p.fresh = 0
 	}
 	p.sumCross, p.sumWithinS, p.sumWithinC = cross, withinS, withinC
 	p.sumsValid = true
 }
 
-// slideSums updates the distance sums for Wc dropping old and gaining nw,
-// in O(k); a no-op until Energy has built them.
+// slideSums updates the distance sums for Wc dropping old (slot head)
+// and gaining nw, in O(k); a no-op until Energy has built them.
+//
+// Each slot i gives sumCross d(start[i], nw) and takes back row head of
+// crossDist, d(start[i], old), and the new distance replaces the old in
+// the row. What Wc's own sum loses and gains is read from the table
+// where it is there. While fresh slots remain, old is start[head]; a
+// member after head is start[i], so its distance to old is row[i] and
+// to nw the cross distance just taken; a member before head arrived by
+// a slide, so its distance to old is in its own row, at column head, and
+// only its distance to nw is computed. That is k+head square roots on a
+// fresh slide. Once every slot has slid (fresh == 0), each member's
+// distances to old and to nw are computed: 3k-2 in all. Each accumulator
+// adds what the unshared loops added, in slot order, so the bits are
+// theirs.
 //
 //nc:hotpath
 func (p *Pair) slideSums(old, nw vec.Vector) {
 	if !p.sumsValid {
 		return
 	}
+	k, head := p.k, p.head
+	table := p.crossDist
+	row := table[head*k : head*k+k : head*k+k]
+	cur := p.current
+	start := p.start[:len(cur)]
 	cross, withinC := p.sumCross, p.sumWithinC
-	for _, a := range p.start {
-		cross += dist(a, nw) - dist(a, old)
-	}
-	// old still occupies slot head: every other member of Wc loses its
-	// distance to old and gains its distance to nw.
-	for i, m := range p.current {
-		if i == p.head {
-			continue
+	if p.fresh == 0 {
+		for i, m := range cur {
+			d := dist(start[i], nw)
+			cross += d - row[i]
+			row[i] = d
+			if i != head {
+				withinC -= 2 * dist(m, old)
+				withinC += 2 * dist(m, nw)
+			}
 		}
-		withinC -= 2 * dist(m, old)
+		p.sumCross, p.sumWithinC = cross, withinC
+		return
+	}
+	for i, m := range cur[:head] {
+		d := dist(start[i], nw)
+		cross += d - row[i]
+		row[i] = d
+		withinC -= 2 * table[i*k+head]
 		withinC += 2 * dist(m, nw)
 	}
+	d := dist(start[head], nw)
+	cross += d - row[head]
+	row[head] = d
+	for i := head + 1; i < k; i++ {
+		d := dist(start[i], nw)
+		cross += d - row[i]
+		withinC -= 2 * row[i]
+		withinC += 2 * d
+		row[i] = d
+	}
 	p.sumCross, p.sumWithinC = cross, withinC
+	p.fresh--
 }
 
 // dist is vec.Vector.Dist's arithmetic in vec.Vector.Dist's order without
