@@ -1,7 +1,9 @@
 // Command ncbench regenerates every table and figure in the paper's
 // evaluation, rendering the full experiment output (the rows/series the
-// paper plots) to stdout or a file. It runs experiments.Table, in that
-// table's order; -list prints its ids.
+// paper plots) to stdout or a file, and then the headline numbers of
+// the experiments it ran as one table (experiments.HeadlineTable, the
+// table REPRODUCTION.md holds at quick scale). It runs
+// experiments.Table, in that table's order; -list prints its ids.
 //
 // Usage:
 //
@@ -93,6 +95,7 @@ func run(args []string) (err error) {
 
 	fmt.Fprintf(w, "netcoord experiment suite — scale %s (%d nodes, %d s, %d s interval)\n\n",
 		*scaleName, scale.Nodes, scale.DurationTicks, scale.IntervalTicks)
+	var outcomes []experiments.Outcome
 	for _, e := range selected {
 		started := time.Now()
 		r, rerr := e.Run(scale)
@@ -100,6 +103,8 @@ func run(args []string) (err error) {
 			return fmt.Errorf("%s: %w", e.ID, rerr)
 		}
 		fmt.Fprintf(w, "[%s] (%.1fs)\n%s\n", e.ID, time.Since(started).Seconds(), r.Render())
+		outcomes = append(outcomes, experiments.Outcome{ID: e.ID, Result: r})
 	}
+	fmt.Fprintf(w, "headline numbers — scale %s\n\n%s", *scaleName, experiments.HeadlineTable(outcomes))
 	return nil
 }

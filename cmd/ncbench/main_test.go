@@ -55,4 +55,18 @@ func TestRunSubsetToFile(t *testing.T) {
 	if !strings.Contains(text, "fraction >= 1s") {
 		t.Fatal("results missing calibration line")
 	}
+	// The headline table follows the renders and holds the rows of fig2
+	// alone.
+	_, table, ok := strings.Cut(text, "| id | name | paper | measured |\n")
+	if !ok {
+		t.Fatalf("results missing the headline table:\n%s", text)
+	}
+	if !strings.Contains(table, "| fig2 | %ge1s | ~0.4% | ") {
+		t.Fatalf("headline table missing fig2's %%ge1s row:\n%s", table)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(table, "\n"), "\n")[1:] {
+		if !strings.HasPrefix(line, "| fig2 | ") {
+			t.Fatalf("headline table holds a row of an experiment that did not run: %q", line)
+		}
+	}
 }

@@ -54,6 +54,14 @@ func (r *AblationStaticMatrixResult) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *AblationStaticMatrixResult) Headlines() []Headline {
+	return []Headline{
+		{Name: "static-err", Value: r.Static.MedianRelErr},
+		{Name: "live-err", Value: r.Live.MedianRelErr},
+	}
+}
+
 // AblationThresholdResult (A2) measures the fixed-cutoff filter the
 // paper rejected in Section IV-B: helpful against the global extremes,
 // useless for per-link outliers below the cutoff.
@@ -79,6 +87,11 @@ func AblationThresholdFilter(scale Scale) (*AblationThresholdResult, error) {
 func (r *AblationThresholdResult) Render() string {
 	return renderFilterTable("Ablation A2: fixed discard thresholds vs MP filter", r.Rows,
 		"paper: thresholds in isolation give only minimal improvement (Section IV-B)")
+}
+
+// Headlines implements the experiment output contract.
+func (r *AblationThresholdResult) Headlines() []Headline {
+	return []Headline{{Name: "cutoff1s-err", Value: filterRow(r.Rows, "Cutoff 1000ms").MedianRelErr}}
 }
 
 // AblationDampingResult (A3) measures the de Launois damping variant
@@ -150,6 +163,14 @@ func (r *AblationDampingResult) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *AblationDampingResult) Headlines() []Headline {
+	return []Headline{
+		{Name: "damped-degr", Value: r.DampedAfter / r.DampedBefore},
+		{Name: "mp-degr", Value: r.MPAfter / r.MPBefore},
+	}
+}
+
 // AblationWarmupResult (A4) quantifies the Section VI fix: an MP filter
 // that answers from its very first sample lets first-observation
 // outliers fling nodes across the space; waiting for the second sample
@@ -210,4 +231,12 @@ func (r *AblationWarmupResult) Render() string {
 	sb.WriteString(fmt.Sprintf("%-20s %-22.2f %-18.4f\n", "warm-up of 2 (fix)", r.WarmupEarly, r.WarmupSteadyErr))
 	sb.WriteString("paper: waiting for the second sample \"greatly reduced early instability\" at no steady cost\n")
 	return sb.String()
+}
+
+// Headlines implements the experiment output contract.
+func (r *AblationWarmupResult) Headlines() []Headline {
+	return []Headline{
+		{Name: "early-inst-1", Value: r.ImmediateEarly},
+		{Name: "early-inst-2", Value: r.WarmupEarly},
+	}
 }

@@ -1,9 +1,12 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation. Each Fig/Table function runs the necessary simulations at a
 // requested Scale and returns a typed result with a Render method that
-// prints the same rows/series the paper reports. Table lists all twenty
-// experiments once, in order; cmd/ncbench and BenchmarkExperiments walk
-// it, and each id names its golden render, testdata/<id>.golden.
+// prints the same rows/series the paper reports, and a Headlines method
+// that names the few numbers the paper's text quotes. Table lists all
+// twenty experiments once, in order; cmd/ncbench and
+// BenchmarkExperiments walk it, each id names its golden render,
+// testdata/<id>.golden, and HeadlineTable renders every run's headlines
+// as the one table REPRODUCTION.md holds at QuickScale.
 //
 // Two scales are provided: QuickScale for CI-speed runs that preserve the
 // qualitative shape of every result, and PaperScale matching the paper's
@@ -24,6 +27,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"netcoord/internal/filter"
@@ -33,8 +37,52 @@ import (
 )
 
 // Result is what every experiment returns: Render prints the rows and
-// series the paper reports.
-type Result interface{ Render() string }
+// series the paper reports, and Headlines lists its headline numbers.
+type Result interface {
+	Render() string
+	Headlines() []Headline
+}
+
+// Headline is one headline number of an experiment.
+type Headline struct {
+	// Name is a short unit-like name without whitespace, unique within
+	// its experiment; BenchmarkExperiments reports Value under it.
+	Name string
+	// Paper is the paper's value as Render quotes it, or "" where the
+	// paper quotes none.
+	Paper string
+	// Value is the measured number.
+	Value float64
+}
+
+// Outcome is one experiment's result under its Table id.
+type Outcome struct {
+	ID     string
+	Result Result
+}
+
+// HeadlineTable renders the headline numbers of outcomes, in order, as
+// one markdown table: experiment id, name, the paper's value and the
+// measured one.
+func HeadlineTable(outcomes []Outcome) string {
+	var sb strings.Builder
+	sb.WriteString("| id | name | paper | measured |\n|---|---|---|---|\n")
+	for _, o := range outcomes {
+		for _, h := range o.Result.Headlines() {
+			fmt.Fprintf(&sb, "| %s | %s | %s | %s |\n", o.ID, h.Name, h.Paper, formatHeadline(h.Value))
+		}
+	}
+	return sb.String()
+}
+
+// formatHeadline prints a whole number in full and any other value to
+// four significant digits.
+func formatHeadline(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.4g", v)
+}
 
 // Experiment is one entry of Table: its id, as cmd/ncbench names it,
 // and the runner that reproduces it at a Scale.

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode"
 
 	"netcoord/internal/golden"
 	"netcoord/internal/heuristic"
@@ -22,9 +25,81 @@ func tinyScale() Scale {
 // fails on a slipped seed, a different network or a changed metric.
 // Regenerate with `go test ./internal/experiments -update` and review
 // the diff.
+//
+// It also holds r's Headlines to what BenchmarkExperiments and
+// HeadlineTable rely on: at least one row, unique names without
+// whitespace (ReportMetric's rule for units), finite values, and every
+// paper value quoted in the render, so the two copies of what the paper
+// said cannot drift apart.
 func checkGolden(t *testing.T, id string, r Result) {
 	t.Helper()
-	golden.Check(t, filepath.Join("testdata", id+".golden"), []byte(r.Render()))
+	render := r.Render()
+	golden.Check(t, filepath.Join("testdata", id+".golden"), []byte(render))
+	hs := r.Headlines()
+	if len(hs) == 0 {
+		t.Errorf("%s has no headline rows", id)
+	}
+	names := map[string]bool{}
+	for _, h := range hs {
+		if h.Name == "" || strings.IndexFunc(h.Name, unicode.IsSpace) >= 0 {
+			t.Errorf("%s: headline name %q is empty or holds whitespace", id, h.Name)
+		}
+		if names[h.Name] {
+			t.Errorf("%s: headline %q listed twice", id, h.Name)
+		}
+		names[h.Name] = true
+		if math.IsNaN(h.Value) || math.IsInf(h.Value, 0) {
+			t.Errorf("%s: headline %s = %v, want a finite value", id, h.Name, h.Value)
+		}
+		if h.Paper != "" && !strings.Contains(render, h.Paper) {
+			t.Errorf("%s: headline %s quotes the paper as %q, which the render does not", id, h.Name, h.Paper)
+		}
+	}
+}
+
+// reproductionPreamble heads REPRODUCTION.md; it takes QuickScale's
+// nodes, duration, interval and seed.
+const reproductionPreamble = "# Reproduction: the paper's headline numbers\n\n" +
+	"Every experiment in `internal/experiments.Table` names its headline\n" +
+	"numbers in its `Headlines` method. This table lists them at QuickScale:\n" +
+	"%d nodes for %d s, each node sampling every %d s, seed %d. The columns\n" +
+	"are the experiment id, the number's name (its `BenchmarkExperiments`\n" +
+	"metric), the paper's value where the paper quotes one, and the measured\n" +
+	"value. `ncbench` prints the same table after its renders, at the scale\n" +
+	"it runs.\n\n" +
+	"This file is generated, and `TestReproductionFile` fails when it\n" +
+	"drifts. Regenerate it with\n" +
+	"`go test ./internal/experiments -run TestReproductionFile -update`.\n\n"
+
+// TestReproductionFile holds REPRODUCTION.md, at the repository root,
+// to HeadlineTable over every experiment in Table at QuickScale: the
+// table `ncbench` prints after its renders.
+func TestReproductionFile(t *testing.T) {
+	scale := QuickScale()
+	var outcomes []Outcome
+	for _, e := range Table() {
+		r, err := e.Run(scale)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		outcomes = append(outcomes, Outcome{ID: e.ID, Result: r})
+	}
+	doc := fmt.Sprintf(reproductionPreamble, scale.Nodes, scale.DurationTicks, scale.IntervalTicks, scale.Seed) +
+		HeadlineTable(outcomes)
+	golden.Check(t, filepath.Join("..", "..", "REPRODUCTION.md"), []byte(doc))
+}
+
+// TestMissingHeadlineRowsReadNaN: a headline looked up by row name or
+// sweep parameter reads NaN when the row is missing, which the checks
+// in checkGolden refuse, instead of dropping out of the list.
+func TestMissingHeadlineRowsReadNaN(t *testing.T) {
+	for _, r := range []Result{&Table1Result{}, &Fig08Result{}, &AblationThresholdResult{}} {
+		for _, h := range r.Headlines() {
+			if !math.IsNaN(h.Value) {
+				t.Errorf("%T: missing row reads %s = %v, want NaN", r, h.Name, h.Value)
+			}
+		}
+	}
 }
 
 func TestScaleValidate(t *testing.T) {

@@ -75,6 +75,14 @@ func (r *ExtensionDetectorResult) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *ExtensionDetectorResult) Headlines() []Headline {
+	return []Headline{
+		{Name: "energy-err", Value: r.Energy.MedianRelErr},
+		{Name: "ranksum-err", Value: r.RankSum.MedianRelErr},
+	}
+}
+
 // ExtensionChurnResult (E2) tests the paper's closing Section VI claim:
 // "In a long-running system where nodes periodically enter and leave,
 // adding a delay to the filter would increase its robustness against
@@ -146,4 +154,12 @@ func (r *ExtensionChurnResult) Render() string {
 	sb.WriteString(fmt.Sprintf("%-20s %-24.2f %-18.4f\n", "warm-up 2 (fix)", r.WarmupTail, r.WarmupErr))
 	sb.WriteString("the Section VI claim: the one-sample delay buys churn robustness at only a small cost\n")
 	return sb.String()
+}
+
+// Headlines implements the experiment output contract.
+func (r *ExtensionChurnResult) Headlines() []Headline {
+	return []Headline{
+		{Name: "p99-inst-w1", Value: r.ImmediateTail},
+		{Name: "p99-inst-w2", Value: r.WarmupTail},
+	}
 }

@@ -60,6 +60,14 @@ func (r *Fig02Result) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *Fig02Result) Headlines() []Headline {
+	return []Headline{
+		{Name: "%ge1s", Paper: "~0.4%", Value: r.FractionAboveOneSecond * 100},
+		{Name: "samples", Value: float64(r.Total)},
+	}
+}
+
 // Fig03Result reproduces Figure 3: one representative link's histogram
 // (200 ms buckets) and its latency-over-time scatter, demonstrating that
 // per-link heavy tails persist across the whole trace.
@@ -150,4 +158,9 @@ func (r *Fig03Result) Render() string {
 	sb.WriteString(fmt.Sprintf("fraction of >=10x-median spikes in second half: %.2f (0.5 = spread evenly over time)\n", r.SpikeSpread))
 	sb.WriteString(fmt.Sprintf("scatter points captured: %d\n", len(r.Scatter)))
 	return sb.String()
+}
+
+// Headlines implements the experiment output contract.
+func (r *Fig03Result) Headlines() []Headline {
+	return []Headline{{Name: "max/median", Value: r.Max / r.Median}}
 }

@@ -127,3 +127,8 @@ func (r *Fig04Result) Render() string {
 	sb.WriteString(fmt.Sprintf("best history: %d (paper: 4)\n", r.BestHistory))
 	return sb.String()
 }
+
+// Headlines implements the experiment output contract.
+func (r *Fig04Result) Headlines() []Headline {
+	return []Headline{{Name: "best-h", Paper: "4", Value: float64(r.BestHistory)}}
+}

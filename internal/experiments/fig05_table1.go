@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"netcoord/internal/filter"
@@ -174,6 +175,15 @@ func (r *Fig05Result) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *Fig05Result) Headlines() []Headline {
+	return []Headline{
+		{Name: "mp-err", Value: r.MP.Summary.MedianRelErr},
+		{Name: "raw-err", Value: r.Raw.Summary.MedianRelErr},
+		{Name: "tail-ratio", Paper: "~3 orders of magnitude", Value: r.WorstInstabilityRatio},
+	}
+}
+
 // Table1Row is one configuration of Table I.
 type Table1Row struct {
 	Name              string
@@ -211,6 +221,33 @@ func Table1FilterComparison(scale Scale) (*Table1Result, error) {
 func (r *Table1Result) Render() string {
 	return renderFilterTable("Table I: exponentially-weighted histories vs MP filter", r.Rows,
 		"paper: MP 0.07 (-42%) / 415 (-47%); none 0.12 / 783; EWMAs worse on accuracy than no filter")
+}
+
+// Headlines implements the experiment output contract.
+func (r *Table1Result) Headlines() []Headline {
+	const ewmaPaper = "worse on accuracy than no filter"
+	mp, none := filterRow(r.Rows, "MP Filter"), filterRow(r.Rows, "No Filter")
+	return []Headline{
+		{Name: "mp-err", Paper: "0.07", Value: mp.MedianRelErr},
+		{Name: "mp-inst", Paper: "415", Value: mp.MedianInstability},
+		{Name: "none-err", Paper: "0.12", Value: none.MedianRelErr},
+		{Name: "none-inst", Paper: "783", Value: none.MedianInstability},
+		{Name: "ewma02-err", Paper: ewmaPaper, Value: filterRow(r.Rows, "EWMA a=0.02").MedianRelErr},
+		{Name: "ewma10-err", Paper: ewmaPaper, Value: filterRow(r.Rows, "EWMA a=0.10").MedianRelErr},
+		{Name: "ewma20-err", Paper: ewmaPaper, Value: filterRow(r.Rows, "EWMA a=0.20").MedianRelErr},
+	}
+}
+
+// filterRow returns the row of rows named name. A missing row reads NaN
+// in both columns, so its headlines show as missing instead of
+// vanishing.
+func filterRow(rows []Table1Row, name string) Table1Row {
+	for _, row := range rows {
+		if row.Name == name {
+			return row
+		}
+	}
+	return Table1Row{Name: name, MedianRelErr: math.NaN(), MedianInstability: math.NaN()}
 }
 
 // filterConfig is one filter a filter comparison runs.

@@ -108,6 +108,14 @@ func (r *Fig06Result) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *Fig06Result) Headlines() []Headline {
+	return []Headline{
+		{Name: "conf-with", Paper: "~1.00", Value: r.SteadyWith},
+		{Name: "conf-without", Paper: "~0.75", Value: r.SteadyWithout},
+	}
+}
+
 // Fig07Trajectory is one node's coordinate positions over time.
 type Fig07Trajectory struct {
 	Node      int
@@ -237,4 +245,9 @@ func (r *Fig07Result) Render() string {
 	}
 	sb.WriteString(fmt.Sprintf("directedness (drift/path, post-convergence): %.2f — sustained direction, not oscillation\n", r.DriftRatio))
 	return sb.String()
+}
+
+// Headlines implements the experiment output contract.
+func (r *Fig07Result) Headlines() []Headline {
+	return []Headline{{Name: "drift/path", Value: r.DriftRatio}}
 }

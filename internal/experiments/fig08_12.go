@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -133,6 +134,29 @@ func (r *Fig08Result) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract: ENERGY at
+// tau = 8, the paper's recommended operating point.
+func (r *Fig08Result) Headlines() []Headline {
+	p := sweepPoint(r.Energy, 8)
+	return []Headline{
+		{Name: "energy-t8-err", Value: p.MedianRelErr},
+		{Name: "energy-t8-inst", Value: p.MedianInstability},
+	}
+}
+
+// sweepPoint returns the point of pts at param. A missing point reads
+// NaN in every metric, so its headlines show as missing instead of
+// vanishing.
+func sweepPoint(pts []SweepPoint, param float64) SweepPoint {
+	for _, p := range pts {
+		if p.Param == param {
+			return p
+		}
+	}
+	nan := math.NaN()
+	return SweepPoint{Param: param, MedianRelErr: nan, MedianInstability: nan, MeanUpdateFraction: nan}
+}
+
 // Fig09Result reproduces Figure 9: window-size sweep at fixed thresholds
 // (tau=8, eps=0.3). The paper's finding: windows 2^5..2^9 improve all
 // three metrics; very large windows update too rarely.
@@ -185,6 +209,11 @@ func (r *Fig09Result) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *Fig09Result) Headlines() []Headline {
+	return []Headline{{Name: "upd%@maxw", Value: r.Energy[len(r.Energy)-1].MeanUpdateFraction * 100}}
+}
+
 // Fig10Result reproduces Figure 10: all four heuristics across their
 // threshold ranges. The windowless heuristics can only trade accuracy
 // for stability; the window-based ones keep both.
@@ -231,6 +260,14 @@ func (r *Fig10Result) Render() string {
 	sb.WriteString(renderSweep("APPLICATION", "tau", r.Application))
 	sb.WriteString("paper: windowless heuristics trade accuracy for stability; window-based keep both\n")
 	return sb.String()
+}
+
+// Headlines implements the experiment output contract.
+func (r *Fig10Result) Headlines() []Headline {
+	return []Headline{
+		{Name: "sys-t256-err", Value: r.System[len(r.System)-1].MedianRelErr},
+		{Name: "energy-t256-err", Value: r.Energy[len(r.Energy)-1].MedianRelErr},
+	}
 }
 
 // Fig11Result reproduces Figure 11: application-level suppression vs the
@@ -286,6 +323,14 @@ func (r *Fig11Result) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *Fig11Result) Headlines() []Headline {
+	return []Headline{
+		{Name: "energy-inst", Value: r.EnergyMP.Summary.MedianInstability},
+		{Name: "raw-inst", Value: r.RawMP.Summary.MedianInstability},
+	}
+}
+
 // Fig12Result reproduces Figure 12: the APPLICATION/CENTROID hybrid.
 type Fig12Result struct {
 	Points []SweepPoint
@@ -312,4 +357,9 @@ func (r *Fig12Result) Render() string {
 	sb.WriteString(renderSweep("APPLICATION/CENTROID", "tau", r.Points))
 	sb.WriteString("paper: more stable than plain APPLICATION, but gains stability only at accuracy's expense\n")
 	return sb.String()
+}
+
+// Headlines implements the experiment output contract.
+func (r *Fig12Result) Headlines() []Headline {
+	return []Headline{{Name: "t256-err", Value: r.Points[len(r.Points)-1].MedianRelErr}}
 }

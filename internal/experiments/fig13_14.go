@@ -139,6 +139,17 @@ func (r *Fig13Result) Render() string {
 	return sb.String()
 }
 
+// Headlines implements the experiment output contract.
+func (r *Fig13Result) Headlines() []Headline {
+	return []Headline{
+		{Name: "%err-impr", Paper: "54%", Value: r.ErrImprovement * 100},
+		{Name: "%inst-impr", Paper: "96%", Value: r.InstabilityImprovement * 100},
+		{Name: "%p95gt1-mp", Paper: "14%", Value: r.FracAboveOneMP * 100},
+		{Name: "%p95gt1-raw", Paper: "62%", Value: r.FracAboveOneRaw * 100},
+		{Name: "%quiet", Paper: "91%", Value: r.Quiet * 100},
+	}
+}
+
 // Fig14Result reproduces Figure 14: ten-minute-interval timelines of
 // error and instability for the four streams of Figure 13, showing the
 // ~half-hour convergence and the smooth steady state afterwards.
@@ -219,4 +230,9 @@ func (r *Fig14Result) Render() string {
 	}
 	sb.WriteString(fmt.Sprintf("ENERGY+MP converged by t=%.0f min (paper: ~30 min)\n", float64(r.ConvergedBy)/60))
 	return sb.String()
+}
+
+// Headlines implements the experiment output contract.
+func (r *Fig14Result) Headlines() []Headline {
+	return []Headline{{Name: "conv-min", Paper: "~30 min", Value: float64(r.ConvergedBy) / 60}}
 }

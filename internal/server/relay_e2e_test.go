@@ -130,6 +130,25 @@ func openWatch(t *testing.T, base, params string) (*sseReader, sseEvent) {
 	return r, ev
 }
 
+// waitHubProcessed polls base's /stats until its watch hub has routed
+// the stream up to seq.
+func waitHubProcessed(t *testing.T, base string, seq uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, st := getJSON(t, base+"/stats")
+		hub, _ := st["watch_hub"].(map[string]any)
+		processed, _ := hub["processed_seq"].(float64)
+		if uint64(processed) == seq {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s watch hub stuck at seq %v, want %d (stats %v)", base, processed, seq, st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestFollowerWatchBitIdenticalToLeader drives the same watch on the
 // leader and on a follower and requires every pushed event — initial
 // snapshot and each delta, sequence numbers included — to be
@@ -144,6 +163,11 @@ func TestFollowerWatchBitIdenticalToLeader(t *testing.T) {
 	f := startTestFollower(t, leaderTS.URL)
 	waitConverged(t, f, leaderReg)
 	fts := newFollowerService(t, f)
+	// A watch snapshot is labelled with its hub's position, which lags
+	// the registry until the hub goroutine has routed every event: wait
+	// for both hubs, or the labels may differ over results that agree.
+	waitHubProcessed(t, leaderTS.URL, leaderReg.ChangeSeq())
+	waitHubProcessed(t, fts.URL, leaderReg.ChangeSeq())
 
 	lr, lSnap := openWatch(t, leaderTS.URL, "vec=0,0,0&k=2")
 	fr, fSnap := openWatch(t, fts.URL, "vec=0,0,0&k=2")
