@@ -16,8 +16,8 @@ const DefaultChangeStreamBuffer = 4096
 // ErrChangeHistoryTruncated is returned by ChangesSince when the
 // requested resume point is older than the in-memory ring, which is all
 // the history any registry keeps. The consumer must re-bootstrap from a
-// snapshot (DeltaSince or SnapshotWithSeq, or ncserve's
-// /snapshot?since=) instead of resuming.
+// snapshot (SnapshotSince, or ncserve's /snapshot?since=) instead of
+// resuming.
 var ErrChangeHistoryTruncated = errors.New("netcoord: change history truncated; re-bootstrap from a snapshot")
 
 // Change-stream operations: the values of ChangeEvent.Op.
@@ -66,8 +66,8 @@ func (r *Registry) ChangeStreamStats() ChangeStreamStats { return r.feed.Stats()
 // the ring, for every registry flavour: below it — a resume point the
 // ring has overwritten, or one from before a persistent registry's
 // restart — it returns ErrChangeHistoryTruncated and the consumer
-// re-bootstraps, with DeltaSince when it holds state or SnapshotWithSeq
-// when it does not.
+// re-bootstraps with SnapshotSince: from its position when it holds
+// state, from 0 when it does not.
 func (r *Registry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
 	evs, err := r.feed.Since(since, max)
 	if errors.Is(err, changefeed.ErrTruncated) {
@@ -76,41 +76,53 @@ func (r *Registry) ChangesSince(since uint64, max int) ([]ChangeEvent, error) {
 	return evs, err
 }
 
-// SnapshotWithSeq captures every live entry together with the stream
-// sequence, in one hold of the read lock — the bootstrap pair for a
-// replica: apply the entries, then resume the stream with since=seq.
-// The pair is exact: mutations publish and store under the write lock,
-// so the entries are the stream's state at seq and none is newer.
-func (r *Registry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
+// RegistrySnapshot is a registry's state at one stream sequence: its
+// entries sorted by id, the sequence and fencing epoch they are exact
+// at, and the removal knowledge that lets a consumer serve deltas of its
+// own. It is the one value of a snapshot: compaction writes it to disk,
+// /snapshot serves it, and recovery and a replica's bootstrap install
+// it; its encoding is the snapshot body both a file and a /snapshot
+// response carry.
+type RegistrySnapshot = wire.Snapshot
+
+// SnapshotSince captures the registry in one hold of the read lock: a
+// delta from since when since > 0 and the removal knowledge reaches it,
+// else the full state. The capture is exact: mutations publish and
+// store under the write lock, so the entries are the stream's state at
+// Seq and none is newer, and no re-bootstrap rewrite can fall between
+// the reads.
+//
+// A full snapshot holds every live entry and the whole tombstone ring
+// with its floor. A delta holds the live entries changed after since —
+// found by scanning state, each carrying the sequence that produced it,
+// so complete however far back since reaches — and every removal after
+// since at its own sequence, with since as its floor. A since beyond
+// the stream's sequence is not guessed at: it gets the full state.
+func (r *Registry) SnapshotSince(since uint64) RegistrySnapshot {
 	r.mu.RLock()
-	seq := r.ChangeSeq()
-	found := r.collectLocked(nil)
+	s := RegistrySnapshot{Seq: r.feed.Seq(), Epoch: r.feed.Epoch()}
+	if since > s.Seq {
+		since = 0
+	}
+	s.TombstoneFloor, s.Tombstones = r.feed.Tombstones(since)
+	var keep func(RegistryEntry) bool
+	if s.Delta = since > 0 && since >= s.TombstoneFloor; s.Delta {
+		s.TombstoneFloor = since
+		keep = func(e RegistryEntry) bool { return e.Seq > since }
+	}
+	found := r.collectLocked(keep)
 	r.mu.RUnlock()
-	return sortedByID(found), seq
+	s.Entries = sortedByID(found)
+	return s
 }
 
-// DeltaSince assembles the delta-snapshot triple in one hold of the
-// read lock, so it is as exact as SnapshotWithSeq: seq, the removals in
-// (since, seq] and the live entries changed in (since, seq], with no
-// mutation — and no re-bootstrap rewrite — between the three reads.
-// The entries come from a scan of current state, each carrying the
-// sequence that produced it, so they are complete however far back
-// since reaches. ok is false when the tombstone ring has forgotten
-// removals at or before since: only a full snapshot then guarantees
-// deleted entries do not survive on the consumer.
-func (r *Registry) DeltaSince(since uint64) (entries []RegistryEntry, removed []string, seq uint64, ok bool) {
-	r.mu.RLock()
-	if seq = r.feed.Seq(); since <= seq { // a since from the future: don't guess
-		removed, ok = r.feed.RemovedSince(since)
-	}
-	if ok {
-		entries = r.collectLocked(func(e RegistryEntry) bool { return e.Seq > since })
-	}
-	r.mu.RUnlock()
-	if !ok {
-		return nil, nil, 0, false
-	}
-	return sortedByID(entries), removed, seq, true
+// SnapshotWithSeq captures every live entry together with the stream
+// sequence — the bootstrap pair for a replica: apply the entries, then
+// resume the stream with since=seq. It is SnapshotSince(0) without the
+// removal knowledge.
+func (r *Registry) SnapshotWithSeq() ([]RegistryEntry, uint64) {
+	s := r.SnapshotSince(0)
+	return s.Entries, s.Seq
 }
 
 // ChangeCursor reads the change stream from memory behind a wake-up:

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"netcoord/internal/wire"
 )
 
 // applyChangeEvents replays wire events over a state map the way a
@@ -317,7 +319,7 @@ func TestRingOnlyChangesSinceNamesTheRing(t *testing.T) {
 // TestPersistentChangesSinceNamesTheRing: a persistent registry keeps
 // no more history than a ring-only one. Below its ring — overwritten,
 // or emptied by a restart — ChangesSince is truncated with the ring's
-// own message, and DeltaSince repairs a consumer from the same point.
+// own message, and SnapshotSince repairs a consumer from the same point.
 func TestPersistentChangesSinceNamesTheRing(t *testing.T) {
 	dir := t.TempDir()
 	p := openTestPR(t, dir, RegistryConfig{ChangeStreamBuffer: 4})
@@ -359,14 +361,14 @@ func TestPersistentChangesSinceNamesTheRing(t *testing.T) {
 	if evs, err := p.ChangesSince(101, 0); err != nil || len(evs) != 0 {
 		t.Fatalf("restarted ChangesSince(current) = %d events, %v; want empty, nil", len(evs), err)
 	}
-	entries, removed, seq, ok := p.DeltaSince(mark)
-	if !ok || seq != 101 || len(removed) != 1 || removed[0] != "n000" {
-		t.Fatalf("DeltaSince(%d) = seq %d, removed %v, ok %v; want seq 101 and n000 removed", mark, seq, removed, ok)
+	d := p.SnapshotSince(mark)
+	if !d.Delta || d.Seq != 101 || len(d.Tombstones) != 1 || d.Tombstones[0] != (wire.Tombstone{Seq: 101, ID: "n000"}) {
+		t.Fatalf("SnapshotSince(%d) = delta %v, seq %d, tombstones %v; want a delta to 101 removing n000 at 101", mark, d.Delta, d.Seq, d.Tombstones)
 	}
-	for _, id := range removed {
-		delete(state, id)
+	for _, ts := range d.Tombstones {
+		delete(state, ts.ID)
 	}
-	for _, e := range entries {
+	for _, e := range d.Entries {
 		state[e.ID] = e
 	}
 	assertStateMatchesRegistry(t, state, p.Registry)

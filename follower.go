@@ -192,14 +192,13 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // the event under the leader's sequence number and with the leader's
 // frame bytes (decoded here to apply, never re-encoded). So at every
 // sequence the replica's state equals the leader's at that sequence,
-// SnapshotWithSeq and DeltaSince are exact pairs even across a
-// re-bootstrap, and a serving layer on top of a follower re-serves the
-// stream endpoints identically to the leader — byte for byte on
-// /changes?format=frames. A consumer that outruns the ring gets
-// ErrChangeHistoryTruncated and re-bootstraps from this follower's
-// snapshot — the same protocol it would run against the leader — which
-// is what lets replicas chain (follower-of-follower) into a fan-out
-// tree.
+// SnapshotSince is exact even across a re-bootstrap, and a serving
+// layer on top of a follower re-serves the stream endpoints identically
+// to the leader — byte for byte on /changes?format=frames. A consumer
+// that outruns the ring gets ErrChangeHistoryTruncated and
+// re-bootstraps from this follower's snapshot — the same protocol it
+// would run against the leader — which is what lets replicas chain
+// (follower-of-follower) into a fan-out tree.
 //
 // Failure handling: the tail loop survives upstream death. Errors back
 // off with capped jittered exponentials; a second consecutive failure
@@ -667,9 +666,11 @@ func (f *FollowerRegistry) apply(events []ChangeEvent) error {
 // /snapshot?since=<applied> instead: when the leader's tombstone ring
 // (restored by recovery) proves it knows every removal since that
 // sequence, it answers with a delta — only the entries changed since
-// then, plus the removed ids — so a replica that fell behind the
-// upstream's ring, or lost it to a restart, repairs itself with traffic
-// proportional to what it missed, not to the registry.
+// then, plus each removal at its own sequence — so a replica that fell
+// behind the upstream's ring, or lost it to a restart, repairs itself
+// with traffic proportional to what it missed, not to the registry.
+// Either snapshot carries the upstream's removal knowledge, which the
+// registry keeps: replicas below this one repair with deltas too.
 //
 // The stream moves to the snapshot sequence in the same lock hold as
 // the state: the previous ring described a stream position that no
@@ -728,44 +729,33 @@ func (f *FollowerRegistry) bootstrapFrames(body io.Reader, start time.Time) erro
 		f.rejectedStale.Add(1)
 		return fmt.Errorf("%w (/snapshot epoch %d < local %d)", errStaleEpoch, hdr.Epoch, own)
 	}
-	capHint := hdr.EntryCount
-	if capHint > 1<<16 {
-		capHint = 1 << 16 // never size an allocation by an unverified header field
-	}
-	batch := make([]RegistryEntry, 0, capHint)
-	var fr wire.Frame
-	for i := uint64(0); i < hdr.EntryCount; i++ {
-		if err := r.ReadFrame(&fr); err != nil {
-			return fmt.Errorf("leader /snapshot: entry %d/%d: %w", i+1, hdr.EntryCount, err)
-		}
-		if fr.Op != wire.OpUpsert {
-			return fmt.Errorf("leader /snapshot: entry %d/%d has op %d, want upsert", i+1, hdr.EntryCount, fr.Op)
-		}
-		batch = append(batch, fr.Entry())
+	if hdr.Entries, err = r.ReadSnapshotEntries(hdr.EntryCount); err != nil {
+		return fmt.Errorf("leader /snapshot: %d entries: %w", hdr.EntryCount, err)
 	}
 	f.noteContact()
-	return f.finishBootstrap(start, hdr.Seq, hdr.Epoch, hdr.Delta, hdr.Removed, batch)
+	return f.finishBootstrap(start, &hdr.Snapshot)
 }
 
-// finishBootstrap loads a decoded snapshot into the local registry —
-// state, sequence and epoch in one step (Registry.load) — and records
-// the bootstrap. The caller fenced the snapshot's epoch on its header,
-// and nothing else moves the epoch while the tail loop runs (Promote
-// stops the loop first), so adopting it here is only ever upward: a
-// replica bootstrapping across a promotion joins the new epoch.
-func (f *FollowerRegistry) finishBootstrap(start time.Time, seq, epoch uint64, delta bool, removed []string, batch []RegistryEntry) error {
-	if err := f.Registry.load(batch, removed, delta, seq, epoch); err != nil {
+// finishBootstrap installs a decoded snapshot in the local registry —
+// state, sequence, epoch and removal knowledge in one step
+// (Registry.load) — and records the bootstrap. The caller fenced the
+// snapshot's epoch on its header, and nothing else moves the epoch
+// while the tail loop runs (Promote stops the loop first), so adopting
+// it here is only ever upward: a replica bootstrapping across a
+// promotion joins the new epoch.
+func (f *FollowerRegistry) finishBootstrap(start time.Time, s *RegistrySnapshot) error {
+	if err := f.Registry.load(s); err != nil {
 		return fmt.Errorf("apply snapshot: %w", err)
 	}
-	if seq > f.leaderSeq.Load() {
-		f.leaderSeq.Store(seq)
+	if s.Seq > f.leaderSeq.Load() {
+		f.leaderSeq.Store(s.Seq)
 	}
 	f.bootstraps.Add(1)
-	if delta {
+	if s.Delta {
 		f.deltaBootstraps.Add(1)
 	}
 	f.lastBootstrapNs.Store(time.Since(start).Nanoseconds())
-	f.lastBootstrapDelta.Store(delta)
+	f.lastBootstrapDelta.Store(s.Delta)
 	return nil
 }
 

@@ -2,10 +2,12 @@ package netcoord
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,46 +22,58 @@ import (
 // populated one alike: the ids the snapshot lacks are gone. A delta
 // drops only what it names. Whichever path ran, the last entry of a
 // repeated id wins, and the stream sits at the snapshot's seq and epoch.
+// The removal knowledge is the snapshot's too: a full one leaves its
+// floor and ring, not a floor at its seq, and a delta adds each removal
+// at its own sequence, so the replica serves deltas from any point its
+// upstream could.
 func TestFinishBootstrap(t *testing.T) {
 	at := time.Unix(1_700_000_000, 0)
 	entry := func(id string, x float64, seq uint64) RegistryEntry {
 		return RegistryEntry{ID: id, Coord: c3(x, 0, 0), Error: 0.5, UpdatedAt: at.Add(time.Duration(seq) * time.Second), Seq: seq}
 	}
+	ring := []wire.Tombstone{{Seq: 3, ID: "x"}, {Seq: 5, ID: "y"}}
 	for _, tc := range []struct {
-		name    string
-		before  []RegistryEntry
-		delta   bool
-		removed []string
-		batch   []RegistryEntry
-		want    []RegistryEntry // sorted by id
+		name      string
+		before    []RegistryEntry
+		snap      RegistrySnapshot // at seq 6, epoch 1
+		want      []RegistryEntry  // sorted by id
+		wantFloor uint64
+		wantTombs []wire.Tombstone
 	}{{
-		name:  "fresh follower, distinct ids",
-		batch: []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
-		want:  []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+		name:      "fresh follower, distinct ids",
+		snap:      RegistrySnapshot{TombstoneFloor: 1, Tombstones: ring, Entries: []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)}},
+		want:      []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+		wantFloor: 1,
+		wantTombs: ring,
 	}, {
-		name:  "fresh follower, repeated id",
-		batch: []RegistryEntry{entry("a", 1, 3), entry("b", 2, 4), entry("a", 9, 6)},
-		want:  []RegistryEntry{entry("a", 9, 6), entry("b", 2, 4)},
+		name:      "fresh follower, repeated id",
+		snap:      RegistrySnapshot{Entries: []RegistryEntry{entry("a", 1, 3), entry("b", 2, 4), entry("a", 9, 6)}},
+		want:      []RegistryEntry{entry("a", 9, 6), entry("b", 2, 4)},
+		wantFloor: 0,
 	}, {
-		name:   "stale id swept",
-		before: []RegistryEntry{entry("b", 7, 1), entry("stale", 8, 2)},
-		batch:  []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
-		want:   []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+		name:      "stale id swept",
+		before:    []RegistryEntry{entry("b", 7, 1), entry("stale", 8, 2)},
+		snap:      RegistrySnapshot{TombstoneFloor: 1, Tombstones: ring, Entries: []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)}},
+		want:      []RegistryEntry{entry("a", 1, 3), entry("b", 2, 5), entry("c", 3, 4)},
+		wantFloor: 1,
+		wantTombs: ring,
 	}, {
 		// As many entries arrive as the registry ends up holding, and
 		// one of those it holds is still stale: comparing the two counts
 		// would have skipped this sweep.
-		name:   "stale id swept although a repeated id evens the counts",
-		before: []RegistryEntry{entry("stale", 8, 2)},
-		batch:  []RegistryEntry{entry("a", 1, 3), entry("a", 9, 6)},
-		want:   []RegistryEntry{entry("a", 9, 6)},
+		name:      "stale id swept although a repeated id evens the counts",
+		before:    []RegistryEntry{entry("stale", 8, 2)},
+		snap:      RegistrySnapshot{TombstoneFloor: 4, Entries: []RegistryEntry{entry("a", 1, 3), entry("a", 9, 6)}},
+		want:      []RegistryEntry{entry("a", 9, 6)},
+		wantFloor: 4,
 	}, {
-		name:    "delta keeps what it does not mention",
-		before:  []RegistryEntry{entry("gone", 7, 1), entry("kept", 8, 2), entry("back", 6, 2)},
-		delta:   true,
-		removed: []string{"gone", "back"},
-		batch:   []RegistryEntry{entry("back", 5, 6), entry("new", 4, 5)},
-		want:    []RegistryEntry{entry("back", 5, 6), entry("kept", 8, 2), entry("new", 4, 5)},
+		name:   "delta keeps what it does not mention",
+		before: []RegistryEntry{entry("gone", 7, 1), entry("kept", 8, 2), entry("back", 6, 2)},
+		snap: RegistrySnapshot{Delta: true, TombstoneFloor: 2, Tombstones: []wire.Tombstone{{Seq: 3, ID: "gone"}, {Seq: 5, ID: "back"}},
+			Entries: []RegistryEntry{entry("back", 5, 6), entry("new", 4, 5)}},
+		want:      []RegistryEntry{entry("back", 5, 6), entry("kept", 8, 2), entry("new", 4, 5)},
+		wantFloor: 2, // the registry's own, from the full snapshot before
+		wantTombs: []wire.Tombstone{{Seq: 3, ID: "gone"}, {Seq: 5, ID: "back"}},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg, err := newReplicaRegistry(RegistryConfig{ChangeStreamBuffer: 16})
@@ -70,11 +84,13 @@ func TestFinishBootstrap(t *testing.T) {
 			f := &FollowerRegistry{Registry: reg}
 			if len(tc.before) > 0 {
 				// What a replica holds, an earlier bootstrap put there.
-				if err := f.finishBootstrap(time.Now(), 2, 0, false, nil, tc.before); err != nil {
+				if err := f.finishBootstrap(time.Now(), &RegistrySnapshot{Seq: 2, TombstoneFloor: 2, Entries: tc.before}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := f.finishBootstrap(time.Now(), 6, 1, tc.delta, tc.removed, tc.batch); err != nil {
+			snap := tc.snap
+			snap.Seq, snap.Epoch = 6, 1
+			if err := f.finishBootstrap(time.Now(), &snap); err != nil {
 				t.Fatalf("finishBootstrap: %v", err)
 			}
 			if got := f.Registry.Snapshot(); !reflect.DeepEqual(got, tc.want) {
@@ -82,6 +98,13 @@ func TestFinishBootstrap(t *testing.T) {
 			}
 			if _, seq := f.SnapshotWithSeq(); f.ChangeSeq() != 6 || f.ChangeEpoch() != 1 || seq != 6 {
 				t.Fatalf("follower at seq %d epoch %d, snapshot pair at %d; want 6, 1, 6", f.ChangeSeq(), f.ChangeEpoch(), seq)
+			}
+			if floor, tombs := f.feed.Tombstones(0); floor != tc.wantFloor || !reflect.DeepEqual(tombs, tc.wantTombs) {
+				t.Fatalf("removal knowledge: floor %d, tombstones %v; want floor %d, %v", floor, tombs, tc.wantFloor, tc.wantTombs)
+			}
+			// A delta from between the removals names only the later one.
+			if d := f.SnapshotSince(4); len(tc.wantTombs) > 0 && (!d.Delta || !reflect.DeepEqual(d.Tombstones, tc.wantTombs[1:])) {
+				t.Fatalf("SnapshotSince(4) = delta %v, tombstones %v; want a delta naming %v", d.Delta, d.Tombstones, tc.wantTombs[1:])
 			}
 			// The index agrees with the map: everything wanted is found,
 			// and no swept or removed id comes back out of a tombstone.
@@ -228,25 +251,68 @@ func FuzzFollowerFrames(f *testing.F) {
 // delta since since — encoded as the server encodes it.
 func snapshotFramesBody(t testing.TB, r *Registry, delta bool, since uint64) []byte {
 	t.Helper()
-	entries, seq := r.SnapshotWithSeq()
-	var removed []string
-	if delta {
-		var ok bool
-		if entries, removed, seq, ok = r.DeltaSince(since); !ok {
-			t.Fatalf("no delta since %d", since)
-		}
+	if !delta {
+		since = 0
 	}
-	hdr := wire.SnapshotHeader{Seq: seq, Epoch: r.ChangeEpoch(), Delta: delta, Removed: removed, EntryCount: uint64(len(entries))}
-	body, err := wire.AppendSnapshotHeader(nil, &hdr)
+	s := r.SnapshotSince(since)
+	if s.Delta != delta {
+		t.Fatalf("SnapshotSince(%d) answered delta %v", since, s.Delta)
+	}
+	var body bytes.Buffer
+	if err := wire.WriteSnapshot(&body, "", &s); err != nil {
+		t.Fatal(err)
+	}
+	return body.Bytes()
+}
+
+// TestBootstrapRefusesImpossibleTombstoneCount: a /snapshot body's
+// tombstone count is untrusted, as a snapshot file's entry count is. A
+// count the body cannot hold is refused without sizing an allocation
+// by it, and the replica keeps the state it had.
+func TestBootstrapRefusesImpossibleTombstoneCount(t *testing.T) {
+	leader, err := NewRegistry(RegistryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range entries {
-		if body, err = wire.AppendEntryFrame(body, &entries[i]); err != nil {
+	defer leader.Close()
+	for _, id := range []string{"a", "b", "c"} {
+		if err := leader.Upsert(id, c3(1, 2, 3), 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return body
+	leader.Remove("b")
+	body := snapshotFramesBody(t, leader, false, 0)
+	reg, err := newReplicaRegistry(RegistryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	f := &FollowerRegistry{Registry: reg}
+	if err := f.bootstrapFrames(bytes.NewReader(body), time.Now()); err != nil || reg.Len() != 2 {
+		t.Fatalf("the honest body: %v, %d entries; want 2", err, reg.Len())
+	}
+	// The count sits in the body's fixed head, after the 4-byte
+	// envelope (magic, version, flags, empty follower_of), seq, epoch
+	// and floor.
+	const at = 4 + 24
+	if got := binary.LittleEndian.Uint64(body[at:]); got != 1 {
+		t.Fatalf("tombstone count at offset %d reads %d, want the one removal", at, got)
+	}
+	binary.LittleEndian.PutUint64(body[at:], 1<<56)
+	seq := reg.ChangeSeq()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	if err := f.bootstrapFrames(bytes.NewReader(body), time.Now()); err == nil {
+		t.Fatal("a body claiming 2^56 tombstones was installed")
+	}
+	runtime.ReadMemStats(&ms)
+	if grew := ms.TotalAlloc - allocated; grew > 16<<20 {
+		t.Fatalf("refusing the body allocated %d bytes", grew)
+	}
+	if reg.Len() != 2 || reg.ChangeSeq() != seq {
+		t.Fatalf("the refused body moved the replica: %d entries at seq %d, want 2 at %d", reg.Len(), reg.ChangeSeq(), seq)
+	}
 }
 
 // FuzzBootstrapFrames feeds arbitrary bytes to a follower's /snapshot
@@ -313,8 +379,8 @@ func FuzzBootstrapFrames(f *testing.F) {
 			for _, e := range before {
 				want[e.ID] = true
 			}
-			for _, id := range hdr.Removed {
-				delete(want, id)
+			for _, ts := range hdr.Tombstones {
+				delete(want, ts.ID)
 			}
 		}
 		var fr2 wire.Frame

@@ -286,48 +286,49 @@ func (f *Feed) PublishAt(ev Event) error {
 	return nil
 }
 
-// ResetTo discards the retained history and restarts the sequence
-// space at seq — a relay that re-bootstrapped from a FULL snapshot
-// calls this, because its previous ring (and removal knowledge, which
-// the full snapshot did not carry forward) no longer connects to its
-// rewritten state. Every sink but the taps gets its reset callback and
-// stays attached: a Cursor's owner resynchronizes from current state,
-// exactly as it would after falling off the ring.
-func (f *Feed) ResetTo(seq uint64) {
+// ResetTo restarts the stream at seq on a state rewritten from a FULL
+// snapshot — recovery, or a relay's bootstrap: the retained events no
+// longer connect to it and are discarded, and the removal knowledge
+// becomes the snapshot's, its floor and its tombstones (oldest first),
+// recorded with the normal ring accounting, so more than the ring holds
+// raise the floor as they would live. A relay that keeps its upstream's
+// removal knowledge keeps serving delta snapshots to the tiers below it.
+// Every sink but the taps gets its reset callback and stays attached: a
+// Cursor's owner resynchronizes from current state, exactly as it would
+// after falling off the ring.
+func (f *Feed) ResetTo(seq, floor uint64, tombs []Tombstone) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.next, f.len = 0, 0
 	f.tombNext, f.tombLen = 0, 0
-	f.tombFloor = seq
-	f.resetLocked(seq)
+	f.tombFloor = floor
+	f.restartLocked(seq, tombs)
 }
 
 // AdvanceTo is ResetTo for a relay that repaired itself with a DELTA
 // snapshot: the event ring still cannot represent the hole (resumers
 // below seq get truncation → their own delta bootstrap), but the
-// delta's removed list is exactly the removal knowledge for the jumped
-// range, so it is folded into the tombstone ring — all recorded at seq,
-// an upward over-approximation that RemovedSince may over-send but can
-// never miss — and the tombstone floor is PRESERVED. Without this,
-// every delta repair at one tier would force full-snapshot transfers
-// on every tier below it, in exactly the truncation-under-churn
-// scenario delta snapshots exist for.
-func (f *Feed) AdvanceTo(seq uint64, removed []string) {
+// delta's tombstones are exactly the removal knowledge for the jumped
+// range, each at its own sequence, so they join the tombstone ring and
+// the floor is PRESERVED. Without this, every delta repair at one tier
+// would force full-snapshot transfers on every tier below it, in
+// exactly the truncation-under-churn scenario delta snapshots exist
+// for.
+func (f *Feed) AdvanceTo(seq uint64, tombs []Tombstone) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.next, f.len = 0, 0
-	for _, id := range removed {
-		f.recordTombLocked(seq, id)
-	}
-	f.resetLocked(seq)
+	f.restartLocked(seq, tombs)
 }
 
-// resetLocked restarts the sequence space and runs every non-tap
-// sink's reset callback; the caller holds f.mu and has already settled
-// ring and tombstones.
+// restartLocked empties the event ring, records tombs, restarts the
+// sequence space at seq and runs every non-tap sink's reset callback;
+// the caller holds f.mu and has settled the tombstone ring's floor.
 //
 //nc:locked(mu)
-func (f *Feed) resetLocked(seq uint64) {
+func (f *Feed) restartLocked(seq uint64, tombs []Tombstone) {
+	f.next, f.len = 0, 0
+	for _, t := range tombs {
+		f.recordTombLocked(t.Seq, t.ID)
+	}
 	f.seq = seq
 	f.seqAtomic.Store(seq)
 	for _, sub := range f.sinks {
@@ -352,31 +353,20 @@ func (f *Feed) recordTombLocked(seq uint64, id string) {
 	f.tombNext = (f.tombNext + 1) % len(f.tombs)
 }
 
-// SeedTombstones replays persisted removal knowledge into the ring:
-// floor is the sequence below which knowledge was already incomplete
-// when it was captured, and tombs are the remembered removals, oldest
-// first. Call before the feed is shared (recovery) — the normal
-// ring-overwrite accounting applies, so seeding more tombstones
-// than the ring holds simply raises the floor as it would live.
-func (f *Feed) SeedTombstones(floor uint64, tombs []Tombstone) {
+// Tombstones exports the removal knowledge past since: the floor — the
+// sequence at or below which removals are unknown — and every
+// remembered removal above both since and the floor, oldest first.
+// since 0 exports the whole ring, for a full snapshot; a since at or
+// above the floor, the complete list of removals after it, for a delta.
+func (f *Feed) Tombstones(since uint64) (floor uint64, tombs []Tombstone) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.tombFloor = floor
-	for _, t := range tombs {
-		f.recordTombLocked(t.Seq, t.ID)
-	}
-}
-
-// Tombstones exports the removal knowledge for persistence: the floor
-// and every remembered removal, oldest first.
-func (f *Feed) Tombstones() (floor uint64, tombs []Tombstone) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	tombs = make([]Tombstone, 0, f.tombLen)
+	since = max(since, f.tombFloor)
 	start := (f.tombNext - f.tombLen + len(f.tombs)) % len(f.tombs)
 	for i := 0; i < f.tombLen; i++ {
-		t := f.tombs[(start+i)%len(f.tombs)]
-		tombs = append(tombs, Tombstone{Seq: t.seq, ID: t.id})
+		if t := f.tombs[(start+i)%len(f.tombs)]; t.seq > since {
+			tombs = append(tombs, Tombstone{Seq: t.seq, ID: t.id})
+		}
 	}
 	return f.tombFloor, tombs
 }
@@ -393,34 +383,6 @@ func (f *Feed) recordTombsLocked(ev Event) {
 			f.recordTombLocked(ev.Seq, id)
 		}
 	}
-}
-
-// RemovedSince reports every id removed (or evicted) with sequence >
-// since, deduplicated, and whether the feed can prove the list is
-// complete — false once the tombstone ring has forgotten any removal
-// at or before since. An id later re-upserted may still appear; the
-// consumer applies removals before upserts, so the newer state wins.
-func (f *Feed) RemovedSince(since uint64) ([]string, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if since < f.tombFloor {
-		return nil, false
-	}
-	seen := make(map[string]struct{})
-	out := []string{}
-	start := (f.tombNext - f.tombLen + len(f.tombs)) % len(f.tombs)
-	for i := 0; i < f.tombLen; i++ {
-		t := f.tombs[(start+i)%len(f.tombs)]
-		if t.seq <= since {
-			continue
-		}
-		if _, dup := seen[t.id]; dup {
-			continue
-		}
-		seen[t.id] = struct{}{}
-		out = append(out, t.id)
-	}
-	return out, true
 }
 
 // appendLocked retains a sequenced event in the ring, records its

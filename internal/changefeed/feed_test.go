@@ -398,8 +398,8 @@ func TestPublishAtRefusesGap(t *testing.T) {
 	if err != nil || len(evs) != 2 || evs[1].Seq != 2 {
 		t.Fatalf("Since(0) = %v, %v; want the two dense events", evs, err)
 	}
-	if removed, ok := f.RemovedSince(0); !ok || len(removed) != 1 || removed[0] != "a" {
-		t.Fatalf("RemovedSince(0) = %v, %v; want [a] (the refused remove left no tombstone)", removed, ok)
+	if removed, ok := removedSince(f, 0); !ok || len(removed) != 1 || removed[0] != "a" {
+		t.Fatalf("removedSince(0) = %v, %v; want [a] (the refused remove left no tombstone)", removed, ok)
 	}
 	relay(t, f, Event{Seq: 3, Op: OpRemove, ID: "c"})
 }
@@ -415,7 +415,7 @@ func TestResetToWakesSinksAndRestartsSequence(t *testing.T) {
 	defer c.Close()
 	buf := make([]Event, 8)
 	for _, seq := range []uint64{50, 50, 20} {
-		f.ResetTo(seq)
+		f.ResetTo(seq, seq, nil)
 		select {
 		case <-c.Wake():
 		default:
@@ -442,6 +442,20 @@ func TestResetToWakesSinksAndRestartsSequence(t *testing.T) {
 	}
 }
 
+// removedSince lists the ids of the tombstones past since, oldest
+// first, and whether the feed's removal knowledge reaches since at all.
+func removedSince(f *Feed, since uint64) ([]string, bool) {
+	floor, tombs := f.Tombstones(since)
+	if since < floor {
+		return nil, false
+	}
+	ids := []string{}
+	for _, t := range tombs {
+		ids = append(ids, t.ID)
+	}
+	return ids, true
+}
+
 func TestRemovedSinceTracksTombstones(t *testing.T) {
 	f := New(4, 0) // event ring of 4; tombstone ring is 1024 (the minimum)
 	f.PublishUpsert(upsert("a", 1))
@@ -458,20 +472,21 @@ func TestRemovedSinceTracksTombstones(t *testing.T) {
 	if _, err := f.Since(mark, -1); err != ErrTruncated {
 		t.Fatalf("event ring unexpectedly retained seq %d (err %v); test premise broken", mark, err)
 	}
-	removed, ok := f.RemovedSince(mark)
+	removed, ok := removedSince(f, mark)
 	if !ok || len(removed) != 1 || removed[0] != "d" {
-		t.Fatalf("RemovedSince(%d) = %v, %v; want [d], true", mark, removed, ok)
+		t.Fatalf("removedSince(%d) = %v, %v; want [d], true", mark, removed, ok)
 	}
-	removed, ok = f.RemovedSince(0)
+	removed, ok = removedSince(f, 0)
 	if !ok || len(removed) != 4 {
-		t.Fatalf("RemovedSince(0) = %v, %v; want a,b,c,d", removed, ok)
+		t.Fatalf("removedSince(0) = %v, %v; want a,b,c,d", removed, ok)
 	}
 
-	// Duplicate removals of one id dedupe.
+	// A second removal of one id is a second tombstone at its own seq;
+	// a delta's JSON body lists the id once (TestDeltaSnapshotHTTP).
 	f.PublishUpsert(upsert("d", 9))
-	f.PublishRemove("d")
-	if removed, ok = f.RemovedSince(mark); !ok || len(removed) != 1 {
-		t.Fatalf("deduped RemovedSince = %v, %v; want just d once", removed, ok)
+	again := f.PublishRemove("d")
+	if floor, tombs := f.Tombstones(mark); floor > mark || len(tombs) != 2 || tombs[0].ID != "d" || tombs[1] != (Tombstone{Seq: again, ID: "d"}) {
+		t.Fatalf("Tombstones(%d) = %d, %v; want d twice, the second at seq %d", mark, floor, tombs, again)
 	}
 
 	// Overflowing the tombstone ring surrenders the proof for older
@@ -480,27 +495,27 @@ func TestRemovedSinceTracksTombstones(t *testing.T) {
 	for i := 0; i < 1100; i++ {
 		f.PublishRemove(fmt.Sprintf("t%04d", i))
 	}
-	if _, ok = f.RemovedSince(mark); ok {
-		t.Fatal("RemovedSince claimed completeness past a tombstone overflow")
+	if _, ok = removedSince(f, mark); ok {
+		t.Fatal("removedSince claimed completeness past a tombstone overflow")
 	}
-	if removed, ok = f.RemovedSince(flood + 100); !ok {
-		t.Fatal("RemovedSince lost a range the ring still covers")
+	if removed, ok = removedSince(f, flood+100); !ok {
+		t.Fatal("removedSince lost a range the ring still covers")
 	} else if len(removed) != 1000 {
-		t.Fatalf("RemovedSince(flood+100) = %d ids, want 1000", len(removed))
+		t.Fatalf("removedSince(flood+100) = %d ids, want 1000", len(removed))
 	}
 }
 
 func TestResetToClearsTombstones(t *testing.T) {
 	f := New(4, 0)
 	f.PublishRemove("a")
-	f.ResetTo(50)
-	if _, ok := f.RemovedSince(10); ok {
+	f.ResetTo(50, 50, nil)
+	if _, ok := removedSince(f, 10); ok {
 		t.Fatal("tombstone knowledge survived ResetTo; pre-reset sequences are a different stream")
 	}
 	relay(t, f, Event{Seq: 51, Op: OpRemove, ID: "b"})
-	removed, ok := f.RemovedSince(50)
+	removed, ok := removedSince(f, 50)
 	if !ok || len(removed) != 1 || removed[0] != "b" {
-		t.Fatalf("post-reset RemovedSince = %v, %v; want [b]", removed, ok)
+		t.Fatalf("post-reset removedSince = %v, %v; want [b]", removed, ok)
 	}
 }
 
@@ -510,22 +525,26 @@ func TestAdvanceToPreservesTombstoneDepth(t *testing.T) {
 	c := f.Follow()
 	defer c.Close()
 	// A delta repair jumps the stream to 100, folding the delta's
-	// removed ids in at the jump seq; knowledge below the jump must
+	// tombstones in at their own seqs; knowledge below the jump must
 	// survive (that is the difference from ResetTo).
-	f.AdvanceTo(100, []string{"x", "y"})
+	f.AdvanceTo(100, []Tombstone{{Seq: 40, ID: "x"}, {Seq: 99, ID: "y"}})
 	if _, err := c.Read(1, make([]Event, 4)); !errors.Is(err, ErrReset) {
 		t.Fatalf("Read after AdvanceTo = %v, want ErrReset: the cursor's owner must resync", err)
 	}
 	if _, err := f.Since(0, -1); err != ErrTruncated {
 		t.Fatal("event ring survived AdvanceTo")
 	}
-	removed, ok := f.RemovedSince(0)
+	removed, ok := removedSince(f, 0)
 	if !ok || len(removed) != 3 {
-		t.Fatalf("RemovedSince(0) = %v, %v; want [old x y] with preserved floor", removed, ok)
+		t.Fatalf("removedSince(0) = %v, %v; want [old x y] with preserved floor", removed, ok)
 	}
-	removed, ok = f.RemovedSince(1)
+	removed, ok = removedSince(f, 1)
 	if !ok || len(removed) != 2 {
-		t.Fatalf("RemovedSince(1) = %v, %v; want the jump's [x y]", removed, ok)
+		t.Fatalf("removedSince(1) = %v, %v; want the jump's [x y]", removed, ok)
+	}
+	removed, ok = removedSince(f, 40)
+	if !ok || len(removed) != 1 || removed[0] != "y" {
+		t.Fatalf("removedSince(40) = %v, %v; want [y], recorded at its own seq 99", removed, ok)
 	}
 	if f.Seq() != 100 {
 		t.Fatalf("Seq() = %d, want 100", f.Seq())
@@ -555,7 +574,7 @@ func TestPublishAtFencesStaleEpochs(t *testing.T) {
 	}
 
 	// Removal knowledge must not record the fenced remove either.
-	if removed, ok := f.RemovedSince(0); !ok || len(removed) != 0 {
+	if removed, ok := removedSince(f, 0); !ok || len(removed) != 0 {
 		t.Fatalf("fenced remove left a tombstone: %v, %v", removed, ok)
 	}
 }
@@ -604,34 +623,34 @@ func TestTombstoneExportSeedRoundTrip(t *testing.T) {
 	f.PublishUpsert(upsert("a", 1))
 	f.PublishRemove("a")               // seq 2
 	f.PublishEvict([]string{"b", "c"}) // seq 3
-	floor, tombs := f.Tombstones()
+	floor, tombs := f.Tombstones(0)
 	if floor != 0 || len(tombs) != 3 {
 		t.Fatalf("Tombstones() = floor %d, %v; want floor 0 and 3 tombstones", floor, tombs)
 	}
 
-	// A restarted leader seeds the captured knowledge into a fresh feed
-	// started at the captured seq (as recovery does): RemovedSince must
-	// answer exactly as the original would have.
-	f2 := New(8, 3)
-	f2.SeedTombstones(floor, tombs)
+	// A restarted leader installs the captured knowledge in a fresh feed
+	// restarted at the captured seq (as recovery does): removedSince
+	// must answer exactly as the original would have.
+	f2 := New(8, 0)
+	f2.ResetTo(3, floor, tombs)
 	relay(t, f2, Event{Seq: 4, Op: OpUpsert, Entry: upsert("d", 4)})
-	removed, ok := f2.RemovedSince(1)
+	removed, ok := removedSince(f2, 1)
 	if !ok || len(removed) != 3 {
-		t.Fatalf("seeded RemovedSince(1) = %v, %v; want [a b c], true", removed, ok)
+		t.Fatalf("seeded removedSince(1) = %v, %v; want [a b c], true", removed, ok)
 	}
-	removed, ok = f2.RemovedSince(2)
+	removed, ok = removedSince(f2, 2)
 	if !ok || len(removed) != 2 {
-		t.Fatalf("seeded RemovedSince(2) = %v, %v; want [b c], true", removed, ok)
+		t.Fatalf("seeded removedSince(2) = %v, %v; want [b c], true", removed, ok)
 	}
 
 	// A non-zero floor survives the round trip and bounds completeness.
-	f3 := New(8, 3)
-	f3.SeedTombstones(2, tombs[1:])
-	if _, ok := f3.RemovedSince(1); ok {
+	f3 := New(8, 0)
+	f3.ResetTo(3, 2, tombs[1:])
+	if _, ok := removedSince(f3, 1); ok {
 		t.Fatal("seeded feed claimed completeness below its floor")
 	}
-	if removed, ok := f3.RemovedSince(2); !ok || len(removed) != 2 {
-		t.Fatalf("seeded RemovedSince(2) = %v, %v; want [b c], true", removed, ok)
+	if removed, ok := removedSince(f3, 2); !ok || len(removed) != 2 {
+		t.Fatalf("seeded removedSince(2) = %v, %v; want [b c], true", removed, ok)
 	}
 }
 
@@ -699,7 +718,7 @@ func TestDeliveryContract(t *testing.T) {
 		{"Subscription.Close", func(_ *Feed, sub *Subscription) { sub.Close() }, 0},
 		// The target is past anything the storm publishes between the
 		// Seq read and the reset, so the stream never moves backwards.
-		{"ResetTo", func(f *Feed, _ *Subscription) { f.ResetTo(f.Seq() + 1<<40) }, 1},
+		{"ResetTo", func(f *Feed, _ *Subscription) { f.ResetTo(f.Seq()+1<<40, 0, nil) }, 1},
 		{"Close", func(f *Feed, _ *Subscription) { f.Close() }, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

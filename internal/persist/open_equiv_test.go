@@ -77,21 +77,25 @@ func (r *replayRef) tombstones() []Tombstone {
 
 // requireRecovered compares what Open returned and recorded with the
 // reference, every field of every entry included.
-func requireRecovered(t *testing.T, s *Store, got []Entry, ref *replayRef) {
+func requireRecovered(t *testing.T, s *Store, rec Capture, ref *replayRef) {
 	t.Helper()
 	want := ref.entries()
+	got := rec.Entries
 	entriesEqual(t, got, want)
 	for i := range want {
 		if got[i].Seq != want[i].Seq {
 			t.Fatalf("entry %q: seq %d, want %d", want[i].ID, got[i].Seq, want[i].Seq)
 		}
 	}
-	rec := s.Recovery()
-	if rec.Entries != len(want) || rec.LastSeq != ref.lastSeq || rec.LastEpoch != ref.lastEpoch {
+	stats := s.Recovery()
+	if stats.Entries != len(want) || stats.LastSeq != ref.lastSeq || stats.LastEpoch != ref.lastEpoch {
 		t.Fatalf("recovery says %d entries, seq %d, epoch %d; want %d, %d, %d",
-			rec.Entries, rec.LastSeq, rec.LastEpoch, len(want), ref.lastSeq, ref.lastEpoch)
+			stats.Entries, stats.LastSeq, stats.LastEpoch, len(want), ref.lastSeq, ref.lastEpoch)
 	}
-	_, tombs := s.RecoveredTombstones()
+	if rec.Seq != ref.lastSeq || rec.Epoch != ref.lastEpoch {
+		t.Fatalf("recovered capture at seq %d, epoch %d; want %d, %d", rec.Seq, rec.Epoch, ref.lastSeq, ref.lastEpoch)
+	}
+	tombs := rec.Tombstones
 	wantTombs := ref.tombstones()
 	if len(tombs) != len(wantTombs) {
 		t.Fatalf("recovered %d tombstones, want %d\n got: %v\nwant: %v", len(tombs), len(wantTombs), tombs, wantTombs)
@@ -184,7 +188,7 @@ func TestOpenEqualsMapReplay(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 
-			s2, got := mustOpen(t, dir)
+			s2, got := mustRecover(t, dir)
 			defer s2.Close()
 			requireRecovered(t, s2, got, ref)
 			if rec := s2.Recovery(); rec.WALRecords != tail || (rec.SnapshotGen != 0) != withSnapshot {
@@ -229,8 +233,8 @@ func TestOpenNormalisesUnsortedSnapshot(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2, got := mustOpen(t, dir)
+	s2, rec := mustRecover(t, dir)
 	defer s2.Close()
-	entriesEqual(t, got, []Entry{testEntry("a", 5, 50), testEntry("b", 8, 80), testEntry("c", 4, 40), testEntry("m", 6, 60)})
-	requireRecovered(t, s2, got, ref)
+	entriesEqual(t, rec.Entries, []Entry{testEntry("a", 5, 50), testEntry("b", 8, 80), testEntry("c", 4, 40), testEntry("m", 6, 60)})
+	requireRecovered(t, s2, rec, ref)
 }

@@ -8,11 +8,13 @@
 //   - Every mutation (upsert, remove, evict) is appended to the current
 //     WAL generation as a length- and checksum-framed record whose
 //     payload is the mutation's wire frame — the bytes the change feed
-//     encoded at publish, not a second encoding. Snapshot entries are
-//     wire frames too; internal/wire alone knows the layout. Appends
-//     only enqueue into an in-memory buffer; a background flusher
-//     group-commits the buffer with one write+fsync per batch, so the
-//     hot path never waits on the disk. The durability window is the
+//     encoded at publish, not a second encoding. A snapshot file is an
+//     envelope (magic, generation, CRC) around the snapshot body of
+//     internal/wire, the bytes /snapshot serves after its own envelope;
+//     internal/wire alone knows the layout. Appends only enqueue into
+//     an in-memory buffer; a background flusher group-commits the
+//     buffer with one write+fsync per batch, so the hot path never
+//     waits on the disk. The durability window is the
 //     flush interval (plus whatever the OS holds) — an acceptable trade
 //     for coordinate data, which peers re-publish continuously anyway.
 //   - Compaction rotates the WAL to a new generation, captures the full
@@ -40,18 +42,10 @@ type Entry = wire.Entry
 // Tombstone is one remembered removal in a snapshot's tombstone ring.
 type Tombstone = wire.Tombstone
 
-// Capture is one consistent registry state capture, the input to
-// compaction: the live entries, the change-stream position and fencing
-// epoch they were read at, and the tombstone ring (oldest first) with
-// its floor — the sequence at or below which removal knowledge is
-// incomplete.
-type Capture struct {
-	Entries        []Entry
-	Seq            uint64
-	Epoch          uint64
-	TombstoneFloor uint64
-	Tombstones     []Tombstone
-}
+// Capture is one consistent registry state: what compaction writes and
+// what Open recovers. It is the wire package's snapshot value, the body
+// a snapshot file and a /snapshot response share.
+type Capture = wire.Snapshot
 
 // maxRecordSize bounds one WAL record's payload. Oversized values on
 // disk mean corruption, not data: replay rejects them instead of

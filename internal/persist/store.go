@@ -77,8 +77,8 @@ type RecoveryStats struct {
 	// restart.
 	LastEpoch uint64 `json:"last_epoch"`
 	// TombstoneFloor and Tombstones describe the recovered removal
-	// knowledge (snapshot ring plus replayed removal records); the ids
-	// themselves are available through RecoveredTombstones.
+	// knowledge (snapshot ring plus replayed removal records); the
+	// tombstones themselves are in the Capture Open returns.
 	TombstoneFloor uint64 `json:"tombstone_floor"`
 	Tombstones     int    `json:"tombstones"`
 }
@@ -178,12 +178,8 @@ type Store struct {
 
 	compactMu sync.Mutex
 	recovery  RecoveryStats
-	// recoveredTombs is the removal knowledge reconstructed at Open
-	// (snapshot ring plus replayed removal records), sorted by sequence;
 	// quarantineErr is the typed cause of the first WAL quarantine.
-	recoveredTombs []Tombstone
-	tombFloor      uint64
-	quarantineErr  error
+	quarantineErr error
 
 	kick chan struct{}
 	done chan struct{}
@@ -192,23 +188,26 @@ type Store struct {
 
 // Open opens (creating if needed) the store directory, recovers the
 // persisted state — newest readable snapshot plus replayed WAL tail —
-// and returns the live entries sorted by id. The snapshot stays the
-// id-ordered slice loadSnapshot returns, the tail is replayed into a
-// map of the ids it touches, and one pass merges the two: an entry the
-// tail never mentions is neither hashed nor sorted again. The returned
+// and returns it as one full Capture: the live entries sorted by id,
+// the last persisted sequence and epoch, and the removal knowledge
+// (snapshot ring plus replayed removals, sorted by sequence). The
+// snapshot stays the id-ordered slice loadSnapshot returns, the tail is
+// replayed into a map of the ids it touches, and one pass merges the
+// two: an entry the tail never mentions is neither hashed nor sorted
+// again. The returned
 // store is ready for logging; pair every recovered mutation stream with
 // exactly one writer, as concurrent stores on one directory corrupt
 // each other.
-func Open(dir string, opts Options) (*Store, []Entry, error) {
+func Open(dir string, opts Options) (*Store, Capture, error) {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = DefaultFlushInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("persist: %w", err)
+		return nil, Capture{}, fmt.Errorf("persist: %w", err)
 	}
 	lock, err := lockDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, Capture{}, err
 	}
 	ok := false
 	defer func() {
@@ -225,7 +224,7 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	}
 	snaps, wals, err := scanDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, Capture{}, err
 	}
 	s := &Store{
 		dir:            dir,
@@ -244,35 +243,27 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	// but none verifies, opening must fail: proceeding would silently
 	// "recover" only the last WAL generation's mutations and present a
 	// near-empty registry as a successful warm restart.
-	var base []Entry
+	var rec Capture // the snapshot loaded, then the state recovered
 	baseGen := uint64(0)
-	lastSeq := uint64(0)
-	lastEpoch := uint64(0)
-	var tombs []Tombstone
-	tombFloor := uint64(0)
 	loadedSnap := len(snaps) == 0
 	for i := len(snaps) - 1; i >= 0; i-- {
 		sc, err := loadSnapshot(dir, snaps[i])
 		if errors.Is(err, ErrFormat) {
-			return nil, nil, err
+			return nil, Capture{}, err
 		}
 		if err != nil {
 			s.recovery.CorruptSnapshots++
 			continue
 		}
-		base = sc.entries
+		rec = sc
 		baseGen = snaps[i]
-		lastSeq = sc.seq
-		lastEpoch = sc.epoch
-		tombs = append(tombs, sc.tombs...)
-		tombFloor = sc.tombFloor
 		s.recovery.SnapshotGen = baseGen
-		s.recovery.SnapshotEntries = len(sc.entries)
+		s.recovery.SnapshotEntries = len(sc.Entries)
 		loadedSnap = true
 		break
 	}
 	if !loadedSnap {
-		return nil, nil, fmt.Errorf("persist: every snapshot in %s failed verification; refusing to open with partial state (restore the directory from backup, or delete the snap-*.ncs files to start from the WAL alone)", dir)
+		return nil, Capture{}, fmt.Errorf("persist: every snapshot in %s failed verification; refusing to open with partial state (restore the directory from backup, or delete the snap-*.ncs files to start from the WAL alone)", dir)
 	}
 
 	// Replay every WAL generation at or above the snapshot, in order.
@@ -281,22 +272,24 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	// or nil when a removal or eviction came last.
 	touched := make(map[string]*Entry)
 	apply := func(ev wire.Event) {
-		if ev.Seq > lastSeq {
-			lastSeq = ev.Seq
+		if len(snaps) == 0 && rec.Seq == 0 {
+			// No snapshot: removal knowledge starts at the first
+			// record the WAL holds. Compaction may have pruned the
+			// generations below it, so nothing earlier is known.
+			rec.TombstoneFloor = ev.Seq - 1
 		}
-		if ev.Epoch > lastEpoch {
-			lastEpoch = ev.Epoch
-		}
+		rec.Seq = max(rec.Seq, ev.Seq)
+		rec.Epoch = max(rec.Epoch, ev.Epoch)
 		switch ev.Op {
 		case wire.OpUpsert:
 			touched[ev.Entry.ID] = &ev.Entry
 		case wire.OpRemove:
 			touched[ev.ID] = nil
-			tombs = append(tombs, Tombstone{Seq: ev.Seq, ID: ev.ID})
+			rec.Tombstones = append(rec.Tombstones, Tombstone{Seq: ev.Seq, ID: ev.ID})
 		case wire.OpEvict:
 			for _, id := range ev.IDs {
 				touched[id] = nil
-				tombs = append(tombs, Tombstone{Seq: ev.Seq, ID: id})
+				rec.Tombstones = append(rec.Tombstones, Tombstone{Seq: ev.Seq, ID: id})
 			}
 		}
 	}
@@ -312,7 +305,7 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 		}
 		rep, err := replayWAL(walPath(dir, gen), gen, apply)
 		if err != nil {
-			return nil, nil, err
+			return nil, Capture{}, err
 		}
 		if rep.corrupt {
 			// Media damage inside the durable prefix: quarantine the
@@ -323,7 +316,7 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 			// still applied — their records are newer last-write-wins
 			// state.
 			if err := quarantineWAL(walPath(dir, gen), rep.validSize, opts.NoSync); err != nil {
-				return nil, nil, err
+				return nil, Capture{}, err
 			}
 			s.recovery.QuarantinedWALs++
 			if s.quarantineErr == nil {
@@ -346,14 +339,14 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	if activeExists && activeRep.validSize >= walHeaderSize {
 		f, err := openWALForAppend(walPath(dir, activeGen), activeRep.validSize, opts.NoSync)
 		if err != nil {
-			return nil, nil, err
+			return nil, Capture{}, err
 		}
 		s.walFile = f
 		s.walBytes.Store(activeRep.validSize)
 	} else {
 		f, err := createWAL(dir, activeGen, opts.NoSync)
 		if err != nil {
-			return nil, nil, err
+			return nil, Capture{}, err
 		}
 		s.walFile = f
 		s.walBytes.Store(walHeaderSize)
@@ -363,8 +356,8 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 
 	// Merge in place. What the loop leaves in touched was never in the
 	// snapshot, and only such an addition can break the id order.
-	out := base[:0]
-	for _, e := range base {
+	out := rec.Entries[:0]
+	for _, e := range rec.Entries {
 		if t, ok := touched[e.ID]; ok {
 			delete(touched, e.ID)
 			if t == nil {
@@ -383,15 +376,17 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 	if len(out) > merged {
 		slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.ID, b.ID) })
 	}
+	rec.Entries = out
 	s.recovery.Entries = len(out)
-	s.recovery.LastSeq = lastSeq
-	s.recovery.LastEpoch = lastEpoch
+	s.recovery.LastSeq = rec.Seq
+	s.recovery.LastEpoch = rec.Epoch
 
 	// Snapshot tombstones and replayed removal records overlap around
 	// the rotation boundary (records logged between rotation and capture
 	// appear in both); sort by sequence and drop exact duplicates so the
-	// seeded ring stays ordered — floor accounting in the feed depends
-	// on overwrite order matching sequence order.
+	// installed ring stays ordered — floor accounting in the feed
+	// depends on overwrite order matching sequence order.
+	tombs := rec.Tombstones
 	sort.Slice(tombs, func(i, j int) bool {
 		if tombs[i].Seq != tombs[j].Seq {
 			return tombs[i].Seq < tombs[j].Seq
@@ -405,28 +400,18 @@ func Open(dir string, opts Options) (*Store, []Entry, error) {
 		}
 		dedup = append(dedup, t)
 	}
-	s.recoveredTombs = dedup
-	s.tombFloor = tombFloor
-	s.recovery.TombstoneFloor = tombFloor
+	rec.Tombstones = dedup
+	s.recovery.TombstoneFloor = rec.TombstoneFloor
 	s.recovery.Tombstones = len(dedup)
 
 	s.wg.Add(1)
 	go s.flusher()
 	ok = true
-	return s, out, nil
+	return s, rec, nil
 }
 
 // Recovery reports what Open reconstructed.
 func (s *Store) Recovery() RecoveryStats { return s.recovery }
-
-// RecoveredTombstones returns the removal knowledge Open reconstructed:
-// the floor (the sequence at or below which removals are unknown) and
-// the tombstones, sorted by sequence. The owner seeds its change
-// stream's tombstone ring here so delta re-bootstraps survive restarts
-// and promotions. The slice is owned by the store; do not mutate.
-func (s *Store) RecoveredTombstones() (floor uint64, tombs []Tombstone) {
-	return s.tombFloor, s.recoveredTombs
-}
 
 // QuarantineErr returns the typed cause of the first WAL quarantine
 // performed at Open (nil if none); errors.Is(err, ErrCorruptRecord)

@@ -69,11 +69,17 @@ func logEvent(s *Store, ev wire.Event) {
 
 func mustOpen(t *testing.T, dir string) (*Store, []Entry) {
 	t.Helper()
-	s, entries, err := Open(dir, testOptions())
+	s, rec := mustRecover(t, dir)
+	return s, rec.Entries
+}
+
+func mustRecover(t *testing.T, dir string) (*Store, Capture) {
+	t.Helper()
+	s, rec, err := Open(dir, testOptions())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	return s, entries
+	return s, rec
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -290,10 +296,10 @@ func TestRecoveryTruncatedTailEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
-		if len(recovered) != len(want) {
-			t.Fatalf("cut %d: recovered %d entries, want %d", cut, len(recovered), len(want))
+		if len(recovered.Entries) != len(want) {
+			t.Fatalf("cut %d: recovered %d entries, want %d", cut, len(recovered.Entries), len(want))
 		}
-		for _, e := range recovered {
+		for _, e := range recovered.Entries {
 			w, ok := want[e.ID]
 			if !ok || !e.Coord.Equal(w.Coord) || !e.UpdatedAt.Equal(w.UpdatedAt) {
 				t.Fatalf("cut %d: entry %+v not in expected state", cut, e)
@@ -310,7 +316,7 @@ func TestRecoveryTruncatedTailEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
 		found := false
-		for _, e := range again {
+		for _, e := range again.Entries {
 			if e.ID == "post-crash" {
 				found = true
 			}
@@ -927,5 +933,5 @@ func TestRecoveryWithSyncOn(t *testing.T) {
 	want = append(want, testEntry("n05", 50, 500))
 	want = append(want, state[6:]...)
 	want = append(want, testEntry("n10", 10, 11))
-	entriesEqual(t, recovered, want)
+	entriesEqual(t, recovered.Entries, want)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -249,18 +250,13 @@ func (u *fakeUpstream) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	u.mu.Unlock()
 	switch req.URL.Path {
 	case "/snapshot":
-		body, err := wire.AppendSnapshotHeader(nil, &wire.SnapshotHeader{Seq: seq, EntryCount: uint64(len(entries))})
-		for i := range entries {
-			if err == nil {
-				body, err = wire.AppendEntryFrame(body, &entries[i])
-			}
-		}
-		if err != nil {
+		var body bytes.Buffer
+		if err := wire.WriteSnapshot(&body, "", &netcoord.RegistrySnapshot{Seq: seq, Entries: entries}); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Type", wire.ContentTypeSnapshot)
-		_, _ = w.Write(body)
+		_, _ = w.Write(body.Bytes())
 	case "/changes":
 		select {
 		case <-u.gone:

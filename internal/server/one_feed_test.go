@@ -11,6 +11,7 @@ import (
 
 	"netcoord"
 	"netcoord/internal/faultproxy"
+	"netcoord/internal/wire"
 )
 
 // streamReplay rebuilds a registry's state from its change stream, one
@@ -85,34 +86,34 @@ func (r *streamReplay) check(what string, entries []netcoord.RegistryEntry, sinc
 	return nil
 }
 
-// checkRemoved holds a delta's removed list to the ids the stream
-// removed in (since, seq].
-func (r *streamReplay) checkRemoved(what string, removed []string, since, seq uint64) error {
+// checkRemoved holds a delta's tombstones to the removals the stream
+// made in (since, seq], each at its own sequence.
+func (r *streamReplay) checkRemoved(what string, tombs []wire.Tombstone, since, seq uint64) error {
 	if err := r.advance(seq); err != nil {
 		return err
 	}
-	want := map[string]bool{}
+	want := map[wire.Tombstone]bool{}
 	for _, ev := range r.removes {
 		if ev.Seq <= since {
 			continue
 		}
 		if ev.Op == netcoord.ChangeRemove {
-			want[ev.ID] = true
+			want[wire.Tombstone{Seq: ev.Seq, ID: ev.ID}] = true
 		}
 		for _, id := range ev.IDs {
-			want[id] = true
+			want[wire.Tombstone{Seq: ev.Seq, ID: id}] = true
 		}
 	}
-	got := map[string]bool{}
-	for _, id := range removed {
-		got[id] = true
+	got := map[wire.Tombstone]bool{}
+	for _, t := range tombs {
+		got[t] = true
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("%s (%d, %d]: removed %v, the stream removed %v", what, since, seq, removed, want)
+	if len(got) != len(want) || len(tombs) != len(want) {
+		return fmt.Errorf("%s (%d, %d]: tombstones %v, the stream removed %v", what, since, seq, tombs, want)
 	}
-	for id := range want {
-		if !got[id] {
-			return fmt.Errorf("%s (%d, %d]: removed %v lacks %q", what, since, seq, removed, id)
+	for t := range want {
+		if !got[t] {
+			return fmt.Errorf("%s (%d, %d]: tombstones %v lack %v", what, since, seq, tombs, t)
 		}
 	}
 	return nil
@@ -174,17 +175,17 @@ func TestSnapshotPairIsExact(t *testing.T) {
 				last = stormOver.Load() // one more pass over the settled state
 				entries, seq := tier.src.SnapshotWithSeq()
 				err := replay.check(tier.name+" SnapshotWithSeq", entries, 0, seq, true)
-				since := seq / 2
-				entries, removed, seq, ok := tier.src.DeltaSince(since)
-				if !ok {
-					t.Errorf("%s DeltaSince(%d) refused with the tombstone ring sized for the run", tier.name, since)
+				since := max(seq/2, 1) // since 0 asks for the full state
+				d := tier.src.SnapshotSince(since)
+				if !d.Delta && since <= seq {
+					t.Errorf("%s SnapshotSince(%d) refused a delta with the tombstone ring sized for the run", tier.name, since)
 					return
 				}
-				if err == nil {
-					err = replay.check(tier.name+" DeltaSince", entries, since, seq, false)
+				if err == nil && d.Delta {
+					err = replay.check(tier.name+" SnapshotSince", d.Entries, since, d.Seq, false)
 				}
-				if err == nil {
-					err = replay.checkRemoved(tier.name+" DeltaSince", removed, since, seq)
+				if err == nil && d.Delta {
+					err = replay.checkRemoved(tier.name+" SnapshotSince", d.Tombstones, since, d.Seq)
 				}
 				if err != nil {
 					t.Error(err)

@@ -263,3 +263,58 @@ func TestRestartedLeaderResyncsLaggingFollower(t *testing.T) {
 			before.Bootstraps, after.Bootstraps, before.DeltaBootstraps, after.DeltaBootstraps)
 	}
 }
+
+// TestRestartedRelayRepairsReplicaWithDelta is the same catch-up one
+// tier down. Replica B follows relay A, a follower of an in-memory
+// leader. A dies, the leader takes 20 upserts and one remove, and a
+// fresh A bootstraps in full from the leader. Its full snapshot carries
+// the leader's removal knowledge, so the fresh A can prove every
+// removal since B's resume point, and B, switched onto it, catches up
+// through exactly one delta bootstrap to a replica bit-identical to the
+// leader. A relay that set its tombstone floor to its bootstrap
+// sequence would force B through a full transfer instead.
+func TestRestartedRelayRepairsReplicaWithDelta(t *testing.T) {
+	leaderTS, leader := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: 16})
+	upsert := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := leader.Upsert(fmt.Sprintf("n%02d", i%40), netcoord.Coordinate{Vec: []float64{float64(i), 2, 0}}, 0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	relay := func() (*netcoord.FollowerRegistry, *Server) {
+		f := startTestFollower(t, leaderTS.URL)
+		waitConverged(t, f, leader)
+		return f, New(Config{Registry: f.Registry, Follower: f})
+	}
+	upsert(0, 60)
+	leader.Remove("n03")
+	a, srv := relay()
+	front := &switchable{srv: srv}
+	ts := httptest.NewServer(front)
+	t.Cleanup(ts.Close)
+	b := startTestFollower(t, ts.URL)
+	waitConverged(t, b, leader)
+	before := b.FollowerStats()
+
+	// A dies: B's upstream answers only 503 while the leader moves on.
+	srv.Stop()
+	front.set(nil)
+	a.Close()
+	upsert(60, 80)
+	leader.Remove("n05")
+
+	a, srv = relay()
+	defer srv.Stop()
+	if got, want := a.ChangeStreamStats().TombFloor, leader.ChangeStreamStats().TombFloor; got != want {
+		t.Fatalf("fresh relay's tombstone floor is %d, the leader's %d: the full bootstrap dropped removal knowledge", got, want)
+	}
+	front.set(srv)
+	waitConverged(t, b, leader)
+	assertReplicaIdentical(t, b, leader)
+	after := b.FollowerStats()
+	if after.Bootstraps != before.Bootstraps+1 || after.DeltaBootstraps != before.DeltaBootstraps+1 {
+		t.Fatalf("replica bootstraps %d → %d (delta %d → %d), want exactly one more, a delta",
+			before.Bootstraps, after.Bootstraps, before.DeltaBootstraps, after.DeltaBootstraps)
+	}
+}

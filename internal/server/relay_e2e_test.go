@@ -267,8 +267,8 @@ func TestFollowerWatchSurvivesReBootstrapMidWatch(t *testing.T) {
 }
 
 // TestDeltaSnapshotHTTP exercises /snapshot?since= directly: a delta
-// when the gap is provable, the removed-ids list, and the full-body
-// fallback when the tombstone ring cannot prove coverage.
+// when the gap is provable, the removed-ids list (each id once), and
+// the full-body fallback when the tombstone ring cannot prove coverage.
 func TestDeltaSnapshotHTTP(t *testing.T) {
 	// A small event ring (64) keeps the tombstone ring at its 1024
 	// minimum, so the fallback path is reachable below; it also shows
@@ -281,6 +281,9 @@ func TestDeltaSnapshotHTTP(t *testing.T) {
 	mark := reg.ChangeSeq()
 
 	postJSON(t, ts.URL+"/upsert", `{"id":"b","coord":{"vec":[20,0,0]}}`)
+	postJSON(t, ts.URL+"/remove", `{"id":"c"}`)
+	// c comes back and goes again: two tombstones, one removed id.
+	postJSON(t, ts.URL+"/upsert", `{"id":"c","coord":{"vec":[30,0,0]}}`)
 	postJSON(t, ts.URL+"/remove", `{"id":"c"}`)
 	postJSON(t, ts.URL+"/upsert", `{"id":"d","coord":{"vec":[4,0,0]}}`)
 
@@ -301,7 +304,7 @@ func TestDeltaSnapshotHTTP(t *testing.T) {
 	}
 	removed := out["removed"].([]any)
 	if len(removed) != 1 || removed[0].(string) != "c" {
-		t.Fatalf("delta removed = %v, want [c]", removed)
+		t.Fatalf("delta removed = %v, want [c]: c was removed twice, listed once", removed)
 	}
 	if out["seq"].(float64) != float64(reg.ChangeSeq()) {
 		t.Fatalf("delta seq = %v, want %d", out["seq"], reg.ChangeSeq())

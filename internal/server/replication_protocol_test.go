@@ -102,9 +102,8 @@ func TestChunkedEvictionIsDistinctEventsEverywhere(t *testing.T) {
 	if got := reopened.ChangeSeq(); got != before+3 {
 		t.Fatalf("reopened stream at seq %d, want %d: the WAL holds the sweep as 3 events", got, before+3)
 	}
-	_, removed, _, ok := reopened.DeltaSince(before)
-	if !ok || len(removed) != n {
-		t.Fatalf("reopened DeltaSince(%d): %d removals, ok %v; want %d", before, len(removed), ok, n)
+	if d := reopened.SnapshotSince(before); !d.Delta || len(d.Tombstones) != n {
+		t.Fatalf("reopened SnapshotSince(%d): %d removals, delta %v; want a delta of %d", before, len(d.Tombstones), d.Delta, n)
 	}
 }
 

@@ -32,7 +32,10 @@
 // point. A slide then takes k plus head square roots instead of 4k-2,
 // and 3k-2 once every slot has slid; on a stream that restarts every
 // 44 observations at k = 32, as the paper-scale simulation does, that is
-// 946 square roots per restart instead of 2 008.
+// 946 square roots per restart instead of 2 008. The table is k² floats,
+// more than everything else a pair holds at the paper's k = 32, so the
+// first Energy call allocates it, not NewPair: a pair only RELATIVE or
+// the rank sum reads never pays for it.
 package window
 
 import (
@@ -46,8 +49,9 @@ import (
 // Pair manages the start window Ws and current window Wc over a stream of
 // multi-dimensional points, with incremental energy bookkeeping.
 //
-// All per-element storage is allocated once at construction: Append
-// copies each point into preallocated slots, so the steady-state
+// All per-element storage is allocated once — the window slots at
+// construction, the cross-distance table at the first Energy call:
+// Append copies each point into preallocated slots, so the steady-state
 // append-and-slide path performs zero heap allocations — it runs once
 // per coordinate observation of every simulated node.
 //
@@ -74,8 +78,8 @@ type Pair struct {
 
 	// crossDist is the k×k table of cross distances behind sumCross:
 	// crossDist[r*k+a] = ||start[a] - current[r]||, valid while sumsValid
-	// holds. initSums fills it; each slide rewrites row head for the
-	// arriving point.
+	// holds. initSums allocates it once and fills it; each slide rewrites
+	// row head for the arriving point.
 	crossDist []float64
 	// fresh counts the Wc slots from head on that still hold their fill
 	// point (current[i] is bitwise start[i]): k after a fill-time build,
@@ -105,8 +109,8 @@ func NewPair(k, dim int) (*Pair, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("window: dimension %d, want >= 1", dim)
 	}
-	// One backing array: 2k slots, the two centroids, then the table.
-	buf := make([]float64, (2*k+2)*dim+k*k)
+	// One backing array: 2k slots, then the two centroids.
+	buf := make([]float64, (2*k+2)*dim)
 	vecs := make([]vec.Vector, 2*k+2)
 	for i := range vecs {
 		vecs[i] = buf[i*dim : (i+1)*dim : (i+1)*dim]
@@ -118,7 +122,6 @@ func NewPair(k, dim int) (*Pair, error) {
 		current:       vecs[k : 2*k : 2*k],
 		startCentroid: vecs[2*k],
 		curCentroid:   vecs[2*k+1],
-		crossDist:     buf[(2*k+2)*dim:],
 	}, nil
 }
 
@@ -326,6 +329,10 @@ func (p *Pair) RankSum() (float64, error) {
 // arrays — the sums are pair aggregates, so ring order does not matter —
 // storing each of the k^2 cross distances they take; fresh = 0.
 func (p *Pair) initSums() {
+	if p.crossDist == nil {
+		//nc:allow(hotpath) once per pair, at its first Energy call; Reset keeps the table
+		p.crossDist = make([]float64, p.k*p.k)
+	}
 	start, cur, k, table := p.start, p.current, p.k, p.crossDist
 	var cross, withinS, withinC float64
 	if !p.slid {

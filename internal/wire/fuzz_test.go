@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
+	"reflect"
 	"testing"
 )
 
@@ -64,18 +66,36 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeHeaders applies the same discipline to the batch and
-// snapshot headers.
+// FuzzDecodeHeaders applies the same discipline to the batch header
+// and to the snapshot envelope and body: a /snapshot header read off a
+// stream, and the same bytes decoded as a whole body the way a
+// snapshot file is. A decoded header re-encodes to an equal one, and no
+// tombstone or entry count sizes an allocation past what the bytes
+// could hold (or, on a stream, past maxStreamHint records).
 func FuzzDecodeHeaders(f *testing.F) {
 	b := AppendBatchHeader(nil, BatchHeader{Seq: 5, Epoch: 2, Count: 9})
 	f.Add(b)
-	s, err := AppendSnapshotHeader(nil, &SnapshotHeader{Seq: 3, Epoch: 1, Delta: true, FollowerOf: "up", Removed: []string{"x"}, EntryCount: 4})
-	if err != nil {
-		f.Fatal(err)
+	tombs := []Tombstone{{Seq: 4, ID: "x"}, {Seq: 6, ID: "gone"}}
+	for _, c := range []struct {
+		followerOf string
+		s          Snapshot
+	}{
+		{"up", Snapshot{Seq: 7, Epoch: 1, Delta: true, TombstoneFloor: 3, Tombstones: tombs, Entries: []Entry{{ID: "a", Seq: 5}}}},
+		{"", Snapshot{Seq: 7, Epoch: 1, TombstoneFloor: 2, Tombstones: tombs, Entries: []Entry{{ID: "a", Seq: 5}, {ID: "b", Seq: 7}}}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, c.followerOf, &c.s); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		buf.Reset()
+		if err := WriteSnapshotBody(&buf, &c.s); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(s)
 	f.Add([]byte{MagicBatch, Version})
-	f.Add([]byte{MagicSnapshot, Version, 0xff})
+	f.Add([]byte{MagicSnapshot, snapshotVersion, 0xff})
 
 	f.Fuzz(func(t *testing.T, src []byte) {
 		if h, n, err := DecodeBatchHeader(src); err == nil {
@@ -89,25 +109,30 @@ func FuzzDecodeHeaders(f *testing.F) {
 		} else if !errors.Is(err, ErrShort) && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("batch: unexpected error class: %v", err)
 		}
-		if h, n, err := DecodeSnapshotHeader(src); err == nil {
-			if n <= 0 || n > len(src) {
-				t.Fatalf("snapshot consumed %d of %d", n, len(src))
+		if h, err := NewReader(bytes.NewReader(src), 0).ReadSnapshotHeader(); err == nil {
+			if cap(h.Tombstones) > maxStreamHint || uint64(len(h.Tombstones)) > uint64(len(src)/minTombstoneSize) {
+				t.Fatalf("snapshot header: %d tombstones, capacity %d, from %d bytes", len(h.Tombstones), cap(h.Tombstones), len(src))
 			}
-			enc, err := AppendSnapshotHeader(nil, &h)
-			if err != nil {
+			var enc bytes.Buffer
+			if err := WriteSnapshot(&enc, h.FollowerOf, &h.Snapshot); err != nil {
 				t.Fatalf("snapshot re-encode failed: %v", err)
 			}
-			h2, n2, err := DecodeSnapshotHeader(enc)
-			if err != nil || n2 != len(enc) {
-				t.Fatalf("snapshot re-decode failed: %v", err)
+			h2, err := NewReader(&enc, 0).ReadSnapshotHeader()
+			if err != nil || enc.Len() != 0 {
+				t.Fatalf("snapshot re-decode failed: %v (%d bytes left)", err, enc.Len())
 			}
-			if h2.Seq != h.Seq || h2.Epoch != h.Epoch || h2.Delta != h.Delta ||
-				h2.FollowerOf != h.FollowerOf || h2.EntryCount != h.EntryCount ||
-				len(h2.Removed) != len(h.Removed) {
+			if !reflect.DeepEqual(h2.Snapshot, h.Snapshot) || h2.FollowerOf != h.FollowerOf || h2.EntryCount != 0 {
 				t.Fatalf("snapshot header mismatch: %+v vs %+v", h, h2)
 			}
-		} else if !errors.Is(err, ErrShort) && !errors.Is(err, ErrMalformed) {
+		} else if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("snapshot: unexpected error class: %v", err)
+		}
+		if s, err := DecodeSnapshot(src); err == nil {
+			if cap(s.Tombstones)*minTombstoneSize+cap(s.Entries)*minEntryFrameSize+snapshotHeadSize > len(src) {
+				t.Fatalf("snapshot body: capacities %d tombstones, %d entries from %d bytes", cap(s.Tombstones), cap(s.Entries), len(src))
+			}
+		} else if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrMalformed) && !errors.Is(err, errTrailingBytes) {
+			t.Fatalf("snapshot body: unexpected error class: %v", err)
 		}
 	})
 }

@@ -18,9 +18,10 @@ var ErrStreamTooLarge = errors.New("wire: record exceeds stream buffer cap")
 // Reader incrementally decodes wire records from an io.Reader, refilling
 // an internal window on ErrShort so a snapshot of a hundred thousand
 // entries never needs to be buffered whole. The zero value is not
-// usable; construct with NewReader.
+// usable; construct with NewReader. DecodeSnapshot runs one over a
+// byte slice instead: no source, and the window is the whole input.
 type Reader struct {
-	src  io.Reader
+	src  io.Reader // nil when the window already holds all the input
 	buf  []byte
 	r, w int
 }
@@ -42,6 +43,9 @@ func (d *Reader) window() []byte { return d.buf[d.r:d.w] }
 // returned verbatim only at a record boundary; a partial record at EOF
 // surfaces as io.ErrUnexpectedEOF from the decode methods.
 func (d *Reader) more() error {
+	if d.src == nil {
+		return io.EOF
+	}
 	if d.r > 0 {
 		n := copy(d.buf, d.buf[d.r:d.w])
 		d.r, d.w = 0, n
@@ -96,18 +100,6 @@ func (d *Reader) ReadFrame(fr *Frame) error {
 	return d.decode(func(src []byte) (int, error) {
 		return DecodeFrameInto(fr, src)
 	})
-}
-
-// ReadSnapshotHeader decodes a /snapshot header.
-func (d *Reader) ReadSnapshotHeader() (SnapshotHeader, error) {
-	var h SnapshotHeader
-	err := d.decode(func(src []byte) (int, error) {
-		var n int
-		var err error
-		h, n, err = DecodeSnapshotHeader(src)
-		return n, err
-	})
-	return h, err
 }
 
 // slabChunk sizes the chunks a Slab starts: the frames of some 900

@@ -38,11 +38,18 @@
 // held-open stream one batch per range published inside the window.
 // Reader.ReadBatch reads them one at a time.
 //
+// A snapshot has one body wherever it lives (Snapshot, snapshot.go):
+// a snapshot file wraps it in magic, generation and CRC, a /snapshot
+// frames response puts the MagicSnapshot envelope in front of it, and
+// WriteSnapshotBody, DecodeSnapshot and Reader.ReadSnapshotHeader are
+// its one encoder and decoder.
+//
 // Decoding never allocates more than a capped size from
 // attacker-controlled length prefixes: id lengths are bounded by both
 // MaxIDLen and the bytes actually remaining in the buffer, coordinate
-// dimensions by coord.MaxDimension, and evict counts by the remaining
-// buffer length.
+// dimensions by coord.MaxDimension, evict counts by the remaining
+// buffer length, and a snapshot's tombstone and entry counts by the
+// bytes of a whole body, or off a stream by a fixed cap.
 package wire
 
 import (
@@ -58,10 +65,11 @@ import (
 const (
 	MagicFrame    = 0xC0 // a single change frame
 	MagicBatch    = 0xC1 // a /changes batch header, followed by frames
-	MagicSnapshot = 0xC2 // a /snapshot header, followed by entry frames
+	MagicSnapshot = 0xC2 // a /snapshot envelope, followed by the snapshot body
 )
 
-// Version is the current frame-format version.
+// Version is the current frame-format version (the batch header's too;
+// the /snapshot envelope has its own, snapshotVersion).
 const Version = 1
 
 // Op codes: the mutation kinds a registry produces.
@@ -85,8 +93,8 @@ const (
 // MaxIDLen bounds the node-id length a frame can carry.
 const MaxIDLen = 4096
 
-// MaxListLen bounds the id-list length accepted in an evict frame or a
-// snapshot removed-set before any allocation happens. Honest producers
+// MaxListLen bounds the id-list length accepted in an evict frame
+// before any allocation happens. Honest producers
 // chunk evictions far below this (changefeed caps chunks at 512 ids).
 const MaxListLen = 1 << 20
 
@@ -415,93 +423,6 @@ func DecodeBatchHeader(src []byte) (BatchHeader, int, error) {
 		return h, 0, err
 	}
 	if h.Count, off, err = readUvarint(src, off); err != nil {
-		return h, 0, err
-	}
-	return h, off, nil
-}
-
-// SnapshotHeader fronts a binary /snapshot response. Entries follow as
-// EntryCount upsert frames whose Seq carries the per-entry seq.
-type SnapshotHeader struct {
-	Seq        uint64
-	Epoch      uint64
-	Delta      bool
-	FollowerOf string
-	Removed    []string
-	EntryCount uint64
-}
-
-const snapshotFlagDelta = 0x01
-
-// AppendSnapshotHeader appends the encoding of h to dst.
-func AppendSnapshotHeader(dst []byte, h *SnapshotHeader) ([]byte, error) {
-	var flags byte
-	if h.Delta {
-		flags |= snapshotFlagDelta
-	}
-	dst = append(dst, MagicSnapshot, Version, flags)
-	dst = binary.AppendUvarint(dst, h.Seq)
-	dst = binary.AppendUvarint(dst, h.Epoch)
-	if len(h.FollowerOf) > MaxIDLen {
-		return dst, errIDTooLong
-	}
-	dst = appendString(dst, h.FollowerOf)
-	dst = binary.AppendUvarint(dst, uint64(len(h.Removed)))
-	for _, id := range h.Removed {
-		var err error
-		if dst, err = appendID(dst, id); err != nil {
-			return dst, err
-		}
-	}
-	dst = binary.AppendUvarint(dst, h.EntryCount)
-	return dst, nil
-}
-
-// DecodeSnapshotHeader parses a snapshot header from the front of src.
-func DecodeSnapshotHeader(src []byte) (SnapshotHeader, int, error) {
-	var h SnapshotHeader
-	if len(src) < 3 {
-		return h, 0, ErrShort
-	}
-	if src[0] != MagicSnapshot || src[1] != Version {
-		return h, 0, ErrMalformed
-	}
-	if src[2]&^snapshotFlagDelta != 0 {
-		return h, 0, ErrMalformed
-	}
-	h.Delta = src[2]&snapshotFlagDelta != 0
-	off := 3
-	var err error
-	if h.Seq, off, err = readUvarint(src, off); err != nil {
-		return h, 0, err
-	}
-	if h.Epoch, off, err = readUvarint(src, off); err != nil {
-		return h, 0, err
-	}
-	if h.FollowerOf, off, err = readString(src, off); err != nil {
-		return h, 0, err
-	}
-	var count uint64
-	if count, off, err = readUvarint(src, off); err != nil {
-		return h, 0, err
-	}
-	if count > MaxListLen {
-		return h, 0, ErrMalformed
-	}
-	if count > uint64(len(src)-off) {
-		return h, 0, ErrShort
-	}
-	if count > 0 {
-		h.Removed = make([]string, 0, count)
-		for i := uint64(0); i < count; i++ {
-			var id string
-			if id, off, err = readID(src, off); err != nil {
-				return h, 0, err
-			}
-			h.Removed = append(h.Removed, id)
-		}
-	}
-	if h.EntryCount, off, err = readUvarint(src, off); err != nil {
 		return h, 0, err
 	}
 	return h, off, nil

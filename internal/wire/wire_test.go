@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"netcoord/internal/coord"
 )
@@ -288,14 +290,15 @@ func TestIDRule(t *testing.T) {
 			t.Errorf("ValidateID(len %d) = %v, want ok=%v", len(id), err, ok)
 		}
 	}
-	// The snapshot header's removed list is ids too; its follower_of is
-	// free text and may be empty.
-	if _, err := AppendSnapshotHeader(nil, &SnapshotHeader{Removed: []string{""}}); err == nil {
-		t.Error("snapshot header accepted an empty removed id")
+	// A snapshot's tombstones are ids too; a /snapshot response's
+	// follower_of is free text and may be empty.
+	if err := WriteSnapshotBody(io.Discard, &Snapshot{Tombstones: []Tombstone{{Seq: 1}}}); err == nil {
+		t.Error("snapshot body accepted an empty tombstone id")
 	}
-	hdr := []byte{MagicSnapshot, Version, 0, 1, 0, 0, 1, 0, 0} // seq 1, epoch 0, follower_of "", 1 removed id of length 0, 0 entries
-	if _, _, err := DecodeSnapshotHeader(hdr); !errors.Is(err, ErrMalformed) {
-		t.Errorf("snapshot header with an empty removed id decoded with err %v, want ErrMalformed", err)
+	body := binary.LittleEndian.AppendUint64(make([]byte, 24), 1)  // seq, epoch, floor 0; 1 tombstone
+	body = append(binary.LittleEndian.AppendUint64(body, 0), 1, 0) // 0 entries; tombstone seq 1, id of length 0
+	if _, err := DecodeSnapshot(body); !errors.Is(err, ErrMalformed) {
+		t.Errorf("snapshot body with an empty tombstone id decoded with err %v, want ErrMalformed", err)
 	}
 }
 
@@ -327,34 +330,92 @@ func TestBatchHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotHeaderRoundTrip writes /snapshot responses and snapshot
+// bodies and reads them back: the header through the tombstones, then
+// the entries, and every cut of the bytes is a clean error. A header of
+// the version-1 layout is refused, not misread.
 func TestSnapshotHeaderRoundTrip(t *testing.T) {
-	cases := []SnapshotHeader{
-		{Seq: 9, Epoch: 2, Delta: true, FollowerOf: "http://leader", Removed: []string{"a", "b"}, EntryCount: 3},
-		{Seq: 0, Epoch: 0, Delta: false, FollowerOf: "", Removed: nil, EntryCount: 0},
+	at := time.Unix(1_700_000_000, 5)
+	cases := []struct {
+		followerOf string
+		s          Snapshot
+	}{
+		{"http://leader", Snapshot{Seq: 9, Epoch: 2, Delta: true, TombstoneFloor: 4, Tombstones: []Tombstone{{Seq: 5, ID: "a"}, {Seq: 7, ID: "b"}},
+			Entries: []Entry{{ID: "c", Coord: coord.New(1, 2, 3), UpdatedAt: at, Seq: 6}, {ID: "d", Coord: coord.New(4, 5, 6), Error: 0.5, UpdatedAt: at, Seq: 9}}}},
+		{"", Snapshot{Entries: []Entry{}}},
 	}
-	for _, h := range cases {
-		buf, err := AppendSnapshotHeader(nil, &h)
-		if err != nil {
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, c.followerOf, &c.s); err != nil {
 			t.Fatal(err)
 		}
-		got, n, err := DecodeSnapshotHeader(buf)
-		if err != nil || n != len(buf) {
-			t.Fatalf("decode: n=%d err=%v", n, err)
+		d := NewReader(bytes.NewReader(buf.Bytes()), 0)
+		h, err := d.ReadSnapshotHeader()
+		if err != nil {
+			t.Fatalf("header: %v", err)
 		}
-		if got.Seq != h.Seq || got.Epoch != h.Epoch || got.Delta != h.Delta ||
-			got.FollowerOf != h.FollowerOf || got.EntryCount != h.EntryCount ||
-			len(got.Removed) != len(h.Removed) {
-			t.Fatalf("got %+v, want %+v", got, h)
+		entries, err := d.ReadSnapshotEntries(h.EntryCount)
+		if err != nil {
+			t.Fatalf("entries: %v", err)
 		}
-		for i := range h.Removed {
-			if got.Removed[i] != h.Removed[i] {
-				t.Fatalf("removed[%d] = %q", i, got.Removed[i])
+		got := h.Snapshot
+		got.Entries = entries
+		if h.FollowerOf != c.followerOf || !reflect.DeepEqual(got, c.s) {
+			t.Fatalf("got %q %+v, want %q %+v", h.FollowerOf, got, c.followerOf, c.s)
+		}
+		for cut := 0; cut < buf.Len(); cut++ {
+			d := NewReader(bytes.NewReader(buf.Bytes()[:cut]), 0)
+			h, err := d.ReadSnapshotHeader()
+			if err == nil {
+				_, err = d.ReadSnapshotEntries(h.EntryCount)
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("cut=%d: got %v, want io.ErrUnexpectedEOF", cut, err)
 			}
 		}
-		for cut := 0; cut < len(buf); cut++ {
-			if _, _, err := DecodeSnapshotHeader(buf[:cut]); !errors.Is(err, ErrShort) {
-				t.Fatalf("cut=%d: got %v, want ErrShort", cut, err)
-			}
+		// The body alone is what a snapshot file holds.
+		var body bytes.Buffer
+		if err := WriteSnapshotBody(&body, &c.s); err != nil {
+			t.Fatal(err)
+		}
+		want := c.s
+		want.Delta = false
+		if got, err := DecodeSnapshot(body.Bytes()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("body: got %+v, %v; want %+v", got, err, want)
+		}
+		if !bytes.HasSuffix(buf.Bytes(), body.Bytes()) {
+			t.Fatal("a /snapshot response does not end in the snapshot body")
+		}
+	}
+	old := []byte{MagicSnapshot, 1, 0, 9, 2, 0, 0, 0} // version 1: seq 9, epoch 2, follower_of "", no removed ids, 0 entries
+	if _, err := NewReader(bytes.NewReader(old), 0).ReadSnapshotHeader(); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a version-1 /snapshot header read with err %v, want ErrMalformed", err)
+	}
+}
+
+// TestSnapshotCountsAreBounded: counts the bytes cannot hold are
+// refused outright when the decoder holds the whole body, and size no
+// allocation past maxStreamHint records off a stream, where the body
+// then ends too soon.
+func TestSnapshotCountsAreBounded(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		tombs, entries uint64
+	}{{"tombstones", 1 << 56, 0}, {"entries", 0, 1 << 56}} {
+		body := binary.LittleEndian.AppendUint64(make([]byte, 24), c.tombs)
+		body = binary.LittleEndian.AppendUint64(body, c.entries)
+		body = append(body, make([]byte, 64)...)
+		if _, err := DecodeSnapshot(body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: body decoded with err %v, want ErrMalformed", c.name, err)
+		}
+		resp := append([]byte{MagicSnapshot, snapshotVersion, 0, 0}, body...)
+		d := NewReader(bytes.NewReader(resp), 0)
+		h, err := d.ReadSnapshotHeader()
+		if err == nil {
+			_, err = d.ReadSnapshotEntries(h.EntryCount)
+		}
+		if err == nil {
+			t.Errorf("%s: a stream with a count of %d records in %d bytes was read", c.name, max(c.tombs, c.entries), len(body))
 		}
 	}
 }
@@ -374,12 +435,17 @@ func (r *oneByteReader) Read(p []byte) (int, error) {
 
 func TestStreamReaderDecodesDribbledInput(t *testing.T) {
 	frames := sampleFrames()
-	hdr := SnapshotHeader{Seq: 10, Epoch: 1, FollowerOf: "up", Removed: []string{"r1", "r2"}, EntryCount: uint64(len(frames))}
-	buf, err := AppendSnapshotHeader(nil, &hdr)
-	if err != nil {
+	hdr := SnapshotHeader{Snapshot: Snapshot{Seq: 10, Epoch: 1, Tombstones: []Tombstone{{Seq: 3, ID: "r1"}, {Seq: 4, ID: "r2"}}}, FollowerOf: "up", EntryCount: uint64(len(frames))}
+	var out bytes.Buffer
+	if err := WriteSnapshot(&out, hdr.FollowerOf, &hdr.Snapshot); err != nil {
 		t.Fatal(err)
 	}
+	// Any frames may follow a header that counts them; the entry count
+	// sits at the end of the body's fixed head, after the envelope.
+	buf := out.Bytes()
+	binary.LittleEndian.PutUint64(buf[3+len(appendString(nil, hdr.FollowerOf))+32:], hdr.EntryCount)
 	for i := range frames {
+		var err error
 		if buf, err = AppendFrame(buf, &frames[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -389,8 +455,8 @@ func TestStreamReaderDecodesDribbledInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("header: %v", err)
 	}
-	if got.Seq != hdr.Seq || got.EntryCount != hdr.EntryCount || len(got.Removed) != 2 {
-		t.Fatalf("header mismatch: %+v", got)
+	if !reflect.DeepEqual(got, hdr) {
+		t.Fatalf("header mismatch: %+v, want %+v", got, hdr)
 	}
 	var fr Frame
 	for i := range frames {

@@ -95,12 +95,12 @@ func TestRankedJSONUnderConcurrentWriters(t *testing.T) {
 		default:
 			// Reload as a follower's bootstrap would, fewer entries at new
 			// places, which also keeps the bursts from growing it far.
-			entries, seq := r.SnapshotWithSeq()
-			entries = entries[:min(len(entries), 200)]
-			for j := range entries {
-				entries[j].Coord = at(rng)
+			s := r.SnapshotSince(0)
+			s.Entries = s.Entries[:min(len(s.Entries), 200)]
+			for j := range s.Entries {
+				s.Entries[j].Coord = at(rng)
 			}
-			err = r.load(entries, nil, false, seq, r.ChangeEpoch())
+			err = r.load(&s)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -142,23 +142,18 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 	// empty registry makes it one balanced O(n log n) index build. The
 	// stream continues from the last persisted sequence — and the last
 	// persisted fencing epoch, so a promoted leader keeps fencing after a
-	// restart.
-	rec := store.Recovery()
-	if err := reg.load(recovered, nil, false, rec.LastSeq, rec.LastEpoch); err != nil {
+	// restart — with the recovered tombstone ring, which restores removal
+	// knowledge for delta re-bootstraps.
+	if err := reg.load(&recovered); err != nil {
 		reg.Close()
 		_ = store.Close()
 		return nil, fmt.Errorf("netcoord: persistent registry: recovered state rejected (was the directory written with a different -dim?): %w", err)
 	}
-	// The recovered tombstone ring restores removal knowledge for delta
-	// re-bootstraps, and only after the tap is in place may the janitor
-	// start evicting. The store consumes the stream as a tap: inline
-	// under the feed lock (hence under the registry's write lock), so
-	// the WAL misses nothing, and cheap, because Append only enqueues
-	// the frame the event already carries — the store's flusher owns the
-	// disk.
-	if floor, tombs := store.RecoveredTombstones(); len(tombs) > 0 || floor > 0 {
-		reg.feed.SeedTombstones(floor, tombs)
-	}
+	// Only after the tap is in place may the janitor start evicting. The
+	// store consumes the stream as a tap: inline under the feed lock
+	// (hence under the registry's write lock), so the WAL misses
+	// nothing, and cheap, because Append only enqueues the frame the
+	// event already carries — the store's flusher owns the disk.
 	reg.feed.Tap(func(ev changefeed.Event) { store.Append(ev.Frame()) })
 	reg.startJanitor()
 
@@ -230,16 +225,10 @@ func (p *PersistentRegistry) Compact() error { return p.compactAs("manual") }
 
 func (p *PersistentRegistry) compactAs(reason string) error {
 	return p.store.Compact(reason, func() (persist.Capture, error) {
-		// The exact pair first, the tombstone ring after it: the ring then
-		// knows every removal up to seq, and the ones it has seen past seq
-		// are replayed from the WAL tail as well, which the feed's
-		// RemovedSince (read by DeltaSince) de-duplicates. The capture
-		// also carries the fencing epoch, so promotion and delta
+		// One hold of the read lock captures entries, sequence, fencing
+		// epoch and tombstone ring together, so promotion and delta
 		// re-bootstraps survive restarts.
-		c := persist.Capture{Epoch: p.Registry.ChangeEpoch()}
-		c.Entries, c.Seq = p.Registry.SnapshotWithSeq()
-		c.TombstoneFloor, c.Tombstones = p.Registry.feed.Tombstones()
-		return c, nil
+		return p.Registry.SnapshotSince(0), nil
 	})
 }
 

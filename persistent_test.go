@@ -3,6 +3,8 @@ package netcoord
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -404,9 +406,13 @@ func TestPersistentRegistryTombstonesSurviveRestart(t *testing.T) {
 
 	p2 := openTestPR(t, dir, RegistryConfig{})
 	defer p2.Close()
-	entries, removed, _, ok := p2.DeltaSince(mark)
-	if !ok {
-		t.Fatalf("DeltaSince(%d) not provable after restart; tombstones lost", mark)
+	d := p2.SnapshotSince(mark)
+	if !d.Delta {
+		t.Fatalf("SnapshotSince(%d) not a delta after restart; tombstones lost", mark)
+	}
+	entries, removed := d.Entries, []string{}
+	for _, ts := range d.Tombstones {
+		removed = append(removed, ts.ID)
 	}
 	// Per-entry sequences are not persisted, so a recovered delta may
 	// conservatively over-include live entries — but it must never
@@ -425,6 +431,48 @@ func TestPersistentRegistryTombstonesSurviveRestart(t *testing.T) {
 	}
 	if !seen["n0"] || !seen["n1"] {
 		t.Fatalf("delta removed = %v, want n0 and n1", removed)
+	}
+}
+
+func TestPersistentRegistryWALOnlyRecoveryKnowsNothingBelowItsTail(t *testing.T) {
+	// Deleting the snapshots of a compacted directory leaves the WAL
+	// tail alone: removals before it are unknown, so a resume point
+	// below the tail must get a full snapshot, not a delta that keeps
+	// what the leader no longer has.
+	dir := t.TempDir()
+	p := openTestPR(t, dir, RegistryConfig{})
+	for i := 0; i < 8; i++ {
+		if err := p.Upsert(fmt.Sprintf("n%d", i), c3(float64(i), 0, 0), 0.1); err != nil {
+			t.Fatalf("Upsert: %v", err)
+		}
+	}
+	below := p.ChangeSeq() - 2
+	p.Remove("n7")
+	if err := p.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	tail := p.ChangeSeq()
+	p.Remove("n0")
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.ncs"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot to delete: %v %v", snaps, err)
+	}
+	for _, s := range snaps {
+		if err := os.Remove(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	p2 := openTestPR(t, dir, RegistryConfig{})
+	defer p2.Close()
+	if d := p2.SnapshotSince(below); d.Delta {
+		t.Fatalf("SnapshotSince(%d) is a delta, but the WAL tail starts after %d", below, tail)
+	}
+	if d := p2.SnapshotSince(tail); !d.Delta || len(d.Tombstones) != 1 || d.Tombstones[0].ID != "n0" {
+		t.Fatalf("SnapshotSince(%d) = delta %v, tombstones %v; want a delta removing n0", tail, d.Delta, d.Tombstones)
 	}
 }
 

@@ -456,42 +456,42 @@ func (r *Registry) Remove(id string) bool {
 	return applied
 }
 
-// load installs recovered or bootstrapped state without publishing any
-// of it — persistence recovery and a follower's (re-)bootstrap — and
-// moves the stream to seq and epoch in the same hold of the write lock,
-// so SnapshotWithSeq and DeltaSince can never pair one side of the
-// rewrite with the other. Entries keep the Seq and UpdatedAt they
-// carry: chained delta snapshots depend on per-entry sequences
-// surviving tiers.
+// load installs a snapshot without publishing any of it — persistence
+// recovery and a follower's (re-)bootstrap alike — and moves the stream
+// to its seq and epoch in the same hold of the write lock, so
+// SnapshotSince can never pair one side of the rewrite with the other.
+// Entries keep the Seq and UpdatedAt they carry: chained delta
+// snapshots depend on per-entry sequences surviving tiers.
 //
-// A full load (delta false) makes the state exactly entries, the last
-// of a repeated id winning — one balanced index build whether the
-// registry was empty or not — and restarts the stream at seq: the old
-// ring and removal knowledge no longer connect to the rewritten state,
-// so every cursor is told and its owner resyncs, the same protocol it
-// runs when it falls off the ring. A delta load leaves untouched entries in
-// place; removals apply FIRST — an id removed and later re-upserted
-// appears in both lists, and the entry (the newer state) must win —
-// and the stream keeps its tombstone depth, the delta's removed list
-// being exactly the removal knowledge for the jumped range: tiers below
-// can still repair with deltas of their own instead of cascading full
-// transfers.
+// A full snapshot makes the state exactly its entries, the last of a
+// repeated id winning — one balanced index build whether the registry
+// was empty or not — and restarts the stream at seq with the
+// snapshot's removal knowledge, floor and tombstones: the old ring no
+// longer connects to the rewritten state, so every cursor is told and
+// its owner resyncs, the same protocol it runs when it falls off the
+// ring. A delta leaves untouched entries in place; its removals apply
+// FIRST — an id removed and later re-upserted appears in both lists,
+// and the entry (the newer state) must win — and the stream keeps its
+// tombstone depth, gaining the delta's removals at their own
+// sequences. Either way a relay keeps the removal knowledge its
+// upstream had, so tiers below it repair with deltas of their own
+// instead of cascading full transfers.
 //
 // Lock order: r.mu → the feed's mu, as on every publish; the feed's
 // sinks take no lock.
-func (r *Registry) load(entries []RegistryEntry, removed []string, delta bool, seq, epoch uint64) error {
-	if err := r.validateBatch(entries); err != nil {
+func (r *Registry) load(s *RegistrySnapshot) error {
+	if err := r.validateBatch(s.Entries); err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if delta {
-		for _, id := range removed {
-			if r.tree.Remove(id) {
+	if s.Delta {
+		for _, t := range s.Tombstones {
+			if r.tree.Remove(t.ID) {
 				r.removes.Add(1)
 			}
 		}
-		for _, e := range entries {
+		for _, e := range s.Entries {
 			if slot, ok := r.tree.Lookup(e.ID); ok && r.tree.Record(slot).Coord.Equal(e.Coord) {
 				r.tree.Refresh(slot, e)
 			} else if err := r.tree.Put(e); err != nil {
@@ -499,16 +499,15 @@ func (r *Registry) load(entries []RegistryEntry, removed []string, delta bool, s
 				return fmt.Errorf("netcoord: registry load: %w", err)
 			}
 		}
-	} else if err := r.rebuildLocked(entries); err != nil {
-		return err
-	}
-	r.upserts.Add(uint64(len(entries)))
-	if delta {
-		r.feed.AdvanceTo(seq, removed)
+		r.feed.AdvanceTo(s.Seq, s.Tombstones)
 	} else {
-		r.feed.ResetTo(seq)
+		if err := r.rebuildLocked(s.Entries); err != nil {
+			return err
+		}
+		r.feed.ResetTo(s.Seq, s.TombstoneFloor, s.Tombstones)
 	}
-	r.feed.SetEpoch(epoch)
+	r.upserts.Add(uint64(len(s.Entries)))
+	r.feed.SetEpoch(s.Epoch)
 	return nil
 }
 

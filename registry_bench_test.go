@@ -230,7 +230,7 @@ func loadHeapRegistry(b *testing.B, n int) *Registry {
 		c.Height = rng.Uniform(0, 20)
 		entries[i] = RegistryEntry{ID: fmt.Sprintf("node-%07d", i), Coord: c, Error: 0.2, UpdatedAt: at, Seq: uint64(i + 1)}
 	}
-	if err := r.load(entries, nil, false, uint64(n), 0); err != nil {
+	if err := r.load(&RegistrySnapshot{Seq: uint64(n), TombstoneFloor: uint64(n), Entries: entries}); err != nil {
 		b.Fatal(err)
 	}
 	return r

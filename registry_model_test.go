@@ -1,6 +1,7 @@
 package netcoord
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"netcoord/internal/index"
+	"netcoord/internal/wire"
 	"netcoord/internal/xrand"
 )
 
@@ -19,7 +21,7 @@ import (
 // into a populated one (duplicate ids, unstamped entries, a refused
 // batch), and full and delta loads, with enough churn to set off
 // tombstone and doubling rebuilds. After every step it holds Get, Len,
-// Snapshot, the stream's sequence and DeltaSince to the model, an
+// Snapshot, the stream's sequence and SnapshotSince to the model, an
 // eviction's ids to the ones the model finds stale, and every few steps
 // kNN and radius answers to index.Brute over the model.
 func TestRegistryMatchesMapModel(t *testing.T) {
@@ -53,7 +55,7 @@ type registryModel struct {
 	entries map[string]RegistryEntry
 	seq     uint64
 	// states holds the model's state at recent sequences since the last
-	// full load, the points DeltaSince is asked to bridge.
+	// full load, the points SnapshotSince is asked to bridge.
 	states map[uint64]map[string]RegistryEntry
 
 	emptyBatches, evicted      int
@@ -259,7 +261,8 @@ func (m *registryModel) fullLoad() {
 	if !m.rng.Bernoulli(0.25) {
 		entries = m.loadEntries(m.rng.Intn(2*modelIDs), 1, seq)
 	}
-	if err := m.r.load(entries, nil, false, seq, m.r.ChangeEpoch()); err != nil {
+	// A snapshot that knows no removals below its own sequence.
+	if err := m.r.load(&RegistrySnapshot{Seq: seq, Epoch: m.r.ChangeEpoch(), TombstoneFloor: seq, Entries: entries}); err != nil {
 		m.t.Fatalf("full load: %v", err)
 	}
 	m.entries = map[string]RegistryEntry{}
@@ -274,24 +277,27 @@ func (m *registryModel) fullLoad() {
 	}
 }
 
-// deltaLoad applies a delta snapshot: removals first, then entries
-// changed after the current sequence, up to the delta's.
+// deltaLoad applies a delta snapshot: removals first, each at its own
+// sequence, then entries changed after the current sequence, up to the
+// delta's.
 func (m *registryModel) deltaLoad() {
 	seq := m.seq + 1 + m.rng.Uint64()%20
-	var removed []string
+	var tombs []wire.Tombstone
 	for range m.rng.Intn(8) {
+		t := wire.Tombstone{Seq: m.seq + 1 + m.rng.Uint64()%(seq-m.seq), ID: m.id()}
 		if id := m.present(); id != "" && m.rng.Bernoulli(0.8) {
-			removed = append(removed, id)
-		} else {
-			removed = append(removed, m.id())
+			t.ID = id
 		}
+		tombs = append(tombs, t)
 	}
+	slices.SortStableFunc(tombs, func(a, b wire.Tombstone) int { return cmp.Compare(a.Seq, b.Seq) })
 	entries := m.loadEntries(m.rng.Intn(30), m.seq+1, seq)
-	if err := m.r.load(entries, removed, true, seq, m.r.ChangeEpoch()); err != nil {
+	d := RegistrySnapshot{Seq: seq, Epoch: m.r.ChangeEpoch(), Delta: true, TombstoneFloor: m.seq, Tombstones: tombs, Entries: entries}
+	if err := m.r.load(&d); err != nil {
 		m.t.Fatalf("delta load: %v", err)
 	}
-	for _, id := range removed {
-		delete(m.entries, id)
+	for _, t := range tombs {
+		delete(m.entries, t.ID)
 	}
 	for _, e := range entries {
 		m.entries[e.ID] = e
@@ -346,22 +352,24 @@ func (m *registryModel) check(step int) {
 	}
 }
 
-// checkDelta asks DeltaSince to bridge from a recorded state to now:
-// its entries must be exactly those changed since, and applying it to
-// the state it starts from must give the current one. A since past the
-// stream's sequence must be refused.
+// checkDelta asks SnapshotSince to bridge from a recorded state to
+// now: its entries must be exactly those changed since, its tombstones
+// removals after since, and applying it to the state it starts from
+// must give the current one. A since past the stream's sequence, or
+// since 0, gets the full state.
 func (m *registryModel) checkDelta(step int) {
 	t := m.t
 	t.Helper()
-	if _, _, _, ok := m.r.DeltaSince(m.seq + 1); ok {
-		t.Fatalf("step %d: DeltaSince(%d) past seq %d answered", step, m.seq+1, m.seq)
+	if d := m.r.SnapshotSince(m.seq + 1); d.Delta {
+		t.Fatalf("step %d: SnapshotSince(%d) past seq %d answered a delta", step, m.seq+1, m.seq)
 	}
 	sinces := slices.Sorted(maps.Keys(m.states))
 	since := sinces[m.rng.Intn(len(sinces))]
-	entries, removed, seq, ok := m.r.DeltaSince(since)
-	if !ok || seq != m.seq {
-		t.Fatalf("step %d: DeltaSince(%d) = seq %d ok %v, want seq %d ok", step, since, seq, ok, m.seq)
+	d := m.r.SnapshotSince(since)
+	if d.Delta != (since > 0) || d.Seq != m.seq {
+		t.Fatalf("step %d: SnapshotSince(%d) = seq %d delta %v, want seq %d delta %v", step, since, d.Seq, d.Delta, m.seq, since > 0)
 	}
+	entries := d.Entries
 	var changed []string
 	for id, e := range m.entries {
 		if e.Seq > since {
@@ -370,20 +378,23 @@ func (m *registryModel) checkDelta(step int) {
 	}
 	slices.Sort(changed)
 	if len(entries) != len(changed) {
-		t.Fatalf("step %d: DeltaSince(%d) has %d entries, want %d", step, since, len(entries), len(changed))
+		t.Fatalf("step %d: SnapshotSince(%d) has %d entries, want %d", step, since, len(entries), len(changed))
 	}
 	state := maps.Clone(m.states[since])
-	for _, id := range removed {
-		delete(state, id)
+	for _, ts := range d.Tombstones {
+		if d.Delta && (ts.Seq <= since || ts.Seq > m.seq) {
+			t.Fatalf("step %d: SnapshotSince(%d) to %d carries tombstone %+v", step, since, m.seq, ts)
+		}
+		delete(state, ts.ID)
 	}
 	for i, e := range entries {
 		if e.ID != changed[i] || !sameEntry(e, m.entries[e.ID]) {
-			t.Fatalf("step %d: DeltaSince(%d) entry %d is %+v, want %+v", step, since, i, e, m.entries[changed[i]])
+			t.Fatalf("step %d: SnapshotSince(%d) entry %d is %+v, want %+v", step, since, i, e, m.entries[changed[i]])
 		}
 		state[e.ID] = e
 	}
 	if !maps.EqualFunc(state, m.entries, sameEntry) {
-		t.Fatalf("step %d: state at %d plus DeltaSince(%d) is not the state at %d", step, since, since, m.seq)
+		t.Fatalf("step %d: state at %d plus SnapshotSince(%d) is not the state at %d", step, since, since, m.seq)
 	}
 }
 
