@@ -158,8 +158,7 @@ func TestEvictionsArePublishedWithIDs(t *testing.T) {
 	var offset atomic.Int64
 	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
 	r := newTestRegistry(t, RegistryConfig{
-		TTL:                time.Hour,
-		JanitorInterval:    24 * time.Hour, // sweep manually
+		TTL:                time.Hour, // the janitor never ticks: sweep manually
 		Clock:              clock,
 		ChangeStreamBuffer: 128,
 	})
@@ -207,7 +206,6 @@ func TestConcurrentWatchStress(t *testing.T) {
 	// the whole history reads back dense.
 	r := newTestRegistry(t, RegistryConfig{
 		TTL:                time.Millisecond,
-		JanitorInterval:    time.Millisecond,
 		ChangeStreamBuffer: 1 << 15,
 	})
 
@@ -415,7 +413,6 @@ func TestCompactionTriggersOnWALGrowth(t *testing.T) {
 		Dir:              dir,
 		SnapshotInterval: time.Hour, // the timer will never fire in this test
 		CompactWALBytes:  8 << 10,   // ~8KiB: a small storm crosses it
-		NoSync:           true,
 	})
 	if err != nil {
 		t.Fatalf("OpenPersistentRegistry: %v", err)

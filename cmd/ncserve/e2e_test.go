@@ -3,11 +3,15 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"syscall"
@@ -432,6 +436,40 @@ func TestRemovedReplicationFlagsAreNotDefined(t *testing.T) {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("run(%q) = %v, want flag's not-defined error", args, err)
+		}
+	}
+}
+
+// TestREADMENamesEveryFlag: every flag run defines is documented in
+// README.md. The flag set's own usage text (what -h prints) lists them.
+func TestREADMENamesEveryFlag(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	runErr := run([]string{"-h"})
+	os.Stderr = stderr
+	_ = w.Close()
+	usage, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", runErr)
+	}
+	names := regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(string(usage), -1)
+	if len(names) < 10 {
+		t.Fatalf("usage lists %d flags, want every one run defines:\n%s", len(names), usage)
+	}
+	for _, m := range names {
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(m[1]) + `([^\w-]|$)`).Match(readme) {
+			t.Errorf("README.md does not name the ncserve flag -%s", m[1])
 		}
 	}
 }

@@ -20,15 +20,14 @@ import (
 	"netcoord/internal/wire"
 )
 
-// Follower retry policy: capped jittered exponential backoff, the same
-// shape the serving layer's hub re-attach loop uses. The base is
-// the first sleep after an error; every consecutive failure doubles it
-// up to the cap, and each sleep is jittered across its upper half so a
-// fleet of followers orphaned by one leader death does not reconnect in
-// lockstep.
+// Follower retry policy: capped jittered exponential backoff. The base
+// is the first sleep after an error; every consecutive failure doubles
+// it up to the cap, and each sleep is jittered across its upper half so
+// a fleet of followers orphaned by one leader death does not reconnect
+// in lockstep.
 const (
-	DefaultFollowerRetryBase = 50 * time.Millisecond
-	followerRetryMax         = 5 * time.Second
+	followerRetryBase = 50 * time.Millisecond
+	followerRetryMax  = 5 * time.Second
 	// followerDialTimeout bounds connection establishment; a partitioned
 	// upstream fails fast instead of consuming a kernel-default TCP
 	// timeout per attempt.
@@ -56,8 +55,8 @@ type FollowerConfig struct {
 	// from its applied sequence (or a delta re-bootstrap) across the
 	// boundary.
 	Upstreams []string
-	// Registry configures the local replica. TTL and JanitorInterval
-	// are ignored (forced off): evictions are the leader's decision and
+	// Registry configures the local replica. TTL is ignored (forced
+	// off, so no janitor runs): evictions are the leader's decision and
 	// arrive through the stream — a follower evicting on its own clock
 	// would diverge. ChangeStreamBuffer sizes the replica's ring, as it
 	// does any registry's: its one feed carries every applied event under
@@ -73,14 +72,6 @@ type FollowerConfig struct {
 	// whose header carries the epoch, comes when the window closes.
 	// 0 means 25s.
 	WaitTimeout time.Duration
-	// RetryInterval is the backoff BASE after an error: the first sleep,
-	// doubled per consecutive failure up to 5s, jittered. 0 means
-	// DefaultFollowerRetryBase (50ms).
-	RetryInterval time.Duration
-	// HTTPClient overrides the default client (which has a dial timeout
-	// and a response-header timeout sized to the stream window, but no
-	// overall timeout — streams hold connections open deliberately).
-	HTTPClient *http.Client
 }
 
 // FollowerStats reports a follower's replication position — the
@@ -171,7 +162,7 @@ var ErrNotPromotable = errors.New("netcoord: follower: already promoted")
 // upstream writes each newly published range as a batch — applying
 // each batch's upserts, removes, and evictions as it arrives, in leader
 // order with UpdatedAt timestamps preserved bit-identically.
-// If it falls further behind than the leader retains (ring + WAL), it
+// If it falls further behind than the leader's ring retains, it
 // re-bootstraps automatically — fetching only the entries changed since
 // its applied sequence when the leader can serve a delta.
 //
@@ -216,7 +207,6 @@ type FollowerRegistry struct {
 	active    atomic.Int32
 	client    *http.Client
 	wait      time.Duration
-	retry     time.Duration
 
 	leaderSeq      atomic.Uint64
 	framesReceived atomic.Uint64
@@ -258,7 +248,6 @@ type FollowerRegistry struct {
 // sequence space.
 func newReplicaRegistry(cfg RegistryConfig) (*Registry, error) {
 	cfg.TTL = 0
-	cfg.JanitorInterval = 0
 	reg, err := NewRegistry(cfg)
 	if err != nil {
 		return nil, err
@@ -292,23 +281,18 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 	if wait <= 0 {
 		wait = 25 * time.Second
 	}
-	retry := cfg.RetryInterval
-	if retry <= 0 {
-		retry = DefaultFollowerRetryBase
-	}
-	client := cfg.HTTPClient
-	if client == nil {
-		client = &http.Client{
-			Transport: &http.Transport{
-				DialContext: (&net.Dialer{
-					Timeout: followerDialTimeout,
-				}).DialContext,
-				// A wedged upstream must fail the stream shortly after
-				// its window, not hold a goroutine hostage.
-				ResponseHeaderTimeout: wait + followerHeaderSlack,
-				MaxIdleConnsPerHost:   4,
-			},
-		}
+	// The client has no overall timeout: a stream holds its connection
+	// open deliberately.
+	client := &http.Client{
+		Transport: &http.Transport{
+			DialContext: (&net.Dialer{
+				Timeout: followerDialTimeout,
+			}).DialContext,
+			// A wedged upstream must fail the stream shortly after its
+			// window, not hold a goroutine hostage.
+			ResponseHeaderTimeout: wait + followerHeaderSlack,
+			MaxIdleConnsPerHost:   4,
+		},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &FollowerRegistry{
@@ -316,7 +300,6 @@ func StartFollower(cfg FollowerConfig) (*FollowerRegistry, error) {
 		upstreams: upstreams,
 		client:    client,
 		wait:      wait,
-		retry:     retry,
 		applyLag:  telemetry.NewHistogram(),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -474,7 +457,7 @@ func (f *FollowerRegistry) Close() {
 // either is pure unavailability.
 func (f *FollowerRegistry) tail() {
 	defer f.wg.Done()
-	backoff := f.retry
+	backoff := followerRetryBase
 	consecutive := 0
 	for f.ctx.Err() == nil {
 		err := f.streamOnce()
@@ -493,7 +476,7 @@ func (f *FollowerRegistry) tail() {
 				f.reconnects.Add(1)
 			}
 			consecutive = 0
-			backoff = f.retry
+			backoff = followerRetryBase
 		case errors.Is(err, errStaleEpoch), errors.Is(err, errNotFrames):
 			f.noteErr(err)
 			f.rotateUpstream()
@@ -583,11 +566,11 @@ func (f *FollowerRegistry) streamOnce() error {
 }
 
 // ingest reads /changes batches off body until it ends, fencing and
-// applying each as it arrives; an upstream that predates streaming
-// sends one. Each event keeps a view of its own frame bytes in the
-// follower's slab, so when the feed fans it out to the next tier it
-// forwards the leader's bytes verbatim — the decode here is for
-// applying, never for re-encoding. A batch cut short applies nothing.
+// applying each as it arrives; a body carries at least one. Each event
+// keeps a view of its own frame bytes in the follower's slab, so when
+// the feed fans it out to the next tier it forwards the leader's bytes
+// verbatim — the decode here is for applying, never for re-encoding. A
+// batch cut short applies nothing.
 func (f *FollowerRegistry) ingest(body io.Reader) error {
 	r := wire.NewReader(body, 0)
 	var events []ChangeEvent

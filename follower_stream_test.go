@@ -95,7 +95,7 @@ func startStreamFollower(t *testing.T, ups ...*streamUpstream) *FollowerRegistry
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	f, err := StartFollower(FollowerConfig{Upstreams: urls, WaitTimeout: 25 * time.Second, RetryInterval: 10 * time.Millisecond})
+	f, err := StartFollower(FollowerConfig{Upstreams: urls, WaitTimeout: 25 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

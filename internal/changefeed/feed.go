@@ -19,7 +19,7 @@
 //     every mutation path, under the publishing registry's write lock.
 //   - Readers re-read history: Since serves the ring of recent events
 //     and reports when it no longer reaches back far enough, so the
-//     caller falls back to WAL replay or a snapshot. A Cursor is a sink
+//     caller re-bootstraps from a snapshot. A Cursor is a sink
 //     that wakes its owner plus a ring-only read, which reports a
 //     position the ring has overwritten, or a stream restarted under
 //     it, so the owner resyncs from current state.
@@ -61,20 +61,9 @@ const (
 	evictChunkBytes = 256 << 10
 )
 
-// frameChunk sizes the slabs publish carves frame bytes from: the ring
-// has to keep every event's frame, and one allocation per slab (some
-// 700 heartbeat frames) instead of one per event keeps the mutation
-// path allocation-free. frameRoom is the free space below which a new
-// slab is started; a frame larger than what is left (an eviction chunk)
-// grows the slab the way append does.
-const (
-	frameChunk = 64 << 10
-	frameRoom  = 256
-)
-
 // ErrTruncated is returned by Since when the ring no longer holds the
-// requested resume point; the caller must replay deeper history (the
-// WAL) or re-bootstrap from a snapshot.
+// requested resume point; the ring is the only history, so the caller
+// must re-bootstrap from a snapshot.
 var ErrTruncated = errors.New("changefeed: history truncated (resume point older than the ring)")
 
 // ErrReset is returned by Cursor.Read when the stream was restarted
@@ -127,8 +116,8 @@ type Stats struct {
 // safe for concurrent use.
 type Feed struct {
 	mu     sync.Mutex
-	seq    uint64 // last assigned, guarded by mu; mirrored in seqAtomic
-	chunk  []byte // frame slab publish is appending to; guarded by mu
+	seq    uint64    // last assigned, guarded by mu; mirrored in seqAtomic
+	slab   wire.Slab // the frame bytes publish encodes; guarded by mu
 	ring   []Event
 	next   int             // ring slot the next event lands in
 	len    int             // live events in the ring
@@ -427,12 +416,7 @@ func (f *Feed) publish(ev Event) uint64 {
 		// that merely retains a ring at its bare mutation cost. An event
 		// the frame cannot carry (an id or dimension past the wire's
 		// bounds, which registry owners reject up front) goes without too.
-		if cap(f.chunk)-len(f.chunk) < frameRoom {
-			f.chunk = make([]byte, 0, frameChunk) //nc:allow(hotpath) one slab per ~700 published events; it is what keeps the per-event frame bytes off the allocator
-		}
-		if chunk, err := ev.Encode(f.chunk); err == nil {
-			f.chunk = chunk
-		}
+		_ = f.slab.Encode(&ev)
 	}
 	f.seqAtomic.Store(f.seq)
 	f.appendLocked(ev)
@@ -443,10 +427,9 @@ func (f *Feed) publish(ev Event) uint64 {
 
 // Since returns up to max events with sequence > since, oldest first,
 // served from the in-memory ring. It returns ErrTruncated when the
-// ring no longer reaches back to since+1 — the caller must then replay
-// the WAL (or re-bootstrap from a snapshot) instead. A since at or
-// beyond the current sequence returns an empty slice. max <= 0 means
-// no limit.
+// ring no longer reaches back to since+1 — the caller must then
+// re-bootstrap from a snapshot instead. A since at or beyond the
+// current sequence returns an empty slice. max <= 0 means no limit.
 func (f *Feed) Since(since uint64, max int) ([]Event, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -3,6 +3,7 @@ package changefeed
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -815,5 +816,53 @@ func TestPublishEncodesOnce(t *testing.T) {
 	}
 	if got[1].Frame() != nil {
 		t.Fatal("relay encoded an event that arrived without a frame")
+	}
+}
+
+// TestSlabRolloverKeepsEveryFrame publishes upserts, removes and
+// evictions (one eviction frame larger than a whole slab chunk) until
+// the publish slab has started several chunks, then checks that every
+// ring event's frame still decodes to that event: no frame was written
+// over or cut when a chunk filled.
+func TestSlabRolloverKeepsEveryFrame(t *testing.T) {
+	const ring = 4096
+	f := New(ring, 0)
+	var framed int
+	f.Tap(func(Event) { framed++ }) // someone is listening, so events carry frames
+	long := func(prefix string, i int) string { return fmt.Sprintf("%s-%0130d", prefix, i) }
+	var bytes int
+	for i := 0; f.Seq() < ring-8; i++ {
+		switch {
+		case i%97 == 96:
+			ids := make([]string, evictChunk)
+			for j := range ids {
+				ids[j] = long("gone", i*evictChunk+j)
+			}
+			f.PublishEvict(ids)
+		case i%5 == 4:
+			f.PublishRemove(long("node", i-1))
+		default:
+			f.PublishUpsert(upsert(long("node", i), float64(i)))
+		}
+	}
+	evs, err := f.Since(0, 0)
+	if err != nil || len(evs) != int(f.Seq()) || framed != len(evs) {
+		t.Fatalf("Since: %d events (tapped %d), %v; want %d", len(evs), framed, err, f.Seq())
+	}
+	for i, ev := range evs {
+		frame := ev.Frame()
+		bytes += len(frame)
+		back, n, err := wire.DecodeEvent(frame)
+		if err != nil || n != len(frame) || len(frame) != cap(frame) {
+			t.Fatalf("event %d: frame of %d bytes (cap %d) decodes %d: %v", i, len(frame), cap(frame), n, err)
+		}
+		if back.Seq != ev.Seq || back.Op != ev.Op || back.PubNs != ev.PubNs || back.Epoch != ev.Epoch ||
+			back.ID != ev.ID || !slices.Equal(back.IDs, ev.IDs) || back.Entry.ID != ev.Entry.ID ||
+			!back.Entry.Coord.Equal(ev.Entry.Coord) || back.Entry.Seq != ev.Entry.Seq {
+			t.Fatalf("event %d: frame decodes to %+v, want %+v", i, back, ev)
+		}
+	}
+	if bytes < 3*(64<<10) {
+		t.Fatalf("published %d frame bytes: fewer than three slab chunks, no rollover tested", bytes)
 	}
 }

@@ -33,12 +33,20 @@ func (c Coordinate) Encode(dst []byte) ([]byte, error) {
 	if c.Dim() > MaxDimension {
 		return nil, fmt.Errorf("%w: dimension %d exceeds wire maximum %d", ErrInvalid, c.Dim(), MaxDimension)
 	}
+	return c.AppendLayout(dst), nil
+}
+
+// AppendLayout appends the binary layout of c to dst and returns the
+// extended slice. It cannot fail: the caller has checked that c.Dim()
+// is at most MaxDimension, as Encode does.
+//
+//nc:hotpath
+func (c Coordinate) AppendLayout(dst []byte) []byte {
 	dst = append(dst, byte(c.Dim()))
 	for _, comp := range c.Vec {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(comp))
 	}
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Height))
-	return dst, nil
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Height))
 }
 
 // Decode parses a coordinate from the front of src, returning the

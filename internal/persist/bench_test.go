@@ -15,7 +15,7 @@ import (
 func BenchmarkWALReplay(b *testing.B) {
 	const n = 100_000
 	dir := b.TempDir()
-	s, _, err := Open(dir, Options{NoSync: true, FlushInterval: time.Hour})
+	s, _, err := Open(dir, Options{FlushInterval: time.Hour})
 	if err != nil {
 		b.Fatalf("Open: %v", err)
 	}
@@ -56,7 +56,7 @@ func BenchmarkWALReplay(b *testing.B) {
 // the write lock.
 func BenchmarkLogUpsert(b *testing.B) {
 	dir := b.TempDir()
-	s, _, err := Open(dir, Options{NoSync: true, FlushInterval: 10 * time.Millisecond})
+	s, _, err := Open(dir, Options{FlushInterval: 10 * time.Millisecond})
 	if err != nil {
 		b.Fatalf("Open: %v", err)
 	}

@@ -214,7 +214,7 @@ func TestOpenNormalisesUnsortedSnapshot(t *testing.T) {
 		testEntry("m", 6, 60), // repeats m: this one is kept
 		testEntry("x", 7, 70), // repeats x, then the tail removes it
 	}}
-	if err := writeSnapshot(dir, 1, c, true); err != nil {
+	if err := writeSnapshot(dir, 1, c); err != nil {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
 	ref := newReplayRef()

@@ -58,7 +58,7 @@ func (e *crcWriter) Write(b []byte) (int, error) {
 }
 
 // writeSnapshot durably writes a state capture as the snapshot for gen.
-func writeSnapshot(dir string, gen uint64, cap Capture, nosync bool) error {
+func writeSnapshot(dir string, gen uint64, cap Capture) error {
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return fmt.Errorf("persist: snapshot temp: %w", err)
@@ -76,11 +76,9 @@ func writeSnapshot(dir string, gen uint64, cap Capture, nosync bool) error {
 		_ = tmp.Close()
 		return fmt.Errorf("persist: write snapshot: %w", err)
 	}
-	if !nosync {
-		if err := tmp.Sync(); err != nil {
-			_ = tmp.Close()
-			return fmt.Errorf("persist: sync snapshot: %w", err)
-		}
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return fmt.Errorf("persist: sync snapshot: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("persist: close snapshot: %w", err)
@@ -88,12 +86,7 @@ func writeSnapshot(dir string, gen uint64, cap Capture, nosync bool) error {
 	if err := os.Rename(tmp.Name(), snapPath(dir, gen)); err != nil {
 		return fmt.Errorf("persist: publish snapshot: %w", err)
 	}
-	if !nosync {
-		if err := syncDir(dir); err != nil {
-			return err
-		}
-	}
-	return nil
+	return syncDir(dir)
 }
 
 // loadSnapshot reads and verifies the snapshot for gen. Its entries

@@ -26,7 +26,7 @@ func TestSnapshotFileLayoutGolden(t *testing.T) {
 			{ID: "b", Coord: coord.New(3, 4, 5), Error: 1, UpdatedAt: time.Unix(1_700_000_001, 0), Seq: 41},
 		},
 	}
-	if err := writeSnapshot(dir, 5, c, true); err != nil {
+	if err := writeSnapshot(dir, 5, c); err != nil {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
 	data, err := os.ReadFile(snapPath(dir, 5))

@@ -24,9 +24,6 @@ type Options struct {
 	// durable at most this long after Append returns. 0 means
 	// DefaultFlushInterval.
 	FlushInterval time.Duration
-	// NoSync skips every fsync. Only for tests: a crash can then lose
-	// arbitrarily much, not just the flush window.
-	NoSync bool
 }
 
 // Store defaults.
@@ -315,7 +312,7 @@ func Open(dir string, opts Options) (*Store, Capture, error) {
 			// already stopped at the bad record; later generations are
 			// still applied — their records are newer last-write-wins
 			// state.
-			if err := quarantineWAL(walPath(dir, gen), rep.validSize, opts.NoSync); err != nil {
+			if err := quarantineWAL(walPath(dir, gen), rep.validSize); err != nil {
 				return nil, Capture{}, err
 			}
 			s.recovery.QuarantinedWALs++
@@ -337,14 +334,14 @@ func Open(dir string, opts Options) (*Store, Capture, error) {
 	// Open the newest generation for append (truncating any torn
 	// tail), or start a fresh one.
 	if activeExists && activeRep.validSize >= walHeaderSize {
-		f, err := openWALForAppend(walPath(dir, activeGen), activeRep.validSize, opts.NoSync)
+		f, err := openWALForAppend(walPath(dir, activeGen), activeRep.validSize)
 		if err != nil {
 			return nil, Capture{}, err
 		}
 		s.walFile = f
 		s.walBytes.Store(activeRep.validSize)
 	} else {
-		f, err := createWAL(dir, activeGen, opts.NoSync)
+		f, err := createWAL(dir, activeGen)
 		if err != nil {
 			return nil, Capture{}, err
 		}
@@ -422,7 +419,7 @@ func (s *Store) QuarantineErr() error { return s.quarantineErr }
 // which scanDir ignores) and rewrites its valid prefix at the original
 // path, so the clean records stay replayable on the next restart while
 // the damaged bytes are preserved for forensics.
-func quarantineWAL(path string, validSize int64, nosync bool) error {
+func quarantineWAL(path string, validSize int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("persist: quarantine read: %w", err)
@@ -441,21 +438,14 @@ func quarantineWAL(path string, validSize int64, nosync bool) error {
 		_ = f.Close()
 		return fmt.Errorf("persist: quarantine rewrite: %w", err)
 	}
-	if !nosync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("persist: quarantine sync: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("persist: quarantine sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("persist: quarantine close: %w", err)
 	}
-	if !nosync {
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
 // Stats snapshots operational counters.
@@ -605,7 +595,7 @@ func (s *Store) flushLocked() error {
 		s.walBytes.Add(int64(len(data)))
 		s.dirty = true
 	}
-	if s.dirty && !s.opts.NoSync {
+	if s.dirty {
 		syncStart := time.Now()
 		if err := f.Sync(); err != nil {
 			// Page-cache bytes that never reached the platter are lost
@@ -617,8 +607,7 @@ func (s *Store) flushLocked() error {
 		s.syncs.Add(1)
 	}
 	s.dirty = false
-	// Only now — after the batch is durable (or fsync is disabled) —
-	// does it count as written.
+	// Only now — after the batch is durable — does it count as written.
 	if n > 0 {
 		s.walRecords.Add(uint64(n))
 		s.walGenRecords.Add(uint64(n))
@@ -687,7 +676,7 @@ func (s *Store) compact(capture func() (Capture, error)) error {
 	s.mu.Lock()
 	newGen := s.gen + 1
 	s.mu.Unlock()
-	f, err := createWAL(s.dir, newGen, s.opts.NoSync)
+	f, err := createWAL(s.dir, newGen)
 	if err != nil {
 		s.ioMu.Unlock()
 		return err
@@ -710,7 +699,7 @@ func (s *Store) compact(capture func() (Capture, error)) error {
 		// replays both generations, so nothing is lost.
 		return fmt.Errorf("persist: compaction capture: %w", err)
 	}
-	if err := writeSnapshot(s.dir, newGen, captured, s.opts.NoSync); err != nil {
+	if err := writeSnapshot(s.dir, newGen, captured); err != nil {
 		return err
 	}
 	s.removeObsolete(newGen)

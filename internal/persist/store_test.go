@@ -17,10 +17,10 @@ import (
 	"netcoord/internal/wire"
 )
 
-// testOptions makes tests fast and deterministic: no fsync, immediate
-// visibility via explicit Sync calls.
+// testOptions makes tests deterministic: no timer flushes, so records
+// become durable only through explicit Sync or Close calls.
 func testOptions() Options {
-	return Options{FlushInterval: time.Hour, NoSync: true}
+	return Options{FlushInterval: time.Hour}
 }
 
 func testEntry(id string, x float64, at int64) Entry {
@@ -130,6 +130,12 @@ func TestStoreCompactionAndRestart(t *testing.T) {
 	logRemove(s, "n000")
 	logUpsert(s, testEntry("n001", 99, 999))
 	logUpsert(s, testEntry("new", 7, 777))
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if st := s.Stats(); st.Syncs == 0 {
+		t.Fatalf("Syncs = 0 after a flush: %+v", st)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -437,13 +443,13 @@ func TestRecoveryCorruptSnapshotFallsBackAGeneration(t *testing.T) {
 	}
 	// Manufacture the crash-mid-compaction layout: snap-1 (valid),
 	// wal-1 (a, b), snap-2 (will be corrupted), wal-2 (c).
-	if err := writeSnapshot(dir, 1, Capture{}, true); err != nil {
+	if err := writeSnapshot(dir, 1, Capture{}); err != nil {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
-	if err := writeSnapshot(dir, 2, Capture{Seq: 2, Entries: []Entry{testEntry("a", 1, 100), testEntry("b", 2, 200)}}, true); err != nil {
+	if err := writeSnapshot(dir, 2, Capture{Seq: 2, Entries: []Entry{testEntry("a", 1, 100), testEntry("b", 2, 200)}}); err != nil {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
-	f, err := createWAL(dir, 2, true)
+	f, err := createWAL(dir, 2)
 	if err != nil {
 		t.Fatalf("createWAL: %v", err)
 	}
@@ -888,50 +894,4 @@ func TestWALWriteFailureIsStickyAndCounted(t *testing.T) {
 	if rec := s2.Recovery(); rec.WALRecords != durable {
 		t.Fatalf("replayed %d records, want the %d durable ones", rec.WALRecords, durable)
 	}
-}
-
-func TestRecoveryWithSyncOn(t *testing.T) {
-	// Every other test runs with NoSync; this one fsyncs the WAL and the
-	// directory (snapshot rename, new generation) through a compaction.
-	dir := t.TempDir()
-	opts := testOptions()
-	opts.NoSync = false
-	s, _, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	var state []Entry
-	for i := 0; i < 10; i++ {
-		e := testEntry(fmt.Sprintf("n%02d", i), float64(i), int64(i+1))
-		state = append(state, e)
-		logUpsert(s, e)
-	}
-	if err := s.Compact("manual", func() (Capture, error) {
-		return Capture{Entries: state, Seq: testSeqCounter.Load(), Epoch: 1}, nil
-	}); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	logRemove(s, "n00")
-	logUpsert(s, testEntry("n05", 50, 500))
-	logUpsert(s, testEntry("n10", 10, 11))
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if st := s.Stats(); st.Syncs == 0 {
-		t.Fatalf("Syncs = 0 with sync on: %+v", st)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2, recovered, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	want := append([]Entry(nil), state[1:5]...)
-	want = append(want, testEntry("n05", 50, 500))
-	want = append(want, state[6:]...)
-	want = append(want, testEntry("n10", 10, 11))
-	entriesEqual(t, recovered.Entries, want)
 }

@@ -79,7 +79,7 @@ func walPath(dir string, gen uint64) string {
 // createWAL creates (truncating) a new WAL file for gen and writes its
 // header. The header is flushed immediately so a generation file is
 // never ambiguous on disk.
-func createWAL(dir string, gen uint64, nosync bool) (*os.File, error) {
+func createWAL(dir string, gen uint64) (*os.File, error) {
 	f, err := os.OpenFile(walPath(dir, gen), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: create wal: %w", err)
@@ -91,19 +91,17 @@ func createWAL(dir string, gen uint64, nosync bool) (*os.File, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("persist: write wal header: %w", err)
 	}
-	if !nosync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("persist: sync wal header: %w", err)
-		}
-		// The dirent must be journaled too: without a directory sync a
-		// power loss can drop the whole generation file, losing every
-		// record fsynced into it — far more than the flush window the
-		// durability contract allows.
-		if err := syncDir(dir); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("persist: sync wal header: %w", err)
+	}
+	// The dirent must be journaled too: without a directory sync a
+	// power loss can drop the whole generation file, losing every
+	// record fsynced into it — far more than the flush window the
+	// durability contract allows.
+	if err := syncDir(dir); err != nil {
+		_ = f.Close()
+		return nil, err
 	}
 	return f, nil
 }
@@ -200,7 +198,7 @@ func replayWAL(path string, wantGen uint64, apply func(wire.Event)) (walReplay, 
 // openWALForAppend opens an existing WAL whose valid prefix is
 // validSize bytes, truncating any torn tail so new records extend the
 // last complete one.
-func openWALForAppend(path string, validSize int64, nosync bool) (*os.File, error) {
+func openWALForAppend(path string, validSize int64) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open wal: %w", err)
@@ -213,11 +211,9 @@ func openWALForAppend(path string, validSize int64, nosync bool) (*os.File, erro
 		_ = f.Close()
 		return nil, fmt.Errorf("persist: seek wal: %w", err)
 	}
-	if !nosync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("persist: sync truncated wal: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("persist: sync truncated wal: %w", err)
 	}
 	return f, nil
 }

@@ -31,9 +31,8 @@ func proxyFor(t *testing.T, tsURL string, opts faultproxy.Options) *faultproxy.P
 func startUpstreamsFollower(t *testing.T, upstreams ...string) *netcoord.FollowerRegistry {
 	t.Helper()
 	f, err := netcoord.StartFollower(netcoord.FollowerConfig{
-		Upstreams:     upstreams,
-		WaitTimeout:   200 * time.Millisecond,
-		RetryInterval: 10 * time.Millisecond,
+		Upstreams:   upstreams,
+		WaitTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("StartFollower: %v", err)

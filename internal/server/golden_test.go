@@ -30,7 +30,7 @@ func TestGoldenJSONBodies(t *testing.T) {
 	clock := func() time.Time {
 		return time.Unix(1_700_000_000, 0).Add(time.Duration(tick.Add(1)) * time.Millisecond)
 	}
-	ts, reg := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: 64, Clock: clock, TTL: time.Hour, JanitorInterval: 24 * time.Hour})
+	ts, reg := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: 64, Clock: clock, TTL: time.Hour})
 	for _, body := range []string{
 		`{"id":"a","coord":{"vec":[1.5,-2.25,0.001]},"error":0.25}`,
 		`{"id":"b","coord":{"vec":[1e21,1e-7,3],"height":0.5}}`,

@@ -31,8 +31,11 @@ type routeMetrics struct {
 	bytesOut *telemetry.Counter
 }
 
-// newServerMetrics wires the owned HTTP instruments into reg.
-func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
+// newServerMetrics wires the owned HTTP instruments into a registry of
+// their own: every server keeps separate series, so a leader and a
+// follower in one process do not mix.
+func newServerMetrics() *serverMetrics {
+	reg := telemetry.NewRegistry()
 	return &serverMetrics{
 		registry: reg,
 		inflight: reg.Gauge("netcoord_http_inflight_requests",

@@ -151,10 +151,9 @@ func TestSnapshotPairIsExact(t *testing.T) {
 	const ops = 20_000
 	leaderTS, leader := newTestServiceReg(t, netcoord.RegistryConfig{ChangeStreamBuffer: ring})
 	f, err := netcoord.StartFollower(netcoord.FollowerConfig{
-		Upstreams:     []string{leaderTS.URL},
-		Registry:      netcoord.RegistryConfig{ChangeStreamBuffer: ring},
-		WaitTimeout:   200 * time.Millisecond,
-		RetryInterval: 20 * time.Millisecond,
+		Upstreams:   []string{leaderTS.URL},
+		Registry:    netcoord.RegistryConfig{ChangeStreamBuffer: ring},
+		WaitTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("StartFollower: %v", err)

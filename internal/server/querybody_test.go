@@ -300,7 +300,7 @@ func TestUpsertAckMatchesStdlib(t *testing.T) {
 		}
 	}
 	// Through the handler, on a persistent leader fenced to epoch 1.
-	pr, err := netcoord.OpenPersistentRegistry(netcoord.PersistentRegistryConfig{Dir: t.TempDir(), SnapshotInterval: -1, NoSync: true})
+	pr, err := netcoord.OpenPersistentRegistry(netcoord.PersistentRegistryConfig{Dir: t.TempDir(), SnapshotInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

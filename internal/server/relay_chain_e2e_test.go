@@ -54,7 +54,7 @@ func changesStatus(t *testing.T, base string, since uint64, format string) int {
 func TestRelayChainE2E(t *testing.T) {
 	dir := t.TempDir()
 	openLeader := func() (*netcoord.PersistentRegistry, *httptest.Server, func()) {
-		pr, err := netcoord.OpenPersistentRegistry(netcoord.PersistentRegistryConfig{Dir: dir, SnapshotInterval: -1, NoSync: true})
+		pr, err := netcoord.OpenPersistentRegistry(netcoord.PersistentRegistryConfig{Dir: dir, SnapshotInterval: -1})
 		if err != nil {
 			t.Fatalf("OpenPersistentRegistry: %v", err)
 		}
@@ -208,7 +208,7 @@ func TestRestartedLeaderResyncsLaggingFollower(t *testing.T) {
 	const ring = 16
 	open := func() (*netcoord.PersistentRegistry, *Server) {
 		pr, err := netcoord.OpenPersistentRegistry(netcoord.PersistentRegistryConfig{
-			Dir: dir, Registry: netcoord.RegistryConfig{ChangeStreamBuffer: ring}, SnapshotInterval: -1, NoSync: true,
+			Dir: dir, Registry: netcoord.RegistryConfig{ChangeStreamBuffer: ring}, SnapshotInterval: -1,
 		})
 		if err != nil {
 			t.Fatalf("OpenPersistentRegistry: %v", err)

@@ -24,11 +24,10 @@ func TestChunkedEvictionIsDistinctEventsEverywhere(t *testing.T) {
 	var offset atomic.Int64
 	base := time.Unix(1_700_000_000, 0)
 	cfg := netcoord.PersistentRegistryConfig{
-		Dir: dir, SnapshotInterval: -1, NoSync: true,
+		Dir: dir, SnapshotInterval: -1,
 		Registry: netcoord.RegistryConfig{
-			TTL:             time.Hour,
-			JanitorInterval: 24 * time.Hour, // sweep manually
-			Clock:           func() time.Time { return base.Add(time.Duration(offset.Load())) },
+			TTL:   time.Hour, // the janitor never ticks: sweep manually
+			Clock: func() time.Time { return base.Add(time.Duration(offset.Load())) },
 		},
 	}
 	leader, err := netcoord.OpenPersistentRegistry(cfg)

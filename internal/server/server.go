@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"netcoord"
-	"netcoord/internal/telemetry"
 )
 
 // Config assembles a Server around a registry.
@@ -57,10 +56,6 @@ type Config struct {
 	Follower *netcoord.FollowerRegistry
 	// MaxBody caps request body sizes in bytes (0 = 1 MiB).
 	MaxBody int64
-	// Metrics receives every instrument this server registers and backs
-	// GET /metrics. nil builds a private registry — tests running a
-	// leader and a follower in one process then keep separate series.
-	Metrics *telemetry.Registry
 	// MaxLag is the follower readiness bound for GET /healthz: a
 	// replica lagging more events than this answers 503 so a load
 	// balancer drains it until it catches up. 0 = DefaultMaxLag.
@@ -109,10 +104,6 @@ func New(cfg Config) *Server {
 	if maxLag == 0 {
 		maxLag = DefaultMaxLag
 	}
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = telemetry.NewRegistry()
-	}
 	s := &Server{
 		reg:      cfg.Registry,
 		persist:  cfg.Persist,
@@ -121,7 +112,7 @@ func New(cfg Config) *Server {
 		maxBody:  maxBody,
 		maxLag:   maxLag,
 		mux:      http.NewServeMux(),
-		met:      newServerMetrics(metrics),
+		met:      newServerMetrics(),
 		shutdown: make(chan struct{}),
 	}
 	s.hub = newWatchHub(cfg.Registry, s.shutdown)
@@ -138,7 +129,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /watch", s.instrument("/watch", s.handleWatch))
 	s.mux.HandleFunc("GET /stats", s.instrument("/stats", s.handleStats))
 	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	s.mux.Handle("GET /metrics", metrics.Handler())
+	s.mux.Handle("GET /metrics", s.met.registry.Handler())
 	return s
 }
 

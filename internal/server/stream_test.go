@@ -392,9 +392,8 @@ func TestWatchParameterValidation(t *testing.T) {
 func startTestFollower(t *testing.T, leaderURL string) *netcoord.FollowerRegistry {
 	t.Helper()
 	f, err := netcoord.StartFollower(netcoord.FollowerConfig{
-		Upstreams:     []string{leaderURL},
-		WaitTimeout:   200 * time.Millisecond,
-		RetryInterval: 20 * time.Millisecond,
+		Upstreams:   []string{leaderURL},
+		WaitTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("StartFollower: %v", err)

@@ -103,25 +103,51 @@ func (d *Reader) ReadFrame(fr *Frame) error {
 }
 
 // slabChunk sizes the chunks a Slab starts: the frames of some 900
-// heartbeats share one allocation, as they do in the publishing feed.
+// heartbeats share one allocation.
 const slabChunk = 64 << 10
 
-// Slab is append-only storage for frame bytes that must outlive a
-// Reader's window. ReadBatch copies each frame into it and the event
-// keeps a view of the copy; bytes once handed out are never written
-// again, so a Slab can serve every batch of every stream its owner
-// reads. The zero value is ready to use.
+// Slab is append-only storage for frame bytes that must outlive the
+// call that produced them: a frame ReadBatch copies out of a Reader's
+// window, or one a publishing feed encodes (Encode). The event keeps a
+// view of the slab's bytes, which are never written again, so one Slab
+// serves every frame its owner ever stores, and its chunks keep the
+// per-event frame bytes off the allocator. A frame goes into the
+// current chunk when it fits in what is left, else into a new chunk of
+// max(64 KiB, its size). The zero value is ready to use.
 type Slab struct{ buf []byte }
 
 // keep copies b into the slab and returns the copy, capacity-capped so
 // no append through it can reach the slab's next frame.
+//
+//nc:hotpath
 func (s *Slab) keep(b []byte) []byte {
 	if cap(s.buf)-len(s.buf) < len(b) {
-		s.buf = make([]byte, 0, max(slabChunk, len(b)))
+		s.buf = make([]byte, 0, max(slabChunk, len(b))) //nc:allow(hotpath) one chunk per ~900 heartbeat frames
 	}
 	start := len(s.buf)
 	s.buf = append(s.buf, b...)
 	return s.buf[start:len(s.buf):len(s.buf)]
+}
+
+// Encode encodes ev's frame (Event.Encode) into the slab, so ev and
+// every copy of it share the slab's bytes. On error ev carries no frame
+// and the slab is unchanged.
+//
+//nc:hotpath
+func (s *Slab) Encode(ev *Event) error {
+	free := s.buf[len(s.buf):]
+	frame, err := ev.Encode(free)
+	if err != nil {
+		return err
+	}
+	if len(frame) <= cap(free) {
+		s.buf = s.buf[:len(s.buf)+len(frame)]
+		return nil
+	}
+	// The frame outgrew the chunk, so append built it elsewhere: it
+	// moves to a new chunk like any frame that does not fit.
+	ev.frame = s.keep(frame)
+	return nil
 }
 
 // ReadBatch reads one /changes batch: a batch header and the Count

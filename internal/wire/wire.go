@@ -167,18 +167,12 @@ func AppendFrame(dst []byte, fr *Frame) ([]byte, error) {
 		if dst, err = appendID(dst, fr.ID); err != nil {
 			return dst, err
 		}
-		// The coordinate layout is inlined from internal/coord/codec.go
-		// (dimension byte, d × float64, height) so the encode path stays
-		// free of wrapped-error construction.
-		dim := len(fr.Coord.Vec)
-		if dim > coord.MaxDimension {
+		// The dimension is checked here, not by coord.Encode, so the
+		// encode path stays free of wrapped-error construction.
+		if fr.Coord.Dim() > coord.MaxDimension {
 			return dst, errBadDim
 		}
-		dst = append(dst, byte(dim))
-		for _, comp := range fr.Coord.Vec {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(comp))
-		}
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(fr.Coord.Height))
+		dst = fr.Coord.AppendLayout(dst)
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(fr.Error))
 		dst = binary.BigEndian.AppendUint64(dst, uint64(fr.UpdatedAtNs))
 	case OpRemove:

@@ -37,8 +37,6 @@ type PersistentRegistryConfig struct {
 	// record count. 0 means DefaultCompactWALRecords; negative disables
 	// the record trigger.
 	CompactWALRecords int64
-	// NoSync skips fsync entirely. Only for tests.
-	NoSync bool
 }
 
 // DefaultSnapshotInterval is the default WAL compaction cadence.
@@ -123,7 +121,6 @@ func OpenPersistentRegistry(cfg PersistentRegistryConfig) (*PersistentRegistry, 
 
 	store, recovered, err := persist.Open(cfg.Dir, persist.Options{
 		FlushInterval: cfg.FlushInterval,
-		NoSync:        cfg.NoSync,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: persistent registry: %w", err)

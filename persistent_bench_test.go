@@ -22,7 +22,6 @@ func BenchmarkRecover(b *testing.B) {
 	prep, err := OpenPersistentRegistry(PersistentRegistryConfig{
 		Dir:              dir,
 		SnapshotInterval: -1,
-		NoSync:           true,
 	})
 	if err != nil {
 		b.Fatalf("OpenPersistentRegistry: %v", err)
@@ -58,7 +57,6 @@ func BenchmarkRecover(b *testing.B) {
 		p, err := OpenPersistentRegistry(PersistentRegistryConfig{
 			Dir:              dir,
 			SnapshotInterval: -1,
-			NoSync:           true,
 		})
 		if err != nil {
 			b.Fatalf("recover: %v", err)

@@ -17,7 +17,6 @@ func openTestPR(t *testing.T, dir string, reg RegistryConfig) *PersistentRegistr
 		Registry:         reg,
 		Dir:              dir,
 		SnapshotInterval: -1, // compact manually
-		NoSync:           true,
 	})
 	if err != nil {
 		t.Fatalf("OpenPersistentRegistry: %v", err)
@@ -244,7 +243,6 @@ func TestPersistentRegistryRejectsDimensionMismatch(t *testing.T) {
 	if _, err := OpenPersistentRegistry(PersistentRegistryConfig{
 		Registry: RegistryConfig{Dimension: 2},
 		Dir:      dir,
-		NoSync:   true,
 	}); err == nil {
 		t.Fatal("dimension-mismatched data directory accepted")
 	}
@@ -299,10 +297,9 @@ func TestPersistentRegistryJanitorEvictionLogged(t *testing.T) {
 	// resurrect janitor-evicted entries.
 	dir := t.TempDir()
 	p, err := OpenPersistentRegistry(PersistentRegistryConfig{
-		Registry:         RegistryConfig{TTL: 20 * time.Millisecond, JanitorInterval: 5 * time.Millisecond},
+		Registry:         RegistryConfig{TTL: 20 * time.Millisecond},
 		Dir:              dir,
 		SnapshotInterval: -1,
-		NoSync:           true,
 	})
 	if err != nil {
 		t.Fatalf("OpenPersistentRegistry: %v", err)

@@ -359,10 +359,9 @@ func TestQueryEngineChurnStress(t *testing.T) {
 		mu.Unlock()
 	}
 	r, err := NewRegistry(RegistryConfig{
-		Dimension:       3,
-		TTL:             time.Hour,
-		JanitorInterval: 24 * time.Hour, // evictions driven explicitly below
-		Clock:           clock,
+		Dimension: 3,
+		TTL:       time.Hour, // the janitor never ticks: evictions driven explicitly below
+		Clock:     clock,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,11 +42,9 @@ type RegistryConfig struct {
 	// Dimension of the stored coordinates; 0 means DefaultConfig's.
 	Dimension int
 	// TTL evicts entries not upserted within this duration; 0 disables
-	// staleness eviction.
+	// staleness eviction. The background janitor sweeps every TTL/2
+	// (at least 1ms apart).
 	TTL time.Duration
-	// JanitorInterval is how often the background janitor sweeps when TTL
-	// is set; 0 means TTL/2.
-	JanitorInterval time.Duration
 	// ChangeStreamBuffer sizes the change stream's in-memory ring: every
 	// registry sequences each applied mutation and retains this many
 	// recent events for ChangesSince — the only history it keeps; a
@@ -106,10 +104,9 @@ type RegistryStats struct {
 //
 // Create with NewRegistry, stop the janitor and any feeds with Close.
 type Registry struct {
-	dim             int
-	ttl             time.Duration
-	janitorInterval time.Duration
-	clock           func() time.Time
+	dim   int
+	ttl   time.Duration
+	clock func() time.Time
 
 	// mu guards tree, the one store of entries — and orders the stream
 	// with it: every mutation changes both in one hold of the write lock
@@ -195,27 +192,17 @@ func newRegistry(cfg RegistryConfig) (*Registry, error) {
 		closed: make(chan struct{}),
 	}
 	r.scratch.New = func() any { return newQueryScratch() }
-	if cfg.TTL > 0 {
-		interval := cfg.JanitorInterval
-		if interval <= 0 {
-			interval = cfg.TTL / 2
-		}
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		r.janitorInterval = interval
-	}
 	return r, nil
 }
 
 // startJanitor launches the staleness janitor when a TTL is set. It is
 // called exactly once, by the constructor that owns the registry.
 func (r *Registry) startJanitor() {
-	if r.janitorInterval <= 0 {
+	if r.ttl <= 0 {
 		return
 	}
 	r.wg.Add(1)
-	go r.janitor(r.janitorInterval)
+	go r.janitor(max(r.ttl/2, time.Millisecond))
 }
 
 // Close stops the janitor and detaches every change-stream cursor (its

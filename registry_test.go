@@ -315,10 +315,10 @@ func TestRegistryTTLEviction(t *testing.T) {
 		return now
 	}
 	r, err := NewRegistry(RegistryConfig{
-		TTL: 10 * time.Second,
-		// Long janitor interval: this test drives EvictStale directly.
-		JanitorInterval: time.Hour,
-		Clock:           clock,
+		// A TTL long enough that the janitor (every TTL/2 of wall time)
+		// never ticks: this test drives EvictStale directly.
+		TTL:   time.Hour,
+		Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestRegistryTTLEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	now = now.Add(8 * time.Second)
+	now = now.Add(48 * time.Minute)
 	mu.Unlock()
 	if err := r.Upsert("fresh", c3(2, 0, 0), 0); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestRegistryTTLEviction(t *testing.T) {
 		t.Fatalf("EvictStale before expiry = %d, want 0", n)
 	}
 	mu.Lock()
-	now = now.Add(3 * time.Second) // "old" is now 11s stale, "fresh" 3s
+	now = now.Add(18 * time.Minute) // "old" is now 66m stale, "fresh" 18m
 	mu.Unlock()
 	if n := r.EvictStale(); n != 1 {
 		t.Fatalf("EvictStale = %d, want 1", n)
@@ -370,8 +370,7 @@ func TestRegistryTTLEviction(t *testing.T) {
 func TestEvictStaleSparesEntryRefreshedAfterScan(t *testing.T) {
 	now := time.Unix(1000, 0)
 	r := newTestRegistry(t, RegistryConfig{
-		TTL:                10 * time.Second,
-		JanitorInterval:    time.Hour, // eviction is driven step by step below
+		TTL:                time.Hour, // the janitor never ticks: eviction is driven step by step below
 		ChangeStreamBuffer: 16,
 		Clock:              func() time.Time { return now },
 	})
@@ -380,8 +379,8 @@ func TestEvictStaleSparesEntryRefreshedAfterScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now = now.Add(11 * time.Second)
-	cutoff := now.Add(-10 * time.Second)
+	now = now.Add(66 * time.Minute)
+	cutoff := now.Add(-time.Hour)
 	stale := r.idsWhere(func(e RegistryEntry) bool { return e.UpdatedAt.Before(cutoff) })
 	if len(stale) != 2 {
 		t.Fatalf("scan found %v, want both entries", stale)
