@@ -130,12 +130,6 @@ func TestStoreCompactionAndRestart(t *testing.T) {
 	logRemove(s, "n000")
 	logUpsert(s, testEntry("n001", 99, 999))
 	logUpsert(s, testEntry("new", 7, 777))
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if st := s.Stats(); st.Syncs == 0 {
-		t.Fatalf("Syncs = 0 after a flush: %+v", st)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -894,4 +888,43 @@ func TestWALWriteFailureIsStickyAndCounted(t *testing.T) {
 	if rec := s2.Recovery(); rec.WALRecords != durable {
 		t.Fatalf("replayed %d records, want the %d durable ones", rec.WALRecords, durable)
 	}
+}
+
+func TestRecoveryWithSyncOn(t *testing.T) {
+	// Recovery through a compaction after an explicit Sync: the WAL fsync
+	// and the directory syncs (snapshot rename, new generation) all run,
+	// and the flusher counts them.
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir)
+	var state []Entry
+	for i := 0; i < 10; i++ {
+		e := testEntry(fmt.Sprintf("n%02d", i), float64(i), int64(i+1))
+		state = append(state, e)
+		logUpsert(s, e)
+	}
+	if err := s.Compact("manual", func() (Capture, error) {
+		return Capture{Entries: state, Seq: testSeqCounter.Load(), Epoch: 1}, nil
+	}); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	logRemove(s, "n00")
+	logUpsert(s, testEntry("n05", 50, 500))
+	logUpsert(s, testEntry("n10", 10, 11))
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if st := s.Stats(); st.Syncs == 0 {
+		t.Fatalf("Syncs = 0 after a flush: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, recovered := mustOpen(t, dir)
+	defer s2.Close()
+	want := append([]Entry(nil), state[1:5]...)
+	want = append(want, testEntry("n05", 50, 500))
+	want = append(want, state[6:]...)
+	want = append(want, testEntry("n10", 10, 11))
+	entriesEqual(t, recovered, want)
 }
